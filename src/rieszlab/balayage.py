@@ -9,7 +9,7 @@ decrease.  Every sweep reports these invariants alongside the measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -26,7 +26,7 @@ from .equilibrium import riesz_equilibrium
 from .errors import NodesOutsideDomain, SolverFailure
 from .kelvin import Inversion, invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, build_region, sample_points_off
-from .solver import QPSolution, solve_nonneg
+from .solver import QPSolution, solve_nonneg_many
 
 # Relative slack for the mass/energy monotonicity checks.
 INEQ_SLACK = 1e-8
@@ -60,7 +60,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class SignedSweepResult:
+    """``weights`` holds the signed swept weight of every region node."""
+
     swept: DiscreteMeasure
+    weights: np.ndarray
     positive: SweepResult | None
     negative: SweepResult | None
 
@@ -102,34 +105,59 @@ def sweep(
     where the discrete potential is a faithful stand-in for the continuum
     one; ``tol_dom`` is the allowed relative excess there).
     """
-    if mu.signed:
-        raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
-    if mu.n_points == 0:
-        raise ValueError("cannot sweep the zero measure")
-    if mu.dim != region.dim:
-        raise ValueError("measure and region dimensions differ")
-
-    gram = region.gram(spec)
-    b = source_potentials_on_nodes(spec, mu, region)
-    sol = solve_nonneg(gram, b, tol=tol)
-    if not sol.converged:
-        raise SolverFailure(
-            f"sweep did not converge: kkt residual {sol.kkt_residual:.3e} "
-            f"after {sol.iterations} iterations ({sol.method})"
-        )
-    w = sol.weights
-    support = w > 0.0
-    swept = DiscreteMeasure(region.nodes[support], w[support])
-
-    checks = None
+    B, (res,) = _sweep_columns(spec, [mu], region, tol)
     if run_checks:
-        checks = _run_checks(spec, mu, region, b, sol, swept, tol_dom, n_probes, probe_seed)
-    return SweepResult(swept=swept, solution=sol, checks=checks)
+        checks = _run_checks(spec, mu, region, B[:, 0], res, tol_dom, n_probes, probe_seed)
+        res = replace(res, checks=checks)
+    return res
 
 
-def _run_checks(spec, mu, region, b, sol, swept, tol_dom, n_probes, probe_seed) -> SweepChecks:
+def sweep_many(
+    spec: KernelSpec,
+    sources: list[DiscreteMeasure],
+    region: Region,
+    tol: float = 1e-10,
+) -> list[SweepResult]:
+    """Sweep several nonnegative measures onto the same region nodes.
+
+    The sources share one solve through the region's Cholesky factor, and
+    each result is the one ``sweep`` without checks returns for its source.
+    SolverFailure is raised at the first source, in order, that does not
+    converge; later sources are not solved.
+    """
+    return _sweep_columns(spec, sources, region, tol)[1]
+
+
+def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepResult]]:
+    """Source potentials on the nodes, one column per source, and the sweeps."""
+    B = np.empty((region.n_nodes, len(sources)), order="F")
+    for j, mu in enumerate(sources):
+        if mu.signed:
+            raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
+        if mu.n_points == 0:
+            raise ValueError("cannot sweep the zero measure")
+        if mu.dim != region.dim:
+            raise ValueError("measure and region dimensions differ")
+        B[:, j] = source_potentials_on_nodes(spec, mu, region)
+    if not sources:
+        return B, []
+    sols = solve_nonneg_many(region.gram(spec), B, tol=tol)
+    if not sols[-1].converged:
+        raise SolverFailure(
+            f"sweep did not converge: kkt residual {sols[-1].kkt_residual:.3e} "
+            f"after {sols[-1].iterations} iterations ({sols[-1].method})"
+        )
+    results = []
+    for sol in sols:
+        support = sol.weights > 0.0
+        swept = DiscreteMeasure(region.nodes[support], sol.weights[support])
+        results.append(SweepResult(swept=swept, solution=sol, checks=None))
+    return B, results
+
+
+def _run_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> SweepChecks:
     gram = region.gram(spec)
-    w = sol.weights
+    w, swept = res.solution.weights, res.swept
     mass_in = mu.total_mass
     mass_out = swept.total_mass
     mass_ok = mass_out <= mass_in + INEQ_SLACK * max(1.0, mass_in)
@@ -181,24 +209,23 @@ def sweep_signed(
     nu: DiscreteMeasure,
     region: Region,
     tol: float = 1e-10,
-    run_checks: bool = False,
 ) -> SignedSweepResult:
     """Sweep a signed measure by sweeping its positive and negative parts."""
-    pos_part = nu.positive_part()
-    neg_part = nu.negative_part()
+    pos_part, neg_part = nu.positive_part(), nu.negative_part()
+    parts = [p for p in (pos_part, neg_part) if p.n_points]
+    results = iter(sweep_many(spec, parts, region, tol=tol))
+    pos = next(results) if pos_part.n_points else None
+    neg = next(results) if neg_part.n_points else None
     w = np.zeros(region.n_nodes)
-    pos = neg = None
-    if pos_part.n_points:
-        pos = sweep(spec, pos_part, region, tol=tol, run_checks=run_checks)
+    if pos is not None:
         w += pos.solution.weights
-    if neg_part.n_points:
-        neg = sweep(spec, neg_part, region, tol=tol, run_checks=run_checks)
+    if neg is not None:
         w -= neg.solution.weights
     support = w != 0.0
     swept = DiscreteMeasure(
         region.nodes[support], w[support], signed=bool(np.any(w < 0.0))
     )
-    return SignedSweepResult(swept=swept, positive=pos, negative=neg)
+    return SignedSweepResult(swept=swept, weights=w, positive=pos, negative=neg)
 
 
 def verify_symmetry(
@@ -209,8 +236,7 @@ def verify_symmetry(
     tol: float = 1e-10,
 ) -> dict:
     """Reciprocity of sweeping: <mu^A, nu> against <nu^A, mu>."""
-    s_mu = sweep(spec, mu, region, tol=tol, run_checks=False)
-    s_nu = sweep(spec, nu, region, tol=tol, run_checks=False)
+    s_mu, s_nu = sweep_many(spec, [mu, nu], region, tol=tol)
     e_mu_nu = cross_energy(spec, s_mu.swept, nu)
     e_nu_mu = cross_energy(spec, s_nu.swept, mu)
     gap = abs(e_mu_nu - e_nu_mu) / max(abs(e_mu_nu), abs(e_nu_mu), TINY)
@@ -231,14 +257,13 @@ def verify_integral_representation(
     constraints in the per-atom problems introduce a small gap that
     shrinks under refinement.
     """
-    joint = sweep(spec, mu, region, tol=tol, run_checks=False)
+    atoms = [dirac(mu.points[i], float(mu.weights[i])) for i in range(mu.n_points)]
+    joint, *parts = sweep_many(spec, [mu, *atoms], region, tol=tol)
     probes = sample_points_off(region, n_probes, probe_seed)
     pot_joint = potential_at(spec, joint.swept, probes)
     pot_sum = np.zeros(len(probes))
     mass_sum = 0.0
-    for i in range(mu.n_points):
-        part = sweep(spec, dirac(mu.points[i], float(mu.weights[i])), region,
-                     tol=tol, run_checks=False)
+    for part in parts:
         pot_sum += potential_at(spec, part.swept, probes)
         mass_sum += part.swept.total_mass
     rel = np.abs(pot_sum - pot_joint) / np.maximum(np.abs(pot_joint), TINY)

@@ -814,9 +814,9 @@ def load_scenario(ref: str) -> dict:
 
 def _apply_overrides(scen: dict, args) -> dict:
     if args.seed is not None:
-        scen.setdefault("probes", {})["seed"] = args.seed
-        if "samples" in _TOP_KEYS.get(scen.get("command", ""), set()):
-            scen.setdefault("samples", {})["seed"] = args.seed
+        for key in ("probes", "samples"):
+            if key in _TOP_KEYS.get(scen.get("command", ""), set()):
+                scen.setdefault(key, {})["seed"] = args.seed
     for item in args.tol_override or []:
         if "=" not in item:
             raise SchemaError(f"tolerance override '{item}' is not KEY=VALUE")

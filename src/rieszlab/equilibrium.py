@@ -8,11 +8,11 @@ open domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DiscreteMeasure, KernelSpec, potential_at
+from .core import DiscreteMeasure, GramMatrix, KernelSpec, potential_at
 from .errors import SolverFailure
 from .regions import PROBE_SEED, Region, sample_points_off
 from .solver import QPSolution, solve_simplex
@@ -25,7 +25,8 @@ class EquilibriumResult:
     """Capacitary measure of a node set with its diagnostics.
 
     ``gamma`` integrates to ``capacity``; its potential is 1 on charged
-    nodes and at least 1 on uncharged ones, up to solver tolerance.
+    nodes and at least 1 on uncharged ones, up to solver tolerance; its
+    energy is minimal over ``gram``, a plain or a Green Gram matrix.
     """
 
     gamma: DiscreteMeasure
@@ -37,16 +38,32 @@ class EquilibriumResult:
     node_potential_mean: float
     probe_potential_max: float | None
     probe_seed: int | None
+    gram: GramMatrix
 
 
-def _equilibrium_from_gram(gram, nodes, sol) -> tuple[DiscreteMeasure, float, np.ndarray]:
+def _equilibrium_from_gram(gram: GramMatrix, tol: float, what: str) -> EquilibriumResult:
+    sol = solve_simplex(gram, total=1.0, tol=tol)
+    if not sol.converged:
+        raise SolverFailure(
+            f"{what} did not converge: kkt residual "
+            f"{sol.kkt_residual:.3e} ({sol.method})"
+        )
     min_energy = sol.objective
-    capacity = 1.0 / min_energy
     gw = sol.weights / min_energy
     support = gw > 0.0
-    gamma = DiscreteMeasure(nodes[support], gw[support])
     node_pot = gram.entries @ gw
-    return gamma, capacity, node_pot
+    return EquilibriumResult(
+        gamma=DiscreteMeasure(gram.nodes[support], gw[support]),
+        capacity=1.0 / min_energy,
+        min_energy=min_energy,
+        solution=sol,
+        node_potential_min=float(np.min(node_pot)),
+        node_potential_max=float(np.max(node_pot)),
+        node_potential_mean=float(np.mean(node_pot)),
+        probe_potential_max=None,
+        probe_seed=None,
+        gram=gram,
+    )
 
 
 def riesz_equilibrium(
@@ -61,33 +78,12 @@ def riesz_equilibrium(
     With ``n_probes`` > 0, also reports the largest potential value at
     probe points off the region, which the maximum principle keeps near 1.
     """
-    gram = region.gram(spec)
-    sol = solve_simplex(gram, total=1.0, tol=tol)
-    if not sol.converged:
-        raise SolverFailure(
-            f"equilibrium solve did not converge: kkt residual "
-            f"{sol.kkt_residual:.3e} ({sol.method})"
-        )
-    gamma, capacity, node_pot = _equilibrium_from_gram(gram, region.nodes, sol)
-
-    probe_max = None
-    seed_used = None
-    if n_probes > 0:
-        probes = sample_points_off(region, n_probes, probe_seed)
-        probe_max = float(np.max(potential_at(spec, gamma, probes)))
-        seed_used = probe_seed
-
-    return EquilibriumResult(
-        gamma=gamma,
-        capacity=capacity,
-        min_energy=sol.objective,
-        solution=sol,
-        node_potential_min=float(np.min(node_pot)),
-        node_potential_max=float(np.max(node_pot)),
-        node_potential_mean=float(np.mean(node_pot)),
-        probe_potential_max=probe_max,
-        probe_seed=seed_used,
-    )
+    eq = _equilibrium_from_gram(region.gram(spec), tol, "equilibrium solve")
+    if n_probes <= 0:
+        return eq
+    probes = sample_points_off(region, n_probes, probe_seed)
+    probe_max = float(np.max(potential_at(spec, eq.gamma, probes)))
+    return replace(eq, probe_potential_max=probe_max, probe_seed=probe_seed)
 
 
 def green_equilibrium(gk, f_region: Region, tol: float = 1e-10) -> EquilibriumResult:
@@ -99,24 +95,7 @@ def green_equilibrium(gk, f_region: Region, tol: float = 1e-10) -> EquilibriumRe
     from .green import green_gram  # deferred: green depends on balayage
 
     ggram = green_gram(gk, f_region.nodes, reg_radius=f_region.reg_radius)
-    sol = solve_simplex(ggram, total=1.0, tol=tol)
-    if not sol.converged:
-        raise SolverFailure(
-            f"relative equilibrium solve did not converge: kkt residual "
-            f"{sol.kkt_residual:.3e} ({sol.method})"
-        )
-    gamma, capacity, node_pot = _equilibrium_from_gram(ggram, f_region.nodes, sol)
-    return EquilibriumResult(
-        gamma=gamma,
-        capacity=capacity,
-        min_energy=sol.objective,
-        solution=sol,
-        node_potential_min=float(np.min(node_pot)),
-        node_potential_max=float(np.max(node_pot)),
-        node_potential_mean=float(np.mean(node_pot)),
-        probe_potential_max=None,
-        probe_seed=None,
-    )
+    return _equilibrium_from_gram(ggram, tol, "relative equilibrium solve")
 
 
 def verify_green_minimality(
@@ -129,13 +108,13 @@ def verify_green_minimality(
 ) -> dict:
     """Check the variational characterization of the relative equilibrium.
 
-    Random node-supported measures, rescaled so their Green potential is at
-    least 1 everywhere on the nodes, must have energy at least the
-    capacity.  Returns the smallest energy ratio observed.
+    ``result`` is ``green_equilibrium(gk, f_region)`` and carries its Green
+    Gram matrix.  Random node-supported measures, rescaled so their Green
+    potential is at least 1 everywhere on the nodes, must have energy at
+    least the capacity, which is the energy of the equilibrium measure.
+    Returns the smallest ratio of the two observed.
     """
-    from .green import green_gram
-
-    ggram = green_gram(gk, f_region.nodes, reg_radius=f_region.reg_radius)
+    ggram = result.gram
     rng = np.random.default_rng(seed)
     n = f_region.n_nodes
     ratios = []
@@ -144,7 +123,7 @@ def verify_green_minimality(
         pot = ggram.entries @ v
         v = v / float(np.min(pot))
         e = float(v @ (ggram.entries @ v))
-        ratios.append(e * result.capacity)  # e / (1/capacity)
+        ratios.append(e / result.capacity)
     min_ratio = float(np.min(ratios))
     return {
         "min_energy_ratio": min_ratio,

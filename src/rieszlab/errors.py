@@ -33,6 +33,10 @@ class SolverFailure(RieszLabError):
     """A cone-constrained solve did not produce a usable solution."""
 
 
+class ProbeSamplingFailure(RieszLabError):
+    """Too few probe points could be found off the target set."""
+
+
 class NodesOutsideDomain(RieszLabError):
     """A node list contains points outside the open domain D."""
 

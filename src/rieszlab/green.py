@@ -3,19 +3,18 @@
 For the open domain D complementary to a closed target set A, the Green
 kernel subtracts from the free kernel the potential of the swept point
 charge:  g(x, y) = k(x, y) - potential of the sweep of a unit charge at y
-onto A, evaluated at x.  Swept point charges are memoized, so Gram
-assembly and repeated potential evaluations reuse each other's solves.
+onto A, evaluated at x.  Every quantity with several poles (a Gram
+matrix, the potential of a measure) sweeps the unit charges at all its
+poles in one batched solve against the region's cached factor.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .balayage import sweep, sweep_signed
+from .balayage import sweep_many, sweep_signed
 from .core import (
     DiscreteMeasure,
     GramMatrix,
@@ -35,46 +34,22 @@ from .regions import (
 
 TINY = np.finfo(float).tiny
 
-# Coordinates are quantized to this absolute resolution for cache keys.
-_CACHE_QUANTUM = 1e-12
-
 
 class GreenKernel:
     """Green kernel for the complement of a region's closed set.
 
-    Holds an LRU cache of swept unit point charges keyed by (quantized)
-    location, so that Gram assembly, potential evaluation, and pointwise
-    kernel values share solver work.  Safe for concurrent readers.
+    Holds the kernel, the region and the solver tolerance; it keeps no
+    solves between calls.
     """
 
-    def __init__(self, spec: KernelSpec, region: Region, cache_size: int = 512,
-                 tol: float = 1e-10):
+    def __init__(self, spec: KernelSpec, region: Region, *, tol: float = 1e-10):
         self.spec = spec
         self.region = region
         self.tol = tol
-        self._cache: OrderedDict[tuple, DiscreteMeasure] = OrderedDict()
-        self._cache_size = cache_size
-        self._lock = threading.Lock()
 
     def domain_contains(self, points) -> np.ndarray:
         """Membership mask for the open domain (complement of the target set)."""
         return ~self.region.contains(points)
-
-    def swept_unit_charge(self, y) -> DiscreteMeasure:
-        """The sweep of a unit charge at y onto the region (memoized)."""
-        y = np.asarray(y, dtype=float)
-        key = tuple(int(round(c / _CACHE_QUANTUM)) for c in y)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                return hit
-        res = sweep(self.spec, dirac(y), self.region, tol=self.tol, run_checks=False)
-        with self._lock:
-            self._cache[key] = res.swept
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return res.swept
 
 
 def _require_in_domain(gk: GreenKernel, points, what: str) -> None:
@@ -93,8 +68,8 @@ def green_values(gk: GreenKernel, y, points) -> np.ndarray:
         X = X[None, :]
     _require_in_domain(gk, y, "the pole")
     _require_in_domain(gk, X, "evaluation points")
-    comp = gk.swept_unit_charge(y)
-    vals = potential_at(gk.spec, dirac(y), X) - potential_at(gk.spec, comp, X)
+    (comp,) = sweep_many(gk.spec, [dirac(y)], gk.region, tol=gk.tol)
+    vals = potential_at(gk.spec, dirac(y), X) - potential_at(gk.spec, comp.swept, X)
     coincident = np.all(X == y, axis=1)
     vals[coincident] = np.inf
     return vals
@@ -116,7 +91,8 @@ def green_potential(
 ) -> GreenPotentialResult:
     """Green potential of a measure at domain points.
 
-    Evaluates atom by atom through the swept-charge cache.  With
+    Subtracts, atom by atom, the potential of each atom's swept unit
+    charge; the atoms are swept in one batched solve.  With
     ``compute_gap`` the potential is also computed by sweeping the measure
     as a whole, and the largest relative disagreement between the two
     routes is reported; the routes agree up to solver tolerance whenever
@@ -129,9 +105,9 @@ def green_potential(
     _require_in_domain(gk, X, "evaluation points")
 
     vals = potential_at(gk.spec, nu, X).astype(float)
-    for j in range(nu.n_points):
-        comp = gk.swept_unit_charge(nu.points[j])
-        vals -= nu.weights[j] * potential_at(gk.spec, comp, X)
+    comps = sweep_many(gk.spec, [dirac(y) for y in nu.points], gk.region, tol=gk.tol)
+    for weight, comp in zip(nu.weights, comps):
+        vals -= weight * potential_at(gk.spec, comp.swept, X)
 
     gap = None
     if compute_gap:
@@ -169,10 +145,8 @@ def green_gram(gk: GreenKernel, nodes, reg_radius: float | None = None) -> GramM
         raise ValueError("reg_radius is required for a single-node Gram matrix")
     kgram = assemble_gram(gk.spec, nodes, reg_radius=reg_radius)
     reg_radius = kgram.reg_radius
-    C = np.empty((len(nodes), len(nodes)))
-    for j in range(len(nodes)):
-        comp = gk.swept_unit_charge(nodes[j])
-        C[:, j] = potential_at(gk.spec, comp, nodes)
+    comps = sweep_many(gk.spec, [dirac(y) for y in nodes], gk.region, tol=gk.tol)
+    C = np.column_stack([potential_at(gk.spec, comp.swept, nodes) for comp in comps])
     G = kgram.entries - 0.5 * (C + C.T)
     return GramMatrix(nodes, G, float(reg_radius))
 
@@ -192,12 +166,7 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
     e_free = float(nu.weights @ (kgram.entries @ nu.weights))
 
-    signed = sweep_signed(gk.spec, nu, gk.region, tol=gk.tol)
-    v = np.zeros(gk.region.n_nodes)
-    if signed.positive is not None:
-        v += signed.positive.solution.weights
-    if signed.negative is not None:
-        v -= signed.negative.solution.weights
+    v = sweep_signed(gk.spec, nu, gk.region, tol=gk.tol).weights
     region_gram = gk.region.gram(gk.spec)
     e_swept = float(v @ (region_gram.entries @ v))
 

@@ -20,6 +20,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, assemble_gram
+from .errors import ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -656,5 +657,5 @@ def sample_points_off(
         if count >= n:
             break
     if count < n:
-        raise RuntimeError("probe sampling failed to find enough points off A")
+        raise ProbeSamplingFailure("probe sampling failed to find enough points off A")
     return np.concatenate(out)[:n]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import GramMatrix
-from .errors import IllConditioned
+from .errors import IllConditioned, SolverFailure
 
 # Condition-number estimate above which Cholesky pivots are no longer
 # trusted and the solver switches to projected gradients.
@@ -36,8 +36,8 @@ class QPSolution:
     method: str
 
 
-def _objective(K: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    return float(w @ (K @ w) - 2.0 * (b @ w))
+def _objective(Kw: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    return float(w @ Kw - 2.0 * (b @ w))
 
 
 def _check_condition(gram: GramMatrix) -> None:
@@ -63,8 +63,8 @@ def _sub_solve(gram: GramMatrix, mask: np.ndarray, rhs: np.ndarray) -> np.ndarra
     return cho_solve(factor, rhs)
 
 
-def _nonneg_kkt_residual(K, b, w) -> float:
-    g = 2.0 * (K @ w - b)
+def _nonneg_kkt_residual(Kw, b, w) -> float:
+    g = 2.0 * (Kw - b)
     dual = float(np.max(-g, initial=0.0))
     comp = float(np.max(np.abs(w * g) / (1.0 + np.abs(w)), initial=0.0))
     return max(dual, comp, 0.0)
@@ -77,71 +77,86 @@ def solve_nonneg(
     max_iter: int | None = None,
     allow_fallback: bool = True,
 ) -> QPSolution:
-    """Minimize w'Kw - 2 b'w over w >= 0.
+    """Minimize w'Kw - 2 b'w over w >= 0 (the one-column case of solve_nonneg_many)."""
+    b = np.asarray(b, dtype=float)
+    return solve_nonneg_many(gram, b[:, None], tol, max_iter, allow_fallback)[0]
 
-    Uses block principal pivoting: the full free set is tried first, so the
-    common case where the unconstrained solution is already nonnegative
-    costs a single (cached) Cholesky solve.  When blocks stop making
-    progress the exchange degrades to single least-index swaps, which
-    terminates finitely.  Convergence is declared when the KKT residual
-    drops below ``tol * max(|b|_inf, tiny)``.
+
+def solve_nonneg_many(
+    gram: GramMatrix,
+    B,
+    tol: float = 1e-10,
+    max_iter: int | None = None,
+    allow_fallback: bool = True,
+) -> list[QPSolution]:
+    """Minimize w'Kw - 2 b'w over w >= 0 for every column b of ``B``.
+
+    Uses block principal pivoting: the full free set is tried first, for
+    all columns in one solve through the cached Cholesky factor, so a
+    column whose unconstrained solution is already nonnegative costs
+    nothing more.  When blocks stop making progress the exchange degrades
+    to single least-index swaps, which terminates finitely.  Convergence
+    is declared when the KKT residual drops below ``tol * max(|b|_inf,
+    tiny)``.  Columns are solved in order, and the list ends at the first
+    one that does not converge.
     """
     K = gram.entries
-    b = np.asarray(b, dtype=float)
-    n = len(b)
-    if K.shape != (n, n):
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or K.shape != (len(B), len(B)):
         raise ValueError("b length must match the Gram matrix size")
+    n, k = B.shape
     if max_iter is None:
         max_iter = 50 * n
-    tol_eff = tol * max(float(np.max(np.abs(b), initial=0.0)), TINY)
+    tol_eff = tol * np.maximum(np.max(np.abs(B), axis=0, initial=0.0), TINY)
+    B = np.asfortranarray(B)  # contiguous columns: each BLAS call matches a one-column solve
 
-    if n == 1:
-        w = np.array([max(b[0] / K[0, 0], 0.0)])
-        return QPSolution(
-            weights=w,
-            objective=_objective(K, b, w),
-            kkt_residual=_nonneg_kkt_residual(K, b, w),
-            iterations=1,
-            converged=True,
-            method="block-pivot",
-        )
-
+    W = None
     try:
         _check_condition(gram)
-        return _nonneg_block_pivot(gram, K, b, tol_eff, max_iter)
+        W = gram.solve(B) if n > 1 else np.maximum(B / K[0, 0], 0.0)
     except IllConditioned:
         if not allow_fallback:
             raise
-        return _nonneg_projected_gradient(K, b, tol_eff, max_iter * 40)
+    sols = []
+    for j in range(k):
+        sol = None
+        if W is not None:
+            try:
+                sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter)
+            except IllConditioned:
+                if not allow_fallback:
+                    raise
+        if sol is None:
+            sol = _nonneg_projected_gradient(K, B[:, j], tol_eff[j], max_iter * 40)
+        sols.append(sol)
+        if not sol.converged:
+            break
+    return sols
 
 
-def _nonneg_block_pivot(gram, K, b, tol_eff, max_iter) -> QPSolution:
+def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
+    """Block pivoting from the full free set, whose solve ``w`` is given."""
     n = len(b)
     free = np.ones(n, dtype=bool)
     stalls = 0
     best_infeas = np.inf
     single_swap = False
-    w = np.zeros(n)
+    converged = False
+    it = 0
 
     for it in range(1, max_iter + 1):
-        w = np.zeros(n)
-        if free.any():
-            w[free] = _sub_solve(gram, free, b[free])
-        g = 2.0 * (K @ w - b)
-
+        if it > 1:
+            w = np.zeros(n)
+            if free.any():
+                w[free] = _sub_solve(gram, free, b[free])
         neg_w = free & (w < -tol_eff)
-        neg_g = (~free) & (g < -tol_eff)
+        neg_g = ~free
+        if neg_g.any():
+            neg_g &= 2.0 * (K @ w - b) < -tol_eff
         infeas = int(neg_w.sum() + neg_g.sum())
         if infeas == 0:
-            w = np.maximum(w, 0.0)
-            return QPSolution(
-                weights=w,
-                objective=_objective(K, b, w),
-                kkt_residual=_nonneg_kkt_residual(K, b, w),
-                iterations=it,
-                converged=True,
-                method="block-pivot",
-            )
+            converged = True
+            break
 
         if infeas < best_infeas:
             best_infeas = infeas
@@ -160,12 +175,13 @@ def _nonneg_block_pivot(gram, K, b, tol_eff, max_iter) -> QPSolution:
             free[neg_g] = True
 
     w = np.maximum(w, 0.0)
+    Kw = K @ w
     return QPSolution(
         weights=w,
-        objective=_objective(K, b, w),
-        kkt_residual=_nonneg_kkt_residual(K, b, w),
-        iterations=max_iter,
-        converged=False,
+        objective=_objective(Kw, b, w),
+        kkt_residual=_nonneg_kkt_residual(Kw, b, w),
+        iterations=it,
+        converged=converged,
         method="block-pivot",
     )
 
@@ -184,13 +200,14 @@ def _nonneg_projected_gradient(K, b, tol_eff, max_iter) -> QPSolution:
         step = float(g @ g) / (2.0 * curvature)
         w = np.maximum(w - step * g, 0.0)
         if it % 16 == 0:
-            residual = _nonneg_kkt_residual(K, b, w)
+            residual = _nonneg_kkt_residual(K @ w, b, w)
             if residual <= tol_eff:
                 break
-    residual = _nonneg_kkt_residual(K, b, w)
+    Kw = K @ w
+    residual = _nonneg_kkt_residual(Kw, b, w)
     return QPSolution(
         weights=w,
-        objective=_objective(K, b, w),
+        objective=_objective(Kw, b, w),
         kkt_residual=residual,
         iterations=it,
         converged=bool(residual <= tol_eff),
@@ -239,7 +256,7 @@ def solve_simplex(
         w = np.array([total])
         return QPSolution(
             weights=w,
-            objective=_objective(K, b, w),
+            objective=_objective(K @ w, b, w),
             kkt_residual=0.0,
             iterations=1,
             converged=True,
@@ -288,7 +305,7 @@ def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
                 w *= total / w.sum()
                 return QPSolution(
                     weights=w,
-                    objective=_objective(K, b, w),
+                    objective=_objective(K @ w, b, w),
                     kkt_residual=_simplex_kkt_residual(K, b, w, lam),
                     iterations=it,
                     converged=True,
@@ -308,13 +325,13 @@ def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
         w[blocker] = 0.0
         support[blocker] = False
         if not support.any():
-            raise RuntimeError("active-set iteration emptied the support")
+            raise SolverFailure("active-set iteration emptied the support")
 
     w = np.maximum(w, 0.0)
     w *= total / w.sum()
     return QPSolution(
         weights=w,
-        objective=_objective(K, b, w),
+        objective=_objective(K @ w, b, w),
         kkt_residual=_simplex_kkt_residual(K, b, w, lam),
         iterations=max_iter,
         converged=False,
@@ -354,7 +371,7 @@ def _simplex_projected_gradient(K, b, total, tol, max_iter) -> QPSolution:
     scale = max(abs(lam), float(np.max(np.abs(b), initial=0.0)), TINY)
     return QPSolution(
         weights=w,
-        objective=_objective(K, b, w),
+        objective=_objective(K @ w, b, w),
         kkt_residual=residual,
         iterations=it,
         converged=bool(residual <= tol * scale),

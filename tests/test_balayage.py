@@ -5,11 +5,13 @@ import rieszlab as rl
 from rieszlab import (
     DiscreteMeasure,
     NodesOutsideDomain,
+    SolverFailure,
     dirac,
     potential,
     potential_at,
     sweep,
     sweep_dirac_by_inversion,
+    sweep_many,
     sweep_signed,
     verify_integral_representation,
     verify_symmetry,
@@ -197,3 +199,39 @@ def test_sweep_scales_linearly(spec, ball500):
     r3 = sweep(spec, dirac(2.0 * E1, 3.0), ball500, run_checks=False)
     assert np.allclose(3.0 * r1.solution.weights, r3.solution.weights,
                        rtol=1e-10, atol=1e-12)
+
+
+def test_sweep_many_matches_single_sweeps(spec, ball500):
+    rng = np.random.default_rng(17)
+    sources = [dirac((1.5 + rng.random()) * d / np.linalg.norm(d)) for d in rng.normal(size=(6, 3))]
+    sources.append(DiscreteMeasure(3.0 * np.eye(3), [0.5, 1.0, 2.0]))
+    many = sweep_many(spec, sources, ball500)
+    for mu, res in zip(sources, many):
+        one = sweep(spec, mu, ball500, run_checks=False)
+        assert res.checks is None
+        assert np.array_equal(res.solution.weights, one.solution.weights)
+        assert np.array_equal(res.swept.points, one.swept.points)
+        assert res.solution.kkt_residual == one.solution.kkt_residual
+    assert sweep_many(spec, [], ball500) == []
+
+
+def test_sweep_many_fails_fast(monkeypatch):
+    """On a Gram that is not positive definite the sources are solved in
+    order, and the first one that does not converge stops the batch."""
+    import rieszlab.solver as solver
+
+    spec15 = rl.KernelSpec(1.5, 3)
+    region = rl.ball_complement_region(ORIGIN, 1.0, 250, spec15)
+    calls = []
+    fallback = solver._nonneg_projected_gradient
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fallback(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nonneg_projected_gradient", counting)
+    rng = np.random.default_rng(18)
+    sources = [dirac(ORIGIN)] + [dirac(0.3 * rng.uniform(-1.0, 1.0, 3)) for _ in range(19)]
+    with pytest.raises(SolverFailure):
+        sweep_many(spec15, sources, region)
+    assert len(calls) == 1

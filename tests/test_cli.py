@@ -177,3 +177,25 @@ def test_seed_override_is_deterministic(tmp_path):
     assert (tmp_path / "s1.result.json").read_bytes() == (
         tmp_path / "s2.result.json"
     ).read_bytes()
+
+
+def test_seed_override_applies_to_every_command(tmp_path, capsys):
+    assert main(["run", "kelvin-exactness", "--seed", "5", "--out", str(tmp_path / "k")]) == 0
+    doc = {
+        "schema": 1,
+        "name": "small-green",
+        "command": "green-eval",
+        "kernel": {"alpha": 2.0, "dim": 3},
+        "region": dict(COMPLEMENT),
+        "x": [0.5, 0.0, 0.0],
+        "y": [0.0, 0.0, 0.0],
+    }
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", path, "--seed", "5", "--out", str(tmp_path / "g")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_probe_sampling_failure_exits_1(tmp_path, capsys):
+    path = write_scenario(tmp_path, small_sweep(region=dict(COMPLEMENT, n=150)))
+    assert main(["run", path, "--out", str(tmp_path / "p")]) == 1
+    assert "error: probe sampling failed" in capsys.readouterr().err

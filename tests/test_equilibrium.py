@@ -82,6 +82,25 @@ def test_green_equilibrium_minimality(spec, gk2000):
     assert out["min_energy_ratio"] >= 1.0 - 1e-9
 
 
+def test_green_minimality_below_unit_capacity(spec, gk2000, monkeypatch):
+    """Competitor energies are compared with the capacity itself, which
+    matters once the relative capacity is well below 1; the check reuses
+    the Green Gram matrix of the equilibrium instead of building it again."""
+    import rieszlab.green
+
+    f = rl.sphere_region(ORIGIN, 0.32, 58, spec)
+    res = green_equilibrium(gk2000, f)
+    assert res.capacity < 0.6
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("green_gram called again")
+
+    monkeypatch.setattr(rieszlab.green, "green_gram", no_rebuild)
+    out = verify_green_minimality(gk2000, f, res, n_competitors=20)
+    assert out["ok"], out
+    assert out["min_energy_ratio"] == pytest.approx(1.62, abs=0.05)
+
+
 def test_green_capacity_grows_with_set(spec, gk2000):
     small = rl.sphere_region(ORIGIN, 0.3, 250, spec)
     big = rl.sphere_region(ORIGIN, 0.6, 250, spec)

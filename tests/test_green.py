@@ -80,13 +80,6 @@ def test_green_rejects_outside_points(gk2000):
         green_values(gk2000, 1.5 * E1, np.array([[0.1, 0, 0]]))
 
 
-def test_swept_charge_cache_hits(gk2000):
-    y = np.array([0.37, 0.11, -0.2])
-    a = gk2000.swept_unit_charge(y)
-    b = gk2000.swept_unit_charge(y + 1e-14)  # quantized to the same key
-    assert a is b
-
-
 def test_green_potential_single_atom_matches_values(gk2000):
     rng = np.random.default_rng(33)
     X = interior_points(rng, 10)
@@ -120,6 +113,19 @@ def test_green_gram_positive_definite(spec, gk2000):
         + green_eval(gk2000, nodes[j], nodes[i])
     )
     assert g.entries[i, j] == pytest.approx(sym, rel=1e-10)
+
+
+def test_green_gram_matches_per_pole_sweeps(spec, gk2000):
+    """The batched Green Gram equals, bit for bit, one assembled from one
+    sweep per pole."""
+    rng = np.random.default_rng(37)
+    nodes = interior_points(rng, 12)
+    C = np.empty((12, 12))
+    for j in range(12):
+        comp = rl.sweep(spec, dirac(nodes[j]), gk2000.region, run_checks=False).swept
+        C[:, j] = rl.potential_at(spec, comp, nodes)
+    expected = rl.assemble_gram(spec, nodes).entries - 0.5 * (C + C.T)
+    assert np.array_equal(green_gram(gk2000, nodes).entries, expected)
 
 
 def test_green_gram_rejects_outside_nodes(gk2000):

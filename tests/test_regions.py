@@ -181,6 +181,15 @@ def test_sample_points_off_complement(spec, complement500):
     assert (np.linalg.norm(pts, axis=1) < 1.0).all()
 
 
+def test_sample_points_off_raises_typed_error():
+    # probes keep three mean spacings from the nodes; at n=150 that
+    # standoff leaves no room in the hole of the unit-ball complement
+    spec = rl.KernelSpec(2.0, 3)
+    region = rl.ball_complement_region(ORIGIN, 1.0, 150, spec)
+    with pytest.raises(rl.ProbeSamplingFailure, match="probe sampling failed"):
+        sample_points_off(region, 100, 1)
+
+
 def test_region_gram_cached(spec, ball500):
     assert ball500.gram(spec) is ball500.gram(spec)
 

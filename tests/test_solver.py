@@ -10,7 +10,7 @@ from rieszlab import (
     solve_nonneg,
     solve_simplex,
 )
-from rieszlab.solver import project_to_simplex
+from rieszlab.solver import project_to_simplex, solve_nonneg_many
 
 
 def gram_from(entries, reg=0.1):
@@ -198,3 +198,20 @@ def test_solution_reports_iterations_and_method(spec):
         "active-set",
         "projected-gradient",
     )
+
+
+def test_nonneg_many_columns_match_single_solves(spec):
+    """Each column of a batched solve is bitwise the one-column solve."""
+    rng = np.random.default_rng(16)
+    g = assemble_gram(spec, rng.normal(size=(40, 3)))
+    B = rng.normal(size=(40, 12))
+    many = solve_nonneg_many(g, B)
+    assert len(many) == 12
+    assert any(sol.iterations > 1 for sol in many)  # some columns pivot
+    for j, sol in enumerate(many):
+        one = solve_nonneg(g, B[:, j].copy())
+        assert np.array_equal(sol.weights, one.weights)
+        assert sol.iterations == one.iterations
+        assert sol.method == one.method
+        assert sol.kkt_residual == one.kkt_residual
+        assert sol.objective == one.objective
