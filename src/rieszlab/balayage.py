@@ -23,7 +23,7 @@ from .core import (
     potential_at,
 )
 from .equilibrium import riesz_equilibrium
-from .errors import NodesOutsideDomain, SolverFailure
+from .errors import DimensionMismatch, NodesOutsideDomain, PointOutsideDomain, SolverFailure
 from .kelvin import Inversion, invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, build_region, sample_points_off
 from .solver import QPSolution, solve_nonneg_many
@@ -150,9 +150,40 @@ def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepRe
     results = []
     for sol in sols:
         support = sol.weights > 0.0
-        swept = DiscreteMeasure(region.nodes[support], sol.weights[support])
+        swept = DiscreteMeasure._on_distinct_nodes(region.nodes[support], sol.weights[support])
         results.append(SweepResult(swept=swept, solution=sol, checks=None))
     return B, results
+
+
+def swept_potentials(
+    spec: KernelSpec, results: list[SweepResult], region: Region, points
+) -> np.ndarray:
+    """Potentials of several sweeps onto one region, one column per result.
+
+    The kernel block between the points and every region node is computed
+    once; column j equals ``potential_at(spec, results[j].swept, points)``
+    bit for bit.  Raises PointOutsideDomain if a point coincides with a
+    region node: it lies on the target set, where no caller evaluates.
+    """
+    X = np.asarray(points, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.shape[1] != spec.dim:
+        raise DimensionMismatch(f"points must have dimension {spec.dim}")
+    D = cdist(X, region.nodes)
+    if (D == 0.0).any():
+        raise PointOutsideDomain("an evaluation point coincides with a region node")
+    block = D ** spec.exponent
+    out = np.empty((len(X), len(results)))
+    for j, res in enumerate(results):
+        w = res.solution.weights
+        support = w > 0.0
+        if support.all():
+            out[:, j] = block @ w
+        else:
+            # block[:, support] is F-ordered; a C-ordered copy takes potential_at's BLAS path.
+            out[:, j] = np.ascontiguousarray(block[:, support]) @ w[support]
+    return out
 
 
 def _run_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> SweepChecks:
@@ -260,11 +291,12 @@ def verify_integral_representation(
     atoms = [dirac(mu.points[i], float(mu.weights[i])) for i in range(mu.n_points)]
     joint, *parts = sweep_many(spec, [mu, *atoms], region, tol=tol)
     probes = sample_points_off(region, n_probes, probe_seed)
-    pot_joint = potential_at(spec, joint.swept, probes)
+    pots = swept_potentials(spec, [joint, *parts], region, probes)
+    pot_joint = pots[:, 0]
     pot_sum = np.zeros(len(probes))
     mass_sum = 0.0
-    for part in parts:
-        pot_sum += potential_at(spec, part.swept, probes)
+    for part, pot in zip(parts, pots[:, 1:].T):
+        pot_sum += pot
         mass_sum += part.swept.total_mass
     rel = np.abs(pot_sum - pot_joint) / np.maximum(np.abs(pot_joint), TINY)
     mass_gap = abs(mass_sum - joint.swept.total_mass) / max(

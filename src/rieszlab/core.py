@@ -82,6 +82,21 @@ class DiscreteMeasure:
     __slots__ = ("points", "weights", "signed")
 
     def __init__(self, points, weights, signed: bool = False):
+        self._build(points, weights, signed, check_distinct=True)
+
+    @classmethod
+    def _on_distinct_nodes(cls, points, weights) -> "DiscreteMeasure":
+        """Nonnegative measure on points already known to be pairwise distinct.
+
+        Skips only the distinctness query; the shape, finiteness and sign
+        checks still run.  For subsets of a node set that ``assemble_gram``
+        has accepted.
+        """
+        mu = cls.__new__(cls)
+        mu._build(points, weights, False, check_distinct=False)
+        return mu
+
+    def _build(self, points, weights, signed: bool, check_distinct: bool) -> None:
         pts = np.array(points, dtype=float, copy=True)
         w = np.array(weights, dtype=float, copy=True)
         if pts.ndim != 2:
@@ -95,7 +110,7 @@ class DiscreteMeasure:
             raise ValueError("points and weights must be finite")
         if not signed and len(w) and w.min() < 0.0:
             raise ValueError("negative weight in an unsigned measure")
-        if len(pts) >= 2:
+        if check_distinct and len(pts) >= 2:
             h_min = H_MIN_FACTOR * _bbox_diameter(pts)
             d_nn = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
             if d_nn <= 0.0 or d_nn < h_min:
@@ -301,8 +316,13 @@ class GramMatrix:
         return self._chol
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve K w = b using the cached factorization."""
-        return cho_solve(self.cholesky(), b)
+        """Solve K w = b using the cached factorization.
+
+        ``cho_factor`` already checked the entries, so only ``b`` is checked.
+        """
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        return cho_solve(self.cholesky(), b, check_finite=False)
 
     def condition_estimate(self) -> float:
         """Cheap condition estimate from the Cholesky diagonal."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .balayage import sweep_many, sweep_signed
+from .balayage import SweepResult, sweep_many, sweep_signed, swept_potentials
 from .core import (
     DiscreteMeasure,
     GramMatrix,
@@ -103,11 +103,7 @@ def green_potential(
         X = X[None, :]
     _require_in_domain(gk, nu.points, "the measure's atoms")
     _require_in_domain(gk, X, "evaluation points")
-
-    vals = potential_at(gk.spec, nu, X).astype(float)
-    comps = sweep_many(gk.spec, [dirac(y) for y in nu.points], gk.region, tol=gk.tol)
-    for weight, comp in zip(nu.weights, comps):
-        vals -= weight * potential_at(gk.spec, comp.swept, X)
+    vals = _green_potential_values(gk, nu, _pole_sweeps(gk, nu.points), X)
 
     gap = None
     if compute_gap:
@@ -122,6 +118,30 @@ def green_potential(
             )
         )
     return GreenPotentialResult(values=vals, route_gap=gap)
+
+
+def _pole_sweeps(gk: GreenKernel, poles) -> list[SweepResult]:
+    """Sweeps of the unit charges at the poles, in one batched solve."""
+    return sweep_many(gk.spec, [dirac(y) for y in poles], gk.region, tol=gk.tol)
+
+
+def _green_potential_values(
+    gk: GreenKernel, nu: DiscreteMeasure, comps: list[SweepResult], X: np.ndarray
+) -> np.ndarray:
+    """Green potential of nu at X, given the sweeps of its atoms' unit charges."""
+    vals = potential_at(gk.spec, nu, X).astype(float)
+    swept = swept_potentials(gk.spec, comps, gk.region, X)
+    for weight, col in zip(nu.weights, swept.T):
+        vals -= weight * col
+    return vals
+
+
+def _green_gram_from_sweeps(
+    gk: GreenKernel, kgram: GramMatrix, comps: list[SweepResult]
+) -> GramMatrix:
+    """Free-kernel Gram minus the symmetrized swept unit-charge potentials."""
+    C = swept_potentials(gk.spec, comps, gk.region, kgram.nodes)
+    return GramMatrix(kgram.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
 
 
 def green_gram(gk: GreenKernel, nodes, reg_radius: float | None = None) -> GramMatrix:
@@ -144,11 +164,7 @@ def green_gram(gk: GreenKernel, nodes, reg_radius: float | None = None) -> GramM
     if reg_radius is None and len(nodes) < 2:
         raise ValueError("reg_radius is required for a single-node Gram matrix")
     kgram = assemble_gram(gk.spec, nodes, reg_radius=reg_radius)
-    reg_radius = kgram.reg_radius
-    comps = sweep_many(gk.spec, [dirac(y) for y in nodes], gk.region, tol=gk.tol)
-    C = np.column_stack([potential_at(gk.spec, comp.swept, nodes) for comp in comps])
-    G = kgram.entries - 0.5 * (C + C.T)
-    return GramMatrix(nodes, G, float(reg_radius))
+    return _green_gram_from_sweeps(gk, kgram, _pole_sweeps(gk, nodes))
 
 
 def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
@@ -196,16 +212,20 @@ def verify_domination(
     support-side potentials of mu use a regularized Gram diagonal (a point
     atom's raw potential at itself is infinite); the conclusion is tested
     at probe points with relative slack ``tol``.  When the precondition
-    fails the check is vacuous.
+    fails the check is vacuous.  Each measure's atoms are swept once, and
+    the sweeps serve both the support and the probe potentials.
     """
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
+    mu_comps = _pole_sweeps(gk, mu.points)
     if mu.n_points >= 2:
-        ggram = green_gram(gk, mu.points)
+        ggram = _green_gram_from_sweeps(gk, assemble_gram(gk.spec, mu.points), mu_comps)
         u_mu_self = ggram.entries @ mu.weights
     else:
         u_mu_self = np.array([np.inf])
     if nu is not None:
-        u_nu_self = green_potential(gk, nu, mu.points).values
+        _require_in_domain(gk, nu.points, "the measure's atoms")
+        nu_comps = _pole_sweeps(gk, nu.points)
+        u_nu_self = _green_potential_values(gk, nu, nu_comps, mu.points)
     else:
         u_nu_self = np.zeros(mu.n_points)
     pre_gap = float(np.max(u_mu_self - (c + u_nu_self)))
@@ -223,9 +243,9 @@ def verify_domination(
         dist, _ = cKDTree(mu.points).query(probes)
         probes = probes[dist >= spacing]
     if len(probes):
-        u_mu = green_potential(gk, mu, probes).values
+        u_mu = _green_potential_values(gk, mu, mu_comps, probes)
         u_nu = (
-            green_potential(gk, nu, probes).values
+            _green_potential_values(gk, nu, nu_comps, probes)
             if nu is not None
             else np.zeros(len(probes))
         )

@@ -235,3 +235,64 @@ def test_sweep_many_fails_fast(monkeypatch):
     with pytest.raises(SolverFailure):
         sweep_many(spec15, sources, region)
     assert len(calls) == 1
+
+
+def test_sweep_many_builds_no_kd_tree(spec, ball500, monkeypatch):
+    """Swept measures live on region nodes, which are distinct by
+    construction, so building them queries no KD-tree; they still equal
+    the measures the checking constructor builds."""
+    import rieszlab.core as core
+
+    ball500.gram(spec)
+    trees = []
+    tree = core.cKDTree
+
+    def counting(*args, **kwargs):
+        trees.append(1)
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(core, "cKDTree", counting)
+    rng = np.random.default_rng(19)
+    sources = [dirac((1.5 + rng.random()) * d / np.linalg.norm(d)) for d in rng.normal(size=(20, 3))]
+    results = sweep_many(spec, sources, ball500)
+    assert trees == []
+    for res in results:
+        checked = DiscreteMeasure(res.swept.points, res.swept.weights)
+        assert np.array_equal(res.swept.points, checked.points)
+        assert np.array_equal(res.swept.weights, checked.weights)
+    assert len(trees) == len(results)
+
+
+def test_trusted_measure_keeps_weight_checks():
+    pts = np.eye(3)
+    with pytest.raises(ValueError):
+        DiscreteMeasure._on_distinct_nodes(pts, [1.0, np.nan, 1.0])
+    with pytest.raises(ValueError):
+        DiscreteMeasure._on_distinct_nodes(pts, [1.0, -1.0, 1.0])
+
+
+def test_swept_potentials_match_potential_at():
+    """Each column equals potential_at of its swept measure bit for bit, on
+    full supports and on a partial one: a node-supported source is a fixed
+    point of sweeping, so its swept support is three nodes."""
+    spec15 = rl.KernelSpec(1.5, 3)
+    region = rl.ball_region(ORIGIN, 1.0, 300, spec15)
+    sources = [
+        dirac(2.0 * E1),
+        DiscreteMeasure(region.nodes[[3, 77, 201]], [0.2, 0.3, 0.5]),
+        dirac(np.array([0.0, -1.5, 1.5])),
+    ]
+    results = sweep_many(spec15, sources, region)
+    assert not (results[1].solution.weights > 0.0).all()
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(25, 3))
+    X *= (1.5 + rng.random((25, 1))) / np.linalg.norm(X, axis=1, keepdims=True)
+    pots = rl.swept_potentials(spec15, results, region, X)
+    for res, col in zip(results, pots.T):
+        assert np.array_equal(col, potential_at(spec15, res.swept, X))
+
+
+def test_swept_potentials_reject_points_on_region_nodes(spec, ball500):
+    (res,) = sweep_many(spec, [dirac(2.0 * E1)], ball500)
+    with pytest.raises(rl.RieszLabError):
+        rl.swept_potentials(spec, [res], ball500, ball500.nodes[:3])

@@ -224,6 +224,14 @@ def test_gram_solve_and_condition(spec):
     assert g.condition_estimate() >= 1.0
 
 
+def test_gram_solve_rejects_non_finite_rhs(spec):
+    g = assemble_gram(spec, np.random.default_rng(3).normal(size=(10, 3)))
+    b = np.ones(10)
+    b[4] = np.nan
+    with pytest.raises(ValueError):
+        g.solve(b)
+
+
 def test_energy_quadratic_form(spec):
     g = assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=0.1)
     w = np.array([1.0, 2.0])

@@ -201,3 +201,52 @@ def test_green_energy_monotone_under_exhaustion(spec, gk2000):
     c_small = rl.green_equilibrium(gk2000, f_small).capacity
     c_big = rl.green_equilibrium(gk2000, f_big).capacity
     assert c_big >= c_small - 1e-12
+
+
+@pytest.fixture(scope="module")
+def gk15_ball():
+    """α=1.5 Green kernel of the domain outside the unit ball, where the
+    kernel power takes the general pow path rather than a reciprocal."""
+    spec15 = rl.KernelSpec(1.5, 3)
+    return GreenKernel(spec15, rl.ball_region(ORIGIN, 1.0, 300, spec15))
+
+
+def test_green_gram_matches_per_pole_sweeps_alpha15(gk15_ball):
+    spec15, region = gk15_ball.spec, gk15_ball.region
+    rng = np.random.default_rng(40)
+    nodes = interior_points(rng, 12, r_max=3.0, r_min=1.3)
+    C = np.empty((12, 12))
+    for j in range(12):
+        comp = rl.sweep(spec15, dirac(nodes[j]), region, run_checks=False).swept
+        C[:, j] = rl.potential_at(spec15, comp, nodes)
+    expected = rl.assemble_gram(spec15, nodes).entries - 0.5 * (C + C.T)
+    assert np.array_equal(green_gram(gk15_ball, nodes).entries, expected)
+
+
+def test_green_potential_matches_per_atom_loop_alpha15(gk15_ball):
+    spec15, region = gk15_ball.spec, gk15_ball.region
+    rng = np.random.default_rng(41)
+    nu = DiscreteMeasure(interior_points(rng, 5, r_max=2.0, r_min=1.3), rng.random(5) + 0.5)
+    X = interior_points(rng, 20, r_max=3.0, r_min=1.3)
+    expected = rl.potential_at(spec15, nu, X)
+    for y, weight in zip(nu.points, nu.weights):
+        comp = rl.sweep(spec15, dirac(y), region, run_checks=False).swept
+        expected -= weight * rl.potential_at(spec15, comp, X)
+    assert np.array_equal(green_potential(gk15_ball, nu, X).values, expected)
+
+
+def test_domination_sweeps_each_measure_once(gk2000, monkeypatch):
+    import rieszlab.green as green
+
+    calls = []
+    batched = green.sweep_many
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(green, "sweep_many", counting)
+    rng = np.random.default_rng(37)
+    nu = DiscreteMeasure(interior_points(rng, 5, r_max=0.6), rng.random(5) + 0.5)
+    verify_domination(gk2000, nu.scaled(0.5), nu)
+    assert len(calls) == 2
