@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,50 +49,22 @@ from .thinness import mass_loss_test, thin_at_infinity_report, wiener_report
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "sweep",
-    "equilibrium",
-    "green-eval",
-    "green-equilibrium",
-    "kelvin-check",
-    "wiener",
-    "mass-loss",
-    "verify-all",
-)
-
 _TOP_COMMON = {"schema", "name", "command", "kernel"}
-_TOP_KEYS = {
-    "sweep": _TOP_COMMON | {"region", "source", "probes", "tol", "tol_dom", "expected"},
-    "equilibrium": _TOP_COMMON | {"region", "probes", "tol", "expected"},
-    "green-eval": _TOP_COMMON | {"region", "x", "y", "tol", "expected"},
-    "green-equilibrium": _TOP_COMMON | {"region", "compact", "tol", "expected"},
-    "kelvin-check": _TOP_COMMON | {"center", "measure", "samples", "tol", "expected"},
-    "wiener": _TOP_COMMON
-    | {"region", "point", "ratio_q", "k_max", "shell_budget", "at_infinity", "expected"},
-    "mass-loss": _TOP_COMMON | {"region", "source", "loss_margin", "tol", "expected"},
-    "verify-all": _TOP_COMMON | {"n"},
-}
-_EXPECTED_KEYS = {
-    "sweep": {"mass", "tol", "identity_gap"},
-    "equilibrium": {"capacity", "tol"},
-    "green-eval": {"value", "tol"},
-    "green-equilibrium": {"capacity", "tol"},
-    "kelvin-check": {"gap", "tol"},
-    "wiener": {"classification", "thin"},
-    "mass-loss": {"strict_loss"},
-}
-_SHAPE_KEYS = {
-    "ball": {"shape", "center", "radius"},
-    "ball-complement": {"shape", "center", "radius"},
-    "sphere": {"shape", "center", "radius"},
-    "half-space": {"shape", "normal", "offset"},
-    "union": {"shape", "parts"},
-    "cloud": {"shape", "points"},
+# shape -> (class, the fields passed to it in order)
+_SHAPES = {
+    "ball": (Ball, ("center", "radius")),
+    "ball-complement": (BallComplement, ("center", "radius")),
+    "sphere": (SphereShell, ("center", "radius")),
+    "half-space": (HalfSpace, ("normal", "offset")),
+    "union": (UnionShape, ("parts",)),
+    "cloud": (PointCloud, ("points",)),
 }
 _TOL_OVERRIDE_KEYS = {"tol", "tol_dom", "loss_margin"}
 
 
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
+def _check_keys(doc, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be a JSON object")
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"unknown key '{key}' in {where}")
@@ -101,20 +74,15 @@ def _shape_from_doc(doc: dict) -> Shape:
     if not isinstance(doc, dict) or "shape" not in doc:
         raise SchemaError("shape description must be an object with a 'shape' key")
     kind = doc["shape"]
-    if kind not in _SHAPE_KEYS:
+    if kind not in _SHAPES:
         raise SchemaError(f"unknown shape '{kind}'")
-    _check_keys(doc, _SHAPE_KEYS[kind] | {"n", "extent"}, f"shape '{kind}'")
-    if kind == "ball":
-        return Ball(doc["center"], doc["radius"])
-    if kind == "ball-complement":
-        return BallComplement(doc["center"], doc["radius"])
-    if kind == "sphere":
-        return SphereShell(doc["center"], doc["radius"])
-    if kind == "half-space":
-        return HalfSpace(doc["normal"], doc["offset"])
+    cls, fields = _SHAPES[kind]
+    _check_keys(doc, {"shape", "n", "extent", *fields}, f"shape '{kind}'")
     if kind == "union":
+        if not isinstance(doc["parts"], list):
+            raise SchemaError("union 'parts' must be a JSON list")
         return UnionShape([_shape_from_doc(p) for p in doc["parts"]])
-    return PointCloud(doc["points"])
+    return cls(*(doc[f] for f in fields))
 
 
 def _region_from_doc(doc: dict, spec: KernelSpec) -> Region:
@@ -126,15 +94,7 @@ def _region_from_doc(doc: dict, spec: KernelSpec) -> Region:
     return build_region(shape, int(doc["n"]), spec, extent=doc.get("extent"))
 
 
-def _measure_from_doc(doc: dict) -> DiscreteMeasure:
-    try:
-        return DiscreteMeasure.from_json_dict(doc)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def _kernel_from_doc(doc: dict | None) -> KernelSpec:
-    doc = doc or {}
+def _kernel_from_doc(doc: dict) -> KernelSpec:
     _check_keys(doc, {"alpha", "dim"}, "kernel")
     return KernelSpec(alpha=float(doc.get("alpha", 2.0)), dim=int(doc.get("dim", 3)))
 
@@ -148,13 +108,13 @@ def validate_scenario(doc) -> None:
     command = doc.get("command")
     if command not in COMMANDS:
         raise SchemaError(f"unknown command '{command}'")
-    _check_keys(doc, _TOP_KEYS[command], f"command '{command}'")
-    if "probes" in doc:
-        _check_keys(doc["probes"], {"n", "seed"}, "probes")
-    if "samples" in doc:
-        _check_keys(doc["samples"], {"n", "seed"}, "samples")
+    _, top_keys, expected_keys = COMMANDS[command]
+    _check_keys(doc, top_keys, f"command '{command}'")
+    for key in ("probes", "samples"):
+        if key in doc:
+            _check_keys(doc[key], {"n", "seed"}, key)
     if "expected" in doc:
-        _check_keys(doc["expected"], _EXPECTED_KEYS[command], "expected")
+        _check_keys(doc["expected"], expected_keys, "expected")
 
 
 def _jsonable(x):
@@ -187,14 +147,26 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _rel_error(value, expected):
+    if expected == 0.0:
+        return abs(value)
+    return abs(value - expected) / abs(expected)
+
+
 def _row(name, value, expected=None, tol=None):
     passed = None
     if expected is not None and tol is not None:
-        if expected == 0.0:
-            passed = bool(abs(value) <= tol)
-        else:
-            passed = bool(abs(value - expected) / abs(expected) <= tol)
+        passed = bool(_rel_error(value, expected) <= tol)
     return {"name": name, "value": value, "expected": expected, "tol": tol, "passed": passed}
+
+
+def _checked_row(name, value, expected: dict, key: str, default_tol=None):
+    """A row checked against ``expected[key]``, if the scenario gives one."""
+    tol = expected.get("tol", default_tol) if key in expected else None
+    return _row(name, value, expected.get(key), tol)
+
+
+_ROW_FIELDS = ("name", "value", "expected", "tol", "passed")
 
 
 def _csv_cell(value) -> str:
@@ -207,37 +179,36 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(rows) -> str:
+def _write_outputs(prefix, payload: dict, header, lines) -> None:
+    _write_atomic(Path(f"{prefix}.result.json"), dumps_deterministic(payload) + "\n")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "value", "expected", "tol", "passed"])
-    for r in rows:
-        writer.writerow(
-            [
-                r["name"],
-                _csv_cell(r["value"]),
-                _csv_cell(r["expected"]),
-                _csv_cell(r["tol"]),
-                _csv_cell(r["passed"]),
-            ]
-        )
-    return buf.getvalue()
+    writer.writerow(header)
+    writer.writerows(lines)
+    _write_atomic(Path(f"{prefix}.table.csv"), buf.getvalue())
 
 
-def _failed_names(rows, extra=()) -> list[str]:
-    names = [r["name"] for r in rows if r["passed"] is False]
-    names.extend(extra)
-    return names
+def _region_doc(region: Region) -> dict:
+    return region.shape.descriptor() | {"n_nodes": region.n_nodes}
+
+
+def _node_potential(eq) -> dict:
+    return {
+        "min": eq.node_potential_min,
+        "max": eq.node_potential_max,
+        "mean": eq.node_potential_mean,
+    }
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each returns (payload, rows, failed-property names).
+# Command runners.  Each takes (scenario, kernel, "expected" section, seed)
+# and returns (its payload fields, rows, failed-property names that are not
+# rows); _run_scenario adds the common envelope.
 
 
-def _run_sweep(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_sweep(scen, spec, expected, seed):
     region = _region_from_doc(scen["region"], spec)
-    mu = _measure_from_doc(scen["source"])
+    mu = DiscreteMeasure.from_json_dict(scen["source"])
     probes = scen.get("probes", {})
     res = sweep(
         spec,
@@ -249,15 +220,9 @@ def _run_sweep(scen, seed):
         probe_seed=int(probes.get("seed", seed)),
     )
     checks = res.checks
-    expected = scen.get("expected", {})
     rows = [
         _row("mass-in", checks.mass_in),
-        _row(
-            "mass-out",
-            checks.mass_out,
-            expected.get("mass"),
-            expected.get("tol") if "mass" in expected else None,
-        ),
+        _checked_row("mass-out", checks.mass_out, expected, "mass"),
         _row("energy-out", checks.energy_out),
         _row("node-equality-gap", checks.node_equality_gap),
         _row("domination-excess", checks.domination_excess),
@@ -275,24 +240,9 @@ def _run_sweep(scen, seed):
         tol_id = expected.get("tol", 1e-6)
         rows.append(_row("identity-gap", gap, 0.0, tol_id))
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
-        "region": region.shape.descriptor() | {"n_nodes": region.n_nodes},
-        "checks": {
-            "mass_in": checks.mass_in,
-            "mass_out": checks.mass_out,
-            "mass_ok": checks.mass_ok,
-            "energy_in": checks.energy_in,
-            "energy_out": checks.energy_out,
-            "energy_ok": checks.energy_ok,
-            "node_equality_gap": checks.node_equality_gap,
-            "domination_excess": checks.domination_excess,
-            "domination_ok": checks.domination_ok,
-            "n_probes": checks.n_probes,
-            "probe_seed": checks.probe_seed,
-        },
+    fields = {
+        "region": _region_doc(region),
+        "checks": asdict(checks),
         "swept": {"mass": res.swept.total_mass, "n_atoms": res.swept.n_points},
         "solver": {
             "iterations": res.solution.iterations,
@@ -300,7 +250,7 @@ def _run_sweep(scen, seed):
             "method": res.solution.method,
         },
     }
-    return payload, rows, _failed_names(rows, failures)
+    return fields, rows, failures
 
 
 def _identity_gap(spec, mu, region, res) -> float:
@@ -317,8 +267,7 @@ def _identity_gap(spec, mu, region, res) -> float:
     return float(np.max(np.abs(w - v)) / max(float(np.max(v)), 1e-300))
 
 
-def _run_equilibrium(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_equilibrium(scen, spec, expected, seed):
     region = _region_from_doc(scen["region"], spec)
     probes = scen.get("probes", {})
     eq = riesz_equilibrium(
@@ -328,14 +277,8 @@ def _run_equilibrium(scen, seed):
         n_probes=int(probes.get("n", 0)),
         probe_seed=int(probes.get("seed", seed)),
     )
-    expected = scen.get("expected", {})
     rows = [
-        _row(
-            "capacity",
-            eq.capacity,
-            expected.get("capacity"),
-            expected.get("tol") if "capacity" in expected else None,
-        ),
+        _checked_row("capacity", eq.capacity, expected, "capacity"),
         _row("min-energy", eq.min_energy),
         _row("node-potential-min", eq.node_potential_min),
         _row("node-potential-max", eq.node_potential_max),
@@ -345,82 +288,49 @@ def _run_equilibrium(scen, seed):
         rows.append(_row("probe-potential-max", eq.probe_potential_max))
         if eq.probe_potential_max > 1.02:
             failures.append("maximum-principle")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "equilibrium",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
-        "region": region.shape.descriptor() | {"n_nodes": region.n_nodes},
+    fields = {
+        "region": _region_doc(region),
         "capacity": eq.capacity,
         "min_energy": eq.min_energy,
-        "node_potential": {
-            "min": eq.node_potential_min,
-            "max": eq.node_potential_max,
-            "mean": eq.node_potential_mean,
-        },
+        "node_potential": _node_potential(eq),
         "probe_potential_max": eq.probe_potential_max,
         "probe_seed": eq.probe_seed,
     }
-    return payload, rows, _failed_names(rows, failures)
+    return fields, rows, failures
 
 
-def _run_green_eval(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_green_eval(scen, spec, expected, seed):
     region = _region_from_doc(scen["region"], spec)
     gk = GreenKernel(spec, region, tol=float(scen.get("tol", 1e-10)))
     value = green_eval(gk, scen["x"], scen["y"])
-    expected = scen.get("expected", {})
-    rows = [
-        _row(
-            "green-value",
-            value,
-            expected.get("value"),
-            expected.get("tol") if "value" in expected else None,
-        )
-    ]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "green-eval",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
-        "region": region.shape.descriptor() | {"n_nodes": region.n_nodes},
+    rows = [_checked_row("green-value", value, expected, "value")]
+    fields = {
+        "region": _region_doc(region),
         "x": list(map(float, scen["x"])),
         "y": list(map(float, scen["y"])),
         "value": value,
     }
-    return payload, rows, _failed_names(rows)
+    return fields, rows, []
 
 
-def _run_green_equilibrium(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_green_equilibrium(scen, spec, expected, seed):
     region = _region_from_doc(scen["region"], spec)
     compact = _region_from_doc(scen["compact"], spec)
     gk = GreenKernel(spec, region, tol=float(scen.get("tol", 1e-10)))
     eq = green_equilibrium(gk, compact)
-    expected = scen.get("expected", {})
     rows = [
-        _row(
-            "relative-capacity",
-            eq.capacity,
-            expected.get("capacity"),
-            expected.get("tol") if "capacity" in expected else None,
-        ),
+        _checked_row("relative-capacity", eq.capacity, expected, "capacity"),
         _row("node-potential-min", eq.node_potential_min),
         _row("node-potential-max", eq.node_potential_max),
     ]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "green-equilibrium",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
-        "region": region.shape.descriptor() | {"n_nodes": region.n_nodes},
-        "compact": compact.shape.descriptor() | {"n_nodes": compact.n_nodes},
+    fields = {
+        "region": _region_doc(region),
+        "compact": _region_doc(compact),
         "capacity": eq.capacity,
         "min_energy": eq.min_energy,
-        "node_potential": {
-            "min": eq.node_potential_min,
-            "max": eq.node_potential_max,
-            "mean": eq.node_potential_mean,
-        },
+        "node_potential": _node_potential(eq),
     }
-    return payload, rows, _failed_names(rows)
+    return fields, rows, []
 
 
 def _covariance_samples(center, n, seed) -> np.ndarray:
@@ -431,32 +341,25 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
     return radii[:, None] * dirs
 
 
-def _run_kelvin_check(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_kelvin_check(scen, spec, expected, seed):
     center = np.asarray(scen["center"], dtype=float)
-    nu = _measure_from_doc(scen["measure"])
+    nu = DiscreteMeasure.from_json_dict(scen["measure"])
     samples_doc = scen.get("samples", {})
     samples = _covariance_samples(
         center, int(samples_doc.get("n", 50)), int(samples_doc.get("seed", seed))
     )
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
     gap = verify_potential_covariance(Inversion(center), spec, nu, samples[keep])
-    expected = scen.get("expected", {})
-    tol = expected.get("tol", 1e-12) if "gap" in expected else None
-    rows = [_row("covariance-gap", gap, expected.get("gap"), tol)]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "kelvin-check",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
+    rows = [_checked_row("covariance-gap", gap, expected, "gap", default_tol=1e-12)]
+    fields = {
         "center": list(map(float, scen["center"])),
         "n_samples": int(np.sum(keep)),
         "covariance_gap": gap,
     }
-    return payload, rows, _failed_names(rows)
+    return fields, rows, []
 
 
-def _run_wiener(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_wiener(scen, spec, expected, seed):
     shape = _shape_from_doc(scen["region"])
     point = scen["point"]
     kwargs = {
@@ -464,7 +367,6 @@ def _run_wiener(scen, seed):
         "k_max": int(scen.get("k_max", 8)),
         "shell_budget": int(scen.get("shell_budget", 400)),
     }
-    expected = scen.get("expected", {})
     failures = []
     if scen.get("at_infinity", False):
         rep_inf = thin_at_infinity_report(spec, shape, point, **kwargs)
@@ -472,20 +374,14 @@ def _run_wiener(scen, seed):
         thin = rep_inf.thin
     else:
         rep = wiener_report(spec, shape, point, **kwargs)
-        rep_inf = None
         thin = None
-    rows = [
-        _row(f"shell-{s.k}-term", s.term) for s in rep.shells
-    ]
+    rows = [_row(f"shell-{s.k}-term", s.term) for s in rep.shells]
     rows.append(_row("fitted-ratio", rep.fitted_ratio if rep.fitted_ratio is not None else float("nan")))
     if "classification" in expected and rep.classification != expected["classification"]:
         failures.append("classification")
     if "thin" in expected and thin is not None and bool(expected["thin"]) != thin:
         failures.append("thin-at-infinity")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "wiener",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
+    fields = {
         "point": list(map(float, point)),
         "ratio_q": kwargs["ratio_q"],
         "k_max": kwargs["k_max"],
@@ -494,25 +390,14 @@ def _run_wiener(scen, seed):
         "degenerate": rep.degenerate,
         "at_infinity": bool(scen.get("at_infinity", False)),
         "thin": thin,
-        "shells": [
-            {
-                "k": s.k,
-                "r_lo": s.r_lo,
-                "r_hi": s.r_hi,
-                "n_nodes": s.n_nodes,
-                "capacity": s.capacity,
-                "term": s.term,
-            }
-            for s in rep.shells
-        ],
+        "shells": [asdict(s) for s in rep.shells],
     }
-    return payload, rows, _failed_names(rows, failures)
+    return fields, rows, failures
 
 
-def _run_mass_loss(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_mass_loss(scen, spec, expected, seed):
     region = _region_from_doc(scen["region"], spec)
-    mu = _measure_from_doc(scen["source"])
+    mu = DiscreteMeasure.from_json_dict(scen["source"])
     report = mass_loss_test(
         spec,
         mu,
@@ -520,7 +405,6 @@ def _run_mass_loss(scen, seed):
         loss_margin=float(scen.get("loss_margin", 0.02)),
         tol=float(scen.get("tol", 1e-10)),
     )
-    expected = scen.get("expected", {})
     failures = []
     if "strict_loss" in expected and bool(expected["strict_loss"]) != report["strict_loss"]:
         failures.append("strict-loss")
@@ -530,46 +414,36 @@ def _run_mass_loss(scen, seed):
         _row("loss-fraction", report["loss_fraction"]),
         _row("strict-loss", 1.0 if report["strict_loss"] else 0.0),
     ]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "mass-loss",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
-        "region": region.shape.descriptor() | {"n_nodes": region.n_nodes},
-        **report,
-    }
-    return payload, rows, _failed_names(rows, failures)
+    fields = {"region": _region_doc(region), **report}
+    return fields, rows, failures
+
+
+# The measure that the battery and the kelvin-exactness builtin transform.
+_KELVIN_MEASURE = {
+    "points": [
+        [0.3, 0.1, -0.2],
+        [-0.4, 0.5, 0.1],
+        [0.2, -0.3, 0.4],
+        [0.0, 0.0, 0.6],
+        [0.5, 0.2, 0.3],
+    ],
+    "weights": [0.5, 1.0, 0.25, 0.75, 1.5],
+}
 
 
 def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     """The standard verification battery on the Newtonian unit-ball geometry."""
-    rows = []
-    rows.append(
-        _row(
-            "kernel-unit-distance",
-            riesz_kernel(spec, np.zeros(spec.dim), np.eye(spec.dim)[0]),
-            1.0,
-            1e-12,
-        )
-    )
+    origin = np.zeros(spec.dim)
+    e = np.eye(spec.dim)
+    rows = [_row("kernel-unit-distance", riesz_kernel(spec, origin, e[0]), 1.0, 1e-12)]
 
-    region_out = build_region(BallComplement(np.zeros(spec.dim), 1.0), n, spec)
-    res = sweep(spec, dirac(np.zeros(spec.dim)), region_out, probe_seed=seed)
+    region_out = build_region(BallComplement(origin, 1.0), n, spec)
+    res = sweep(spec, dirac(origin), region_out, probe_seed=seed)
     rows.append(_row("sweep-origin-mass", res.checks.mass_out, 1.0, 0.01))
-    far = np.zeros(spec.dim)
-    far[0] = 2.0
-    rows.append(
-        _row(
-            "sweep-origin-potential",
-            float(potential_at(spec, res.swept, far[None, :])[0]),
-            0.5,
-            0.01,
-        )
-    )
+    far_potential = float(potential_at(spec, res.swept, 2.0 * e[:1])[0])
+    rows.append(_row("sweep-origin-potential", far_potential, 0.5, 0.01))
 
-    a1 = np.zeros(spec.dim)
-    a2 = np.zeros(spec.dim)
-    a2[0], a2[1] = 0.3, 0.2
-    sym = verify_symmetry(spec, dirac(a1), dirac(a2), region_out)
+    sym = verify_symmetry(spec, dirac(origin), dirac(0.3 * e[0] + 0.2 * e[1]), region_out)
     rows.append(_row("sweep-symmetry-gap", sym["rel_gap"], 0.0, 0.01))
 
     eq = riesz_equilibrium(spec, region_out, n_probes=100, probe_seed=seed)
@@ -577,40 +451,25 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     rows.append(_row("equilibrium-potential-max", eq.node_potential_max, 1.0, 0.02))
 
     gk = GreenKernel(spec, region_out)
-    x = np.zeros(spec.dim)
-    x[0] = 0.5
-    rows.append(_row("green-center-value", green_eval(gk, x, np.zeros(spec.dim)), 1.0, 0.02))
-    xb = np.zeros(spec.dim)
-    xb[0] = 0.3
-    yb = np.zeros(spec.dim)
-    yb[1] = 0.4
-    gxy = green_eval(gk, xb, yb)
-    gyx = green_eval(gk, yb, xb)
+    rows.append(_row("green-center-value", green_eval(gk, 0.5 * e[0], origin), 1.0, 0.02))
+    gxy = green_eval(gk, 0.3 * e[0], 0.4 * e[1])
+    gyx = green_eval(gk, 0.4 * e[1], 0.3 * e[0])
     rows.append(
         _row("green-symmetry-gap", abs(gxy - gyx) / max(abs(gxy), abs(gyx)), 0.0, 0.02)
     )
 
-    f_sphere = sphere_region(np.zeros(spec.dim), 0.5, max(200, min(800, n)), spec)
+    f_sphere = sphere_region(origin, 0.5, max(200, min(800, n)), spec)
     geq = green_equilibrium(gk, f_sphere)
     rows.append(_row("green-equilibrium-capacity", geq.capacity, 1.0, 0.02))
 
-    kel_points = np.array(
-        [
-            [0.3, 0.1, -0.2],
-            [-0.4, 0.5, 0.1],
-            [0.2, -0.3, 0.4],
-            [0.0, 0.0, 0.6],
-            [0.5, 0.2, 0.3],
-        ]
-    )[:, : spec.dim]
-    kel = DiscreteMeasure(kel_points, [0.5, 1.0, 0.25, 0.75, 1.5])
-    pole = np.zeros(spec.dim)
-    pole[0] = 2.0
+    kel_points = np.array(_KELVIN_MEASURE["points"])[:, : spec.dim]
+    kel = DiscreteMeasure(kel_points, _KELVIN_MEASURE["weights"])
+    pole = 2.0 * e[0]
     samples = _covariance_samples(pole, 50, seed)
     gap = verify_potential_covariance(Inversion(pole), spec, kel, samples)
     rows.append(_row("kelvin-covariance-gap", gap, 0.0, 1e-12))
 
-    region_ball = build_region(Ball(np.zeros(spec.dim), 1.0), n, spec)
+    region_ball = build_region(Ball(origin, 1.0), n, spec)
     loss = mass_loss_test(spec, dirac(pole), region_ball)
     rows.append(_row("mass-loss-fraction", loss["loss_fraction"], 0.5, 0.01))
 
@@ -619,43 +478,87 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     return rows
 
 
-def _run_verify_all(scen, seed):
-    spec = _kernel_from_doc(scen.get("kernel"))
+def _run_verify_all(scen, spec, expected, seed):
     n = int(scen.get("n", 2000))
     rows = run_battery(spec, n, seed)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify-all",
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
+    fields = {
         "n": n,
-        "checks": [
-            {
-                "name": r["name"],
-                "value": r["value"],
-                "expected": r["expected"],
-                "tol": r["tol"],
-                "passed": r["passed"],
-            }
-            for r in rows
-        ],
+        "checks": rows,
         "all_passed": all(r["passed"] for r in rows if r["passed"] is not None),
     }
-    return payload, rows, _failed_names(rows)
+    return fields, rows, []
 
 
-_RUNNERS = {
-    "sweep": _run_sweep,
-    "equilibrium": _run_equilibrium,
-    "green-eval": _run_green_eval,
-    "green-equilibrium": _run_green_equilibrium,
-    "kelvin-check": _run_kelvin_check,
-    "wiener": _run_wiener,
-    "mass-loss": _run_mass_loss,
-    "verify-all": _run_verify_all,
+# command -> (runner, accepted top-level keys, accepted "expected" keys)
+COMMANDS = {
+    "sweep": (
+        _run_sweep,
+        _TOP_COMMON | {"region", "source", "probes", "tol", "tol_dom", "expected"},
+        {"mass", "tol", "identity_gap"},
+    ),
+    "equilibrium": (
+        _run_equilibrium,
+        _TOP_COMMON | {"region", "probes", "tol", "expected"},
+        {"capacity", "tol"},
+    ),
+    "green-eval": (
+        _run_green_eval,
+        _TOP_COMMON | {"region", "x", "y", "tol", "expected"},
+        {"value", "tol"},
+    ),
+    "green-equilibrium": (
+        _run_green_equilibrium,
+        _TOP_COMMON | {"region", "compact", "tol", "expected"},
+        {"capacity", "tol"},
+    ),
+    "kelvin-check": (
+        _run_kelvin_check,
+        _TOP_COMMON | {"center", "measure", "samples", "expected"},
+        {"gap", "tol"},
+    ),
+    "wiener": (
+        _run_wiener,
+        _TOP_COMMON
+        | {"region", "point", "ratio_q", "k_max", "shell_budget", "at_infinity", "expected"},
+        {"classification", "thin"},
+    ),
+    "mass-loss": (
+        _run_mass_loss,
+        _TOP_COMMON | {"region", "source", "loss_margin", "tol", "expected"},
+        {"strict_loss"},
+    ),
+    "verify-all": (_run_verify_all, _TOP_COMMON | {"n"}, set()),
 }
 
 
-def _builtin_scenarios() -> dict:
+def _run_scenario(scen: dict, seed: int):
+    """Validate and run a scenario: (payload, rows, failed-property names)."""
+    validate_scenario(scen)
+    command = scen["command"]
+    spec = _kernel_from_doc(scen.get("kernel", {}))
+    fields, rows, failures = COMMANDS[command][0](scen, spec, scen.get("expected", {}), seed)
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
+    }
+    failed = [r["name"] for r in rows if r["passed"] is False]
+    return payload | fields, rows, failed + failures
+
+
+def _builtin(name: str, blurb: str, command: str, **fields):
+    """A builtin scenario at alpha=2, dim=3, as ``(name, (blurb, document))``."""
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "name": name,
+        "command": command,
+        "kernel": {"alpha": 2.0, "dim": 3},
+        **fields,
+    }
+    return name, (blurb, doc)
+
+
+def _builtin_scenarios() -> list:
     unit = [0.0, 0.0, 0.0]
     complement = {
         "shape": "ball-complement",
@@ -664,140 +567,107 @@ def _builtin_scenarios() -> dict:
         "n": 2000,
     }
     identity_nodes = fibonacci_sphere(500, 1.0, (0.0, 0.0, 0.0))[[0, 100, 300]]
-    return {
-        "ball-newtonian": {
-            "schema": 1,
-            "name": "ball-newtonian",
-            "command": "verify-all",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "n": 2000,
-        },
-        "sweep-origin": {
-            "schema": 1,
-            "name": "sweep-origin",
-            "command": "sweep",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": dict(complement),
-            "source": {"points": [unit], "weights": [1.0]},
-            "expected": {"mass": 1.0, "tol": 0.01},
-        },
-        "sweep-identity": {
-            "schema": 1,
-            "name": "sweep-identity",
-            "command": "sweep",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": dict(complement, n=500),
-            "source": {
+    return [
+        _builtin(
+            "ball-newtonian",
+            "full verification battery on the Newtonian unit-ball geometry",
+            "verify-all",
+            n=2000,
+        ),
+        _builtin(
+            "sweep-origin",
+            "sweep a unit charge at the origin onto the ball complement",
+            "sweep",
+            region=complement,
+            source={"points": [unit], "weights": [1.0]},
+            expected={"mass": 1.0, "tol": 0.01},
+        ),
+        _builtin(
+            "sweep-identity",
+            "sweeping a measure already on the nodes returns it",
+            "sweep",
+            region=dict(complement, n=500),
+            source={
                 "points": identity_nodes.tolist(),
                 "weights": [0.2, 0.3, 0.5],
             },
-            "expected": {"identity_gap": 0.0, "tol": 1e-6},
-        },
-        "equilibrium-ball": {
-            "schema": 1,
-            "name": "equilibrium-ball",
-            "command": "equilibrium",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": {"shape": "sphere", "center": unit, "radius": 1.0, "n": 2000},
-            "probes": {"n": 100, "seed": PROBE_SEED},
-            "expected": {"capacity": 1.0, "tol": 0.01},
-        },
-        "green-center": {
-            "schema": 1,
-            "name": "green-center",
-            "command": "green-eval",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": dict(complement),
-            "x": [0.5, 0.0, 0.0],
-            "y": unit,
-            "expected": {"value": 1.0, "tol": 0.02},
-        },
-        "green-equilibrium-sphere": {
-            "schema": 1,
-            "name": "green-equilibrium-sphere",
-            "command": "green-equilibrium",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": dict(complement),
-            "compact": {"shape": "sphere", "center": unit, "radius": 0.5, "n": 800},
-            "expected": {"capacity": 1.0, "tol": 0.02},
-        },
-        "kelvin-exactness": {
-            "schema": 1,
-            "name": "kelvin-exactness",
-            "command": "kelvin-check",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "center": [2.0, 0.0, 0.0],
-            "measure": {
-                "points": [
-                    [0.3, 0.1, -0.2],
-                    [-0.4, 0.5, 0.1],
-                    [0.2, -0.3, 0.4],
-                    [0.0, 0.0, 0.6],
-                    [0.5, 0.2, 0.3],
-                ],
-                "weights": [0.5, 1.0, 0.25, 0.75, 1.5],
-            },
-            "samples": {"n": 50, "seed": 7},
-            "expected": {"gap": 0.0, "tol": 1e-12},
-        },
-        "wiener-ball-point": {
-            "schema": 1,
-            "name": "wiener-ball-point",
-            "command": "wiener",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": {"shape": "ball", "center": unit, "radius": 1.0},
-            "point": [1.0, 0.0, 0.0],
-            "ratio_q": 0.5,
-            "k_max": 8,
-            "shell_budget": 400,
-            "expected": {"classification": "regular"},
-        },
-        "thin-ball-at-infinity": {
-            "schema": 1,
-            "name": "thin-ball-at-infinity",
-            "command": "wiener",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": {"shape": "ball", "center": unit, "radius": 1.0},
-            "point": [3.0, 0.0, 0.0],
-            "at_infinity": True,
-            "expected": {"classification": "irregular", "thin": True},
-        },
-        "mass-loss-ball": {
-            "schema": 1,
-            "name": "mass-loss-ball",
-            "command": "mass-loss",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": {"shape": "ball", "center": unit, "radius": 1.0, "n": 2000},
-            "source": {"points": [[2.0, 0.0, 0.0]], "weights": [1.0]},
-            "expected": {"strict_loss": True},
-        },
-        "mass-loss-complement": {
-            "schema": 1,
-            "name": "mass-loss-complement",
-            "command": "mass-loss",
-            "kernel": {"alpha": 2.0, "dim": 3},
-            "region": dict(complement),
-            "source": {"points": [unit], "weights": [1.0]},
-            "expected": {"strict_loss": False},
-        },
-    }
+            expected={"identity_gap": 0.0, "tol": 1e-6},
+        ),
+        _builtin(
+            "equilibrium-ball",
+            "capacity of the unit sphere node set",
+            "equilibrium",
+            region={"shape": "sphere", "center": unit, "radius": 1.0, "n": 2000},
+            probes={"n": 100, "seed": PROBE_SEED},
+            expected={"capacity": 1.0, "tol": 0.01},
+        ),
+        _builtin(
+            "green-center",
+            "Green kernel of the unit ball at half radius",
+            "green-eval",
+            region=complement,
+            x=[0.5, 0.0, 0.0],
+            y=unit,
+            expected={"value": 1.0, "tol": 0.02},
+        ),
+        _builtin(
+            "green-equilibrium-sphere",
+            "relative capacity of the half-radius sphere",
+            "green-equilibrium",
+            region=complement,
+            compact={"shape": "sphere", "center": unit, "radius": 0.5, "n": 800},
+            expected={"capacity": 1.0, "tol": 0.02},
+        ),
+        _builtin(
+            "kelvin-exactness",
+            "potential transformation identity under inversion",
+            "kelvin-check",
+            center=[2.0, 0.0, 0.0],
+            measure=_KELVIN_MEASURE,
+            samples={"n": 50, "seed": 7},
+            expected={"gap": 0.0, "tol": 1e-12},
+        ),
+        _builtin(
+            "wiener-ball-point",
+            "shell test at a boundary point of the solid ball",
+            "wiener",
+            region={"shape": "ball", "center": unit, "radius": 1.0},
+            point=[1.0, 0.0, 0.0],
+            ratio_q=0.5,
+            k_max=8,
+            shell_budget=400,
+            expected={"classification": "regular"},
+        ),
+        _builtin(
+            "thin-ball-at-infinity",
+            "bounded sets are thin at infinity, via inversion",
+            "wiener",
+            region={"shape": "ball", "center": unit, "radius": 1.0},
+            point=[3.0, 0.0, 0.0],
+            at_infinity=True,
+            expected={"classification": "irregular", "thin": True},
+        ),
+        _builtin(
+            "mass-loss-ball",
+            "sweeping onto a bounded set loses mass",
+            "mass-loss",
+            region={"shape": "ball", "center": unit, "radius": 1.0, "n": 2000},
+            source={"points": [[2.0, 0.0, 0.0]], "weights": [1.0]},
+            expected={"strict_loss": True},
+        ),
+        _builtin(
+            "mass-loss-complement",
+            "sweeping onto a ball complement preserves mass",
+            "mass-loss",
+            region=complement,
+            source={"points": [unit], "weights": [1.0]},
+            expected={"strict_loss": False},
+        ),
+    ]
 
 
-BUILTIN_SCENARIOS = _builtin_scenarios()
-
-_SCENARIO_BLURBS = {
-    "ball-newtonian": "full verification battery on the Newtonian unit-ball geometry",
-    "sweep-origin": "sweep a unit charge at the origin onto the ball complement",
-    "sweep-identity": "sweeping a measure already on the nodes returns it",
-    "equilibrium-ball": "capacity of the unit sphere node set",
-    "green-center": "Green kernel of the unit ball at half radius",
-    "green-equilibrium-sphere": "relative capacity of the half-radius sphere",
-    "kelvin-exactness": "potential transformation identity under inversion",
-    "wiener-ball-point": "shell test at a boundary point of the solid ball",
-    "thin-ball-at-infinity": "bounded sets are thin at infinity, via inversion",
-    "mass-loss-ball": "sweeping onto a bounded set loses mass",
-    "mass-loss-complement": "sweeping onto a ball complement preserves mass",
-}
+# name -> (one-line description, scenario document)
+BUILTIN_SCENARIOS = dict(_builtin_scenarios())
 
 
 def load_scenario(ref: str) -> dict:
@@ -808,14 +678,18 @@ def load_scenario(ref: str) -> dict:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     if ref in BUILTIN_SCENARIOS:
-        return json.loads(json.dumps(BUILTIN_SCENARIOS[ref]))
+        return json.loads(json.dumps(BUILTIN_SCENARIOS[ref][1]))
     raise SchemaError(f"unknown scenario '{ref}' (not a file, not a builtin)")
 
 
-def _apply_overrides(scen: dict, args) -> dict:
+def _load(args) -> tuple[dict, int]:
+    """Load and validate ``args.scenario``, then apply ``--seed`` and
+    ``--tol-override``; returns the scenario and the probe seed."""
+    scen = load_scenario(args.scenario)
+    validate_scenario(scen)
     if args.seed is not None:
         for key in ("probes", "samples"):
-            if key in _TOP_KEYS.get(scen.get("command", ""), set()):
+            if key in COMMANDS[scen["command"]][1]:
                 scen.setdefault(key, {})["seed"] = args.seed
     for item in args.tol_override or []:
         if "=" not in item:
@@ -824,7 +698,7 @@ def _apply_overrides(scen: dict, args) -> dict:
         if key not in _TOL_OVERRIDE_KEYS:
             raise SchemaError(f"unknown tolerance override key '{key}'")
         scen[key] = float(value)
-    return scen
+    return scen, args.seed if args.seed is not None else PROBE_SEED
 
 
 def _out_prefix(args, scen) -> Path:
@@ -834,15 +708,10 @@ def _out_prefix(args, scen) -> Path:
 
 
 def _cmd_run(args) -> int:
-    scen = load_scenario(args.scenario)
-    validate_scenario(scen)
-    scen = _apply_overrides(scen, args)
-    validate_scenario(scen)
-    seed = args.seed if args.seed is not None else PROBE_SEED
-    payload, rows, failures = _RUNNERS[scen["command"]](scen, seed)
-    prefix = _out_prefix(args, scen)
-    _write_atomic(Path(f"{prefix}.result.json"), dumps_deterministic(payload) + "\n")
-    _write_atomic(Path(f"{prefix}.table.csv"), _rows_to_csv(rows))
+    scen, seed = _load(args)
+    payload, rows, failures = _run_scenario(scen, seed)
+    lines = [[_csv_cell(r[key]) for key in _ROW_FIELDS] for r in rows]
+    _write_outputs(_out_prefix(args, scen), payload, _ROW_FIELDS, lines)
     if failures:
         print(f"property failed: {', '.join(failures)}", file=sys.stderr)
         return 2
@@ -851,49 +720,38 @@ def _cmd_run(args) -> int:
 
 def _with_node_count(scen: dict, n: int) -> dict:
     scen = json.loads(json.dumps(scen))
+    region = scen.get("region")
     if scen["command"] == "verify-all":
         scen["n"] = n
-    elif "region" in scen and scen["region"].get("shape") != "cloud":
-        scen["region"]["n"] = n
+    # wiener lays out its own shells from the shape and never reads region.n
+    elif (
+        scen["command"] != "wiener"
+        and isinstance(region, dict)
+        and region.get("shape") != "cloud"
+    ):
+        region["n"] = n
     else:
         raise SchemaError("this scenario has no node count to refine")
     return scen
 
 
 def _cmd_refine(args) -> int:
-    scen = load_scenario(args.scenario)
-    validate_scenario(scen)
-    scen = _apply_overrides(scen, args)
+    scen, seed = _load(args)
     if not args.n:
         print("error: refine requires at least one node count via --n", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else PROBE_SEED
     runs = []
-    csv_rows = []
+    lines = []
     for n in args.n:
-        scen_n = _with_node_count(scen, int(n))
-        validate_scenario(scen_n)
-        _, rows, _ = _RUNNERS[scen_n["command"]](scen_n, seed)
+        _, rows, _ = _run_scenario(_with_node_count(scen, n), seed)
         checked = [r for r in rows if r["expected"] is not None and r["tol"] is not None]
-        errs = []
-        for r in checked:
-            if r["expected"] == 0.0:
-                rel = abs(r["value"])
-            else:
-                rel = abs(r["value"] - r["expected"]) / abs(r["expected"])
-            errs.append(rel)
-            csv_rows.append(
-                {
-                    "n": int(n),
-                    "check": r["name"],
-                    "value": r["value"],
-                    "expected": r["expected"],
-                    "rel_error": rel,
-                }
-            )
+        errs = [_rel_error(r["value"], r["expected"]) for r in checked]
+        for r, rel in zip(checked, errs):
+            cells = (r["value"], r["expected"], rel)
+            lines.append([n, r["name"], *(repr(float(v)) for v in cells)])
         runs.append(
             {
-                "n": int(n),
+                "n": n,
                 "max_rel_error": max(errs) if errs else None,
                 "checks": [
                     {"check": r["name"], "value": r["value"], "expected": r["expected"]}
@@ -907,28 +765,14 @@ def _cmd_refine(args) -> int:
         "base_command": scen["command"],
         "runs": runs,
     }
-    prefix = _out_prefix(args, scen)
-    _write_atomic(Path(f"{prefix}.result.json"), dumps_deterministic(payload) + "\n")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "check", "value", "expected", "rel_error"])
-    for r in csv_rows:
-        writer.writerow(
-            [
-                r["n"],
-                r["check"],
-                repr(float(r["value"])),
-                repr(float(r["expected"])),
-                repr(float(r["rel_error"])),
-            ]
-        )
-    _write_atomic(Path(f"{prefix}.table.csv"), buf.getvalue())
+    header = ["n", "check", "value", "expected", "rel_error"]
+    _write_outputs(_out_prefix(args, scen), payload, header, lines)
     return 0
 
 
 def _cmd_list(args) -> int:
-    for name in sorted(BUILTIN_SCENARIOS):
-        print(f"{name}: {_SCENARIO_BLURBS.get(name, '')}")
+    for name, (blurb, _) in sorted(BUILTIN_SCENARIOS.items()):
+        print(f"{name}: {blurb}")
     return 0
 
 
@@ -940,24 +784,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario")
-    run_p.add_argument("scenario", help="scenario file path or builtin name")
-    run_p.add_argument("--out", help="output path prefix (default: scenario name)")
-    run_p.add_argument("--seed", type=int, help="override probe/sample seeds")
-    run_p.add_argument(
-        "--tol-override",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a tolerance (keys: tol, tol_dom, loss_margin)",
-    )
     run_p.set_defaults(func=_cmd_run)
-
     ref_p = sub.add_parser("refine", help="re-run a scenario over node counts")
-    ref_p.add_argument("scenario")
-    ref_p.add_argument("--n", type=int, nargs="*", default=[], help="node counts")
-    ref_p.add_argument("--out", help="output path prefix")
-    ref_p.add_argument("--seed", type=int)
-    ref_p.add_argument("--tol-override", action="append", metavar="KEY=VALUE")
     ref_p.set_defaults(func=_cmd_refine)
+    for p in (run_p, ref_p):
+        p.add_argument("scenario", help="scenario file path or builtin name")
+        p.add_argument("--out", help="output path prefix (default: scenario name)")
+        p.add_argument("--seed", type=int, help="override probe/sample seeds")
+        p.add_argument(
+            "--tol-override",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a tolerance (keys: tol, tol_dom, loss_margin)",
+        )
+    ref_p.add_argument("--n", type=int, nargs="*", default=[], help="node counts")
 
     list_p = sub.add_parser("list-scenarios", help="list builtin scenarios")
     list_p.set_defaults(func=_cmd_list)

@@ -199,3 +199,115 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
     path = write_scenario(tmp_path, small_sweep(region=dict(COMPLEMENT, n=150)))
     assert main(["run", path, "--out", str(tmp_path / "p")]) == 1
     assert "error: probe sampling failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"kernel": 5}, "error: kernel must be a JSON object"),
+        ({"probes": 5}, "error: probes must be a JSON object"),
+        ({"expected": [1]}, "error: expected must be a JSON object"),
+        (
+            {"region": {"shape": "union", "parts": 5, "n": 300}},
+            "error: union 'parts' must be a JSON list",
+        ),
+    ],
+    ids=["kernel", "probes", "expected", "union-parts"],
+)
+def test_non_object_section_exits_1(tmp_path, capsys, section, message):
+    path = write_scenario(tmp_path, small_sweep(**section))
+    assert main(["run", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_refine_wiener_has_no_node_count(tmp_path, capsys):
+    # wiener lays out its own shells, so a node count would be ignored
+    out = str(tmp_path / "w")
+    assert main(["refine", "wiener-ball-point", "--n", "100", "5000", "--out", out]) == 1
+    assert "no node count to refine" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kelvin_check_rejects_tol_override(tmp_path, capsys):
+    out = str(tmp_path / "k")
+    args = ["run", "kelvin-exactness", "--tol-override", "tol=1e-3", "--out", out]
+    assert main(args) == 1
+    assert "unknown key 'tol' in command 'kelvin-check'" in capsys.readouterr().err
+
+
+_ENVELOPE = {"schema", "command", "kernel"}
+# command -> (scenario fields, exact top-level keys of result.json, exit code)
+_PAYLOAD_LAYOUTS = {
+    "sweep": (
+        {"region": COMPLEMENT, "source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0]}},
+        {"region", "checks", "swept", "solver"},
+        0,
+    ),
+    "equilibrium": (
+        {"region": dict(COMPLEMENT, shape="sphere"), "probes": {"n": 20, "seed": 3}},
+        {"region", "capacity", "min_energy", "node_potential", "probe_potential_max",
+         "probe_seed"},
+        0,
+    ),
+    "green-eval": (
+        {"region": COMPLEMENT, "x": [0.5, 0.0, 0.0], "y": [0.0, 0.0, 0.0]},
+        {"region", "x", "y", "value"},
+        0,
+    ),
+    "green-equilibrium": (
+        {"region": COMPLEMENT,
+         "compact": {"shape": "sphere", "center": [0.0, 0.0, 0.0], "radius": 0.5, "n": 60}},
+        {"region", "compact", "capacity", "min_energy", "node_potential"},
+        0,
+    ),
+    "kelvin-check": (
+        {"center": [2.0, 0.0, 0.0],
+         "measure": {"points": [[0.1, 0.2, 0.3]], "weights": [1.0]},
+         "samples": {"n": 10, "seed": 3}},
+        {"center", "n_samples", "covariance_gap"},
+        0,
+    ),
+    "wiener": (
+        {"region": BALL, "point": [1.0, 0.0, 0.0], "k_max": 4, "shell_budget": 300},
+        {"point", "ratio_q", "k_max", "classification", "fitted_ratio", "degenerate",
+         "at_infinity", "thin", "shells"},
+        0,
+    ),
+    "mass-loss": (
+        {"region": dict(BALL, n=300), "source": {"points": [[2.0, 0.0, 0.0]], "weights": [1.0]}},
+        {"region", "mass_in", "mass_out", "loss_fraction", "strict_loss", "vacuous"},
+        0,
+    ),
+    # the battery's 1% checks do not hold at n=300; the outputs are still written
+    "verify-all": ({"n": 300}, {"n", "checks", "all_passed"}, 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PAYLOAD_LAYOUTS))
+def test_payload_layout(tmp_path, command):
+    fields, keys, code = _PAYLOAD_LAYOUTS[command]
+    doc = {"schema": 1, "name": command, "command": command,
+           "kernel": {"alpha": 2.0, "dim": 3}, **fields}
+    prefix = tmp_path / "p"
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(prefix)]) == code
+    payload = json.loads((tmp_path / "p.result.json").read_text())
+    assert set(payload) == _ENVELOPE | keys
+    assert payload["command"] == command
+    assert payload["kernel"] == {"alpha": 2.0, "dim": 3}
+    if "region" in keys:
+        assert "n_nodes" in payload["region"]
+    if command == "sweep":
+        assert set(payload["checks"]) == {
+            "mass_in", "mass_out", "mass_ok", "energy_in", "energy_out", "energy_ok",
+            "node_equality_gap", "domination_excess", "domination_ok", "n_probes",
+            "probe_seed",
+        }
+    if command == "wiener":
+        assert payload["shells"]
+        for shell in payload["shells"]:
+            assert set(shell) == {"k", "r_lo", "r_hi", "n_nodes", "capacity", "term"}
+    if command == "verify-all":
+        for row in payload["checks"]:
+            assert set(row) == {"name", "value", "expected", "tol", "passed"}
+    header = (tmp_path / "p.table.csv").read_text().splitlines()[0]
+    assert header == "name,value,expected,tol,passed"
