@@ -193,7 +193,8 @@ def _run_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> Swee
     mass_out = swept.total_mass
     mass_ok = mass_out <= mass_in + INEQ_SLACK * max(1.0, mass_in)
 
-    energy_out = float(w @ (gram.entries @ w))
+    Kw = gram.entries @ w
+    energy_out = float(w @ Kw)
     # Both energies use the region's regularization radius: the swept
     # energy bound comes from Cauchy-Schwarz on the combined node set,
     # which only holds under one consistent regularization.
@@ -202,7 +203,7 @@ def _run_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> Swee
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 
     support = w > 0.0
-    resid = gram.entries @ w - b
+    resid = Kw - b
     if support.any():
         node_gap = float(
             np.max(np.abs(resid[support]) / np.maximum(np.abs(b[support]), TINY))

@@ -70,7 +70,18 @@ def _check_keys(doc, allowed: set, where: str) -> None:
             raise SchemaError(f"unknown key '{key}' in {where}")
 
 
-def _shape_from_doc(doc: dict) -> Shape:
+def _point(value, where: str, dim: int) -> np.ndarray:
+    """``value`` as a point of R^dim; SchemaError unless it is a list of dim numbers."""
+    try:
+        point = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (dim,):
+        raise SchemaError(f"{where} must be a list of {dim} numbers")
+    return point
+
+
+def _shape_from_doc(doc: dict, dim: int) -> Shape:
     if not isinstance(doc, dict) or "shape" not in doc:
         raise SchemaError("shape description must be an object with a 'shape' key")
     kind = doc["shape"]
@@ -81,12 +92,15 @@ def _shape_from_doc(doc: dict) -> Shape:
     if kind == "union":
         if not isinstance(doc["parts"], list):
             raise SchemaError("union 'parts' must be a JSON list")
-        return UnionShape([_shape_from_doc(p) for p in doc["parts"]])
-    return cls(*(doc[f] for f in fields))
+        return UnionShape([_shape_from_doc(p, dim) for p in doc["parts"]])
+    return cls(*(
+        _point(doc[f], f"shape '{kind}' '{f}'", dim) if f in ("center", "normal") else doc[f]
+        for f in fields
+    ))
 
 
 def _region_from_doc(doc: dict, spec: KernelSpec) -> Region:
-    shape = _shape_from_doc(doc)
+    shape = _shape_from_doc(doc, spec.dim)
     if isinstance(shape, PointCloud):
         return cloud_region(doc["points"], spec)
     if "n" not in doc:
@@ -237,8 +251,7 @@ def _run_sweep(scen, spec, expected, seed):
 
     if "identity_gap" in expected:
         gap = _identity_gap(spec, mu, region, res)
-        tol_id = expected.get("tol", 1e-6)
-        rows.append(_row("identity-gap", gap, 0.0, tol_id))
+        rows.append(_checked_row("identity-gap", gap, expected, "identity_gap", default_tol=1e-6))
 
     fields = {
         "region": _region_doc(region),
@@ -300,14 +313,16 @@ def _run_equilibrium(scen, spec, expected, seed):
 
 
 def _run_green_eval(scen, spec, expected, seed):
+    x = _point(scen["x"], "green-eval 'x'", spec.dim)
+    y = _point(scen["y"], "green-eval 'y'", spec.dim)
     region = _region_from_doc(scen["region"], spec)
     gk = GreenKernel(spec, region, tol=float(scen.get("tol", 1e-10)))
-    value = green_eval(gk, scen["x"], scen["y"])
+    value = green_eval(gk, x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
     fields = {
         "region": _region_doc(region),
-        "x": list(map(float, scen["x"])),
-        "y": list(map(float, scen["y"])),
+        "x": list(map(float, x)),
+        "y": list(map(float, y)),
         "value": value,
     }
     return fields, rows, []
@@ -342,7 +357,7 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
 
 
 def _run_kelvin_check(scen, spec, expected, seed):
-    center = np.asarray(scen["center"], dtype=float)
+    center = _point(scen["center"], "kelvin-check 'center'", spec.dim)
     nu = DiscreteMeasure.from_json_dict(scen["measure"])
     samples_doc = scen.get("samples", {})
     samples = _covariance_samples(
@@ -352,7 +367,7 @@ def _run_kelvin_check(scen, spec, expected, seed):
     gap = verify_potential_covariance(Inversion(center), spec, nu, samples[keep])
     rows = [_checked_row("covariance-gap", gap, expected, "gap", default_tol=1e-12)]
     fields = {
-        "center": list(map(float, scen["center"])),
+        "center": list(map(float, center)),
         "n_samples": int(np.sum(keep)),
         "covariance_gap": gap,
     }
@@ -360,8 +375,8 @@ def _run_kelvin_check(scen, spec, expected, seed):
 
 
 def _run_wiener(scen, spec, expected, seed):
-    shape = _shape_from_doc(scen["region"])
-    point = scen["point"]
+    shape = _shape_from_doc(scen["region"], spec.dim)
+    point = _point(scen["point"], "wiener 'point'", spec.dim)
     kwargs = {
         "ratio_q": float(scen.get("ratio_q", 0.5)),
         "k_max": int(scen.get("k_max", 8)),

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, assemble_gram
+from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, _bbox_diameter, assemble_gram
 from .errors import ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -501,7 +501,7 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 class Region:
     """A closed set A with its discretization and Gram regularization radius."""
 
-    __slots__ = ("shape", "nodes", "reg_radius", "_grams", "_spacing")
+    __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_grams", "_spacing")
 
     def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius: float):
         nodes = np.asarray(nodes, dtype=float)
@@ -513,6 +513,8 @@ class Region:
         self.shape = shape
         self.nodes = nodes
         self.reg_radius = float(reg_radius)
+        # Nodes closer than this count as coincident; 0 for a single node.
+        self.h_min = H_MIN_FACTOR * _bbox_diameter(nodes) if len(nodes) >= 2 else 0.0
         self._grams: dict = {}
         self._spacing: tuple[float, float] | None = None
 
@@ -532,13 +534,6 @@ class Region:
             else:
                 self._spacing = (self.reg_radius, self.reg_radius)
         return self._spacing
-
-    @property
-    def h_min(self) -> float:
-        if len(self.nodes) < 2:
-            return 0.0
-        diam = float(np.linalg.norm(self.nodes.max(axis=0) - self.nodes.min(axis=0)))
-        return H_MIN_FACTOR * diam
 
     def contains(self, points) -> np.ndarray:
         return self.shape.contains(points)

@@ -9,7 +9,9 @@ factor reliably.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -26,14 +28,36 @@ TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class QPSolution:
-    """Outcome of a cone-constrained quadratic minimization."""
+    """Outcome of a cone-constrained quadratic minimization.
+
+    ``objective`` and ``kkt_residual`` are diagnostics.  A block-pivot
+    solution, whose convergence is decided on infeasibility counts alone,
+    computes both on the first read of either, with one product ``K @ w``,
+    and caches them; until then it holds a reference to the Gram entries
+    K (not a copy) and to b.  ``weights`` is read-only, so a pending
+    diagnostic always sees the w it belongs to.
+    """
 
     weights: np.ndarray
-    objective: float
-    kkt_residual: float
     iterations: int
     converged: bool
     method: str
+    _diagnostics: Callable[[], tuple[float, float]] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+
+    @cached_property
+    def _diagnostic_values(self) -> tuple[float, float]:
+        return self._diagnostics()
+
+    @property
+    def objective(self) -> float:
+        return self._diagnostic_values[0]
+
+    @property
+    def kkt_residual(self) -> float:
+        return self._diagnostic_values[1]
 
 
 def _objective(Kw: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
@@ -70,6 +94,17 @@ def _nonneg_kkt_residual(Kw, b, w) -> float:
     return max(dual, comp, 0.0)
 
 
+def _nonneg_diagnostics(K, b, w) -> tuple[float, float]:
+    """(objective, KKT residual) of a nonnegative-orthant solution w."""
+    Kw = K @ w
+    return _objective(Kw, b, w), _nonneg_kkt_residual(Kw, b, w)
+
+
+def _known(objective: float, kkt_residual: float) -> tuple[float, float]:
+    """Diagnostics computed eagerly, passed on as ``partial(_known, ...)``."""
+    return objective, kkt_residual
+
+
 def solve_nonneg(
     gram: GramMatrix,
     b,
@@ -96,9 +131,9 @@ def solve_nonneg_many(
     column whose unconstrained solution is already nonnegative costs
     nothing more.  When blocks stop making progress the exchange degrades
     to single least-index swaps, which terminates finitely.  Convergence
-    is declared when the KKT residual drops below ``tol * max(|b|_inf,
-    tiny)``.  Columns are solved in order, and the list ends at the first
-    one that does not converge.
+    is declared when no free weight and no gradient entry of a zero weight
+    lies below ``-tol * max(|b|_inf, tiny)``.  Columns are solved in
+    order, and the list ends at the first one that does not converge.
     """
     K = gram.entries
     B = np.asarray(B, dtype=float)
@@ -175,14 +210,12 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
             free[neg_g] = True
 
     w = np.maximum(w, 0.0)
-    Kw = K @ w
     return QPSolution(
         weights=w,
-        objective=_objective(Kw, b, w),
-        kkt_residual=_nonneg_kkt_residual(Kw, b, w),
         iterations=it,
         converged=converged,
         method="block-pivot",
+        _diagnostics=partial(_nonneg_diagnostics, K, b, w),
     )
 
 
@@ -203,15 +236,13 @@ def _nonneg_projected_gradient(K, b, tol_eff, max_iter) -> QPSolution:
             residual = _nonneg_kkt_residual(K @ w, b, w)
             if residual <= tol_eff:
                 break
-    Kw = K @ w
-    residual = _nonneg_kkt_residual(Kw, b, w)
+    objective, residual = _nonneg_diagnostics(K, b, w)
     return QPSolution(
         weights=w,
-        objective=_objective(Kw, b, w),
-        kkt_residual=residual,
         iterations=it,
         converged=bool(residual <= tol_eff),
         method="projected-gradient",
+        _diagnostics=partial(_known, objective, residual),
     )
 
 
@@ -256,11 +287,10 @@ def solve_simplex(
         w = np.array([total])
         return QPSolution(
             weights=w,
-            objective=_objective(K @ w, b, w),
-            kkt_residual=0.0,
             iterations=1,
             converged=True,
             method="active-set",
+            _diagnostics=partial(_known, _objective(K @ w, b, w), 0.0),
         )
 
     try:
@@ -305,11 +335,12 @@ def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
                 w *= total / w.sum()
                 return QPSolution(
                     weights=w,
-                    objective=_objective(K @ w, b, w),
-                    kkt_residual=_simplex_kkt_residual(K, b, w, lam),
                     iterations=it,
                     converged=True,
                     method="active-set",
+                    _diagnostics=partial(
+                        _known, _objective(K @ w, b, w), _simplex_kkt_residual(K, b, w, lam)
+                    ),
                 )
             support[worst] = True
             continue
@@ -331,11 +362,12 @@ def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
     w *= total / w.sum()
     return QPSolution(
         weights=w,
-        objective=_objective(K @ w, b, w),
-        kkt_residual=_simplex_kkt_residual(K, b, w, lam),
         iterations=max_iter,
         converged=False,
         method="active-set",
+        _diagnostics=partial(
+            _known, _objective(K @ w, b, w), _simplex_kkt_residual(K, b, w, lam)
+        ),
     )
 
 
@@ -371,9 +403,8 @@ def _simplex_projected_gradient(K, b, total, tol, max_iter) -> QPSolution:
     scale = max(abs(lam), float(np.max(np.abs(b), initial=0.0)), TINY)
     return QPSolution(
         weights=w,
-        objective=_objective(K @ w, b, w),
-        kkt_residual=residual,
         iterations=it,
         converged=bool(residual <= tol * scale),
         method="projected-gradient",
+        _diagnostics=partial(_known, _objective(K @ w, b, w), residual),
     )

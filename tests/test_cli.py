@@ -1,3 +1,5 @@
+import copy
+import csv
 import json
 
 import pytest
@@ -311,3 +313,40 @@ def test_payload_layout(tmp_path, command):
             assert set(row) == {"name", "value", "expected", "tol", "passed"}
     header = (tmp_path / "p.table.csv").read_text().splitlines()[0]
     assert header == "name,value,expected,tol,passed"
+
+
+def test_identity_gap_uses_expected_value(tmp_path):
+    doc = copy.deepcopy(BUILTIN_SCENARIOS["sweep-identity"][1])
+    doc["expected"] = {"identity_gap": 0.5, "tol": 1e-6}
+    path = write_scenario(tmp_path, doc)
+    # the gap is ~0, so a check against 0.5 fails
+    assert main(["run", path, "--out", str(tmp_path / "i")]) == 2
+    rows = {r["name"]: r for r in csv.DictReader((tmp_path / "i.table.csv").open())}
+    assert rows["identity-gap"]["expected"] == "0.5"
+    assert rows["identity-gap"]["passed"] == "false"
+
+
+@pytest.mark.parametrize(
+    "command, fields, where",
+    [
+        ("green-eval", {"region": COMPLEMENT, "x": 0.5, "y": [0.0, 0.0, 0.0]}, "green-eval 'x'"),
+        ("green-eval", {"region": COMPLEMENT, "x": [0.5, 0.0, 0.0], "y": 0}, "green-eval 'y'"),
+        ("kelvin-check",
+         {"center": 2.0, "measure": {"points": [[0.1, 0.2, 0.3]], "weights": [1.0]}},
+         "kelvin-check 'center'"),
+        ("wiener", {"region": BALL, "point": 1.0}, "wiener 'point'"),
+        ("sweep", {"region": dict(COMPLEMENT, center=0.0),
+                   "source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0]}},
+         "shape 'ball-complement' 'center'"),
+        ("wiener", {"region": {"shape": "half-space", "normal": 1.0, "offset": 0.0},
+                    "point": [0.0, 0.0, 0.0]},
+         "shape 'half-space' 'normal'"),
+    ],
+    ids=["green-eval-x", "green-eval-y", "kelvin-center", "wiener-point", "shape-center",
+         "shape-normal"],
+)
+def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
+    doc = {"schema": 1, "name": "p", "command": command,
+           "kernel": {"alpha": 2.0, "dim": 3}, **fields}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {where} must be a list of 3 numbers"

@@ -250,3 +250,36 @@ def test_domination_sweeps_each_measure_once(gk2000, monkeypatch):
     nu = DiscreteMeasure(interior_points(rng, 5, r_max=0.6), rng.random(5) + 0.5)
     verify_domination(gk2000, nu.scaled(0.5), nu)
     assert len(calls) == 2
+
+
+def test_green_gram_leaves_solver_diagnostics_pending(gk2000, monkeypatch):
+    """No KKT residual is computed for a Green Gram until one is read."""
+    import rieszlab.balayage as balayage
+    import rieszlab.solver as solver
+
+    solutions = []
+    batched = balayage.solve_nonneg_many
+
+    def keeping(*args, **kwargs):
+        sols = batched(*args, **kwargs)
+        solutions.extend(sols)
+        return sols
+
+    calls = []
+    residual = solver._nonneg_kkt_residual
+
+    def counting(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(balayage, "solve_nonneg_many", keeping)
+    monkeypatch.setattr(solver, "_nonneg_kkt_residual", counting)
+    rng = np.random.default_rng(38)
+    green_gram(gk2000, interior_points(rng, 24))
+    assert len(solutions) == 24
+    assert calls == []
+    first = solutions[5].kkt_residual
+    assert len(calls) == 1
+    assert solutions[5].kkt_residual == first
+    assert np.isfinite(solutions[5].objective)
+    assert len(calls) == 1

@@ -215,3 +215,24 @@ def test_nonneg_many_columns_match_single_solves(spec):
         assert sol.method == one.method
         assert sol.kkt_residual == one.kkt_residual
         assert sol.objective == one.objective
+
+
+def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
+    """Lazy objective and KKT residual equal the eager expressions, bit for bit."""
+    from rieszlab.solver import _nonneg_kkt_residual, _objective
+
+    rng = np.random.default_rng(16)
+    g = assemble_gram(spec, rng.normal(size=(40, 3)))
+    B = np.asfortranarray(rng.normal(size=(40, 6)))  # contiguous columns, as the solver uses
+    for j, sol in enumerate(solve_nonneg_many(g, B)):
+        Kw = g.entries @ sol.weights
+        assert sol.objective == _objective(Kw, B[:, j], sol.weights)
+        assert sol.kkt_residual == _nonneg_kkt_residual(Kw, B[:, j], sol.weights)
+
+
+def test_solution_weights_are_read_only(spec):
+    rng = np.random.default_rng(17)
+    g = assemble_gram(spec, rng.normal(size=(10, 3)))
+    for sol in (solve_nonneg(g, rng.normal(size=10)), solve_simplex(g, total=1.0)):
+        with pytest.raises(ValueError):
+            sol.weights[0] = 1.0
