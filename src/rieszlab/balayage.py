@@ -73,16 +73,17 @@ def source_potentials_on_nodes(
 ) -> np.ndarray:
     """Source potential evaluated at the region nodes, Gram-consistently.
 
-    A source atom sitting exactly on a node contributes the regularized
-    self-interaction value instead of an infinity, so that a measure
-    already supported on the nodes is a fixed point of sweeping.
+    A source atom sitting exactly on a node contributes that node's
+    regularized self-interaction, the Gram diagonal entry, instead of an
+    infinity, so that a measure already supported on the nodes is a fixed
+    point of sweeping.
     """
     gram = region.gram(spec)
     D = cdist(region.nodes, mu.points)
     coincident = D <= max(region.h_min, 0.0)
     np.copyto(D, 1.0, where=coincident)
     np.power(D, spec.exponent, out=D)
-    np.copyto(D, gram.reg_radius**spec.exponent, where=coincident)
+    np.copyto(D, gram.entries.diagonal()[:, None], where=coincident)
     return D @ mu.weights
 
 
@@ -195,11 +196,16 @@ def _run_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> Swee
 
     Kw = gram.entries @ w
     energy_out = float(w @ Kw)
-    # Both energies use the region's regularization radius: the swept
-    # energy bound comes from Cauchy-Schwarz on the combined node set,
-    # which only holds under one consistent regularization.
-    g_in = assemble_gram(spec, mu.points, reg_radius=gram.reg_radius)
-    energy_in = float(mu.weights @ (g_in.entries @ mu.weights))
+    # Both energies use the region's regularization: the swept energy
+    # bound comes from Cauchy-Schwarz on the combined node set, which only
+    # holds under one consistent regularization.  An atom on a node takes
+    # that node's self-term, as in the source potentials; the others take
+    # the nominal radius.
+    K_in = assemble_gram(spec, mu.points, reg_radius=gram.reg_radius).entries.copy()
+    on_node = cdist(mu.points, region.nodes) <= max(region.h_min, 0.0)
+    hit = np.flatnonzero(on_node.any(axis=1))
+    K_in[hit, hit] = gram.entries.diagonal()[on_node[hit].argmax(axis=1)]
+    energy_in = float(mu.weights @ (K_in @ mu.weights))
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 
     support = w > 0.0

@@ -11,11 +11,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateNodes, DimensionMismatch, IndeterminateValue
+from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, IndeterminateValue
 
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
@@ -181,10 +181,13 @@ class DiscreteMeasure:
             raise ValueError(f"unknown measure key: {sorted(unknown)[0]!r}")
         if "points" not in doc or "weights" not in doc:
             raise ValueError("measure document needs 'points' and 'weights'")
-        pts = doc["points"]
+        pts, weights = doc["points"], doc["weights"]
+        for key, value in (("points", pts), ("weights", weights)):
+            if not isinstance(value, list):
+                raise ValueError(f"measure '{key}' must be a JSON list")
         if len(pts) == 0:
             return cls.empty(3)
-        return cls(pts, doc["weights"], signed=bool(doc.get("signed", False)))
+        return cls(pts, weights, signed=bool(doc.get("signed", False)))
 
     def __repr__(self) -> str:
         kind = "signed" if self.signed else "positive"
@@ -284,14 +287,19 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
 class GramMatrix:
     """Regularized pairwise-energy matrix over a node set.
 
-    Off-diagonal entries are exact kernel values; the diagonal is
-    h^(alpha - n) for the regularization radius h (a point mass has
-    infinite self-energy, so h stands in for the local smoothing scale).
-    The Cholesky factorization is computed lazily and cached; the matrix
-    itself is immutable.
+    Off-diagonal entries are exact kernel values; diagonal entry i is
+    h_i^(alpha - n) for the regularization radius h_i of node i (a point
+    mass has infinite self-energy, so h_i stands in for the local smoothing
+    scale).  ``reg_radius`` is the nominal scalar radius.  The Cholesky
+    factorization is computed lazily and cached; the matrix itself is
+    immutable.
     """
 
     __slots__ = ("nodes", "entries", "reg_radius", "_chol")
+
+    # Condition-number estimate above which Cholesky pivots are no longer
+    # trusted.
+    CONDITION_LIMIT = 1e14
 
     def __init__(self, nodes: np.ndarray, entries: np.ndarray, reg_radius: float):
         nodes = np.asarray(nodes, dtype=float)
@@ -329,8 +337,21 @@ class GramMatrix:
         d = np.diag(self.cholesky()[0])
         return float((d.max() / d.min()) ** 2)
 
+    def check_condition(self) -> None:
+        """Raise IllConditioned unless the matrix factors with a trusted condition."""
+        try:
+            cond = self.condition_estimate()
+        except (LinAlgError, np.linalg.LinAlgError) as exc:
+            raise IllConditioned("Gram matrix is not positive definite to rounding") from exc
+        if cond > self.CONDITION_LIMIT:
+            raise IllConditioned(
+                f"Gram matrix condition estimate {cond:.3e} exceeds {self.CONDITION_LIMIT:.0e}"
+            )
 
-def assemble_gram(spec: KernelSpec, nodes, reg_radius: float | None = None) -> GramMatrix:
+
+def assemble_gram(
+    spec: KernelSpec, nodes, reg_radius: float | np.ndarray | None = None
+) -> GramMatrix:
     """Assemble the regularized kernel matrix over a node set.
 
     Parameters
@@ -338,9 +359,10 @@ def assemble_gram(spec: KernelSpec, nodes, reg_radius: float | None = None) -> G
     spec : KernelSpec
     nodes : array_like, shape (n, dim)
         Pairwise-distinct nodes (beyond h_min = 1e-9 x bounding-box diameter).
-    reg_radius : float, optional
-        Diagonal regularization radius h.  Defaults to half the minimum
-        nearest-neighbor spacing of the node set.
+    reg_radius : float or array_like of shape (n,), optional
+        Diagonal regularization radius h, or one radius h_i per node.
+        Defaults to half the minimum nearest-neighbor spacing of the node
+        set.  The nominal radius of a per-node array is its largest entry.
 
     Raises
     ------
@@ -365,13 +387,16 @@ def assemble_gram(spec: KernelSpec, nodes, reg_radius: float | None = None) -> G
             reg_radius = 0.5 * min_nn
     elif reg_radius is None:
         raise ValueError("reg_radius is required for a single-node Gram matrix")
-    h = float(reg_radius)
-    if not (h > 0.0):
+    radii = np.asarray(reg_radius, dtype=float)
+    if radii.ndim and radii.shape != (n,):
+        raise ValueError("per-node reg_radius must have one entry per node")
+    if not np.all(radii > 0.0):
         raise ValueError("reg_radius must be positive")
+    h = float(radii.max())
     D = cdist(nodes, nodes)
     np.fill_diagonal(D, 1.0)
     np.power(D, spec.exponent, out=D)
-    np.fill_diagonal(D, h ** spec.exponent)
+    np.fill_diagonal(D, h ** spec.exponent if radii.ndim == 0 else radii ** spec.exponent)
     return GramMatrix(nodes, D, h)
 
 

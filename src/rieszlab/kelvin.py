@@ -43,10 +43,6 @@ def invert_points(inv: Inversion, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def invert_point(inv: Inversion, point) -> np.ndarray:
-    return invert_points(inv, point)
-
-
 def kelvin_transform(inv: Inversion, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Transform a discrete measure: atoms move by inversion, weights pick up
     the factor |x - y|^(alpha - n)."""

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, _bbox_diameter, assemble_gram
-from .errors import ProbeSamplingFailure
+from .errors import IllConditioned, ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -539,11 +539,26 @@ class Region:
         return self.shape.contains(points)
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
-        """Gram matrix over the region nodes (cached per kernel)."""
+        """Gram matrix over the region nodes that passes GramMatrix.check_condition.
+
+        Cached per kernel.  Every diagonal entry uses the region's radius h
+        when that Gram passes the check.  Otherwise node i gets the radius
+        h_i = min(h, d_i / 2), where d_i is its nearest-neighbor distance, so
+        the balls B(x_i, h_i) are disjoint.  For alpha = 2 the capped matrix
+        is then the Gram of uniform spherical shells on those balls (Newton's
+        theorem), positive definite by construction; for alpha < 2 the check
+        decides.  Raises IllConditioned if the capped Gram fails it too.
+        """
         key = (spec.alpha, spec.dim)
         g = self._grams.get(key)
         if g is None:
             g = assemble_gram(spec, self.nodes, reg_radius=self.reg_radius)
+            try:
+                g.check_condition()
+            except IllConditioned:
+                d_nn = cKDTree(self.nodes).query(self.nodes, k=2)[0][:, 1]
+                g = assemble_gram(spec, self.nodes, np.minimum(self.reg_radius, 0.5 * d_nn))
+                g.check_condition()
             self._grams[key] = g
         return g
 

@@ -2,10 +2,11 @@
 
 Both entry points minimize  q(w) = w'Kw - 2 b'w  for a symmetric positive
 definite Gram matrix K, either over the nonnegative orthant or over the
-scaled simplex {w >= 0, sum w = total}.  The primary algorithms are
-finite active-set methods driven by Cholesky solves; a projected-gradient
-fallback takes over when the Gram matrix is too ill-conditioned to
-factor reliably.
+scaled simplex {w >= 0, sum w = total}, by finite active-set methods
+driven by Cholesky solves: block principal pivoting for the orthant and a
+primal active-set iteration for the simplex.  A Gram matrix that fails
+GramMatrix.check_condition raises IllConditioned; Region.gram caps its
+regularization so that region Grams pass.
 """
 from __future__ import annotations
 
@@ -19,16 +20,15 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .core import GramMatrix
 from .errors import IllConditioned, SolverFailure
 
-# Condition-number estimate above which Cholesky pivots are no longer
-# trusted and the solver switches to projected gradients.
-CONDITION_LIMIT = 1e14
-
 TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class QPSolution:
     """Outcome of a cone-constrained quadratic minimization.
+
+    ``method`` is ``"block-pivot"`` for the nonnegative orthant and
+    ``"active-set"`` for the simplex.
 
     ``objective`` and ``kkt_residual`` are diagnostics.  A block-pivot
     solution, whose convergence is decided on infeasibility counts alone,
@@ -62,17 +62,6 @@ class QPSolution:
 
 def _objective(Kw: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(w @ Kw - 2.0 * (b @ w))
-
-
-def _check_condition(gram: GramMatrix) -> None:
-    try:
-        cond = gram.condition_estimate()
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
-        raise IllConditioned("Gram matrix is not positive definite to rounding") from exc
-    if cond > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"Gram matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
 
 
 def _sub_solve(gram: GramMatrix, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -110,11 +99,10 @@ def solve_nonneg(
     b,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    allow_fallback: bool = True,
 ) -> QPSolution:
     """Minimize w'Kw - 2 b'w over w >= 0 (the one-column case of solve_nonneg_many)."""
     b = np.asarray(b, dtype=float)
-    return solve_nonneg_many(gram, b[:, None], tol, max_iter, allow_fallback)[0]
+    return solve_nonneg_many(gram, b[:, None], tol, max_iter)[0]
 
 
 def solve_nonneg_many(
@@ -122,7 +110,6 @@ def solve_nonneg_many(
     B,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    allow_fallback: bool = True,
 ) -> list[QPSolution]:
     """Minimize w'Kw - 2 b'w over w >= 0 for every column b of ``B``.
 
@@ -134,6 +121,7 @@ def solve_nonneg_many(
     is declared when no free weight and no gradient entry of a zero weight
     lies below ``-tol * max(|b|_inf, tiny)``.  Columns are solved in
     order, and the list ends at the first one that does not converge.
+    Raises IllConditioned if the Gram matrix fails its condition check.
     """
     K = gram.entries
     B = np.asarray(B, dtype=float)
@@ -145,24 +133,11 @@ def solve_nonneg_many(
     tol_eff = tol * np.maximum(np.max(np.abs(B), axis=0, initial=0.0), TINY)
     B = np.asfortranarray(B)  # contiguous columns: each BLAS call matches a one-column solve
 
-    W = None
-    try:
-        _check_condition(gram)
-        W = gram.solve(B) if n > 1 else np.maximum(B / K[0, 0], 0.0)
-    except IllConditioned:
-        if not allow_fallback:
-            raise
+    gram.check_condition()
+    W = gram.solve(B) if n > 1 else np.maximum(B / K[0, 0], 0.0)
     sols = []
     for j in range(k):
-        sol = None
-        if W is not None:
-            try:
-                sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter)
-            except IllConditioned:
-                if not allow_fallback:
-                    raise
-        if sol is None:
-            sol = _nonneg_projected_gradient(K, B[:, j], tol_eff[j], max_iter * 40)
+        sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter)
         sols.append(sol)
         if not sol.converged:
             break
@@ -219,33 +194,6 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
     )
 
 
-def _nonneg_projected_gradient(K, b, tol_eff, max_iter) -> QPSolution:
-    n = len(b)
-    w = np.zeros(n)
-    residual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = 2.0 * (K @ w - b)
-        # Exact minimizer along -g for the unconstrained ray, then project.
-        curvature = float(g @ (K @ g))
-        if curvature <= 0.0:
-            break
-        step = float(g @ g) / (2.0 * curvature)
-        w = np.maximum(w - step * g, 0.0)
-        if it % 16 == 0:
-            residual = _nonneg_kkt_residual(K @ w, b, w)
-            if residual <= tol_eff:
-                break
-    objective, residual = _nonneg_diagnostics(K, b, w)
-    return QPSolution(
-        weights=w,
-        iterations=it,
-        converged=bool(residual <= tol_eff),
-        method="projected-gradient",
-        _diagnostics=partial(_known, objective, residual),
-    )
-
-
 def _simplex_kkt_residual(K, b, w, lam) -> float:
     g = 2.0 * (K @ w - b)
     on = w > 0.0
@@ -260,7 +208,6 @@ def solve_simplex(
     total: float = 1.0,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    allow_fallback: bool = True,
 ) -> QPSolution:
     """Minimize w'Kw - 2 b'w over {w >= 0, sum w = total}.
 
@@ -270,6 +217,7 @@ def solve_simplex(
     moves there, hits a bound (dropping the blocking coordinate, lowest
     index first), or releases the active coordinate with the most negative
     reduced gradient.  Tolerances scale with max(|lambda|, |b|_inf).
+    Raises IllConditioned if the Gram matrix fails its condition check.
     """
     K = gram.entries
     n = K.shape[0]
@@ -293,13 +241,8 @@ def solve_simplex(
             _diagnostics=partial(_known, _objective(K @ w, b, w), 0.0),
         )
 
-    try:
-        _check_condition(gram)
-        return _simplex_active_set(gram, K, b, total, tol, max_iter)
-    except IllConditioned:
-        if not allow_fallback:
-            raise
-        return _simplex_projected_gradient(K, b, total, tol, max_iter * 40)
+    gram.check_condition()
+    return _simplex_active_set(gram, K, b, total, tol, max_iter)
 
 
 def _simplex_subproblem(gram, mask, b, total):
@@ -368,43 +311,4 @@ def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
         _diagnostics=partial(
             _known, _objective(K @ w, b, w), _simplex_kkt_residual(K, b, w, lam)
         ),
-    )
-
-
-def project_to_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = total} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    k = np.arange(1, len(v) + 1)
-    valid = u - css / k > 0
-    rho = int(np.max(np.flatnonzero(valid))) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _simplex_projected_gradient(K, b, total, tol, max_iter) -> QPSolution:
-    n = len(b)
-    w = np.full(n, total / n)
-    diag = float(np.max(np.diag(K)))
-    step = 0.5 / diag
-    lam = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = 2.0 * (K @ w - b)
-        w_new = project_to_simplex(w - step * g, total)
-        if float(np.max(np.abs(w_new - w))) <= 1e-16 * total:
-            w = w_new
-            break
-        w = w_new
-    g = 2.0 * (K @ w - b)
-    on = w > 0
-    lam = float(np.mean(g[on])) if on.any() else 0.0
-    residual = _simplex_kkt_residual(K, b, w, lam)
-    scale = max(abs(lam), float(np.max(np.abs(b), initial=0.0)), TINY)
-    return QPSolution(
-        weights=w,
-        iterations=it,
-        converged=bool(residual <= tol * scale),
-        method="projected-gradient",
-        _diagnostics=partial(_known, _objective(K @ w, b, w), residual),
     )

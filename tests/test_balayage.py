@@ -5,7 +5,6 @@ import rieszlab as rl
 from rieszlab import (
     DiscreteMeasure,
     NodesOutsideDomain,
-    SolverFailure,
     dirac,
     potential,
     potential_at,
@@ -215,26 +214,37 @@ def test_sweep_many_matches_single_sweeps(spec, ball500):
     assert sweep_many(spec, [], ball500) == []
 
 
-def test_sweep_many_fails_fast(monkeypatch):
-    """On a Gram that is not positive definite the sources are solved in
-    order, and the first one that does not converge stops the batch."""
-    import rieszlab.solver as solver
-
+def test_alpha_below_two_complement_sweeps_by_block_pivoting():
+    """The layered alpha=1.5 complement mixes node spacings, so its Gram
+    takes the capped diagonal; every source then sweeps by block pivoting
+    and loses mass, as sweeping onto a set with a hole must."""
     spec15 = rl.KernelSpec(1.5, 3)
     region = rl.ball_complement_region(ORIGIN, 1.0, 250, spec15)
-    calls = []
-    fallback = solver._nonneg_projected_gradient
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fallback(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_nonneg_projected_gradient", counting)
     rng = np.random.default_rng(18)
     sources = [dirac(ORIGIN)] + [dirac(0.3 * rng.uniform(-1.0, 1.0, 3)) for _ in range(19)]
-    with pytest.raises(SolverFailure):
-        sweep_many(spec15, sources, region)
-    assert len(calls) == 1
+    results = sweep_many(spec15, sources, region)
+    assert len(results) == 20
+    for res in results:
+        assert res.solution.converged
+        assert res.solution.method == "block-pivot"
+        assert res.swept.total_mass <= 1.0
+
+
+def test_measure_on_capped_nodes_is_a_fixed_point():
+    """Atoms on nodes whose radius was capped take the capped self-term, in
+    the source potentials and in the source energy alike."""
+    spec15 = rl.KernelSpec(1.5, 3)
+    region = rl.ball_complement_region(ORIGIN, 1.0, 250, spec15)
+    diag = region.gram(spec15).entries.diagonal()
+    idx = np.flatnonzero(diag > region.reg_radius ** spec15.exponent)[:3]
+    assert len(idx) == 3
+    mu = DiscreteMeasure(region.nodes[idx], [0.2, 0.3, 0.5])
+    res = sweep(spec15, mu, region, n_probes=0)
+    w = res.solution.weights
+    assert np.allclose(w[idx], mu.weights, rtol=1e-9)
+    assert np.delete(w, idx).max() < 1e-12
+    assert res.checks.mass_ok and res.checks.energy_ok
+    assert res.checks.energy_out == pytest.approx(res.checks.energy_in, rel=1e-12)
 
 
 def test_sweep_many_builds_no_kd_tree(spec, ball500, monkeypatch):

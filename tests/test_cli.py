@@ -213,8 +213,25 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             {"region": {"shape": "union", "parts": 5, "n": 300}},
             "error: union 'parts' must be a JSON list",
         ),
+        (
+            {"source": {"points": 5, "weights": [1.0]}},
+            "error: measure 'points' must be a JSON list",
+        ),
+        (
+            {"source": {"points": None, "weights": [1.0]}},
+            "error: measure 'points' must be a JSON list",
+        ),
+        (
+            {"source": {"points": {"a": 1}, "weights": [1.0]}},
+            "error: measure 'points' must be a JSON list",
+        ),
+        (
+            {"source": {"points": [[0.0, 0.0, 0.0]], "weights": 1.0}},
+            "error: measure 'weights' must be a JSON list",
+        ),
     ],
-    ids=["kernel", "probes", "expected", "union-parts"],
+    ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
+         "points-object", "weights-number"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))

@@ -185,6 +185,15 @@ def test_gram_two_node_example(spec):
     assert np.allclose(g.entries, [[10.0, 1.0], [1.0, 10.0]])
 
 
+def test_gram_per_node_radii(spec):
+    g = assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=[0.1, 0.25])
+    assert np.allclose(g.entries, [[10.0, 1.0], [1.0, 4.0]])
+    assert g.reg_radius == 0.25  # nominal: the largest radius
+    for bad in ([0.1], [0.1, 0.0], [0.1, np.nan]):
+        with pytest.raises(ValueError):
+            assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=bad)
+
+
 def test_gram_single_node():
     s = KernelSpec(1.0, 3)
     g = assemble_gram(s, [[0.0, 0.0, 0.0]], reg_radius=0.5)

@@ -15,7 +15,6 @@ from rieszlab import (
     UnionShape,
     cross_energy,
     dirac,
-    invert_point,
     invert_points,
     invert_shape,
     kelvin_transform,
@@ -35,9 +34,9 @@ def random_measure(rng, k, signed=False, shift=0.0):
 
 def test_invert_point_example():
     inv = Inversion(ORIGIN)
-    assert np.allclose(invert_point(inv, [2.0, 0.0, 0.0]), [0.5, 0.0, 0.0])
+    assert np.allclose(invert_points(inv, [2.0, 0.0, 0.0]), [0.5, 0.0, 0.0])
     # unit sphere points are fixed
-    assert np.allclose(invert_point(inv, [0.0, 1.0, 0.0]), [0.0, 1.0, 0.0])
+    assert np.allclose(invert_points(inv, [0.0, 1.0, 0.0]), [0.0, 1.0, 0.0])
 
 
 def test_inversion_is_involutive():
@@ -55,7 +54,7 @@ def test_inversion_distance_identity():
     inv = Inversion(y)
     for _ in range(20):
         x, z = rng.normal(size=(2, 3)) * 2.0
-        lhs = np.linalg.norm(invert_point(inv, x) - invert_point(inv, z))
+        lhs = np.linalg.norm(invert_points(inv, x) - invert_points(inv, z))
         rhs = np.linalg.norm(x - z) / (
             np.linalg.norm(x - y) * np.linalg.norm(z - y)
         )
@@ -65,7 +64,7 @@ def test_inversion_distance_identity():
 def test_invert_at_pole_raises():
     inv = Inversion(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(CenterInversion):
-        invert_point(inv, [1.0, 2.0, 3.0])
+        invert_points(inv, [1.0, 2.0, 3.0])
 
 
 def test_kelvin_weight_law(spec):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import rieszlab as rl
 from rieszlab import (
     Ball,
     BallComplement,
     HalfSpace,
+    IllConditioned,
     KernelSpec,
     PointCloud,
     Region,
     SphereShell,
     UnionShape,
+    assemble_gram,
     build_region,
     fibonacci_ball,
     fibonacci_disk,
@@ -198,6 +201,61 @@ def test_build_region_reg_override(spec):
     reg = rl.ball_region(ORIGIN, 1.0, 200, spec, reg_radius=0.05)
     assert reg.reg_radius == 0.05
     assert reg.gram(spec).entries[0, 0] == pytest.approx(20.0)
+
+
+def test_uniform_gram_that_passes_is_kept_bitwise():
+    """The radius is capped only when the uniform Gram fails its check: this
+    alpha=1.5 ball has two nodes closer than twice the radius, and its
+    uniform Gram passes, so it is kept entry for entry."""
+    spec15 = KernelSpec(1.5, 3)
+    region = rl.ball_region(ORIGIN, 1.0, 250, spec15)
+    d_nn = cKDTree(region.nodes).query(region.nodes, k=2)[0][:, 1]
+    assert (0.5 * d_nn < region.reg_radius).sum() == 2
+    g = region.gram(spec15)
+    uniform = assemble_gram(spec15, region.nodes, reg_radius=region.reg_radius)
+    assert np.array_equal(g.entries, uniform.entries)
+    assert g.reg_radius == region.reg_radius
+
+
+def _catalog_region(kind, spec, n=250):
+    if kind == "union":
+        return rl.union_region([rl.ball_region(ORIGIN, 1.0, n // 2, spec),
+                                rl.ball_region([3.0, 0.0, 0.0], 0.5, n // 2, spec)])
+    shape = {
+        "ball": Ball(ORIGIN, 1.0),
+        "sphere": SphereShell(ORIGIN, 1.0),
+        "ball-complement": BallComplement(ORIGIN, 1.0),
+        "half-space": HalfSpace([0.0, 0.0, 1.0], 0.0),
+    }[kind]
+    return build_region(shape, n, spec)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+@pytest.mark.parametrize("kind", ["ball", "sphere", "ball-complement", "half-space", "union"])
+def test_catalog_region_gram_passes_condition_check(kind, alpha):
+    spec = KernelSpec(alpha, 3)
+    region = _catalog_region(kind, spec)
+    g = region.gram(spec)
+    g.check_condition()
+    diag = g.entries.diagonal()
+    # every radius is the nominal one or capped below it
+    assert np.all(diag >= region.reg_radius ** spec.exponent)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+@pytest.mark.parametrize("budget", [225, 275])
+def test_half_space_wiener_shells_get_capped_gram(budget, alpha):
+    """A near-duplicate pair in the Halton shell layout breaks the uniform
+    diagonal; capping the radius at half the nearest spacing restores it."""
+    spec = KernelSpec(alpha, 3)
+    nodes = HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(ORIGIN, 0.5, 1.0, budget)
+    region = rl.cloud_region(nodes, spec)
+    with pytest.raises(IllConditioned):
+        assemble_gram(spec, nodes, reg_radius=region.reg_radius).check_condition()
+    g = region.gram(spec)
+    g.check_condition()
+    d_nn = nearest_neighbor_spacing(nodes)[0]
+    assert g.entries.diagonal().max() == pytest.approx((0.5 * d_nn) ** spec.exponent, rel=1e-12)
 
 
 def test_inverted_shape_membership_tracks_base():

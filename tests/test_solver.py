@@ -10,7 +10,7 @@ from rieszlab import (
     solve_nonneg,
     solve_simplex,
 )
-from rieszlab.solver import project_to_simplex, solve_nonneg_many
+from rieszlab.solver import solve_nonneg_many
 
 
 def gram_from(entries, reg=0.1):
@@ -150,41 +150,12 @@ def near_singular_gram():
     return gram_from(entries)
 
 
-def test_ill_conditioned_falls_back_to_projected_gradient():
+def test_ill_conditioned_gram_raises():
     g = near_singular_gram()
-    b = np.array([1.0, 1.0, 0.5])
-    sol = solve_nonneg(g, b)
-    assert sol.converged
-    assert sol.method == "projected-gradient"
-    assert np.all(sol.weights >= 0.0)
     with pytest.raises(IllConditioned):
-        solve_nonneg(g, b, allow_fallback=False)
-
-
-def test_ill_conditioned_simplex_fallback():
-    g = near_singular_gram()
-    sol = solve_simplex(g, total=1.0)
-    assert sol.converged
-    assert sol.method == "projected-gradient"
-    assert np.sum(sol.weights) == pytest.approx(1.0, rel=1e-9)
+        solve_nonneg(g, np.array([1.0, 1.0, 0.5]))
     with pytest.raises(IllConditioned):
-        solve_simplex(g, total=1.0, allow_fallback=False)
-
-
-def test_project_to_simplex():
-    assert np.allclose(project_to_simplex(np.array([0.5, 0.5]), 1.0), [0.5, 0.5])
-    assert np.allclose(project_to_simplex(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
-    v = project_to_simplex(np.array([0.9, 0.3, -0.4]), 1.0)
-    assert v.sum() == pytest.approx(1.0)
-    assert np.all(v >= 0.0)
-    # projection is the closest feasible point
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=6)
-    p = project_to_simplex(x, 1.0)
-    for _ in range(200):
-        q = rng.random(6)
-        q /= q.sum()
-        assert np.linalg.norm(x - q) >= np.linalg.norm(x - p) - 1e-9
+        solve_simplex(g, total=1.0)
 
 
 def test_solution_reports_iterations_and_method(spec):
@@ -193,11 +164,8 @@ def test_solution_reports_iterations_and_method(spec):
     g = assemble_gram(spec, nodes)
     sol = solve_nonneg(g, rng.normal(size=20))
     assert sol.iterations >= 1
-    assert sol.method in ("block-pivot", "projected-gradient")
-    assert solve_simplex(g, total=1.0).method in (
-        "active-set",
-        "projected-gradient",
-    )
+    assert sol.method == "block-pivot"
+    assert solve_simplex(g, total=1.0).method == "active-set"
 
 
 def test_nonneg_many_columns_match_single_solves(spec):
@@ -215,6 +183,17 @@ def test_nonneg_many_columns_match_single_solves(spec):
         assert sol.method == one.method
         assert sol.kkt_residual == one.kkt_residual
         assert sol.objective == one.objective
+
+
+def test_nonneg_many_stops_at_first_unconverged_column(spec):
+    """Columns are solved in order; the first one that does not converge
+    ends the list, and later columns are not solved."""
+    rng = np.random.default_rng(18)
+    g = assemble_gram(spec, rng.normal(size=(30, 3)))
+    inside = g.entries @ (rng.random(30) + 0.1)  # unconstrained solve is nonnegative
+    B = np.stack([inside, rng.normal(size=30), inside], axis=1)
+    sols = solve_nonneg_many(g, B, max_iter=1)
+    assert [sol.converged for sol in sols] == [True, False]
 
 
 def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
