@@ -150,10 +150,18 @@ def near_singular_gram():
     return gram_from(entries)
 
 
-def test_ill_conditioned_gram_raises():
+def test_ill_conditioned_falls_back_to_projected_gradient():
+    """There is no projected-gradient fallback any more: a Gram that fails
+    the condition check makes solve_nonneg raise IllConditioned."""
     g = near_singular_gram()
     with pytest.raises(IllConditioned):
         solve_nonneg(g, np.array([1.0, 1.0, 0.5]))
+
+
+def test_ill_conditioned_simplex_fallback():
+    """There is no simplex fallback any more: a Gram that fails the
+    condition check makes solve_simplex raise IllConditioned."""
+    g = near_singular_gram()
     with pytest.raises(IllConditioned):
         solve_simplex(g, total=1.0)
 
