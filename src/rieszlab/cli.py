@@ -41,7 +41,6 @@ from .regions import (
     SphereShell,
     UnionShape,
     build_region,
-    cloud_region,
     fibonacci_sphere,
     sphere_region,
 )
@@ -81,6 +80,14 @@ def _point(value, where: str, dim: int) -> np.ndarray:
     return point
 
 
+def _number(value, where: str, kind=float):
+    """``kind(value)``, for kind float or int; SchemaError unless ``value`` is a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{where} must be a number") from None
+
+
 def _shape_from_doc(doc: dict, dim: int) -> Shape:
     if not isinstance(doc, dict) or "shape" not in doc:
         raise SchemaError("shape description must be an object with a 'shape' key")
@@ -88,13 +95,17 @@ def _shape_from_doc(doc: dict, dim: int) -> Shape:
     if kind not in _SHAPES:
         raise SchemaError(f"unknown shape '{kind}'")
     cls, fields = _SHAPES[kind]
-    _check_keys(doc, {"shape", "n", "extent", *fields}, f"shape '{kind}'")
+    _check_keys(doc, {"shape", "n", *fields}, f"shape '{kind}'")
     if kind == "union":
         if not isinstance(doc["parts"], list):
             raise SchemaError("union 'parts' must be a JSON list")
         return UnionShape([_shape_from_doc(p, dim) for p in doc["parts"]])
+    if kind == "cloud":
+        return PointCloud(doc["points"])
     return cls(*(
-        _point(doc[f], f"shape '{kind}' '{f}'", dim) if f in ("center", "normal") else doc[f]
+        _point(doc[f], f"shape '{kind}' '{f}'", dim)
+        if f in ("center", "normal")
+        else _number(doc[f], f"shape '{kind}' '{f}'")
         for f in fields
     ))
 
@@ -102,15 +113,18 @@ def _shape_from_doc(doc: dict, dim: int) -> Shape:
 def _region_from_doc(doc: dict, spec: KernelSpec) -> Region:
     shape = _shape_from_doc(doc, spec.dim)
     if isinstance(shape, PointCloud):
-        return cloud_region(doc["points"], spec)
+        return Region(shape, shape.points)
     if "n" not in doc:
         raise SchemaError("region requires a node count 'n'")
-    return build_region(shape, int(doc["n"]), spec, extent=doc.get("extent"))
+    return build_region(shape, _number(doc["n"], f"shape '{doc['shape']}' 'n'", int), spec)
 
 
 def _kernel_from_doc(doc: dict) -> KernelSpec:
     _check_keys(doc, {"alpha", "dim"}, "kernel")
-    return KernelSpec(alpha=float(doc.get("alpha", 2.0)), dim=int(doc.get("dim", 3)))
+    return KernelSpec(
+        alpha=_number(doc.get("alpha", 2.0), "kernel 'alpha'"),
+        dim=_number(doc.get("dim", 3), "kernel 'dim'", int),
+    )
 
 
 def validate_scenario(doc) -> None:
@@ -228,10 +242,10 @@ def _run_sweep(scen, spec, expected, seed):
         spec,
         mu,
         region,
-        tol=float(scen.get("tol", 1e-10)),
-        tol_dom=float(scen.get("tol_dom", 0.02)),
-        n_probes=int(probes.get("n", 100)),
-        probe_seed=int(probes.get("seed", seed)),
+        tol=_number(scen.get("tol", 1e-10), "'tol'"),
+        tol_dom=_number(scen.get("tol_dom", 0.02), "'tol_dom'"),
+        n_probes=_number(probes.get("n", 100), "probes 'n'", int),
+        probe_seed=_number(probes.get("seed", seed), "probes 'seed'", int),
     )
     checks = res.checks
     rows = [
@@ -286,9 +300,9 @@ def _run_equilibrium(scen, spec, expected, seed):
     eq = riesz_equilibrium(
         spec,
         region,
-        tol=float(scen.get("tol", 1e-10)),
-        n_probes=int(probes.get("n", 0)),
-        probe_seed=int(probes.get("seed", seed)),
+        tol=_number(scen.get("tol", 1e-10), "'tol'"),
+        n_probes=_number(probes.get("n", 0), "probes 'n'", int),
+        probe_seed=_number(probes.get("seed", seed), "probes 'seed'", int),
     )
     rows = [
         _checked_row("capacity", eq.capacity, expected, "capacity"),
@@ -316,7 +330,7 @@ def _run_green_eval(scen, spec, expected, seed):
     x = _point(scen["x"], "green-eval 'x'", spec.dim)
     y = _point(scen["y"], "green-eval 'y'", spec.dim)
     region = _region_from_doc(scen["region"], spec)
-    gk = GreenKernel(spec, region, tol=float(scen.get("tol", 1e-10)))
+    gk = GreenKernel(spec, region, tol=_number(scen.get("tol", 1e-10), "'tol'"))
     value = green_eval(gk, x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
     fields = {
@@ -331,7 +345,7 @@ def _run_green_eval(scen, spec, expected, seed):
 def _run_green_equilibrium(scen, spec, expected, seed):
     region = _region_from_doc(scen["region"], spec)
     compact = _region_from_doc(scen["compact"], spec)
-    gk = GreenKernel(spec, region, tol=float(scen.get("tol", 1e-10)))
+    gk = GreenKernel(spec, region, tol=_number(scen.get("tol", 1e-10), "'tol'"))
     eq = green_equilibrium(gk, compact)
     rows = [
         _checked_row("relative-capacity", eq.capacity, expected, "capacity"),
@@ -361,7 +375,9 @@ def _run_kelvin_check(scen, spec, expected, seed):
     nu = DiscreteMeasure.from_json_dict(scen["measure"])
     samples_doc = scen.get("samples", {})
     samples = _covariance_samples(
-        center, int(samples_doc.get("n", 50)), int(samples_doc.get("seed", seed))
+        center,
+        _number(samples_doc.get("n", 50), "samples 'n'", int),
+        _number(samples_doc.get("seed", seed), "samples 'seed'", int),
     )
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
     gap = verify_potential_covariance(Inversion(center), spec, nu, samples[keep])
@@ -378,9 +394,9 @@ def _run_wiener(scen, spec, expected, seed):
     shape = _shape_from_doc(scen["region"], spec.dim)
     point = _point(scen["point"], "wiener 'point'", spec.dim)
     kwargs = {
-        "ratio_q": float(scen.get("ratio_q", 0.5)),
-        "k_max": int(scen.get("k_max", 8)),
-        "shell_budget": int(scen.get("shell_budget", 400)),
+        "ratio_q": _number(scen.get("ratio_q", 0.5), "'ratio_q'"),
+        "k_max": _number(scen.get("k_max", 8), "'k_max'", int),
+        "shell_budget": _number(scen.get("shell_budget", 400), "'shell_budget'", int),
     }
     failures = []
     if scen.get("at_infinity", False):
@@ -417,8 +433,8 @@ def _run_mass_loss(scen, spec, expected, seed):
         spec,
         mu,
         region,
-        loss_margin=float(scen.get("loss_margin", 0.02)),
-        tol=float(scen.get("tol", 1e-10)),
+        loss_margin=_number(scen.get("loss_margin", 0.02), "'loss_margin'"),
+        tol=_number(scen.get("tol", 1e-10), "'tol'"),
     )
     failures = []
     if "strict_loss" in expected and bool(expected["strict_loss"]) != report["strict_loss"]:
@@ -494,7 +510,7 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
 
 
 def _run_verify_all(scen, spec, expected, seed):
-    n = int(scen.get("n", 2000))
+    n = _number(scen.get("n", 2000), "'n'", int)
     rows = run_battery(spec, n, seed)
     fields = {
         "n": n,

@@ -89,8 +89,8 @@ class DiscreteMeasure:
         """Nonnegative measure on points already known to be pairwise distinct.
 
         Skips only the distinctness query; the shape, finiteness and sign
-        checks still run.  For subsets of a node set that ``assemble_gram``
-        has accepted.
+        checks still run.  For subsets of a node set that a Region or
+        ``assemble_gram`` has accepted.
         """
         mu = cls.__new__(cls)
         mu._build(points, weights, False, check_distinct=False)
@@ -185,6 +185,8 @@ class DiscreteMeasure:
         for key, value in (("points", pts), ("weights", weights)):
             if not isinstance(value, list):
                 raise ValueError(f"measure '{key}' must be a JSON list")
+        if len(pts) != len(weights):
+            raise ValueError("measure 'weights' must have one entry per point")
         if len(pts) == 0:
             return cls.empty(3)
         return cls(pts, weights, signed=bool(doc.get("signed", False)))
@@ -372,21 +374,38 @@ def assemble_gram(
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or len(nodes) == 0:
         raise ValueError("nodes must be a non-empty (n, dim) array")
+    if len(nodes) >= 2:
+        d_nn = cKDTree(nodes).query(nodes, k=2)[0][:, 1]
+        _require_distinct(nodes, d_nn)
+        if reg_radius is None:
+            reg_radius = 0.5 * float(d_nn.min())
+    elif reg_radius is None:
+        raise ValueError("reg_radius is required for a single-node Gram matrix")
+    return _assemble_distinct(spec, nodes, reg_radius)
+
+
+def _require_distinct(nodes: np.ndarray, d_nn: np.ndarray) -> float:
+    """h_min of a node set with nearest-neighbor distances ``d_nn``.
+
+    Raises DegenerateNodes if two nodes are closer than h_min = H_MIN_FACTOR
+    x the bounding-box diameter.
+    """
+    h_min = H_MIN_FACTOR * _bbox_diameter(nodes)
+    min_nn = float(d_nn.min())
+    if min_nn <= 0.0 or min_nn < h_min:
+        raise DegenerateNodes(f"two nodes closer than h_min={h_min:g} (min spacing {min_nn:g})")
+    return h_min
+
+
+def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, reg_radius) -> GramMatrix:
+    """``assemble_gram`` over a float (n, dim) array of nodes known to be distinct.
+
+    Skips only the distinctness query; the dimension and radius checks still
+    run.  For node sets whose coincidence check has already run, as in Region.
+    """
     if nodes.shape[1] != spec.dim:
         raise DimensionMismatch(f"nodes must have dimension {spec.dim}")
     n = len(nodes)
-    if n >= 2:
-        h_min = H_MIN_FACTOR * _bbox_diameter(nodes)
-        d_nn = cKDTree(nodes).query(nodes, k=2)[0][:, 1]
-        min_nn = float(d_nn.min())
-        if min_nn <= 0.0 or min_nn < h_min:
-            raise DegenerateNodes(
-                f"two nodes closer than h_min={h_min:g} (min spacing {min_nn:g})"
-            )
-        if reg_radius is None:
-            reg_radius = 0.5 * min_nn
-    elif reg_radius is None:
-        raise ValueError("reg_radius is required for a single-node Gram matrix")
     radii = np.asarray(reg_radius, dtype=float)
     if radii.ndim and radii.shape != (n,):
         raise ValueError("per-node reg_radius must have one entry per node")

@@ -53,7 +53,7 @@ def _equilibrium_from_gram(gram: GramMatrix, tol: float, what: str) -> Equilibri
     support = gw > 0.0
     node_pot = gram.entries @ gw
     return EquilibriumResult(
-        gamma=DiscreteMeasure(gram.nodes[support], gw[support]),
+        gamma=DiscreteMeasure._on_distinct_nodes(gram.nodes[support], gw[support]),
         capacity=1.0 / min_energy,
         min_energy=min_energy,
         solution=sol,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import DiscreteMeasure, KernelSpec, potential_at
 from .errors import CenterCharged, CenterInversion
-from .regions import Ball, BallComplement, HalfSpace, InvertedShape, Shape, UnionShape
+from .regions import Ball, BallComplement, HalfSpace, PointCloud, Shape, SphereShell, UnionShape
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,17 @@ def verify_potential_covariance(
 
 
 def invert_shape(center, shape: Shape) -> Shape:
-    """Analytic image of a shape under inversion about ``center``.
+    """Image of a catalog shape under inversion about ``center``, again in the catalog.
 
-    Spheres and half-spaces have closed-form images; anything else falls
-    back to a membership-level wrapper.  Writing d = c - y and
-    k = |d|^2 - r^2 for a sphere S(c, r), the image is the sphere with
-    center y + d/k and radius r/|k|; the sign of k decides whether inside
-    and outside swap.  A sphere through the pole (k = 0) maps to a plane,
-    which this catalog does not represent.
+    Writing d = c - y and k = |d|^2 - r^2 for a sphere S(c, r), the image
+    is the sphere with center y + d/k and radius r/|k|; for balls the sign
+    of k decides whether inside and outside swap.  A sphere through the
+    pole (k = 0) maps to a plane, which this catalog does not represent.
+    Half-spaces map to balls or their complements, unions part by part,
+    and point clouds point by point.
     """
     y = np.asarray(center, dtype=float)
-    if isinstance(shape, (Ball, BallComplement)):
+    if isinstance(shape, (Ball, BallComplement, SphereShell)):
         d = shape.center - y
         k = float(d @ d) - shape.radius**2
         if abs(k) < 1e-12 * shape.radius**2:
@@ -96,6 +96,8 @@ def invert_shape(center, shape: Shape) -> Shape:
             )
         c_star = y + d / k
         r_star = shape.radius / abs(k)
+        if isinstance(shape, SphereShell):
+            return SphereShell(c_star, r_star)
         inside_preserved = k > 0
         if isinstance(shape, Ball):
             return Ball(c_star, r_star) if inside_preserved else BallComplement(c_star, r_star)
@@ -114,4 +116,6 @@ def invert_shape(center, shape: Shape) -> Shape:
         return BallComplement(c_star, r_star)
     if isinstance(shape, UnionShape):
         return UnionShape([invert_shape(y, p) for p in shape.parts])
-    return InvertedShape(shape, y)
+    if isinstance(shape, PointCloud):
+        return PointCloud(invert_points(Inversion(y), shape.points))
+    raise TypeError(f"no inversion image for {type(shape).__name__}")

@@ -2,24 +2,26 @@
 
 A Region couples an analytic shape (membership predicate) with a concrete
 discretization node set and the regularization radius used for its Gram
-matrix.  Node layouts are deterministic: spiral (golden-angle) constructions
-for spheres, disks, and balls, and an unscrambled Halton template for
-volume shells.
+matrix.  Its constructor is the one place that works out the geometry of
+the node set: one KD-tree, each node's nearest-neighbor distance, the
+coincidence check, and the default radius.  Node layouts are
+deterministic: spiral (golden-angle) constructions for spheres, disks, and
+balls, and an unscrambled Halton template for volume shells.
 
 Node generation is implemented for ambient dimension 3; explicit point
 clouds work in any dimension.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, _bbox_diameter, assemble_gram
+from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, _assemble_distinct, _require_distinct
 from .errors import IllConditioned, ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -39,6 +41,11 @@ REGION_REG_FACTOR = 0.24
 
 # Relative tolerance for surface-membership tests.
 SURFACE_TOL = 1e-9
+
+# Probe sampling: the standoff from the nodes, in mean node spacings, and
+# the number of candidate batches drawn before giving up.
+PROBE_STANDOFF = 3.0
+PROBE_MAX_BATCHES = 500
 
 
 def fibonacci_sphere(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -123,7 +130,7 @@ class Shape:
     def contains(self, points) -> np.ndarray:
         raise NotImplementedError
 
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         raise NotImplementedError
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
@@ -175,7 +182,7 @@ class Ball(Shape):
         d = np.linalg.norm(X - self.center, axis=1)
         return d <= self.radius * (1.0 + SURFACE_TOL)
 
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
         if spec.alpha == 2.0:
             # The swept/equilibrium charge concentrates on the boundary sphere.
@@ -217,10 +224,7 @@ class BallComplement(Shape):
         d = np.linalg.norm(X - self.center, axis=1)
         return d >= self.radius * (1.0 - SURFACE_TOL)
 
-    def default_extent(self) -> float:
-        return 8.0 * (float(np.linalg.norm(self.center)) + 2.0 * self.radius)
-
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
         if spec.alpha == 2.0:
             # For alpha = 2 the balayee of any measure inside the ball lives
@@ -229,8 +233,7 @@ class BallComplement(Shape):
         # For alpha < 2 the swept measure charges the whole exterior; add
         # geometrically growing shells out to the truncation radius.  The
         # truncation error is bounded by the kernel decay |x|^(alpha - n).
-        if extent is None:
-            extent = self.default_extent()
+        extent = 8.0 * (float(np.linalg.norm(self.center)) + 2.0 * self.radius)
         layers = 4
         n_surf = n - layers * (n // 8)
         parts = [fibonacci_sphere(n_surf, self.radius, self.center)]
@@ -265,7 +268,7 @@ class SphereShell(Shape):
         d = np.linalg.norm(X - self.center, axis=1)
         return np.abs(d - self.radius) <= SURFACE_TOL * max(self.radius, 1.0)
 
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
         return fibonacci_sphere(n, self.radius, self.center)
 
@@ -328,13 +331,10 @@ class HalfSpace(Shape):
         tol = SURFACE_TOL * max(1.0, abs(self.offset))
         return X @ self.normal >= self.offset - tol
 
-    def default_extent(self) -> float:
-        return 8.0 * max(1.0, abs(self.offset))
-
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
-        if extent is None:
-            extent = self.default_extent()
+        # The plane is truncated to a disk of this radius.
+        extent = 8.0 * max(1.0, abs(self.offset))
         foot = self.offset * self.normal
         if spec.alpha == 2.0:
             return fibonacci_disk(n, extent, foot, self.normal)
@@ -374,16 +374,14 @@ class UnionShape(Shape):
             mask |= p.contains(X)
         return mask
 
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         # Budget split proportional to squared scale (surface area for
         # spheres), which keeps node spacings comparable across parts so a
         # single Gram regularization radius fits all of them.
         scales = np.array([p.characteristic_scale() ** 2 for p in self.parts])
         weights = scales / scales.sum()
         counts = np.maximum(16, np.round(n * weights).astype(int))
-        parts = [
-            p.make_nodes(int(c), spec, extent) for p, c in zip(self.parts, counts)
-        ]
+        parts = [p.make_nodes(int(c), spec) for p, c in zip(self.parts, counts)]
         return _dedupe(np.concatenate(parts))
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
@@ -417,7 +415,7 @@ class PointCloud(Shape):
         d, _ = self._tree.query(X, k=1)
         return d <= self._tol
 
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
+    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         return np.array(self.points)
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
@@ -434,51 +432,6 @@ class PointCloud(Shape):
         return {
             "shape": "cloud",
             "points": [[float(c) for c in p] for p in self.points],
-        }
-
-
-class InvertedShape(Shape):
-    """Image of a base shape under inversion in the unit sphere at ``center``.
-
-    Membership works for any base shape; generated nodes are the inverted
-    base nodes.  If the base set is unbounded, the point at infinity maps to
-    the center, which then belongs to the image set.
-    """
-
-    def __init__(self, base: Shape, center):
-        self.base = base
-        self.center = np.asarray(center, dtype=float)
-        self.include_center = not base.bounded
-        self.bounded = not bool(base.contains(self.center[None, :])[0])
-
-    def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
-        diff = X - self.center
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        out = np.zeros(len(X), dtype=bool)
-        at_center = r2 == 0.0
-        out[at_center] = self.include_center
-        rest = ~at_center
-        if rest.any():
-            inv = self.center + diff[rest] / r2[rest, None]
-            out[rest] = self.base.contains(inv)
-        return out
-
-    def make_nodes(self, n: int, spec: KernelSpec, extent: float | None = None) -> np.ndarray:
-        base_nodes = self.base.make_nodes(n, spec, extent)
-        diff = base_nodes - self.center
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        keep = r2 > 0.0
-        return self.center + diff[keep] / r2[keep, None]
-
-    def characteristic_scale(self) -> float:
-        return 1.0
-
-    def descriptor(self) -> dict:
-        return {
-            "shape": "inverted",
-            "center": [float(c) for c in self.center],
-            "base": self.base.descriptor(),
         }
 
 
@@ -499,24 +452,44 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 
 
 class Region:
-    """A closed set A with its discretization and Gram regularization radius."""
+    """A closed set A with its discretization and Gram regularization radius.
 
-    __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_grams", "_spacing")
+    The constructor works out the geometry of the node set once.  It builds
+    one KD-tree over the nodes and keeps each node's nearest-neighbor
+    distance; ``spacing``, the capped radii of ``gram`` and probe sampling
+    read them.  Two nodes closer than ``h_min`` (H_MIN_FACTOR x the
+    bounding-box diameter) raise DegenerateNodes.  ``reg_radius`` defaults
+    to REGION_REG_FACTOR x the mean nearest-neighbor spacing; a single node
+    needs it given.
+    """
 
-    def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius: float):
+    __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
+
+    def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius: float | None = None):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
             raise ValueError("region nodes must be a non-empty (n, dim) array")
         if not bool(shape.contains(nodes).all()):
             raise ValueError("every region node must satisfy the membership predicate")
         nodes.setflags(write=False)
+        tree = cKDTree(nodes)
+        # A single node's nearest neighbor is at infinity.
+        d_nn = tree.query(nodes, k=2)[0][:, 1]
+        # Nodes closer than h_min count as coincident; 0 for a single node.
+        self.h_min = _require_distinct(nodes, d_nn)
+        if len(nodes) >= 2:
+            spacing = (float(d_nn.min()), float(d_nn.mean()))
+        elif reg_radius is None:
+            raise ValueError("reg_radius is required for single-node regions")
+        else:
+            spacing = (float(reg_radius), float(reg_radius))
         self.shape = shape
         self.nodes = nodes
-        self.reg_radius = float(reg_radius)
-        # Nodes closer than this count as coincident; 0 for a single node.
-        self.h_min = H_MIN_FACTOR * _bbox_diameter(nodes) if len(nodes) >= 2 else 0.0
+        self.reg_radius = float(REGION_REG_FACTOR * spacing[1] if reg_radius is None else reg_radius)
+        self._tree = tree
+        self._d_nn = d_nn
+        self._spacing = spacing
         self._grams: dict = {}
-        self._spacing: tuple[float, float] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -528,11 +501,6 @@ class Region:
 
     def spacing(self) -> tuple[float, float]:
         """(min, mean) nearest-neighbor spacing of the node set."""
-        if self._spacing is None:
-            if len(self.nodes) >= 2:
-                self._spacing = nearest_neighbor_spacing(self.nodes)
-            else:
-                self._spacing = (self.reg_radius, self.reg_radius)
         return self._spacing
 
     def contains(self, points) -> np.ndarray:
@@ -552,12 +520,11 @@ class Region:
         key = (spec.alpha, spec.dim)
         g = self._grams.get(key)
         if g is None:
-            g = assemble_gram(spec, self.nodes, reg_radius=self.reg_radius)
+            g = _assemble_distinct(spec, self.nodes, self.reg_radius)
             try:
                 g.check_condition()
             except IllConditioned:
-                d_nn = cKDTree(self.nodes).query(self.nodes, k=2)[0][:, 1]
-                g = assemble_gram(spec, self.nodes, np.minimum(self.reg_radius, 0.5 * d_nn))
+                g = _assemble_distinct(spec, self.nodes, np.minimum(self.reg_radius, 0.5 * self._d_nn))
                 g.check_condition()
             self._grams[key] = g
         return g
@@ -567,16 +534,10 @@ def build_region(
     shape: Shape,
     n: int,
     spec: KernelSpec,
-    extent: float | None = None,
     reg_radius: float | None = None,
 ) -> Region:
-    """Discretize a shape into a Region with the calibrated regularization."""
-    nodes = shape.make_nodes(n, spec, extent)
-    if reg_radius is None:
-        if len(nodes) < 2:
-            raise ValueError("reg_radius is required for single-node regions")
-        reg_radius = REGION_REG_FACTOR * nearest_neighbor_spacing(nodes)[1]
-    return Region(shape, nodes, reg_radius)
+    """Discretize a shape into a Region; ``reg_radius`` defaults as in Region."""
+    return Region(shape, shape.make_nodes(n, spec), reg_radius)
 
 
 def ball_region(center, radius, n, spec, **kw) -> Region:
@@ -597,61 +558,48 @@ def half_space_region(normal, offset, n, spec, **kw) -> Region:
 
 def cloud_region(points, spec, reg_radius: float | None = None) -> Region:
     shape = PointCloud(points)
-    nodes = shape.make_nodes(0, spec)
-    if reg_radius is None:
-        if len(nodes) < 2:
-            raise ValueError("reg_radius is required for single-node regions")
-        reg_radius = REGION_REG_FACTOR * nearest_neighbor_spacing(nodes)[1]
-    return Region(shape, nodes, reg_radius)
+    return Region(shape, shape.make_nodes(0, spec), reg_radius)
 
 
 def union_region(parts: list[Region], reg_radius: float | None = None) -> Region:
     """Union of prebuilt regions; node order follows the part order."""
     shape = UnionShape([p.shape for p in parts])
-    nodes = _dedupe(np.concatenate([p.nodes for p in parts]))
-    if reg_radius is None:
-        reg_radius = REGION_REG_FACTOR * nearest_neighbor_spacing(nodes)[1]
-    return Region(shape, nodes, reg_radius)
+    return Region(shape, _dedupe(np.concatenate([p.nodes for p in parts])), reg_radius)
 
 
 def reinterpret_region(region: Region, shape: Shape) -> Region:
     """View an existing discretization as a different shape.
 
-    The node array, regularization radius, and Gram cache are shared, so
-    assembled matrices are reused.  Every node must satisfy the new shape's
-    membership predicate; typical use is swapping between a ball, its
-    boundary sphere, and the closed complement when all three are
-    discretized by the same sphere nodes.
+    The node array with its geometry, the regularization radius, and the
+    Gram cache are shared, so assembled matrices are reused.  Every node
+    must satisfy the new shape's membership predicate; typical use is
+    swapping between a ball, its boundary sphere, and the closed complement
+    when all three are discretized by the same sphere nodes.
     """
-    out = Region(shape, region.nodes, region.reg_radius)
-    out._grams = region._grams
+    if not bool(shape.contains(region.nodes).all()):
+        raise ValueError("every region node must satisfy the membership predicate")
+    out = copy.copy(region)
+    out.shape = shape
     return out
 
 
-def sample_points_off(
-    region: Region,
-    n: int,
-    seed: int = PROBE_SEED,
-    standoff_factor: float = 3.0,
-    max_batches: int = 500,
-) -> np.ndarray:
+def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndarray:
     """Quasi-random points off A (equivalently: in the open domain D).
 
-    Points keep a standoff of ``standoff_factor`` mean node spacings from
-    the discretization nodes so that potentials of node-supported measures
-    are meaningful there.  Deterministic for a fixed seed.
+    Points keep a standoff of PROBE_STANDOFF mean node spacings from the
+    discretization nodes so that potentials of node-supported measures are
+    meaningful there.  Deterministic for a fixed seed.
     """
     if n <= 0:
         return np.empty((0, region.dim))
     rng = np.random.default_rng(seed)
-    tree = cKDTree(region.nodes)
     centroid = region.nodes.mean(axis=0)
     radius = float(np.linalg.norm(region.nodes - centroid, axis=1).max())
-    standoff = standoff_factor * region.spacing()[1]
+    standoff = PROBE_STANDOFF * region.spacing()[1]
     out: list[np.ndarray] = []
     count = 0
     dim = region.dim
-    for _ in range(max_batches):
+    for _ in range(PROBE_MAX_BATCHES):
         dirs = rng.normal(size=(4 * n, dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radii = (2.2 * radius + 4.0 * standoff) * rng.random(4 * n) ** (1.0 / dim)
@@ -659,7 +607,7 @@ def sample_points_off(
         keep = ~region.contains(X)
         X = X[keep]
         if len(X):
-            d, _ = tree.query(X, k=1)
+            d, _ = region._tree.query(X, k=1)
             X = X[d >= standoff]
         if len(X):
             out.append(X)

@@ -82,12 +82,6 @@ def classify_terms(
     return "inconclusive", fitted_ratio, False
 
 
-def _shell_region(spec: KernelSpec, nodes: np.ndarray, width: float) -> Region:
-    if len(nodes) >= 2:
-        return cloud_region(nodes, spec)
-    return cloud_region(nodes, spec, reg_radius=REGION_REG_FACTOR * width)
-
-
 def wiener_report(
     spec: KernelSpec,
     shape: Shape,
@@ -126,7 +120,9 @@ def wiener_report(
                     )
                 continue
             empty_run = 0
-            region = _shell_region(spec, nodes, r_hi - r_lo)
+            # A lone node has no spacing; it takes the same fraction of the shell width.
+            lone_radius = REGION_REG_FACTOR * (r_hi - r_lo) if len(nodes) < 2 else None
+            region = cloud_region(nodes, spec, reg_radius=lone_radius)
             cap = riesz_equilibrium(spec, region, tol=tol).capacity
             term = cap * ratio_q ** (k * spec.exponent)
             shells.append(ShellStat(k, r_lo, r_hi, len(nodes), cap, term))

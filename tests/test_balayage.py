@@ -187,6 +187,15 @@ def test_sweep_by_inversion_matches_qp(spec, ball2000):
     assert np.max(np.abs(pa - pb) / pa) < 0.01
 
 
+def test_sweep_by_inversion_onto_sphere_has_exact_mass(spec):
+    """A unit charge at distance 2 sweeps onto the unit sphere with mass
+    1/2.  The image of the sphere is again a sphere with its own nodes."""
+    region = rl.sphere_region(ORIGIN, 1.0, 400, spec)
+    swept = sweep_dirac_by_inversion(spec, 2.0 * E1, 1.0, region)
+    assert swept.total_mass == pytest.approx(0.5, rel=0.01)
+    assert np.allclose(np.linalg.norm(swept.points, axis=1), 1.0)
+
+
 def test_sweep_by_inversion_rejects_charge_on_region(spec, ball500):
     with pytest.raises(ValueError):
         sweep_dirac_by_inversion(spec, E1, 1.0, ball500)

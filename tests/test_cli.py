@@ -229,14 +229,46 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             {"source": {"points": [[0.0, 0.0, 0.0]], "weights": 1.0}},
             "error: measure 'weights' must be a JSON list",
         ),
+        (
+            {"source": {"points": [], "weights": [1.0, 2.0]}},
+            "error: measure 'weights' must have one entry per point",
+        ),
+        ({"kernel": {"alpha": [2], "dim": 3}}, "error: kernel 'alpha' must be a number"),
+        (
+            {"region": dict(COMPLEMENT, radius=[1])},
+            "error: shape 'ball-complement' 'radius' must be a number",
+        ),
+        (
+            {"region": dict(COMPLEMENT, n=[200])},
+            "error: shape 'ball-complement' 'n' must be a number",
+        ),
+        ({"tol": {}}, "error: 'tol' must be a number"),
+        ({"probes": {"n": [3]}}, "error: probes 'n' must be a number"),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
-         "points-object", "weights-number"],
+         "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
+         "radius-list", "n-list", "tol-object", "probes-n-list"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))
     assert main(["run", path, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == message
+
+
+def test_shape_extent_is_unknown_key(tmp_path, capsys):
+    path = write_scenario(tmp_path, small_sweep(region=dict(COMPLEMENT, extent=40.0)))
+    assert main(["run", path, "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err.strip() == "error: unknown key 'extent' in shape 'ball-complement'"
+
+
+def test_repeated_cloud_point_exits_1(tmp_path, capsys):
+    cloud = {"shape": "cloud", "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]]}
+    doc = {"schema": 1, "name": "d", "command": "equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3}, "region": cloud}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: two nodes closer than h_min=1.41421e-09 (min spacing 0)"
+    assert list(tmp_path.glob("d.*")) == []
 
 
 def test_refine_wiener_has_no_node_count(tmp_path, capsys):
@@ -338,7 +370,8 @@ def test_identity_gap_uses_expected_value(tmp_path):
     path = write_scenario(tmp_path, doc)
     # the gap is ~0, so a check against 0.5 fails
     assert main(["run", path, "--out", str(tmp_path / "i")]) == 2
-    rows = {r["name"]: r for r in csv.DictReader((tmp_path / "i.table.csv").open())}
+    with (tmp_path / "i.table.csv").open() as fh:
+        rows = {r["name"]: r for r in csv.DictReader(fh)}
     assert rows["identity-gap"]["expected"] == "0.5"
     assert rows["identity-gap"]["passed"] == "false"
 

@@ -169,8 +169,30 @@ def test_invert_shape_union_maps_parts():
     assert all(isinstance(p, Ball) for p in star.parts)
 
 
+def test_invert_shape_sphere_is_analytic_sphere():
+    star = invert_shape([2.0, 0.0, 0.0], SphereShell(ORIGIN, 1.0))
+    assert isinstance(star, SphereShell)
+    assert np.allclose(star.center, [4.0 / 3.0, 0.0, 0.0])
+    assert star.radius == pytest.approx(1.0 / 3.0)
+    # pole inside: same centre and radius formula, k = |d|^2 - r^2 < 0
+    star = invert_shape([0.5, 0.0, 0.0], SphereShell(ORIGIN, 1.0))
+    assert isinstance(star, SphereShell)
+    assert np.allclose(star.center, [0.5 + 0.5 / 0.75, 0.0, 0.0])
+    assert star.radius == pytest.approx(1.0 / 0.75)
+
+
+def test_invert_shape_point_cloud_inverts_points():
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.5, 0.5, 1.0]])
+    pole = np.array([0.0, 0.0, -1.0])
+    star = invert_shape(pole, rl.PointCloud(pts))
+    assert isinstance(star, rl.PointCloud)
+    assert np.array_equal(star.points, invert_points(Inversion(pole), pts))
+    with pytest.raises(CenterInversion):
+        invert_shape(pts[0], rl.PointCloud(pts))
+
+
 def test_invert_shape_membership_is_conjugated():
-    """x in A exactly when x* in A*, for analytic and fallback images."""
+    """x in A exactly when x* in A*, for every analytic image."""
     rng = np.random.default_rng(7)
     pole = np.array([0.0, 0.0, 2.0])
     inv = Inversion(pole)
@@ -178,7 +200,7 @@ def test_invert_shape_membership_is_conjugated():
         Ball(ORIGIN, 1.0),
         BallComplement(ORIGIN, 1.0),
         HalfSpace([1.0, 0.0, 0.0], 1.5),
-        SphereShell(ORIGIN, 1.0),  # falls back to the generic image
+        SphereShell(ORIGIN, 1.0),
     ]
     pts = rng.normal(size=(200, 3)) * 2.0
     pts = pts[np.linalg.norm(pts - pole, axis=1) > 1e-6]

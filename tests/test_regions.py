@@ -262,10 +262,51 @@ def test_inverted_shape_membership_tracks_base():
     base = BallComplement(ORIGIN, 1.0)
     center = np.array([0.0, 0.0, 0.0])
     star = rl.invert_shape(center, SphereShell(ORIGIN, 2.0))
-    # generic fallback: membership decided through the inverse map
+    # the image of the radius-2 sphere is the radius-1/2 sphere
     pts = fibonacci_sphere(50, 0.5)  # images of radius-2 points
     assert star.contains(pts).all()
     assert not star.contains(np.array([[0.9, 0, 0]])).any()
+
+
+@pytest.mark.parametrize("kind", ["ball", "half-space", "union"])
+def test_default_radius_and_spacing_follow_nearest_neighbors(kind):
+    """A region's default radius is REGION_REG_FACTOR x the mean
+    nearest-neighbor spacing, and spacing() is nearest_neighbor_spacing,
+    both bit for bit."""
+    spec15 = KernelSpec(1.5, 3)
+    region = _catalog_region(kind, spec15)
+    spacing = nearest_neighbor_spacing(region.nodes)
+    assert region.spacing() == spacing
+    assert region.reg_radius == rl.regions.REGION_REG_FACTOR * spacing[1]
+
+
+def test_region_rejects_repeated_node():
+    points = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    with pytest.raises(rl.DegenerateNodes, match="two nodes closer than h_min"):
+        rl.cloud_region(points, KernelSpec(2.0, 3))
+    with pytest.raises(rl.DegenerateNodes):
+        Region(PointCloud(points[:3]), np.array(points), reg_radius=0.1)
+
+
+def test_region_reuses_one_kd_tree(spec, monkeypatch):
+    """Building a region, sweeping a Dirac with checks, and an equilibrium
+    with probes build one KD-tree in all: the region's own."""
+    import rieszlab.core as core
+    import rieszlab.regions as regions
+
+    trees = []
+
+    def counting(*args, **kwargs):
+        trees.append(1)
+        return cKDTree(*args, **kwargs)
+
+    monkeypatch.setattr(core, "cKDTree", counting)
+    monkeypatch.setattr(regions, "cKDTree", counting)
+    region = build_region(Ball(ORIGIN, 1.0), 500, spec)
+    res = rl.sweep(spec, rl.dirac([2.0, 0.0, 0.0]), region)
+    eq = rl.riesz_equilibrium(spec, region, n_probes=50)
+    assert len(trees) == 1
+    assert res.checks.n_probes == 100 and eq.probe_potential_max is not None
 
 
 def test_characteristic_scales():
