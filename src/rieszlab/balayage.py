@@ -95,22 +95,21 @@ def sweep(
     tol_dom: float = 0.02,
     n_probes: int = 100,
     probe_seed: int = PROBE_SEED,
-    run_checks: bool = True,
 ) -> SweepResult:
-    """Sweep a nonnegative measure onto the region nodes.
+    """Sweep a nonnegative measure onto the region nodes, with checks.
 
-    Raises SolverFailure if the quadratic solve does not converge.  With
-    ``run_checks`` the result carries mass/energy monotonicity, the node
-    potential-equality gap, and a probe-based domination check off the
-    region (probes keep a standoff of three mean spacings from the nodes,
-    where the discrete potential is a faithful stand-in for the continuum
-    one; ``tol_dom`` is the allowed relative excess there).
+    Raises SolverFailure if the quadratic solve does not converge.  The
+    result carries mass/energy monotonicity, the node potential-equality
+    gap, and a probe-based domination check off the region (probes keep a
+    standoff of three mean spacings from the nodes, where the discrete
+    potential is a faithful stand-in for the continuum one; ``tol_dom``,
+    finite and nonnegative, is the allowed relative excess there).
     """
+    if not (np.isfinite(tol_dom) and tol_dom >= 0.0):
+        raise ValueError("tol_dom must be finite and nonnegative")
     B, (res,) = _sweep_columns(spec, [mu], region, tol)
-    if run_checks:
-        checks = _run_checks(spec, mu, region, B[:, 0], res, tol_dom, n_probes, probe_seed)
-        res = replace(res, checks=checks)
-    return res
+    checks = _sweep_checks(spec, mu, region, B[:, 0], res, tol_dom, n_probes, probe_seed)
+    return replace(res, checks=checks)
 
 
 def sweep_many(
@@ -121,10 +120,11 @@ def sweep_many(
 ) -> list[SweepResult]:
     """Sweep several nonnegative measures onto the same region nodes.
 
-    The sources share one solve through the region's Cholesky factor, and
-    each result is the one ``sweep`` without checks returns for its source.
-    SolverFailure is raised at the first source, in order, that does not
-    converge; later sources are not solved.
+    The sources share one solve through the region's Cholesky factor.
+    Each result is the sweep of its source with ``checks=None``: the
+    measure and solution are bitwise those ``sweep`` returns, without the
+    invariant checks.  SolverFailure is raised at the first source, in
+    order, that does not converge; later sources are not solved.
     """
     return _sweep_columns(spec, sources, region, tol)[1]
 
@@ -187,7 +187,7 @@ def swept_potentials(
     return out
 
 
-def _run_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> SweepChecks:
+def _sweep_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> SweepChecks:
     gram = region.gram(spec)
     w, swept = res.solution.weights, res.swept
     mass_in = mu.total_mass
@@ -334,9 +334,8 @@ def verify_transitivity(
         raise NodesOutsideDomain(
             "every node of the inner region must belong to the outer set"
         )
-    direct = sweep(spec, mu, region_f, tol=tol, run_checks=False)
-    staged_a = sweep(spec, mu, region_a, tol=tol, run_checks=False)
-    staged = sweep(spec, staged_a.swept, region_f, tol=tol, run_checks=False)
+    (staged_a,) = sweep_many(spec, [mu], region_a, tol=tol)
+    direct, staged = sweep_many(spec, [mu, staged_a.swept], region_f, tol=tol)
     probes = sample_points_off(region_f, n_probes, probe_seed)
     p_direct = potential_at(spec, direct.swept, probes)
     p_staged = potential_at(spec, staged.swept, probes)

@@ -8,7 +8,7 @@ constant, so for alpha = 2, n = 3 the unit ball has capacity exactly 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve

@@ -42,7 +42,7 @@ class EquilibriumResult:
 
 
 def _equilibrium_from_gram(gram: GramMatrix, tol: float, what: str) -> EquilibriumResult:
-    sol = solve_simplex(gram, total=1.0, tol=tol)
+    sol = solve_simplex(gram, tol)
     if not sol.converged:
         raise SolverFailure(
             f"{what} did not converge: kkt residual "
@@ -86,16 +86,17 @@ def riesz_equilibrium(
     return replace(eq, probe_potential_max=probe_max, probe_seed=probe_seed)
 
 
-def green_equilibrium(gk, f_region: Region, tol: float = 1e-10) -> EquilibriumResult:
+def green_equilibrium(gk, f_region: Region) -> EquilibriumResult:
     """Capacitary measure of a compact node set relative to a domain.
 
     ``gk`` is a GreenKernel; the node set must lie strictly inside its
-    domain.  The returned mass is the relative (Green) capacity.
+    domain.  Its tolerance serves both the sweeps of the Green Gram and
+    the simplex solve.  The returned mass is the relative (Green) capacity.
     """
     from .green import green_gram  # deferred: green depends on balayage
 
     ggram = green_gram(gk, f_region.nodes, reg_radius=f_region.reg_radius)
-    return _equilibrium_from_gram(ggram, tol, "relative equilibrium solve")
+    return _equilibrium_from_gram(ggram, gk.tol, "relative equilibrium solve")
 
 
 def verify_green_minimality(

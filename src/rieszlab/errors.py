@@ -45,9 +45,5 @@ class PointOutsideDomain(RieszLabError):
     """An evaluation point lies outside the open domain D."""
 
 
-class EmptyShellRun(RieszLabError):
-    """Too many consecutive Wiener shells contain no part of the target set."""
-
-
 class SchemaError(RieszLabError):
     """A scenario document violates the schema."""

@@ -9,8 +9,6 @@ poles in one batched solve against the region's cached factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -60,6 +58,13 @@ def _require_in_domain(gk: GreenKernel, points, what: str) -> None:
         raise PointOutsideDomain(f"{what} must lie in the open domain off the target set")
 
 
+def _require_gram_nodes_in_domain(gk: GreenKernel, nodes: np.ndarray) -> None:
+    if bool(gk.region.contains(nodes).any()):
+        raise NodesOutsideDomain(
+            "Green Gram nodes must lie strictly inside the open domain"
+        )
+
+
 def green_values(gk: GreenKernel, y, points) -> np.ndarray:
     """g(x, y) for one pole y and many evaluation points."""
     y = np.asarray(y, dtype=float)
@@ -68,8 +73,7 @@ def green_values(gk: GreenKernel, y, points) -> np.ndarray:
         X = X[None, :]
     _require_in_domain(gk, y, "the pole")
     _require_in_domain(gk, X, "evaluation points")
-    (comp,) = sweep_many(gk.spec, [dirac(y)], gk.region, tol=gk.tol)
-    vals = potential_at(gk.spec, dirac(y), X) - potential_at(gk.spec, comp.swept, X)
+    vals = _green_potential_values(gk, dirac(y), _pole_sweeps(gk, [y]), X)
     coincident = np.all(X == y, axis=1)
     vals[coincident] = np.inf
     return vals
@@ -80,44 +84,18 @@ def green_eval(gk: GreenKernel, x, y) -> float:
     return float(green_values(gk, y, np.asarray(x, dtype=float)[None, :])[0])
 
 
-@dataclass(frozen=True)
-class GreenPotentialResult:
-    values: np.ndarray
-    route_gap: float | None
-
-
-def green_potential(
-    gk: GreenKernel, nu: DiscreteMeasure, points, compute_gap: bool = False
-) -> GreenPotentialResult:
+def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
     """Green potential of a measure at domain points.
 
     Subtracts, atom by atom, the potential of each atom's swept unit
-    charge; the atoms are swept in one batched solve.  With
-    ``compute_gap`` the potential is also computed by sweeping the measure
-    as a whole, and the largest relative disagreement between the two
-    routes is reported; the routes agree up to solver tolerance whenever
-    no positivity constraint binds.
+    charge; the atoms are swept in one batched solve.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     _require_in_domain(gk, nu.points, "the measure's atoms")
     _require_in_domain(gk, X, "evaluation points")
-    vals = _green_potential_values(gk, nu, _pole_sweeps(gk, nu.points), X)
-
-    gap = None
-    if compute_gap:
-        swept = sweep_signed(gk.spec, nu, gk.region, tol=gk.tol).swept
-        alt = potential_at(gk.spec, nu, X) - potential_at(gk.spec, swept, X)
-        finite = np.isfinite(vals) & np.isfinite(alt)
-        gap = float(
-            np.max(
-                np.abs(vals[finite] - alt[finite])
-                / np.maximum(np.abs(vals[finite]), TINY),
-                initial=0.0,
-            )
-        )
-    return GreenPotentialResult(values=vals, route_gap=gap)
+    return _green_potential_values(gk, nu, _pole_sweeps(gk, nu.points), X)
 
 
 def _pole_sweeps(gk: GreenKernel, poles) -> list[SweepResult]:
@@ -157,10 +135,7 @@ def green_gram(gk: GreenKernel, nodes, reg_radius: float | None = None) -> GramM
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or len(nodes) == 0:
         raise ValueError("nodes must be a non-empty (n, dim) array")
-    if bool(gk.region.contains(nodes).any()):
-        raise NodesOutsideDomain(
-            "Green Gram nodes must lie strictly inside the open domain"
-        )
+    _require_gram_nodes_in_domain(gk, nodes)
     if reg_radius is None and len(nodes) < 2:
         raise ValueError("reg_radius is required for a single-node Gram matrix")
     kgram = assemble_gram(gk.spec, nodes, reg_radius=reg_radius)
@@ -177,8 +152,9 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     if nu.n_points < 2:
         raise ValueError("energy decomposition needs at least two atoms")
     h = REGION_REG_FACTOR * nearest_neighbor_spacing(nu.points)[1]
-    ggram = green_gram(gk, nu.points, reg_radius=h)
+    _require_gram_nodes_in_domain(gk, nu.points)
     kgram = assemble_gram(gk.spec, nu.points, reg_radius=h)
+    ggram = _green_gram_from_sweeps(gk, kgram, _pole_sweeps(gk, nu.points))
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
     e_free = float(nu.weights @ (kgram.entries @ nu.weights))
 

@@ -530,30 +530,25 @@ class Region:
         return g
 
 
-def build_region(
-    shape: Shape,
-    n: int,
-    spec: KernelSpec,
-    reg_radius: float | None = None,
-) -> Region:
-    """Discretize a shape into a Region; ``reg_radius`` defaults as in Region."""
-    return Region(shape, shape.make_nodes(n, spec), reg_radius)
+def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
+    """Discretize a shape into a Region with the default radius of Region."""
+    return Region(shape, shape.make_nodes(n, spec))
 
 
-def ball_region(center, radius, n, spec, **kw) -> Region:
-    return build_region(Ball(center, radius), n, spec, **kw)
+def ball_region(center, radius, n, spec) -> Region:
+    return build_region(Ball(center, radius), n, spec)
 
 
-def ball_complement_region(center, radius, n, spec, **kw) -> Region:
-    return build_region(BallComplement(center, radius), n, spec, **kw)
+def ball_complement_region(center, radius, n, spec) -> Region:
+    return build_region(BallComplement(center, radius), n, spec)
 
 
-def sphere_region(center, radius, n, spec, **kw) -> Region:
-    return build_region(SphereShell(center, radius), n, spec, **kw)
+def sphere_region(center, radius, n, spec) -> Region:
+    return build_region(SphereShell(center, radius), n, spec)
 
 
-def half_space_region(normal, offset, n, spec, **kw) -> Region:
-    return build_region(HalfSpace(normal, offset), n, spec, **kw)
+def half_space_region(normal, offset, n, spec) -> Region:
+    return build_region(HalfSpace(normal, offset), n, spec)
 
 
 def cloud_region(points, spec, reg_radius: float | None = None) -> Region:
@@ -561,10 +556,10 @@ def cloud_region(points, spec, reg_radius: float | None = None) -> Region:
     return Region(shape, shape.make_nodes(0, spec), reg_radius)
 
 
-def union_region(parts: list[Region], reg_radius: float | None = None) -> Region:
+def union_region(parts: list[Region]) -> Region:
     """Union of prebuilt regions; node order follows the part order."""
     shape = UnionShape([p.shape for p in parts])
-    return Region(shape, _dedupe(np.concatenate([p.nodes for p in parts])), reg_radius)
+    return Region(shape, _dedupe(np.concatenate([p.nodes for p in parts])))
 
 
 def reinterpret_region(region: Region, shape: Shape) -> Region:

@@ -1,12 +1,13 @@
 """Cone-constrained quadratic programs over kernel Gram matrices.
 
-Both entry points minimize  q(w) = w'Kw - 2 b'w  for a symmetric positive
-definite Gram matrix K, either over the nonnegative orthant or over the
-scaled simplex {w >= 0, sum w = total}, by finite active-set methods
-driven by Cholesky solves: block principal pivoting for the orthant and a
-primal active-set iteration for the simplex.  A Gram matrix that fails
-GramMatrix.check_condition raises IllConditioned; Region.gram caps its
-regularization so that region Grams pass.
+For a symmetric positive definite Gram matrix K, solve_nonneg[_many]
+minimizes  q(w) = w'Kw - 2 b'w  over the nonnegative orthant, and
+solve_simplex minimizes  w'Kw  over probability vectors {w >= 0, sum w = 1}.
+Both are finite active-set methods driven by Cholesky solves: block
+principal pivoting for the orthant and a primal active-set iteration for
+the simplex.  A Gram matrix that fails GramMatrix.check_condition raises
+IllConditioned; Region.gram caps its regularization so that region Grams
+pass.
 """
 from __future__ import annotations
 
@@ -94,6 +95,11 @@ def _known(objective: float, kkt_residual: float) -> tuple[float, float]:
     return objective, kkt_residual
 
 
+def _require_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+
+
 def solve_nonneg(
     gram: GramMatrix,
     b,
@@ -121,8 +127,10 @@ def solve_nonneg_many(
     is declared when no free weight and no gradient entry of a zero weight
     lies below ``-tol * max(|b|_inf, tiny)``.  Columns are solved in
     order, and the list ends at the first one that does not converge.
-    Raises IllConditioned if the Gram matrix fails its condition check.
+    Raises ValueError unless ``tol`` is finite and positive, and
+    IllConditioned if the Gram matrix fails its condition check.
     """
+    _require_tol(tol)
     K = gram.entries
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or K.shape != (len(B), len(B)):
@@ -194,97 +202,83 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
     )
 
 
-def _simplex_kkt_residual(K, b, w, lam) -> float:
-    g = 2.0 * (K @ w - b)
+def _simplex_kkt_residual(K, w, lam) -> float:
+    g = 2.0 * (K @ w)
     on = w > 0.0
     stat = float(np.max(np.abs(g[on] - lam), initial=0.0))
     dual = float(np.max(lam - g[~on], initial=0.0))
     return max(stat, dual, 0.0)
 
 
-def solve_simplex(
-    gram: GramMatrix,
-    b=None,
-    total: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> QPSolution:
-    """Minimize w'Kw - 2 b'w over {w >= 0, sum w = total}.
+def solve_simplex(gram: GramMatrix, tol: float = 1e-10) -> QPSolution:
+    """Minimize w'Kw over probability vectors {w >= 0, sum w = 1}.
 
     Primal active-set iteration starting from the uniform point.  Each
-    subproblem restricts to the current support, solves the
-    equality-constrained KKT system by two Cholesky solves, and either
-    moves there, hits a bound (dropping the blocking coordinate, lowest
-    index first), or releases the active coordinate with the most negative
-    reduced gradient.  Tolerances scale with max(|lambda|, |b|_inf).
-    Raises IllConditioned if the Gram matrix fails its condition check.
+    subproblem restricts to the current support and solves its
+    equality-constrained KKT system by one Cholesky solve against the
+    ones vector; the iterate either moves there, hits a bound (dropping the
+    blocking coordinate, lowest index first), or releases the zero
+    coordinate with the most negative reduced gradient.  Tolerances scale
+    with |lambda|, the multiplier of the mass constraint.  Raises
+    ValueError unless ``tol`` is finite and positive, and IllConditioned if
+    the Gram matrix fails its condition check.
     """
+    _require_tol(tol)
     K = gram.entries
     n = K.shape[0]
-    if b is None:
-        b = np.zeros(n)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.shape != (n,):
-        raise ValueError("b must have one entry per Gram matrix row")
-    if not total > 0:
-        raise ValueError("total mass must be positive")
-    if max_iter is None:
-        max_iter = 50 * n
-
     if n == 1:
-        w = np.array([total])
+        w = np.array([1.0])
         return QPSolution(
             weights=w,
             iterations=1,
             converged=True,
             method="active-set",
-            _diagnostics=partial(_known, _objective(K @ w, b, w), 0.0),
+            _diagnostics=partial(_known, float(w @ (K @ w)), 0.0),
         )
 
     gram.check_condition()
-    return _simplex_active_set(gram, K, b, total, tol, max_iter)
+    return _simplex_active_set(gram, K, tol)
 
 
-def _simplex_subproblem(gram, mask, b, total):
-    """Minimizer on the support ``mask`` with only the mass constraint."""
+def _simplex_subproblem(gram, mask):
+    """Minimizer on the support ``mask`` under the mass constraint alone, and its multiplier."""
     ones = np.ones(int(mask.sum()))
-    x_b = _sub_solve(gram, mask, b[mask])
     x_1 = _sub_solve(gram, mask, ones)
-    denom = float(ones @ x_1)
-    lam = 2.0 * (total - float(ones @ x_b)) / denom
-    return x_b + 0.5 * lam * x_1, lam
+    lam = 2.0 / float(ones @ x_1)
+    return 0.5 * lam * x_1, lam
 
 
-def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
-    n = len(b)
-    w = np.full(n, total / n)
+def _simplex_result(K, w, lam, it, converged) -> QPSolution:
+    w = np.maximum(w, 0.0)
+    w *= 1.0 / w.sum()
+    return QPSolution(
+        weights=w,
+        iterations=it,
+        converged=converged,
+        method="active-set",
+        _diagnostics=partial(_known, float(w @ (K @ w)), _simplex_kkt_residual(K, w, lam)),
+    )
+
+
+def _simplex_active_set(gram, K, tol) -> QPSolution:
+    n = K.shape[0]
+    max_iter = 50 * n
+    w = np.full(n, 1.0 / n)
     support = np.ones(n, dtype=bool)
     lam = 0.0
 
     for it in range(1, max_iter + 1):
-        target_sub, lam = _simplex_subproblem(gram, support, b, total)
+        target_sub, lam = _simplex_subproblem(gram, support)
         target = np.zeros(n)
         target[support] = target_sub
 
         if np.all(target_sub >= 0.0):
             w = target
-            g = 2.0 * (K @ w - b)
-            reduced = lam - g
+            reduced = lam - 2.0 * (K @ w)
             reduced[support] = 0.0
             worst = int(np.argmax(reduced))
-            scale = max(abs(lam), float(np.max(np.abs(b), initial=0.0)), TINY)
-            if reduced[worst] <= tol * scale:
-                w = np.maximum(w, 0.0)
-                w *= total / w.sum()
-                return QPSolution(
-                    weights=w,
-                    iterations=it,
-                    converged=True,
-                    method="active-set",
-                    _diagnostics=partial(
-                        _known, _objective(K @ w, b, w), _simplex_kkt_residual(K, b, w, lam)
-                    ),
-                )
+            if reduced[worst] <= tol * max(abs(lam), TINY):
+                return _simplex_result(K, w, lam, it, True)
             support[worst] = True
             continue
 
@@ -301,14 +295,4 @@ def _simplex_active_set(gram, K, b, total, tol, max_iter) -> QPSolution:
         if not support.any():
             raise SolverFailure("active-set iteration emptied the support")
 
-    w = np.maximum(w, 0.0)
-    w *= total / w.sum()
-    return QPSolution(
-        weights=w,
-        iterations=max_iter,
-        converged=False,
-        method="active-set",
-        _diagnostics=partial(
-            _known, _objective(K @ w, b, w), _simplex_kkt_residual(K, b, w, lam)
-        ),
-    )
+    return _simplex_result(K, w, lam, max_iter, False)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balayage import sweep
+from .balayage import sweep_many
 from .core import DiscreteMeasure, KernelSpec
 from .equilibrium import riesz_equilibrium
-from .errors import EmptyShellRun
 from .kelvin import invert_shape
 from .regions import REGION_REG_FACTOR, Region, Shape, cloud_region
 
@@ -49,12 +48,7 @@ class WienerReport:
     degenerate: bool
 
 
-def classify_terms(
-    terms,
-    k_tail: int = K_TAIL,
-    ratio_cutoff: float = TAIL_RATIO_CUTOFF,
-    floor_factor: float = TERM_FLOOR_FACTOR,
-) -> tuple[str, float | None, bool]:
+def classify_terms(terms) -> tuple[str, float | None, bool]:
     """Classify a sequence of rescaled shell terms.
 
     Returns (classification, fitted_ratio, degenerate).  A vanishing tail
@@ -66,7 +60,7 @@ def classify_terms(
     terms = np.asarray(terms, dtype=float)
     if len(terms) == 0 or float(terms.max(initial=0.0)) <= 0.0:
         return "irregular", None, True
-    tail = terms[-k_tail:]
+    tail = terms[-K_TAIL:]
     if np.any(tail <= 0.0):
         return "irregular", None, True
     if len(tail) < 2:
@@ -74,9 +68,9 @@ def classify_terms(
     ks = np.arange(len(tail), dtype=float)
     slope = float(np.polyfit(ks, np.log(tail), 1)[0])
     fitted_ratio = math.exp(slope)
-    if fitted_ratio < ratio_cutoff:
+    if fitted_ratio < TAIL_RATIO_CUTOFF:
         return "irregular", fitted_ratio, False
-    floor = floor_factor * float(terms.max())
+    floor = TERM_FLOOR_FACTOR * float(terms.max())
     if np.all(tail >= floor):
         return "regular", fitted_ratio, False
     return "inconclusive", fitted_ratio, False
@@ -89,54 +83,41 @@ def wiener_report(
     ratio_q: float = 0.5,
     k_max: int = 8,
     shell_budget: int = 400,
-    tol: float = 1e-10,
 ) -> WienerReport:
     """Shell-capacity regularity test for a set at a point.
 
     Shell k is the part of the set at distance [q^(k+1), q^k) from the
     point.  Each shell's node capacity, rescaled by the kernel growth
     q^(k * (alpha - n)), contributes one term.  A run of more than K_TAIL
-    consecutive empty shells short-circuits to the irregular/degenerate
-    verdict (the set simply is not there at small scales).
+    consecutive empty shells ends the scan: its vanishing tail classifies
+    as irregular and degenerate (the set simply is not there at small
+    scales).
     """
     y = np.asarray(point, dtype=float)
     if not (0.0 < ratio_q < 1.0):
         raise ValueError("ratio_q must lie strictly between 0 and 1")
     shells: list[ShellStat] = []
     terms: list[float] = []
-    try:
+    empty_run = 0
+    for k in range(k_max):
+        r_hi = ratio_q**k
+        r_lo = ratio_q ** (k + 1)
+        nodes = shape.shell_nodes(y, r_lo, r_hi, shell_budget)
+        if len(nodes) == 0:
+            empty_run += 1
+            shells.append(ShellStat(k, r_lo, r_hi, 0, 0.0, 0.0))
+            terms.append(0.0)
+            if empty_run > K_TAIL:
+                break
+            continue
         empty_run = 0
-        for k in range(k_max):
-            r_hi = ratio_q**k
-            r_lo = ratio_q ** (k + 1)
-            nodes = shape.shell_nodes(y, r_lo, r_hi, shell_budget)
-            if len(nodes) == 0:
-                empty_run += 1
-                shells.append(ShellStat(k, r_lo, r_hi, 0, 0.0, 0.0))
-                terms.append(0.0)
-                if empty_run > K_TAIL:
-                    raise EmptyShellRun(
-                        f"{empty_run} consecutive empty shells at k={k}"
-                    )
-                continue
-            empty_run = 0
-            # A lone node has no spacing; it takes the same fraction of the shell width.
-            lone_radius = REGION_REG_FACTOR * (r_hi - r_lo) if len(nodes) < 2 else None
-            region = cloud_region(nodes, spec, reg_radius=lone_radius)
-            cap = riesz_equilibrium(spec, region, tol=tol).capacity
-            term = cap * ratio_q ** (k * spec.exponent)
-            shells.append(ShellStat(k, r_lo, r_hi, len(nodes), cap, term))
-            terms.append(term)
-    except EmptyShellRun:
-        return WienerReport(
-            point=y,
-            ratio_q=ratio_q,
-            k_max=k_max,
-            shells=shells,
-            classification="irregular",
-            fitted_ratio=None,
-            degenerate=True,
-        )
+        # A lone node has no spacing; it takes the same fraction of the shell width.
+        lone_radius = REGION_REG_FACTOR * (r_hi - r_lo) if len(nodes) < 2 else None
+        region = cloud_region(nodes, spec, reg_radius=lone_radius)
+        cap = riesz_equilibrium(spec, region).capacity
+        term = cap * ratio_q ** (k * spec.exponent)
+        shells.append(ShellStat(k, r_lo, r_hi, len(nodes), cap, term))
+        terms.append(term)
     classification, fitted_ratio, degenerate = classify_terms(terms)
     return WienerReport(
         point=y,
@@ -161,7 +142,10 @@ def mass_loss_test(
     Mass escapes exactly when the complement of the target set is heavy
     enough near infinity (for bounded targets it always is).  The zero
     measure carries no mass to lose, so it never reports a strict loss.
+    Raises ValueError unless ``loss_margin`` is finite and nonnegative.
     """
+    if not (np.isfinite(loss_margin) and loss_margin >= 0.0):
+        raise ValueError("loss_margin must be finite and nonnegative")
     if mu.n_points == 0 or mu.total_mass == 0.0:
         return {
             "mass_in": 0.0,
@@ -170,7 +154,7 @@ def mass_loss_test(
             "strict_loss": False,
             "vacuous": True,
         }
-    res = sweep(spec, mu, region, tol=tol, run_checks=False)
+    (res,) = sweep_many(spec, [mu], region, tol=tol)
     mass_in = mu.total_mass
     mass_out = res.swept.total_mass
     return {

@@ -29,6 +29,7 @@ from rieszlab import (
     riesz_equilibrium,
     sweep,
     sweep_dirac_by_inversion,
+    sweep_many,
     verify_energy_decomposition,
     verify_green_minimality,
     verify_integral_representation,
@@ -125,7 +126,7 @@ def test_02_point_charge_onto_ball_complement(
     mass_err = {}
     pot_err = {}
     for n, region in ((500, complement500), (2000, complement2000), (8000, complement8000)):
-        res = sweep(spec, dirac(ORIGIN), region, run_checks=False)
+        res = sweep_many(spec, [dirac(ORIGIN)], region)[0]
         mass_err[n] = abs(res.swept.total_mass - 1.0)
         vals = potential_at(spec, res.swept, probes)
         pot_err[n] = float(np.max(np.abs(vals - exact) / exact))
@@ -146,7 +147,7 @@ def test_03_exterior_charge_onto_ball(spec, ball2000):
     """A unit charge at distance 2 sweeps onto the unit ball with mass 1/2,
     and the QP route agrees with the analytic inversion route."""
     src = 2.0 * E1
-    res = sweep(spec, dirac(src), ball2000, run_checks=False)
+    res = sweep_many(spec, [dirac(src)], ball2000)[0]
     mass = res.swept.total_mass
     image = sweep_dirac_by_inversion(spec, src, 1.0, ball2000)
     probes = np.array([[3.0, 0, 0], [0.0, 2.5, 0], [1.8, 1.2, 0]])

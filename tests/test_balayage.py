@@ -71,10 +71,16 @@ def test_sweep_checks_fields(spec, ball500):
     assert c.domination_excess <= 0.02
 
 
+@pytest.mark.parametrize("tol_dom", [float("nan"), float("inf"), -0.01])
+def test_sweep_rejects_bad_domination_tolerance(spec, ball500, tol_dom):
+    with pytest.raises(ValueError, match="tol_dom must be finite and nonnegative"):
+        sweep(spec, dirac(3.0 * E1), ball500, tol_dom=tol_dom)
+
+
 def test_sweep_deterministic(spec, ball500):
     mu = dirac(np.array([1.7, 0.4, -0.2]))
-    w1 = sweep(spec, mu, ball500, run_checks=False).solution.weights
-    w2 = sweep(spec, mu, ball500, run_checks=False).solution.weights
+    w1 = sweep_many(spec, [mu], ball500)[0].solution.weights
+    w2 = sweep_many(spec, [mu], ball500)[0].solution.weights
     assert np.array_equal(w1, w2)
 
 
@@ -144,6 +150,39 @@ def test_transitivity_fixed_point(spec, ball500):
     assert out["max_rel_gap"] < 1e-8
 
 
+def test_transitivity_shares_one_solve_on_the_inner_region(spec, ball500, monkeypatch):
+    """The direct and the second-stage sweep onto F share one batched solve,
+    and the report is bitwise the one from three separate sweeps."""
+    import rieszlab.balayage as balayage
+
+    f = rl.sphere_region(ORIGIN, 0.5, 200, spec)
+    mu = dirac(3.0 * E1)
+    direct = sweep_many(spec, [mu], f)[0]
+    staged_a = sweep_many(spec, [mu], ball500)[0]
+    staged = sweep_many(spec, [staged_a.swept], f)[0]
+    probes = rl.sample_points_off(f, 40, rl.regions.PROBE_SEED)
+    p_direct = rl.potential_at(spec, direct.swept, probes)
+    p_staged = rl.potential_at(spec, staged.swept, probes)
+    expected = {
+        "max_rel_gap": float(np.max(np.abs(p_staged - p_direct) / np.abs(p_direct))),
+        "mass_rel_gap": abs(staged.swept.total_mass - direct.swept.total_mass)
+        / direct.swept.total_mass,
+        "n_probes": 40,
+    }
+
+    calls = []
+    real = balayage._sweep_columns
+
+    def counting(spec_, sources, region, tol):
+        calls.append(len(sources))
+        return real(spec_, sources, region, tol)
+
+    monkeypatch.setattr(balayage, "_sweep_columns", counting)
+    out = verify_transitivity(spec, mu, ball500, f, n_probes=40)
+    assert calls == [1, 2]
+    assert out == expected
+
+
 def test_transitivity_rejects_outside_subset(spec, ball500):
     f = rl.sphere_region(ORIGIN, 2.0, 100, spec)
     with pytest.raises(NodesOutsideDomain):
@@ -176,7 +215,7 @@ def test_sweep_positive_measure_through_signed_api(spec, ball500):
 
 
 def test_sweep_by_inversion_matches_qp(spec, ball2000):
-    direct = sweep(spec, dirac(2.0 * E1), ball2000, run_checks=False)
+    direct = sweep_many(spec, [dirac(2.0 * E1)], ball2000)[0]
     via_kelvin = sweep_dirac_by_inversion(spec, 2.0 * E1, 1.0, ball2000)
     assert via_kelvin.total_mass == pytest.approx(
         direct.swept.total_mass, rel=0.01
@@ -203,8 +242,8 @@ def test_sweep_by_inversion_rejects_charge_on_region(spec, ball500):
 
 def test_sweep_scales_linearly(spec, ball500):
     """Sweeping commutes with scaling the source measure."""
-    r1 = sweep(spec, dirac(2.0 * E1, 1.0), ball500, run_checks=False)
-    r3 = sweep(spec, dirac(2.0 * E1, 3.0), ball500, run_checks=False)
+    r1 = sweep_many(spec, [dirac(2.0 * E1, 1.0)], ball500)[0]
+    r3 = sweep_many(spec, [dirac(2.0 * E1, 3.0)], ball500)[0]
     assert np.allclose(3.0 * r1.solution.weights, r3.solution.weights,
                        rtol=1e-10, atol=1e-12)
 
@@ -215,7 +254,7 @@ def test_sweep_many_matches_single_sweeps(spec, ball500):
     sources.append(DiscreteMeasure(3.0 * np.eye(3), [0.5, 1.0, 2.0]))
     many = sweep_many(spec, sources, ball500)
     for mu, res in zip(sources, many):
-        one = sweep(spec, mu, ball500, run_checks=False)
+        one = sweep(spec, mu, ball500)
         assert res.checks is None
         assert np.array_equal(res.solution.weights, one.solution.weights)
         assert np.array_equal(res.swept.points, one.swept.points)

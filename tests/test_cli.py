@@ -106,6 +106,21 @@ def test_tol_override_changes_verdict(tmp_path, capsys):
     assert "property failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, override, message",
+    [
+        (None, "tol=nan", "error: tol must be finite and positive"),
+        ("mass-loss-ball", "loss_margin=nan", "error: loss_margin must be finite and nonnegative"),
+    ],
+)
+def test_tol_override_that_is_not_finite_exits_1(tmp_path, capsys, scenario, override, message):
+    ref = scenario or write_scenario(tmp_path, small_sweep())
+    out = tmp_path / "bad"
+    assert main(["run", ref, "--tol-override", override, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert list(tmp_path.glob("bad.*")) == []
+
+
 def test_unknown_scenario(capsys):
     assert main(["run", "no-such-thing"]) == 1
     assert "unknown scenario 'no-such-thing'" in capsys.readouterr().err
@@ -244,10 +259,16 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ),
         ({"tol": {}}, "error: 'tol' must be a number"),
         ({"probes": {"n": [3]}}, "error: probes 'n' must be a number"),
+        ({"tol": float("nan")}, "error: tol must be finite and positive"),
+        ({"tol": -1.0}, "error: tol must be finite and positive"),
+        ({"tol": 0.0}, "error: tol must be finite and positive"),
+        ({"tol_dom": float("nan")}, "error: tol_dom must be finite and nonnegative"),
+        ({"tol_dom": -0.5}, "error: tol_dom must be finite and nonnegative"),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
          "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
-         "radius-list", "n-list", "tol-object", "probes-n-list"],
+         "radius-list", "n-list", "tol-object", "probes-n-list", "tol-nan", "tol-negative",
+         "tol-zero", "tol_dom-nan", "tol_dom-negative"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))

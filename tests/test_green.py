@@ -86,18 +86,60 @@ def test_green_potential_single_atom_matches_values(gk2000):
     y = np.array([0.1, 0.4, -0.3])
     out = green_potential(gk2000, dirac(y, 2.0), X)
     direct = 2.0 * green_values(gk2000, y, X)
-    assert np.allclose(out.values, direct, rtol=1e-12)
-    assert out.route_gap is None
+    assert np.array_equal(out, direct)
 
 
 def test_green_potential_route_gap(gk2000):
     rng = np.random.default_rng(34)
     nu = DiscreteMeasure(interior_points(rng, 4, r_max=0.6), rng.random(4) + 0.5)
     X = interior_points(rng, 8)
-    out = green_potential(gk2000, nu, X, compute_gap=True)
-    assert out.route_gap is not None
+    vals = green_potential(gk2000, nu, X)
+    # the whole-measure route: sweep nu at once and subtract its potential
+    swept = rl.sweep_signed(gk2000.spec, nu, gk2000.region, tol=gk2000.tol).swept
+    alt = rl.potential_at(gk2000.spec, nu, X) - rl.potential_at(gk2000.spec, swept, X)
+    route_gap = float(np.max(np.abs(vals - alt) / np.abs(vals)))
     # the atomwise and whole-measure routes agree when nothing clips
-    assert out.route_gap < 1e-8
+    assert route_gap < 1e-8
+
+
+def test_energy_decomposition_assembles_the_free_gram_once(gk2000, monkeypatch):
+    import rieszlab.green as green
+
+    calls = []
+    real = green.assemble_gram
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(green, "assemble_gram", counting)
+    rng = np.random.default_rng(38)
+    nu = DiscreteMeasure(interior_points(rng, 6, r_max=0.6), rng.random(6) + 0.5)
+    out = verify_energy_decomposition(gk2000, nu)
+    assert len(calls) == 1
+    assert out["rel_gap"] < 1e-8
+
+
+def test_energy_decomposition_rejects_atoms_off_the_domain(gk2000):
+    nu = DiscreteMeasure([[0.2, 0.0, 0.0], [1.5, 0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(NodesOutsideDomain):
+        verify_energy_decomposition(gk2000, nu)
+
+
+def test_green_equilibrium_solves_at_the_kernel_tolerance(spec, gk2000, monkeypatch):
+    import rieszlab.equilibrium as equilibrium
+
+    tols = []
+    real = equilibrium.solve_simplex
+
+    def recording(gram, tol=1e-10):
+        tols.append(tol)
+        return real(gram, tol)
+
+    monkeypatch.setattr(equilibrium, "solve_simplex", recording)
+    gk = GreenKernel(spec, gk2000.region, tol=1e-7)
+    rl.green_equilibrium(gk, rl.sphere_region(ORIGIN, 0.5, 60, spec))
+    assert tols == [1e-7]
 
 
 def test_green_gram_positive_definite(spec, gk2000):
@@ -122,7 +164,7 @@ def test_green_gram_matches_per_pole_sweeps(spec, gk2000):
     nodes = interior_points(rng, 12)
     C = np.empty((12, 12))
     for j in range(12):
-        comp = rl.sweep(spec, dirac(nodes[j]), gk2000.region, run_checks=False).swept
+        comp = rl.sweep_many(spec, [dirac(nodes[j])], gk2000.region)[0].swept
         C[:, j] = rl.potential_at(spec, comp, nodes)
     expected = rl.assemble_gram(spec, nodes).entries - 0.5 * (C + C.T)
     assert np.array_equal(green_gram(gk2000, nodes).entries, expected)
@@ -217,7 +259,7 @@ def test_green_gram_matches_per_pole_sweeps_alpha15(gk15_ball):
     nodes = interior_points(rng, 12, r_max=3.0, r_min=1.3)
     C = np.empty((12, 12))
     for j in range(12):
-        comp = rl.sweep(spec15, dirac(nodes[j]), region, run_checks=False).swept
+        comp = rl.sweep_many(spec15, [dirac(nodes[j])], region)[0].swept
         C[:, j] = rl.potential_at(spec15, comp, nodes)
     expected = rl.assemble_gram(spec15, nodes).entries - 0.5 * (C + C.T)
     assert np.array_equal(green_gram(gk15_ball, nodes).entries, expected)
@@ -230,9 +272,9 @@ def test_green_potential_matches_per_atom_loop_alpha15(gk15_ball):
     X = interior_points(rng, 20, r_max=3.0, r_min=1.3)
     expected = rl.potential_at(spec15, nu, X)
     for y, weight in zip(nu.points, nu.weights):
-        comp = rl.sweep(spec15, dirac(y), region, run_checks=False).swept
+        comp = rl.sweep_many(spec15, [dirac(y)], region)[0].swept
         expected -= weight * rl.potential_at(spec15, comp, X)
-    assert np.array_equal(green_potential(gk15_ball, nu, X).values, expected)
+    assert np.array_equal(green_potential(gk15_ball, nu, X), expected)
 
 
 def test_domination_sweeps_each_measure_once(gk2000, monkeypatch):

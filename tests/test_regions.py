@@ -198,7 +198,8 @@ def test_region_gram_cached(spec, ball500):
 
 
 def test_build_region_reg_override(spec):
-    reg = rl.ball_region(ORIGIN, 1.0, 200, spec, reg_radius=0.05)
+    shape = Ball(ORIGIN, 1.0)
+    reg = Region(shape, shape.make_nodes(200, spec), reg_radius=0.05)
     assert reg.reg_radius == 0.05
     assert reg.gram(spec).entries[0, 0] == pytest.approx(20.0)
 

@@ -76,32 +76,32 @@ def test_nonneg_deterministic(spec):
 def test_simplex_symmetric_two_nodes():
     d, k = 10.0, 1.0
     g = gram_from([[d, k], [k, d]])
-    sol = solve_simplex(g, total=1.0)
+    sol = solve_simplex(g)
     assert np.allclose(sol.weights, [0.5, 0.5])
     assert sol.objective == pytest.approx((d + k) / 2.0)
 
 
 def test_simplex_single_node():
     g = gram_from([[4.0]])
-    sol = solve_simplex(g, total=3.0)
-    assert sol.weights[0] == 3.0
-    assert sol.objective == pytest.approx(36.0)
+    sol = solve_simplex(g)
+    assert sol.weights[0] == 1.0
+    assert sol.objective == pytest.approx(4.0)
 
 
 def test_simplex_mass_is_exact(spec):
     rng = np.random.default_rng(12)
     nodes = rng.normal(size=(30, 3)) * 1.5
     g = assemble_gram(spec, nodes)
-    sol = solve_simplex(g, total=2.5)
+    sol = solve_simplex(g)
     assert np.all(sol.weights >= 0.0)
-    assert np.sum(sol.weights) == pytest.approx(2.5, rel=1e-12)
+    assert np.sum(sol.weights) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_simplex_three_collinear_nodes_against_grid(spec):
     """Endpoints symmetric, middle smaller; verified by brute-force grid."""
     nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
     g = assemble_gram(spec, nodes)  # reg = 0.5 everywhere
-    sol = solve_simplex(g, total=1.0)
+    sol = solve_simplex(g)
     w = sol.weights
     assert w[0] == pytest.approx(w[2], rel=1e-10)
     assert w[1] < w[0]
@@ -124,7 +124,7 @@ def test_simplex_dominates_random_feasible(spec):
     rng = np.random.default_rng(13)
     nodes = rng.normal(size=(35, 3)) * 2.0
     g = assemble_gram(spec, nodes)
-    sol = solve_simplex(g, total=1.0)
+    sol = solve_simplex(g)
     for _ in range(100):
         v = rng.random(35)
         v /= v.sum()
@@ -137,8 +137,8 @@ def test_simplex_objective_monotone_in_nodes(spec):
     reg = 0.05
     g_small = assemble_gram(spec, pts[:120], reg_radius=reg)
     g_big = assemble_gram(spec, pts, reg_radius=reg)
-    e_small = solve_simplex(g_small, total=1.0).objective
-    e_big = solve_simplex(g_big, total=1.0).objective
+    e_small = solve_simplex(g_small).objective
+    e_big = solve_simplex(g_big).objective
     assert e_big <= e_small + 1e-10
 
 
@@ -163,7 +163,7 @@ def test_ill_conditioned_simplex_fallback():
     condition check makes solve_simplex raise IllConditioned."""
     g = near_singular_gram()
     with pytest.raises(IllConditioned):
-        solve_simplex(g, total=1.0)
+        solve_simplex(g)
 
 
 def test_solution_reports_iterations_and_method(spec):
@@ -173,7 +173,7 @@ def test_solution_reports_iterations_and_method(spec):
     sol = solve_nonneg(g, rng.normal(size=20))
     assert sol.iterations >= 1
     assert sol.method == "block-pivot"
-    assert solve_simplex(g, total=1.0).method == "active-set"
+    assert solve_simplex(g).method == "active-set"
 
 
 def test_nonneg_many_columns_match_single_solves(spec):
@@ -220,6 +220,41 @@ def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
 def test_solution_weights_are_read_only(spec):
     rng = np.random.default_rng(17)
     g = assemble_gram(spec, rng.normal(size=(10, 3)))
-    for sol in (solve_nonneg(g, rng.normal(size=10)), solve_simplex(g, total=1.0)):
+    for sol in (solve_nonneg(g, rng.normal(size=10)), solve_simplex(g)):
         with pytest.raises(ValueError):
             sol.weights[0] = 1.0
+
+
+def test_simplex_does_one_sub_solve_per_iteration(spec, monkeypatch):
+    """Each active-set iteration solves its support system once, against
+    the ones vector, on an equilibrium whose support shrinks."""
+    import rieszlab.solver as solver
+
+    calls = []
+    real = solver._sub_solve
+
+    def counting(gram, mask, rhs):
+        calls.append(int(mask.sum()))
+        return real(gram, mask, rhs)
+
+    monkeypatch.setattr(solver, "_sub_solve", counting)
+    # A Wiener shell of the half-space at a boundary point: one node drops out.
+    nodes = rl.HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(np.zeros(3), 0.5, 1.0, 400)
+    sol = solve_simplex(rl.cloud_region(nodes, spec).gram(spec))
+    assert sol.converged
+    assert 0 < np.count_nonzero(sol.weights) < len(nodes)  # the support shrank
+    assert sol.iterations > 1
+    assert len(calls) == sol.iterations
+    assert min(calls) < len(nodes)  # a sub-solve ran on a partial support
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_solvers_reject_tolerances_that_are_not_finite_and_positive(spec, tol):
+    rng = np.random.default_rng(16)
+    g = assemble_gram(spec, rng.normal(size=(40, 3)))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_nonneg_many(g, rng.normal(size=(40, 2)), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_nonneg(g, rng.normal(size=40), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_simplex(g, tol)

@@ -14,6 +14,7 @@ from rieszlab import (
     thin_at_infinity_report,
     wiener_report,
 )
+from rieszlab.thinness import K_TAIL
 
 ORIGIN = np.zeros(3)
 E1 = np.array([1.0, 0.0, 0.0])
@@ -85,6 +86,7 @@ def test_isolated_point_is_degenerate_irregular(spec):
     assert rep.classification == "irregular"
     assert rep.degenerate
     assert all(s.n_nodes == 0 for s in rep.shells)
+    assert len(rep.shells) == K_TAIL + 1  # the scan ends after K_TAIL + 1 empty shells
 
 
 def test_point_off_the_set_is_degenerate(spec):
@@ -142,6 +144,12 @@ def test_mass_loss_zero_measure_is_vacuous(spec, ball2000):
     out = mass_loss_test(spec, mu, ball2000)
     assert out["vacuous"]
     assert not out["strict_loss"]
+
+
+@pytest.mark.parametrize("loss_margin", [float("nan"), float("inf"), -0.1])
+def test_mass_loss_rejects_bad_margin(spec, ball500, loss_margin):
+    with pytest.raises(ValueError, match="loss_margin must be finite and nonnegative"):
+        mass_loss_test(spec, dirac(2.0 * E1), ball500, loss_margin=loss_margin)
 
 
 def test_mass_loss_stable_across_resolutions(spec, ball500, ball2000):
