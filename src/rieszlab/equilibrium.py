@@ -1,10 +1,10 @@
 """Equilibrium measures and capacities, plain and relative to a domain.
 
-The capacitary measure of a node set minimizes kernel energy among
-probability measures on the nodes, rescaled so that its potential is one
-on its support.  Its mass is the discrete capacity.  The same construction
-over a Green Gram matrix yields the capacity of a compact relative to an
-open domain.
+The capacitary measure of a node set solves Gauss's problem, minimize
+w'Kw - 2 1'w over w >= 0: by its KKT conditions the minimizer x* has
+potential at least 1 on the nodes and 1 on its support, and its mass 1'x*
+is the discrete capacity.  The same construction over a Green Gram matrix
+yields the capacity of a compact relative to an open domain.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, potential_at
 from .errors import SolverFailure
 from .regions import PROBE_SEED, Region, sample_points_off
-from .solver import QPSolution, solve_simplex
+from .solver import QPSolution, solve_nonneg
 
 TINY = np.finfo(float).tiny
 
@@ -27,6 +27,7 @@ class EquilibriumResult:
     ``gamma`` integrates to ``capacity``; its potential is 1 on charged
     nodes and at least 1 on uncharged ones, up to solver tolerance; its
     energy is minimal over ``gram``, a plain or a Green Gram matrix.
+    ``solution`` is the solve of Gauss's problem over ``gram``.
     """
 
     gamma: DiscreteMeasure
@@ -42,14 +43,21 @@ class EquilibriumResult:
 
 
 def _equilibrium_from_gram(gram: GramMatrix, tol: float, what: str) -> EquilibriumResult:
-    sol = solve_simplex(gram, tol)
+    ones = np.ones(gram.n)
+    sol = solve_nonneg(gram, ones, tol)
     if not sol.converged:
         raise SolverFailure(
             f"{what} did not converge: kkt residual "
             f"{sol.kkt_residual:.3e} ({sol.method})"
         )
-    min_energy = sol.objective
-    gw = sol.weights / min_energy
+    # The probability vector of least energy is x*/1'x*, the mass constraint's
+    # multiplier is 2/1'x*, and the least energy is 1/1'x*.
+    x = sol.weights
+    w = (0.5 * (2.0 / float(ones @ x))) * x
+    w = np.maximum(w, 0.0)
+    w *= 1.0 / w.sum()
+    min_energy = float(w @ (gram.entries @ w))
+    gw = w / min_energy
     support = gw > 0.0
     node_pot = gram.entries @ gw
     return EquilibriumResult(
@@ -90,12 +98,17 @@ def green_equilibrium(gk, f_region: Region) -> EquilibriumResult:
     """Capacitary measure of a compact node set relative to a domain.
 
     ``gk`` is a GreenKernel; the node set must lie strictly inside its
-    domain.  Its tolerance serves both the sweeps of the Green Gram and
-    the simplex solve.  The returned mass is the relative (Green) capacity.
+    domain.  The Green Gram is the region's own free Gram, with its
+    regularization radii, minus the potentials of the nodes' swept unit
+    charges.  The kernel's tolerance serves both those sweeps and Gauss's
+    problem over the Green Gram, whose minimizer x* has mass 1'x*, the
+    relative (Green) capacity.
     """
-    from .green import green_gram  # deferred: green depends on balayage
+    # deferred: green depends on balayage
+    from .green import _green_gram_from_sweeps, _pole_sweeps, _require_gram_nodes_in_domain
 
-    ggram = green_gram(gk, f_region.nodes, reg_radius=f_region.reg_radius)
+    _require_gram_nodes_in_domain(gk, f_region.nodes)
+    ggram = _green_gram_from_sweeps(gk, f_region.gram(gk.spec), _pole_sweeps(gk, f_region.nodes))
     return _equilibrium_from_gram(ggram, gk.tol, "relative equilibrium solve")
 
 

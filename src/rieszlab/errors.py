@@ -26,7 +26,7 @@ class CenterCharged(RieszLabError):
 
 
 class IllConditioned(RieszLabError):
-    """An active-set linear solve detected a condition estimate beyond the cutoff."""
+    """A Gram matrix or a block-pivot subproblem failed its Cholesky condition check."""
 
 
 class SolverFailure(RieszLabError):

@@ -122,23 +122,23 @@ def _green_gram_from_sweeps(
     return GramMatrix(kgram.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
 
 
-def green_gram(gk: GreenKernel, nodes, reg_radius: float | None = None) -> GramMatrix:
+def green_gram(gk: GreenKernel, nodes) -> GramMatrix:
     """Regularized Green Gram matrix over a node set strictly inside the domain.
 
-    The free-kernel part uses the standard regularized diagonal; the
+    The free-kernel part uses the free-kernel default radius, half the
+    minimum node spacing, which keeps the matrix positive definite even on
+    irregular clouds where the minimum spacing is far below the mean; the
     correction subtracts the potential of each node's swept unit charge,
-    column by column, and the result is symmetrized.  The default
-    regularization radius is the free-kernel default (half the minimum
-    node spacing), which keeps the matrix positive definite even on
-    irregular clouds where the minimum spacing is far below the mean.
+    column by column, and the result is symmetrized.  A single node has no
+    spacing and raises ValueError.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or len(nodes) == 0:
         raise ValueError("nodes must be a non-empty (n, dim) array")
     _require_gram_nodes_in_domain(gk, nodes)
-    if reg_radius is None and len(nodes) < 2:
-        raise ValueError("reg_radius is required for a single-node Gram matrix")
-    kgram = assemble_gram(gk.spec, nodes, reg_radius=reg_radius)
+    if len(nodes) < 2:
+        raise ValueError("a Green Gram matrix needs at least two nodes")
+    kgram = assemble_gram(gk.spec, nodes)
     return _green_gram_from_sweeps(gk, kgram, _pole_sweeps(gk, nodes))
 
 

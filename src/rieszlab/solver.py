@@ -1,48 +1,47 @@
-"""Cone-constrained quadratic programs over kernel Gram matrices.
+"""Quadratic programs on the nonnegative orthant over kernel Gram matrices.
 
 For a symmetric positive definite Gram matrix K, solve_nonneg[_many]
-minimizes  q(w) = w'Kw - 2 b'w  over the nonnegative orthant, and
-solve_simplex minimizes  w'Kw  over probability vectors {w >= 0, sum w = 1}.
-Both are finite active-set methods driven by Cholesky solves: block
-principal pivoting for the orthant and a primal active-set iteration for
-the simplex.  A Gram matrix that fails GramMatrix.check_condition raises
-IllConditioned; Region.gram caps its regularization so that region Grams
-pass.
+minimizes  q(w) = w'Kw - 2 b'w  over w >= 0 by block principal pivoting,
+a finite method driven by Cholesky solves.  Balayage solves one such
+problem per source, and the equilibrium measure is the case b = 1
+(Gauss's problem).  A Gram matrix that fails GramMatrix.check_condition
+raises IllConditioned; Region.gram caps its regularization so that region
+Grams pass.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import GramMatrix
-from .errors import IllConditioned, SolverFailure
+from .errors import IllConditioned
 
 TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class QPSolution:
-    """Outcome of a cone-constrained quadratic minimization.
+    """Outcome of a quadratic minimization over the nonnegative orthant.
 
-    ``method`` is ``"block-pivot"`` for the nonnegative orthant and
-    ``"active-set"`` for the simplex.
-
-    ``objective`` and ``kkt_residual`` are diagnostics.  A block-pivot
-    solution, whose convergence is decided on infeasibility counts alone,
-    computes both on the first read of either, with one product ``K @ w``,
-    and caches them; until then it holds a reference to the Gram entries
-    K (not a copy) and to b.  ``weights`` is read-only, so a pending
-    diagnostic always sees the w it belongs to.
+    ``method`` is always ``"block-pivot"``.  ``objective`` and
+    ``kkt_residual`` are diagnostics.  Convergence is decided on
+    infeasibility counts alone, so both are computed on the first read of
+    either, with one product ``K @ w``, and cached; until then the solution
+    holds a reference to the Gram entries K (not a copy) and to b.
+    ``weights`` is read-only, so a pending diagnostic always sees the w it
+    belongs to.
     """
+
+    method: ClassVar[str] = "block-pivot"
 
     weights: np.ndarray
     iterations: int
     converged: bool
-    method: str
     _diagnostics: Callable[[], tuple[float, float]] = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,7 +72,7 @@ def _sub_solve(gram: GramMatrix, mask: np.ndarray, rhs: np.ndarray) -> np.ndarra
     try:
         factor = cho_factor(K_sub, lower=True)
     except (LinAlgError, np.linalg.LinAlgError) as exc:
-        raise IllConditioned("active-set subproblem lost positive definiteness") from exc
+        raise IllConditioned("block-pivot subproblem lost positive definiteness") from exc
     return cho_solve(factor, rhs)
 
 
@@ -88,16 +87,6 @@ def _nonneg_diagnostics(K, b, w) -> tuple[float, float]:
     """(objective, KKT residual) of a nonnegative-orthant solution w."""
     Kw = K @ w
     return _objective(Kw, b, w), _nonneg_kkt_residual(Kw, b, w)
-
-
-def _known(objective: float, kkt_residual: float) -> tuple[float, float]:
-    """Diagnostics computed eagerly, passed on as ``partial(_known, ...)``."""
-    return objective, kkt_residual
-
-
-def _require_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and positive")
 
 
 def solve_nonneg(
@@ -130,7 +119,8 @@ def solve_nonneg_many(
     Raises ValueError unless ``tol`` is finite and positive, and
     IllConditioned if the Gram matrix fails its condition check.
     """
-    _require_tol(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     K = gram.entries
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or K.shape != (len(B), len(B)):
@@ -197,102 +187,5 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
         weights=w,
         iterations=it,
         converged=converged,
-        method="block-pivot",
         _diagnostics=partial(_nonneg_diagnostics, K, b, w),
     )
-
-
-def _simplex_kkt_residual(K, w, lam) -> float:
-    g = 2.0 * (K @ w)
-    on = w > 0.0
-    stat = float(np.max(np.abs(g[on] - lam), initial=0.0))
-    dual = float(np.max(lam - g[~on], initial=0.0))
-    return max(stat, dual, 0.0)
-
-
-def solve_simplex(gram: GramMatrix, tol: float = 1e-10) -> QPSolution:
-    """Minimize w'Kw over probability vectors {w >= 0, sum w = 1}.
-
-    Primal active-set iteration starting from the uniform point.  Each
-    subproblem restricts to the current support and solves its
-    equality-constrained KKT system by one Cholesky solve against the
-    ones vector; the iterate either moves there, hits a bound (dropping the
-    blocking coordinate, lowest index first), or releases the zero
-    coordinate with the most negative reduced gradient.  Tolerances scale
-    with |lambda|, the multiplier of the mass constraint.  Raises
-    ValueError unless ``tol`` is finite and positive, and IllConditioned if
-    the Gram matrix fails its condition check.
-    """
-    _require_tol(tol)
-    K = gram.entries
-    n = K.shape[0]
-    if n == 1:
-        w = np.array([1.0])
-        return QPSolution(
-            weights=w,
-            iterations=1,
-            converged=True,
-            method="active-set",
-            _diagnostics=partial(_known, float(w @ (K @ w)), 0.0),
-        )
-
-    gram.check_condition()
-    return _simplex_active_set(gram, K, tol)
-
-
-def _simplex_subproblem(gram, mask):
-    """Minimizer on the support ``mask`` under the mass constraint alone, and its multiplier."""
-    ones = np.ones(int(mask.sum()))
-    x_1 = _sub_solve(gram, mask, ones)
-    lam = 2.0 / float(ones @ x_1)
-    return 0.5 * lam * x_1, lam
-
-
-def _simplex_result(K, w, lam, it, converged) -> QPSolution:
-    w = np.maximum(w, 0.0)
-    w *= 1.0 / w.sum()
-    return QPSolution(
-        weights=w,
-        iterations=it,
-        converged=converged,
-        method="active-set",
-        _diagnostics=partial(_known, float(w @ (K @ w)), _simplex_kkt_residual(K, w, lam)),
-    )
-
-
-def _simplex_active_set(gram, K, tol) -> QPSolution:
-    n = K.shape[0]
-    max_iter = 50 * n
-    w = np.full(n, 1.0 / n)
-    support = np.ones(n, dtype=bool)
-    lam = 0.0
-
-    for it in range(1, max_iter + 1):
-        target_sub, lam = _simplex_subproblem(gram, support)
-        target = np.zeros(n)
-        target[support] = target_sub
-
-        if np.all(target_sub >= 0.0):
-            w = target
-            reduced = lam - 2.0 * (K @ w)
-            reduced[support] = 0.0
-            worst = int(np.argmax(reduced))
-            if reduced[worst] <= tol * max(abs(lam), TINY):
-                return _simplex_result(K, w, lam, it, True)
-            support[worst] = True
-            continue
-
-        # Step toward the subproblem minimizer until a coordinate hits zero.
-        direction = target - w
-        shrinking = support & (direction < 0.0)
-        ratios = np.full(n, np.inf)
-        ratios[shrinking] = w[shrinking] / -direction[shrinking]
-        theta = min(1.0, float(ratios.min()))
-        w = w + theta * direction
-        blocker = int(np.argmin(ratios))
-        w[blocker] = 0.0
-        support[blocker] = False
-        if not support.any():
-            raise SolverFailure("active-set iteration emptied the support")
-
-    return _simplex_result(K, w, lam, max_iter, False)

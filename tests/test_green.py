@@ -130,16 +130,36 @@ def test_green_equilibrium_solves_at_the_kernel_tolerance(spec, gk2000, monkeypa
     import rieszlab.equilibrium as equilibrium
 
     tols = []
-    real = equilibrium.solve_simplex
+    real = equilibrium.solve_nonneg
 
-    def recording(gram, tol=1e-10):
+    def recording(gram, b, tol=1e-10, max_iter=None):
         tols.append(tol)
-        return real(gram, tol)
+        return real(gram, b, tol, max_iter)
 
-    monkeypatch.setattr(equilibrium, "solve_simplex", recording)
+    monkeypatch.setattr(equilibrium, "solve_nonneg", recording)
     gk = GreenKernel(spec, gk2000.region, tol=1e-7)
     rl.green_equilibrium(gk, rl.sphere_region(ORIGIN, 0.5, 60, spec))
     assert tols == [1e-7]
+
+
+def test_green_equilibrium_of_a_two_scale_compact(spec, gk2000):
+    """A compact whose node spacing has two scales gets the free Gram of
+    its region, with the region's regularization radii, so its Green Gram
+    passes the condition check where one uniform radius fails it."""
+    f = rl.union_region([
+        rl.sphere_region(ORIGIN, 0.5, 40, spec),
+        rl.sphere_region([0.0, 0.0, -0.2], 0.02, 40, spec),
+    ])
+    eq = rl.green_equilibrium(gk2000, f)
+    assert eq.solution.converged
+    assert eq.node_potential_min == pytest.approx(1.0, abs=1e-9)
+    assert eq.node_potential_max == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 < eq.capacity < 1.0  # the Green capacity of the 0.5-sphere is 1
+
+
+def test_green_gram_of_a_single_node_raises(gk2000):
+    with pytest.raises(ValueError):
+        green_gram(gk2000, [[0.2, 0.0, 0.0]])
 
 
 def test_green_gram_positive_definite(spec, gk2000):

@@ -1,4 +1,5 @@
-"""Package hygiene: the public name list and the imports of every module."""
+"""Package hygiene: the public name list, the imports of every module, and
+its module-private names."""
 import ast
 from pathlib import Path
 
@@ -37,4 +38,48 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_module_imports_a_name_it_does_not_use():
     unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
+    assert unused == []
+
+
+def _private_definitions(stmt) -> list[str]:
+    """Module-private names (``_name``, not dunder) a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(stmt) -> set[str]:
+    """Names a statement reads, as a name, an attribute or an import."""
+    refs = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_name_is_referenced():
+    """A module-private function, class or assignment that no statement of
+    the package reads, other than its own definition, is dead code."""
+    stmts = [
+        (path.name, stmt)
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    refs = [_references(stmt) for _, stmt in stmts]
+    unused = [
+        f"{module}:{stmt.lineno} {name}"
+        for i, (module, stmt) in enumerate(stmts)
+        for name in _private_definitions(stmt)
+        if not any(name in r for j, r in enumerate(refs) if j != i)
+    ]
     assert unused == []

@@ -8,9 +8,9 @@ from rieszlab import (
     KernelSpec,
     assemble_gram,
     solve_nonneg,
-    solve_simplex,
 )
-from rieszlab.solver import solve_nonneg_many
+from rieszlab.equilibrium import _equilibrium_from_gram
+from rieszlab.solver import QPSolution, solve_nonneg_many
 
 
 def gram_from(entries, reg=0.1):
@@ -73,36 +73,48 @@ def test_nonneg_deterministic(spec):
     assert np.array_equal(w1, w2)
 
 
+def equilibrium_of(g, tol=1e-10):
+    """The equilibrium of a Gram matrix: Gauss's problem min w'Kw - 2 1'w, w >= 0."""
+    return _equilibrium_from_gram(g, tol, "equilibrium solve")
+
+
+def probability_weights(eq):
+    """The probability vector of least energy, x*/1'x*, on every node."""
+    x = eq.solution.weights
+    return x / x.sum()
+
+
 def test_simplex_symmetric_two_nodes():
     d, k = 10.0, 1.0
     g = gram_from([[d, k], [k, d]])
-    sol = solve_simplex(g)
-    assert np.allclose(sol.weights, [0.5, 0.5])
-    assert sol.objective == pytest.approx((d + k) / 2.0)
+    eq = equilibrium_of(g)
+    assert np.allclose(probability_weights(eq), [0.5, 0.5])
+    assert eq.min_energy == pytest.approx((d + k) / 2.0)
 
 
 def test_simplex_single_node():
     g = gram_from([[4.0]])
-    sol = solve_simplex(g)
-    assert sol.weights[0] == 1.0
-    assert sol.objective == pytest.approx(4.0)
+    eq = equilibrium_of(g)
+    assert eq.gamma.weights[0] / eq.capacity == 1.0
+    assert eq.min_energy == pytest.approx(4.0)
 
 
 def test_simplex_mass_is_exact(spec):
     rng = np.random.default_rng(12)
     nodes = rng.normal(size=(30, 3)) * 1.5
     g = assemble_gram(spec, nodes)
-    sol = solve_simplex(g)
-    assert np.all(sol.weights >= 0.0)
-    assert np.sum(sol.weights) == pytest.approx(1.0, rel=1e-12)
+    eq = equilibrium_of(g)
+    assert np.all(eq.solution.weights >= 0.0)
+    assert np.all(eq.gamma.weights > 0.0)
+    assert eq.gamma.total_mass == pytest.approx(eq.capacity, rel=1e-12)
 
 
 def test_simplex_three_collinear_nodes_against_grid(spec):
     """Endpoints symmetric, middle smaller; verified by brute-force grid."""
     nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
     g = assemble_gram(spec, nodes)  # reg = 0.5 everywhere
-    sol = solve_simplex(g)
-    w = sol.weights
+    eq = equilibrium_of(g)
+    w = probability_weights(eq)
     assert w[0] == pytest.approx(w[2], rel=1e-10)
     assert w[1] < w[0]
 
@@ -116,7 +128,7 @@ def test_simplex_three_collinear_nodes_against_grid(spec):
             val = float(v @ (g.entries @ v))
             if val < best:
                 best, best_w = val, v
-    assert sol.objective <= best + 1e-9
+    assert eq.min_energy <= best + 1e-9
     assert np.max(np.abs(w - best_w)) < 2e-3
 
 
@@ -124,11 +136,11 @@ def test_simplex_dominates_random_feasible(spec):
     rng = np.random.default_rng(13)
     nodes = rng.normal(size=(35, 3)) * 2.0
     g = assemble_gram(spec, nodes)
-    sol = solve_simplex(g)
+    eq = equilibrium_of(g)
     for _ in range(100):
         v = rng.random(35)
         v /= v.sum()
-        assert float(v @ (g.entries @ v)) >= sol.objective - 1e-9
+        assert float(v @ (g.entries @ v)) >= eq.min_energy - 1e-9
 
 
 def test_simplex_objective_monotone_in_nodes(spec):
@@ -137,8 +149,8 @@ def test_simplex_objective_monotone_in_nodes(spec):
     reg = 0.05
     g_small = assemble_gram(spec, pts[:120], reg_radius=reg)
     g_big = assemble_gram(spec, pts, reg_radius=reg)
-    e_small = solve_simplex(g_small).objective
-    e_big = solve_simplex(g_big).objective
+    e_small = equilibrium_of(g_small).min_energy
+    e_big = equilibrium_of(g_big).min_energy
     assert e_big <= e_small + 1e-10
 
 
@@ -160,10 +172,10 @@ def test_ill_conditioned_falls_back_to_projected_gradient():
 
 def test_ill_conditioned_simplex_fallback():
     """There is no simplex fallback any more: a Gram that fails the
-    condition check makes solve_simplex raise IllConditioned."""
+    condition check makes the equilibrium solve raise IllConditioned."""
     g = near_singular_gram()
     with pytest.raises(IllConditioned):
-        solve_simplex(g)
+        equilibrium_of(g)
 
 
 def test_solution_reports_iterations_and_method(spec):
@@ -173,7 +185,8 @@ def test_solution_reports_iterations_and_method(spec):
     sol = solve_nonneg(g, rng.normal(size=20))
     assert sol.iterations >= 1
     assert sol.method == "block-pivot"
-    assert solve_simplex(g).method == "active-set"
+    assert equilibrium_of(g).solution.method == "block-pivot"
+    assert QPSolution.method == "block-pivot"  # one method, a class constant
 
 
 def test_nonneg_many_columns_match_single_solves(spec):
@@ -220,32 +233,27 @@ def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
 def test_solution_weights_are_read_only(spec):
     rng = np.random.default_rng(17)
     g = assemble_gram(spec, rng.normal(size=(10, 3)))
-    for sol in (solve_nonneg(g, rng.normal(size=10)), solve_simplex(g)):
+    for sol in (solve_nonneg(g, rng.normal(size=10)), equilibrium_of(g).solution):
         with pytest.raises(ValueError):
             sol.weights[0] = 1.0
 
 
-def test_simplex_does_one_sub_solve_per_iteration(spec, monkeypatch):
-    """Each active-set iteration solves its support system once, against
-    the ones vector, on an equilibrium whose support shrinks."""
-    import rieszlab.solver as solver
-
-    calls = []
-    real = solver._sub_solve
-
-    def counting(gram, mask, rhs):
-        calls.append(int(mask.sum()))
-        return real(gram, mask, rhs)
-
-    monkeypatch.setattr(solver, "_sub_solve", counting)
-    # A Wiener shell of the half-space at a boundary point: one node drops out.
+def test_equilibrium_on_a_shrinking_support_takes_few_block_pivots(spec):
+    """Gauss's problem on a half-space Wiener shell at a boundary point,
+    where one node drops out of the support, takes few block pivots and
+    meets its KKT conditions: potential at least 1 on every node, and 1 on
+    the support."""
     nodes = rl.HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(np.zeros(3), 0.5, 1.0, 400)
-    sol = solve_simplex(rl.cloud_region(nodes, spec).gram(spec))
-    assert sol.converged
-    assert 0 < np.count_nonzero(sol.weights) < len(nodes)  # the support shrank
-    assert sol.iterations > 1
-    assert len(calls) == sol.iterations
-    assert min(calls) < len(nodes)  # a sub-solve ran on a partial support
+    eq = rl.riesz_equilibrium(spec, rl.cloud_region(nodes, spec))
+    support = eq.solution.weights > 0.0
+    assert eq.solution.converged
+    assert 0 < support.sum() < len(nodes)  # the support shrank
+    gamma = np.zeros(len(nodes))
+    gamma[support] = eq.gamma.weights
+    pot = eq.gram.entries @ gamma
+    assert np.all(pot >= 1.0 - 1e-9)
+    assert np.max(np.abs(pot[support] - 1.0)) <= 1e-9
+    assert eq.solution.iterations <= 3
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
@@ -257,4 +265,4 @@ def test_solvers_reject_tolerances_that_are_not_finite_and_positive(spec, tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         solve_nonneg(g, rng.normal(size=40), tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        solve_simplex(g, tol)
+        equilibrium_of(g, tol)
