@@ -260,7 +260,7 @@ def sweep_signed(
     if neg is not None:
         w -= neg.solution.weights
     support = w != 0.0
-    swept = DiscreteMeasure(
+    swept = DiscreteMeasure._on_distinct_nodes(
         region.nodes[support], w[support], signed=bool(np.any(w < 0.0))
     )
     return SignedSweepResult(swept=swept, weights=w, positive=pos, negative=neg)

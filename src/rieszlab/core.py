@@ -85,15 +85,15 @@ class DiscreteMeasure:
         self._build(points, weights, signed, check_distinct=True)
 
     @classmethod
-    def _on_distinct_nodes(cls, points, weights) -> "DiscreteMeasure":
-        """Nonnegative measure on points already known to be pairwise distinct.
+    def _on_distinct_nodes(cls, points, weights, signed: bool = False) -> "DiscreteMeasure":
+        """Measure on points already known to be pairwise distinct.
 
         Skips only the distinctness query; the shape, finiteness and sign
         checks still run.  For subsets of a node set that a Region or
-        ``assemble_gram`` has accepted.
+        ``assemble_gram`` has accepted, or of a measure's own support.
         """
         mu = cls.__new__(cls)
-        mu._build(points, weights, False, check_distinct=False)
+        mu._build(points, weights, signed, check_distinct=False)
         return mu
 
     def _build(self, points, weights, signed: bool, check_distinct: bool) -> None:
@@ -147,12 +147,12 @@ class DiscreteMeasure:
     def positive_part(self) -> "DiscreteMeasure":
         """Restriction to the points with strictly positive weight."""
         m = self.weights > 0.0
-        return DiscreteMeasure(self.points[m], self.weights[m])
+        return DiscreteMeasure._on_distinct_nodes(self.points[m], self.weights[m])
 
     def negative_part(self) -> "DiscreteMeasure":
         """The (unsigned) negative part: points with negative weight, weights negated."""
         m = self.weights < 0.0
-        return DiscreteMeasure(self.points[m], -self.weights[m])
+        return DiscreteMeasure._on_distinct_nodes(self.points[m], -self.weights[m])
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         f = float(factor)

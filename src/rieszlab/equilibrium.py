@@ -105,11 +105,9 @@ def green_equilibrium(gk, f_region: Region) -> EquilibriumResult:
     relative (Green) capacity.
     """
     # deferred: green depends on balayage
-    from .green import _green_gram_from_sweeps, _pole_sweeps, _require_gram_nodes_in_domain
+    from .green import _green_gram
 
-    _require_gram_nodes_in_domain(gk, f_region.nodes)
-    ggram = _green_gram_from_sweeps(gk, f_region.gram(gk.spec), _pole_sweeps(gk, f_region.nodes))
-    return _equilibrium_from_gram(ggram, gk.tol, "relative equilibrium solve")
+    return _equilibrium_from_gram(_green_gram(gk, f_region), gk.tol, "relative equilibrium solve")
 
 
 def verify_green_minimality(

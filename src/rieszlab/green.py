@@ -5,30 +5,18 @@ kernel subtracts from the free kernel the potential of the swept point
 charge:  g(x, y) = k(x, y) - potential of the sweep of a unit charge at y
 onto A, evaluated at x.  Every quantity with several poles (a Gram
 matrix, the potential of a measure) sweeps the unit charges at all its
-poles in one batched solve against the region's cached factor.
+poles in one batched solve against the region's cached factor.  Every
+Green Gram takes its free-kernel part from a Region over its nodes, so one
+node set has one regularization and one discrete Green energy.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .balayage import SweepResult, sweep_many, sweep_signed, swept_potentials
-from .core import (
-    DiscreteMeasure,
-    GramMatrix,
-    KernelSpec,
-    assemble_gram,
-    dirac,
-    potential_at,
-)
+from .core import DiscreteMeasure, GramMatrix, KernelSpec, dirac, potential_at
 from .errors import NodesOutsideDomain, PointOutsideDomain
-from .regions import (
-    PROBE_SEED,
-    REGION_REG_FACTOR,
-    Region,
-    nearest_neighbor_spacing,
-    sample_points_off,
-)
+from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 
 TINY = np.finfo(float).tiny
 
@@ -58,25 +46,9 @@ def _require_in_domain(gk: GreenKernel, points, what: str) -> None:
         raise PointOutsideDomain(f"{what} must lie in the open domain off the target set")
 
 
-def _require_gram_nodes_in_domain(gk: GreenKernel, nodes: np.ndarray) -> None:
-    if bool(gk.region.contains(nodes).any()):
-        raise NodesOutsideDomain(
-            "Green Gram nodes must lie strictly inside the open domain"
-        )
-
-
 def green_values(gk: GreenKernel, y, points) -> np.ndarray:
-    """g(x, y) for one pole y and many evaluation points."""
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    _require_in_domain(gk, y, "the pole")
-    _require_in_domain(gk, X, "evaluation points")
-    vals = _green_potential_values(gk, dirac(y), _pole_sweeps(gk, [y]), X)
-    coincident = np.all(X == y, axis=1)
-    vals[coincident] = np.inf
-    return vals
+    """g(x, y) for one pole y and many evaluation points; +inf at x = y."""
+    return green_potential(gk, dirac(y), points)
 
 
 def green_eval(gk: GreenKernel, x, y) -> float:
@@ -114,32 +86,35 @@ def _green_potential_values(
     return vals
 
 
-def _green_gram_from_sweeps(
-    gk: GreenKernel, kgram: GramMatrix, comps: list[SweepResult]
+def _green_gram(
+    gk: GreenKernel, F: Region, comps: list[SweepResult] | None = None
 ) -> GramMatrix:
-    """Free-kernel Gram minus the symmetrized swept unit-charge potentials."""
-    C = swept_potentials(gk.spec, comps, gk.region, kgram.nodes)
-    return GramMatrix(kgram.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
+    """F's free-kernel Gram minus the symmetrized swept unit-charge potentials.
+
+    ``comps`` are the sweeps of the unit charges at F's nodes; they are
+    swept here when not given.  Raises NodesOutsideDomain unless every node
+    lies in the open domain.
+    """
+    if bool(gk.region.contains(F.nodes).any()):
+        raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
+    if comps is None:
+        comps = _pole_sweeps(gk, F.nodes)
+    kgram = F.gram(gk.spec)
+    C = swept_potentials(gk.spec, comps, gk.region, F.nodes)
+    return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
 
 
 def green_gram(gk: GreenKernel, nodes) -> GramMatrix:
     """Regularized Green Gram matrix over a node set strictly inside the domain.
 
-    The free-kernel part uses the free-kernel default radius, half the
-    minimum node spacing, which keeps the matrix positive definite even on
-    irregular clouds where the minimum spacing is far below the mean; the
+    The free-kernel part is the Gram of ``cloud_region(nodes, spec)``, with
+    that region's regularization radii, so it equals the Green Gram
+    ``green_equilibrium`` builds over a region with the same nodes.  The
     correction subtracts the potential of each node's swept unit charge,
     column by column, and the result is symmetrized.  A single node has no
     spacing and raises ValueError.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 2 or len(nodes) == 0:
-        raise ValueError("nodes must be a non-empty (n, dim) array")
-    _require_gram_nodes_in_domain(gk, nodes)
-    if len(nodes) < 2:
-        raise ValueError("a Green Gram matrix needs at least two nodes")
-    kgram = assemble_gram(gk.spec, nodes)
-    return _green_gram_from_sweeps(gk, kgram, _pole_sweeps(gk, nodes))
+    return _green_gram(gk, cloud_region(nodes, gk.spec))
 
 
 def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
@@ -151,12 +126,10 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     """
     if nu.n_points < 2:
         raise ValueError("energy decomposition needs at least two atoms")
-    h = REGION_REG_FACTOR * nearest_neighbor_spacing(nu.points)[1]
-    _require_gram_nodes_in_domain(gk, nu.points)
-    kgram = assemble_gram(gk.spec, nu.points, reg_radius=h)
-    ggram = _green_gram_from_sweeps(gk, kgram, _pole_sweeps(gk, nu.points))
+    F = cloud_region(nu.points, gk.spec)
+    ggram = _green_gram(gk, F)
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
-    e_free = float(nu.weights @ (kgram.entries @ nu.weights))
+    e_free = float(nu.weights @ (F.gram(gk.spec).entries @ nu.weights))
 
     v = sweep_signed(gk.spec, nu, gk.region, tol=gk.tol).weights
     region_gram = gk.region.gram(gk.spec)
@@ -185,17 +158,18 @@ def verify_domination(
 
     If the Green potential of mu is bounded by that of nu plus a constant
     on mu's own support, the same bound holds throughout the domain.  The
-    support-side potentials of mu use a regularized Gram diagonal (a point
-    atom's raw potential at itself is infinite); the conclusion is tested
+    support-side potentials of mu use the Green Gram over mu's atoms, whose
+    diagonal is regularized as in ``green_gram`` (a point atom's raw
+    potential at itself is infinite); the conclusion is tested
     at probe points with relative slack ``tol``.  When the precondition
     fails the check is vacuous.  Each measure's atoms are swept once, and
     the sweeps serve both the support and the probe potentials.
     """
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
     mu_comps = _pole_sweeps(gk, mu.points)
-    if mu.n_points >= 2:
-        ggram = _green_gram_from_sweeps(gk, assemble_gram(gk.spec, mu.points), mu_comps)
-        u_mu_self = ggram.entries @ mu.weights
+    F = cloud_region(mu.points, gk.spec) if mu.n_points >= 2 else None
+    if F is not None:
+        u_mu_self = _green_gram(gk, F, mu_comps).entries @ mu.weights
     else:
         u_mu_self = np.array([np.inf])
     if nu is not None:
@@ -209,15 +183,12 @@ def verify_domination(
     precondition_ok = bool(pre_gap <= tol * scale)
 
     probes = sample_points_off(gk.region, n_probes, probe_seed)
-    inside = gk.domain_contains(probes)
-    probes = probes[inside]
     # A point atom's potential diverges at the atom itself, so probes
     # within one typical atom spacing of the support only measure the
     # discretization, not the principle.
-    if mu.n_points >= 2 and len(probes):
-        spacing = nearest_neighbor_spacing(mu.points)[1]
-        dist, _ = cKDTree(mu.points).query(probes)
-        probes = probes[dist >= spacing]
+    if F is not None and len(probes):
+        dist, _ = F._tree.query(probes)
+        probes = probes[dist >= F.spacing()[1]]
     if len(probes):
         u_mu = _green_potential_values(gk, mu, mu_comps, probes)
         u_nu = (

@@ -175,7 +175,6 @@ class Ball(Shape):
         self.radius = float(radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        self.bounded = True
 
     def contains(self, points) -> np.ndarray:
         X = _as_points(points)
@@ -261,7 +260,6 @@ class SphereShell(Shape):
         self.radius = float(radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        self.bounded = True
 
     def contains(self, points) -> np.ndarray:
         X = _as_points(points)
@@ -405,7 +403,6 @@ class PointCloud(Shape):
             raise ValueError("point cloud must be a non-empty (n, dim) array")
         pts.setflags(write=False)
         self.points = pts
-        self.bounded = True
         self._tree = cKDTree(pts)
         diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
         self._tol = SURFACE_TOL * max(diam, 1.0)
@@ -455,7 +452,8 @@ class Region:
     """A closed set A with its discretization and Gram regularization radius.
 
     The constructor works out the geometry of the node set once.  It builds
-    one KD-tree over the nodes and keeps each node's nearest-neighbor
+    one KD-tree over the nodes, or takes the one a PointCloud shape holds
+    over the same points, and keeps each node's nearest-neighbor
     distance; ``spacing``, the capped radii of ``gram`` and probe sampling
     read them.  Two nodes closer than ``h_min`` (H_MIN_FACTOR x the
     bounding-box diameter) raise DegenerateNodes.  ``reg_radius`` defaults
@@ -472,7 +470,9 @@ class Region:
         if not bool(shape.contains(nodes).all()):
             raise ValueError("every region node must satisfy the membership predicate")
         nodes.setflags(write=False)
-        tree = cKDTree(nodes)
+        # A point cloud whose points are the nodes already holds their tree.
+        own = isinstance(shape, PointCloud) and np.array_equal(nodes, shape.points)
+        tree = shape._tree if own else cKDTree(nodes)
         # A single node's nearest neighbor is at infinity.
         d_nn = tree.query(nodes, k=2)[0][:, 1]
         # Nodes closer than h_min count as coincident; 0 for a single node.

@@ -103,16 +103,17 @@ def test_green_potential_route_gap(gk2000):
 
 
 def test_energy_decomposition_assembles_the_free_gram_once(gk2000, monkeypatch):
-    import rieszlab.green as green
+    import rieszlab.regions as regions
 
+    gk2000.region.gram(gk2000.spec)
     calls = []
-    real = green.assemble_gram
+    real = regions._assemble_distinct
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(green, "assemble_gram", counting)
+    monkeypatch.setattr(regions, "_assemble_distinct", counting)
     rng = np.random.default_rng(38)
     nu = DiscreteMeasure(interior_points(rng, 6, r_max=0.6), rng.random(6) + 0.5)
     out = verify_energy_decomposition(gk2000, nu)
@@ -186,8 +187,42 @@ def test_green_gram_matches_per_pole_sweeps(spec, gk2000):
     for j in range(12):
         comp = rl.sweep_many(spec, [dirac(nodes[j])], gk2000.region)[0].swept
         C[:, j] = rl.potential_at(spec, comp, nodes)
-    expected = rl.assemble_gram(spec, nodes).entries - 0.5 * (C + C.T)
+    expected = rl.cloud_region(nodes, spec).gram(spec).entries - 0.5 * (C + C.T)
     assert np.array_equal(green_gram(gk2000, nodes).entries, expected)
+
+
+@pytest.mark.parametrize("r, m, capacity", [(0.5, 200, 0.9794919513482756), (0.3, 100, 0.4192770444179198)])
+def test_green_gram_is_the_green_equilibrium_gram(spec, gk2000, r, m, capacity):
+    """A node set has one Green Gram: green_gram over a region's nodes
+    equals, bit for bit, the Gram green_equilibrium builds over the region."""
+    f = rl.sphere_region(ORIGIN, r, m, spec)
+    eq = rl.green_equilibrium(gk2000, f)
+    assert np.array_equal(green_gram(gk2000, f.nodes).entries, eq.gram.entries)
+    assert eq.capacity == pytest.approx(capacity, rel=1e-12)  # exact r / (1 - r)
+
+
+def test_green_verifiers_build_one_kd_tree(gk2000, monkeypatch):
+    """The energy decomposition and the domination check each build one
+    KD-tree, that of the region over the measure's atoms."""
+    import rieszlab.core as core
+    import rieszlab.regions as regions
+
+    rng = np.random.default_rng(38)
+    nu = DiscreteMeasure(interior_points(rng, 6, r_max=0.6), rng.random(6) + 0.5)
+    mu = nu.scaled(0.5)
+    trees = []
+    tree = core.cKDTree
+
+    def counting(*args, **kwargs):
+        trees.append(1)
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(core, "cKDTree", counting)
+    monkeypatch.setattr(regions, "cKDTree", counting)
+    verify_energy_decomposition(gk2000, nu)
+    assert len(trees) == 1
+    verify_domination(gk2000, mu, nu)
+    assert len(trees) == 2
 
 
 def test_green_gram_rejects_outside_nodes(gk2000):
@@ -281,7 +316,7 @@ def test_green_gram_matches_per_pole_sweeps_alpha15(gk15_ball):
     for j in range(12):
         comp = rl.sweep_many(spec15, [dirac(nodes[j])], region)[0].swept
         C[:, j] = rl.potential_at(spec15, comp, nodes)
-    expected = rl.assemble_gram(spec15, nodes).entries - 0.5 * (C + C.T)
+    expected = rl.cloud_region(nodes, spec15).gram(spec15).entries - 0.5 * (C + C.T)
     assert np.array_equal(green_gram(gk15_ball, nodes).entries, expected)
 
 

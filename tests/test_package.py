@@ -83,3 +83,17 @@ def test_every_private_name_is_referenced():
         if not any(name in r for j, r in enumerate(refs) if j != i)
     ]
     assert unused == []
+
+
+def test_only_core_and_regions_build_kd_trees():
+    """Node-set geometry stays behind core and regions: no other module
+    imports cKDTree."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "cKDTree" for alias in node.names
+            ):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["core.py", "regions.py"]

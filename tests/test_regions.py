@@ -310,6 +310,29 @@ def test_region_reuses_one_kd_tree(spec, monkeypatch):
     assert res.checks.n_probes == 100 and eq.probe_potential_max is not None
 
 
+def test_cloud_region_builds_one_kd_tree(spec, monkeypatch):
+    """A point cloud and its region share the tree over the points; the
+    cloud's membership answers stay those of its own tree."""
+    import rieszlab.core as core
+    import rieszlab.regions as regions
+
+    trees = []
+
+    def counting(*args, **kwargs):
+        trees.append(1)
+        return cKDTree(*args, **kwargs)
+
+    monkeypatch.setattr(core, "cKDTree", counting)
+    monkeypatch.setattr(regions, "cKDTree", counting)
+    points = np.random.default_rng(42).normal(size=(40, 3))
+    region = rl.cloud_region(points, spec)
+    assert len(trees) == 1
+    probes = np.concatenate([points, points + 1e-3, np.zeros((1, 3))])
+    d, _ = cKDTree(points).query(probes)
+    assert np.array_equal(region.contains(probes), d <= region.shape._tol)
+    assert region.contains(points).all() and not region.contains(points + 1e-3).any()
+
+
 def test_characteristic_scales():
     assert Ball(ORIGIN, 2.5).characteristic_scale() == pytest.approx(2.5)
     assert SphereShell(ORIGIN, 0.5).characteristic_scale() == pytest.approx(0.5)
