@@ -6,7 +6,8 @@ matrix.  Its constructor is the one place that works out the geometry of
 the node set: one KD-tree, each node's nearest-neighbor distance, the
 coincidence check, and the default radius.  Node layouts are
 deterministic: spiral (golden-angle) constructions for spheres, disks, and
-balls, and an unscrambled Halton template for volume shells.
+balls, and an unscrambled Halton template (radical inverses in bases 2,
+3 and 5; Halton 1960) for volume shells, generated in numpy.
 
 Node generation is implemented for ambient dimension 3; explicit point
 clouds work in any dimension.
@@ -19,7 +20,6 @@ import math
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, _assemble_distinct, _require_distinct
 from .errors import IllConditioned, ProbeSamplingFailure
@@ -99,14 +99,37 @@ def fibonacci_disk(n: int, radius: float, center, normal) -> np.ndarray:
     )
 
 
+def _halton(start: int, n: int) -> np.ndarray:
+    """Points start, ..., start + n - 1 of the unscrambled 3-d Halton sequence.
+
+    Each coordinate is the radical inverse of the index in base 2, 3 or 5,
+    summed digit by digit from the least significant one: the float
+    operations, in order, of scipy's unscrambled 3-d Halton sampler, whose
+    points these are bit for bit.
+    """
+    out = np.zeros((n, 3))
+    for j, base in enumerate((2, 3, 5)):
+        q = np.arange(start, start + n, dtype=np.int64)
+        col = out[:, j]
+        scale = 1.0 / base
+        # The indices increase, so digits remain while the last one is nonzero.
+        while q[-1]:
+            quotient = q // base
+            col += (q - base * quotient) * scale
+            scale /= base
+            q = quotient
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
     """Deterministic Halton points in the unit annulus {frac <= |u| < 1}."""
-    sampler = qmc.Halton(d=3, scramble=False)
     collected: list[np.ndarray] = []
     count = 0
+    start = 0
     while count < budget:
-        X = sampler.random(4 * budget) * 2.0 - 1.0
+        X = _halton(start, 4 * budget) * 2.0 - 1.0
+        start += 4 * budget
         r = np.linalg.norm(X, axis=1)
         X = X[(r >= frac_key) & (r < 1.0)]
         collected.append(X)
@@ -114,12 +137,6 @@ def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
     out = np.concatenate(collected)[:budget]
     out.setflags(write=False)
     return out
-
-
-def nearest_neighbor_spacing(points: np.ndarray) -> tuple[float, float]:
-    """(min, mean) nearest-neighbor distance of a point set with >= 2 points."""
-    d = cKDTree(points).query(points, k=2)[0][:, 1]
-    return float(d.min()), float(d.mean())
 
 
 class Shape:

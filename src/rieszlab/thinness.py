@@ -91,11 +91,17 @@ def wiener_report(
     q^(k * (alpha - n)), contributes one term.  A run of more than K_TAIL
     consecutive empty shells ends the scan: its vanishing tail classifies
     as irregular and degenerate (the set simply is not there at small
-    scales).
+    scales).  Raises ValueError unless ``k_max`` and ``shell_budget`` are
+    at least 1: a scan of no shells, or of shells with no nodes, would
+    report that same verdict about any set.
     """
     y = np.asarray(point, dtype=float)
     if not (0.0 < ratio_q < 1.0):
         raise ValueError("ratio_q must lie strictly between 0 and 1")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if shell_budget < 1:
+        raise ValueError("shell_budget must be at least 1")
     shells: list[ShellStat] = []
     terms: list[float] = []
     empty_run = 0

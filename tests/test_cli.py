@@ -292,6 +292,16 @@ def test_repeated_cloud_point_exits_1(tmp_path, capsys):
     assert list(tmp_path.glob("d.*")) == []
 
 
+@pytest.mark.parametrize("shape", ["ball", "sphere"])
+@pytest.mark.parametrize("field", ["shell_budget", "k_max"])
+def test_empty_shell_scan_exits_1(tmp_path, capsys, shape, field):
+    doc = {"schema": 1, "name": "w", "command": "wiener",
+           "kernel": {"alpha": 2.0, "dim": 3}, "region": dict(BALL, shape=shape),
+           "point": [1.0, 0.0, 0.0], field: 0}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {field} must be at least 1"
+
+
 def test_refine_wiener_has_no_node_count(tmp_path, capsys):
     # wiener lays out its own shells, so a node count would be ignored
     out = str(tmp_path / "w")

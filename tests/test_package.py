@@ -1,6 +1,9 @@
-"""Package hygiene: the public name list, the imports of every module, and
-its module-private names."""
+"""Package hygiene: the public name list, the imports of every module, its
+module-private names, and the modules that ``import rieszlab`` loads."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rieszlab
@@ -97,3 +100,19 @@ def test_only_core_and_regions_build_kd_trees():
             ):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["core.py", "regions.py"]
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    """``import rieszlab`` and its CLI load numpy, scipy.linalg and
+    scipy.spatial only: scipy.stats alone used to double the start-up time."""
+    probe = (
+        "import sys, rieszlab, rieszlab.cli\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.interpolate', 'scipy.ndimage')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -21,9 +21,15 @@ from rieszlab import (
     reinterpret_region,
     sample_points_off,
 )
-from rieszlab.regions import nearest_neighbor_spacing
+from rieszlab.regions import _annulus_template
 
 ORIGIN = np.zeros(3)
+
+
+def nearest_neighbor_spacing(points):
+    """Reference (min, mean) nearest-neighbor distance of >= 2 points."""
+    d = cKDTree(points).query(points, k=2)[0][:, 1]
+    return float(d.min()), float(d.mean())
 
 
 def test_fibonacci_sphere_layout():
@@ -257,6 +263,25 @@ def test_half_space_wiener_shells_get_capped_gram(budget, alpha):
     g.check_condition()
     d_nn = nearest_neighbor_spacing(nodes)[0]
     assert g.entries.diagonal().max() == pytest.approx((0.5 * d_nn) ** spec.exponent, rel=1e-12)
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("budget", [1, 7, 150, 225, 275, 400])
+def test_annulus_template_is_scipy_halton_bit_for_bit(budget, frac):
+    """The numpy Halton template equals scipy's unscrambled Halton
+    sequence, drawn in the same batches of 4 x budget points."""
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=3, scramble=False)
+    collected, count = [], 0
+    while count < budget:
+        X = sampler.random(4 * budget) * 2.0 - 1.0
+        r = np.linalg.norm(X, axis=1)
+        X = X[(r >= frac) & (r < 1.0)]
+        collected.append(X)
+        count += len(X)
+    reference = np.concatenate(collected)[:budget]
+    assert _annulus_template(budget, frac).tobytes() == reference.tobytes()
 
 
 def test_inverted_shape_membership_tracks_base():

@@ -7,6 +7,7 @@ from rieszlab import (
     DiscreteMeasure,
     HalfSpace,
     PointCloud,
+    SphereShell,
     classify_terms,
     dirac,
     fibonacci_sphere,
@@ -122,6 +123,17 @@ def test_inversion_center_on_set_rejected(spec):
 def test_bad_ratio_rejected(spec):
     with pytest.raises(ValueError, match="ratio_q"):
         wiener_report(spec, Ball(ORIGIN, 1.0), E1, ratio_q=1.0)
+
+
+@pytest.mark.parametrize("shape", [Ball(ORIGIN, 1.0), SphereShell(ORIGIN, 1.0)], ids=["ball", "sphere"])
+@pytest.mark.parametrize("name", ["shell_budget", "k_max"])
+def test_empty_shell_scan_rejected(spec, shape, name):
+    """No shells, or shells with no nodes, would read as a degenerate
+    irregular point of any set; both are rejected before any shell is laid."""
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+        wiener_report(spec, shape, E1, **{name: 0})
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+        thin_at_infinity_report(spec, shape, 3.0 * E1, **{name: 0})
 
 
 def test_mass_loss_onto_ball(spec, ball2000):
