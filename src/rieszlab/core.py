@@ -20,6 +20,10 @@ from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, Indeterm
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
 
+# Rows per block of the mirrored Gram assembly; the block buffer holds at
+# most this many rows of the matrix.
+ASSEMBLY_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -295,6 +299,12 @@ class GramMatrix:
     scale).  ``reg_radius`` is the nominal scalar radius.  The Cholesky
     factorization is computed lazily and cached; the matrix itself is
     immutable.
+
+    The entries must be exactly symmetric, bit for bit: the factor reads
+    one triangle only, through the transpose, which is the Fortran-ordered
+    view LAPACK takes without a transposing copy.  Mirrored assembly
+    (``_assemble_distinct``), a rewrite of the diagonal (the capped radii of
+    ``Region.gram``) and the Green Gram K - (C + C^T)/2 all keep it.
     """
 
     __slots__ = ("nodes", "entries", "reg_radius", "_chol")
@@ -320,15 +330,28 @@ class GramMatrix:
         return len(self.nodes)
 
     def cholesky(self):
-        """Cached Cholesky factorization of the full matrix."""
+        """Cached Cholesky factorization of the full matrix.
+
+        The entries are not scanned for infs and NaNs: a non-finite entry
+        either ends the factorization at a pivot that is not positive or
+        reaches the factor's diagonal, so the O(n) check on that diagonal
+        stands in for the O(n^2) scan.  Raises IllConditioned if the matrix
+        is not positive definite to rounding or its factor is not finite.
+        """
         if self._chol is None:
-            self._chol = cho_factor(self.entries, lower=True)
+            try:
+                chol = cho_factor(self.entries.T, lower=True, check_finite=False)
+            except (LinAlgError, np.linalg.LinAlgError) as exc:
+                raise IllConditioned("Gram matrix is not positive definite to rounding") from exc
+            if not np.isfinite(np.diag(chol[0])).all():
+                raise IllConditioned("Gram matrix factor is not finite")
+            self._chol = chol
         return self._chol
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve K w = b using the cached factorization.
 
-        ``cho_factor`` already checked the entries, so only ``b`` is checked.
+        ``cholesky`` guarantees a finite factor, so only ``b`` is checked.
         """
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
@@ -341,11 +364,8 @@ class GramMatrix:
 
     def check_condition(self) -> None:
         """Raise IllConditioned unless the matrix factors with a trusted condition."""
-        try:
-            cond = self.condition_estimate()
-        except (LinAlgError, np.linalg.LinAlgError) as exc:
-            raise IllConditioned("Gram matrix is not positive definite to rounding") from exc
-        if cond > self.CONDITION_LIMIT:
+        cond = self.condition_estimate()
+        if not cond <= self.CONDITION_LIMIT:
             raise IllConditioned(
                 f"Gram matrix condition estimate {cond:.3e} exceeds {self.CONDITION_LIMIT:.0e}"
             )
@@ -412,9 +432,17 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, reg_radius) -> GramM
     if not np.all(radii > 0.0):
         raise ValueError("reg_radius must be positive")
     h = float(radii.max())
-    D = cdist(nodes, nodes)
-    np.fill_diagonal(D, 1.0)
-    np.power(D, spec.exponent, out=D)
+    # One triangle is computed, block row by block row, and mirrored: the
+    # distance of (a, b) and of (b, a) are the same float, so every entry is
+    # the one-shot cdist-and-power value and the matrix is exactly symmetric.
+    D = np.empty((n, n))
+    for i in range(0, n, ASSEMBLY_BLOCK_ROWS):
+        j = min(i + ASSEMBLY_BLOCK_ROWS, n)
+        block = cdist(nodes[i:j], nodes[i:])
+        np.fill_diagonal(block, 1.0)
+        np.power(block, spec.exponent, out=block)
+        D[i:j, i:] = block
+        D[j:, i:j] = block[:, j - i:].T
     np.fill_diagonal(D, h ** spec.exponent if radii.ndim == 0 else radii ** spec.exponent)
     return GramMatrix(nodes, D, h)
 

@@ -151,7 +151,11 @@ class Shape:
         raise NotImplementedError
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
-        """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi."""
+        """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
+
+        ``budget`` sizes the layout; raises ValueError unless it is >= 1.
+        """
+        _require_budget(budget)
         return _volume_shell_nodes(self, y, r_lo, r_hi, budget)
 
     def characteristic_scale(self) -> float:
@@ -166,6 +170,11 @@ class Shape:
                 "node generation for analytic shapes is implemented for dim=3; "
                 "use an explicit point cloud for other dimensions"
             )
+
+
+def _require_budget(budget: int) -> None:
+    if not budget >= 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
 
 
 def _as_points(points) -> np.ndarray:
@@ -290,6 +299,7 @@ class SphereShell(Shape):
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         # The intersection of the sphere with an annulus around y is a band
         # in the polar angle psi at the sphere center.
+        _require_budget(budget)
         y = np.asarray(y, dtype=float)
         r, c = self.radius, self.center
         d = float(np.linalg.norm(y - c))
@@ -400,6 +410,7 @@ class UnionShape(Shape):
         return _dedupe(np.concatenate(parts))
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
+        _require_budget(budget)
         parts = [p.shell_nodes(y, r_lo, r_hi, budget) for p in self.parts]
         X = np.concatenate([p for p in parts if len(p)]) if any(len(p) for p in parts) else np.zeros((0, 3))
         return _dedupe(X)
@@ -433,6 +444,7 @@ class PointCloud(Shape):
         return np.array(self.points)
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
+        _require_budget(budget)
         d = np.linalg.norm(self.points - np.asarray(y, dtype=float), axis=1)
         return self.points[(d >= r_lo) & (d < r_hi)]
 
@@ -541,7 +553,11 @@ class Region:
             try:
                 g.check_condition()
             except IllConditioned:
-                g = _assemble_distinct(spec, self.nodes, np.minimum(self.reg_radius, 0.5 * self._d_nn))
+                # Only the diagonal changes, so the off-diagonal entries are reused.
+                radii = np.minimum(self.reg_radius, 0.5 * self._d_nn)
+                entries = g.entries.copy()
+                np.fill_diagonal(entries, radii ** spec.exponent)
+                g = GramMatrix(self.nodes, entries, float(radii.max()))
                 g.check_condition()
             self._grams[key] = g
         return g

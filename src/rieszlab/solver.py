@@ -68,12 +68,15 @@ def _sub_solve(gram: GramMatrix, mask: np.ndarray, rhs: np.ndarray) -> np.ndarra
     """Solve K[mask, mask] x = rhs, reusing the cached factor when mask is full."""
     if mask.all():
         return gram.solve(rhs)
+    # A fresh C-ordered copy of a symmetric block: its transpose is the
+    # Fortran-ordered view LAPACK factors in place.  The full Gram passed
+    # its condition check, so its principal blocks are finite.
     K_sub = gram.entries[np.ix_(mask, mask)]
     try:
-        factor = cho_factor(K_sub, lower=True)
+        factor = cho_factor(K_sub.T, lower=True, overwrite_a=True, check_finite=False)
     except (LinAlgError, np.linalg.LinAlgError) as exc:
         raise IllConditioned("block-pivot subproblem lost positive definiteness") from exc
-    return cho_solve(factor, rhs)
+    return cho_solve(factor, rhs, check_finite=False)
 
 
 def _nonneg_kkt_residual(Kw, b, w) -> float:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
+from scipy.spatial.distance import cdist
 
 import rieszlab as rl
 from rieszlab import (
@@ -9,6 +11,7 @@ from rieszlab import (
     DimensionMismatch,
     DiscreteMeasure,
     GramMatrix,
+    IllConditioned,
     IndeterminateValue,
     KernelSpec,
     assemble_gram,
@@ -251,3 +254,65 @@ def test_energy_quadratic_form(spec):
 def test_gram_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
         GramMatrix(np.zeros((2, 3)), np.zeros((3, 3)), 0.1)
+
+
+def _one_shot_gram_entries(spec, nodes, reg_radius):
+    """Reference assembly: cdist and power over the whole matrix at once."""
+    radii = np.asarray(reg_radius, dtype=float)
+    D = cdist(nodes, nodes)
+    np.fill_diagonal(D, 1.0)
+    np.power(D, spec.exponent, out=D)
+    h = float(radii.max())
+    np.fill_diagonal(D, h ** spec.exponent if radii.ndim == 0 else radii ** spec.exponent)
+    return D
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 257, 700])
+def test_blocked_assembly_equals_one_shot_reference(alpha, n):
+    """Mirrored block rows give every entry of the one-shot assembly bitwise."""
+    spec = KernelSpec(alpha, 3)
+    rng = np.random.default_rng(n)
+    nodes = rng.normal(size=(n, 3))
+    radii = 0.01 + 0.02 * rng.random(n)
+    for reg_radius in (0.01, radii):
+        g = assemble_gram(spec, nodes, reg_radius=reg_radius)
+        assert np.array_equal(g.entries, _one_shot_gram_entries(spec, nodes, reg_radius))
+        assert np.array_equal(g.entries, g.entries.T)
+
+
+def test_factor_lower_triangle_equals_cho_factor_of_the_entries(spec, ball500, gk2000):
+    """Factoring through the transposed view reads the same numbers: region,
+    capped and Green Grams get the factor scipy gives the entries as they are."""
+    shell = rl.HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(np.zeros(3), 0.5, 1.0, 225)
+    capped = rl.cloud_region(shell, spec)
+    green = rl.green_gram(gk2000, rl.fibonacci_sphere(150, 0.5, np.zeros(3)))
+    for g in (ball500.gram(spec), capped.gram(spec), green):
+        expected = cho_factor(g.entries, lower=True)[0]
+        assert np.array_equal(np.tril(g.cholesky()[0]), np.tril(expected))
+    # the capped diagonal ran: some radius is below the region's
+    assert capped.gram(spec).entries.diagonal().max() > capped.reg_radius ** spec.exponent
+
+
+@pytest.mark.parametrize(
+    "value, where",
+    [(np.nan, (3, 7)), (np.inf, (0, 29)), (-np.inf, (12, 28)), (np.inf, (5, 5)), (np.nan, (29, 29))],
+)
+def test_non_finite_gram_entries_raise_ill_conditioned(spec, value, where):
+    """A non-finite entry reaches the factor's diagonal or breaks positive
+    definiteness; either way every solve path raises IllConditioned."""
+    base = assemble_gram(spec, np.random.default_rng(3).normal(size=(30, 3)))
+    entries = base.entries.copy()
+    entries[where] = entries[where[::-1]] = value
+
+    def fresh():
+        return GramMatrix(base.nodes, entries, base.reg_radius)
+
+    for call in (lambda: fresh().check_condition(),
+                 lambda: fresh().solve(np.ones(30)),
+                 lambda: rl.solve_nonneg(fresh(), np.ones(30))):
+        with pytest.raises(IllConditioned) as info:
+            call()
+        assert "estimate" not in str(info.value)
+        if np.isnan(value):
+            assert "not finite" in str(info.value)

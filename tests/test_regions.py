@@ -21,6 +21,7 @@ from rieszlab import (
     reinterpret_region,
     sample_points_off,
 )
+from rieszlab import regions
 from rieszlab.regions import _annulus_template
 
 ORIGIN = np.zeros(3)
@@ -251,18 +252,47 @@ def test_catalog_region_gram_passes_condition_check(kind, alpha):
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
 @pytest.mark.parametrize("budget", [225, 275])
-def test_half_space_wiener_shells_get_capped_gram(budget, alpha):
+def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):
     """A near-duplicate pair in the Halton shell layout breaks the uniform
-    diagonal; capping the radius at half the nearest spacing restores it."""
+    diagonal; capping the radius at half the nearest spacing restores it.
+    The capped Gram rewrites the diagonal of the uniform one: one assembly,
+    and the entries of an assembly with the capped radii, bit for bit."""
     spec = KernelSpec(alpha, 3)
     nodes = HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(ORIGIN, 0.5, 1.0, budget)
     region = rl.cloud_region(nodes, spec)
     with pytest.raises(IllConditioned):
         assemble_gram(spec, nodes, reg_radius=region.reg_radius).check_condition()
+    assembled = []
+    assemble = regions._assemble_distinct
+
+    def counting(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(regions, "_assemble_distinct", counting)
     g = region.gram(spec)
+    assert len(assembled) == 1
     g.check_condition()
     d_nn = nearest_neighbor_spacing(nodes)[0]
     assert g.entries.diagonal().max() == pytest.approx((0.5 * d_nn) ** spec.exponent, rel=1e-12)
+    capped_radii = np.minimum(region.reg_radius, 0.5 * cKDTree(nodes).query(nodes, k=2)[0][:, 1])
+    expected = assemble(spec, region.nodes, capped_radii)
+    assert np.array_equal(g.entries, expected.entries)
+    assert g.reg_radius == expected.reg_radius
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Ball(ORIGIN, 1.0), SphereShell(ORIGIN, 1.0), BallComplement(ORIGIN, 1.0),
+     HalfSpace([0.0, 0.0, 1.0], 0.0),
+     UnionShape([Ball(ORIGIN, 1.0), Ball([3.0, 0.0, 0.0], 0.5)]),
+     PointCloud(fibonacci_sphere(50, 1.0, ORIGIN))],
+    ids=["ball", "sphere", "ball-complement", "half-space", "union", "cloud"],
+)
+@pytest.mark.parametrize("budget", [0, -3])
+def test_shell_nodes_reject_a_budget_below_one(shape, budget):
+    with pytest.raises(ValueError, match="budget"):
+        shape.shell_nodes([1.0, 0.0, 0.0], 0.25, 0.5, budget)
 
 
 @pytest.mark.parametrize("frac", [0.0, 0.5, 0.9])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import rieszlab as rl
 from rieszlab import (
@@ -9,6 +10,7 @@ from rieszlab import (
     assemble_gram,
     solve_nonneg,
 )
+from rieszlab import solver
 from rieszlab.equilibrium import _equilibrium_from_gram
 from rieszlab.solver import QPSolution, solve_nonneg_many
 
@@ -266,3 +268,29 @@ def test_solvers_reject_tolerances_that_are_not_finite_and_positive(spec, tol):
         solve_nonneg(g, rng.normal(size=40), tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         equilibrium_of(g, tol)
+
+
+def _reference_sub_solve(gram, mask, rhs):
+    """Sub-solve on a copied, checked and transposing-copied principal block."""
+    if mask.all():
+        return gram.solve(rhs)
+    return cho_solve(cho_factor(gram.entries[np.ix_(mask, mask)], lower=True), rhs)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.0])
+def test_partial_support_sweep_matches_reference_sub_solves(alpha, monkeypatch):
+    """A sweep onto two balls from behind the larger one pivots off a node;
+    factoring its principal blocks in place through their transposes gives
+    the weights of the reference sub-solve bitwise."""
+    spec = KernelSpec(alpha, 3)
+    origin = np.zeros(3)
+    union = rl.union_region([rl.ball_region(origin, 1.0, 200, spec),
+                             rl.ball_region([2.5, 0.0, 0.0], 0.5, 150, spec)])
+    charge = rl.dirac([-3.0, 0.0, 0.0])
+    swept = rl.sweep(spec, charge, union)
+    assert swept.solution.iterations > 1
+    assert 0 < np.count_nonzero(swept.solution.weights) < union.n_nodes
+    monkeypatch.setattr(solver, "_sub_solve", _reference_sub_solve)
+    reference = rl.sweep(spec, charge, union)
+    assert np.array_equal(swept.solution.weights, reference.solution.weights)
+    assert np.array_equal(swept.swept.weights, reference.swept.weights)
