@@ -17,7 +17,8 @@ from scipy.spatial.distance import cdist
 from .core import (
     DiscreteMeasure,
     KernelSpec,
-    assemble_gram,
+    _as_points,
+    _assemble_distinct,
     cross_energy,
     dirac,
     potential_at,
@@ -80,7 +81,7 @@ def source_potentials_on_nodes(
     """
     gram = region.gram(spec)
     D = cdist(region.nodes, mu.points)
-    coincident = D <= max(region.h_min, 0.0)
+    coincident = D <= region.h_min
     np.copyto(D, 1.0, where=coincident)
     np.power(D, spec.exponent, out=D)
     np.copyto(D, gram.entries.diagonal()[:, None], where=coincident)
@@ -166,9 +167,7 @@ def swept_potentials(
     bit for bit.  Raises PointOutsideDomain if a point coincides with a
     region node: it lies on the target set, where no caller evaluates.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = _as_points(points)
     if X.shape[1] != spec.dim:
         raise DimensionMismatch(f"points must have dimension {spec.dim}")
     D = cdist(X, region.nodes)
@@ -200,11 +199,11 @@ def _sweep_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> Sw
     # bound comes from Cauchy-Schwarz on the combined node set, which only
     # holds under one consistent regularization.  An atom on a node takes
     # that node's self-term, as in the source potentials; the others take
-    # the nominal radius.
-    K_in = assemble_gram(spec, mu.points, reg_radius=gram.reg_radius).entries.copy()
-    on_node = cdist(mu.points, region.nodes) <= max(region.h_min, 0.0)
-    hit = np.flatnonzero(on_node.any(axis=1))
-    K_in[hit, hit] = gram.entries.diagonal()[on_node[hit].argmax(axis=1)]
+    # the nominal radius.  The atoms were checked distinct when mu was built.
+    K_in = _assemble_distinct(spec, mu.points, gram.reg_radius).entries.copy()
+    dist, nearest = region.nearest_node(mu.points)
+    hit = np.flatnonzero(dist <= region.h_min)
+    K_in[hit, hit] = gram.entries.diagonal()[nearest[hit]]
     energy_in = float(mu.weights @ (K_in @ mu.weights))
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 
@@ -297,23 +296,7 @@ def verify_integral_representation(
     """
     atoms = [dirac(mu.points[i], float(mu.weights[i])) for i in range(mu.n_points)]
     joint, *parts = sweep_many(spec, [mu, *atoms], region, tol=tol)
-    probes = sample_points_off(region, n_probes, probe_seed)
-    pots = swept_potentials(spec, [joint, *parts], region, probes)
-    pot_joint = pots[:, 0]
-    pot_sum = np.zeros(len(probes))
-    mass_sum = 0.0
-    for part, pot in zip(parts, pots[:, 1:].T):
-        pot_sum += pot
-        mass_sum += part.swept.total_mass
-    rel = np.abs(pot_sum - pot_joint) / np.maximum(np.abs(pot_joint), TINY)
-    mass_gap = abs(mass_sum - joint.swept.total_mass) / max(
-        joint.swept.total_mass, TINY
-    )
-    return {
-        "max_rel_gap": float(np.max(rel)),
-        "mass_rel_gap": float(mass_gap),
-        "n_probes": len(probes),
-    }
+    return _probe_gaps(spec, region, joint, parts, n_probes, probe_seed)
 
 
 def verify_transitivity(
@@ -336,13 +319,24 @@ def verify_transitivity(
         )
     (staged_a,) = sweep_many(spec, [mu], region_a, tol=tol)
     direct, staged = sweep_many(spec, [mu, staged_a.swept], region_f, tol=tol)
-    probes = sample_points_off(region_f, n_probes, probe_seed)
-    p_direct = potential_at(spec, direct.swept, probes)
-    p_staged = potential_at(spec, staged.swept, probes)
-    rel = np.abs(p_staged - p_direct) / np.maximum(np.abs(p_direct), TINY)
-    mass_gap = abs(staged.swept.total_mass - direct.swept.total_mass) / max(
-        direct.swept.total_mass, TINY
-    )
+    return _probe_gaps(spec, region_f, direct, [staged], n_probes, probe_seed)
+
+
+def _probe_gaps(spec, region, ref, parts, n_probes, probe_seed) -> dict:
+    """The sweeps ``parts`` summed against the sweep ``ref``, all onto ``region``.
+
+    Relative gaps of the potentials at probes off the region and of the masses.
+    """
+    probes = sample_points_off(region, n_probes, probe_seed)
+    pots = swept_potentials(spec, [ref, *parts], region, probes)
+    pot_ref = pots[:, 0]
+    pot_sum = np.zeros(len(probes))
+    mass_sum = 0.0
+    for part, pot in zip(parts, pots[:, 1:].T):
+        pot_sum += pot
+        mass_sum += part.swept.total_mass
+    rel = np.abs(pot_sum - pot_ref) / np.maximum(np.abs(pot_ref), TINY)
+    mass_gap = abs(mass_sum - ref.swept.total_mass) / max(ref.swept.total_mass, TINY)
     return {
         "max_rel_gap": float(np.max(rel)),
         "mass_rel_gap": float(mass_gap),

@@ -32,14 +32,12 @@ from .green import GreenKernel, green_eval
 from .kelvin import Inversion, verify_potential_covariance
 from .regions import (
     PROBE_SEED,
+    SHAPES,
     Ball,
     BallComplement,
-    HalfSpace,
     PointCloud,
     Region,
     Shape,
-    SphereShell,
-    UnionShape,
     build_region,
     fibonacci_sphere,
     sphere_region,
@@ -49,15 +47,6 @@ from .thinness import mass_loss_test, thin_at_infinity_report, wiener_report
 SCHEMA_VERSION = 1
 
 _TOP_COMMON = {"schema", "name", "command", "kernel"}
-# shape -> (class, the fields passed to it in order)
-_SHAPES = {
-    "ball": (Ball, ("center", "radius")),
-    "ball-complement": (BallComplement, ("center", "radius")),
-    "sphere": (SphereShell, ("center", "radius")),
-    "half-space": (HalfSpace, ("normal", "offset")),
-    "union": (UnionShape, ("parts",)),
-    "cloud": (PointCloud, ("points",)),
-}
 _TOL_OVERRIDE_KEYS = {"tol", "tol_dom", "loss_margin"}
 
 
@@ -81,32 +70,34 @@ def _point(value, where: str, dim: int) -> np.ndarray:
 
 
 def _number(value, where: str, kind=float):
-    """``kind(value)``, for kind float or int; SchemaError unless ``value`` is a number."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{where} must be a number") from None
+    """``kind(value)``, for kind float or int; SchemaError unless ``value``
+    is a JSON number (not a string or a boolean), for int a whole one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where} must be a number")
+    if kind is int and not float(value).is_integer():
+        raise SchemaError(f"{where} must be a whole number")
+    return kind(value)
 
 
 def _shape_from_doc(doc: dict, dim: int) -> Shape:
     if not isinstance(doc, dict) or "shape" not in doc:
         raise SchemaError("shape description must be an object with a 'shape' key")
     kind = doc["shape"]
-    if kind not in _SHAPES:
+    if kind not in SHAPES:
         raise SchemaError(f"unknown shape '{kind}'")
-    cls, fields = _SHAPES[kind]
-    _check_keys(doc, {"shape", "n", *fields}, f"shape '{kind}'")
+    cls = SHAPES[kind]
+    _check_keys(doc, {"shape", "n", *cls.fields}, f"shape '{kind}'")
     if kind == "union":
         if not isinstance(doc["parts"], list):
             raise SchemaError("union 'parts' must be a JSON list")
-        return UnionShape([_shape_from_doc(p, dim) for p in doc["parts"]])
+        return cls([_shape_from_doc(p, dim) for p in doc["parts"]])
     if kind == "cloud":
-        return PointCloud(doc["points"])
+        return cls(doc["points"])
     return cls(*(
         _point(doc[f], f"shape '{kind}' '{f}'", dim)
         if f in ("center", "normal")
         else _number(doc[f], f"shape '{kind}' '{f}'")
-        for f in fields
+        for f in cls.fields
     ))
 
 
@@ -281,12 +272,8 @@ def _run_sweep(scen, spec, expected, seed):
 
 
 def _identity_gap(spec, mu, region, res) -> float:
-    from scipy.spatial.distance import cdist
-
-    D = cdist(mu.points, region.nodes)
-    nearest = D.argmin(axis=1)
-    tol_hit = max(region.h_min, 1e-15)
-    if float(D.min(axis=1).max()) > tol_hit:
+    dist, nearest = region.nearest_node(mu.points)
+    if float(dist.max()) > region.h_min:
         return float("inf")
     v = np.zeros(region.n_nodes)
     np.add.at(v, nearest, mu.weights)
@@ -728,7 +715,10 @@ def _load(args) -> tuple[dict, int]:
         key, value = item.split("=", 1)
         if key not in _TOL_OVERRIDE_KEYS:
             raise SchemaError(f"unknown tolerance override key '{key}'")
-        scen[key] = float(value)
+        try:
+            scen[key] = float(value)
+        except ValueError:
+            raise SchemaError(f"tolerance override '{key}' must be a number") from None
     return scen, args.seed if args.seed is not None else PROBE_SEED
 
 

@@ -191,9 +191,12 @@ class DiscreteMeasure:
                 raise ValueError(f"measure '{key}' must be a JSON list")
         if len(pts) != len(weights):
             raise ValueError("measure 'weights' must have one entry per point")
+        signed = doc.get("signed", False)
+        if not isinstance(signed, bool):
+            raise ValueError("measure 'signed' must be a JSON boolean")
         if len(pts) == 0:
             return cls.empty(3)
-        return cls(pts, weights, signed=bool(doc.get("signed", False)))
+        return cls(pts, weights, signed=signed)
 
     def __repr__(self) -> str:
         kind = "signed" if self.signed else "positive"
@@ -214,6 +217,14 @@ def _bbox_diameter(points: np.ndarray) -> float:
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array with one point per row; one point becomes one row."""
+    X = np.asarray(points, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    return X
+
+
 def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
     """Potentials of ``mu`` at many points: (k(x, .) summed against the weights).
 
@@ -221,9 +232,7 @@ def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
     with nodes of both signs raises IndeterminateValue.  Summation is a
     single dot product in node-index order.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = _as_points(points)
     if X.shape[1] != spec.dim:
         raise DimensionMismatch(f"points must have dimension {spec.dim}")
     if mu.n_points == 0:

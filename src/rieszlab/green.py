@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .balayage import SweepResult, sweep_many, sweep_signed, swept_potentials
-from .core import DiscreteMeasure, GramMatrix, KernelSpec, dirac, potential_at
+from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
 from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 
@@ -39,10 +39,7 @@ class GreenKernel:
 
 
 def _require_in_domain(gk: GreenKernel, points, what: str) -> None:
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if bool(gk.region.contains(X).any()):
+    if bool(gk.region.contains(points).any()):
         raise PointOutsideDomain(f"{what} must lie in the open domain off the target set")
 
 
@@ -62,9 +59,7 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
     Subtracts, atom by atom, the potential of each atom's swept unit
     charge; the atoms are swept in one batched solve.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = _as_points(points)
     _require_in_domain(gk, nu.points, "the measure's atoms")
     _require_in_domain(gk, X, "evaluation points")
     return _green_potential_values(gk, nu, _pole_sweeps(gk, nu.points), X)
@@ -187,7 +182,7 @@ def verify_domination(
     # within one typical atom spacing of the support only measure the
     # discretization, not the principle.
     if F is not None and len(probes):
-        dist, _ = F._tree.query(probes)
+        dist, _ = F.nearest_node(probes)
         probes = probes[dist >= F.spacing()[1]]
     if len(probes):
         u_mu = _green_potential_values(gk, mu, mu_comps, probes)

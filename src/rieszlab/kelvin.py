@@ -16,7 +16,16 @@ import numpy as np
 
 from .core import DiscreteMeasure, KernelSpec, potential_at
 from .errors import CenterCharged, CenterInversion
-from .regions import Ball, BallComplement, HalfSpace, PointCloud, Shape, SphereShell, UnionShape
+from .regions import (
+    Ball,
+    BallComplement,
+    HalfSpace,
+    PointCloud,
+    Shape,
+    SphereShell,
+    UnionShape,
+    _Round,
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,7 @@ def invert_shape(center, shape: Shape) -> Shape:
     and point clouds point by point.
     """
     y = np.asarray(center, dtype=float)
-    if isinstance(shape, (Ball, BallComplement, SphereShell)):
+    if isinstance(shape, _Round):
         d = shape.center - y
         k = float(d @ d) - shape.radius**2
         if abs(k) < 1e-12 * shape.radius**2:

@@ -21,7 +21,15 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import H_MIN_FACTOR, GramMatrix, KernelSpec, _assemble_distinct, _require_distinct
+from .core import (
+    H_MIN_FACTOR,
+    GramMatrix,
+    KernelSpec,
+    _as_points,
+    _assemble_distinct,
+    _bbox_diameter,
+    _require_distinct,
+)
 from .errors import IllConditioned, ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -62,14 +70,8 @@ def fibonacci_sphere(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.
 
 def fibonacci_ball(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """n quasi-uniform points in a solid ball (spiral directions, cubic-root radii)."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    i = np.arange(n, dtype=float)
-    r = radius * ((i + 0.5) / n) ** (1.0 / 3.0)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    theta = GOLDEN_ANGLE * i
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    dirs = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+    dirs = fibonacci_sphere(n)
+    r = radius * ((np.arange(n, dtype=float) + 0.5) / n) ** (1.0 / 3.0)
     return r[:, None] * dirs + np.asarray(center, dtype=float)
 
 
@@ -140,9 +142,13 @@ def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
 
 
 class Shape:
-    """Analytic descriptor of a closed set A; subclasses fill in geometry."""
+    """Analytic descriptor of a closed set A; subclasses fill in geometry,
+    the ``kind`` of their shape document and the ``fields`` their
+    constructor takes, in order."""
 
     bounded: bool = True
+    kind: str
+    fields: tuple[str, ...]
 
     def contains(self, points) -> np.ndarray:
         raise NotImplementedError
@@ -162,7 +168,12 @@ class Shape:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """The shape document; ``SHAPES[kind]`` called with its fields rebuilds the shape."""
+        doc = {"shape": self.kind}
+        for f in self.fields:
+            value = getattr(self, f)
+            doc[f] = [p.descriptor() for p in value] if f == "parts" else np.asarray(value).tolist()
+        return doc
 
     def _require_dim3(self, spec: KernelSpec) -> None:
         if spec.dim != 3:
@@ -177,13 +188,6 @@ def _require_budget(budget: int) -> None:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
 
 
-def _as_points(points) -> np.ndarray:
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    return X
-
-
 def _volume_shell_nodes(shape: Shape, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     tmpl = _annulus_template(int(budget), round(r_lo / r_hi, 12))
@@ -193,8 +197,10 @@ def _volume_shell_nodes(shape: Shape, y, r_lo: float, r_hi: float, budget: int) 
     return X[(d >= r_lo) & (d < r_hi)]
 
 
-class Ball(Shape):
-    """Closed solid ball {|x - c| <= r}."""
+class _Round(Shape):
+    """A shape bounded by the sphere {|x - c| = r}."""
+
+    fields = ("center", "radius")
 
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
@@ -202,10 +208,21 @@ class Ball(Shape):
         if not self.radius > 0:
             raise ValueError("radius must be positive")
 
+    def _dist(self, points) -> np.ndarray:
+        """Distance of each point from the center."""
+        return np.linalg.norm(_as_points(points) - self.center, axis=1)
+
+    def characteristic_scale(self) -> float:
+        return self.radius
+
+
+class Ball(_Round):
+    """Closed solid ball {|x - c| <= r}."""
+
+    kind = "ball"
+
     def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
-        d = np.linalg.norm(X - self.center, axis=1)
-        return d <= self.radius * (1.0 + SURFACE_TOL)
+        return self._dist(points) <= self.radius * (1.0 + SURFACE_TOL)
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -222,32 +239,15 @@ class Ball(Shape):
         inner = fibonacci_ball(n_interior, inner_radius, self.center)
         return np.concatenate([surf, inner])
 
-    def characteristic_scale(self) -> float:
-        return self.radius
 
-    def descriptor(self) -> dict:
-        return {
-            "shape": "ball",
-            "center": [float(c) for c in self.center],
-            "radius": self.radius,
-        }
-
-
-class BallComplement(Shape):
+class BallComplement(_Round):
     """Closed complement of an open ball: {|x - c| >= r}."""
 
+    kind = "ball-complement"
     bounded = False
 
-    def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
     def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
-        d = np.linalg.norm(X - self.center, axis=1)
-        return d >= self.radius * (1.0 - SURFACE_TOL)
+        return self._dist(points) >= self.radius * (1.0 - SURFACE_TOL)
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -267,30 +267,14 @@ class BallComplement(Shape):
             parts.append(fibonacci_sphere(n // 8, self.radius * growth**j, self.center))
         return np.concatenate(parts)
 
-    def characteristic_scale(self) -> float:
-        return self.radius
 
-    def descriptor(self) -> dict:
-        return {
-            "shape": "ball-complement",
-            "center": [float(c) for c in self.center],
-            "radius": self.radius,
-        }
-
-
-class SphereShell(Shape):
+class SphereShell(_Round):
     """The sphere surface {|x - c| = r} as a closed set."""
 
-    def __init__(self, center, radius: float):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+    kind = "sphere"
 
     def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
-        d = np.linalg.norm(X - self.center, axis=1)
-        return np.abs(d - self.radius) <= SURFACE_TOL * max(self.radius, 1.0)
+        return np.abs(self._dist(points) - self.radius) <= SURFACE_TOL * max(self.radius, 1.0)
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -327,28 +311,23 @@ class SphereShell(Shape):
         dist = np.linalg.norm(X - y, axis=1)
         return X[(dist >= r_lo) & (dist < r_hi)]
 
-    def characteristic_scale(self) -> float:
-        return self.radius
-
-    def descriptor(self) -> dict:
-        return {
-            "shape": "sphere",
-            "center": [float(c) for c in self.center],
-            "radius": self.radius,
-        }
-
 
 class HalfSpace(Shape):
     """Closed half-space {x : n . x >= offset} with unit normal n."""
 
+    kind = "half-space"
+    fields = ("normal", "offset")
     bounded = False
 
     def __init__(self, normal, offset: float):
-        normal = np.asarray(normal, dtype=float)
+        normal = np.array(normal, dtype=float)
         norm = np.linalg.norm(normal)
         if norm == 0.0:
             raise ValueError("normal must be non-zero")
-        self.normal = normal / norm
+        # Normalizing can move the last bits of a unit normal (computed norm
+        # within 1.5 eps of 1 in 3-d), so such a normal is kept as given: a
+        # half-space rebuilt from its descriptor has the same normal.
+        self.normal = normal if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps else normal / norm
         self.offset = float(offset)
 
     def contains(self, points) -> np.ndarray:
@@ -374,16 +353,12 @@ class HalfSpace(Shape):
     def characteristic_scale(self) -> float:
         return max(1.0, abs(self.offset))
 
-    def descriptor(self) -> dict:
-        return {
-            "shape": "half-space",
-            "normal": [float(c) for c in self.normal],
-            "offset": self.offset,
-        }
-
 
 class UnionShape(Shape):
     """Union of component shapes."""
+
+    kind = "union"
+    fields = ("parts",)
 
     def __init__(self, parts):
         parts = list(parts)
@@ -418,12 +393,12 @@ class UnionShape(Shape):
     def characteristic_scale(self) -> float:
         return max(p.characteristic_scale() for p in self.parts)
 
-    def descriptor(self) -> dict:
-        return {"shape": "union", "parts": [p.descriptor() for p in self.parts]}
-
 
 class PointCloud(Shape):
     """An explicit finite node set treated as the closed target set."""
+
+    kind = "cloud"
+    fields = ("points",)
 
     def __init__(self, points):
         pts = np.array(points, dtype=float, copy=True)
@@ -432,8 +407,8 @@ class PointCloud(Shape):
         pts.setflags(write=False)
         self.points = pts
         self._tree = cKDTree(pts)
-        diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        self._tol = SURFACE_TOL * max(diam, 1.0)
+        self._scale = max(_bbox_diameter(pts), 1.0)
+        self._tol = SURFACE_TOL * self._scale
 
     def contains(self, points) -> np.ndarray:
         X = _as_points(points)
@@ -449,24 +424,21 @@ class PointCloud(Shape):
         return self.points[(d >= r_lo) & (d < r_hi)]
 
     def characteristic_scale(self) -> float:
-        diam = float(
-            np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0))
-        )
-        return max(diam, 1.0)
+        return self._scale
 
-    def descriptor(self) -> dict:
-        return {
-            "shape": "cloud",
-            "points": [[float(c) for c in p] for p in self.points],
-        }
+
+# kind in the shape document -> shape class
+SHAPES = {
+    cls.kind: cls
+    for cls in (Ball, BallComplement, SphereShell, HalfSpace, UnionShape, PointCloud)
+}
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
     """Drop later points that collide with earlier ones within h_min."""
     if len(points) < 2:
         return points
-    diam = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
-    tol = H_MIN_FACTOR * diam
+    tol = H_MIN_FACTOR * _bbox_diameter(points)
     if tol == 0.0:
         return points[:1]
     pairs = cKDTree(points).query_pairs(tol, output_type="ndarray")
@@ -484,7 +456,7 @@ class Region:
     one KD-tree over the nodes, or takes the one a PointCloud shape holds
     over the same points, and keeps each node's nearest-neighbor
     distance; ``spacing``, the capped radii of ``gram`` and probe sampling
-    read them.  Two nodes closer than ``h_min`` (H_MIN_FACTOR x the
+    read them, and ``nearest_node`` queries the tree.  Two nodes closer than ``h_min`` (H_MIN_FACTOR x the
     bounding-box diameter) raise DegenerateNodes.  ``reg_radius`` defaults
     to REGION_REG_FACTOR x the mean nearest-neighbor spacing; a single node
     needs it given.
@@ -534,6 +506,13 @@ class Region:
 
     def contains(self, points) -> np.ndarray:
         return self.shape.contains(points)
+
+    def nearest_node(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(distance, index) of each point's nearest node.
+
+        A point within ``h_min`` of a node sits on it.
+        """
+        return self._tree.query(_as_points(points), k=1)
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes that passes GramMatrix.check_condition.
@@ -635,7 +614,7 @@ def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndar
         keep = ~region.contains(X)
         X = X[keep]
         if len(X):
-            d, _ = region._tree.query(X, k=1)
+            d, _ = region.nearest_node(X)
             X = X[d >= standoff]
         if len(X):
             out.append(X)

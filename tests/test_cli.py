@@ -121,6 +121,21 @@ def test_tol_override_that_is_not_finite_exits_1(tmp_path, capsys, scenario, ove
     assert list(tmp_path.glob("bad.*")) == []
 
 
+def test_tol_override_that_is_not_a_number_names_the_key(tmp_path, capsys):
+    ref = write_scenario(tmp_path, small_sweep())
+    out = tmp_path / "bad"
+    assert main(["run", ref, "--tol-override", "tol=abc", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "error: tolerance override 'tol' must be a number"
+    assert list(tmp_path.glob("bad.*")) == []
+
+
+def test_whole_float_count_is_accepted(tmp_path):
+    path = write_scenario(tmp_path, small_sweep(region=dict(COMPLEMENT, n=300.0)))
+    assert main(["run", path, "--out", str(tmp_path / "w")]) == 0
+    payload = json.loads((tmp_path / "w.result.json").read_text())
+    assert payload["region"]["n_nodes"] == 300
+
+
 def test_unknown_scenario(capsys):
     assert main(["run", "no-such-thing"]) == 1
     assert "unknown scenario 'no-such-thing'" in capsys.readouterr().err
@@ -264,11 +279,30 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ({"tol": 0.0}, "error: tol must be finite and positive"),
         ({"tol_dom": float("nan")}, "error: tol_dom must be finite and nonnegative"),
         ({"tol_dom": -0.5}, "error: tol_dom must be finite and nonnegative"),
+        ({"kernel": {"alpha": "2", "dim": 3}}, "error: kernel 'alpha' must be a number"),
+        ({"kernel": {"alpha": 2.0, "dim": True}}, "error: kernel 'dim' must be a number"),
+        (
+            {"region": dict(COMPLEMENT, radius="1.0")},
+            "error: shape 'ball-complement' 'radius' must be a number",
+        ),
+        (
+            {"region": dict(COMPLEMENT, n=200.7)},
+            "error: shape 'ball-complement' 'n' must be a whole number",
+        ),
+        ({"tol": True}, "error: 'tol' must be a number"),
+        ({"probes": {"n": "3"}}, "error: probes 'n' must be a number"),
+        ({"probes": {"seed": 1.5}}, "error: probes 'seed' must be a whole number"),
+        (
+            {"source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "signed": "false"}},
+            "error: measure 'signed' must be a JSON boolean",
+        ),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
          "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
          "radius-list", "n-list", "tol-object", "probes-n-list", "tol-nan", "tol-negative",
-         "tol-zero", "tol_dom-nan", "tol_dom-negative"],
+         "tol-zero", "tol_dom-nan", "tol_dom-negative", "alpha-string", "dim-bool",
+         "radius-string", "n-fraction", "tol-bool", "probes-n-string", "seed-fraction",
+         "signed-string"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))

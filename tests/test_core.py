@@ -100,6 +100,15 @@ def test_measure_json_rejects_unknown_key():
         DiscreteMeasure.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("signed", ["false", "true", 0, 1, None])
+def test_measure_json_signed_must_be_a_boolean(signed):
+    # bool("false") is True: a string would silently make the measure signed.
+    doc = {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "signed": signed}
+    with pytest.raises(ValueError, match="measure 'signed' must be a JSON boolean"):
+        DiscreteMeasure.from_json_dict(doc)
+    assert not DiscreteMeasure.from_json_dict(dict(doc, signed=False)).signed
+
+
 def test_potential_batch_matches_manual_sum():
     s = KernelSpec(1.5, 3)
     rng = np.random.default_rng(0)

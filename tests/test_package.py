@@ -102,6 +102,20 @@ def test_only_core_and_regions_build_kd_trees():
     assert sorted(set(importers)) == ["core.py", "regions.py"]
 
 
+def test_only_regions_reads_kd_trees():
+    """Nearest-node queries go through Region.nearest_node: no module other
+    than regions reads a ``_tree`` attribute."""
+    readers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_tree"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        )
+    )
+    assert readers == ["regions.py"]
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     """``import rieszlab`` and its CLI load numpy, scipy.linalg and
     scipy.spatial only: scipy.stats alone used to double the start-up time."""

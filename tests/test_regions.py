@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -22,7 +24,8 @@ from rieszlab import (
     sample_points_off,
 )
 from rieszlab import regions
-from rieszlab.regions import _annulus_template
+from rieszlab.cli import _shape_from_doc
+from rieszlab.regions import GOLDEN_ANGLE, SHAPES, _annulus_template
 
 ORIGIN = np.zeros(3)
 
@@ -46,6 +49,17 @@ def test_fibonacci_sphere_is_well_spread():
     pts = fibonacci_sphere(500, 1.0)
     mn, mean = nearest_neighbor_spacing(pts)
     assert mn > 0.5 * mean  # no clumping
+
+
+def test_fibonacci_ball_is_cubic_root_radii_times_the_sphere_spiral():
+    n, radius, center = 301, 1.7, np.array([0.1, -0.2, 0.3])
+    i = np.arange(n, dtype=float)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    theta = GOLDEN_ANGLE * i
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    dirs = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+    r = radius * ((i + 0.5) / n) ** (1.0 / 3.0)
+    assert np.array_equal(fibonacci_ball(n, radius, center), r[:, None] * dirs + center)
 
 
 def test_fibonacci_ball_and_disk():
@@ -386,6 +400,52 @@ def test_cloud_region_builds_one_kd_tree(spec, monkeypatch):
     d, _ = cKDTree(points).query(probes)
     assert np.array_equal(region.contains(probes), d <= region.shape._tol)
     assert region.contains(points).all() and not region.contains(points + 1e-3).any()
+
+
+_DOCUMENTED_SHAPES = [
+    Ball([0.5, -1.0, 2.0], 1.5),
+    BallComplement(ORIGIN, 0.7),
+    SphereShell([1.0, 1.0, 1.0], 2.0),
+    HalfSpace([1.0, 1.0, 0.0], 0.5),
+    HalfSpace([0.3, -2.0, 0.7], -1.25),
+    UnionShape([Ball(ORIGIN, 1.0), HalfSpace([0.0, 2.0, 1.0], 3.0), SphereShell([4.0, 0, 0], 0.5)]),
+    PointCloud(np.random.default_rng(7).normal(size=(12, 3))),
+]
+
+
+@pytest.mark.parametrize("shape", _DOCUMENTED_SHAPES, ids=lambda s: s.kind)
+def test_shape_descriptor_round_trips(shape):
+    """The CLI's reader rebuilds every shape from its descriptor bit for bit,
+    a half-space given an unnormalized normal included."""
+    doc = shape.descriptor()
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["shape"] == shape.kind and set(doc) == {"shape", *shape.fields}
+    assert _shape_from_doc(doc, 3).descriptor() == doc
+
+
+def test_shape_catalog_lists_every_kind_once():
+    assert {s.kind for s in _DOCUMENTED_SHAPES} == set(SHAPES)
+    assert all(SHAPES[cls.kind] is cls for cls in SHAPES.values())
+
+
+def test_half_space_keeps_a_unit_normal_and_normalizes_others():
+    unit = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    assert np.array_equal(HalfSpace(unit, 0.0).normal, unit)
+    normal = HalfSpace([0.0, 3.0, 4.0], 1.0).normal
+    assert np.array_equal(normal, [0.0, 0.6, 0.8])
+
+
+def test_nearest_node_finds_an_atom_on_a_node(spec, ball500):
+    h_min = ball500.h_min
+    assert h_min > 0.0
+    on = ball500.nodes[[17, 250]] + [[0.5 * h_min, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    off = np.array([0.0, 0.0, 0.0])
+    dist, index = ball500.nearest_node(np.vstack([on, off]))
+    assert list(index[:2]) == [17, 250]
+    assert dist[0] <= h_min and dist[1] == 0.0
+    assert dist[2] == pytest.approx(1.0)
+    d1, i1 = ball500.nearest_node(ball500.nodes[3])
+    assert d1.shape == (1,) and i1[0] == 3
 
 
 def test_characteristic_scales():
