@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,15 @@ from .balayage import (
     sweep_dirac_by_inversion,
     verify_symmetry,
 )
-from .core import DiscreteMeasure, KernelSpec, dirac, potential_at, riesz_kernel
+from .core import (
+    DiscreteMeasure,
+    KernelSpec,
+    dirac,
+    is_json_number,
+    is_json_number_rows,
+    potential_at,
+    riesz_kernel,
+)
 from .equilibrium import green_equilibrium, riesz_equilibrium
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval
@@ -46,11 +55,16 @@ from .thinness import mass_loss_test, thin_at_infinity_report, wiener_report
 
 SCHEMA_VERSION = 1
 
-_TOP_COMMON = {"schema", "name", "command", "kernel"}
 _TOL_OVERRIDE_KEYS = {"tol", "tol_dom", "loss_margin"}
 
 
-def _check_keys(doc, allowed: set, where: str) -> None:
+# ---------------------------------------------------------------------------
+# Field readers.  Each takes (value, where, kernel spec) and returns the
+# field's value, or raises SchemaError naming ``where``: a top-level field
+# by its key, a nested one as ``<section> '<key>'``.
+
+
+def _check_keys(doc, allowed, where: str) -> None:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where} must be a JSON object")
     for key in doc:
@@ -58,68 +72,96 @@ def _check_keys(doc, allowed: set, where: str) -> None:
             raise SchemaError(f"unknown key '{key}' in {where}")
 
 
-def _point(value, where: str, dim: int) -> np.ndarray:
-    """``value`` as a point of R^dim; SchemaError unless it is a list of dim numbers."""
-    try:
-        point = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        point = None
-    if point is None or point.shape != (dim,):
-        raise SchemaError(f"{where} must be a list of {dim} numbers")
-    return point
-
-
-def _number(value, where: str, kind=float):
-    """``kind(value)``, for kind float or int; SchemaError unless ``value``
-    is a JSON number (not a string or a boolean), for int a whole one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value, where: str, spec=None) -> float:
+    """``value`` as a float; SchemaError unless it is a JSON number."""
+    if not is_json_number(value):
         raise SchemaError(f"{where} must be a number")
-    if kind is int and not float(value).is_integer():
+    return float(value)
+
+
+def _count(value, where: str, spec=None) -> int:
+    """A nonnegative whole number (``300.0`` is one): a count, seed or dimension."""
+    if not _number(value, where).is_integer():
         raise SchemaError(f"{where} must be a whole number")
-    return kind(value)
+    if value < 0:
+        raise SchemaError(f"{where} must not be negative")
+    return int(value)
 
 
-def _shape_from_doc(doc: dict, dim: int) -> Shape:
+def _boolean(value, where: str, spec=None) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where} must be a JSON boolean")
+    return value
+
+
+def _string(value, where: str, spec=None) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string")
+    return value
+
+
+def _point(value, where: str, spec: KernelSpec) -> np.ndarray:
+    """``value`` as a point of R^dim; SchemaError unless it is a list of dim numbers."""
+    if not (is_json_number_rows([value]) and len(value) == spec.dim):
+        raise SchemaError(f"{where} must be a list of {spec.dim} numbers")
+    return np.array(value, dtype=float)
+
+
+def _draws(value, where: str, spec=None) -> tuple[int, int]:
+    """A ``probes`` or ``samples`` section as (count, seed)."""
+    _check_keys(value, {"n", "seed"}, where)
+    return _count(value["n"], f"{where} 'n'"), _count(value["seed"], f"{where} 'seed'")
+
+
+def _measure(value, where: str, spec=None) -> DiscreteMeasure:
+    return DiscreteMeasure.from_json_dict(value)
+
+
+def _shape_from_doc(doc, where: str, spec: KernelSpec) -> Shape:
     if not isinstance(doc, dict) or "shape" not in doc:
         raise SchemaError("shape description must be an object with a 'shape' key")
     kind = doc["shape"]
     if kind not in SHAPES:
         raise SchemaError(f"unknown shape '{kind}'")
     cls = SHAPES[kind]
-    _check_keys(doc, {"shape", "n", *cls.fields}, f"shape '{kind}'")
+    label = f"shape '{kind}'"
+    _check_keys(doc, {"shape", "n", *cls.fields}, label)
     if kind == "union":
         if not isinstance(doc["parts"], list):
             raise SchemaError("union 'parts' must be a JSON list")
-        return cls([_shape_from_doc(p, dim) for p in doc["parts"]])
+        return cls([_shape_from_doc(p, where, spec) for p in doc["parts"]])
     if kind == "cloud":
-        return cls(doc["points"])
+        points = doc["points"]
+        if not (is_json_number_rows(points) and all(len(p) == spec.dim for p in points)):
+            raise SchemaError(f"{label} 'points' must be a list of lists of {spec.dim} numbers")
+        return cls(points)
     return cls(*(
-        _point(doc[f], f"shape '{kind}' '{f}'", dim)
-        if f in ("center", "normal")
-        else _number(doc[f], f"shape '{kind}' '{f}'")
+        (_point if f in ("center", "normal") else _number)(doc[f], f"{label} '{f}'", spec)
         for f in cls.fields
     ))
 
 
-def _region_from_doc(doc: dict, spec: KernelSpec) -> Region:
-    shape = _shape_from_doc(doc, spec.dim)
+def _region_from_doc(doc, where: str, spec: KernelSpec) -> Region:
+    shape = _shape_from_doc(doc, where, spec)
     if isinstance(shape, PointCloud):
         return Region(shape, shape.points)
     if "n" not in doc:
         raise SchemaError("region requires a node count 'n'")
-    return build_region(shape, _number(doc["n"], f"shape '{doc['shape']}' 'n'", int), spec)
+    return build_region(shape, _count(doc["n"], f"shape '{doc['shape']}' 'n'"), spec)
 
 
-def _kernel_from_doc(doc: dict) -> KernelSpec:
-    _check_keys(doc, {"alpha", "dim"}, "kernel")
-    return KernelSpec(
-        alpha=_number(doc.get("alpha", 2.0), "kernel 'alpha'"),
-        dim=_number(doc.get("dim", 3), "kernel 'dim'", int),
-    )
+class Scenario(NamedTuple):
+    """A parsed scenario: every field of its command read, defaults filled in."""
+
+    name: str
+    command: str
+    spec: KernelSpec
+    fields: dict
+    expected: dict
 
 
-def validate_scenario(doc) -> None:
-    """Strict structural validation; raises SchemaError naming bad keys."""
+def _command(doc) -> str:
+    """The command of a scenario document with the supported schema."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
@@ -127,13 +169,38 @@ def validate_scenario(doc) -> None:
     command = doc.get("command")
     if command not in COMMANDS:
         raise SchemaError(f"unknown command '{command}'")
-    _, top_keys, expected_keys = COMMANDS[command]
-    _check_keys(doc, top_keys, f"command '{command}'")
-    for key in ("probes", "samples"):
-        if key in doc:
-            _check_keys(doc[key], {"n", "seed"}, key)
-    if "expected" in doc:
-        _check_keys(doc["expected"], expected_keys, "expected")
+    return command
+
+
+def parse_scenario(doc) -> Scenario:
+    """Check a scenario document against its command's field table and read
+    it; raises SchemaError naming the first bad key or field."""
+    command = _command(doc)
+    _, table, expected_readers = COMMANDS[command]
+    allowed = {"schema", "command", "name", "kernel", *table}
+    if expected_readers:
+        allowed.add("expected")
+    _check_keys(doc, allowed, f"command '{command}'")
+    name = _string(doc.get("name", "scenario"), "name")
+    kernel = doc.get("kernel", {})
+    _check_keys(kernel, {"alpha", "dim"}, "kernel")
+    spec = KernelSpec(
+        alpha=_number(kernel.get("alpha", 2.0), "kernel 'alpha'"),
+        dim=_count(kernel.get("dim", 3), "kernel 'dim'"),
+    )
+    expected_doc = doc.get("expected", {})
+    _check_keys(expected_doc, expected_readers, "expected")
+    expected = {
+        key: expected_readers[key](value, f"expected '{key}'", spec)
+        for key, value in expected_doc.items()
+    }
+    fields = {}
+    for key, (read, default) in table.items():
+        value = doc[key] if default is None else doc.get(key, default)
+        if isinstance(default, dict) and isinstance(value, dict):
+            value = default | value  # a section's default fills its missing keys
+        fields[key] = read(value, key, spec)
+    return Scenario(name, command, spec, fields, expected)
 
 
 def _jsonable(x):
@@ -220,24 +287,16 @@ def _node_potential(eq) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each takes (scenario, kernel, "expected" section, seed)
-# and returns (its payload fields, rows, failed-property names that are not
-# rows); _run_scenario adds the common envelope.
+# Command runners.  Each takes the kernel, the parsed "expected" section, the
+# run's seed and, by keyword, its command's parsed fields, and returns (its
+# payload fields, rows, failed-property names that are not rows);
+# _run_scenario adds the common envelope.
 
 
-def _run_sweep(scen, spec, expected, seed):
-    region = _region_from_doc(scen["region"], spec)
-    mu = DiscreteMeasure.from_json_dict(scen["source"])
-    probes = scen.get("probes", {})
-    res = sweep(
-        spec,
-        mu,
-        region,
-        tol=_number(scen.get("tol", 1e-10), "'tol'"),
-        tol_dom=_number(scen.get("tol_dom", 0.02), "'tol_dom'"),
-        n_probes=_number(probes.get("n", 100), "probes 'n'", int),
-        probe_seed=_number(probes.get("seed", seed), "probes 'seed'", int),
-    )
+def _run_sweep(spec, expected, seed, region, source, probes, tol, tol_dom):
+    n_probes, probe_seed = probes
+    res = sweep(spec, source, region, tol=tol, tol_dom=tol_dom, n_probes=n_probes,
+                probe_seed=probe_seed)
     checks = res.checks
     rows = [
         _row("mass-in", checks.mass_in),
@@ -255,7 +314,7 @@ def _run_sweep(scen, spec, expected, seed):
         failures.append("domination")
 
     if "identity_gap" in expected:
-        gap = _identity_gap(spec, mu, region, res)
+        gap = _identity_gap(spec, source, region, res)
         rows.append(_checked_row("identity-gap", gap, expected, "identity_gap", default_tol=1e-6))
 
     fields = {
@@ -281,16 +340,9 @@ def _identity_gap(spec, mu, region, res) -> float:
     return float(np.max(np.abs(w - v)) / max(float(np.max(v)), 1e-300))
 
 
-def _run_equilibrium(scen, spec, expected, seed):
-    region = _region_from_doc(scen["region"], spec)
-    probes = scen.get("probes", {})
-    eq = riesz_equilibrium(
-        spec,
-        region,
-        tol=_number(scen.get("tol", 1e-10), "'tol'"),
-        n_probes=_number(probes.get("n", 0), "probes 'n'", int),
-        probe_seed=_number(probes.get("seed", seed), "probes 'seed'", int),
-    )
+def _run_equilibrium(spec, expected, seed, region, probes, tol):
+    n_probes, probe_seed = probes
+    eq = riesz_equilibrium(spec, region, tol=tol, n_probes=n_probes, probe_seed=probe_seed)
     rows = [
         _checked_row("capacity", eq.capacity, expected, "capacity"),
         _row("min-energy", eq.min_energy),
@@ -313,12 +365,8 @@ def _run_equilibrium(scen, spec, expected, seed):
     return fields, rows, failures
 
 
-def _run_green_eval(scen, spec, expected, seed):
-    x = _point(scen["x"], "green-eval 'x'", spec.dim)
-    y = _point(scen["y"], "green-eval 'y'", spec.dim)
-    region = _region_from_doc(scen["region"], spec)
-    gk = GreenKernel(spec, region, tol=_number(scen.get("tol", 1e-10), "'tol'"))
-    value = green_eval(gk, x, y)
+def _run_green_eval(spec, expected, seed, region, x, y, tol):
+    value = green_eval(GreenKernel(spec, region, tol=tol), x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
     fields = {
         "region": _region_doc(region),
@@ -329,11 +377,8 @@ def _run_green_eval(scen, spec, expected, seed):
     return fields, rows, []
 
 
-def _run_green_equilibrium(scen, spec, expected, seed):
-    region = _region_from_doc(scen["region"], spec)
-    compact = _region_from_doc(scen["compact"], spec)
-    gk = GreenKernel(spec, region, tol=_number(scen.get("tol", 1e-10), "'tol'"))
-    eq = green_equilibrium(gk, compact)
+def _run_green_equilibrium(spec, expected, seed, region, compact, tol):
+    eq = green_equilibrium(GreenKernel(spec, region, tol=tol), compact)
     rows = [
         _checked_row("relative-capacity", eq.capacity, expected, "capacity"),
         _row("node-potential-min", eq.node_potential_min),
@@ -357,17 +402,10 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
     return radii[:, None] * dirs
 
 
-def _run_kelvin_check(scen, spec, expected, seed):
-    center = _point(scen["center"], "kelvin-check 'center'", spec.dim)
-    nu = DiscreteMeasure.from_json_dict(scen["measure"])
-    samples_doc = scen.get("samples", {})
-    samples = _covariance_samples(
-        center,
-        _number(samples_doc.get("n", 50), "samples 'n'", int),
-        _number(samples_doc.get("seed", seed), "samples 'seed'", int),
-    )
+def _run_kelvin_check(spec, expected, seed, center, measure, samples):
+    samples = _covariance_samples(center, *samples)
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
-    gap = verify_potential_covariance(Inversion(center), spec, nu, samples[keep])
+    gap = verify_potential_covariance(Inversion(center), spec, measure, samples[keep])
     rows = [_checked_row("covariance-gap", gap, expected, "gap", default_tol=1e-12)]
     fields = {
         "center": list(map(float, center)),
@@ -377,54 +415,40 @@ def _run_kelvin_check(scen, spec, expected, seed):
     return fields, rows, []
 
 
-def _run_wiener(scen, spec, expected, seed):
-    shape = _shape_from_doc(scen["region"], spec.dim)
-    point = _point(scen["point"], "wiener 'point'", spec.dim)
-    kwargs = {
-        "ratio_q": _number(scen.get("ratio_q", 0.5), "'ratio_q'"),
-        "k_max": _number(scen.get("k_max", 8), "'k_max'", int),
-        "shell_budget": _number(scen.get("shell_budget", 400), "'shell_budget'", int),
-    }
+def _run_wiener(spec, expected, seed, region, point, ratio_q, k_max, shell_budget, at_infinity):
+    kwargs = {"ratio_q": ratio_q, "k_max": k_max, "shell_budget": shell_budget}
     failures = []
-    if scen.get("at_infinity", False):
-        rep_inf = thin_at_infinity_report(spec, shape, point, **kwargs)
+    if at_infinity:
+        rep_inf = thin_at_infinity_report(spec, region, point, **kwargs)
         rep = rep_inf.wiener
         thin = rep_inf.thin
     else:
-        rep = wiener_report(spec, shape, point, **kwargs)
+        rep = wiener_report(spec, region, point, **kwargs)
         thin = None
     rows = [_row(f"shell-{s.k}-term", s.term) for s in rep.shells]
     rows.append(_row("fitted-ratio", rep.fitted_ratio if rep.fitted_ratio is not None else float("nan")))
     if "classification" in expected and rep.classification != expected["classification"]:
         failures.append("classification")
-    if "thin" in expected and thin is not None and bool(expected["thin"]) != thin:
+    if "thin" in expected and thin is not None and expected["thin"] != thin:
         failures.append("thin-at-infinity")
     fields = {
         "point": list(map(float, point)),
-        "ratio_q": kwargs["ratio_q"],
-        "k_max": kwargs["k_max"],
+        "ratio_q": ratio_q,
+        "k_max": k_max,
         "classification": rep.classification,
         "fitted_ratio": rep.fitted_ratio,
         "degenerate": rep.degenerate,
-        "at_infinity": bool(scen.get("at_infinity", False)),
+        "at_infinity": at_infinity,
         "thin": thin,
         "shells": [asdict(s) for s in rep.shells],
     }
     return fields, rows, failures
 
 
-def _run_mass_loss(scen, spec, expected, seed):
-    region = _region_from_doc(scen["region"], spec)
-    mu = DiscreteMeasure.from_json_dict(scen["source"])
-    report = mass_loss_test(
-        spec,
-        mu,
-        region,
-        loss_margin=_number(scen.get("loss_margin", 0.02), "'loss_margin'"),
-        tol=_number(scen.get("tol", 1e-10), "'tol'"),
-    )
+def _run_mass_loss(spec, expected, seed, region, source, loss_margin, tol):
+    report = mass_loss_test(spec, source, region, loss_margin=loss_margin, tol=tol)
     failures = []
-    if "strict_loss" in expected and bool(expected["strict_loss"]) != report["strict_loss"]:
+    if "strict_loss" in expected and expected["strict_loss"] != report["strict_loss"]:
         failures.append("strict-loss")
     rows = [
         _row("mass-in", report["mass_in"]),
@@ -496,8 +520,7 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     return rows
 
 
-def _run_verify_all(scen, spec, expected, seed):
-    n = _number(scen.get("n", 2000), "'n'", int)
+def _run_verify_all(spec, expected, seed, n):
     rows = run_battery(spec, n, seed)
     fields = {
         "n": n,
@@ -507,58 +530,93 @@ def _run_verify_all(scen, spec, expected, seed):
     return fields, rows, []
 
 
-# command -> (runner, accepted top-level keys, accepted "expected" keys)
+# command -> (runner, {field: (reader, default)}, {"expected" key: reader}).
+# A field whose default is None is required.  Besides its fields, every
+# command accepts "schema", "command", "name" and "kernel", and "expected"
+# if it has "expected" keys.
 COMMANDS = {
     "sweep": (
         _run_sweep,
-        _TOP_COMMON | {"region", "source", "probes", "tol", "tol_dom", "expected"},
-        {"mass", "tol", "identity_gap"},
+        {
+            "region": (_region_from_doc, None),
+            "source": (_measure, None),
+            "probes": (_draws, {"n": 100, "seed": PROBE_SEED}),
+            "tol": (_number, 1e-10),
+            "tol_dom": (_number, 0.02),
+        },
+        {"mass": _number, "tol": _number, "identity_gap": _number},
     ),
     "equilibrium": (
         _run_equilibrium,
-        _TOP_COMMON | {"region", "probes", "tol", "expected"},
-        {"capacity", "tol"},
+        {
+            "region": (_region_from_doc, None),
+            "probes": (_draws, {"n": 0, "seed": PROBE_SEED}),
+            "tol": (_number, 1e-10),
+        },
+        {"capacity": _number, "tol": _number},
     ),
     "green-eval": (
         _run_green_eval,
-        _TOP_COMMON | {"region", "x", "y", "tol", "expected"},
-        {"value", "tol"},
+        {
+            "region": (_region_from_doc, None),
+            "x": (_point, None),
+            "y": (_point, None),
+            "tol": (_number, 1e-10),
+        },
+        {"value": _number, "tol": _number},
     ),
     "green-equilibrium": (
         _run_green_equilibrium,
-        _TOP_COMMON | {"region", "compact", "tol", "expected"},
-        {"capacity", "tol"},
+        {
+            "region": (_region_from_doc, None),
+            "compact": (_region_from_doc, None),
+            "tol": (_number, 1e-10),
+        },
+        {"capacity": _number, "tol": _number},
     ),
     "kelvin-check": (
         _run_kelvin_check,
-        _TOP_COMMON | {"center", "measure", "samples", "expected"},
-        {"gap", "tol"},
+        {
+            "center": (_point, None),
+            "measure": (_measure, None),
+            "samples": (_draws, {"n": 50, "seed": PROBE_SEED}),
+        },
+        {"gap": _number, "tol": _number},
     ),
     "wiener": (
         _run_wiener,
-        _TOP_COMMON
-        | {"region", "point", "ratio_q", "k_max", "shell_budget", "at_infinity", "expected"},
-        {"classification", "thin"},
+        {
+            "region": (_shape_from_doc, None),
+            "point": (_point, None),
+            "ratio_q": (_number, 0.5),
+            "k_max": (_count, 8),
+            "shell_budget": (_count, 400),
+            "at_infinity": (_boolean, False),
+        },
+        {"classification": _string, "thin": _boolean},
     ),
     "mass-loss": (
         _run_mass_loss,
-        _TOP_COMMON | {"region", "source", "loss_margin", "tol", "expected"},
-        {"strict_loss"},
+        {
+            "region": (_region_from_doc, None),
+            "source": (_measure, None),
+            "loss_margin": (_number, 0.02),
+            "tol": (_number, 1e-10),
+        },
+        {"strict_loss": _boolean},
     ),
-    "verify-all": (_run_verify_all, _TOP_COMMON | {"n"}, set()),
+    "verify-all": (_run_verify_all, {"n": (_count, 2000)}, {}),
 }
 
 
-def _run_scenario(scen: dict, seed: int):
-    """Validate and run a scenario: (payload, rows, failed-property names)."""
-    validate_scenario(scen)
-    command = scen["command"]
-    spec = _kernel_from_doc(scen.get("kernel", {}))
-    fields, rows, failures = COMMANDS[command][0](scen, spec, scen.get("expected", {}), seed)
+def _run_scenario(scen: Scenario, seed: int):
+    """Run a parsed scenario: (payload, rows, failed-property names)."""
+    runner = COMMANDS[scen.command][0]
+    fields, rows, failures = runner(scen.spec, scen.expected, seed, **scen.fields)
     payload = {
         "schema": SCHEMA_VERSION,
-        "command": command,
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
+        "command": scen.command,
+        "kernel": {"alpha": scen.spec.alpha, "dim": scen.spec.dim},
     }
     failed = [r["name"] for r in rows if r["passed"] is False]
     return payload | fields, rows, failed + failures
@@ -566,121 +624,51 @@ def _run_scenario(scen: dict, seed: int):
 
 def _builtin(name: str, blurb: str, command: str, **fields):
     """A builtin scenario at alpha=2, dim=3, as ``(name, (blurb, document))``."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "name": name,
-        "command": command,
-        "kernel": {"alpha": 2.0, "dim": 3},
-        **fields,
-    }
+    doc = {"schema": SCHEMA_VERSION, "name": name, "command": command,
+           "kernel": {"alpha": 2.0, "dim": 3}, **fields}
     return name, (blurb, doc)
 
 
 def _builtin_scenarios() -> list:
     unit = [0.0, 0.0, 0.0]
-    complement = {
-        "shape": "ball-complement",
-        "center": unit,
-        "radius": 1.0,
-        "n": 2000,
-    }
+    complement = {"shape": "ball-complement", "center": unit, "radius": 1.0, "n": 2000}
+    ball = {"shape": "ball", "center": unit, "radius": 1.0}
     identity_nodes = fibonacci_sphere(500, 1.0, (0.0, 0.0, 0.0))[[0, 100, 300]]
     return [
-        _builtin(
-            "ball-newtonian",
-            "full verification battery on the Newtonian unit-ball geometry",
-            "verify-all",
-            n=2000,
-        ),
-        _builtin(
-            "sweep-origin",
-            "sweep a unit charge at the origin onto the ball complement",
-            "sweep",
-            region=complement,
-            source={"points": [unit], "weights": [1.0]},
-            expected={"mass": 1.0, "tol": 0.01},
-        ),
-        _builtin(
-            "sweep-identity",
-            "sweeping a measure already on the nodes returns it",
-            "sweep",
-            region=dict(complement, n=500),
-            source={
-                "points": identity_nodes.tolist(),
-                "weights": [0.2, 0.3, 0.5],
-            },
-            expected={"identity_gap": 0.0, "tol": 1e-6},
-        ),
-        _builtin(
-            "equilibrium-ball",
-            "capacity of the unit sphere node set",
-            "equilibrium",
-            region={"shape": "sphere", "center": unit, "radius": 1.0, "n": 2000},
-            probes={"n": 100, "seed": PROBE_SEED},
-            expected={"capacity": 1.0, "tol": 0.01},
-        ),
-        _builtin(
-            "green-center",
-            "Green kernel of the unit ball at half radius",
-            "green-eval",
-            region=complement,
-            x=[0.5, 0.0, 0.0],
-            y=unit,
-            expected={"value": 1.0, "tol": 0.02},
-        ),
-        _builtin(
-            "green-equilibrium-sphere",
-            "relative capacity of the half-radius sphere",
-            "green-equilibrium",
-            region=complement,
-            compact={"shape": "sphere", "center": unit, "radius": 0.5, "n": 800},
-            expected={"capacity": 1.0, "tol": 0.02},
-        ),
-        _builtin(
-            "kelvin-exactness",
-            "potential transformation identity under inversion",
-            "kelvin-check",
-            center=[2.0, 0.0, 0.0],
-            measure=_KELVIN_MEASURE,
-            samples={"n": 50, "seed": 7},
-            expected={"gap": 0.0, "tol": 1e-12},
-        ),
-        _builtin(
-            "wiener-ball-point",
-            "shell test at a boundary point of the solid ball",
-            "wiener",
-            region={"shape": "ball", "center": unit, "radius": 1.0},
-            point=[1.0, 0.0, 0.0],
-            ratio_q=0.5,
-            k_max=8,
-            shell_budget=400,
-            expected={"classification": "regular"},
-        ),
-        _builtin(
-            "thin-ball-at-infinity",
-            "bounded sets are thin at infinity, via inversion",
-            "wiener",
-            region={"shape": "ball", "center": unit, "radius": 1.0},
-            point=[3.0, 0.0, 0.0],
-            at_infinity=True,
-            expected={"classification": "irregular", "thin": True},
-        ),
-        _builtin(
-            "mass-loss-ball",
-            "sweeping onto a bounded set loses mass",
-            "mass-loss",
-            region={"shape": "ball", "center": unit, "radius": 1.0, "n": 2000},
-            source={"points": [[2.0, 0.0, 0.0]], "weights": [1.0]},
-            expected={"strict_loss": True},
-        ),
-        _builtin(
-            "mass-loss-complement",
-            "sweeping onto a ball complement preserves mass",
-            "mass-loss",
-            region=complement,
-            source={"points": [unit], "weights": [1.0]},
-            expected={"strict_loss": False},
-        ),
+        _builtin("ball-newtonian", "full verification battery on the Newtonian unit-ball geometry",
+                 "verify-all", n=2000),
+        _builtin("sweep-origin", "sweep a unit charge at the origin onto the ball complement",
+                 "sweep", region=complement, source={"points": [unit], "weights": [1.0]},
+                 expected={"mass": 1.0, "tol": 0.01}),
+        _builtin("sweep-identity", "sweeping a measure already on the nodes returns it",
+                 "sweep", region=dict(complement, n=500),
+                 source={"points": identity_nodes.tolist(), "weights": [0.2, 0.3, 0.5]},
+                 expected={"identity_gap": 0.0, "tol": 1e-6}),
+        _builtin("equilibrium-ball", "capacity of the unit sphere node set", "equilibrium",
+                 region=dict(ball, shape="sphere", n=2000), probes={"n": 100, "seed": PROBE_SEED},
+                 expected={"capacity": 1.0, "tol": 0.01}),
+        _builtin("green-center", "Green kernel of the unit ball at half radius", "green-eval",
+                 region=complement, x=[0.5, 0.0, 0.0], y=unit,
+                 expected={"value": 1.0, "tol": 0.02}),
+        _builtin("green-equilibrium-sphere", "relative capacity of the half-radius sphere",
+                 "green-equilibrium", region=complement,
+                 compact={"shape": "sphere", "center": unit, "radius": 0.5, "n": 800},
+                 expected={"capacity": 1.0, "tol": 0.02}),
+        _builtin("kelvin-exactness", "potential transformation identity under inversion",
+                 "kelvin-check", center=[2.0, 0.0, 0.0], measure=_KELVIN_MEASURE,
+                 samples={"n": 50, "seed": 7}, expected={"gap": 0.0, "tol": 1e-12}),
+        _builtin("wiener-ball-point", "shell test at a boundary point of the solid ball", "wiener",
+                 region=ball, point=[1.0, 0.0, 0.0], ratio_q=0.5, k_max=8, shell_budget=400,
+                 expected={"classification": "regular"}),
+        _builtin("thin-ball-at-infinity", "bounded sets are thin at infinity, via inversion",
+                 "wiener", region=ball, point=[3.0, 0.0, 0.0], at_infinity=True,
+                 expected={"classification": "irregular", "thin": True}),
+        _builtin("mass-loss-ball", "sweeping onto a bounded set loses mass", "mass-loss",
+                 region=dict(ball, n=2000), source={"points": [[2.0, 0.0, 0.0]], "weights": [1.0]},
+                 expected={"strict_loss": True}),
+        _builtin("mass-loss-complement", "sweeping onto a ball complement preserves mass",
+                 "mass-loss", region=complement, source={"points": [unit], "weights": [1.0]},
+                 expected={"strict_loss": False}),
     ]
 
 
@@ -701,14 +689,15 @@ def load_scenario(ref: str) -> dict:
 
 
 def _load(args) -> tuple[dict, int]:
-    """Load and validate ``args.scenario``, then apply ``--seed`` and
-    ``--tol-override``; returns the scenario and the probe seed."""
+    """Load ``args.scenario`` and apply ``--seed`` and ``--tol-override`` to
+    it; returns the scenario document and the run's seed."""
     scen = load_scenario(args.scenario)
-    validate_scenario(scen)
+    table = COMMANDS[_command(scen)][1]
     if args.seed is not None:
-        for key in ("probes", "samples"):
-            if key in COMMANDS[scen["command"]][1]:
-                scen.setdefault(key, {})["seed"] = args.seed
+        for key, (read, _) in table.items():
+            # a section that is not an object is left for the parse to reject
+            if read is _draws and isinstance(scen.setdefault(key, {}), dict):
+                scen[key]["seed"] = args.seed
     for item in args.tol_override or []:
         if "=" not in item:
             raise SchemaError(f"tolerance override '{item}' is not KEY=VALUE")
@@ -722,14 +711,13 @@ def _load(args) -> tuple[dict, int]:
     return scen, args.seed if args.seed is not None else PROBE_SEED
 
 
-def _out_prefix(args, scen) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(scen.get("name", "scenario"))
+def _out_prefix(args, scen: Scenario) -> Path:
+    return Path(args.out or scen.name)
 
 
 def _cmd_run(args) -> int:
-    scen, seed = _load(args)
+    doc, seed = _load(args)
+    scen = parse_scenario(doc)
     payload, rows, failures = _run_scenario(scen, seed)
     lines = [[_csv_cell(r[key]) for key in _ROW_FIELDS] for r in rows]
     _write_outputs(_out_prefix(args, scen), payload, _ROW_FIELDS, lines)
@@ -739,32 +727,37 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _with_node_count(scen: dict, n: int) -> dict:
-    scen = json.loads(json.dumps(scen))
-    region = scen.get("region")
-    if scen["command"] == "verify-all":
-        scen["n"] = n
-    # wiener lays out its own shells from the shape and never reads region.n
+def _with_node_count(doc: dict, n: int) -> dict:
+    """A copy of ``doc`` at node count ``n``: its top-level ``n``, or the
+    ``n`` of a region that its command reads as a node set rather than as a
+    shape (a point cloud's nodes are its points)."""
+    table = COMMANDS[_command(doc)][1]
+    doc = json.loads(json.dumps(doc))
+    region = doc.get("region")
+    if "n" in table:
+        doc["n"] = n
     elif (
-        scen["command"] != "wiener"
+        "region" in table
+        and table["region"][0] is _region_from_doc
         and isinstance(region, dict)
         and region.get("shape") != "cloud"
     ):
         region["n"] = n
     else:
         raise SchemaError("this scenario has no node count to refine")
-    return scen
+    return doc
 
 
 def _cmd_refine(args) -> int:
-    scen, seed = _load(args)
+    doc, seed = _load(args)
     if not args.n:
         print("error: refine requires at least one node count via --n", file=sys.stderr)
         return 1
     runs = []
     lines = []
     for n in args.n:
-        _, rows, _ = _run_scenario(_with_node_count(scen, n), seed)
+        scen = parse_scenario(_with_node_count(doc, n))
+        _, rows, _ = _run_scenario(scen, seed)
         checked = [r for r in rows if r["expected"] is not None and r["tol"] is not None]
         errs = [_rel_error(r["value"], r["expected"]) for r in checked]
         for r, rel in zip(checked, errs):
@@ -783,7 +776,7 @@ def _cmd_refine(args) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "refine",
-        "base_command": scen["command"],
+        "base_command": scen.command,
         "runs": runs,
     }
     header = ["n", "check", "value", "expected", "rel_error"]

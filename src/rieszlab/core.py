@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -23,6 +24,26 @@ H_MIN_FACTOR = 1e-9
 # Rows per block of the mirrored Gram assembly; the block buffer holds at
 # most this many rows of the matrix.
 ASSEMBLY_BLOCK_ROWS = 128
+
+
+# A JSON number is exactly an int or a float: never a bool (an int subclass),
+# a string or None.  The scenario readers and the measure document share it.
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def is_json_number(value) -> bool:
+    """Whether ``value`` is a JSON number."""
+    return type(value) in _JSON_NUMBER_TYPES
+
+
+def is_json_number_rows(rows) -> bool:
+    """Whether ``rows`` is a list of lists of JSON numbers; one pass over
+    the entries, cheaper than converting them."""
+    return (
+        isinstance(rows, list)
+        and all(isinstance(row, list) for row in rows)
+        and set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBER_TYPES
+    )
 
 
 @dataclass(frozen=True)
@@ -191,6 +212,10 @@ class DiscreteMeasure:
                 raise ValueError(f"measure '{key}' must be a JSON list")
         if len(pts) != len(weights):
             raise ValueError("measure 'weights' must have one entry per point")
+        if not is_json_number_rows(pts):
+            raise ValueError("measure 'points' must be a list of lists of numbers")
+        if not is_json_number_rows([weights]):
+            raise ValueError("measure 'weights' must be a list of numbers")
         signed = doc.get("signed", False)
         if not isinstance(signed, bool):
             raise ValueError("measure 'signed' must be a JSON boolean")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rieszlab import build_region, cli
 from rieszlab.cli import BUILTIN_SCENARIOS, main
 
 BALL = {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -272,7 +273,7 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             {"region": dict(COMPLEMENT, n=[200])},
             "error: shape 'ball-complement' 'n' must be a number",
         ),
-        ({"tol": {}}, "error: 'tol' must be a number"),
+        ({"tol": {}}, "error: tol must be a number"),
         ({"probes": {"n": [3]}}, "error: probes 'n' must be a number"),
         ({"tol": float("nan")}, "error: tol must be finite and positive"),
         ({"tol": -1.0}, "error: tol must be finite and positive"),
@@ -289,20 +290,41 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             {"region": dict(COMPLEMENT, n=200.7)},
             "error: shape 'ball-complement' 'n' must be a whole number",
         ),
-        ({"tol": True}, "error: 'tol' must be a number"),
+        ({"tol": True}, "error: tol must be a number"),
         ({"probes": {"n": "3"}}, "error: probes 'n' must be a number"),
         ({"probes": {"seed": 1.5}}, "error: probes 'seed' must be a whole number"),
         (
             {"source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "signed": "false"}},
             "error: measure 'signed' must be a JSON boolean",
         ),
+        (
+            {"source": {"points": [["2.0", False, 0]], "weights": [True]}},
+            "error: measure 'points' must be a list of lists of numbers",
+        ),
+        (
+            {"source": {"points": [[2.0, 0, 0]], "weights": [True]}},
+            "error: measure 'weights' must be a list of numbers",
+        ),
+        (
+            {"region": {"shape": "cloud", "points": [[True, 0, 0], [0, "1", 0], [0, 0, 1]]}},
+            "error: shape 'cloud' 'points' must be a list of lists of 3 numbers",
+        ),
+        ({"expected": {"mass": "0.5"}}, "error: expected 'mass' must be a number"),
+        ({"expected": {"mass": 1.0, "tol": "0.01"}}, "error: expected 'tol' must be a number"),
+        ({"expected": {"mass": 1.0, "tol": True}}, "error: expected 'tol' must be a number"),
+        ({"expected": {"mass": None}}, "error: expected 'mass' must be a number"),
+        ({"name": 5}, "error: name must be a string"),
+        ({"probes": {"n": -3}}, "error: probes 'n' must not be negative"),
+        ({"probes": {"seed": -1}}, "error: probes 'seed' must not be negative"),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
          "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
          "radius-list", "n-list", "tol-object", "probes-n-list", "tol-nan", "tol-negative",
          "tol-zero", "tol_dom-nan", "tol_dom-negative", "alpha-string", "dim-bool",
          "radius-string", "n-fraction", "tol-bool", "probes-n-string", "seed-fraction",
-         "signed-string"],
+         "signed-string", "points-entries", "weights-bool", "cloud-entries",
+         "expected-mass-string", "expected-tol-string", "expected-tol-bool",
+         "expected-mass-null", "name-number", "probes-n-negative", "seed-negative"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))
@@ -444,24 +466,112 @@ def test_identity_gap_uses_expected_value(tmp_path):
 @pytest.mark.parametrize(
     "command, fields, where",
     [
-        ("green-eval", {"region": COMPLEMENT, "x": 0.5, "y": [0.0, 0.0, 0.0]}, "green-eval 'x'"),
-        ("green-eval", {"region": COMPLEMENT, "x": [0.5, 0.0, 0.0], "y": 0}, "green-eval 'y'"),
+        ("green-eval", {"region": COMPLEMENT, "x": 0.5, "y": [0.0, 0.0, 0.0]}, "x"),
+        ("green-eval", {"region": COMPLEMENT, "x": [0.5, 0.0, 0.0], "y": 0}, "y"),
         ("kelvin-check",
          {"center": 2.0, "measure": {"points": [[0.1, 0.2, 0.3]], "weights": [1.0]}},
-         "kelvin-check 'center'"),
-        ("wiener", {"region": BALL, "point": 1.0}, "wiener 'point'"),
+         "center"),
+        ("wiener", {"region": BALL, "point": 1.0}, "point"),
         ("sweep", {"region": dict(COMPLEMENT, center=0.0),
                    "source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0]}},
          "shape 'ball-complement' 'center'"),
         ("wiener", {"region": {"shape": "half-space", "normal": 1.0, "offset": 0.0},
                     "point": [0.0, 0.0, 0.0]},
          "shape 'half-space' 'normal'"),
+        ("kelvin-check",
+         {"center": ["0", True, 0], "measure": {"points": [[0.1, 0.2, 0.3]], "weights": [1.0]}},
+         "center"),
+        ("green-eval", {"region": COMPLEMENT, "x": [0.5, True, 0.0], "y": [0.0, 0.0, 0.0]}, "x"),
+        ("sweep", {"region": dict(COMPLEMENT, center=["0", 0.0, 0.0]),
+                   "source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0]}},
+         "shape 'ball-complement' 'center'"),
     ],
     ids=["green-eval-x", "green-eval-y", "kelvin-center", "wiener-point", "shape-center",
-         "shape-normal"],
+         "shape-normal", "kelvin-center-entries", "green-eval-x-bool", "shape-center-string"],
 )
 def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
     doc = {"schema": 1, "name": "p", "command": command,
            "kernel": {"alpha": 2.0, "dim": 3}, **fields}
     assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == f"error: {where} must be a list of 3 numbers"
+
+
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        ("wiener", {"at_infinity": "false"}, "error: at_infinity must be a JSON boolean"),
+        ("wiener", {"expected": {"classification": 5}},
+         "error: expected 'classification' must be a string"),
+        ("wiener", {"expected": {"thin": "true"}}, "error: expected 'thin' must be a JSON boolean"),
+        ("mass-loss", {"region": dict(BALL, n=300), "expected": {"strict_loss": "false"}},
+         "error: expected 'strict_loss' must be a JSON boolean"),
+        ("kelvin-check", {"samples": {"n": -3}}, "error: samples 'n' must not be negative"),
+        ("kelvin-check", {"measure": {"points": [[0.1, True, 0.3]], "weights": [1.0]}},
+         "error: measure 'points' must be a list of lists of numbers"),
+        ("verify-all", {"n": -300}, "error: n must not be negative"),
+    ],
+    ids=["at_infinity-string", "classification-number", "thin-string", "strict_loss-string",
+         "samples-n-negative", "measure-entries", "verify-all-n-negative"],
+)
+def test_bad_field_of_command_exits_1(tmp_path, capsys, command, fields, message):
+    doc = {"schema": 1, "name": command, "command": command,
+           "kernel": {"alpha": 2.0, "dim": 3}, **_PAYLOAD_LAYOUTS[command][0], **fields}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert list(tmp_path.glob("x.*")) == []
+
+
+@pytest.mark.parametrize("thin, code", [(True, 0), (False, 2)])
+def test_wiener_at_infinity_checks_thin(tmp_path, capsys, thin, code):
+    doc = copy.deepcopy(BUILTIN_SCENARIOS["thin-ball-at-infinity"][1])
+    doc["expected"]["thin"] = thin
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "t")]) == code
+    payload = json.loads((tmp_path / "t.result.json").read_text())
+    assert payload["at_infinity"] is True and payload["thin"] is True
+    assert capsys.readouterr().err.strip() == ("" if thin else "property failed: thin-at-infinity")
+
+
+def test_refine_verify_all_sets_the_battery_size(tmp_path):
+    # the battery's checks need not pass at these sizes; refine reports them
+    out = tmp_path / "v"
+    assert main(["refine", "ball-newtonian", "--n", "300", "400", "--out", str(out)]) == 0
+    payload = json.loads((tmp_path / "v.result.json").read_text())
+    assert payload["base_command"] == "verify-all"
+    assert [r["n"] for r in payload["runs"]] == [300, 400]
+    assert payload["runs"][0]["checks"] != payload["runs"][1]["checks"]
+
+
+def test_refine_green_equilibrium_refines_the_region_only(tmp_path, monkeypatch):
+    built = []
+
+    def spy(shape, n, spec):
+        built.append((shape.kind, n))
+        return build_region(shape, n, spec)
+
+    monkeypatch.setattr(cli, "build_region", spy)
+    doc = {"schema": 1, "name": "ge", "command": "green-equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3}, **_PAYLOAD_LAYOUTS["green-equilibrium"][0]}
+    args = ["refine", write_scenario(tmp_path, doc), "--n", "200", "250"]
+    assert main(args + ["--out", str(tmp_path / "r")]) == 0
+    assert built == [("ball-complement", 200), ("sphere", 60),
+                     ("ball-complement", 250), ("sphere", 60)]
+
+
+def test_seed_override_reaches_samples_and_probes(tmp_path, monkeypatch):
+    seeds = []
+    covariance_samples = cli._covariance_samples
+
+    def spy(center, n, seed):
+        seeds.append(seed)
+        return covariance_samples(center, n, seed)
+
+    monkeypatch.setattr(cli, "_covariance_samples", spy)
+    # the builtin gives its samples seed 7; --seed replaces it
+    assert main(["run", "kelvin-exactness", "--seed", "5", "--out", str(tmp_path / "k")]) == 0
+    assert seeds == [5]
+    doc = {"schema": 1, "name": "eq", "command": "equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3},
+           "region": dict(COMPLEMENT, shape="sphere"), "probes": {"n": 20, "seed": 3}}
+    args = ["run", write_scenario(tmp_path, doc), "--seed", "6", "--out", str(tmp_path / "e")]
+    assert main(args) == 0
+    assert json.loads((tmp_path / "e.result.json").read_text())["probe_seed"] == 6

@@ -109,6 +109,25 @@ def test_measure_json_signed_must_be_a_boolean(signed):
     assert not DiscreteMeasure.from_json_dict(dict(doc, signed=False)).signed
 
 
+@pytest.mark.parametrize(
+    "points, weights, key",
+    [
+        ([["2.0", 0.0, 0.0]], [1.0], "points"),
+        ([[2.0, False, 0.0]], [1.0], "points"),
+        ([[2.0, None, 0.0]], [1.0], "points"),
+        ([2.0], [1.0], "points"),
+        ([[2.0, 0.0, 0.0]], [True], "weights"),
+        ([[2.0, 0.0, 0.0]], ["1"], "weights"),
+    ],
+    ids=["point-string", "point-bool", "point-null", "flat-points", "weight-bool",
+         "weight-string"],
+)
+def test_measure_json_entries_must_be_numbers(points, weights, key):
+    doc = {"points": points, "weights": weights}
+    with pytest.raises(ValueError, match=f"measure '{key}' must be a list of"):
+        DiscreteMeasure.from_json_dict(doc)
+
+
 def test_potential_batch_matches_manual_sum():
     s = KernelSpec(1.5, 3)
     rng = np.random.default_rng(0)

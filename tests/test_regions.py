@@ -420,7 +420,7 @@ def test_shape_descriptor_round_trips(shape):
     doc = shape.descriptor()
     assert json.loads(json.dumps(doc)) == doc
     assert doc["shape"] == shape.kind and set(doc) == {"shape", *shape.fields}
-    assert _shape_from_doc(doc, 3).descriptor() == doc
+    assert _shape_from_doc(doc, "region", KernelSpec(2.0, 3)).descriptor() == doc
 
 
 def test_shape_catalog_lists_every_kind_once():
