@@ -69,23 +69,32 @@ class SignedSweepResult:
     negative: SweepResult | None
 
 
+def _source_block(spec: KernelSpec, region: Region, points: np.ndarray) -> np.ndarray:
+    """Kernel block between the region nodes (rows) and ``points`` (columns).
+
+    The block is Gram-consistent: a point sitting exactly on a node takes
+    that node's regularized self-interaction, the Gram diagonal entry,
+    instead of an infinity, so that a measure already supported on the
+    nodes is a fixed point of sweeping.  It is the transpose of one
+    ``cdist``, so its columns are contiguous.
+    """
+    D = cdist(points, region.nodes).T
+    coincident = D <= region.h_min
+    np.copyto(D, 1.0, where=coincident)
+    np.power(D, spec.exponent, out=D)
+    np.copyto(D, region.gram(spec).entries.diagonal()[:, None], where=coincident)
+    return D
+
+
 def source_potentials_on_nodes(
     spec: KernelSpec, mu: DiscreteMeasure, region: Region
 ) -> np.ndarray:
     """Source potential evaluated at the region nodes, Gram-consistently.
 
-    A source atom sitting exactly on a node contributes that node's
-    regularized self-interaction, the Gram diagonal entry, instead of an
-    infinity, so that a measure already supported on the nodes is a fixed
-    point of sweeping.
+    An atom on a node contributes that node's Gram diagonal entry; this is
+    the right-hand side a sweep of ``mu`` solves with.
     """
-    gram = region.gram(spec)
-    D = cdist(region.nodes, mu.points)
-    coincident = D <= region.h_min
-    np.copyto(D, 1.0, where=coincident)
-    np.power(D, spec.exponent, out=D)
-    np.copyto(D, gram.entries.diagonal()[:, None], where=coincident)
-    return D @ mu.weights
+    return np.ascontiguousarray(_source_block(spec, region, mu.points)) @ mu.weights
 
 
 def sweep(
@@ -131,30 +140,58 @@ def sweep_many(
 
 
 def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepResult]]:
-    """Source potentials on the nodes, one column per source, and the sweeps."""
-    B = np.empty((region.n_nodes, len(sources)), order="F")
-    for j, mu in enumerate(sources):
+    """Right-hand sides, one column per source, and the sweeps, from one batch."""
+    for mu in sources:
         if mu.signed:
             raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
         if mu.n_points == 0:
             raise ValueError("cannot sweep the zero measure")
         if mu.dim != region.dim:
             raise ValueError("measure and region dimensions differ")
-        B[:, j] = source_potentials_on_nodes(spec, mu, region)
-    if not sources:
-        return B, []
-    sols = solve_nonneg_many(region.gram(spec), B, tol=tol)
-    if not sols[-1].converged:
-        raise SolverFailure(
-            f"sweep did not converge: kkt residual {sols[-1].kkt_residual:.3e} "
-            f"after {sols[-1].iterations} iterations ({sols[-1].method})"
-        )
+    points = np.concatenate([mu.points for mu in sources] or [np.empty((0, region.dim))])
+    B, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
     results = []
     for sol in sols:
         support = sol.weights > 0.0
         swept = DiscreteMeasure._on_distinct_nodes(region.nodes[support], sol.weights[support])
         results.append(SweepResult(swept=swept, solution=sol, checks=None))
     return B, results
+
+
+def _sweep_batch(
+    spec: KernelSpec, region: Region, points: np.ndarray, tol: float, weights=None
+) -> tuple[np.ndarray, list[QPSolution]]:
+    """Sweeps of several nonnegative sources onto the region nodes, in one solve.
+
+    ``points`` stacks the atoms of every source, and one kernel block
+    between the nodes and all of them gives every right-hand side.  With
+    ``weights`` None each point is a unit charge, whose right-hand side is
+    its block column.  Otherwise ``weights`` lists each source's atom
+    weights, in the order of ``points``, and a source's right-hand side is
+    its block columns times its weights.  Returns the right-hand sides, one
+    column per source, and the solutions; raises SolverFailure at the first
+    source, in order, that does not converge.
+    """
+    if len(points) == 0:
+        return np.empty((region.n_nodes, 0), order="F"), []
+    block = _source_block(spec, region, points)
+    if weights is None:
+        B = block
+    else:
+        B = np.empty((region.n_nodes, len(weights)), order="F")
+        start = 0
+        for j, w in enumerate(weights):
+            # One GEMV over a C-ordered copy, as in source_potentials_on_nodes: the
+            # same bits as sweeping the source alone.
+            B[:, j] = np.ascontiguousarray(block[:, start:start + len(w)]) @ w
+            start += len(w)
+    sols = solve_nonneg_many(region.gram(spec), B, tol=tol)
+    if not sols[-1].converged:
+        raise SolverFailure(
+            f"sweep did not converge: kkt residual {sols[-1].kkt_residual:.3e} "
+            f"after {sols[-1].iterations} iterations ({sols[-1].method})"
+        )
+    return B, sols
 
 
 def swept_potentials(
@@ -167,6 +204,13 @@ def swept_potentials(
     bit for bit.  Raises PointOutsideDomain if a point coincides with a
     region node: it lies on the target set, where no caller evaluates.
     """
+    return _node_weight_potentials(
+        spec, [res.solution.weights for res in results], region, points
+    )
+
+
+def _node_weight_potentials(spec, weights, region, points) -> np.ndarray:
+    """``swept_potentials`` of the swept node weights themselves."""
     X = _as_points(points)
     if X.shape[1] != spec.dim:
         raise DimensionMismatch(f"points must have dimension {spec.dim}")
@@ -174,9 +218,8 @@ def swept_potentials(
     if (D == 0.0).any():
         raise PointOutsideDomain("an evaluation point coincides with a region node")
     block = D ** spec.exponent
-    out = np.empty((len(X), len(results)))
-    for j, res in enumerate(results):
-        w = res.solution.weights
+    out = np.empty((len(X), len(weights)))
+    for j, w in enumerate(weights):
         support = w > 0.0
         if support.all():
             out[:, j] = block @ w

@@ -113,8 +113,8 @@ def _draws(value, where: str, spec=None) -> tuple[int, int]:
     return _count(value["n"], f"{where} 'n'"), _count(value["seed"], f"{where} 'seed'")
 
 
-def _measure(value, where: str, spec=None) -> DiscreteMeasure:
-    return DiscreteMeasure.from_json_dict(value)
+def _measure(value, where: str, spec: KernelSpec) -> DiscreteMeasure:
+    return DiscreteMeasure.from_json_dict(value, spec.dim)
 
 
 def _shape_from_doc(doc, where: str, spec: KernelSpec) -> Shape:

@@ -5,15 +5,18 @@ kernel subtracts from the free kernel the potential of the swept point
 charge:  g(x, y) = k(x, y) - potential of the sweep of a unit charge at y
 onto A, evaluated at x.  Every quantity with several poles (a Gram
 matrix, the potential of a measure) sweeps the unit charges at all its
-poles in one batched solve against the region's cached factor.  Every
-Green Gram takes its free-kernel part from a Region over its nodes, so one
-node set has one regularization and one discrete Green energy.
+poles in one batch: the poles, an array of points, share one kernel block
+with the region nodes and one multi-column solve against the region's
+cached factor, and a pole whose unconstrained sweep is already
+nonnegative skips block pivoting.  Only the swept node weights are kept.
+Every Green Gram takes its free-kernel part from a Region over its nodes,
+so one node set has one regularization and one discrete Green energy.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .balayage import SweepResult, sweep_many, sweep_signed, swept_potentials
+from .balayage import _node_weight_potentials, _sweep_batch, sweep_signed
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
 from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
@@ -65,37 +68,37 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
     return _green_potential_values(gk, nu, _pole_sweeps(gk, nu.points), X)
 
 
-def _pole_sweeps(gk: GreenKernel, poles) -> list[SweepResult]:
-    """Sweeps of the unit charges at the poles, in one batched solve."""
-    return sweep_many(gk.spec, [dirac(y) for y in poles], gk.region, tol=gk.tol)
+def _pole_sweeps(gk: GreenKernel, poles: np.ndarray) -> list[np.ndarray]:
+    """Swept node weights of the unit charges at the poles, in one batch."""
+    return [sol.weights for sol in _sweep_batch(gk.spec, gk.region, poles, gk.tol)[1]]
 
 
 def _green_potential_values(
-    gk: GreenKernel, nu: DiscreteMeasure, comps: list[SweepResult], X: np.ndarray
+    gk: GreenKernel, nu: DiscreteMeasure, swept: list[np.ndarray], X: np.ndarray
 ) -> np.ndarray:
-    """Green potential of nu at X, given the sweeps of its atoms' unit charges."""
+    """Green potential of nu at X, given the swept weights of its atoms' unit charges."""
     vals = potential_at(gk.spec, nu, X).astype(float)
-    swept = swept_potentials(gk.spec, comps, gk.region, X)
-    for weight, col in zip(nu.weights, swept.T):
+    cols = _node_weight_potentials(gk.spec, swept, gk.region, X)
+    for weight, col in zip(nu.weights, cols.T):
         vals -= weight * col
     return vals
 
 
 def _green_gram(
-    gk: GreenKernel, F: Region, comps: list[SweepResult] | None = None
+    gk: GreenKernel, F: Region, swept: list[np.ndarray] | None = None
 ) -> GramMatrix:
     """F's free-kernel Gram minus the symmetrized swept unit-charge potentials.
 
-    ``comps`` are the sweeps of the unit charges at F's nodes; they are
-    swept here when not given.  Raises NodesOutsideDomain unless every node
-    lies in the open domain.
+    ``swept`` are the swept weights of the unit charges at F's nodes; they
+    are swept here when not given.  Raises NodesOutsideDomain unless every
+    node lies in the open domain.
     """
     if bool(gk.region.contains(F.nodes).any()):
         raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
-    if comps is None:
-        comps = _pole_sweeps(gk, F.nodes)
+    if swept is None:
+        swept = _pole_sweeps(gk, F.nodes)
     kgram = F.gram(gk.spec)
-    C = swept_potentials(gk.spec, comps, gk.region, F.nodes)
+    C = _node_weight_potentials(gk.spec, swept, gk.region, F.nodes)
     return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
 
 
@@ -161,16 +164,16 @@ def verify_domination(
     the sweeps serve both the support and the probe potentials.
     """
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
-    mu_comps = _pole_sweeps(gk, mu.points)
+    mu_swept = _pole_sweeps(gk, mu.points)
     F = cloud_region(mu.points, gk.spec) if mu.n_points >= 2 else None
     if F is not None:
-        u_mu_self = _green_gram(gk, F, mu_comps).entries @ mu.weights
+        u_mu_self = _green_gram(gk, F, mu_swept).entries @ mu.weights
     else:
         u_mu_self = np.array([np.inf])
     if nu is not None:
         _require_in_domain(gk, nu.points, "the measure's atoms")
-        nu_comps = _pole_sweeps(gk, nu.points)
-        u_nu_self = _green_potential_values(gk, nu, nu_comps, mu.points)
+        nu_swept = _pole_sweeps(gk, nu.points)
+        u_nu_self = _green_potential_values(gk, nu, nu_swept, mu.points)
     else:
         u_nu_self = np.zeros(mu.n_points)
     pre_gap = float(np.max(u_mu_self - (c + u_nu_self)))
@@ -185,9 +188,9 @@ def verify_domination(
         dist, _ = F.nearest_node(probes)
         probes = probes[dist >= F.spacing()[1]]
     if len(probes):
-        u_mu = _green_potential_values(gk, mu, mu_comps, probes)
+        u_mu = _green_potential_values(gk, mu, mu_swept, probes)
         u_nu = (
-            _green_potential_values(gk, nu, nu_comps, probes)
+            _green_potential_values(gk, nu, nu_swept, probes)
             if nu is not None
             else np.zeros(len(probes))
         )

@@ -30,7 +30,7 @@ from .core import (
     _bbox_diameter,
     _require_distinct,
 )
-from .errors import IllConditioned, ProbeSamplingFailure
+from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -177,7 +177,7 @@ class Shape:
 
     def _require_dim3(self, spec: KernelSpec) -> None:
         if spec.dim != 3:
-            raise NotImplementedError(
+            raise DimensionMismatch(
                 "node generation for analytic shapes is implemented for dim=3; "
                 "use an explicit point cloud for other dimensions"
             )

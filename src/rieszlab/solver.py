@@ -112,13 +112,15 @@ def solve_nonneg_many(
     """Minimize w'Kw - 2 b'w over w >= 0 for every column b of ``B``.
 
     Uses block principal pivoting: the full free set is tried first, for
-    all columns in one solve through the cached Cholesky factor, so a
-    column whose unconstrained solution is already nonnegative costs
-    nothing more.  When blocks stop making progress the exchange degrades
-    to single least-index swaps, which terminates finitely.  Convergence
-    is declared when no free weight and no gradient entry of a zero weight
-    lies below ``-tol * max(|b|_inf, tiny)``.  Columns are solved in
-    order, and the list ends at the first one that does not converge.
+    all columns in one solve through the cached Cholesky factor.  One test
+    of that solve settles, in one iteration, every column whose
+    unconstrained solution is nonnegative to tolerance; only the other
+    columns enter the pivoting loop.  When blocks stop making progress the
+    exchange degrades to single least-index swaps, which terminates
+    finitely.  Convergence is declared when no free weight and no gradient
+    entry of a zero weight lies below ``-tol * max(|b|_inf, tiny)``.
+    Columns are solved in order, and the list ends at the first one that
+    does not converge.
     Raises ValueError unless ``tol`` is finite and positive, and
     IllConditioned if the Gram matrix fails its condition check.
     """
@@ -136,9 +138,17 @@ def solve_nonneg_many(
 
     gram.check_condition()
     W = gram.solve(B) if n > 1 else np.maximum(B / K[0, 0], 0.0)
+    # Every column's first pass at once: a column with no weight below
+    # -tol_eff converges on the full free set, as its pivoting loop would
+    # find in its first iteration (a loop allowed no iteration finds nothing).
+    pivots = (W < -tol_eff).any(axis=0) | (max_iter < 1)
     sols = []
     for j in range(k):
-        sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter)
+        if pivots[j]:
+            sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter)
+        else:
+            w = np.maximum(W[:, j], 0.0)
+            sol = QPSolution(w, 1, True, partial(_nonneg_diagnostics, K, B[:, j], w))
         sols.append(sol)
         if not sol.converged:
             break

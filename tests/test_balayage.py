@@ -92,6 +92,20 @@ def test_source_potentials_handle_node_coincidence(spec, ball500):
     assert np.isfinite(b).all()
 
 
+def test_batched_pole_on_a_node_takes_the_gram_diagonal(spec, ball500):
+    """Unit charges swept in one batch: each right-hand side is bitwise the
+    source potential of its own dirac, also for a pole exactly on a node."""
+    from rieszlab.balayage import _sweep_batch
+
+    poles = np.stack([2.0 * E1, ball500.nodes[7], np.array([0.0, -1.5, 1.5])])
+    B, sols = _sweep_batch(spec, ball500, poles, 1e-10)
+    assert B.shape == (ball500.n_nodes, 3) and len(sols) == 3
+    for y, col in zip(poles, B.T):
+        assert np.array_equal(col, source_potentials_on_nodes(spec, dirac(y), ball500))
+    assert B[7, 1] == ball500.gram(spec).entries[7, 7]
+    assert sols[1].weights[7] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_mass_energy_inequalities_random(spec, ball500):
     rng = np.random.default_rng(21)
     for _ in range(10):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rieszlab import build_region, cli
+from rieszlab import KernelSpec, build_region, cli
 from rieszlab.cli import BUILTIN_SCENARIOS, main
 
 BALL = {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -316,6 +316,10 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ({"name": 5}, "error: name must be a string"),
         ({"probes": {"n": -3}}, "error: probes 'n' must not be negative"),
         ({"probes": {"seed": -1}}, "error: probes 'seed' must not be negative"),
+        (
+            {"source": {"points": [[0, 0], [0, 0, 0.1]], "weights": [1.0, 1.0]}},
+            "error: measure 'points' must all have the same number of coordinates",
+        ),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
          "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
@@ -324,12 +328,32 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
          "radius-string", "n-fraction", "tol-bool", "probes-n-string", "seed-fraction",
          "signed-string", "points-entries", "weights-bool", "cloud-entries",
          "expected-mass-string", "expected-tol-string", "expected-tol-bool",
-         "expected-mass-null", "name-number", "probes-n-negative", "seed-negative"],
+         "expected-mass-null", "name-number", "probes-n-negative", "seed-negative",
+         "points-ragged"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))
     assert main(["run", path, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == message
+
+
+def test_analytic_shape_outside_three_dimensions_exits_1(tmp_path, capsys):
+    """Analytic shapes lay out nodes in R^3 only: a 4-d sphere is bad input,
+    reported on one error line, not a traceback."""
+    sphere = {"shape": "sphere", "center": [0, 0, 0, 0], "radius": 1.0, "n": 100}
+    doc = {"schema": 1, "name": "s4", "command": "equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 4}, "region": sphere}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "s4")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: node generation for analytic shapes is implemented for dim=3; "
+        "use an explicit point cloud for other dimensions"
+    )
+
+
+def test_empty_measure_takes_the_kernel_dimension():
+    empty = {"points": [], "weights": []}
+    assert cli._measure(empty, "source", KernelSpec(2.0, 4)).dim == 4
+    assert cli._measure(empty, "source", KernelSpec(2.0, 3)).dim == 3
 
 
 def test_shape_extent_is_unknown_key(tmp_path, capsys):

@@ -336,13 +336,13 @@ def test_domination_sweeps_each_measure_once(gk2000, monkeypatch):
     import rieszlab.green as green
 
     calls = []
-    batched = green.sweep_many
+    batched = green._sweep_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return batched(*args, **kwargs)
 
-    monkeypatch.setattr(green, "sweep_many", counting)
+    monkeypatch.setattr(green, "_sweep_batch", counting)
     rng = np.random.default_rng(37)
     nu = DiscreteMeasure(interior_points(rng, 5, r_max=0.6), rng.random(5) + 0.5)
     verify_domination(gk2000, nu.scaled(0.5), nu)

@@ -219,6 +219,36 @@ def test_nonneg_many_stops_at_first_unconverged_column(spec):
     assert [sol.converged for sol in sols] == [True, False]
 
 
+def test_nonneg_many_pivots_only_the_infeasible_columns(spec, monkeypatch):
+    """One test of the first solve settles the feasible columns; a pivoting
+    column between them takes the pivoting loop alone, and every column is
+    bitwise its one-column solve."""
+    rng = np.random.default_rng(19)
+    g = assemble_gram(spec, rng.normal(size=(30, 3)))
+    feasible = [g.entries @ (rng.random(30) + 0.1) for _ in range(2)]
+    B = np.stack([feasible[0], rng.normal(size=30), feasible[1]], axis=1)
+    pivoted = []
+    loop = solver._nonneg_block_pivot
+
+    def counting(*args):
+        pivoted.append(1)
+        return loop(*args)
+
+    monkeypatch.setattr(solver, "_nonneg_block_pivot", counting)
+    many = solve_nonneg_many(g, B)
+    assert pivoted == [1]
+    assert [sol.iterations for sol in many][::2] == [1, 1]
+    assert many[1].iterations > 1
+    for j, sol in enumerate(many):
+        one = solve_nonneg(g, B[:, j].copy())
+        assert np.array_equal(sol.weights, one.weights)
+        assert sol.iterations == one.iterations
+        assert sol.converged and one.converged
+        assert sol.kkt_residual == one.kkt_residual
+        assert sol.objective == one.objective
+    assert [sol.converged for sol in solve_nonneg_many(g, B, max_iter=1)] == [True, False]
+
+
 def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
     """Lazy objective and KKT residual equal the eager expressions, bit for bit."""
     from rieszlab.solver import _nonneg_kkt_residual, _objective
