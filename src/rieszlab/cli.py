@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -790,7 +791,9 @@ def _cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="rieszlab",
         description="Run potential-theory scenarios with deterministic outputs.",

@@ -385,6 +385,10 @@ class GramMatrix:
             self._chol = chol
         return self._chol
 
+    def release_factor(self) -> None:
+        """Free the cached factorization; ``cholesky`` recomputes the same one on demand."""
+        self._chol = None
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve K w = b using the cached factorization.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .balayage import _node_weight_potentials, _sweep_batch, sweep_signed
+from .balayage import _node_weight_potentials, _sweep_batch
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
 from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
@@ -98,6 +98,9 @@ def _green_gram(
     if swept is None:
         swept = _pole_sweeps(gk, F.nodes)
     kgram = F.gram(gk.spec)
+    # Only F's entries are read from here on; the factor its condition check
+    # cached is never solved with.
+    kgram.release_factor()
     C = _node_weight_potentials(gk.spec, swept, gk.region, F.nodes)
     return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
 
@@ -125,11 +128,20 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     if nu.n_points < 2:
         raise ValueError("energy decomposition needs at least two atoms")
     F = cloud_region(nu.points, gk.spec)
-    ggram = _green_gram(gk, F)
+    # One batch sweeps the unit charges at nu's atoms, for the Green Gram,
+    # and nu's positive and negative parts, for the swept energy.
+    signed_parts = ((nu.positive_part(), 1.0), (nu.negative_part(), -1.0))
+    parts = [(p, sign) for p, sign in signed_parts if p.n_points]
+    points = np.concatenate([nu.points, *(p.points for p, _ in parts)])
+    weights = [np.ones(1)] * nu.n_points + [p.weights for p, _ in parts]
+    sols = _sweep_batch(gk.spec, gk.region, points, gk.tol, weights)[1]
+    ggram = _green_gram(gk, F, [sol.weights for sol in sols[: nu.n_points]])
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
     e_free = float(nu.weights @ (F.gram(gk.spec).entries @ nu.weights))
 
-    v = sweep_signed(gk.spec, nu, gk.region, tol=gk.tol).weights
+    v = np.zeros(gk.region.n_nodes)
+    for (_, sign), sol in zip(parts, sols[nu.n_points:]):
+        v += sign * sol.weights
     region_gram = gk.region.gram(gk.spec)
     e_swept = float(v @ (region_gram.entries @ v))
 
@@ -160,19 +172,22 @@ def verify_domination(
     diagonal is regularized as in ``green_gram`` (a point atom's raw
     potential at itself is infinite); the conclusion is tested
     at probe points with relative slack ``tol``.  When the precondition
-    fails the check is vacuous.  Each measure's atoms are swept once, and
-    the sweeps serve both the support and the probe potentials.
+    fails the check is vacuous.  The atoms of both measures are swept in
+    one batch, and the sweeps serve both the support and the probe
+    potentials.
     """
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
-    mu_swept = _pole_sweeps(gk, mu.points)
+    if nu is not None:
+        _require_in_domain(gk, nu.points, "the measure's atoms")
+    poles = mu.points if nu is None else np.concatenate([mu.points, nu.points])
+    swept = _pole_sweeps(gk, poles)
+    mu_swept, nu_swept = swept[: mu.n_points], swept[mu.n_points:]
     F = cloud_region(mu.points, gk.spec) if mu.n_points >= 2 else None
     if F is not None:
         u_mu_self = _green_gram(gk, F, mu_swept).entries @ mu.weights
     else:
         u_mu_self = np.array([np.inf])
     if nu is not None:
-        _require_in_domain(gk, nu.points, "the measure's atoms")
-        nu_swept = _pole_sweeps(gk, nu.points)
         u_nu_self = _green_potential_values(gk, nu, nu_swept, mu.points)
     else:
         u_nu_self = np.zeros(mu.n_points)

@@ -54,6 +54,7 @@ SURFACE_TOL = 1e-9
 # the number of candidate batches drawn before giving up.
 PROBE_STANDOFF = 3.0
 PROBE_MAX_BATCHES = 500
+_NO_PROBES = "probe sampling failed to find enough points off A"
 
 
 def fibonacci_sphere(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -167,6 +168,13 @@ class Shape:
     def characteristic_scale(self) -> float:
         raise NotImplementedError
 
+    def domain_ball(self) -> tuple[np.ndarray, float] | None:
+        """(center, radius) of a ball containing the open domain D = complement of A.
+
+        None when D is unbounded, or when no bound is worked out for the shape.
+        """
+        return None
+
     def descriptor(self) -> dict:
         """The shape document; ``SHAPES[kind]`` called with its fields rebuilds the shape."""
         doc = {"shape": self.kind}
@@ -266,6 +274,9 @@ class BallComplement(_Round):
         for j in range(1, layers + 1):
             parts.append(fibonacci_sphere(n // 8, self.radius * growth**j, self.center))
         return np.concatenate(parts)
+
+    def domain_ball(self) -> tuple[np.ndarray, float]:
+        return self.center, self.radius
 
 
 class SphereShell(_Round):
@@ -468,11 +479,12 @@ class Region:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
             raise ValueError("region nodes must be a non-empty (n, dim) array")
-        if not bool(shape.contains(nodes).all()):
+        # A point cloud whose points are the nodes contains them and already
+        # holds their tree.
+        own = isinstance(shape, PointCloud) and np.array_equal(nodes, shape.points)
+        if not (own or bool(shape.contains(nodes).all())):
             raise ValueError("every region node must satisfy the membership predicate")
         nodes.setflags(write=False)
-        # A point cloud whose points are the nodes already holds their tree.
-        own = isinstance(shape, PointCloud) and np.array_equal(nodes, shape.points)
         tree = shape._tree if own else cKDTree(nodes)
         # A single node's nearest neighbor is at infinity.
         d_nn = tree.query(nodes, k=2)[0][:, 1]
@@ -595,7 +607,12 @@ def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndar
 
     Points keep a standoff of PROBE_STANDOFF mean node spacings from the
     discretization nodes so that potentials of node-supported measures are
-    meaningful there.  Deterministic for a fixed seed.
+    meaningful there.  Deterministic for a fixed seed.  When the shape
+    bounds D (``Shape.domain_ball``), a candidate farther from the draw
+    center than that ball reaches is dropped on its radius alone, before
+    it is built and tested: it lies in A, so the draw is unchanged.  If every
+    point of the ball lies within the standoff of one node, the draw fails
+    at once, as it would after its last batch.
     """
     if n <= 0:
         return np.empty((0, region.dim))
@@ -603,16 +620,30 @@ def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndar
     centroid = region.nodes.mean(axis=0)
     radius = float(np.linalg.norm(region.nodes - centroid, axis=1).max())
     standoff = PROBE_STANDOFF * region.spacing()[1]
+    reach = np.inf
+    ball = region.shape.domain_ball()
+    if ball is not None:
+        # A point of D lies within rho of the ball's center, so within rho + d
+        # of the node nearest that center (d its distance), and within
+        # rho + |center - centroid| of the draw center.  The factor 1 + 1e-6
+        # covers the rounding of the candidates and of their distances.
+        center, rho = ball
+        if (rho + float(region.nearest_node(center)[0][0])) * (1.0 + 1e-6) < standoff:
+            raise ProbeSamplingFailure(_NO_PROBES)
+        reach = (rho + float(np.linalg.norm(center - centroid))) * (1.0 + 1e-6)
     out: list[np.ndarray] = []
     count = 0
     dim = region.dim
     for _ in range(PROBE_MAX_BATCHES):
         dirs = rng.normal(size=(4 * n, dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radii = (2.2 * radius + 4.0 * standoff) * rng.random(4 * n) ** (1.0 / dim)
+        near = radii <= reach
+        # Every operation below is row by row, so dropping rows first
+        # leaves the bits of the others as they were.
+        dirs, radii = dirs[near], radii[near]
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         X = centroid + radii[:, None] * dirs
-        keep = ~region.contains(X)
-        X = X[keep]
+        X = X[~region.contains(X)]
         if len(X):
             d, _ = region.nearest_node(X)
             X = X[d >= standoff]
@@ -622,5 +653,5 @@ def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndar
         if count >= n:
             break
     if count < n:
-        raise ProbeSamplingFailure("probe sampling failed to find enough points off A")
+        raise ProbeSamplingFailure(_NO_PROBES)
     return np.concatenate(out)[:n]

@@ -599,3 +599,33 @@ def test_seed_override_reaches_samples_and_probes(tmp_path, monkeypatch):
     args = ["run", write_scenario(tmp_path, doc), "--seed", "6", "--out", str(tmp_path / "e")]
     assert main(args) == 0
     assert json.loads((tmp_path / "e.result.json").read_text())["probe_seed"] == 6
+
+
+def test_parser_is_shared_but_each_call_gets_its_own_options(tmp_path, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    load = cli._load
+
+    def spy(args):
+        seen.append((args.seed, args.tol_override, getattr(args, "n", None)))
+        return load(args)
+
+    monkeypatch.setattr(cli, "_load", spy)
+    doc = {"schema": 1, "name": "eq", "command": "equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3},
+           "region": dict(COMPLEMENT, shape="sphere", n=100), "probes": {"n": 10, "seed": 3}}
+    path = write_scenario(tmp_path, doc)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", path, "--seed", "6", "--tol-override", "tol=1e-8", "--out", str(first)]) == 0
+    assert main(["run", path, "--out", str(second)]) == 0
+    assert seen == [(6, ["tol=1e-8"], None), (None, None, None)]
+    assert json.loads((tmp_path / "first.result.json").read_text())["probe_seed"] == 6
+    assert json.loads((tmp_path / "second.result.json").read_text())["probe_seed"] == 3
+
+    seen.clear()
+    assert main(["refine", path, "--n", "100", "120", "--out", str(tmp_path / "r1")]) == 0
+    assert main(["refine", path, "--n", "110", "--out", str(tmp_path / "r2")]) == 0
+    assert main(["refine", path]) == 1
+    assert [s[2] for s in seen] == [[100, 120], [110], []]
+    runs = json.loads((tmp_path / "r2.result.json").read_text())["runs"]
+    assert [r["n"] for r in runs] == [110]

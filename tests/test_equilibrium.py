@@ -145,3 +145,20 @@ def test_green_kernel_requires_complement_domain(spec, ball500):
     outside = np.array([[3.0, 0.0, 0.0]])
     assert gk.domain_contains(inside)[0]
     assert not gk.domain_contains(outside)[0]
+
+
+def test_green_equilibrium_releases_the_free_factor(spec, gk2000):
+    """The free Gram keeps its entries but not its factor, which a later
+    sweep onto the same region recomputes bit for bit."""
+    f = rl.sphere_region(ORIGIN, 0.5, 200, spec)
+    K = f.gram(spec)
+    entries, factor = K.entries.copy(), K.cholesky()[0].copy()
+    green_equilibrium(gk2000, f)
+    assert f.gram(spec) is K
+    assert K._chol is None
+    assert np.array_equal(K.entries, entries)
+    (swept,) = rl.sweep_many(spec, [rl.dirac(ORIGIN)], f)
+    assert np.array_equal(K.cholesky()[0], factor)
+    fresh = rl.sphere_region(ORIGIN, 0.5, 200, spec)
+    (expected,) = rl.sweep_many(spec, [rl.dirac(ORIGIN)], fresh)
+    assert np.array_equal(swept.solution.weights, expected.solution.weights)

@@ -346,7 +346,8 @@ def test_domination_sweeps_each_measure_once(gk2000, monkeypatch):
     rng = np.random.default_rng(37)
     nu = DiscreteMeasure(interior_points(rng, 5, r_max=0.6), rng.random(5) + 0.5)
     verify_domination(gk2000, nu.scaled(0.5), nu)
-    assert len(calls) == 2
+    # Both measures' atoms share one batch.
+    assert len(calls) == 1
 
 
 def test_green_gram_leaves_solver_diagnostics_pending(gk2000, monkeypatch):
@@ -380,3 +381,38 @@ def test_green_gram_leaves_solver_diagnostics_pending(gk2000, monkeypatch):
     assert solutions[5].kkt_residual == first
     assert np.isfinite(solutions[5].objective)
     assert len(calls) == 1
+
+
+def _energy_decomposition_reference(gk, nu):
+    """The decomposition as computed with one sweep batch per quantity."""
+    from rieszlab.green import _green_gram
+
+    F = rl.cloud_region(nu.points, gk.spec)
+    ggram = _green_gram(gk, F)
+    e_green = float(nu.weights @ (ggram.entries @ nu.weights))
+    e_free = float(nu.weights @ (F.gram(gk.spec).entries @ nu.weights))
+    v = rl.sweep_signed(gk.spec, nu, gk.region, tol=gk.tol).weights
+    e_swept = float(v @ (gk.region.gram(gk.spec).entries @ v))
+    rhs = e_free - e_swept
+    gap = abs(e_green - rhs) / max(abs(e_green), abs(rhs), np.finfo(float).tiny)
+    return {
+        "green_energy": e_green,
+        "free_energy": e_free,
+        "swept_energy": e_swept,
+        "rel_gap": float(gap),
+    }
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("which", ["gk2000", "gk15_ball"])
+def test_energy_decomposition_equals_separate_sweeps(which, signed, request):
+    gk = request.getfixturevalue(which)
+    rng = np.random.default_rng(43)
+    r_min, r_max = (0.05, 0.7) if which == "gk2000" else (1.3, 2.5)
+    for k in (2, 5, 9):
+        points = interior_points(rng, k, r_max=r_max, r_min=r_min)
+        weights = rng.random(k) + 0.2
+        if signed:
+            weights[::2] *= -1.0
+        nu = DiscreteMeasure(points, weights, signed=signed)
+        assert verify_energy_decomposition(gk, nu) == _energy_decomposition_reference(gk, nu)

@@ -452,3 +452,109 @@ def test_characteristic_scales():
     assert Ball(ORIGIN, 2.5).characteristic_scale() == pytest.approx(2.5)
     assert SphereShell(ORIGIN, 0.5).characteristic_scale() == pytest.approx(0.5)
     assert HalfSpace([1.0, 0, 0], 3.0).characteristic_scale() > 0
+
+
+def _sample_points_off_reference(region, n, seed=regions.PROBE_SEED):
+    """The probe draw as written before candidates were dropped on their radius."""
+    if n <= 0:
+        return np.empty((0, region.dim))
+    rng = np.random.default_rng(seed)
+    centroid = region.nodes.mean(axis=0)
+    radius = float(np.linalg.norm(region.nodes - centroid, axis=1).max())
+    standoff = regions.PROBE_STANDOFF * region.spacing()[1]
+    out = []
+    count = 0
+    dim = region.dim
+    for _ in range(regions.PROBE_MAX_BATCHES):
+        dirs = rng.normal(size=(4 * n, dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        radii = (2.2 * radius + 4.0 * standoff) * rng.random(4 * n) ** (1.0 / dim)
+        X = centroid + radii[:, None] * dirs
+        keep = ~region.contains(X)
+        X = X[keep]
+        if len(X):
+            d, _ = region.nearest_node(X)
+            X = X[d >= standoff]
+        if len(X):
+            out.append(X)
+            count += len(X)
+        if count >= n:
+            break
+    if count < n:
+        raise rl.ProbeSamplingFailure("probe sampling failed to find enough points off A")
+    return np.concatenate(out)[:n]
+
+
+def _probe_case_region(case, spec):
+    if case.startswith("complement-"):
+        return build_region(BallComplement(ORIGIN, 1.0), int(case.split("-")[1]), spec)
+    if case == "offset-complement":
+        # Nodes on one cap of the sphere: the node centroid is far from the
+        # ball's center, so the bound reaches past the ball's own radius.
+        center = np.array([0.5, -1.0, 2.0])
+        sphere = fibonacci_sphere(600, 1.5)
+        return Region(BallComplement(center, 1.5), center + sphere[sphere[:, 2] > 0.2])
+    if case == "far-node-complement":
+        # Three mean spacings exceed the hole's radius, yet every point of
+        # the hole keeps them from the nodes, which lie far out in A.
+        return Region(BallComplement(ORIGIN, 1.0), fibonacci_sphere(300, 2.5))
+    if case == "ball":
+        return build_region(Ball(ORIGIN, 1.0), 300, spec)
+    if case == "half-space":
+        return build_region(HalfSpace([0.0, 0.0, 1.0], 0.5), 300, spec)
+    return rl.cloud_region(np.random.default_rng(3).normal(size=(60, 3)), spec)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "complement-150",
+        "complement-220",
+        "complement-500",
+        "complement-2000",
+        "offset-complement",
+        "far-node-complement",
+        "ball",
+        "half-space",
+        "cloud",
+    ],
+)
+def test_sample_points_off_matches_the_unbounded_draw_bit_for_bit(case, alpha):
+    region = _probe_case_region(case, KernelSpec(alpha, 3))
+    for seed in (1, 5, regions.PROBE_SEED):
+        for n in (1, 40):
+            try:
+                expected = _sample_points_off_reference(region, n, seed)
+            except rl.ProbeSamplingFailure:
+                with pytest.raises(rl.ProbeSamplingFailure):
+                    sample_points_off(region, n, seed)
+            else:
+                assert np.array_equal(sample_points_off(region, n, seed), expected)
+
+
+@pytest.mark.parametrize("center, radius", [(ORIGIN, 1.0), ([0.5, -1.0, 2.0], 0.3)])
+def test_domain_ball_of_a_ball_complement_holds_every_point_off_it(center, radius):
+    shape = BallComplement(center, radius)
+    c, rho = shape.domain_ball()
+    box = np.random.default_rng(11).uniform(-3.0, 3.0, size=(200_000, 3))
+    X = np.asarray(center) + radius * box
+    off = X[~shape.contains(X)]
+    assert len(off) > 1000
+    assert (np.linalg.norm(off - c, axis=1) <= rho).all()
+
+
+_UNBOUNDED_DOMAINS = [s for s in _DOCUMENTED_SHAPES if s.kind != "ball-complement"]
+
+
+@pytest.mark.parametrize("shape", _UNBOUNDED_DOMAINS, ids=lambda s: s.kind)
+def test_domain_ball_is_none_where_the_domain_is_unbounded(shape):
+    assert shape.domain_ball() is None
+
+
+def test_cloud_region_still_rejects_nodes_off_the_cloud(spec):
+    points = np.random.default_rng(12).normal(size=(30, 3))
+    with pytest.raises(ValueError, match="membership"):
+        Region(PointCloud(points), np.concatenate([points[:10], [[9.0, 9.0, 9.0]]]))
+    with pytest.raises(ValueError, match="membership"):
+        Region(PointCloud(points[:10]), points)
