@@ -23,10 +23,8 @@ from .core import (
     dirac,
     potential_at,
 )
-from .equilibrium import riesz_equilibrium
 from .errors import DimensionMismatch, NodesOutsideDomain, PointOutsideDomain, SolverFailure
-from .kelvin import Inversion, invert_shape, kelvin_transform
-from .regions import PROBE_SEED, Region, build_region, sample_points_off
+from .regions import PROBE_SEED, Region, sample_points_off
 from .solver import QPSolution, solve_nonneg_many
 
 # Relative slack for the mass/energy monotonicity checks.
@@ -84,17 +82,6 @@ def _source_block(spec: KernelSpec, region: Region, points: np.ndarray) -> np.nd
     np.power(D, spec.exponent, out=D)
     np.copyto(D, region.gram(spec).entries.diagonal()[:, None], where=coincident)
     return D
-
-
-def source_potentials_on_nodes(
-    spec: KernelSpec, mu: DiscreteMeasure, region: Region
-) -> np.ndarray:
-    """Source potential evaluated at the region nodes, Gram-consistently.
-
-    An atom on a node contributes that node's Gram diagonal entry; this is
-    the right-hand side a sweep of ``mu`` solves with.
-    """
-    return np.ascontiguousarray(_source_block(spec, region, mu.points)) @ mu.weights
 
 
 def sweep(
@@ -181,8 +168,8 @@ def _sweep_batch(
         B = np.empty((region.n_nodes, len(weights)), order="F")
         start = 0
         for j, w in enumerate(weights):
-            # One GEMV over a C-ordered copy, as in source_potentials_on_nodes: the
-            # same bits as sweeping the source alone.
+            # One GEMV over a C-ordered copy of the source's own columns: the same
+            # bits whichever sources share the batch.
             B[:, j] = np.ascontiguousarray(block[:, start:start + len(w)]) @ w
             start += len(w)
     sols = solve_nonneg_many(region.gram(spec), B, tol=tol)
@@ -385,27 +372,3 @@ def _probe_gaps(spec, region, ref, parts, n_probes, probe_seed) -> dict:
         "mass_rel_gap": float(mass_gap),
         "n_probes": len(probes),
     }
-
-
-def sweep_dirac_by_inversion(
-    spec: KernelSpec,
-    point,
-    weight: float,
-    region: Region,
-    tol: float = 1e-10,
-) -> DiscreteMeasure:
-    """Sweep a point charge using inversion instead of a quadratic solve.
-
-    Inverting space about the charge location sends it to infinity; the
-    swept measure is then the image of the capacitary equilibrium measure
-    of the inverted region, transformed back.  Requires an analytic shape
-    whose inversion image is again in the catalog, and the charge strictly
-    off the region.
-    """
-    y = np.asarray(point, dtype=float)
-    if bool(region.contains(y[None, :])[0]):
-        raise ValueError("the charge must lie strictly off the target set")
-    shape_star = invert_shape(y, region.shape)
-    star = build_region(shape_star, region.n_nodes, spec)
-    eq = riesz_equilibrium(spec, star, tol=tol)
-    return kelvin_transform(Inversion(y), spec, eq.gamma).scaled(weight)

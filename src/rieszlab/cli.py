@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -22,11 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .balayage import (
-    sweep,
-    sweep_dirac_by_inversion,
-    verify_symmetry,
-)
+from .balayage import sweep, verify_symmetry
 from .core import (
     DiscreteMeasure,
     KernelSpec,
@@ -36,7 +33,7 @@ from .core import (
     potential_at,
     riesz_kernel,
 )
-from .equilibrium import green_equilibrium, riesz_equilibrium
+from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval
 from .kelvin import Inversion, verify_potential_covariance
@@ -208,10 +205,15 @@ def _jsonable(x):
     """Convert to plain JSON-safe types; non-finite floats become strings."""
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        # A list of exact ints, or of exact finite floats, is already plain JSON.
+        kinds = set(map(type, x))
+        if kinds <= {int} or (kinds == {float} and all(map(math.isfinite, x))):
+            return x
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
+        return _jsonable(x.tolist())
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
@@ -677,11 +679,17 @@ def _builtin_scenarios() -> list:
 BUILTIN_SCENARIOS = dict(_builtin_scenarios())
 
 
+def _reject_constant(name: str):
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``, which
+    Python accepts but JSON does not."""
+    raise SchemaError(f"scenario file is not valid JSON: {name} is not a JSON number")
+
+
 def load_scenario(ref: str) -> dict:
     path = Path(ref)
     if path.exists():
         try:
-            return json.loads(path.read_text())
+            return json.loads(path.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     if ref in BUILTIN_SCENARIOS:

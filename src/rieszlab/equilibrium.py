@@ -4,7 +4,9 @@ The capacitary measure of a node set solves Gauss's problem, minimize
 w'Kw - 2 1'w over w >= 0: by its KKT conditions the minimizer x* has
 potential at least 1 on the nodes and 1 on its support, and its mass 1'x*
 is the discrete capacity.  The same construction over a Green Gram matrix
-yields the capacity of a compact relative to an open domain.
+yields the capacity of a compact relative to an open domain, and over the
+image of a region under inversion about a point charge it yields, mapped
+back, the sweep of that charge.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ import numpy as np
 
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, potential_at
 from .errors import SolverFailure
-from .regions import PROBE_SEED, Region, sample_points_off
+from .green import GreenKernel, _green_gram
+from .kelvin import Inversion, invert_shape, kelvin_transform
+from .regions import PROBE_SEED, Region, build_region, sample_points_off
 from .solver import QPSolution, solve_nonneg
 
 TINY = np.finfo(float).tiny
@@ -94,24 +98,44 @@ def riesz_equilibrium(
     return replace(eq, probe_potential_max=probe_max, probe_seed=probe_seed)
 
 
-def green_equilibrium(gk, f_region: Region) -> EquilibriumResult:
+def sweep_dirac_by_inversion(
+    spec: KernelSpec,
+    point,
+    weight: float,
+    region: Region,
+    tol: float = 1e-10,
+) -> DiscreteMeasure:
+    """Sweep a point charge using inversion instead of a quadratic solve.
+
+    Inverting space about the charge location sends it to infinity; the
+    swept measure is then the image of the capacitary equilibrium measure
+    of the inverted region, transformed back.  Requires an analytic shape
+    whose inversion image is again in the catalog, and the charge strictly
+    off the region.
+    """
+    y = np.asarray(point, dtype=float)
+    if bool(region.contains(y[None, :])[0]):
+        raise ValueError("the charge must lie strictly off the target set")
+    shape_star = invert_shape(y, region.shape)
+    star = build_region(shape_star, region.n_nodes, spec)
+    eq = riesz_equilibrium(spec, star, tol=tol)
+    return kelvin_transform(Inversion(y), spec, eq.gamma).scaled(weight)
+
+
+def green_equilibrium(gk: GreenKernel, f_region: Region) -> EquilibriumResult:
     """Capacitary measure of a compact node set relative to a domain.
 
-    ``gk`` is a GreenKernel; the node set must lie strictly inside its
-    domain.  The Green Gram is the region's own free Gram, with its
-    regularization radii, minus the potentials of the nodes' swept unit
-    charges.  The kernel's tolerance serves both those sweeps and Gauss's
-    problem over the Green Gram, whose minimizer x* has mass 1'x*, the
-    relative (Green) capacity.
+    The node set must lie strictly inside the domain of ``gk``.  The Green
+    Gram is the region's own free Gram, with its regularization radii,
+    minus the potentials of the nodes' swept unit charges.  The kernel's
+    tolerance serves both those sweeps and Gauss's problem over the Green
+    Gram, whose minimizer x* has mass 1'x*, the relative (Green) capacity.
     """
-    # deferred: green depends on balayage
-    from .green import _green_gram
-
     return _equilibrium_from_gram(_green_gram(gk, f_region), gk.tol, "relative equilibrium solve")
 
 
 def verify_green_minimality(
-    gk,
+    gk: GreenKernel,
     f_region: Region,
     result: EquilibriumResult,
     n_competitors: int = 20,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import rieszlab as rl
 from rieszlab import (
@@ -16,7 +17,7 @@ from rieszlab import (
     verify_symmetry,
     verify_transitivity,
 )
-from rieszlab.balayage import source_potentials_on_nodes
+from rieszlab.balayage import _sweep_batch
 
 ORIGIN = np.zeros(3)
 E1 = np.array([1.0, 0.0, 0.0])
@@ -84,24 +85,34 @@ def test_sweep_deterministic(spec, ball500):
     assert np.array_equal(w1, w2)
 
 
+def _kernel_block(spec, region, points):
+    """Kernel between the region nodes (rows) and ``points`` (columns), with
+    an atom on a node taking that node's Gram diagonal entry."""
+    D = cdist(region.nodes, points)
+    on_node = D == 0.0
+    K = np.where(on_node, 1.0, D) ** spec.exponent
+    diagonal = np.broadcast_to(region.gram(spec).entries.diagonal()[:, None], K.shape)
+    K[on_node] = diagonal[on_node]
+    return K
+
+
 def test_source_potentials_handle_node_coincidence(spec, ball500):
     mu = DiscreteMeasure(ball500.nodes[[5]], [2.0])
-    b = source_potentials_on_nodes(spec, mu, ball500)
+    B, _ = _sweep_batch(spec, ball500, mu.points, 1e-10, [mu.weights])
+    b = B[:, 0]
     # at its own node the source contributes the regularized energy
     assert b[5] == pytest.approx(2.0 * ball500.reg_radius ** spec.exponent)
     assert np.isfinite(b).all()
+    assert np.array_equal(b, _kernel_block(spec, ball500, mu.points) @ mu.weights)
 
 
 def test_batched_pole_on_a_node_takes_the_gram_diagonal(spec, ball500):
     """Unit charges swept in one batch: each right-hand side is bitwise the
-    source potential of its own dirac, also for a pole exactly on a node."""
-    from rieszlab.balayage import _sweep_batch
-
+    kernel column of its pole, also for a pole exactly on a node."""
     poles = np.stack([2.0 * E1, ball500.nodes[7], np.array([0.0, -1.5, 1.5])])
     B, sols = _sweep_batch(spec, ball500, poles, 1e-10)
     assert B.shape == (ball500.n_nodes, 3) and len(sols) == 3
-    for y, col in zip(poles, B.T):
-        assert np.array_equal(col, source_potentials_on_nodes(spec, dirac(y), ball500))
+    assert np.array_equal(B, _kernel_block(spec, ball500, poles))
     assert B[7, 1] == ball500.gram(spec).entries[7, 7]
     assert sols[1].weights[7] == pytest.approx(1.0, rel=1e-9)
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from rieszlab import KernelSpec, build_region, cli
@@ -275,10 +276,13 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ),
         ({"tol": {}}, "error: tol must be a number"),
         ({"probes": {"n": [3]}}, "error: probes 'n' must be a number"),
-        ({"tol": float("nan")}, "error: tol must be finite and positive"),
+        ({"tol": float("nan")}, "error: scenario file is not valid JSON: NaN is not a JSON number"),
         ({"tol": -1.0}, "error: tol must be finite and positive"),
         ({"tol": 0.0}, "error: tol must be finite and positive"),
-        ({"tol_dom": float("nan")}, "error: tol_dom must be finite and nonnegative"),
+        (
+            {"tol_dom": float("nan")},
+            "error: scenario file is not valid JSON: NaN is not a JSON number",
+        ),
         ({"tol_dom": -0.5}, "error: tol_dom must be finite and nonnegative"),
         ({"kernel": {"alpha": "2", "dim": 3}}, "error: kernel 'alpha' must be a number"),
         ({"kernel": {"alpha": 2.0, "dim": True}}, "error: kernel 'dim' must be a number"),
@@ -475,6 +479,33 @@ def test_payload_layout(tmp_path, command):
     assert header == "name,value,expected,tol,passed"
 
 
+def test_dumps_deterministic_writes_plain_numbers_and_names_non_finite_ones():
+    """A list of plain finite numbers is written as it is; every other value,
+    a non-finite float, a bool or a numpy type among them, is converted."""
+    doc = {
+        "floats": [0.5, -1.25, 1e300],
+        "ints": [3, 0, -7],
+        "empty": [],
+        "nonfinite": [1.0, float("nan"), float("inf"), -float("inf")],
+        "bools": [True, False],
+        "mixed": [1, 2.5],
+        "tuple": (1.0, 2),
+        "array": np.array([[0.5, np.nan], [2.0, 3.0]]),
+        "int_array": np.arange(3),
+        "bool_array": np.array([True, False]),
+        "scalars": {"f": np.float64(0.1), "i": np.int64(4), "b": np.bool_(True), "inf": np.inf,
+                    5: None},
+        "rows": [{"name": "a", "value": [0.25]}],
+    }
+    assert cli.dumps_deterministic(doc) == (
+        '{"array":[[0.5,"nan"],[2.0,3.0]],"bool_array":[true,false],"bools":[true,false],'
+        '"empty":[],"floats":[0.5,-1.25,1e+300],"int_array":[0,1,2],"ints":[3,0,-7],'
+        '"mixed":[1,2.5],"nonfinite":[1.0,"nan","inf","-inf"],'
+        '"rows":[{"name":"a","value":[0.25]}],'
+        '"scalars":{"5":null,"b":true,"f":0.1,"i":4,"inf":"inf"},"tuple":[1.0,2]}'
+    )
+
+
 def test_identity_gap_uses_expected_value(tmp_path):
     doc = copy.deepcopy(BUILTIN_SCENARIOS["sweep-identity"][1])
     doc["expected"] = {"identity_gap": 0.5, "tol": 1e-6}
@@ -533,9 +564,19 @@ def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
         ("kelvin-check", {"measure": {"points": [[0.1, True, 0.3]], "weights": [1.0]}},
          "error: measure 'points' must be a list of lists of numbers"),
         ("verify-all", {"n": -300}, "error: n must not be negative"),
+        # Python's json module reads NaN, Infinity and -Infinity; JSON has no such numbers.
+        ("green-eval", {"x": [float("nan"), 0, 0]},
+         "error: scenario file is not valid JSON: NaN is not a JSON number"),
+        ("wiener", {"point": [float("inf"), 0, 0]},
+         "error: scenario file is not valid JSON: Infinity is not a JSON number"),
+        ("wiener", {"point": [-float("inf"), 0, 0]},
+         "error: scenario file is not valid JSON: -Infinity is not a JSON number"),
+        ("kelvin-check", {"expected": {"gap": float("nan")}},
+         "error: scenario file is not valid JSON: NaN is not a JSON number"),
     ],
     ids=["at_infinity-string", "classification-number", "thin-string", "strict_loss-string",
-         "samples-n-negative", "measure-entries", "verify-all-n-negative"],
+         "samples-n-negative", "measure-entries", "verify-all-n-negative", "x-nan",
+         "point-infinity", "point-minus-infinity", "expected-gap-nan"],
 )
 def test_bad_field_of_command_exits_1(tmp_path, capsys, command, fields, message):
     doc = {"schema": 1, "name": command, "command": command,

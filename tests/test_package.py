@@ -88,6 +88,45 @@ def test_every_private_name_is_referenced():
     assert unused == []
 
 
+# The package's layers, lowest first, in the order the paper builds them:
+# Green potential theory and the Green equilibrium rest on balayage.  A
+# module imports only modules of a lower rank; kelvin and solver share one.
+LAYERS = [
+    ["errors"],
+    ["core"],
+    ["regions"],
+    ["kelvin", "solver"],
+    ["balayage"],
+    ["green"],
+    ["equilibrium"],
+    ["thinness"],
+    ["cli"],
+    ["__init__"],
+]
+
+
+def test_modules_import_only_lower_layers():
+    """Every relative import names a module of a lower layer and sits at
+    module level.  Importing one module in a fresh interpreter cannot show a
+    cycle, because the package's ``__init__`` loads every module first."""
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    assert sorted(rank) == sorted(path.stem for path in SRC.glob("*.py"))
+    upward, deferred = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top_level = set(tree.body)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            upward += [
+                f"{path.stem} -> {t}" for t in targets if rank[t] >= rank[path.stem]
+            ]
+            if node not in top_level:
+                deferred.append(f"{path.name}:{node.lineno}")
+    assert (upward, deferred) == ([], [])
+
+
 def test_only_core_and_regions_build_kd_trees():
     """Node-set geometry stays behind core and regions: no other module
     imports cKDTree."""
