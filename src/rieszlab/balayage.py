@@ -229,11 +229,12 @@ def _sweep_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> Sw
     # bound comes from Cauchy-Schwarz on the combined node set, which only
     # holds under one consistent regularization.  An atom on a node takes
     # that node's self-term, as in the source potentials; the others take
-    # the nominal radius.  The atoms were checked distinct when mu was built.
-    K_in = _assemble_distinct(spec, mu.points, gram.reg_radius).entries.copy()
+    # the smallest one, that of the largest radius.  The atoms were checked
+    # distinct when mu was built.
+    diag = gram.entries.diagonal()
     dist, nearest = region.nearest_node(mu.points)
-    hit = np.flatnonzero(dist <= region.h_min)
-    K_in[hit, hit] = gram.entries.diagonal()[nearest[hit]]
+    self_terms = np.where(dist <= region.h_min, diag[nearest], diag.min())
+    K_in = _assemble_distinct(spec, mu.points, self_terms).entries
     energy_in = float(mu.weights @ (K_in @ mu.weights))
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 

@@ -685,11 +685,36 @@ def _reject_constant(name: str):
     raise SchemaError(f"scenario file is not valid JSON: {name} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    """``json.loads`` hook for number literals with a fraction or an exponent:
+    one beyond the float range, such as ``1e999``, would read as infinity."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise SchemaError(f"scenario number {literal} is beyond the float range")
+    return value
+
+
+def _float_range_int(literal: str) -> int:
+    """``json.loads`` hook for integer literals: one beyond the float range
+    would overflow where a reader converts it to a float."""
+    value = int(literal)
+    try:
+        float(value)
+    except OverflowError:
+        raise SchemaError(f"scenario number {literal} is beyond the float range") from None
+    return value
+
+
 def load_scenario(ref: str) -> dict:
     path = Path(ref)
     if path.exists():
         try:
-            return json.loads(path.read_text(), parse_constant=_reject_constant)
+            return json.loads(
+                path.read_text(),
+                parse_float=_finite_float,
+                parse_int=_float_range_int,
+                parse_constant=_reject_constant,
+            )
         except json.JSONDecodeError as exc:
             raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     if ref in BUILTIN_SCENARIOS:

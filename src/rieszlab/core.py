@@ -16,7 +16,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, IndeterminateValue
+from .errors import DimensionMismatch, IllConditioned, IndeterminateValue
 
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
@@ -114,8 +114,8 @@ class DiscreteMeasure:
         """Measure on points already known to be pairwise distinct.
 
         Skips only the distinctness query; the shape, finiteness and sign
-        checks still run.  For subsets of a node set that a Region or
-        ``assemble_gram`` has accepted, or of a measure's own support.
+        checks still run.  For subsets of a node set that a Region has
+        accepted, or of a measure's own support.
         """
         mu = cls.__new__(cls)
         mu._build(points, weights, signed, check_distinct=False)
@@ -330,12 +330,11 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
 class GramMatrix:
     """Regularized pairwise-energy matrix over a node set.
 
-    Off-diagonal entries are exact kernel values; diagonal entry i is
-    h_i^(alpha - n) for the regularization radius h_i of node i (a point
-    mass has infinite self-energy, so h_i stands in for the local smoothing
-    scale).  ``reg_radius`` is the nominal scalar radius.  The Cholesky
-    factorization is computed lazily and cached; the matrix itself is
-    immutable.
+    Off-diagonal entries are exact kernel values.  Diagonal entry i is node
+    i's regularized self-interaction: a point mass has infinite
+    self-energy, so ``Region.gram``, which owns the rule, puts a finite
+    stand-in there.  The Cholesky factorization is computed lazily and
+    cached; the matrix itself is immutable.
 
     The entries must be exactly symmetric, bit for bit: the factor reads
     one triangle only, through the transpose, which is the Fortran-ordered
@@ -344,13 +343,13 @@ class GramMatrix:
     ``Region.gram``) and the Green Gram K - (C + C^T)/2 all keep it.
     """
 
-    __slots__ = ("nodes", "entries", "reg_radius", "_chol")
+    __slots__ = ("nodes", "entries", "_chol")
 
     # Pivot ratio (see condition_estimate) above which Cholesky pivots are
     # no longer trusted.
     CONDITION_LIMIT = 1e14
 
-    def __init__(self, nodes: np.ndarray, entries: np.ndarray, reg_radius: float):
+    def __init__(self, nodes: np.ndarray, entries: np.ndarray):
         nodes = np.asarray(nodes, dtype=float)
         entries = np.asarray(entries, dtype=float)
         if entries.shape != (len(nodes), len(nodes)):
@@ -359,7 +358,6 @@ class GramMatrix:
         entries.setflags(write=False)
         self.nodes = nodes
         self.entries = entries
-        self.reg_radius = float(reg_radius)
         self._chol = None
 
     @property
@@ -423,67 +421,17 @@ class GramMatrix:
             )
 
 
-def assemble_gram(
-    spec: KernelSpec, nodes, reg_radius: float | np.ndarray | None = None
-) -> GramMatrix:
-    """Assemble the regularized kernel matrix over a node set.
+def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMatrix:
+    """Gram matrix over a float (n, dim) array of pairwise-distinct nodes.
 
-    Parameters
-    ----------
-    spec : KernelSpec
-    nodes : array_like, shape (n, dim)
-        Pairwise-distinct nodes (beyond h_min = 1e-9 x bounding-box diameter).
-    reg_radius : float or array_like of shape (n,), optional
-        Diagonal regularization radius h, or one radius h_i per node.
-        Defaults to half the minimum nearest-neighbor spacing of the node
-        set.  The nominal radius of a per-node array is its largest entry.
-
-    Raises
-    ------
-    DegenerateNodes
-        If two nodes are closer than h_min.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 2 or len(nodes) == 0:
-        raise ValueError("nodes must be a non-empty (n, dim) array")
-    if len(nodes) >= 2:
-        d_nn = cKDTree(nodes).query(nodes, k=2)[0][:, 1]
-        _require_distinct(nodes, d_nn)
-        if reg_radius is None:
-            reg_radius = 0.5 * float(d_nn.min())
-    elif reg_radius is None:
-        raise ValueError("reg_radius is required for a single-node Gram matrix")
-    return _assemble_distinct(spec, nodes, reg_radius)
-
-
-def _require_distinct(nodes: np.ndarray, d_nn: np.ndarray) -> float:
-    """h_min of a node set with nearest-neighbor distances ``d_nn``.
-
-    Raises DegenerateNodes if two nodes are closer than h_min = H_MIN_FACTOR
-    x the bounding-box diameter.
-    """
-    h_min = H_MIN_FACTOR * _bbox_diameter(nodes)
-    min_nn = float(d_nn.min())
-    if min_nn <= 0.0 or min_nn < h_min:
-        raise DegenerateNodes(f"two nodes closer than h_min={h_min:g} (min spacing {min_nn:g})")
-    return h_min
-
-
-def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, reg_radius) -> GramMatrix:
-    """``assemble_gram`` over a float (n, dim) array of nodes known to be distinct.
-
-    Skips only the distinctness query; the dimension and radius checks still
-    run.  For node sets whose coincidence check has already run, as in Region.
+    Off-diagonal entries are the kernel values; ``diagonal`` holds the
+    self-interactions, one scalar for every node or one entry per node, and
+    is written as given.  Only the dimension is checked: the nodes and the
+    self-interactions come from a Region, which owns both rules.
     """
     if nodes.shape[1] != spec.dim:
         raise DimensionMismatch(f"nodes must have dimension {spec.dim}")
     n = len(nodes)
-    radii = np.asarray(reg_radius, dtype=float)
-    if radii.ndim and radii.shape != (n,):
-        raise ValueError("per-node reg_radius must have one entry per node")
-    if not np.all(radii > 0.0):
-        raise ValueError("reg_radius must be positive")
-    h = float(radii.max())
     # One triangle is computed, block row by block row, and mirrored: the
     # distance of (a, b) and of (b, a) are the same float, so every entry is
     # the one-shot cdist-and-power value and the matrix is exactly symmetric.
@@ -495,8 +443,8 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, reg_radius) -> GramM
         np.power(block, spec.exponent, out=block)
         D[i:j, i:] = block
         D[j:, i:j] = block[:, j - i:].T
-    np.fill_diagonal(D, h ** spec.exponent if radii.ndim == 0 else radii ** spec.exponent)
-    return GramMatrix(nodes, D, h)
+    np.fill_diagonal(D, diagonal)
+    return GramMatrix(nodes, D)
 
 
 def energy(gram: GramMatrix, mu_weights, nu_weights) -> float:

@@ -102,7 +102,7 @@ def _green_gram(
     # cached is never solved with.
     kgram.release_factor()
     C = _node_weight_potentials(gk.spec, swept, gk.region, F.nodes)
-    return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T), kgram.reg_radius)
+    return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T))
 
 
 def green_gram(gk: GreenKernel, nodes) -> GramMatrix:

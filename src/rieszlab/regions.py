@@ -28,9 +28,8 @@ from .core import (
     _as_points,
     _assemble_distinct,
     _bbox_diameter,
-    _require_distinct,
 )
-from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure
+from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -461,21 +460,26 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
 
 
 class Region:
-    """A closed set A with its discretization and Gram regularization radius.
+    """A closed set A with its discretization and the rule for its Gram diagonal.
 
     The constructor works out the geometry of the node set once.  It builds
     one KD-tree over the nodes, or takes the one a PointCloud shape holds
-    over the same points, and keeps each node's nearest-neighbor
-    distance; ``spacing``, the capped radii of ``gram`` and probe sampling
-    read them, and ``nearest_node`` queries the tree.  Two nodes closer than ``h_min`` (H_MIN_FACTOR x the
-    bounding-box diameter) raise DegenerateNodes.  ``reg_radius`` defaults
-    to REGION_REG_FACTOR x the mean nearest-neighbor spacing; a single node
-    needs it given.
+    over the same points, and keeps each node's nearest-neighbor distance;
+    ``spacing``, the capped radii of ``gram`` and probe sampling read them,
+    and ``nearest_node`` queries the tree.  Two nodes closer than ``h_min``
+    (H_MIN_FACTOR x the bounding-box diameter) raise DegenerateNodes.
+
+    ``reg_radius`` defaults to REGION_REG_FACTOR x the mean nearest-neighbor
+    spacing; a single node needs it given, and a given one must be finite
+    and positive.  ``gram`` is the one place where a radius becomes a
+    diagonal entry; everything else reads the Gram's diagonal.
     """
 
     __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
 
     def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius: float | None = None):
+        if reg_radius is not None and not (math.isfinite(reg_radius) and reg_radius > 0.0):
+            raise ValueError(f"reg_radius must be finite and positive, got {reg_radius!r}")
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
             raise ValueError("region nodes must be a non-empty (n, dim) array")
@@ -489,15 +493,19 @@ class Region:
         # A single node's nearest neighbor is at infinity.
         d_nn = tree.query(nodes, k=2)[0][:, 1]
         # Nodes closer than h_min count as coincident; 0 for a single node.
-        self.h_min = _require_distinct(nodes, d_nn)
+        h_min = H_MIN_FACTOR * _bbox_diameter(nodes)
+        min_nn = float(d_nn.min())
+        if min_nn <= 0.0 or min_nn < h_min:
+            raise DegenerateNodes(f"two nodes closer than h_min={h_min:g} (min spacing {min_nn:g})")
         if len(nodes) >= 2:
-            spacing = (float(d_nn.min()), float(d_nn.mean()))
+            spacing = (min_nn, float(d_nn.mean()))
         elif reg_radius is None:
             raise ValueError("reg_radius is required for single-node regions")
         else:
             spacing = (float(reg_radius), float(reg_radius))
         self.shape = shape
         self.nodes = nodes
+        self.h_min = h_min
         self.reg_radius = float(REGION_REG_FACTOR * spacing[1] if reg_radius is None else reg_radius)
         self._tree = tree
         self._d_nn = d_nn
@@ -529,8 +537,9 @@ class Region:
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes that passes GramMatrix.check_condition.
 
-        Cached per kernel.  Every diagonal entry uses the region's radius h
-        when that Gram passes the check.  Otherwise node i gets the radius
+        Cached per kernel.  Diagonal entry i is node i's self-interaction
+        h_i^(alpha - n).  Every node takes the region's radius h when that
+        Gram passes the check.  Otherwise node i gets the radius
         h_i = min(h, d_i / 2), where d_i is its nearest-neighbor distance, so
         the balls B(x_i, h_i) are disjoint.  For alpha = 2 the capped matrix
         is then the Gram of uniform spherical shells on those balls (Newton's
@@ -540,7 +549,9 @@ class Region:
         key = (spec.alpha, spec.dim)
         g = self._grams.get(key)
         if g is None:
-            g = _assemble_distinct(spec, self.nodes, self.reg_radius)
+            # One Python float power for the uniform entry: numpy's array power
+            # differs from it in the last bit for some radii.
+            g = _assemble_distinct(spec, self.nodes, self.reg_radius ** spec.exponent)
             try:
                 g.check_condition()
             except IllConditioned:
@@ -548,7 +559,7 @@ class Region:
                 radii = np.minimum(self.reg_radius, 0.5 * self._d_nn)
                 entries = g.entries.copy()
                 np.fill_diagonal(entries, radii ** spec.exponent)
-                g = GramMatrix(self.nodes, entries, float(radii.max()))
+                g = GramMatrix(self.nodes, entries)
                 g.check_condition()
             self._grams[key] = g
         return g

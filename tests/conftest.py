@@ -9,10 +9,22 @@ one Gram matrix through reinterpret_region.
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import rieszlab as rl
+from rieszlab.core import _assemble_distinct
 
 ORIGIN = np.zeros(3)
+
+
+def gram_over(spec, nodes, radius=None):
+    """Gram over distinct nodes whose every diagonal entry is the Python float
+    radius ** exponent; the radius defaults to half the minimum
+    nearest-neighbor spacing.  A fixed test matrix, not a Region's rule."""
+    nodes = np.asarray(nodes, dtype=float)
+    if radius is None:
+        radius = 0.5 * float(cKDTree(nodes).query(nodes, k=2)[0][:, 1].min())
+    return _assemble_distinct(spec, nodes, radius ** spec.exponent)
 
 
 @pytest.fixture(scope="session")

@@ -320,6 +320,25 @@ def test_measure_on_capped_nodes_is_a_fixed_point():
     assert res.checks.energy_out == pytest.approx(res.checks.energy_in, rel=1e-12)
 
 
+def test_source_energy_takes_the_node_entry_on_a_node_and_the_smallest_entry_off_them():
+    """The source energy is w^T K w over the source atoms, where an atom on a
+    capped node takes that node's diagonal entry and an atom off the nodes
+    the smallest entry, that of the largest radius; bit for bit."""
+    spec15 = rl.KernelSpec(1.5, 3)
+    region = rl.ball_complement_region(ORIGIN, 1.0, 250, spec15)
+    diag = region.gram(spec15).entries.diagonal()
+    i = int(np.flatnonzero(diag > region.reg_radius ** spec15.exponent)[0])
+    points = np.array([region.nodes[i], [0.1, 0.2, -0.3]])
+    mu = DiscreteMeasure(points, [0.4, 0.6])
+    res = sweep(spec15, mu, region, n_probes=0)
+    K = cdist(points, points)
+    np.fill_diagonal(K, 1.0)
+    K **= spec15.exponent
+    np.fill_diagonal(K, [diag[i], diag.min()])
+    assert diag[i] > diag.min()
+    assert res.checks.energy_in == float(mu.weights @ (K @ mu.weights))
+
+
 def test_sweep_many_builds_no_kd_tree(spec, ball500, monkeypatch):
     """Swept measures live on region nodes, which are distinct by
     construction, so building them queries no KD-tree; they still equal

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -573,15 +574,30 @@ def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
          "error: scenario file is not valid JSON: -Infinity is not a JSON number"),
         ("kelvin-check", {"expected": {"gap": float("nan")}},
          "error: scenario file is not valid JSON: NaN is not a JSON number"),
+        # Literals beyond the float range, which json.dumps cannot write: the
+        # string "raw:<literal>" is written as the bare literal.
+        ("wiener", {"point": ["raw:1e999", 0, 0]},
+         "error: scenario number 1e999 is beyond the float range"),
+        ("wiener", {"point": ["raw:-1e999", 0, 0]},
+         "error: scenario number -1e999 is beyond the float range"),
+        ("wiener", {"region": dict(BALL, radius="raw:1e999")},
+         "error: scenario number 1e999 is beyond the float range"),
+        ("wiener", {"point": ["raw:" + "9" * 400, 0, 0]},
+         f"error: scenario number {'9' * 400} is beyond the float range"),
+        ("wiener", {"k_max": "raw:" + "9" * 400},
+         f"error: scenario number {'9' * 400} is beyond the float range"),
     ],
     ids=["at_infinity-string", "classification-number", "thin-string", "strict_loss-string",
          "samples-n-negative", "measure-entries", "verify-all-n-negative", "x-nan",
-         "point-infinity", "point-minus-infinity", "expected-gap-nan"],
+         "point-infinity", "point-minus-infinity", "expected-gap-nan", "point-1e999",
+         "point-minus-1e999", "radius-1e999", "point-400-digits", "k_max-400-digits"],
 )
 def test_bad_field_of_command_exits_1(tmp_path, capsys, command, fields, message):
     doc = {"schema": 1, "name": command, "command": command,
            "kernel": {"alpha": 2.0, "dim": 3}, **_PAYLOAD_LAYOUTS[command][0], **fields}
-    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x")]) == 1
+    path = tmp_path / "scen.json"
+    path.write_text(re.sub(r'"raw:([^"]*)"', r"\1", json.dumps(doc)))
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == message
     assert list(tmp_path.glob("x.*")) == []
 

@@ -14,7 +14,6 @@ from rieszlab import (
     IllConditioned,
     IndeterminateValue,
     KernelSpec,
-    assemble_gram,
     cross_energy,
     dirac,
     energy,
@@ -22,6 +21,9 @@ from rieszlab import (
     potential_at,
     riesz_kernel,
 )
+from rieszlab.core import _assemble_distinct
+
+from conftest import gram_over
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -212,37 +214,28 @@ def test_sphere_potential_oracle(spec):
 
 
 def test_gram_two_node_example(spec):
-    g = assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=0.1)
+    g = gram_over(spec, [[0, 0, 0], [1, 0, 0]], radius=0.1)
     assert np.allclose(g.entries, [[10.0, 1.0], [1.0, 10.0]])
 
 
 def test_gram_per_node_radii(spec):
-    g = assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=[0.1, 0.25])
+    """One self-interaction per node, written as given."""
+    radii = np.array([0.1, 0.25])
+    g = _assemble_distinct(spec, np.array([[0.0, 0, 0], [1, 0, 0]]), radii ** spec.exponent)
     assert np.allclose(g.entries, [[10.0, 1.0], [1.0, 4.0]])
-    assert g.reg_radius == 0.25  # nominal: the largest radius
-    for bad in ([0.1], [0.1, 0.0], [0.1, np.nan]):
-        with pytest.raises(ValueError):
-            assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=bad)
 
 
 def test_gram_single_node():
     s = KernelSpec(1.0, 3)
-    g = assemble_gram(s, [[0.0, 0.0, 0.0]], reg_radius=0.5)
+    g = rl.cloud_region([[0.0, 0.0, 0.0]], s, reg_radius=0.5).gram(s)
     assert g.entries.shape == (1, 1)
     assert g.entries[0, 0] == pytest.approx(0.5 ** (1.0 - 3.0))
-
-
-def test_gram_default_regularization(spec):
-    # half the minimum nearest-neighbor spacing
-    g = assemble_gram(spec, [[0, 0, 0], [1, 0, 0], [4, 0, 0]])
-    assert g.reg_radius == pytest.approx(0.5)
-    assert g.entries[0, 0] == pytest.approx(2.0)
 
 
 def test_gram_symmetric_and_positive_definite(spec):
     rng = np.random.default_rng(11)
     nodes = rng.normal(size=(60, 3)) * 3.0
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     assert np.max(np.abs(g.entries - g.entries.T)) == 0.0
     for _ in range(50):
         w = rng.normal(size=60)
@@ -251,13 +244,13 @@ def test_gram_symmetric_and_positive_definite(spec):
 
 def test_gram_rejects_coincident_nodes(spec):
     with pytest.raises(DegenerateNodes):
-        assemble_gram(spec, [[0, 0, 0], [0, 0, 1e-15], [1, 0, 0]])
+        rl.cloud_region([[0, 0, 0], [0, 0, 1e-15], [1, 0, 0]], spec)
 
 
 def test_gram_solve_and_condition(spec):
     rng = np.random.default_rng(2)
     nodes = rng.normal(size=(30, 3)) * 2.0
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     b = rng.random(30)
     x = g.solve(b)
     assert np.allclose(g.entries @ x, b, rtol=1e-8, atol=1e-10)
@@ -265,7 +258,7 @@ def test_gram_solve_and_condition(spec):
 
 
 def test_gram_solve_rejects_non_finite_rhs(spec):
-    g = assemble_gram(spec, np.random.default_rng(3).normal(size=(10, 3)))
+    g = gram_over(spec, np.random.default_rng(3).normal(size=(10, 3)))
     b = np.ones(10)
     b[4] = np.nan
     with pytest.raises(ValueError):
@@ -273,7 +266,7 @@ def test_gram_solve_rejects_non_finite_rhs(spec):
 
 
 def test_energy_quadratic_form(spec):
-    g = assemble_gram(spec, [[0, 0, 0], [1, 0, 0]], reg_radius=0.1)
+    g = gram_over(spec, [[0, 0, 0], [1, 0, 0]], radius=0.1)
     w = np.array([1.0, 2.0])
     assert energy(g, w, w) == pytest.approx(10 + 4 + 40)
     assert energy(g, w, np.array([1.0, 0.0])) == pytest.approx(12.0)
@@ -281,17 +274,15 @@ def test_energy_quadratic_form(spec):
 
 def test_gram_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
-        GramMatrix(np.zeros((2, 3)), np.zeros((3, 3)), 0.1)
+        GramMatrix(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
-def _one_shot_gram_entries(spec, nodes, reg_radius):
+def _one_shot_gram_entries(spec, nodes, diagonal):
     """Reference assembly: cdist and power over the whole matrix at once."""
-    radii = np.asarray(reg_radius, dtype=float)
     D = cdist(nodes, nodes)
     np.fill_diagonal(D, 1.0)
     np.power(D, spec.exponent, out=D)
-    h = float(radii.max())
-    np.fill_diagonal(D, h ** spec.exponent if radii.ndim == 0 else radii ** spec.exponent)
+    np.fill_diagonal(D, diagonal)
     return D
 
 
@@ -303,9 +294,9 @@ def test_blocked_assembly_equals_one_shot_reference(alpha, n):
     rng = np.random.default_rng(n)
     nodes = rng.normal(size=(n, 3))
     radii = 0.01 + 0.02 * rng.random(n)
-    for reg_radius in (0.01, radii):
-        g = assemble_gram(spec, nodes, reg_radius=reg_radius)
-        assert np.array_equal(g.entries, _one_shot_gram_entries(spec, nodes, reg_radius))
+    for diagonal in (0.01 ** spec.exponent, radii ** spec.exponent):
+        g = _assemble_distinct(spec, nodes, diagonal)
+        assert np.array_equal(g.entries, _one_shot_gram_entries(spec, nodes, diagonal))
         assert np.array_equal(g.entries, g.entries.T)
 
 
@@ -329,12 +320,12 @@ def test_factor_lower_triangle_equals_cho_factor_of_the_entries(spec, ball500, g
 def test_non_finite_gram_entries_raise_ill_conditioned(spec, value, where):
     """A non-finite entry reaches the factor's diagonal or breaks positive
     definiteness; either way every solve path raises IllConditioned."""
-    base = assemble_gram(spec, np.random.default_rng(3).normal(size=(30, 3)))
+    base = gram_over(spec, np.random.default_rng(3).normal(size=(30, 3)))
     entries = base.entries.copy()
     entries[where] = entries[where[::-1]] = value
 
     def fresh():
-        return GramMatrix(base.nodes, entries, base.reg_radius)
+        return GramMatrix(base.nodes, entries)
 
     for call in (lambda: fresh().check_condition(),
                  lambda: fresh().solve(np.ones(30)),

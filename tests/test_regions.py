@@ -15,7 +15,6 @@ from rieszlab import (
     Region,
     SphereShell,
     UnionShape,
-    assemble_gram,
     build_region,
     fibonacci_ball,
     fibonacci_disk,
@@ -25,6 +24,7 @@ from rieszlab import (
 )
 from rieszlab import regions
 from rieszlab.cli import _shape_from_doc
+from rieszlab.core import _assemble_distinct
 from rieszlab.regions import GOLDEN_ANGLE, SHAPES, _annulus_template
 
 ORIGIN = np.zeros(3)
@@ -225,6 +225,18 @@ def test_build_region_reg_override(spec):
     assert reg.gram(spec).entries[0, 0] == pytest.approx(20.0)
 
 
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+def test_region_rejects_a_radius_that_is_not_finite_and_positive(spec, radius):
+    """A given radius is checked when the region is built, not at its first
+    Gram: an infinite one would give a zero diagonal and the capped rule."""
+    shape = SphereShell(ORIGIN, 1.0)
+    nodes = shape.make_nodes(50, spec)
+    with pytest.raises(ValueError, match="reg_radius must be finite and positive"):
+        Region(shape, nodes, reg_radius=radius)
+    with pytest.raises(ValueError, match="reg_radius must be finite and positive"):
+        rl.cloud_region(nodes, spec, reg_radius=radius)
+
+
 def test_uniform_gram_that_passes_is_kept_bitwise():
     """The radius is capped only when the uniform Gram fails its check: this
     alpha=1.5 ball has two nodes closer than twice the radius, and its
@@ -234,15 +246,19 @@ def test_uniform_gram_that_passes_is_kept_bitwise():
     d_nn = cKDTree(region.nodes).query(region.nodes, k=2)[0][:, 1]
     assert (0.5 * d_nn < region.reg_radius).sum() == 2
     g = region.gram(spec15)
-    uniform = assemble_gram(spec15, region.nodes, reg_radius=region.reg_radius)
+    uniform = _assemble_distinct(spec15, region.nodes, region.reg_radius ** spec15.exponent)
     assert np.array_equal(g.entries, uniform.entries)
-    assert g.reg_radius == region.reg_radius
+
+
+CATALOG_KINDS = ["ball", "sphere", "ball-complement", "half-space", "union", "cloud"]
 
 
 def _catalog_region(kind, spec, n=250):
     if kind == "union":
         return rl.union_region([rl.ball_region(ORIGIN, 1.0, n // 2, spec),
                                 rl.ball_region([3.0, 0.0, 0.0], 0.5, n // 2, spec)])
+    if kind == "cloud":
+        return rl.cloud_region(fibonacci_ball(n, 1.0, ORIGIN), spec)
     shape = {
         "ball": Ball(ORIGIN, 1.0),
         "sphere": SphereShell(ORIGIN, 1.0),
@@ -253,7 +269,7 @@ def _catalog_region(kind, spec, n=250):
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
-@pytest.mark.parametrize("kind", ["ball", "sphere", "ball-complement", "half-space", "union"])
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
 def test_catalog_region_gram_passes_condition_check(kind, alpha):
     spec = KernelSpec(alpha, 3)
     region = _catalog_region(kind, spec)
@@ -262,6 +278,48 @@ def test_catalog_region_gram_passes_condition_check(kind, alpha):
     diag = g.entries.diagonal()
     # every radius is the nominal one or capped below it
     assert np.all(diag >= region.reg_radius ** spec.exponent)
+
+
+# A point of the open domain D of each catalog shape.
+_POINT_IN_D = {
+    "ball": [2.0, 0.0, 0.0],
+    "sphere": [0.2, 0.1, 0.0],
+    "ball-complement": [0.1, 0.2, -0.3],
+    "half-space": [0.0, 0.0, -1.0],
+    "union": [1.5, 1.0, 0.0],
+    "cloud": [2.0, 0.0, 0.0],
+}
+# The layered alpha < 2 complement's mean spacing makes the probe standoff
+# wider than the hole at N=500 (ROADMAP item 4).
+_NO_PROBES_IN_THE_HOLE = pytest.mark.xfail(
+    raises=rl.ProbeSamplingFailure, strict=True,
+    reason="ROADMAP item 4: the probe standoff of the layered alpha<2 complement exceeds the hole",
+)
+
+
+@pytest.mark.parametrize(
+    "kind, alpha",
+    [
+        pytest.param(kind, alpha, marks=_NO_PROBES_IN_THE_HOLE
+                     if kind == "ball-complement" and alpha < 2.0 else ())
+        for kind in CATALOG_KINDS
+        for alpha in (2.0, 1.5, 1.0)
+    ],
+)
+def test_sweep_invariants_hold_for_every_shape_and_order(kind, alpha):
+    """Shape x alpha matrix: a Dirac in D swept onto 500 nodes passes every
+    check the sweep reports, with node equality to rounding, over a Gram that
+    is exactly symmetric and factored."""
+    spec = KernelSpec(alpha, 3)
+    region = _catalog_region(kind, spec, n=500)
+    res = rl.sweep(spec, rl.dirac(_POINT_IN_D[kind]), region)
+    checks = res.checks
+    assert checks.mass_ok and checks.energy_ok and checks.domination_ok
+    assert checks.n_probes == 100
+    assert checks.node_equality_gap <= 1e-12
+    g = region.gram(spec)
+    assert np.array_equal(g.entries, g.entries.T)
+    assert np.isfinite(g.cholesky()[0]).all()
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
@@ -275,7 +333,7 @@ def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):
     nodes = HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(ORIGIN, 0.5, 1.0, budget)
     region = rl.cloud_region(nodes, spec)
     with pytest.raises(IllConditioned):
-        assemble_gram(spec, nodes, reg_radius=region.reg_radius).check_condition()
+        _assemble_distinct(spec, nodes, region.reg_radius ** spec.exponent).check_condition()
     assembled = []
     assemble = regions._assemble_distinct
 
@@ -290,9 +348,8 @@ def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):
     d_nn = nearest_neighbor_spacing(nodes)[0]
     assert g.entries.diagonal().max() == pytest.approx((0.5 * d_nn) ** spec.exponent, rel=1e-12)
     capped_radii = np.minimum(region.reg_radius, 0.5 * cKDTree(nodes).query(nodes, k=2)[0][:, 1])
-    expected = assemble(spec, region.nodes, capped_radii)
+    expected = assemble(spec, region.nodes, capped_radii ** spec.exponent)
     assert np.array_equal(g.entries, expected.entries)
-    assert g.reg_radius == expected.reg_radius
 
 
 @pytest.mark.parametrize(

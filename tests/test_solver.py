@@ -7,19 +7,20 @@ from rieszlab import (
     GramMatrix,
     IllConditioned,
     KernelSpec,
-    assemble_gram,
     solve_nonneg,
 )
 from rieszlab import solver
 from rieszlab.equilibrium import _equilibrium_from_gram
 from rieszlab.solver import QPSolution, solve_nonneg_many
 
+from conftest import gram_over
 
-def gram_from(entries, reg=0.1):
+
+def gram_from(entries):
     entries = np.asarray(entries, dtype=float)
     nodes = np.zeros((len(entries), 3))
     nodes[:, 0] = np.arange(len(entries))
-    return GramMatrix(nodes, entries, reg)
+    return GramMatrix(nodes, entries)
 
 
 def test_nonneg_unconstrained_case():
@@ -52,7 +53,7 @@ def test_nonneg_matches_objective_dominance(spec):
     """The solution beats 100 random feasible vectors."""
     rng = np.random.default_rng(10)
     nodes = rng.normal(size=(40, 3)) * 2.0
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     b = rng.normal(size=40) * 3.0
     sol = solve_nonneg(g, b)
 
@@ -68,7 +69,7 @@ def test_nonneg_matches_objective_dominance(spec):
 def test_nonneg_deterministic(spec):
     rng = np.random.default_rng(11)
     nodes = rng.normal(size=(25, 3))
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     b = rng.normal(size=25)
     w1 = solve_nonneg(g, b).weights
     w2 = solve_nonneg(g, b).weights
@@ -104,7 +105,7 @@ def test_simplex_single_node():
 def test_simplex_mass_is_exact(spec):
     rng = np.random.default_rng(12)
     nodes = rng.normal(size=(30, 3)) * 1.5
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     eq = equilibrium_of(g)
     assert np.all(eq.solution.weights >= 0.0)
     assert np.all(eq.gamma.weights > 0.0)
@@ -114,7 +115,7 @@ def test_simplex_mass_is_exact(spec):
 def test_simplex_three_collinear_nodes_against_grid(spec):
     """Endpoints symmetric, middle smaller; verified by brute-force grid."""
     nodes = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    g = assemble_gram(spec, nodes)  # reg = 0.5 everywhere
+    g = gram_over(spec, nodes)  # reg = 0.5 everywhere
     eq = equilibrium_of(g)
     w = probability_weights(eq)
     assert w[0] == pytest.approx(w[2], rel=1e-10)
@@ -137,7 +138,7 @@ def test_simplex_three_collinear_nodes_against_grid(spec):
 def test_simplex_dominates_random_feasible(spec):
     rng = np.random.default_rng(13)
     nodes = rng.normal(size=(35, 3)) * 2.0
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     eq = equilibrium_of(g)
     for _ in range(100):
         v = rng.random(35)
@@ -149,8 +150,8 @@ def test_simplex_objective_monotone_in_nodes(spec):
     """Adding nodes can only lower the minimum energy."""
     pts = rl.fibonacci_sphere(200, 1.0)
     reg = 0.05
-    g_small = assemble_gram(spec, pts[:120], reg_radius=reg)
-    g_big = assemble_gram(spec, pts, reg_radius=reg)
+    g_small = gram_over(spec, pts[:120], radius=reg)
+    g_big = gram_over(spec, pts, radius=reg)
     e_small = equilibrium_of(g_small).min_energy
     e_big = equilibrium_of(g_big).min_energy
     assert e_big <= e_small + 1e-10
@@ -183,7 +184,7 @@ def test_ill_conditioned_simplex_fallback():
 def test_solution_reports_iterations_and_method(spec):
     rng = np.random.default_rng(15)
     nodes = rng.normal(size=(20, 3))
-    g = assemble_gram(spec, nodes)
+    g = gram_over(spec, nodes)
     sol = solve_nonneg(g, rng.normal(size=20))
     assert sol.iterations >= 1
     assert sol.method == "block-pivot"
@@ -194,7 +195,7 @@ def test_solution_reports_iterations_and_method(spec):
 def test_nonneg_many_columns_match_single_solves(spec):
     """Each column of a batched solve is bitwise the one-column solve."""
     rng = np.random.default_rng(16)
-    g = assemble_gram(spec, rng.normal(size=(40, 3)))
+    g = gram_over(spec, rng.normal(size=(40, 3)))
     B = rng.normal(size=(40, 12))
     many = solve_nonneg_many(g, B)
     assert len(many) == 12
@@ -212,7 +213,7 @@ def test_nonneg_many_stops_at_first_unconverged_column(spec):
     """Columns are solved in order; the first one that does not converge
     ends the list, and later columns are not solved."""
     rng = np.random.default_rng(18)
-    g = assemble_gram(spec, rng.normal(size=(30, 3)))
+    g = gram_over(spec, rng.normal(size=(30, 3)))
     inside = g.entries @ (rng.random(30) + 0.1)  # unconstrained solve is nonnegative
     B = np.stack([inside, rng.normal(size=30), inside], axis=1)
     sols = solve_nonneg_many(g, B, max_iter=1)
@@ -224,7 +225,7 @@ def test_nonneg_many_pivots_only_the_infeasible_columns(spec, monkeypatch):
     column between them takes the pivoting loop alone, and every column is
     bitwise its one-column solve."""
     rng = np.random.default_rng(19)
-    g = assemble_gram(spec, rng.normal(size=(30, 3)))
+    g = gram_over(spec, rng.normal(size=(30, 3)))
     feasible = [g.entries @ (rng.random(30) + 0.1) for _ in range(2)]
     B = np.stack([feasible[0], rng.normal(size=30), feasible[1]], axis=1)
     pivoted = []
@@ -254,7 +255,7 @@ def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
     from rieszlab.solver import _nonneg_kkt_residual, _objective
 
     rng = np.random.default_rng(16)
-    g = assemble_gram(spec, rng.normal(size=(40, 3)))
+    g = gram_over(spec, rng.normal(size=(40, 3)))
     B = np.asfortranarray(rng.normal(size=(40, 6)))  # contiguous columns, as the solver uses
     for j, sol in enumerate(solve_nonneg_many(g, B)):
         Kw = g.entries @ sol.weights
@@ -264,7 +265,7 @@ def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
 
 def test_solution_weights_are_read_only(spec):
     rng = np.random.default_rng(17)
-    g = assemble_gram(spec, rng.normal(size=(10, 3)))
+    g = gram_over(spec, rng.normal(size=(10, 3)))
     for sol in (solve_nonneg(g, rng.normal(size=10)), equilibrium_of(g).solution):
         with pytest.raises(ValueError):
             sol.weights[0] = 1.0
@@ -291,7 +292,7 @@ def test_equilibrium_on_a_shrinking_support_takes_few_block_pivots(spec):
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
 def test_solvers_reject_tolerances_that_are_not_finite_and_positive(spec, tol):
     rng = np.random.default_rng(16)
-    g = assemble_gram(spec, rng.normal(size=(40, 3)))
+    g = gram_over(spec, rng.normal(size=(40, 3)))
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         solve_nonneg_many(g, rng.normal(size=(40, 2)), tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
