@@ -204,15 +204,15 @@ def _node_weight_potentials(spec, weights, region, points) -> np.ndarray:
     D = cdist(X, region.nodes)
     if (D == 0.0).any():
         raise PointOutsideDomain("an evaluation point coincides with a region node")
-    block = D ** spec.exponent
+    D **= spec.exponent  # in place: the kernel block takes no second m x N array
     out = np.empty((len(X), len(weights)))
     for j, w in enumerate(weights):
         support = w > 0.0
         if support.all():
-            out[:, j] = block @ w
+            out[:, j] = D @ w
         else:
-            # block[:, support] is F-ordered; a C-ordered copy takes potential_at's BLAS path.
-            out[:, j] = np.ascontiguousarray(block[:, support]) @ w[support]
+            # D[:, support] is F-ordered; a C-ordered copy takes potential_at's BLAS path.
+            out[:, j] = np.ascontiguousarray(D[:, support]) @ w[support]
     return out
 
 

@@ -345,9 +345,7 @@ class GramMatrix:
 
     __slots__ = ("nodes", "entries", "_chol")
 
-    # Pivot ratio (see condition_estimate) above which Cholesky pivots are
-    # no longer trusted.
-    CONDITION_LIMIT = 1e14
+    CONDITION_LIMIT = 1e14  # squared pivot ratio above which a factor is not trusted
 
     def __init__(self, nodes: np.ndarray, entries: np.ndarray):
         nodes = np.asarray(nodes, dtype=float)
@@ -365,21 +363,27 @@ class GramMatrix:
         return len(self.nodes)
 
     def cholesky(self):
-        """Cached Cholesky factorization of the full matrix.
+        """Cached Cholesky factor: the library's one positive-definiteness test.
 
-        The entries are not scanned for infs and NaNs: a non-finite entry
-        either ends the factorization at a pivot that is not positive or
-        reaches the factor's diagonal, so the O(n) check on that diagonal
-        stands in for the O(n^2) scan.  Raises IllConditioned if the matrix
-        is not positive definite to rounding or its factor is not finite.
+        Raises IllConditioned if the matrix is not positive definite to
+        rounding, its factor is not finite, or the squared ratio of the
+        factor's largest to smallest diagonal entry (a guard on the pivots,
+        not a condition number) exceeds CONDITION_LIMIT; only a factor that
+        passes is cached.  The entries are not scanned for infs and NaNs: a
+        non-finite entry either ends the factorization at a pivot that is
+        not positive or reaches the factor's diagonal.
         """
         if self._chol is None:
-            try:
-                chol = cho_factor(self.entries.T, lower=True, check_finite=False)
-            except (LinAlgError, np.linalg.LinAlgError) as exc:
-                raise IllConditioned("Gram matrix is not positive definite to rounding") from exc
-            if not np.isfinite(np.diag(chol[0])).all():
+            chol = _factor_lower(self.entries.T, "Gram matrix is not positive definite to rounding")
+            d = np.diag(chol[0])
+            if not np.isfinite(d).all():
                 raise IllConditioned("Gram matrix factor is not finite")
+            ratio = float((d.max() / d.min()) ** 2)
+            if not ratio <= self.CONDITION_LIMIT:
+                raise IllConditioned(
+                    f"Gram matrix squared Cholesky pivot ratio {ratio:.3e} exceeds "
+                    f"{self.CONDITION_LIMIT:.0e}"
+                )
             self._chol = chol
         return self._chol
 
@@ -396,29 +400,31 @@ class GramMatrix:
             raise ValueError("right-hand side must not contain infs or NaNs")
         return cho_solve(self.cholesky(), b, check_finite=False)
 
-    def condition_estimate(self) -> float:
-        """Squared ratio of the Cholesky factor's largest to smallest diagonal entry.
+    def solve_block(self, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve K[mask, mask] x = rhs, through the cached factor when mask is full.
 
-        A guard on the pivots, not a condition number: it is only a lower
-        bound on the 2-norm condition, and often far below it (1.05-1.29 on
-        region Grams whose condition, by ``eigvalsh``, is 5-86).
+        A partial mask factors a fresh C-ordered copy of its principal block
+        in place, through its Fortran-ordered transpose.  Call it on a matrix
+        that passed ``cholesky``, whose blocks are finite.
         """
-        d = np.diag(self.cholesky()[0])
-        return float((d.max() / d.min()) ** 2)
+        if mask.all():
+            return self.solve(rhs)
+        block = self.entries[np.ix_(mask, mask)]
+        factor = _factor_lower(
+            block.T, "block-pivot subproblem lost positive definiteness", overwrite_a=True
+        )
+        return cho_solve(factor, rhs, check_finite=False)
 
-    def check_condition(self) -> None:
-        """Raise IllConditioned unless the matrix factors with trusted pivots.
 
-        In practice this is a positive-definiteness test: the factor must
-        exist, and its pivot ratio (``condition_estimate``) stay within
-        CONDITION_LIMIT.
-        """
-        cond = self.condition_estimate()
-        if not cond <= self.CONDITION_LIMIT:
-            raise IllConditioned(
-                f"Gram matrix squared Cholesky pivot ratio {cond:.3e} exceeds "
-                f"{self.CONDITION_LIMIT:.0e}"
-            )
+def _factor_lower(a: np.ndarray, message: str, overwrite_a: bool = False):
+    """``cho_factor`` of the symmetric ``a`` from its lower triangle.
+
+    Raises IllConditioned with ``message`` at a pivot that is not positive.
+    """
+    try:
+        return cho_factor(a, lower=True, overwrite_a=overwrite_a, check_finite=False)
+    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        raise IllConditioned(message) from exc
 
 
 def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMatrix:

@@ -26,7 +26,7 @@ class CenterCharged(RieszLabError):
 
 
 class IllConditioned(RieszLabError):
-    """A Gram matrix or a block-pivot subproblem failed its Cholesky condition check."""
+    """A Gram matrix or one of its principal blocks failed its Cholesky factorization."""
 
 
 class SolverFailure(RieszLabError):

@@ -535,16 +535,17 @@ class Region:
         return self._tree.query(_as_points(points), k=1)
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
-        """Gram matrix over the region nodes that passes GramMatrix.check_condition.
+        """Gram matrix over the region nodes whose ``cholesky`` succeeds.
 
         Cached per kernel.  Diagonal entry i is node i's self-interaction
         h_i^(alpha - n).  Every node takes the region's radius h when that
-        Gram passes the check.  Otherwise node i gets the radius
-        h_i = min(h, d_i / 2), where d_i is its nearest-neighbor distance, so
-        the balls B(x_i, h_i) are disjoint.  For alpha = 2 the capped matrix
-        is then the Gram of uniform spherical shells on those balls (Newton's
-        theorem), positive definite by construction; for alpha < 2 the check
-        decides.  Raises IllConditioned if the capped Gram fails it too.
+        Gram passes GramMatrix.cholesky, the one positive-definiteness test.
+        Otherwise node i gets the radius h_i = min(h, d_i / 2), where d_i is
+        its nearest-neighbor distance, so the balls B(x_i, h_i) are
+        disjoint.  For alpha = 2 the capped matrix is then the Gram of
+        uniform spherical shells on those balls (Newton's theorem), positive
+        definite by construction; for alpha < 2 the test decides.  Raises
+        IllConditioned if the capped Gram fails it too.
         """
         key = (spec.alpha, spec.dim)
         g = self._grams.get(key)
@@ -552,15 +553,19 @@ class Region:
             # One Python float power for the uniform entry: numpy's array power
             # differs from it in the last bit for some radii.
             g = _assemble_distinct(spec, self.nodes, self.reg_radius ** spec.exponent)
+            # Capped after the except block: the exception holds the failed factor.
+            capped = False
             try:
-                g.check_condition()
+                g.cholesky()
             except IllConditioned:
+                capped = True
+            if capped:
                 # Only the diagonal changes, so the off-diagonal entries are reused.
                 radii = np.minimum(self.reg_radius, 0.5 * self._d_nn)
                 entries = g.entries.copy()
                 np.fill_diagonal(entries, radii ** spec.exponent)
                 g = GramMatrix(self.nodes, entries)
-                g.check_condition()
+                g.cholesky()
             self._grams[key] = g
         return g
 

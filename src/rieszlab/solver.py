@@ -4,9 +4,9 @@ For a symmetric positive definite Gram matrix K, solve_nonneg[_many]
 minimizes  q(w) = w'Kw - 2 b'w  over w >= 0 by block principal pivoting,
 a finite method driven by Cholesky solves.  Balayage solves one such
 problem per source, and the equilibrium measure is the case b = 1
-(Gauss's problem).  A Gram matrix that fails GramMatrix.check_condition
-raises IllConditioned; Region.gram caps its regularization so that region
-Grams pass.
+(Gauss's problem).  A Gram that fails GramMatrix.cholesky, the one
+positive-definiteness test, raises IllConditioned; Region.gram caps its
+regularization so that region Grams pass.
 """
 from __future__ import annotations
 
@@ -16,10 +16,8 @@ from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import GramMatrix
-from .errors import IllConditioned
 
 TINY = np.finfo(float).tiny
 
@@ -62,21 +60,6 @@ class QPSolution:
 
 def _objective(Kw: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(w @ Kw - 2.0 * (b @ w))
-
-
-def _sub_solve(gram: GramMatrix, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve K[mask, mask] x = rhs, reusing the cached factor when mask is full."""
-    if mask.all():
-        return gram.solve(rhs)
-    # A fresh C-ordered copy of a symmetric block: its transpose is the
-    # Fortran-ordered view LAPACK factors in place.  The full Gram passed
-    # its condition check, so its principal blocks are finite.
-    K_sub = gram.entries[np.ix_(mask, mask)]
-    try:
-        factor = cho_factor(K_sub.T, lower=True, overwrite_a=True, check_finite=False)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
-        raise IllConditioned("block-pivot subproblem lost positive definiteness") from exc
-    return cho_solve(factor, rhs, check_finite=False)
 
 
 def _nonneg_kkt_residual(Kw, b, w) -> float:
@@ -122,7 +105,7 @@ def solve_nonneg_many(
     Columns are solved in order, and the list ends at the first one that
     does not converge.
     Raises ValueError unless ``tol`` is finite and positive, and
-    IllConditioned if the Gram matrix fails its condition check.
+    IllConditioned if the Gram matrix fails ``GramMatrix.cholesky``.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -136,7 +119,7 @@ def solve_nonneg_many(
     tol_eff = tol * np.maximum(np.max(np.abs(B), axis=0, initial=0.0), TINY)
     B = np.asfortranarray(B)  # contiguous columns: each BLAS call matches a one-column solve
 
-    gram.check_condition()
+    gram.cholesky()  # cached; the n == 1 branch divides without a solve
     W = gram.solve(B) if n > 1 else np.maximum(B / K[0, 0], 0.0)
     # Every column's first pass at once: a column with no weight below
     # -tol_eff converges on the full free set, as its pivoting loop would
@@ -169,7 +152,7 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
         if it > 1:
             w = np.zeros(n)
             if free.any():
-                w[free] = _sub_solve(gram, free, b[free])
+                w[free] = gram.solve_block(free, b[free])
         neg_w = free & (w < -tol_eff)
         neg_g = ~free
         if neg_g.any():

@@ -254,7 +254,6 @@ def test_gram_solve_and_condition(spec):
     b = rng.random(30)
     x = g.solve(b)
     assert np.allclose(g.entries @ x, b, rtol=1e-8, atol=1e-10)
-    assert g.condition_estimate() >= 1.0
 
 
 def test_gram_solve_rejects_non_finite_rhs(spec):
@@ -327,7 +326,7 @@ def test_non_finite_gram_entries_raise_ill_conditioned(spec, value, where):
     def fresh():
         return GramMatrix(base.nodes, entries)
 
-    for call in (lambda: fresh().check_condition(),
+    for call in (lambda: fresh().cholesky(),
                  lambda: fresh().solve(np.ones(30)),
                  lambda: rl.solve_nonneg(fresh(), np.ones(30))):
         with pytest.raises(IllConditioned) as info:

@@ -141,6 +141,24 @@ def test_only_core_and_regions_build_kd_trees():
     assert sorted(set(importers)) == ["core.py", "regions.py"]
 
 
+def test_only_core_imports_scipy_linalg():
+    """GramMatrix.cholesky is the one positive-definiteness test: no module
+    other than core imports scipy.linalg, so every Cholesky factor and solve
+    goes through a GramMatrix."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["core.py"]
+
+
 def test_only_regions_reads_kd_trees():
     """Nearest-node queries go through Region.nearest_node: no module other
     than regions reads a ``_tree`` attribute."""

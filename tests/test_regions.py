@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from rieszlab import (
 from rieszlab import regions
 from rieszlab.cli import _shape_from_doc
 from rieszlab.core import _assemble_distinct
-from rieszlab.regions import GOLDEN_ANGLE, SHAPES, _annulus_template
+from rieszlab.regions import GOLDEN_ANGLE, SHAPES, _annulus_template, _dedupe
 
 ORIGIN = np.zeros(3)
 
@@ -157,6 +158,38 @@ def test_union_region_orders_and_allocates(spec):
     assert u.contains(a.nodes).all() and u.contains(b.nodes).all()
 
 
+def test_union_of_a_ball_with_itself_keeps_one_copy_of_each_node(spec):
+    """Every node of the second part collides with one of the first, so the
+    union keeps the first part's nodes and is a valid Region."""
+    shape = UnionShape([Ball(ORIGIN, 1.0), Ball(ORIGIN, 1.0)])
+    nodes = shape.make_nodes(200, spec)
+    assert np.array_equal(nodes, Ball(ORIGIN, 1.0).make_nodes(100, spec))
+    assert Region(shape, nodes).n_nodes == 100
+    part = build_region(Ball(ORIGIN, 1.0), 100, spec)
+    u = rl.union_region([part, part])
+    assert np.array_equal(u.nodes, part.nodes)
+
+
+def test_dedupe_of_identical_points_keeps_the_first():
+    points = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    assert np.array_equal(_dedupe(points), points[:1])
+
+
+@pytest.mark.parametrize(
+    "y, r_lo, r_hi, count",
+    [(ORIGIN, 0.5, 1.5, 50), (ORIGIN, 0.5, 1.0, 0), (ORIGIN, 1.5, 2.0, 0),
+     ([3.0, 0.0, 0.0], 0.1, 0.5, 0)],
+    ids=["center-band-holds-r", "center-band-ends-at-r", "center-band-beyond-r", "band-misses"],
+)
+def test_sphere_shell_nodes_where_there_is_no_polar_band(y, r_lo, r_hi, count):
+    """Seen from its center the sphere lies at the one distance r: a band
+    that holds r gets the whole budget, and a half-open band [r_lo, r) gets
+    none.  A band of distances the sphere never reaches gets none either."""
+    nodes = SphereShell(ORIGIN, 1.0).shell_nodes(y, r_lo, r_hi, 50)
+    assert nodes.shape == (count, 3)
+    assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0)
+
+
 def test_union_shape_node_budget_tracks_scale(spec):
     shape = UnionShape([SphereShell(ORIGIN, 1.0), SphereShell(ORIGIN, 2.0)])
     reg = build_region(shape, 500, spec)
@@ -274,7 +307,7 @@ def test_catalog_region_gram_passes_condition_check(kind, alpha):
     spec = KernelSpec(alpha, 3)
     region = _catalog_region(kind, spec)
     g = region.gram(spec)
-    g.check_condition()
+    g.cholesky()
     diag = g.entries.diagonal()
     # every radius is the nominal one or capped below it
     assert np.all(diag >= region.reg_radius ** spec.exponent)
@@ -333,7 +366,7 @@ def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):
     nodes = HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(ORIGIN, 0.5, 1.0, budget)
     region = rl.cloud_region(nodes, spec)
     with pytest.raises(IllConditioned):
-        _assemble_distinct(spec, nodes, region.reg_radius ** spec.exponent).check_condition()
+        _assemble_distinct(spec, nodes, region.reg_radius ** spec.exponent).cholesky()
     assembled = []
     assemble = regions._assemble_distinct
 
@@ -344,12 +377,30 @@ def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):
     monkeypatch.setattr(regions, "_assemble_distinct", counting)
     g = region.gram(spec)
     assert len(assembled) == 1
-    g.check_condition()
+    g.cholesky()
     d_nn = nearest_neighbor_spacing(nodes)[0]
     assert g.entries.diagonal().max() == pytest.approx((0.5 * d_nn) ** spec.exponent, rel=1e-12)
     capped_radii = np.minimum(region.reg_radius, 0.5 * cKDTree(nodes).query(nodes, k=2)[0][:, 1])
     expected = assemble(spec, region.nodes, capped_radii ** spec.exponent)
     assert np.array_equal(g.entries, expected.entries)
+
+
+@pytest.mark.parametrize("alpha, capped", [(1.0, True), (2.0, False)])
+def test_region_gram_peaks_at_two_matrices(alpha, capped):
+    """The uniform Gram and its factor are 2 n^2 doubles.  A capped Gram
+    frees the failed factor, and the uniform Gram, before it factors its own
+    entries, so it peaks there too, not at the 4 n^2 of both Grams and both
+    factors."""
+    spec = KernelSpec(alpha, 3)
+    region = build_region(BallComplement(ORIGIN, 1.0), 500, spec)
+    tracemalloc.start()
+    try:
+        g = region.gram(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.entries.diagonal().max() > region.reg_radius ** spec.exponent) == capped
+    assert peak <= 2.25 * 8 * region.n_nodes ** 2
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -181,6 +183,47 @@ def test_ill_conditioned_simplex_fallback():
         equilibrium_of(g)
 
 
+def test_factor_with_untrusted_pivots_is_neither_returned_nor_cached():
+    """The squared pivot ratio of near_singular_gram is about 2.5e14, above
+    CONDITION_LIMIT: cholesky raises every time, and so does a solve."""
+    g = near_singular_gram()
+    for call in (g.cholesky, g.cholesky, lambda: g.solve(np.ones(3))):
+        with pytest.raises(IllConditioned, match="pivot ratio"):
+            call()
+
+
+def _kkt_point_by_enumeration(K, b):
+    """The minimizer of w'Kw - 2 b'w over w >= 0, found as the one support
+    whose solve is nonnegative with a nonnegative gradient off it."""
+    n = len(b)
+    found = []
+    for size in range(n + 1):
+        for support in map(list, combinations(range(n), size)):
+            w = np.zeros(n)
+            if support:
+                w[support] = np.linalg.solve(K[np.ix_(support, support)], b[support])
+            if (w >= -1e-12).all() and (np.delete(K @ w - b, support) >= -1e-12).all():
+                found.append(w)
+    assert len(found) == 1
+    return found[0]
+
+
+def test_block_pivot_stalls_into_single_swaps():
+    """Infeasibility counts 1, 1, 2, 1 make no progress for three
+    iterations, so the fourth exchange is a single least-index swap; the
+    fifth iteration is the minimizer."""
+    K = np.array([[32, -13, -22, -13, -12],
+                  [-13, 19, 10, 16, 14],
+                  [-22, 10, 23, 8, 10],
+                  [-13, 16, 8, 16, 12],
+                  [-12, 14, 10, 12, 13]], dtype=float)
+    b = np.array([-3.0, -4.0, 1.0, 5.0, 0.0])
+    sol = solve_nonneg(GramMatrix(np.zeros((5, 3)), K), b)
+    assert sol.converged
+    assert sol.iterations == 5
+    assert np.max(np.abs(sol.weights - _kkt_point_by_enumeration(K, b))) <= 1e-15
+
+
 def test_solution_reports_iterations_and_method(spec):
     rng = np.random.default_rng(15)
     nodes = rng.normal(size=(20, 3))
@@ -321,7 +364,7 @@ def test_partial_support_sweep_matches_reference_sub_solves(alpha, monkeypatch):
     swept = rl.sweep(spec, charge, union)
     assert swept.solution.iterations > 1
     assert 0 < np.count_nonzero(swept.solution.weights) < union.n_nodes
-    monkeypatch.setattr(solver, "_sub_solve", _reference_sub_solve)
+    monkeypatch.setattr(GramMatrix, "solve_block", _reference_sub_solve)
     reference = rl.sweep(spec, charge, union)
     assert np.array_equal(swept.solution.weights, reference.solution.weights)
     assert np.array_equal(swept.swept.weights, reference.swept.weights)
