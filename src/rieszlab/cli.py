@@ -18,21 +18,14 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .balayage import sweep, verify_symmetry
-from .core import (
-    DiscreteMeasure,
-    KernelSpec,
-    dirac,
-    is_json_number,
-    is_json_number_rows,
-    potential_at,
-    riesz_kernel,
-)
+from .core import DiscreteMeasure, KernelSpec, dirac, potential_at, riesz_kernel
 from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval
@@ -56,6 +49,21 @@ SCHEMA_VERSION = 1
 _TOL_OVERRIDE_KEYS = {"tol", "tol_dom", "loss_margin"}
 
 
+# A JSON number is exactly an int or a float: never a bool (an int subclass),
+# a string or None.
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _is_json_number_rows(rows) -> bool:
+    """Whether ``rows`` is a list of lists of JSON numbers; one pass over
+    the entries, cheaper than converting them."""
+    return (
+        isinstance(rows, list)
+        and all(isinstance(row, list) for row in rows)
+        and set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBER_TYPES
+    )
+
+
 # ---------------------------------------------------------------------------
 # Field readers.  Each takes (value, where, kernel spec) and returns the
 # field's value, or raises SchemaError naming ``where``: a top-level field
@@ -72,7 +80,7 @@ def _check_keys(doc, allowed, where: str) -> None:
 
 def _number(value, where: str, spec=None) -> float:
     """``value`` as a float; SchemaError unless it is a JSON number."""
-    if not is_json_number(value):
+    if type(value) not in _JSON_NUMBER_TYPES:
         raise SchemaError(f"{where} must be a number")
     return float(value)
 
@@ -100,7 +108,7 @@ def _string(value, where: str, spec=None) -> str:
 
 def _point(value, where: str, spec: KernelSpec) -> np.ndarray:
     """``value`` as a point of R^dim; SchemaError unless it is a list of dim numbers."""
-    if not (is_json_number_rows([value]) and len(value) == spec.dim):
+    if not (_is_json_number_rows([value]) and len(value) == spec.dim):
         raise SchemaError(f"{where} must be a list of {spec.dim} numbers")
     return np.array(value, dtype=float)
 
@@ -111,8 +119,33 @@ def _draws(value, where: str, spec=None) -> tuple[int, int]:
     return _count(value["n"], f"{where} 'n'"), _count(value["seed"], f"{where} 'seed'")
 
 
-def _measure(value, where: str, spec: KernelSpec) -> DiscreteMeasure:
-    return DiscreteMeasure.from_json_dict(value, spec.dim)
+def _measure(doc, where: str, spec: KernelSpec) -> DiscreteMeasure:
+    """A measure section as a DiscreteMeasure; an empty one is the zero measure in R^dim."""
+    if not isinstance(doc, dict):
+        raise SchemaError("measure document must be a JSON object")
+    unknown = set(doc) - {"points", "weights", "signed"}
+    if unknown:
+        raise SchemaError(f"unknown measure key: {sorted(unknown)[0]!r}")
+    if "points" not in doc or "weights" not in doc:
+        raise SchemaError("measure document needs 'points' and 'weights'")
+    pts, weights = doc["points"], doc["weights"]
+    for key, value in (("points", pts), ("weights", weights)):
+        if not isinstance(value, list):
+            raise SchemaError(f"measure '{key}' must be a JSON list")
+    if len(pts) != len(weights):
+        raise SchemaError("measure 'weights' must have one entry per point")
+    if not _is_json_number_rows(pts):
+        raise SchemaError("measure 'points' must be a list of lists of numbers")
+    if len(set(map(len, pts))) > 1:
+        raise SchemaError("measure 'points' must all have the same number of coordinates")
+    if not _is_json_number_rows([weights]):
+        raise SchemaError("measure 'weights' must be a list of numbers")
+    signed = doc.get("signed", False)
+    if not isinstance(signed, bool):
+        raise SchemaError("measure 'signed' must be a JSON boolean")
+    if len(pts) == 0:
+        return DiscreteMeasure.empty(spec.dim)
+    return DiscreteMeasure(pts, weights, signed=signed)
 
 
 def _shape_from_doc(doc, where: str, spec: KernelSpec) -> Shape:
@@ -130,7 +163,7 @@ def _shape_from_doc(doc, where: str, spec: KernelSpec) -> Shape:
         return cls([_shape_from_doc(p, where, spec) for p in doc["parts"]])
     if kind == "cloud":
         points = doc["points"]
-        if not (is_json_number_rows(points) and all(len(p) == spec.dim for p in points)):
+        if not (_is_json_number_rows(points) and all(len(p) == spec.dim for p in points)):
             raise SchemaError(f"{label} 'points' must be a list of lists of {spec.dim} numbers")
         return cls(points)
     return cls(*(

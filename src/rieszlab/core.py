@@ -7,9 +7,7 @@ constant, so for alpha = 2, n = 3 the unit ball has capacity exactly 1.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -24,26 +22,6 @@ H_MIN_FACTOR = 1e-9
 # Rows per block of the mirrored Gram assembly; the block buffer holds at
 # most this many rows of the matrix.
 ASSEMBLY_BLOCK_ROWS = 128
-
-
-# A JSON number is exactly an int or a float: never a bool (an int subclass),
-# a string or None.  The scenario readers and the measure document share it.
-_JSON_NUMBER_TYPES = frozenset((int, float))
-
-
-def is_json_number(value) -> bool:
-    """Whether ``value`` is a JSON number."""
-    return type(value) in _JSON_NUMBER_TYPES
-
-
-def is_json_number_rows(rows) -> bool:
-    """Whether ``rows`` is a list of lists of JSON numbers; one pass over
-    the entries, cheaper than converting them."""
-    return (
-        isinstance(rows, list)
-        and all(isinstance(row, list) for row in rows)
-        and set(map(type, chain.from_iterable(rows))) <= _JSON_NUMBER_TYPES
-    )
 
 
 @dataclass(frozen=True)
@@ -180,51 +158,11 @@ class DiscreteMeasure:
         return DiscreteMeasure._on_distinct_nodes(self.points[m], -self.weights[m])
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
+        """The measure ``factor`` times this one, on the same (distinct) support."""
         f = float(factor)
-        return DiscreteMeasure(self.points, self.weights * f, signed=self.signed or f < 0)
-
-    def to_json(self) -> str:
-        """Serialize to the measure JSON document (exact double round-trip)."""
-        doc = {
-            "points": [[float(c) for c in p] for p in self.points],
-            "weights": [float(w) for w in self.weights],
-            "signed": self.signed,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        doc = json.loads(text)
-        return cls.from_json_dict(doc)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, dim: int = 3) -> "DiscreteMeasure":
-        """The measure of a JSON document; an empty one is the zero measure in R^dim."""
-        if not isinstance(doc, dict):
-            raise ValueError("measure document must be a JSON object")
-        unknown = set(doc) - {"points", "weights", "signed"}
-        if unknown:
-            raise ValueError(f"unknown measure key: {sorted(unknown)[0]!r}")
-        if "points" not in doc or "weights" not in doc:
-            raise ValueError("measure document needs 'points' and 'weights'")
-        pts, weights = doc["points"], doc["weights"]
-        for key, value in (("points", pts), ("weights", weights)):
-            if not isinstance(value, list):
-                raise ValueError(f"measure '{key}' must be a JSON list")
-        if len(pts) != len(weights):
-            raise ValueError("measure 'weights' must have one entry per point")
-        if not is_json_number_rows(pts):
-            raise ValueError("measure 'points' must be a list of lists of numbers")
-        if len(set(map(len, pts))) > 1:
-            raise ValueError("measure 'points' must all have the same number of coordinates")
-        if not is_json_number_rows([weights]):
-            raise ValueError("measure 'weights' must be a list of numbers")
-        signed = doc.get("signed", False)
-        if not isinstance(signed, bool):
-            raise ValueError("measure 'signed' must be a JSON boolean")
-        if len(pts) == 0:
-            return cls.empty(dim)
-        return cls(pts, weights, signed=signed)
+        return DiscreteMeasure._on_distinct_nodes(
+            self.points, self.weights * f, signed=self.signed or f < 0
+        )
 
     def __repr__(self) -> str:
         kind = "signed" if self.signed else "positive"

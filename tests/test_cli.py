@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rieszlab import KernelSpec, build_region, cli
+from rieszlab import KernelSpec, SchemaError, build_region, cli
 from rieszlab.cli import BUILTIN_SCENARIOS, main
 
 BALL = {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -325,6 +325,11 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             {"source": {"points": [[0, 0], [0, 0, 0.1]], "weights": [1.0, 1.0]}},
             "error: measure 'points' must all have the same number of coordinates",
         ),
+        ({"source": [[0.0, 0.0, 0.0]]}, "error: measure document must be a JSON object"),
+        (
+            {"source": {"points": [[0.0, 0.0, 0.0]]}},
+            "error: measure document needs 'points' and 'weights'",
+        ),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
          "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
@@ -334,7 +339,7 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
          "signed-string", "points-entries", "weights-bool", "cloud-entries",
          "expected-mass-string", "expected-tol-string", "expected-tol-bool",
          "expected-mass-null", "name-number", "probes-n-negative", "seed-negative",
-         "points-ragged"],
+         "points-ragged", "measure-list", "measure-no-weights"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))
@@ -359,6 +364,43 @@ def test_empty_measure_takes_the_kernel_dimension():
     empty = {"points": [], "weights": []}
     assert cli._measure(empty, "source", KernelSpec(2.0, 4)).dim == 4
     assert cli._measure(empty, "source", KernelSpec(2.0, 3)).dim == 3
+
+
+SPEC3 = KernelSpec(2.0, 3)
+
+
+def test_measure_reader_rejects_unknown_key():
+    doc = {"points": [[1.0, 0.0, 0.0]], "weights": [1.0], "bogus": 1}
+    with pytest.raises(SchemaError, match="unknown measure key: 'bogus'"):
+        cli._measure(doc, "source", SPEC3)
+
+
+@pytest.mark.parametrize("signed", ["false", "true", 0, 1, None])
+def test_measure_reader_signed_must_be_a_boolean(signed):
+    # bool("false") is True: a string would silently make the measure signed.
+    doc = {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "signed": signed}
+    with pytest.raises(SchemaError, match="measure 'signed' must be a JSON boolean"):
+        cli._measure(doc, "source", SPEC3)
+    assert not cli._measure(dict(doc, signed=False), "source", SPEC3).signed
+
+
+@pytest.mark.parametrize(
+    "points, weights, key",
+    [
+        ([["2.0", 0.0, 0.0]], [1.0], "points"),
+        ([[2.0, False, 0.0]], [1.0], "points"),
+        ([[2.0, None, 0.0]], [1.0], "points"),
+        ([2.0], [1.0], "points"),
+        ([[2.0, 0.0, 0.0]], [True], "weights"),
+        ([[2.0, 0.0, 0.0]], ["1"], "weights"),
+    ],
+    ids=["point-string", "point-bool", "point-null", "flat-points", "weight-bool",
+         "weight-string"],
+)
+def test_measure_reader_entries_must_be_numbers(points, weights, key):
+    doc = {"points": points, "weights": weights}
+    with pytest.raises(SchemaError, match=f"measure '{key}' must be a list of"):
+        cli._measure(doc, "source", SPEC3)
 
 
 def test_shape_extent_is_unknown_key(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
@@ -87,47 +85,25 @@ def test_hahn_split():
     assert not set(map(tuple, pos.points)) & set(map(tuple, neg.points))
 
 
-def test_measure_json_round_trip():
-    mu = DiscreteMeasure([[0, 0, 0], [1, 2, 3]], [1.5, -2.5], signed=True)
-    back = DiscreteMeasure.from_json(mu.to_json())
-    assert np.array_equal(back.points, mu.points)
-    assert np.array_equal(back.weights, mu.weights)
-    assert back.signed
-
-
-def test_measure_json_rejects_unknown_key():
-    doc = json.loads(dirac(E1).to_json())
-    doc["bogus"] = 1
-    with pytest.raises(ValueError, match="bogus"):
-        DiscreteMeasure.from_json_dict(doc)
-
-
-@pytest.mark.parametrize("signed", ["false", "true", 0, 1, None])
-def test_measure_json_signed_must_be_a_boolean(signed):
-    # bool("false") is True: a string would silently make the measure signed.
-    doc = {"points": [[0.0, 0.0, 0.0]], "weights": [1.0], "signed": signed}
-    with pytest.raises(ValueError, match="measure 'signed' must be a JSON boolean"):
-        DiscreteMeasure.from_json_dict(doc)
-    assert not DiscreteMeasure.from_json_dict(dict(doc, signed=False)).signed
-
-
 @pytest.mark.parametrize(
-    "points, weights, key",
-    [
-        ([["2.0", 0.0, 0.0]], [1.0], "points"),
-        ([[2.0, False, 0.0]], [1.0], "points"),
-        ([[2.0, None, 0.0]], [1.0], "points"),
-        ([2.0], [1.0], "points"),
-        ([[2.0, 0.0, 0.0]], [True], "weights"),
-        ([[2.0, 0.0, 0.0]], ["1"], "weights"),
-    ],
-    ids=["point-string", "point-bool", "point-null", "flat-points", "weight-bool",
-         "weight-string"],
+    "signed, factor", [(False, 2.5), (False, -0.5), (True, 2.5)], ids=["grow", "flip", "signed"]
 )
-def test_measure_json_entries_must_be_numbers(points, weights, key):
-    doc = {"points": points, "weights": weights}
-    with pytest.raises(ValueError, match=f"measure '{key}' must be a list of"):
-        DiscreteMeasure.from_json_dict(doc)
+def test_scaled_keeps_the_support_without_a_distinctness_query(monkeypatch, signed, factor):
+    """A scaled measure has its parent's support, which is already distinct:
+    it builds no KD-tree."""
+    import rieszlab.core as core
+
+    weights = [0.25, -0.5 if signed else 0.5, 1.0]
+    mu = DiscreteMeasure([[0, 0, 0], [1, 0, 0], [0, 1, 0]], weights, signed=signed)
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("scaled built a KD-tree")
+
+    monkeypatch.setattr(core, "cKDTree", no_tree)
+    out = mu.scaled(factor)
+    assert np.array_equal(out.points, mu.points)
+    assert np.array_equal(out.weights, mu.weights * factor)
+    assert out.signed == (signed or factor < 0)
 
 
 def test_potential_batch_matches_manual_sum():
@@ -262,6 +238,31 @@ def test_gram_solve_rejects_non_finite_rhs(spec):
     b[4] = np.nan
     with pytest.raises(ValueError):
         g.solve(b)
+
+
+def test_solve_block_with_a_full_mask_is_solve(spec, monkeypatch):
+    """A full mask solves through the cached factor: solve's bits and no new
+    factorization.  A partial mask factors its block once."""
+    import rieszlab.core as core
+
+    rng = np.random.default_rng(4)
+    g = gram_over(spec, rng.normal(size=(40, 3)) * 2.0)
+    b = rng.random(40)
+    expected = g.solve(b)
+    factor = core.cho_factor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(core, "cho_factor", counting)
+    assert np.array_equal(g.solve_block(np.ones(40, dtype=bool), b), expected)
+    assert calls == []
+    mask = np.arange(40) % 3 != 0
+    x = g.solve_block(mask, b[mask])
+    assert len(calls) == 1
+    assert np.allclose(g.entries[np.ix_(mask, mask)] @ x, b[mask], rtol=1e-8, atol=1e-10)
 
 
 def test_energy_quadratic_form(spec):

@@ -266,6 +266,23 @@ def test_domination_vacuous_when_precondition_fails(gk2000):
     assert out["ok"]  # vacuously
 
 
+def test_domination_by_one_atom_is_vacuous(spec, complement500, monkeypatch):
+    """One atom has no Green Gram over its support and an infinite potential
+    at itself, so the precondition fails and the check is vacuous, whatever
+    the probes show."""
+    import rieszlab.green as green
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("built a Green Gram over one atom")
+
+    monkeypatch.setattr(green, "_green_gram", no_gram)
+    out = verify_domination(GreenKernel(spec, complement500), dirac([0.2, 0.0, 0.0]))
+    assert out["precondition_gap"] == np.inf
+    assert not out["precondition_ok"]
+    assert out["vacuous"] and out["ok"]
+    assert out["max_violation"] > 0.02  # the probes alone would fail the check
+
+
 def test_domination_against_constant(gk2000):
     """A measure whose Green potential stays below a constant on its own
     support stays below it everywhere."""

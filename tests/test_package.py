@@ -159,6 +159,19 @@ def test_only_core_imports_scipy_linalg():
     assert sorted(set(importers)) == ["core.py"]
 
 
+def test_core_imports_no_json():
+    """core holds the mathematics; the scenario format, and its reader of
+    measure documents, belong to cli."""
+    tree = ast.parse((SRC / "core.py").read_text(), filename="core.py")
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert not any(m == "json" or m.startswith("json.") for m in modules)
+
+
 def test_only_regions_reads_kd_trees():
     """Nearest-node queries go through Region.nearest_node: no module other
     than regions reads a ``_tree`` attribute."""

@@ -149,6 +149,26 @@ def test_shell_nodes_on_sphere_band(spec):
     assert (d >= 0.3 - 1e-12).all() and (d < 0.6).all()
 
 
+@pytest.mark.parametrize(
+    "r_lo, r_hi, counts",
+    [(0.5, 1.0, (55, 3)), (0.25, 0.5, (104, 0)), (3.0, 6.0, (0, 0))],
+    ids=["both-parts", "one-part", "no-part"],
+)
+def test_union_shell_nodes_join_the_parts_shells(r_lo, r_hi, counts):
+    """The union's shell is its parts' shells, side by side: every node lies
+    in the half-open annulus and in the union, and a shell that meets no
+    part is a (0, 3) array."""
+    parts = [Ball([-1.0, 0.0, 0.0], 0.6), Ball([0.9, 0.0, 0.0], 0.5)]
+    union = UnionShape(parts)
+    y = np.array([-0.4, 0.0, 0.0])
+    assert tuple(len(p.shell_nodes(y, r_lo, r_hi, 300)) for p in parts) == counts
+    nodes = union.shell_nodes(y, r_lo, r_hi, 300)
+    assert nodes.shape == (sum(counts), 3)
+    d = np.linalg.norm(nodes - y, axis=1)
+    assert (d >= r_lo).all() and (d < r_hi).all()
+    assert union.contains(nodes).all()
+
+
 def test_union_region_orders_and_allocates(spec):
     a = rl.sphere_region(ORIGIN, 1.0, 100, spec)
     b = rl.sphere_region(ORIGIN, 2.0, 400, spec)
