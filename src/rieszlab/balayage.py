@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (
     DiscreteMeasure,
     KernelSpec,
     _as_points,
     _assemble_distinct,
+    _kernel_rows,
     cross_energy,
     dirac,
     potential_at,
@@ -65,23 +65,6 @@ class SignedSweepResult:
     weights: np.ndarray
     positive: SweepResult | None
     negative: SweepResult | None
-
-
-def _source_block(spec: KernelSpec, region: Region, points: np.ndarray) -> np.ndarray:
-    """Kernel block between the region nodes (rows) and ``points`` (columns).
-
-    The block is Gram-consistent: a point sitting exactly on a node takes
-    that node's regularized self-interaction, the Gram diagonal entry,
-    instead of an infinity, so that a measure already supported on the
-    nodes is a fixed point of sweeping.  It is the transpose of one
-    ``cdist``, so its columns are contiguous.
-    """
-    D = cdist(points, region.nodes).T
-    coincident = D <= region.h_min
-    np.copyto(D, 1.0, where=coincident)
-    np.power(D, spec.exponent, out=D)
-    np.copyto(D, region.gram(spec).entries.diagonal()[:, None], where=coincident)
-    return D
 
 
 def sweep(
@@ -136,7 +119,7 @@ def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepRe
         if mu.dim != region.dim:
             raise ValueError("measure and region dimensions differ")
     points = np.concatenate([mu.points for mu in sources] or [np.empty((0, region.dim))])
-    B, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
+    _, B, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
     results = []
     for sol in sols:
         support = sol.weights > 0.0
@@ -147,21 +130,27 @@ def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepRe
 
 def _sweep_batch(
     spec: KernelSpec, region: Region, points: np.ndarray, tol: float, weights=None
-) -> tuple[np.ndarray, list[QPSolution]]:
+) -> tuple[np.ndarray, np.ndarray, list[QPSolution]]:
     """Sweeps of several nonnegative sources onto the region nodes, in one solve.
 
     ``points`` stacks the atoms of every source, and one kernel block
-    between the nodes and all of them gives every right-hand side.  With
-    ``weights`` None each point is a unit charge, whose right-hand side is
-    its block column.  Otherwise ``weights`` lists each source's atom
-    weights, in the order of ``points``, and a source's right-hand side is
-    its block columns times its weights.  Returns the right-hand sides, one
-    column per source, and the solutions; raises SolverFailure at the first
-    source, in order, that does not converge.
+    between the nodes (rows) and all of them gives every right-hand side.
+    The block is the transpose of C-ordered kernel rows, and an atom within
+    ``h_min`` of a node takes that node's Gram diagonal entry, so a measure
+    on the nodes is a fixed point of sweeping.  With ``weights`` None each
+    point is a unit charge, whose right-hand side is its block column.
+    Otherwise ``weights`` lists each source's atom weights, in the order of
+    ``points``, and a source's right-hand side is its block columns times
+    its weights.  Returns the block, the right-hand sides, one column per
+    source, and the solutions; raises SolverFailure at the first source, in
+    order, that does not converge.
     """
     if len(points) == 0:
-        return np.empty((region.n_nodes, 0), order="F"), []
-    block = _source_block(spec, region, points)
+        empty = np.empty((region.n_nodes, 0), order="F")
+        return empty, empty, []
+    rows, near = _kernel_rows(spec, points, region.nodes, region.h_min)
+    block = rows.T
+    np.copyto(block, region.gram(spec).entries.diagonal()[:, None], where=near.T)
     if weights is None:
         B = block
     else:
@@ -178,7 +167,7 @@ def _sweep_batch(
             f"sweep did not converge: kkt residual {sols[-1].kkt_residual:.3e} "
             f"after {sols[-1].iterations} iterations ({sols[-1].method})"
         )
-    return B, sols
+    return block, B, sols
 
 
 def swept_potentials(
@@ -191,28 +180,32 @@ def swept_potentials(
     bit for bit.  Raises PointOutsideDomain if a point coincides with a
     region node: it lies on the target set, where no caller evaluates.
     """
-    return _node_weight_potentials(
-        spec, [res.solution.weights for res in results], region, points
+    return _row_potentials(
+        _node_rows(spec, region, points), [res.solution.weights for res in results]
     )
 
 
-def _node_weight_potentials(spec, weights, region, points) -> np.ndarray:
-    """``swept_potentials`` of the swept node weights themselves."""
+def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
+    """Kernel rows of evaluation points against the region nodes; none may sit on a node."""
     X = _as_points(points)
     if X.shape[1] != spec.dim:
         raise DimensionMismatch(f"points must have dimension {spec.dim}")
-    D = cdist(X, region.nodes)
-    if (D == 0.0).any():
+    rows, zero = _kernel_rows(spec, X, region.nodes)
+    if zero.any():
         raise PointOutsideDomain("an evaluation point coincides with a region node")
-    D **= spec.exponent  # in place: the kernel block takes no second m x N array
-    out = np.empty((len(X), len(weights)))
+    return rows
+
+
+def _row_potentials(rows: np.ndarray, weights) -> np.ndarray:
+    """Potentials of node weight vectors, one column each, at the points of C-ordered rows."""
+    out = np.empty((len(rows), len(weights)))
     for j, w in enumerate(weights):
         support = w > 0.0
         if support.all():
-            out[:, j] = D @ w
+            out[:, j] = rows @ w
         else:
-            # D[:, support] is F-ordered; a C-ordered copy takes potential_at's BLAS path.
-            out[:, j] = np.ascontiguousarray(D[:, support]) @ w[support]
+            # rows[:, support] is F-ordered; a C-ordered copy takes potential_at's BLAS path.
+            out[:, j] = np.ascontiguousarray(rows[:, support]) @ w[support]
     return out
 
 

@@ -138,6 +138,8 @@ def _measure(doc, where: str, spec: KernelSpec) -> DiscreteMeasure:
         raise SchemaError("measure 'points' must be a list of lists of numbers")
     if len(set(map(len, pts))) > 1:
         raise SchemaError("measure 'points' must all have the same number of coordinates")
+    if pts and len(pts[0]) != spec.dim:
+        raise SchemaError(f"measure 'points' must be a list of lists of {spec.dim} numbers")
     if not _is_json_number_rows([weights]):
         raise SchemaError("measure 'weights' must be a list of numbers")
     signed = doc.get("signed", False)

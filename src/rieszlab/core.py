@@ -191,6 +191,20 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
+def _kernel_rows(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, tol: float = 0.0):
+    """Kernel block |x - y|^(alpha - n), one C-ordered row per point of X.
+
+    Every kernel block between two point sets is built here but the
+    mirrored Gram's.  Pairs at most ``tol`` apart are powered from 1.0
+    instead; returns the rows and the mask of those pairs, for the caller's rule.
+    """
+    rows = cdist(X, Y)
+    near = rows <= tol
+    np.copyto(rows, 1.0, where=near)
+    np.power(rows, spec.exponent, out=rows)
+    return rows, near
+
+
 def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
     """Potentials of ``mu`` at many points: (k(x, .) summed against the weights).
 
@@ -205,28 +219,19 @@ def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
         return np.zeros(len(X))
     if mu.dim != spec.dim:
         raise DimensionMismatch("measure dimension differs from kernel dimension")
-    D = cdist(X, mu.points)
-    zero = D == 0.0
-    has_zero = zero.any()
-    if has_zero:
-        D = np.where(zero, 1.0, D)
-    P = D ** spec.exponent
-    if has_zero:
-        P[zero] = 0.0
+    P, zero = _kernel_rows(spec, X, mu.points)
+    P[zero] = 0.0
     vals = P @ mu.weights
-    if has_zero:
-        for i in np.nonzero(zero.any(axis=1))[0]:
-            w_hit = mu.weights[zero[i]]
-            pos = bool((w_hit > 0).any())
-            neg = bool((w_hit < 0).any())
-            if pos and neg:
-                raise IndeterminateValue(
-                    "evaluation point coincides with nodes of both signs"
-                )
-            if pos:
-                vals[i] = np.inf
-            elif neg:
-                vals[i] = -np.inf
+    for i in np.nonzero(zero.any(axis=1))[0]:
+        w_hit = mu.weights[zero[i]]
+        pos = bool((w_hit > 0).any())
+        neg = bool((w_hit < 0).any())
+        if pos and neg:
+            raise IndeterminateValue("evaluation point coincides with nodes of both signs")
+        if pos:
+            vals[i] = np.inf
+        elif neg:
+            vals[i] = -np.inf
     return vals
 
 
@@ -245,8 +250,7 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
         return 0.0
     if mu.dim != spec.dim or nu.dim != spec.dim:
         raise DimensionMismatch("measure dimension differs from kernel dimension")
-    D = cdist(mu.points, nu.points)
-    zero = D == 0.0
+    P, zero = _kernel_rows(spec, mu.points, nu.points)
     if zero.any():
         prods = np.outer(mu.weights, nu.weights)[zero]
         pos = bool((prods > 0).any())
@@ -257,11 +261,7 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
             return float("inf")
         if neg:
             return float("-inf")
-        D = np.where(zero, 1.0, D)
-        P = D ** spec.exponent
         P[zero] = 0.0
-    else:
-        P = D ** spec.exponent
     return float(mu.weights @ (P @ nu.weights))
 
 

@@ -8,15 +8,17 @@ matrix, the potential of a measure) sweeps the unit charges at all its
 poles in one batch: the poles, an array of points, share one kernel block
 with the region nodes and one multi-column solve against the region's
 cached factor, and a pole whose unconstrained sweep is already
-nonnegative skips block pivoting.  Only the swept node weights are kept.
-Every Green Gram takes its free-kernel part from a Region over its nodes,
-so one node set has one regularization and one discrete Green energy.
+nonnegative skips block pivoting.  The swept node weights are kept, and
+a Green Gram keeps the block too: its poles are its nodes, so the swept
+potentials at the nodes are GEMVs over the block's rows.  Every Green
+Gram takes its free-kernel part from a Region over its nodes, so one node
+set has one regularization and one discrete Green energy.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .balayage import _node_weight_potentials, _sweep_batch
+from .balayage import _node_rows, _row_potentials, _sweep_batch
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
 from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
@@ -65,43 +67,48 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
     X = _as_points(points)
     _require_in_domain(gk, nu.points, "the measure's atoms")
     _require_in_domain(gk, X, "evaluation points")
-    return _green_potential_values(gk, nu, _pole_sweeps(gk, nu.points), X)
+    swept = _pole_sweeps(gk, nu.points)[1]
+    return _green_potential_values(gk, nu, swept, X, _node_rows(gk.spec, gk.region, X))
 
 
-def _pole_sweeps(gk: GreenKernel, poles: np.ndarray) -> list[np.ndarray]:
-    """Swept node weights of the unit charges at the poles, in one batch."""
-    return [sol.weights for sol in _sweep_batch(gk.spec, gk.region, poles, gk.tol)[1]]
+def _pole_sweeps(gk: GreenKernel, poles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Kernel rows of the poles against the region nodes, and the swept node
+    weights of the unit charges at the poles, from one batch."""
+    block, _, sols = _sweep_batch(gk.spec, gk.region, poles, gk.tol)
+    return block.T, [sol.weights for sol in sols]
 
 
 def _green_potential_values(
-    gk: GreenKernel, nu: DiscreteMeasure, swept: list[np.ndarray], X: np.ndarray
+    gk: GreenKernel, nu: DiscreteMeasure, swept: list[np.ndarray], X: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Green potential of nu at X, given the swept weights of its atoms' unit charges."""
+    """Green potential of nu at X, given the swept weights of its atoms' unit
+    charges and X's kernel rows against the region nodes."""
     vals = potential_at(gk.spec, nu, X).astype(float)
-    cols = _node_weight_potentials(gk.spec, swept, gk.region, X)
-    for weight, col in zip(nu.weights, cols.T):
+    for weight, col in zip(nu.weights, _row_potentials(rows, swept).T):
         vals -= weight * col
     return vals
 
 
 def _green_gram(
-    gk: GreenKernel, F: Region, swept: list[np.ndarray] | None = None
+    gk: GreenKernel, F: Region, sweeps: tuple[np.ndarray, list[np.ndarray]] | None = None
 ) -> GramMatrix:
     """F's free-kernel Gram minus the symmetrized swept unit-charge potentials.
 
-    ``swept`` are the swept weights of the unit charges at F's nodes; they
-    are swept here when not given.  Raises NodesOutsideDomain unless every
-    node lies in the open domain.
+    ``sweeps`` is ``_pole_sweeps`` of F's nodes, swept here when not given;
+    the swept potentials at the nodes are GEMVs over its kernel rows.  Raises
+    NodesOutsideDomain unless every node lies in the open domain farther than
+    ``h_min`` from the region nodes: the rows put a nearer node on a region node.
     """
-    if bool(gk.region.contains(F.nodes).any()):
+    region = gk.region
+    on_node = region.nearest_node(F.nodes)[0] <= region.h_min
+    if bool(region.contains(F.nodes).any() or on_node.any()):
         raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
-    if swept is None:
-        swept = _pole_sweeps(gk, F.nodes)
+    rows, swept = _pole_sweeps(gk, F.nodes) if sweeps is None else sweeps
     kgram = F.gram(gk.spec)
     # Only F's entries are read from here on; the factor its condition check
     # cached is never solved with.
     kgram.release_factor()
-    C = _node_weight_potentials(gk.spec, swept, gk.region, F.nodes)
+    C = _row_potentials(rows, swept)
     return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T))
 
 
@@ -134,8 +141,9 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     parts = [(p, sign) for p, sign in signed_parts if p.n_points]
     points = np.concatenate([nu.points, *(p.points for p, _ in parts)])
     weights = [np.ones(1)] * nu.n_points + [p.weights for p, _ in parts]
-    sols = _sweep_batch(gk.spec, gk.region, points, gk.tol, weights)[1]
-    ggram = _green_gram(gk, F, [sol.weights for sol in sols[: nu.n_points]])
+    block, _, sols = _sweep_batch(gk.spec, gk.region, points, gk.tol, weights)
+    n = nu.n_points
+    ggram = _green_gram(gk, F, (block[:, :n].T, [sol.weights for sol in sols[:n]]))
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
     e_free = float(nu.weights @ (F.gram(gk.spec).entries @ nu.weights))
 
@@ -177,20 +185,18 @@ def verify_domination(
     potentials.
     """
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
-    if nu is not None:
-        _require_in_domain(gk, nu.points, "the measure's atoms")
-    poles = mu.points if nu is None else np.concatenate([mu.points, nu.points])
-    swept = _pole_sweeps(gk, poles)
-    mu_swept, nu_swept = swept[: mu.n_points], swept[mu.n_points:]
-    F = cloud_region(mu.points, gk.spec) if mu.n_points >= 2 else None
+    if nu is None:
+        nu = DiscreteMeasure.empty(gk.spec.dim)  # its Green potential is zero
+    _require_in_domain(gk, nu.points, "the measure's atoms")
+    rows, swept = _pole_sweeps(gk, np.concatenate([mu.points, nu.points]))
+    m = mu.n_points
+    mu_rows, mu_swept, nu_swept = rows[:m], swept[:m], swept[m:]
+    F = cloud_region(mu.points, gk.spec) if m >= 2 else None
     if F is not None:
-        u_mu_self = _green_gram(gk, F, mu_swept).entries @ mu.weights
+        u_mu_self = _green_gram(gk, F, (mu_rows, mu_swept)).entries @ mu.weights
     else:
         u_mu_self = np.array([np.inf])
-    if nu is not None:
-        u_nu_self = _green_potential_values(gk, nu, nu_swept, mu.points)
-    else:
-        u_nu_self = np.zeros(mu.n_points)
+    u_nu_self = _green_potential_values(gk, nu, nu_swept, mu.points, mu_rows)
     pre_gap = float(np.max(u_mu_self - (c + u_nu_self)))
     scale = max(float(np.max(np.abs(c + u_nu_self))), 1.0)
     precondition_ok = bool(pre_gap <= tol * scale)
@@ -203,12 +209,9 @@ def verify_domination(
         dist, _ = F.nearest_node(probes)
         probes = probes[dist >= F.spacing()[1]]
     if len(probes):
-        u_mu = _green_potential_values(gk, mu, mu_swept, probes)
-        u_nu = (
-            _green_potential_values(gk, nu, nu_swept, probes)
-            if nu is not None
-            else np.zeros(len(probes))
-        )
+        probe_rows = _node_rows(gk.spec, gk.region, probes)
+        u_mu = _green_potential_values(gk, mu, mu_swept, probes, probe_rows)
+        u_nu = _green_potential_values(gk, nu, nu_swept, probes, probe_rows)
         violation = float(
             np.max((u_mu - (c + u_nu)) / np.maximum(np.abs(c + u_nu), 1.0))
         )
@@ -221,7 +224,7 @@ def verify_domination(
         "ok": bool((not precondition_ok) or violation <= tol),
         "vacuous": bool(not precondition_ok),
         "mass_dominated": mu.total_mass,
-        "mass_dominating": (nu.total_mass if nu is not None else 0.0),
+        "mass_dominating": nu.total_mass,
         "n_probes": int(len(probes)),
         "probe_seed": probe_seed,
     }

@@ -98,7 +98,7 @@ def _kernel_block(spec, region, points):
 
 def test_source_potentials_handle_node_coincidence(spec, ball500):
     mu = DiscreteMeasure(ball500.nodes[[5]], [2.0])
-    B, _ = _sweep_batch(spec, ball500, mu.points, 1e-10, [mu.weights])
+    _, B, _ = _sweep_batch(spec, ball500, mu.points, 1e-10, [mu.weights])
     b = B[:, 0]
     # at its own node the source contributes the regularized energy
     assert b[5] == pytest.approx(2.0 * ball500.reg_radius ** spec.exponent)
@@ -110,7 +110,7 @@ def test_batched_pole_on_a_node_takes_the_gram_diagonal(spec, ball500):
     """Unit charges swept in one batch: each right-hand side is bitwise the
     kernel column of its pole, also for a pole exactly on a node."""
     poles = np.stack([2.0 * E1, ball500.nodes[7], np.array([0.0, -1.5, 1.5])])
-    B, sols = _sweep_batch(spec, ball500, poles, 1e-10)
+    _, B, sols = _sweep_batch(spec, ball500, poles, 1e-10)
     assert B.shape == (ball500.n_nodes, 3) and len(sols) == 3
     assert np.array_equal(B, _kernel_block(spec, ball500, poles))
     assert B[7, 1] == ball500.gram(spec).entries[7, 7]

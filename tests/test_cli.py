@@ -360,6 +360,21 @@ def test_analytic_shape_outside_three_dimensions_exits_1(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["sweep", "mass-loss", "kelvin-check"])
+def test_measure_points_must_have_the_kernel_dimension(tmp_path, capsys, command):
+    """A measure whose points have two coordinates at dim 3 is bad input,
+    named on one error line before any array is built from it."""
+    fields = copy.deepcopy(_PAYLOAD_LAYOUTS[command][0])
+    key = "measure" if command == "kelvin-check" else "source"
+    fields[key] = {"points": [[0.1, 0.0]], "weights": [1.0]}
+    doc = {"schema": 1, "name": command, "command": command,
+           "kernel": {"alpha": 2.0, "dim": 3}, **fields}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: measure 'points' must be a list of lists of 3 numbers"
+    )
+
+
 def test_empty_measure_takes_the_kernel_dimension():
     empty = {"points": [], "weights": []}
     assert cli._measure(empty, "source", KernelSpec(2.0, 4)).dim == 4

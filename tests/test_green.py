@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import rieszlab as rl
 from rieszlab import (
@@ -191,6 +192,21 @@ def test_green_gram_matches_per_pole_sweeps(spec, gk2000):
     assert np.array_equal(green_gram(gk2000, nodes).entries, expected)
 
 
+def test_green_gram_is_built_from_its_own_pole_batch():
+    """At α=1.5 on the n=500 ball complement some interior poles' sweeps
+    pivot, so their columns take the GEMVs over a partial support.  The
+    Green Gram equals, bit for bit, one assembled from the potentials of the
+    swept measures of one batch of all its poles."""
+    spec15 = rl.KernelSpec(1.5, 3)
+    region = rl.ball_complement_region(ORIGIN, 1.0, 500, spec15)
+    nodes = interior_points(np.random.default_rng(37), 12)
+    results = rl.sweep_many(spec15, [dirac(p) for p in nodes], region)
+    assert max(res.solution.iterations for res in results) > 1
+    C = np.stack([rl.potential_at(spec15, res.swept, nodes) for res in results], axis=1)
+    expected = rl.cloud_region(nodes, spec15).gram(spec15).entries - 0.5 * (C + C.T)
+    assert np.array_equal(green_gram(GreenKernel(spec15, region), nodes).entries, expected)
+
+
 @pytest.mark.parametrize("r, m, capacity", [(0.5, 200, 0.9794919513482756), (0.3, 100, 0.4192770444179198)])
 def test_green_gram_is_the_green_equilibrium_gram(spec, gk2000, r, m, capacity):
     """A node set has one Green Gram: green_gram over a region's nodes
@@ -229,6 +245,56 @@ def test_green_gram_rejects_outside_nodes(gk2000):
     nodes = np.array([[0.2, 0, 0], [3.0, 0, 0]])
     with pytest.raises(NodesOutsideDomain):
         green_gram(gk2000, nodes)
+
+
+def test_green_gram_rejects_a_node_within_h_min_of_a_region_node(spec, complement500):
+    """A Green Gram reads its poles' kernel rows, where a pole within h_min of
+    a region node sits on it; such a node is not strictly inside the domain,
+    though the shape does not contain it."""
+    region = complement500
+    z = region.nodes[0]
+    point = z * (1.0 - 1.5e-9)
+    assert not region.contains(point[None, :])[0]
+    assert np.linalg.norm(point - z) < region.h_min
+    nodes = np.concatenate([point[None, :], interior_points(np.random.default_rng(42), 4)])
+    with pytest.raises(NodesOutsideDomain):
+        green_gram(GreenKernel(spec, region), nodes)
+
+
+@pytest.mark.parametrize(
+    "call", ["green_equilibrium", "green_gram", "energy_decomposition", "domination",
+             "domination_by_nu"],
+)
+def test_each_green_gram_builds_one_region_block(spec, gk2000, monkeypatch, call):
+    """A Green Gram reads the kernel rows of its own pole batch: each call
+    builds one kernel block against the region nodes, that of the sweeps."""
+    import rieszlab.balayage as balayage
+    import rieszlab.core as core
+
+    nodes = gk2000.region.nodes
+    blocks = []
+
+    def counting(X, Y, *args, **kwargs):
+        if Y.shape == nodes.shape and np.array_equal(Y, nodes):
+            blocks.append(len(X))
+        return cdist(X, Y, *args, **kwargs)
+
+    monkeypatch.setattr(core, "cdist", counting)
+    monkeypatch.setattr(balayage, "cdist", counting, raising=False)
+    rng = np.random.default_rng(43)
+    mu = DiscreteMeasure(interior_points(rng, 6, r_max=0.6), rng.random(6) + 0.5)
+    nu = DiscreteMeasure(interior_points(rng, 5, r_max=0.6), rng.random(5) + 0.5)
+    if call == "green_equilibrium":
+        rl.green_equilibrium(gk2000, rl.sphere_region(ORIGIN, 0.5, 60, spec))
+    elif call == "green_gram":
+        green_gram(gk2000, mu.points)
+    elif call == "energy_decomposition":
+        verify_energy_decomposition(gk2000, mu)
+    elif call == "domination":
+        verify_domination(gk2000, mu, None, c=1.0, n_probes=0)
+    else:
+        verify_domination(gk2000, mu, nu, n_probes=0)
+    assert len(blocks) == 1
 
 
 def test_energy_decomposition_exact_when_unconstrained(spec, gk2000):

@@ -159,6 +159,23 @@ def test_only_core_imports_scipy_linalg():
     assert sorted(set(importers)) == ["core.py"]
 
 
+def test_only_core_imports_cdist():
+    """core._kernel_rows builds every kernel block between two point sets:
+    no module other than core imports scipy.spatial.distance."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(m.startswith("scipy.spatial.distance") for m in modules):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["core.py"]
+
+
 def test_core_imports_no_json():
     """core holds the mathematics; the scenario format, and its reader of
     measure documents, belong to cli."""
