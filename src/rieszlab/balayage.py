@@ -102,9 +102,11 @@ def sweep_many(
 
     The sources share one solve through the region's Cholesky factor.
     Each result is the sweep of its source with ``checks=None``: the
-    measure and solution are bitwise those ``sweep`` returns, without the
-    invariant checks.  SolverFailure is raised at the first source, in
-    order, that does not converge; later sources are not solved.
+    measure and solution equal those ``sweep`` returns to rounding, without
+    the invariant checks (bitwise for fewer than 12 sources; not always with
+    one BLAS thread and 12 or more, as at N = 490, 500, 510 and 700).
+    SolverFailure is raised at the first source, in order, that does not
+    converge; later sources are not solved.
     """
     return _sweep_columns(spec, sources, region, tol)[1]
 

@@ -820,8 +820,7 @@ def _with_node_count(doc: dict, n: int) -> dict:
 def _cmd_refine(args) -> int:
     doc, seed = _load(args)
     if not args.n:
-        print("error: refine requires at least one node count via --n", file=sys.stderr)
-        return 1
+        raise SchemaError("refine requires at least one node count via --n")
     runs = []
     lines = []
     for n in args.n:
@@ -894,7 +893,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, RieszLabError, ValueError, KeyError, OSError) as exc:
+    except (RieszLabError, ValueError, KeyError, OSError) as exc:
         if isinstance(exc, KeyError):
             print(f"error: missing required key {exc}", file=sys.stderr)
         else:

@@ -215,8 +215,6 @@ def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
     X = _as_points(points)
     if X.shape[1] != spec.dim:
         raise DimensionMismatch(f"points must have dimension {spec.dim}")
-    if mu.n_points == 0:
-        return np.zeros(len(X))
     if mu.dim != spec.dim:
         raise DimensionMismatch("measure dimension differs from kernel dimension")
     P, zero = _kernel_rows(spec, X, mu.points)
@@ -246,8 +244,6 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     Intended for measures with disjoint supports; a coincidence between a
     charged node of each gives +/-inf with the usual sign rules.
     """
-    if mu.n_points == 0 or nu.n_points == 0:
-        return 0.0
     if mu.dim != spec.dim or nu.dim != spec.dim:
         raise DimensionMismatch("measure dimension differs from kernel dimension")
     P, zero = _kernel_rows(spec, mu.points, nu.points)

@@ -44,7 +44,7 @@ class GreenKernel:
 
 
 def _require_in_domain(gk: GreenKernel, points, what: str) -> None:
-    if bool(gk.region.contains(points).any()):
+    if not gk.domain_contains(points).all():
         raise PointOutsideDomain(f"{what} must lie in the open domain off the target set")
 
 
@@ -98,10 +98,11 @@ def _green_gram(
     the swept potentials at the nodes are GEMVs over its kernel rows.  Raises
     NodesOutsideDomain unless every node lies in the open domain farther than
     ``h_min`` from the region nodes: the rows put a nearer node on a region node.
+    The Gram is factored before it is returned; later solves reuse the factor.
     """
     region = gk.region
     on_node = region.nearest_node(F.nodes)[0] <= region.h_min
-    if bool(region.contains(F.nodes).any() or on_node.any()):
+    if not gk.domain_contains(F.nodes).all() or on_node.any():
         raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
     rows, swept = _pole_sweeps(gk, F.nodes) if sweeps is None else sweeps
     kgram = F.gram(gk.spec)
@@ -109,7 +110,9 @@ def _green_gram(
     # cached is never solved with.
     kgram.release_factor()
     C = _row_potentials(rows, swept)
-    return GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T))
+    ggram = GramMatrix(F.nodes, kgram.entries - 0.5 * (C + C.T))
+    ggram.cholesky()
+    return ggram
 
 
 def green_gram(gk: GreenKernel, nodes) -> GramMatrix:
@@ -120,7 +123,8 @@ def green_gram(gk: GreenKernel, nodes) -> GramMatrix:
     ``green_equilibrium`` builds over a region with the same nodes.  The
     correction subtracts the potential of each node's swept unit charge,
     column by column, and the result is symmetrized.  A single node has no
-    spacing and raises ValueError.
+    spacing and raises ValueError; a node much nearer A than the spacing can
+    make the Gram indefinite, which raises IllConditioned.
     """
     return _green_gram(gk, cloud_region(nodes, gk.spec))
 
@@ -191,15 +195,17 @@ def verify_domination(
     rows, swept = _pole_sweeps(gk, np.concatenate([mu.points, nu.points]))
     m = mu.n_points
     mu_rows, mu_swept, nu_swept = rows[:m], swept[:m], swept[m:]
-    F = cloud_region(mu.points, gk.spec) if m >= 2 else None
-    if F is not None:
-        u_mu_self = _green_gram(gk, F, (mu_rows, mu_swept)).entries @ mu.weights
+    if m == 1:
+        # A lone atom has no spacing to regularize its own Green potential,
+        # which is infinite: the gap is +inf whatever nu is.
+        F, pre_gap, precondition_ok = None, np.inf, False
     else:
-        u_mu_self = np.array([np.inf])
-    u_nu_self = _green_potential_values(gk, nu, nu_swept, mu.points, mu_rows)
-    pre_gap = float(np.max(u_mu_self - (c + u_nu_self)))
-    scale = max(float(np.max(np.abs(c + u_nu_self))), 1.0)
-    precondition_ok = bool(pre_gap <= tol * scale)
+        F = cloud_region(mu.points, gk.spec)
+        u_mu_self = _green_gram(gk, F, (mu_rows, mu_swept)).entries @ mu.weights
+        u_nu_self = _green_potential_values(gk, nu, nu_swept, mu.points, mu_rows)
+        pre_gap = float(np.max(u_mu_self - (c + u_nu_self)))
+        scale = max(float(np.max(np.abs(c + u_nu_self))), 1.0)
+        precondition_ok = bool(pre_gap <= tol * scale)
 
     probes = sample_points_off(gk.region, n_probes, probe_seed)
     # A point atom's potential diverges at the atom itself, so probes

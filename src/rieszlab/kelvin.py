@@ -55,8 +55,6 @@ def invert_points(inv: Inversion, points) -> np.ndarray:
 def kelvin_transform(inv: Inversion, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Transform a discrete measure: atoms move by inversion, weights pick up
     the factor |x - y|^(alpha - n)."""
-    if nu.n_points == 0:
-        return nu
     diff = nu.points - inv.center
     r = np.linalg.norm(diff, axis=1)
     if np.any(r == 0.0):

@@ -397,8 +397,7 @@ class UnionShape(Shape):
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         _require_budget(budget)
         parts = [p.shell_nodes(y, r_lo, r_hi, budget) for p in self.parts]
-        X = np.concatenate([p for p in parts if len(p)]) if any(len(p) for p in parts) else np.zeros((0, 3))
-        return _dedupe(X)
+        return _dedupe(np.concatenate(parts))
 
     def characteristic_scale(self) -> float:
         return max(p.characteristic_scale() for p in self.parts)
@@ -446,14 +445,8 @@ SHAPES = {
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
     """Drop later points that collide with earlier ones within h_min."""
-    if len(points) < 2:
-        return points
     tol = H_MIN_FACTOR * _bbox_diameter(points)
-    if tol == 0.0:
-        return points[:1]
     pairs = cKDTree(points).query_pairs(tol, output_type="ndarray")
-    if len(pairs) == 0:
-        return points
     drop = np.zeros(len(points), dtype=bool)
     drop[pairs.max(axis=1)] = True
     return points[~drop]

@@ -117,10 +117,11 @@ def solve_nonneg_many(
     if max_iter is None:
         max_iter = 50 * n
     tol_eff = tol * np.maximum(np.max(np.abs(B), axis=0, initial=0.0), TINY)
-    B = np.asfortranarray(B)  # contiguous columns: each BLAS call matches a one-column solve
+    # Contiguous columns.  The solve equals one-column solves to rounding, and
+    # bitwise below 12 columns; with one BLAS thread some sizes differ above.
+    B = np.asfortranarray(B)
 
-    gram.cholesky()  # cached; the n == 1 branch divides without a solve
-    W = gram.solve(B) if n > 1 else np.maximum(B / K[0, 0], 0.0)
+    W = gram.solve(B)
     # Every column's first pass at once: a column with no weight below
     # -tol_eff converges on the full free set, as its pivoting loop would
     # find in its first iteration (a loop allowed no iteration finds nothing).

@@ -151,6 +151,20 @@ def test_potential_dimension_mismatch():
         potential_at(s, dirac(E1), np.zeros((1, 4)))
 
 
+def test_empty_measure_takes_the_general_path(spec):
+    """The zero measure has potential 0 and cross energy 0.0 through the
+    empty kernel block, and a dimension that differs from the kernel's
+    raises, as for any other measure."""
+    empty = DiscreteMeasure.empty(3)
+    assert np.array_equal(potential_at(spec, empty, np.ones((4, 3))), np.zeros(4))
+    assert cross_energy(spec, empty, dirac(E1)) == 0.0
+    assert cross_energy(spec, dirac(E1), empty) == 0.0
+    with pytest.raises(DimensionMismatch):
+        potential_at(spec, DiscreteMeasure.empty(4), np.ones((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        cross_energy(spec, DiscreteMeasure.empty(4), dirac(E1))
+
+
 def test_energy_consistency_with_potential(spec):
     """energy(mu, nu) equals integrating mu's potential against nu."""
     rng = np.random.default_rng(3)

@@ -261,6 +261,17 @@ def test_green_gram_rejects_a_node_within_h_min_of_a_region_node(spec, complemen
         green_gram(GreenKernel(spec, region), nodes)
 
 
+@pytest.mark.parametrize("d", [0.02, 1e-3])
+def test_green_gram_rejects_a_node_that_makes_it_indefinite(spec, complement500, d):
+    """A node beside a region node, farther than h_min but much nearer than
+    the spacing, makes the Green Gram indefinite (first diagonal entry -82.7
+    at d = 0.02); green_gram raises instead of returning it."""
+    z = complement500.nodes[0]
+    nodes = np.concatenate([(z * (1.0 - d))[None, :], interior_points(np.random.default_rng(42), 4)])
+    with pytest.raises(rl.IllConditioned):
+        green_gram(GreenKernel(spec, complement500), nodes)
+
+
 @pytest.mark.parametrize(
     "call", ["green_equilibrium", "green_gram", "energy_decomposition", "domination",
              "domination_by_nu"],
@@ -347,6 +358,29 @@ def test_domination_by_one_atom_is_vacuous(spec, complement500, monkeypatch):
     assert not out["precondition_ok"]
     assert out["vacuous"] and out["ok"]
     assert out["max_violation"] > 0.02  # the probes alone would fail the check
+
+
+def test_domination_of_one_atom_of_nu_is_vacuous(gk2000):
+    """mu a Dirac at one of nu's atoms: mu's self-potential and nu's
+    potential there are both infinite, and the gap is +inf, not inf - inf."""
+    rng = np.random.default_rng(37)
+    nu = DiscreteMeasure(interior_points(rng, 5, r_max=0.6), rng.random(5) + 0.5)
+    out = verify_domination(gk2000, dirac(nu.points[0]), nu)
+    assert out["precondition_gap"] == np.inf
+    assert out["vacuous"] and not out["precondition_ok"]
+
+
+def test_domination_on_disjoint_supports(spec, gk2000):
+    """Half the Green equilibrium of S(0, 0.3) against that of S(0, 0.5):
+    Green potential 1/2 against 1 on the inner sphere, a finite negative
+    gap, and no probe where the bound fails."""
+    nu = rl.green_equilibrium(gk2000, rl.sphere_region(ORIGIN, 0.5, 200, spec)).gamma
+    mu = rl.green_equilibrium(gk2000, rl.sphere_region(ORIGIN, 0.3, 100, spec)).gamma.scaled(0.5)
+    out = verify_domination(gk2000, mu, nu)
+    assert -1.0 < out["precondition_gap"] < 0.0
+    assert not out["vacuous"] and out["ok"]
+    assert out["max_violation"] < 0.0
+    assert out["n_probes"] > 100
 
 
 def test_domination_against_constant(gk2000):

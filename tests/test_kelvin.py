@@ -85,6 +85,11 @@ def test_kelvin_transform_is_involutive(spec):
     assert np.max(np.abs(back.weights - mu.weights)) < 1e-12
 
 
+def test_kelvin_transform_of_the_zero_measure_is_empty(spec):
+    out = kelvin_transform(Inversion([1.0, 0.0, 0.0]), spec, DiscreteMeasure.empty(3))
+    assert out.n_points == 0 and out.dim == 3
+
+
 def test_kelvin_rejects_charged_pole(spec):
     inv = Inversion(ORIGIN)
     with pytest.raises(CenterCharged):

@@ -1,6 +1,8 @@
 """Package hygiene: the public name list, the imports of every module, its
 module-private names, and the modules that ``import rieszlab`` loads."""
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -217,3 +219,20 @@ def test_import_loads_no_heavy_scipy_subpackage():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_quick_tour_runs():
+    """README's quick tour runs and prints what its comments state: mass and
+    capacity within 1 % of 1, the Green value within 2 % of 1/0.5 - 1 = 1,
+    both sweep checks true and a regular boundary point."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    tour = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(tour, "README.md", "exec"), {})
+    mass, checks, capacity, green, verdict = out.getvalue().splitlines()
+    assert abs(float(mass) - 1.0) <= 0.01
+    assert checks == "True True"
+    assert abs(float(capacity) - 1.0) <= 0.01
+    assert abs(float(green) - 1.0) <= 0.02
+    assert verdict == "regular"

@@ -376,6 +376,26 @@ def test_sweep_invariants_hold_for_every_shape_and_order(kind, alpha):
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_green_equilibrium_holds_for_every_shape_and_order(kind, alpha):
+    """Shape x alpha matrix: the Green equilibrium of a 150-node sphere of
+    radius 0.25 in D converges over an exactly symmetric, factored Green
+    Gram, has node potential 1 to rounding, and a capacity above the free
+    one of the same nodes (the Green kernel lies below the free kernel)."""
+    spec = KernelSpec(alpha, 3)
+    region = _catalog_region(kind, spec, n=500)
+    f = rl.sphere_region(_POINT_IN_D[kind], 0.25, 150, spec)
+    eq = rl.green_equilibrium(rl.GreenKernel(spec, region), f)
+    assert eq.solution.converged
+    g = eq.gram
+    assert np.array_equal(g.entries, g.entries.T)
+    assert np.isfinite(g.cholesky()[0]).all()
+    assert abs(eq.node_potential_min - 1.0) <= 1e-9
+    assert abs(eq.node_potential_max - 1.0) <= 1e-9
+    assert eq.capacity > rl.riesz_equilibrium(spec, f).capacity
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
 @pytest.mark.parametrize("budget", [225, 275])
 def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):
     """A near-duplicate pair in the Halton shell layout breaks the uniform
