@@ -87,8 +87,11 @@ def sweep(
     """
     if not (np.isfinite(tol_dom) and tol_dom >= 0.0):
         raise ValueError("tol_dom must be finite and nonnegative")
+    _require_sweepable([mu], region)
+    # drawn first: a region with no probes fails before its Gram is assembled
+    probes = sample_points_off(region, n_probes, probe_seed)
     B, (res,) = _sweep_columns(spec, [mu], region, tol)
-    checks = _sweep_checks(spec, mu, region, B[:, 0], res, tol_dom, n_probes, probe_seed)
+    checks = _sweep_checks(spec, mu, region, B[:, 0], res, tol_dom, probes, probe_seed)
     return replace(res, checks=checks)
 
 
@@ -108,11 +111,11 @@ def sweep_many(
     SolverFailure is raised at the first source, in order, that does not
     converge; later sources are not solved.
     """
+    _require_sweepable(sources, region)
     return _sweep_columns(spec, sources, region, tol)[1]
 
 
-def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepResult]]:
-    """Right-hand sides, one column per source, and the sweeps, from one batch."""
+def _require_sweepable(sources, region) -> None:
     for mu in sources:
         if mu.signed:
             raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
@@ -120,6 +123,10 @@ def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepRe
             raise ValueError("cannot sweep the zero measure")
         if mu.dim != region.dim:
             raise ValueError("measure and region dimensions differ")
+
+
+def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepResult]]:
+    """Right-hand sides, one column per source, and the sweeps, from one batch."""
     points = np.concatenate([mu.points for mu in sources] or [np.empty((0, region.dim))])
     _, B, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
     results = []
@@ -211,7 +218,7 @@ def _row_potentials(rows: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def _sweep_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> SweepChecks:
+def _sweep_checks(spec, mu, region, b, res, tol_dom, probes, probe_seed) -> SweepChecks:
     gram = region.gram(spec)
     w, swept = res.solution.weights, res.swept
     mass_in = mu.total_mass
@@ -242,7 +249,6 @@ def _sweep_checks(spec, mu, region, b, res, tol_dom, n_probes, probe_seed) -> Sw
     else:
         node_gap = 0.0
 
-    probes = sample_points_off(region, n_probes, probe_seed)
     if len(probes):
         pot_src = potential_at(spec, mu, probes)
         pot_swp = potential_at(spec, swept, probes)
@@ -321,8 +327,9 @@ def verify_integral_representation(
     shrinks under refinement.
     """
     atoms = [dirac(mu.points[i], float(mu.weights[i])) for i in range(mu.n_points)]
+    probes = sample_points_off(region, n_probes, probe_seed)
     joint, *parts = sweep_many(spec, [mu, *atoms], region, tol=tol)
-    return _probe_gaps(spec, region, joint, parts, n_probes, probe_seed)
+    return _probe_gaps(spec, region, joint, parts, probes)
 
 
 def verify_transitivity(
@@ -343,17 +350,17 @@ def verify_transitivity(
         raise NodesOutsideDomain(
             "every node of the inner region must belong to the outer set"
         )
+    probes = sample_points_off(region_f, n_probes, probe_seed)
     (staged_a,) = sweep_many(spec, [mu], region_a, tol=tol)
     direct, staged = sweep_many(spec, [mu, staged_a.swept], region_f, tol=tol)
-    return _probe_gaps(spec, region_f, direct, [staged], n_probes, probe_seed)
+    return _probe_gaps(spec, region_f, direct, [staged], probes)
 
 
-def _probe_gaps(spec, region, ref, parts, n_probes, probe_seed) -> dict:
+def _probe_gaps(spec, region, ref, parts, probes) -> dict:
     """The sweeps ``parts`` summed against the sweep ``ref``, all onto ``region``.
 
-    Relative gaps of the potentials at probes off the region and of the masses.
+    Relative gaps of the potentials at ``probes`` off the region and of the masses.
     """
-    probes = sample_points_off(region, n_probes, probe_seed)
     pots = swept_potentials(spec, [ref, *parts], region, probes)
     pot_ref = pots[:, 0]
     pot_sum = np.zeros(len(probes))

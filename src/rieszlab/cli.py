@@ -37,7 +37,6 @@ from .regions import (
     BallComplement,
     PointCloud,
     Region,
-    Shape,
     build_region,
     fibonacci_sphere,
     sphere_region,
@@ -70,12 +69,34 @@ def _is_json_number_rows(rows) -> bool:
 # by its key, a nested one as ``<section> '<key>'``.
 
 
-def _check_keys(doc, allowed, where: str) -> None:
+def _read(doc, where: str, spec, table: dict, top: bool = False) -> dict:
+    """Read the JSON object ``doc`` through ``table``, {key: (reader, default)}.
+
+    A reader that is itself a table reads a section, a nested object.  A
+    default of ``...`` marks a required key, and None an optional key that
+    is left out when absent; any other default is read in place of an absent
+    value.  Raises SchemaError naming ``where`` unless ``doc`` is an object,
+    and at an unknown or a missing key.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"{where} must be a JSON object")
     for key in doc:
-        if key not in allowed:
+        if key not in table:
             raise SchemaError(f"unknown key '{key}' in {where}")
+    values = {}
+    for key, (read, default) in table.items():
+        if key in doc:
+            value = doc[key]
+        elif default is ...:
+            raise SchemaError(f"missing key '{key}' in {where}")
+        elif default is None:
+            continue
+        else:
+            value = default
+        if isinstance(read, dict):
+            read = functools.partial(_read, table=read)
+        values[key] = read(value, key if top else f"{where} '{key}'", spec)
+    return values
 
 
 def _number(value, where: str, spec=None) -> float:
@@ -106,6 +127,13 @@ def _string(value, where: str, spec=None) -> str:
     return value
 
 
+def _numbers(value, where: str, spec=None) -> list:
+    """A list of JSON numbers, such as a measure's weights."""
+    if not _is_json_number_rows([value]):
+        raise SchemaError(f"{where} must be a list of numbers")
+    return value
+
+
 def _point(value, where: str, spec: KernelSpec) -> np.ndarray:
     """``value`` as a point of R^dim; SchemaError unless it is a list of dim numbers."""
     if not (_is_json_number_rows([value]) and len(value) == spec.dim):
@@ -113,74 +141,63 @@ def _point(value, where: str, spec: KernelSpec) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def _draws(value, where: str, spec=None) -> tuple[int, int]:
-    """A ``probes`` or ``samples`` section as (count, seed)."""
-    _check_keys(value, {"n", "seed"}, where)
-    return _count(value["n"], f"{where} 'n'"), _count(value["seed"], f"{where} 'seed'")
+def _points(value, where: str, spec: KernelSpec) -> np.ndarray:
+    """``value`` as an (n, dim) array; SchemaError unless it is a list of
+    lists of dim numbers (an empty list is none)."""
+    if not (_is_json_number_rows(value) and set(map(len, value)) <= {spec.dim}):
+        raise SchemaError(f"{where} must be a list of lists of {spec.dim} numbers")
+    return np.array(value, dtype=float).reshape(-1, spec.dim)
+
+
+_KERNEL = {"alpha": (_number, 2.0), "dim": (_count, 3)}
+
+_MEASURE = {"points": (_points, ...), "weights": (_numbers, ...), "signed": (_boolean, False)}
 
 
 def _measure(doc, where: str, spec: KernelSpec) -> DiscreteMeasure:
     """A measure section as a DiscreteMeasure; an empty one is the zero measure in R^dim."""
-    if not isinstance(doc, dict):
-        raise SchemaError("measure document must be a JSON object")
-    unknown = set(doc) - {"points", "weights", "signed"}
-    if unknown:
-        raise SchemaError(f"unknown measure key: {sorted(unknown)[0]!r}")
-    if "points" not in doc or "weights" not in doc:
-        raise SchemaError("measure document needs 'points' and 'weights'")
-    pts, weights = doc["points"], doc["weights"]
-    for key, value in (("points", pts), ("weights", weights)):
-        if not isinstance(value, list):
-            raise SchemaError(f"measure '{key}' must be a JSON list")
-    if len(pts) != len(weights):
+    values = _read(doc, "measure", spec, _MEASURE)
+    if len(values["points"]) != len(values["weights"]):
         raise SchemaError("measure 'weights' must have one entry per point")
-    if not _is_json_number_rows(pts):
-        raise SchemaError("measure 'points' must be a list of lists of numbers")
-    if len(set(map(len, pts))) > 1:
-        raise SchemaError("measure 'points' must all have the same number of coordinates")
-    if pts and len(pts[0]) != spec.dim:
-        raise SchemaError(f"measure 'points' must be a list of lists of {spec.dim} numbers")
-    if not _is_json_number_rows([weights]):
-        raise SchemaError("measure 'weights' must be a list of numbers")
-    signed = doc.get("signed", False)
-    if not isinstance(signed, bool):
-        raise SchemaError("measure 'signed' must be a JSON boolean")
-    if len(pts) == 0:
-        return DiscreteMeasure.empty(spec.dim)
-    return DiscreteMeasure(pts, weights, signed=signed)
+    return DiscreteMeasure(**values)
 
 
-def _shape_from_doc(doc, where: str, spec: KernelSpec) -> Shape:
-    if not isinstance(doc, dict) or "shape" not in doc:
-        raise SchemaError("shape description must be an object with a 'shape' key")
-    kind = doc["shape"]
-    if kind not in SHAPES:
-        raise SchemaError(f"unknown shape '{kind}'")
+def _parts(value, where: str, spec: KernelSpec) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be a JSON list")
+    return [_shape_from_doc(part, where, spec) for part in value]
+
+
+# shape field -> reader
+_SHAPE_FIELDS = {"center": _point, "radius": _number, "normal": _point, "offset": _number,
+                 "points": _points, "parts": _parts}
+
+
+def _shape_table(doc, where: str, region: bool) -> tuple[type, str, dict]:
+    """The class of a shape section, its name in messages and its table:
+    the class's fields, and the node count ``n`` of a region of an analytic
+    shape (a cloud's nodes are its points)."""
+    kind = doc.get("shape") if isinstance(doc, dict) else None
+    if not (isinstance(kind, str) and kind in SHAPES):
+        raise SchemaError(f"{where} must be an object whose 'shape' is one of {sorted(SHAPES)}")
     cls = SHAPES[kind]
-    label = f"shape '{kind}'"
-    _check_keys(doc, {"shape", "n", *cls.fields}, label)
-    if kind == "union":
-        if not isinstance(doc["parts"], list):
-            raise SchemaError("union 'parts' must be a JSON list")
-        return cls([_shape_from_doc(p, where, spec) for p in doc["parts"]])
-    if kind == "cloud":
-        points = doc["points"]
-        if not (_is_json_number_rows(points) and all(len(p) == spec.dim for p in points)):
-            raise SchemaError(f"{label} 'points' must be a list of lists of {spec.dim} numbers")
-        return cls(points)
-    return cls(*(
-        (_point if f in ("center", "normal") else _number)(doc[f], f"{label} '{f}'", spec)
-        for f in cls.fields
-    ))
+    table = {"shape": (_string, ...)} | {f: (_SHAPE_FIELDS[f], ...) for f in cls.fields}
+    if region and cls is not PointCloud:
+        table["n"] = (_count, ...)
+    return cls, f"shape '{kind}'", table
 
 
-def _region_from_doc(doc, where: str, spec: KernelSpec) -> Region:
-    shape = _shape_from_doc(doc, where, spec)
-    if isinstance(shape, PointCloud):
-        return Region(shape, shape.points)
-    if "n" not in doc:
-        raise SchemaError("region requires a node count 'n'")
-    return build_region(shape, _count(doc["n"], f"shape '{doc['shape']}' 'n'"), spec)
+def _shape_from_doc(doc, where: str, spec: KernelSpec, region: bool = False):
+    """A shape section as a Shape, or with ``region`` as a Region: an
+    analytic shape's nodes laid out at its ``n``, a cloud's its points."""
+    cls, label, table = _shape_table(doc, where, region)
+    values = _read(doc, label, spec, table)
+    shape = cls(*(values[f] for f in cls.fields))
+    # a cloud lays out its own points, whatever the count
+    return build_region(shape, values.get("n", 0), spec) if region else shape
+
+
+_region_from_doc = functools.partial(_shape_from_doc, region=True)
 
 
 class Scenario(NamedTuple):
@@ -209,31 +226,16 @@ def parse_scenario(doc) -> Scenario:
     """Check a scenario document against its command's field table and read
     it; raises SchemaError naming the first bad key or field."""
     command = _command(doc)
-    _, table, expected_readers = COMMANDS[command]
-    allowed = {"schema", "command", "name", "kernel", *table}
-    if expected_readers:
-        allowed.add("expected")
-    _check_keys(doc, allowed, f"command '{command}'")
-    name = _string(doc.get("name", "scenario"), "name")
-    kernel = doc.get("kernel", {})
-    _check_keys(kernel, {"alpha", "dim"}, "kernel")
-    spec = KernelSpec(
-        alpha=_number(kernel.get("alpha", 2.0), "kernel 'alpha'"),
-        dim=_count(kernel.get("dim", 3), "kernel 'dim'"),
-    )
-    expected_doc = doc.get("expected", {})
-    _check_keys(expected_doc, expected_readers, "expected")
-    expected = {
-        key: expected_readers[key](value, f"expected '{key}'", spec)
-        for key, value in expected_doc.items()
-    }
-    fields = {}
-    for key, (read, default) in table.items():
-        value = doc[key] if default is None else doc.get(key, default)
-        if isinstance(default, dict) and isinstance(value, dict):
-            value = default | value  # a section's default fills its missing keys
-        fields[key] = read(value, key, spec)
-    return Scenario(name, command, spec, fields, expected)
+    _, table, expected = COMMANDS[command]
+    # The point fields need the kernel's dim, so the kernel is also read first.
+    spec = KernelSpec(**_read(doc.get("kernel", {}), "kernel", None, _KERNEL))
+    envelope = {"schema": (_count, ...), "command": (_string, ...),
+                "name": (_string, "scenario"), "kernel": (_KERNEL, {})}
+    if expected:
+        envelope["expected"] = ({key: (read, None) for key, read in expected.items()}, {})
+    values = _read(doc, f"command '{command}'", spec, envelope | table, top=True)
+    fields = {key: values[key] for key in table}
+    return Scenario(values["name"], command, spec, fields, values.get("expected", {}))
 
 
 def _jsonable(x):
@@ -332,9 +334,8 @@ def _node_potential(eq) -> dict:
 
 
 def _run_sweep(spec, expected, seed, region, source, probes, tol, tol_dom):
-    n_probes, probe_seed = probes
-    res = sweep(spec, source, region, tol=tol, tol_dom=tol_dom, n_probes=n_probes,
-                probe_seed=probe_seed)
+    res = sweep(spec, source, region, tol=tol, tol_dom=tol_dom, n_probes=probes["n"],
+                probe_seed=probes["seed"])
     checks = res.checks
     rows = [
         _row("mass-in", checks.mass_in),
@@ -379,8 +380,7 @@ def _identity_gap(spec, mu, region, res) -> float:
 
 
 def _run_equilibrium(spec, expected, seed, region, probes, tol):
-    n_probes, probe_seed = probes
-    eq = riesz_equilibrium(spec, region, tol=tol, n_probes=n_probes, probe_seed=probe_seed)
+    eq = riesz_equilibrium(spec, region, tol=tol, n_probes=probes["n"], probe_seed=probes["seed"])
     rows = [
         _checked_row("capacity", eq.capacity, expected, "capacity"),
         _row("min-energy", eq.min_energy),
@@ -441,7 +441,7 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
 
 
 def _run_kelvin_check(spec, expected, seed, center, measure, samples):
-    samples = _covariance_samples(center, *samples)
+    samples = _covariance_samples(center, samples["n"], samples["seed"])
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
     gap = verify_potential_covariance(Inversion(center), spec, measure, samples[keep])
     rows = [_checked_row("covariance-gap", gap, expected, "gap", default_tol=1e-12)]
@@ -568,17 +568,17 @@ def _run_verify_all(spec, expected, seed, n):
     return fields, rows, []
 
 
-# command -> (runner, {field: (reader, default)}, {"expected" key: reader}).
-# A field whose default is None is required.  Besides its fields, every
-# command accepts "schema", "command", "name" and "kernel", and "expected"
-# if it has "expected" keys.
+# command -> (runner, {field: (reader, default)}, {"expected" key: reader}),
+# read by _read.  Besides its fields, every command accepts "schema",
+# "command", "name" and "kernel", and "expected" if it has "expected" keys,
+# each of them optional.
 COMMANDS = {
     "sweep": (
         _run_sweep,
         {
-            "region": (_region_from_doc, None),
-            "source": (_measure, None),
-            "probes": (_draws, {"n": 100, "seed": PROBE_SEED}),
+            "region": (_region_from_doc, ...),
+            "source": (_measure, ...),
+            "probes": ({"n": (_count, 100), "seed": (_count, PROBE_SEED)}, {}),
             "tol": (_number, 1e-10),
             "tol_dom": (_number, 0.02),
         },
@@ -587,8 +587,8 @@ COMMANDS = {
     "equilibrium": (
         _run_equilibrium,
         {
-            "region": (_region_from_doc, None),
-            "probes": (_draws, {"n": 0, "seed": PROBE_SEED}),
+            "region": (_region_from_doc, ...),
+            "probes": ({"n": (_count, 0), "seed": (_count, PROBE_SEED)}, {}),
             "tol": (_number, 1e-10),
         },
         {"capacity": _number, "tol": _number},
@@ -596,9 +596,9 @@ COMMANDS = {
     "green-eval": (
         _run_green_eval,
         {
-            "region": (_region_from_doc, None),
-            "x": (_point, None),
-            "y": (_point, None),
+            "region": (_region_from_doc, ...),
+            "x": (_point, ...),
+            "y": (_point, ...),
             "tol": (_number, 1e-10),
         },
         {"value": _number, "tol": _number},
@@ -606,8 +606,8 @@ COMMANDS = {
     "green-equilibrium": (
         _run_green_equilibrium,
         {
-            "region": (_region_from_doc, None),
-            "compact": (_region_from_doc, None),
+            "region": (_region_from_doc, ...),
+            "compact": (_region_from_doc, ...),
             "tol": (_number, 1e-10),
         },
         {"capacity": _number, "tol": _number},
@@ -615,17 +615,17 @@ COMMANDS = {
     "kelvin-check": (
         _run_kelvin_check,
         {
-            "center": (_point, None),
-            "measure": (_measure, None),
-            "samples": (_draws, {"n": 50, "seed": PROBE_SEED}),
+            "center": (_point, ...),
+            "measure": (_measure, ...),
+            "samples": ({"n": (_count, 50), "seed": (_count, PROBE_SEED)}, {}),
         },
         {"gap": _number, "tol": _number},
     ),
     "wiener": (
         _run_wiener,
         {
-            "region": (_shape_from_doc, None),
-            "point": (_point, None),
+            "region": (_shape_from_doc, ...),
+            "point": (_point, ...),
             "ratio_q": (_number, 0.5),
             "k_max": (_count, 8),
             "shell_budget": (_count, 400),
@@ -636,8 +636,8 @@ COMMANDS = {
     "mass-loss": (
         _run_mass_loss,
         {
-            "region": (_region_from_doc, None),
-            "source": (_measure, None),
+            "region": (_region_from_doc, ...),
+            "source": (_measure, ...),
             "loss_margin": (_number, 0.02),
             "tol": (_number, 1e-10),
         },
@@ -720,24 +720,17 @@ def _reject_constant(name: str):
     raise SchemaError(f"scenario file is not valid JSON: {name} is not a JSON number")
 
 
-def _finite_float(literal: str) -> float:
-    """``json.loads`` hook for number literals with a fraction or an exponent:
-    one beyond the float range, such as ``1e999``, would read as infinity."""
-    value = float(literal)
-    if not math.isfinite(value):
-        raise SchemaError(f"scenario number {literal} is beyond the float range")
-    return value
-
-
-def _float_range_int(literal: str) -> int:
-    """``json.loads`` hook for integer literals: one beyond the float range
-    would overflow where a reader converts it to a float."""
-    value = int(literal)
+def _in_float_range(literal: str, parse=float):
+    """``json.loads`` hook for number literals, read by ``parse``: one beyond
+    the float range, such as ``1e999``, would read as infinity as a float,
+    and as an int overflow where a reader converts it to a float."""
+    value = parse(literal)
     try:
-        float(value)
+        if math.isfinite(value):
+            return value
     except OverflowError:
-        raise SchemaError(f"scenario number {literal} is beyond the float range") from None
-    return value
+        pass
+    raise SchemaError(f"scenario number {literal} is beyond the float range")
 
 
 def load_scenario(ref: str) -> dict:
@@ -746,8 +739,8 @@ def load_scenario(ref: str) -> dict:
         try:
             return json.loads(
                 path.read_text(),
-                parse_float=_finite_float,
-                parse_int=_float_range_int,
+                parse_float=_in_float_range,
+                parse_int=functools.partial(_in_float_range, parse=int),
                 parse_constant=_reject_constant,
             )
         except json.JSONDecodeError as exc:
@@ -765,7 +758,8 @@ def _load(args) -> tuple[dict, int]:
     if args.seed is not None:
         for key, (read, _) in table.items():
             # a section that is not an object is left for the parse to reject
-            if read is _draws and isinstance(scen.setdefault(key, {}), dict):
+            draws = isinstance(read, dict) and "seed" in read
+            if draws and isinstance(scen.setdefault(key, {}), dict):
                 scen[key]["seed"] = args.seed
     for item in args.tol_override or []:
         if "=" not in item:
@@ -780,16 +774,12 @@ def _load(args) -> tuple[dict, int]:
     return scen, args.seed if args.seed is not None else PROBE_SEED
 
 
-def _out_prefix(args, scen: Scenario) -> Path:
-    return Path(args.out or scen.name)
-
-
 def _cmd_run(args) -> int:
     doc, seed = _load(args)
     scen = parse_scenario(doc)
     payload, rows, failures = _run_scenario(scen, seed)
     lines = [[_csv_cell(r[key]) for key in _ROW_FIELDS] for r in rows]
-    _write_outputs(_out_prefix(args, scen), payload, _ROW_FIELDS, lines)
+    _write_outputs(Path(args.out or scen.name), payload, _ROW_FIELDS, lines)
     if failures:
         print(f"property failed: {', '.join(failures)}", file=sys.stderr)
         return 2
@@ -798,20 +788,16 @@ def _cmd_run(args) -> int:
 
 def _with_node_count(doc: dict, n: int) -> dict:
     """A copy of ``doc`` at node count ``n``: its top-level ``n``, or the
-    ``n`` of a region that its command reads as a node set rather than as a
-    shape (a point cloud's nodes are its points)."""
+    ``n`` of its region, where their tables have one."""
     table = COMMANDS[_command(doc)][1]
     doc = json.loads(json.dumps(doc))
-    region = doc.get("region")
     if "n" in table:
         doc["n"] = n
     elif (
-        "region" in table
-        and table["region"][0] is _region_from_doc
-        and isinstance(region, dict)
-        and region.get("shape") != "cloud"
+        table.get("region", (None,))[0] is _region_from_doc
+        and "n" in _shape_table(doc.get("region"), "region", region=True)[2]
     ):
-        region["n"] = n
+        doc["region"]["n"] = n
     else:
         raise SchemaError("this scenario has no node count to refine")
     return doc
@@ -848,7 +834,7 @@ def _cmd_refine(args) -> int:
         "runs": runs,
     }
     header = ["n", "check", "value", "expected", "rel_error"]
-    _write_outputs(_out_prefix(args, scen), payload, header, lines)
+    _write_outputs(Path(args.out or scen.name), payload, header, lines)
     return 0
 
 
@@ -893,11 +879,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RieszLabError, ValueError, KeyError, OSError) as exc:
-        if isinstance(exc, KeyError):
-            print(f"error: missing required key {exc}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+    except (RieszLabError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -334,20 +334,26 @@ class GramMatrix:
             raise ValueError("right-hand side must not contain infs or NaNs")
         return cho_solve(self.cholesky(), b, check_finite=False)
 
-    def solve_block(self, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def solve_block(self, mask: np.ndarray, rhs: np.ndarray, factors: dict) -> np.ndarray:
         """Solve K[mask, mask] x = rhs, through the cached factor when mask is full.
 
-        A partial mask factors a fresh C-ordered copy of its principal block
-        in place, through its Fortran-ordered transpose.  Call it on a matrix
-        that passed ``cholesky``, whose blocks are finite.
+        A partial mask reuses its factor in the caller's dict ``factors``,
+        keyed by ``mask.tobytes()``, or factors a fresh C-ordered copy of its
+        principal block in place, through its Fortran-ordered transpose, and
+        adds it, first dropping the oldest while over n^2 factor entries are
+        held.  Call it on a matrix that passed ``cholesky``, whose blocks are finite.
         """
         if mask.all():
             return self.solve(rhs)
-        block = self.entries[np.ix_(mask, mask)]
-        factor = _factor_lower(
-            block.T, "block-pivot subproblem lost positive definiteness", overwrite_a=True
-        )
-        return cho_solve(factor, rhs, check_finite=False)
+        key = mask.tobytes()
+        if key not in factors:
+            while sum(f[0].size for f in factors.values()) > self.entries.size:
+                del factors[next(iter(factors))]
+            block = self.entries[np.ix_(mask, mask)]
+            factors[key] = _factor_lower(
+                block.T, "block-pivot subproblem lost positive definiteness", overwrite_a=True
+            )
+        return cho_solve(factors[key], rhs, check_finite=False)
 
 
 def _factor_lower(a: np.ndarray, message: str, overwrite_a: bool = False):

@@ -90,10 +90,11 @@ def riesz_equilibrium(
     With ``n_probes`` > 0, also reports the largest potential value at
     probe points off the region, which the maximum principle keeps near 1.
     """
+    # drawn first: a region with no probes fails before its Gram is assembled
+    probes = sample_points_off(region, n_probes, probe_seed)
     eq = _equilibrium_from_gram(region.gram(spec), tol, "equilibrium solve")
     if n_probes <= 0:
         return eq
-    probes = sample_points_off(region, n_probes, probe_seed)
     probe_max = float(np.max(potential_at(spec, eq.gamma, probes)))
     return replace(eq, probe_potential_max=probe_max, probe_seed=probe_seed)
 

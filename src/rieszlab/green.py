@@ -192,6 +192,7 @@ def verify_domination(
     if nu is None:
         nu = DiscreteMeasure.empty(gk.spec.dim)  # its Green potential is zero
     _require_in_domain(gk, nu.points, "the measure's atoms")
+    probes = sample_points_off(gk.region, n_probes, probe_seed)
     rows, swept = _pole_sweeps(gk, np.concatenate([mu.points, nu.points]))
     m = mu.n_points
     mu_rows, mu_swept, nu_swept = rows[:m], swept[:m], swept[m:]
@@ -207,7 +208,6 @@ def verify_domination(
         scale = max(float(np.max(np.abs(c + u_nu_self))), 1.0)
         precondition_ok = bool(pre_gap <= tol * scale)
 
-    probes = sample_points_off(gk.region, n_probes, probe_seed)
     # A point atom's potential diverges at the atom itself, so probes
     # within one typical atom spacing of the support only measure the
     # discretization, not the principle.

@@ -126,10 +126,11 @@ def solve_nonneg_many(
     # -tol_eff converges on the full free set, as its pivoting loop would
     # find in its first iteration (a loop allowed no iteration finds nothing).
     pivots = (W < -tol_eff).any(axis=0) | (max_iter < 1)
+    factors = {}  # block-pivot sub-factors by free set, shared by the columns
     sols = []
     for j in range(k):
         if pivots[j]:
-            sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter)
+            sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter, factors)
         else:
             w = np.maximum(W[:, j], 0.0)
             sol = QPSolution(w, 1, True, partial(_nonneg_diagnostics, K, B[:, j], w))
@@ -139,7 +140,7 @@ def solve_nonneg_many(
     return sols
 
 
-def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
+def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter, factors) -> QPSolution:
     """Block pivoting from the full free set, whose solve ``w`` is given."""
     n = len(b)
     free = np.ones(n, dtype=bool)
@@ -153,7 +154,7 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter) -> QPSolution:
         if it > 1:
             w = np.zeros(n)
             if free.any():
-                w[free] = gram.solve_block(free, b[free])
+                w[free] = gram.solve_block(free, b[free], factors)
         neg_w = free & (w < -tol_eff)
         neg_g = ~free
         if neg_g.any():

@@ -244,23 +244,23 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ({"expected": [1]}, "error: expected must be a JSON object"),
         (
             {"region": {"shape": "union", "parts": 5, "n": 300}},
-            "error: union 'parts' must be a JSON list",
+            "error: shape 'union' 'parts' must be a JSON list",
         ),
         (
             {"source": {"points": 5, "weights": [1.0]}},
-            "error: measure 'points' must be a JSON list",
+            "error: measure 'points' must be a list of lists of 3 numbers",
         ),
         (
             {"source": {"points": None, "weights": [1.0]}},
-            "error: measure 'points' must be a JSON list",
+            "error: measure 'points' must be a list of lists of 3 numbers",
         ),
         (
             {"source": {"points": {"a": 1}, "weights": [1.0]}},
-            "error: measure 'points' must be a JSON list",
+            "error: measure 'points' must be a list of lists of 3 numbers",
         ),
         (
             {"source": {"points": [[0.0, 0.0, 0.0]], "weights": 1.0}},
-            "error: measure 'weights' must be a JSON list",
+            "error: measure 'weights' must be a list of numbers",
         ),
         (
             {"source": {"points": [], "weights": [1.0, 2.0]}},
@@ -304,7 +304,7 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ),
         (
             {"source": {"points": [["2.0", False, 0]], "weights": [True]}},
-            "error: measure 'points' must be a list of lists of numbers",
+            "error: measure 'points' must be a list of lists of 3 numbers",
         ),
         (
             {"source": {"points": [[2.0, 0, 0]], "weights": [True]}},
@@ -323,12 +323,12 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
         ({"probes": {"seed": -1}}, "error: probes 'seed' must not be negative"),
         (
             {"source": {"points": [[0, 0], [0, 0, 0.1]], "weights": [1.0, 1.0]}},
-            "error: measure 'points' must all have the same number of coordinates",
+            "error: measure 'points' must be a list of lists of 3 numbers",
         ),
-        ({"source": [[0.0, 0.0, 0.0]]}, "error: measure document must be a JSON object"),
+        ({"source": [[0.0, 0.0, 0.0]]}, "error: measure must be a JSON object"),
         (
             {"source": {"points": [[0.0, 0.0, 0.0]]}},
-            "error: measure document needs 'points' and 'weights'",
+            "error: missing key 'weights' in measure",
         ),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
@@ -386,7 +386,7 @@ SPEC3 = KernelSpec(2.0, 3)
 
 def test_measure_reader_rejects_unknown_key():
     doc = {"points": [[1.0, 0.0, 0.0]], "weights": [1.0], "bogus": 1}
-    with pytest.raises(SchemaError, match="unknown measure key: 'bogus'"):
+    with pytest.raises(SchemaError, match="unknown key 'bogus' in measure"):
         cli._measure(doc, "source", SPEC3)
 
 
@@ -620,7 +620,7 @@ def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
          "error: expected 'strict_loss' must be a JSON boolean"),
         ("kelvin-check", {"samples": {"n": -3}}, "error: samples 'n' must not be negative"),
         ("kelvin-check", {"measure": {"points": [[0.1, True, 0.3]], "weights": [1.0]}},
-         "error: measure 'points' must be a list of lists of numbers"),
+         "error: measure 'points' must be a list of lists of 3 numbers"),
         ("verify-all", {"n": -300}, "error: n must not be negative"),
         # Python's json module reads NaN, Infinity and -Infinity; JSON has no such numbers.
         ("green-eval", {"x": [float("nan"), 0, 0]},
@@ -693,6 +693,45 @@ def test_refine_green_equilibrium_refines_the_region_only(tmp_path, monkeypatch)
     assert main(args + ["--out", str(tmp_path / "r")]) == 0
     assert built == [("ball-complement", 200), ("sphere", 60),
                      ("ball-complement", 250), ("sphere", 60)]
+
+
+UNION = {"shape": "union", "n": 200, "parts": [
+    BALL, {"shape": "ball", "center": [3.0, 0.0, 0.0], "radius": 0.5}]}
+
+
+@pytest.mark.parametrize(
+    "command, region, where",
+    [
+        ("equilibrium", {"shape": "cloud", "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "n": 3},
+         "shape 'cloud'"),
+        ("equilibrium", dict(UNION, parts=[dict(BALL, n=100), UNION["parts"][1]]), "shape 'ball'"),
+        ("wiener", dict(BALL, n=300), "shape 'ball'"),
+    ],
+    ids=["cloud", "union-part", "wiener"],
+)
+def test_only_an_analytic_region_takes_a_node_count(tmp_path, capsys, command, region, where):
+    """A cloud's nodes are its points, a union part shares the union's
+    count, and wiener lays out its own shells: an 'n' on any of them is an
+    unknown key, not a count that is silently ignored."""
+    doc = {"schema": 1, "name": command, "command": command,
+           "kernel": {"alpha": 2.0, "dim": 3}, **_PAYLOAD_LAYOUTS[command][0], "region": region}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: unknown key 'n' in {where}"
+
+
+def test_refine_sets_the_node_count_of_a_union(tmp_path, monkeypatch):
+    built = []
+
+    def spy(shape, n, spec):
+        built.append((shape.kind, n))
+        return build_region(shape, n, spec)
+
+    monkeypatch.setattr(cli, "build_region", spy)
+    doc = {"schema": 1, "name": "u", "command": "equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3}, "region": UNION}
+    args = ["refine", write_scenario(tmp_path, doc), "--n", "150", "250"]
+    assert main(args + ["--out", str(tmp_path / "u")]) == 0
+    assert built == [("union", 150), ("union", 250)]
 
 
 def test_seed_override_reaches_samples_and_probes(tmp_path, monkeypatch):

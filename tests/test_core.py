@@ -271,12 +271,29 @@ def test_solve_block_with_a_full_mask_is_solve(spec, monkeypatch):
         return factor(*args, **kwargs)
 
     monkeypatch.setattr(core, "cho_factor", counting)
-    assert np.array_equal(g.solve_block(np.ones(40, dtype=bool), b), expected)
+    assert np.array_equal(g.solve_block(np.ones(40, dtype=bool), b, {}), expected)
     assert calls == []
     mask = np.arange(40) % 3 != 0
-    x = g.solve_block(mask, b[mask])
+    x = g.solve_block(mask, b[mask], {})
     assert len(calls) == 1
     assert np.allclose(g.entries[np.ix_(mask, mask)] @ x, b[mask], rtol=1e-8, atol=1e-10)
+
+
+def test_solve_block_shares_factors_and_drops_the_oldest_past_n_squared(spec):
+    """A free set met before reuses its factor and its bits; a new one first
+    drops the oldest factors while the dict holds more than n^2 entries."""
+    rng = np.random.default_rng(5)
+    g = gram_over(spec, rng.normal(size=(40, 3)) * 2.0)
+    b = rng.random(40)
+    masks = [np.arange(40) != i for i in range(3)]  # 39^2 entries each, n^2 = 1600
+    factors = {}
+    first = g.solve_block(masks[0], b[masks[0]], factors)
+    g.solve_block(masks[1], b[masks[1]], factors)
+    assert list(factors) == [masks[0].tobytes(), masks[1].tobytes()]
+    assert np.array_equal(g.solve_block(masks[0], b[masks[0]], factors), first)
+    assert np.array_equal(g.solve_block(masks[0], b[masks[0]], {}), first)
+    g.solve_block(masks[2], b[masks[2]], factors)
+    assert list(factors) == [masks[1].tobytes(), masks[2].tobytes()]
 
 
 def test_energy_quadratic_form(spec):

@@ -395,6 +395,75 @@ def test_green_equilibrium_holds_for_every_shape_and_order(kind, alpha):
     assert eq.capacity > rl.riesz_equilibrium(spec, f).capacity
 
 
+def _union_green_cell():
+    """The alpha=1 union cell of the Green matrix above, whose pole sweeps
+    pivot through the same few free sets, column after column."""
+    spec = KernelSpec(1.0, 3)
+    region = _catalog_region("union", spec, n=500)
+    return rl.GreenKernel(spec, region), rl.sphere_region(_POINT_IN_D["union"], 0.25, 150, spec)
+
+
+def test_block_pivoting_factors_each_free_set_once(monkeypatch):
+    """The columns of one solve share the sub-factor of a free set: one
+    factorization per distinct free set, besides the region's Gram, the
+    compact's free Gram (its condition check) and the Green Gram."""
+    gk, f = _union_green_cell()
+    factor_lower = rl.core._factor_lower
+    factored = []
+
+    def counting(a, message, **kwargs):
+        factored.append("block-pivot" in message)
+        return factor_lower(a, message, **kwargs)
+
+    solve_block = rl.GramMatrix.solve_block
+    free_sets = []
+
+    def recording(gram, mask, *args):
+        if not mask.all():
+            free_sets.append((id(gram), mask.tobytes()))
+        return solve_block(gram, mask, *args)
+
+    monkeypatch.setattr(rl.core, "_factor_lower", counting)
+    monkeypatch.setattr(rl.GramMatrix, "solve_block", recording)
+    rl.green_equilibrium(gk, f)
+    assert len(free_sets) > 2 * len(set(free_sets))
+    assert factored.count(True) == len(set(free_sets))
+    assert factored.count(False) == 3
+
+
+def test_shared_block_factors_give_the_bits_of_fresh_ones(monkeypatch):
+    gk, f = _union_green_cell()
+    shared = rl.green_equilibrium(gk, f)
+    gk, f = _union_green_cell()
+    solve_block = rl.GramMatrix.solve_block
+
+    def unshared(gram, mask, rhs, factors):
+        return solve_block(gram, mask, rhs, {})  # the dict is dropped after the sub-solve
+
+    monkeypatch.setattr(rl.GramMatrix, "solve_block", unshared)
+    fresh = rl.green_equilibrium(gk, f)
+    assert np.array_equal(shared.gram.entries, fresh.gram.entries)
+    assert np.array_equal(shared.gamma.weights, fresh.gamma.weights)
+    assert shared.capacity == fresh.capacity
+
+
+def test_probes_are_drawn_before_the_gram(monkeypatch):
+    """On the alpha=1.5 unit-ball complement at n=500 no probe can be drawn
+    (item 4 of the roadmap): sweep and riesz_equilibrium fail on the draw
+    without assembling a Gram."""
+    spec = KernelSpec(1.5, 3)
+    region = build_region(BallComplement(ORIGIN, 1.0), 500, spec)
+
+    def no_gram(*args):
+        raise AssertionError("a Gram was assembled before the probe draw")
+
+    monkeypatch.setattr(regions, "_assemble_distinct", no_gram)
+    with pytest.raises(rl.ProbeSamplingFailure):
+        rl.sweep(spec, rl.dirac(ORIGIN), region)
+    with pytest.raises(rl.ProbeSamplingFailure):
+        rl.riesz_equilibrium(spec, region, n_probes=50)
+
+
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
 @pytest.mark.parametrize("budget", [225, 275])
 def test_half_space_wiener_shells_get_capped_gram(budget, alpha, monkeypatch):

@@ -344,8 +344,9 @@ def test_solvers_reject_tolerances_that_are_not_finite_and_positive(spec, tol):
         equilibrium_of(g, tol)
 
 
-def _reference_sub_solve(gram, mask, rhs):
-    """Sub-solve on a copied, checked and transposing-copied principal block."""
+def _reference_sub_solve(gram, mask, rhs, factors):
+    """Sub-solve on a copied, checked and transposing-copied principal block,
+    factored afresh: the solver's shared ``factors`` are ignored."""
     if mask.all():
         return gram.solve(rhs)
     return cho_solve(cho_factor(gram.entries[np.ix_(mask, mask)], lower=True), rhs)
