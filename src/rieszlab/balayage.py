@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    TINY,
     DiscreteMeasure,
     KernelSpec,
     _as_points,
@@ -29,8 +30,6 @@ from .solver import QPSolution, solve_nonneg_many
 
 # Relative slack for the mass/energy monotonicity checks.
 INEQ_SLACK = 1e-8
-
-TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def _require_sweepable(sources, region) -> None:
         if mu.n_points == 0:
             raise ValueError("cannot sweep the zero measure")
         if mu.dim != region.dim:
-            raise ValueError("measure and region dimensions differ")
+            raise DimensionMismatch("measure and region dimensions differ")
 
 
 def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepResult]]:

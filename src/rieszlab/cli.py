@@ -29,7 +29,7 @@ from .core import DiscreteMeasure, KernelSpec, dirac, potential_at, riesz_kernel
 from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval
-from .kelvin import Inversion, verify_potential_covariance
+from .kelvin import verify_potential_covariance
 from .regions import (
     PROBE_SEED,
     SHAPES,
@@ -443,7 +443,7 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
 def _run_kelvin_check(spec, expected, seed, center, measure, samples):
     samples = _covariance_samples(center, samples["n"], samples["seed"])
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
-    gap = verify_potential_covariance(Inversion(center), spec, measure, samples[keep])
+    gap = verify_potential_covariance(center, spec, measure, samples[keep])
     rows = [_checked_row("covariance-gap", gap, expected, "gap", default_tol=1e-12)]
     fields = {
         "center": list(map(float, center)),
@@ -546,7 +546,7 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     kel = DiscreteMeasure(kel_points, _KELVIN_MEASURE["weights"])
     pole = 2.0 * e[0]
     samples = _covariance_samples(pole, 50, seed)
-    gap = verify_potential_covariance(Inversion(pole), spec, kel, samples)
+    gap = verify_potential_covariance(pole, spec, kel, samples)
     rows.append(_row("kelvin-covariance-gap", gap, 0.0, 1e-12))
 
     region_ball = build_region(Ball(origin, 1.0), n, spec)

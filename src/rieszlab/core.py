@@ -14,10 +14,13 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch, IllConditioned, IndeterminateValue
+from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, IndeterminateValue
 
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
+
+# Smallest positive normal float: the floor of every relative-error denominator.
+TINY = np.finfo(float).tiny
 
 # Rows per block of the mirrored Gram assembly; the block buffer holds at
 # most this many rows of the matrix.
@@ -114,12 +117,7 @@ class DiscreteMeasure:
         if not signed and len(w) and w.min() < 0.0:
             raise ValueError("negative weight in an unsigned measure")
         if check_distinct and len(pts) >= 2:
-            h_min = H_MIN_FACTOR * _bbox_diameter(pts)
-            d_nn = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
-            if d_nn <= 0.0 or d_nn < h_min:
-                raise ValueError(
-                    f"support points are not pairwise distinct within h_min={h_min:g}"
-                )
+            _distinct_spacing(pts, cKDTree(pts))
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -181,6 +179,27 @@ def _bbox_diameter(points: np.ndarray) -> float:
     if len(points) == 0:
         return 0.0
     return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+
+
+def _h_min(points: np.ndarray) -> float:
+    """Distinctness tolerance of a point set: two points closer than this are one point."""
+    return H_MIN_FACTOR * _bbox_diameter(points)
+
+
+def _distinct_spacing(points: np.ndarray, tree) -> tuple[np.ndarray, float]:
+    """Each point's nearest-neighbor distance, and ``h_min``, of a distinct point set.
+
+    The one owner of the distinctness rule that makes a Gram finite: two
+    points closer than ``h_min`` raise DegenerateNodes.  ``tree`` is a
+    KD-tree over ``points``; a single point's nearest neighbor is at
+    infinity and its ``h_min`` is 0.
+    """
+    d_nn = tree.query(points, k=2)[0][:, 1]
+    h_min = _h_min(points)
+    min_nn = float(d_nn.min())
+    if min_nn <= 0.0 or min_nn < h_min:
+        raise DegenerateNodes(f"two nodes closer than h_min={h_min:g} (min spacing {min_nn:g})")
+    return d_nn, h_min
 
 
 def _as_points(points) -> np.ndarray:
@@ -391,15 +410,3 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMat
         D[j:, i:j] = block[:, j - i:].T
     np.fill_diagonal(D, diagonal)
     return GramMatrix(nodes, D)
-
-
-def energy(gram: GramMatrix, mu_weights, nu_weights) -> float:
-    """Quadratic/bilinear energy form mu^T K nu over the Gram node set."""
-    mu_w = np.asarray(mu_weights, dtype=float)
-    nu_w = np.asarray(nu_weights, dtype=float)
-    if mu_w.shape != (gram.n,) or nu_w.shape != (gram.n,):
-        raise DimensionMismatch(
-            f"weight vectors must have length {gram.n}, "
-            f"got {mu_w.shape} and {nu_w.shape}"
-        )
-    return float(mu_w @ (gram.entries @ nu_w))

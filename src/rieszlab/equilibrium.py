@@ -17,11 +17,9 @@ import numpy as np
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, potential_at
 from .errors import SolverFailure
 from .green import GreenKernel, _green_gram
-from .kelvin import Inversion, invert_shape, kelvin_transform
+from .kelvin import invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, build_region, sample_points_off
 from .solver import QPSolution, solve_nonneg
-
-TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def sweep_dirac_by_inversion(
     shape_star = invert_shape(y, region.shape)
     star = build_region(shape_star, region.n_nodes, spec)
     eq = riesz_equilibrium(spec, star, tol=tol)
-    return kelvin_transform(Inversion(y), spec, eq.gamma).scaled(weight)
+    return kelvin_transform(y, spec, eq.gamma).scaled(weight)
 
 
 def green_equilibrium(gk: GreenKernel, f_region: Region) -> EquilibriumResult:

@@ -19,11 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .balayage import _node_rows, _row_potentials, _sweep_batch
-from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
+from .core import TINY, DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
 from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
-
-TINY = np.finfo(float).tiny
 
 
 class GreenKernel:

@@ -6,15 +6,14 @@ infinity.  The measure transform re-weights each atom by the kernel
 distance to the pole, which makes Riesz potentials transform covariantly:
 the potential of the transformed measure at the transformed point equals
 |x - y|^(n - alpha) times the original potential at x.  These identities
-are exact for discrete measures, up to floating-point rounding.
+are exact for discrete measures, up to floating-point rounding.  Every
+function here takes the pole y first, as an array-like point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DiscreteMeasure, KernelSpec, potential_at
+from .core import TINY, DiscreteMeasure, KernelSpec, potential_at
 from .errors import CenterCharged, CenterInversion
 from .regions import (
     Ball,
@@ -28,58 +27,52 @@ from .regions import (
 )
 
 
-@dataclass(frozen=True)
-class Inversion:
-    """Inversion in the sphere of radius 1 centered at ``center``."""
-
-    center: np.ndarray
-
-    def __init__(self, center):
-        object.__setattr__(self, "center", np.asarray(center, dtype=float))
-
-
-def invert_points(inv: Inversion, points) -> np.ndarray:
-    """Map points through the inversion; the pole itself is not allowed."""
+def invert_points(center, points) -> np.ndarray:
+    """Map points through the inversion about ``center``; the pole itself is not allowed."""
+    y = np.asarray(center, dtype=float)
     X = np.asarray(points, dtype=float)
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    diff = X - inv.center
+    diff = X - y
     r2 = np.einsum("ij,ij->i", diff, diff)
     if np.any(r2 == 0.0):
         raise CenterInversion("cannot invert the pole of the inversion")
-    out = inv.center + diff / r2[:, None]
+    out = y + diff / r2[:, None]
     return out[0] if single else out
 
 
-def kelvin_transform(inv: Inversion, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Transform a discrete measure: atoms move by inversion, weights pick up
-    the factor |x - y|^(alpha - n)."""
-    diff = nu.points - inv.center
+def kelvin_transform(center, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """Transform a discrete measure by the inversion about ``center``: atoms
+    move by inversion, weights pick up the factor |x - y|^(alpha - n)."""
+    y = np.asarray(center, dtype=float)
+    diff = nu.points - y
     r = np.linalg.norm(diff, axis=1)
     if np.any(r == 0.0):
         raise CenterCharged("measure places mass at the inversion pole")
-    new_points = inv.center + diff / (r * r)[:, None]
+    new_points = y + diff / (r * r)[:, None]
     new_weights = nu.weights * r**spec.exponent
     return DiscreteMeasure(new_points, new_weights, signed=nu.signed)
 
 
 def verify_potential_covariance(
-    inv: Inversion, spec: KernelSpec, nu: DiscreteMeasure, sample_points
+    center, spec: KernelSpec, nu: DiscreteMeasure, sample_points
 ) -> float:
     """Max relative error of the potential transformation rule on samples.
 
-    For each sample x (distinct from the pole and from the atoms), compares
-    the potential of the transformed measure at the inverted point against
-    |x - y|^(n - alpha) times the original potential at x.
+    For each sample x (distinct from the pole ``center`` and from the
+    atoms), compares the potential of the transformed measure at the
+    inverted point against |x - y|^(n - alpha) times the original potential
+    at x.
     """
+    y = np.asarray(center, dtype=float)
     X = np.asarray(sample_points, dtype=float)
-    nu_star = kelvin_transform(inv, spec, nu)
-    X_star = invert_points(inv, X)
+    nu_star = kelvin_transform(y, spec, nu)
+    X_star = invert_points(y, X)
     lhs = potential_at(spec, nu_star, X_star)
-    r = np.linalg.norm(X - inv.center, axis=1)
+    r = np.linalg.norm(X - y, axis=1)
     rhs = r ** (-spec.exponent) * potential_at(spec, nu, X)
-    scale = np.maximum(np.abs(rhs), np.finfo(float).tiny)
+    scale = np.maximum(np.abs(rhs), TINY)
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
@@ -124,5 +117,5 @@ def invert_shape(center, shape: Shape) -> Shape:
     if isinstance(shape, UnionShape):
         return UnionShape([invert_shape(y, p) for p in shape.parts])
     if isinstance(shape, PointCloud):
-        return PointCloud(invert_points(Inversion(y), shape.points))
+        return PointCloud(invert_points(y, shape.points))
     raise TypeError(f"no inversion image for {type(shape).__name__}")

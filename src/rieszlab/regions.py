@@ -3,7 +3,7 @@
 A Region couples an analytic shape (membership predicate) with a concrete
 discretization node set and the regularization radius used for its Gram
 matrix.  Its constructor is the one place that works out the geometry of
-the node set: one KD-tree, each node's nearest-neighbor distance, the
+the node set: one KD-tree, each node's nearest-neighbor distance, core's
 coincidence check, and the default radius.  Node layouts are
 deterministic: spiral (golden-angle) constructions for spheres, disks, and
 balls, and an unscrambled Halton template (radical inverses in bases 2,
@@ -22,14 +22,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import (
-    H_MIN_FACTOR,
     GramMatrix,
     KernelSpec,
     _as_points,
     _assemble_distinct,
     _bbox_diameter,
+    _distinct_spacing,
+    _h_min,
 )
-from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, ProbeSamplingFailure
+from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -445,8 +446,7 @@ SHAPES = {
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
     """Drop later points that collide with earlier ones within h_min."""
-    tol = H_MIN_FACTOR * _bbox_diameter(points)
-    pairs = cKDTree(points).query_pairs(tol, output_type="ndarray")
+    pairs = cKDTree(points).query_pairs(_h_min(points), output_type="ndarray")
     drop = np.zeros(len(points), dtype=bool)
     drop[pairs.max(axis=1)] = True
     return points[~drop]
@@ -460,7 +460,7 @@ class Region:
     over the same points, and keeps each node's nearest-neighbor distance;
     ``spacing``, the capped radii of ``gram`` and probe sampling read them,
     and ``nearest_node`` queries the tree.  Two nodes closer than ``h_min``
-    (H_MIN_FACTOR x the bounding-box diameter) raise DegenerateNodes.
+    raise DegenerateNodes, by ``core._distinct_spacing``.
 
     ``reg_radius`` defaults to REGION_REG_FACTOR x the mean nearest-neighbor
     spacing; a single node needs it given, and a given one must be finite
@@ -483,15 +483,9 @@ class Region:
             raise ValueError("every region node must satisfy the membership predicate")
         nodes.setflags(write=False)
         tree = shape._tree if own else cKDTree(nodes)
-        # A single node's nearest neighbor is at infinity.
-        d_nn = tree.query(nodes, k=2)[0][:, 1]
-        # Nodes closer than h_min count as coincident; 0 for a single node.
-        h_min = H_MIN_FACTOR * _bbox_diameter(nodes)
-        min_nn = float(d_nn.min())
-        if min_nn <= 0.0 or min_nn < h_min:
-            raise DegenerateNodes(f"two nodes closer than h_min={h_min:g} (min spacing {min_nn:g})")
+        d_nn, h_min = _distinct_spacing(nodes, tree)
         if len(nodes) >= 2:
-            spacing = (min_nn, float(d_nn.mean()))
+            spacing = (float(d_nn.min()), float(d_nn.mean()))
         elif reg_radius is None:
             raise ValueError("reg_radius is required for single-node regions")
         else:

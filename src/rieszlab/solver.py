@@ -17,9 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import GramMatrix
-
-TINY = np.finfo(float).tiny
+from .core import TINY, GramMatrix
 
 
 @dataclass(frozen=True)

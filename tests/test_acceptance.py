@@ -16,7 +16,6 @@ from rieszlab import (
     DiscreteMeasure,
     GreenKernel,
     HalfSpace,
-    Inversion,
     SphereShell,
     cross_energy,
     dirac,
@@ -73,10 +72,9 @@ def test_01_inversion_identities(spec):
             pole = rng.normal(scale=2.0, size=3)
             if np.linalg.norm(pts - pole, axis=1).min() > 0.3:
                 break
-        inv = Inversion(pole)
-        star = kelvin_transform(inv, spec, mu)
+        star = kelvin_transform(pole, spec, mu)
 
-        back = kelvin_transform(inv, spec, star)
+        back = kelvin_transform(pole, spec, star)
         g_inv = max(
             float(np.abs(back.points - mu.points).max()),
             float(np.abs(back.weights - mu.weights).max() / np.abs(w).max()),
@@ -93,13 +91,13 @@ def test_01_inversion_identities(spec):
             d_atoms = np.linalg.norm(pts - x, axis=1).min()
             if d_atoms > 0.2 and np.linalg.norm(x - pole) > 0.2:
                 samples.append(x)
-        g_cov = verify_potential_covariance(inv, spec, mu, np.array(samples))
+        g_cov = verify_potential_covariance(pole, spec, mu, np.array(samples))
 
         nu_pts = pts + rng.normal(scale=0.7, size=(k, 3))
         if np.linalg.norm(nu_pts - pole, axis=1).min() < 1e-3:
             continue
         nu = DiscreteMeasure(nu_pts, rng.uniform(0.2, 2.0, size=k))
-        nu_star = kelvin_transform(inv, spec, nu)
+        nu_star = kelvin_transform(pole, spec, nu)
         e = cross_energy(spec, mu, nu)
         e_star = cross_energy(spec, star, nu_star)
         g_en = abs(e - e_star) / max(abs(e), abs(e_star), 1e-9)

@@ -78,6 +78,22 @@ def test_sweep_rejects_bad_domination_tolerance(spec, ball500, tol_dom):
         sweep(spec, dirac(3.0 * E1), ball500, tol_dom=tol_dom)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec, mu, region: sweep(spec, mu, region),
+        lambda spec, mu, region: sweep_many(spec, [mu], region),
+        lambda spec, mu, region: sweep_signed(spec, mu, region),
+        lambda spec, mu, region: rl.mass_loss_test(spec, mu, region),
+    ],
+    ids=["sweep", "sweep_many", "sweep_signed", "mass_loss_test"],
+)
+def test_sweep_rejects_a_source_of_another_dimension(spec, ball500, run):
+    mu = DiscreteMeasure([[3.0, 0, 0, 0], [0, 3.0, 0, 0]], [1.0, 0.5])
+    with pytest.raises(rl.DimensionMismatch, match="measure and region dimensions differ"):
+        run(spec, mu, ball500)
+
+
 def test_sweep_deterministic(spec, ball500):
     mu = dirac(np.array([1.7, 0.4, -0.2]))
     w1 = sweep_many(spec, [mu], ball500)[0].solution.weights

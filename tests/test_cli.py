@@ -434,6 +434,15 @@ def test_repeated_cloud_point_exits_1(tmp_path, capsys):
     assert list(tmp_path.glob("d.*")) == []
 
 
+def test_repeated_source_point_exits_1(tmp_path, capsys):
+    source = {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]], "weights": [1.0] * 3}
+    path = write_scenario(tmp_path, small_sweep(source=source))
+    assert main(["run", path, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: two nodes closer than h_min=1e-10 (min spacing 0)"
+    assert list(tmp_path.glob("d.*")) == []
+
+
 @pytest.mark.parametrize("shape", ["ball", "sphere"])
 @pytest.mark.parametrize("field", ["shell_budget", "k_max"])
 def test_empty_shell_scan_exits_1(tmp_path, capsys, shape, field):

@@ -14,7 +14,6 @@ from rieszlab import (
     KernelSpec,
     cross_energy,
     dirac,
-    energy,
     potential,
     potential_at,
     riesz_kernel,
@@ -130,8 +129,14 @@ def test_potential_coincidence_rules():
 
 
 def test_measure_rejects_coincident_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateNodes):
         DiscreteMeasure([[0, 0, 0], [0, 0, 0.0]], [1.0, -1.0], signed=True)
+
+
+def test_measure_rejects_atoms_closer_than_h_min():
+    """Atoms 1e-12 apart, in a support of diameter about 1, are one point."""
+    with pytest.raises(DegenerateNodes, match=r"two nodes closer than h_min=1e-09 \(min spacing 1e-12\)"):
+        DiscreteMeasure([[0, 0, 0], [1e-12, 0, 0], [1, 0, 0]], [1.0, 1.0, 1.0])
 
 
 def test_cross_energy_coincidence_rules(spec):
@@ -294,13 +299,6 @@ def test_solve_block_shares_factors_and_drops_the_oldest_past_n_squared(spec):
     assert np.array_equal(g.solve_block(masks[0], b[masks[0]], {}), first)
     g.solve_block(masks[2], b[masks[2]], factors)
     assert list(factors) == [masks[1].tobytes(), masks[2].tobytes()]
-
-
-def test_energy_quadratic_form(spec):
-    g = gram_over(spec, [[0, 0, 0], [1, 0, 0]], radius=0.1)
-    w = np.array([1.0, 2.0])
-    assert energy(g, w, w) == pytest.approx(10 + 4 + 40)
-    assert energy(g, w, np.array([1.0, 0.0])) == pytest.approx(12.0)
 
 
 def test_gram_matrix_rejects_bad_entries():

@@ -9,7 +9,6 @@ from rieszlab import (
     CenterInversion,
     DiscreteMeasure,
     HalfSpace,
-    Inversion,
     KernelSpec,
     SphereShell,
     UnionShape,
@@ -33,17 +32,16 @@ def random_measure(rng, k, signed=False, shift=0.0):
 
 
 def test_invert_point_example():
-    inv = Inversion(ORIGIN)
-    assert np.allclose(invert_points(inv, [2.0, 0.0, 0.0]), [0.5, 0.0, 0.0])
+    assert np.allclose(invert_points(ORIGIN, [2.0, 0.0, 0.0]), [0.5, 0.0, 0.0])
     # unit sphere points are fixed
-    assert np.allclose(invert_points(inv, [0.0, 1.0, 0.0]), [0.0, 1.0, 0.0])
+    assert np.allclose(invert_points(ORIGIN, [0.0, 1.0, 0.0]), [0.0, 1.0, 0.0])
 
 
 def test_inversion_is_involutive():
     rng = np.random.default_rng(1)
-    inv = Inversion(rng.normal(size=3))
+    pole = rng.normal(size=3)
     pts = rng.normal(size=(40, 3)) * 3.0
-    back = invert_points(inv, invert_points(inv, pts))
+    back = invert_points(pole, invert_points(pole, pts))
     assert np.max(np.abs(back - pts)) < 1e-12 * np.max(np.abs(pts))
 
 
@@ -51,10 +49,9 @@ def test_inversion_distance_identity():
     """|x* - z*| = |x - z| / (|x - y| |z - y|)."""
     rng = np.random.default_rng(2)
     y = rng.normal(size=3)
-    inv = Inversion(y)
     for _ in range(20):
         x, z = rng.normal(size=(2, 3)) * 2.0
-        lhs = np.linalg.norm(invert_points(inv, x) - invert_points(inv, z))
+        lhs = np.linalg.norm(invert_points(y, x) - invert_points(y, z))
         rhs = np.linalg.norm(x - z) / (
             np.linalg.norm(x - y) * np.linalg.norm(z - y)
         )
@@ -62,15 +59,14 @@ def test_inversion_distance_identity():
 
 
 def test_invert_at_pole_raises():
-    inv = Inversion(np.array([1.0, 2.0, 3.0]))
+    pole = np.array([1.0, 2.0, 3.0])
     with pytest.raises(CenterInversion):
-        invert_points(inv, [1.0, 2.0, 3.0])
+        invert_points(pole, [1.0, 2.0, 3.0])
 
 
 def test_kelvin_weight_law(spec):
-    inv = Inversion(ORIGIN)
     mu = dirac([2.0, 0.0, 0.0], 1.0)
-    mu_star = kelvin_transform(inv, spec, mu)
+    mu_star = kelvin_transform(ORIGIN, spec, mu)
     assert np.allclose(mu_star.points, [[0.5, 0.0, 0.0]])
     # alpha=2, n=3: weights scale by r^(alpha-n) = 1/r
     assert mu_star.weights[0] == pytest.approx(0.5)
@@ -78,30 +74,28 @@ def test_kelvin_weight_law(spec):
 
 def test_kelvin_transform_is_involutive(spec):
     rng = np.random.default_rng(3)
-    inv = Inversion(rng.normal(size=3) * 0.1)
+    pole = rng.normal(size=3) * 0.1
     mu = random_measure(rng, 7, signed=True, shift=4.0)
-    back = kelvin_transform(inv, spec, kelvin_transform(inv, spec, mu))
+    back = kelvin_transform(pole, spec, kelvin_transform(pole, spec, mu))
     assert np.max(np.abs(back.points - mu.points)) < 1e-12 * 4
     assert np.max(np.abs(back.weights - mu.weights)) < 1e-12
 
 
 def test_kelvin_transform_of_the_zero_measure_is_empty(spec):
-    out = kelvin_transform(Inversion([1.0, 0.0, 0.0]), spec, DiscreteMeasure.empty(3))
+    out = kelvin_transform([1.0, 0.0, 0.0], spec, DiscreteMeasure.empty(3))
     assert out.n_points == 0 and out.dim == 3
 
 
 def test_kelvin_rejects_charged_pole(spec):
-    inv = Inversion(ORIGIN)
     with pytest.raises(CenterCharged):
-        kelvin_transform(inv, spec, dirac(ORIGIN))
+        kelvin_transform(ORIGIN, spec, dirac(ORIGIN))
 
 
 def test_kelvin_mass_equals_potential_at_pole(spec):
     rng = np.random.default_rng(4)
     y = np.array([0.2, -0.1, 0.3])
-    inv = Inversion(y)
     mu = random_measure(rng, 6, shift=3.0)
-    mu_star = kelvin_transform(inv, spec, mu)
+    mu_star = kelvin_transform(y, spec, mu)
     assert mu_star.total_mass == pytest.approx(
         rl.potential(spec, mu, y), rel=1e-13
     )
@@ -111,11 +105,11 @@ def test_kelvin_energy_invariance():
     for alpha in (2.0, 1.3):
         s = KernelSpec(alpha, 3)
         rng = np.random.default_rng(5)
-        inv = Inversion(rng.normal(size=3) * 0.2)
+        pole = rng.normal(size=3) * 0.2
         mu = random_measure(rng, 5, shift=3.0)
         nu = random_measure(rng, 4, signed=True, shift=-3.0)
         lhs = cross_energy(
-            s, kelvin_transform(inv, s, mu), kelvin_transform(inv, s, nu)
+            s, kelvin_transform(pole, s, mu), kelvin_transform(pole, s, nu)
         )
         rhs = cross_energy(s, mu, nu)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -123,10 +117,10 @@ def test_kelvin_energy_invariance():
 
 def test_potential_covariance(spec):
     rng = np.random.default_rng(6)
-    inv = Inversion(np.array([0.5, 0.5, 0.5]))
+    pole = np.array([0.5, 0.5, 0.5])
     nu = random_measure(rng, 8, shift=4.0)
     samples = rng.normal(size=(30, 3)) * 2.0 - 4.0
-    assert verify_potential_covariance(inv, spec, nu, samples) < 1e-12
+    assert verify_potential_covariance(pole, spec, nu, samples) < 1e-12
 
 
 def test_invert_shape_exterior_ball():
@@ -191,7 +185,7 @@ def test_invert_shape_point_cloud_inverts_points():
     pole = np.array([0.0, 0.0, -1.0])
     star = invert_shape(pole, rl.PointCloud(pts))
     assert isinstance(star, rl.PointCloud)
-    assert np.array_equal(star.points, invert_points(Inversion(pole), pts))
+    assert np.array_equal(star.points, invert_points(pole, pts))
     with pytest.raises(CenterInversion):
         invert_shape(pts[0], rl.PointCloud(pts))
 
@@ -200,7 +194,6 @@ def test_invert_shape_membership_is_conjugated():
     """x in A exactly when x* in A*, for every analytic image."""
     rng = np.random.default_rng(7)
     pole = np.array([0.0, 0.0, 2.0])
-    inv = Inversion(pole)
     shapes = [
         Ball(ORIGIN, 1.0),
         BallComplement(ORIGIN, 1.0),
@@ -211,6 +204,6 @@ def test_invert_shape_membership_is_conjugated():
     pts = pts[np.linalg.norm(pts - pole, axis=1) > 1e-6]
     for shape in shapes:
         star = invert_shape(pole, shape)
-        lhs = star.contains(invert_points(inv, pts))
+        lhs = star.contains(invert_points(pole, pts))
         rhs = shape.contains(pts)
         assert np.array_equal(lhs, rhs), type(shape).__name__

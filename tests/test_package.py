@@ -178,6 +178,49 @@ def test_only_core_imports_cdist():
     assert sorted(set(importers)) == ["core.py"]
 
 
+def _modules_where(found) -> list[str]:
+    """Names of the modules with an AST node for which ``found`` holds."""
+    return sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if any(found(node) for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    )
+
+
+def _named(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_only_core_reads_the_distinctness_factor_and_tiny():
+    """core owns the distinctness tolerance and the relative-error floor:
+    no other module reads H_MIN_FACTOR, imports it, or calls np.finfo(...).tiny."""
+    def found(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "H_MIN_FACTOR" for alias in node.names)
+        return _named(node, "H_MIN_FACTOR") or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "tiny"
+            and isinstance(node.value, ast.Call)
+            and _named(node.value.func, "finfo")
+        )
+
+    assert _modules_where(found) == ["core.py"]
+
+
+def test_only_core_raises_degenerate_nodes():
+    """core._distinct_spacing is the one owner of node-set distinctness:
+    no other module raises DegenerateNodes."""
+    def found(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _named(exc, "DegenerateNodes")
+
+    assert _modules_where(found) == ["core.py"]
+
+
 def test_core_imports_no_json():
     """core holds the mathematics; the scenario format, and its reader of
     measure documents, belong to cli."""
