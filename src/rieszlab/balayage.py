@@ -86,7 +86,7 @@ def sweep(
     """
     if not (np.isfinite(tol_dom) and tol_dom >= 0.0):
         raise ValueError("tol_dom must be finite and nonnegative")
-    _require_sweepable([mu], region)
+    _require_sweepable(spec, [mu], region)
     # drawn first: a region with no probes fails before its Gram is assembled
     probes = sample_points_off(region, n_probes, probe_seed)
     B, (res,) = _sweep_columns(spec, [mu], region, tol)
@@ -110,11 +110,12 @@ def sweep_many(
     SolverFailure is raised at the first source, in order, that does not
     converge; later sources are not solved.
     """
-    _require_sweepable(sources, region)
+    _require_sweepable(spec, sources, region)
     return _sweep_columns(spec, sources, region, tol)[1]
 
 
-def _require_sweepable(sources, region) -> None:
+def _require_sweepable(spec, sources, region) -> None:
+    _as_points(region.nodes, spec.dim)  # the kernel's dimension, before any probe is drawn
     for mu in sources:
         if mu.signed:
             raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
@@ -195,10 +196,7 @@ def swept_potentials(
 
 def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
     """Kernel rows of evaluation points against the region nodes; none may sit on a node."""
-    X = _as_points(points)
-    if X.shape[1] != spec.dim:
-        raise DimensionMismatch(f"points must have dimension {spec.dim}")
-    rows, zero = _kernel_rows(spec, X, region.nodes)
+    rows, zero = _kernel_rows(spec, _as_points(points, spec.dim), region.nodes)
     if zero.any():
         raise PointOutsideDomain("an evaluation point coincides with a region node")
     return rows

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balayage import sweep, verify_symmetry
-from .core import DiscreteMeasure, KernelSpec, dirac, potential_at, riesz_kernel
+from .core import TINY, DiscreteMeasure, KernelSpec, dirac, potential_at, riesz_kernel
 from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval
@@ -376,7 +376,7 @@ def _identity_gap(spec, mu, region, res) -> float:
     v = np.zeros(region.n_nodes)
     np.add.at(v, nearest, mu.weights)
     w = res.solution.weights
-    return float(np.max(np.abs(w - v)) / max(float(np.max(v)), 1e-300))
+    return float(np.max(np.abs(w - v)) / max(float(np.max(v)), TINY))
 
 
 def _run_equilibrium(spec, expected, seed, region, probes, tol):
@@ -651,13 +651,17 @@ def _run_scenario(scen: Scenario, seed: int):
     """Run a parsed scenario: (payload, rows, failed-property names)."""
     runner = COMMANDS[scen.command][0]
     fields, rows, failures = runner(scen.spec, scen.expected, seed, **scen.fields)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": scen.command,
-        "kernel": {"alpha": scen.spec.alpha, "dim": scen.spec.dim},
-    }
     failed = [r["name"] for r in rows if r["passed"] is False]
-    return payload | fields, rows, failed + failures
+    return _envelope(scen.command, scen.spec) | fields, rows, failed + failures
+
+
+def _envelope(command: str, spec: KernelSpec) -> dict:
+    """The fields every result.json opens with."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
+    }
 
 
 def _builtin(name: str, blurb: str, command: str, **fields):
@@ -827,12 +831,7 @@ def _cmd_refine(args) -> int:
                 ],
             }
         )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "refine",
-        "base_command": scen.command,
-        "runs": runs,
-    }
+    payload = _envelope("refine", scen.spec) | {"base_command": scen.command, "runs": runs}
     header = ["n", "check", "value", "expected", "rel_error"]
     _write_outputs(Path(args.out or scen.name), payload, header, lines)
     return 0

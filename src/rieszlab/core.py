@@ -202,12 +202,17 @@ def _distinct_spacing(points: np.ndarray, tree) -> tuple[np.ndarray, float]:
     return d_nn, h_min
 
 
-def _as_points(points) -> np.ndarray:
-    """``points`` as a float array with one point per row; one point becomes one row."""
+def _as_points(points, dim: int) -> np.ndarray:
+    """``points`` as a float (m, dim) array; one point becomes one row.
+
+    The one owner of the point-dimension rule: anything else raises
+    DimensionMismatch.
+    """
     X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    return X
+    rows = X[None, :] if X.ndim == 1 else X
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DimensionMismatch(f"points must have dimension {dim}, got shape {X.shape}")
+    return rows
 
 
 def _kernel_rows(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, tol: float = 0.0):
@@ -231,12 +236,8 @@ def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
     with nodes of both signs raises IndeterminateValue.  Summation is a
     single dot product in node-index order.
     """
-    X = _as_points(points)
-    if X.shape[1] != spec.dim:
-        raise DimensionMismatch(f"points must have dimension {spec.dim}")
-    if mu.dim != spec.dim:
-        raise DimensionMismatch("measure dimension differs from kernel dimension")
-    P, zero = _kernel_rows(spec, X, mu.points)
+    X = _as_points(points, spec.dim)
+    P, zero = _kernel_rows(spec, X, _as_points(mu.points, spec.dim))
     P[zero] = 0.0
     vals = P @ mu.weights
     for i in np.nonzero(zero.any(axis=1))[0]:
@@ -263,9 +264,7 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     Intended for measures with disjoint supports; a coincidence between a
     charged node of each gives +/-inf with the usual sign rules.
     """
-    if mu.dim != spec.dim or nu.dim != spec.dim:
-        raise DimensionMismatch("measure dimension differs from kernel dimension")
-    P, zero = _kernel_rows(spec, mu.points, nu.points)
+    P, zero = _kernel_rows(spec, _as_points(mu.points, spec.dim), _as_points(nu.points, spec.dim))
     if zero.any():
         prods = np.outer(mu.weights, nu.weights)[zero]
         pos = bool((prods > 0).any())
@@ -394,8 +393,7 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMat
     is written as given.  Only the dimension is checked: the nodes and the
     self-interactions come from a Region, which owns both rules.
     """
-    if nodes.shape[1] != spec.dim:
-        raise DimensionMismatch(f"nodes must have dimension {spec.dim}")
+    nodes = _as_points(nodes, spec.dim)
     n = len(nodes)
     # One triangle is computed, block row by block row, and mirrored: the
     # distance of (a, b) and of (b, a) are the same float, so every entry is

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DiscreteMeasure, GramMatrix, KernelSpec, potential_at
+from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, potential_at
 from .errors import SolverFailure
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
@@ -88,6 +88,7 @@ def riesz_equilibrium(
     With ``n_probes`` > 0, also reports the largest potential value at
     probe points off the region, which the maximum principle keeps near 1.
     """
+    _as_points(region.nodes, spec.dim)  # the kernel's dimension, before any probe is drawn
     # drawn first: a region with no probes fails before its Gram is assembled
     probes = sample_points_off(region, n_probes, probe_seed)
     eq = _equilibrium_from_gram(region.gram(spec), tol, "equilibrium solve")
@@ -112,8 +113,8 @@ def sweep_dirac_by_inversion(
     whose inversion image is again in the catalog, and the charge strictly
     off the region.
     """
-    y = np.asarray(point, dtype=float)
-    if bool(region.contains(y[None, :])[0]):
+    (y,) = _as_points(point, spec.dim)
+    if bool(region.contains(y)[0]):
         raise ValueError("the charge must lie strictly off the target set")
     shape_star = invert_shape(y, region.shape)
     star = build_region(shape_star, region.n_nodes, spec)

@@ -46,6 +46,16 @@ def _require_in_domain(gk: GreenKernel, points, what: str) -> None:
         raise PointOutsideDomain(f"{what} must lie in the open domain off the target set")
 
 
+def _require_green_nodes(gk: GreenKernel, nodes: np.ndarray) -> None:
+    """NodesOutsideDomain unless every node lies in the open domain farther
+    than ``h_min`` from the region nodes: a Green Gram's kernel rows put a
+    nearer node on a region node."""
+    region = gk.region
+    on_node = region.nearest_node(nodes)[0] <= region.h_min
+    if not gk.domain_contains(nodes).all() or on_node.any():
+        raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
+
+
 def green_values(gk: GreenKernel, y, points) -> np.ndarray:
     """g(x, y) for one pole y and many evaluation points; +inf at x = y."""
     return green_potential(gk, dirac(y), points)
@@ -53,7 +63,7 @@ def green_values(gk: GreenKernel, y, points) -> np.ndarray:
 
 def green_eval(gk: GreenKernel, x, y) -> float:
     """Green kernel value at a pair of domain points; +inf on the diagonal."""
-    return float(green_values(gk, y, np.asarray(x, dtype=float)[None, :])[0])
+    return float(green_values(gk, y, x)[0])
 
 
 def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
@@ -62,7 +72,7 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
     Subtracts, atom by atom, the potential of each atom's swept unit
     charge; the atoms are swept in one batched solve.
     """
-    X = _as_points(points)
+    X = _as_points(points, gk.spec.dim)
     _require_in_domain(gk, nu.points, "the measure's atoms")
     _require_in_domain(gk, X, "evaluation points")
     swept = _pole_sweeps(gk, nu.points)[1]
@@ -93,15 +103,11 @@ def _green_gram(
     """F's free-kernel Gram minus the symmetrized swept unit-charge potentials.
 
     ``sweeps`` is ``_pole_sweeps`` of F's nodes, swept here when not given;
-    the swept potentials at the nodes are GEMVs over its kernel rows.  Raises
-    NodesOutsideDomain unless every node lies in the open domain farther than
-    ``h_min`` from the region nodes: the rows put a nearer node on a region node.
-    The Gram is factored before it is returned; later solves reuse the factor.
+    the swept potentials at the nodes are GEMVs over its kernel rows.  F's
+    nodes must pass ``_require_green_nodes``.  The Gram is factored before it
+    is returned; later solves reuse the factor.
     """
-    region = gk.region
-    on_node = region.nearest_node(F.nodes)[0] <= region.h_min
-    if not gk.domain_contains(F.nodes).all() or on_node.any():
-        raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
+    _require_green_nodes(gk, F.nodes)
     rows, swept = _pole_sweeps(gk, F.nodes) if sweeps is None else sweeps
     kgram = F.gram(gk.spec)
     # Only F's entries are read from here on; the factor its condition check
@@ -136,6 +142,8 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     """
     if nu.n_points < 2:
         raise ValueError("energy decomposition needs at least two atoms")
+    # checked before the batch solve; _green_gram checks the same nodes again
+    _require_green_nodes(gk, nu.points)
     F = cloud_region(nu.points, gk.spec)
     # One batch sweeps the unit charges at nu's atoms, for the Green Gram,
     # and nu's positive and negative parts, for the swept energy.

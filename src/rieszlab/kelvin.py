@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TINY, DiscreteMeasure, KernelSpec, potential_at
+from .core import TINY, DiscreteMeasure, KernelSpec, _as_points, potential_at
 from .errors import CenterCharged, CenterInversion
 from .regions import (
     Ball,
@@ -30,23 +30,19 @@ from .regions import (
 def invert_points(center, points) -> np.ndarray:
     """Map points through the inversion about ``center``; the pole itself is not allowed."""
     y = np.asarray(center, dtype=float)
-    X = np.asarray(points, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    diff = X - y
+    diff = _as_points(points, len(y)) - y
     r2 = np.einsum("ij,ij->i", diff, diff)
     if np.any(r2 == 0.0):
         raise CenterInversion("cannot invert the pole of the inversion")
     out = y + diff / r2[:, None]
-    return out[0] if single else out
+    return out[0] if np.ndim(points) == 1 else out
 
 
 def kelvin_transform(center, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Transform a discrete measure by the inversion about ``center``: atoms
     move by inversion, weights pick up the factor |x - y|^(alpha - n)."""
-    y = np.asarray(center, dtype=float)
-    diff = nu.points - y
+    (y,) = _as_points(center, spec.dim)
+    diff = _as_points(nu.points, spec.dim) - y
     r = np.linalg.norm(diff, axis=1)
     if np.any(r == 0.0):
         raise CenterCharged("measure places mass at the inversion pole")
@@ -65,8 +61,8 @@ def verify_potential_covariance(
     inverted point against |x - y|^(n - alpha) times the original potential
     at x.
     """
-    y = np.asarray(center, dtype=float)
-    X = np.asarray(sample_points, dtype=float)
+    (y,) = _as_points(center, spec.dim)
+    X = _as_points(sample_points, spec.dim)
     nu_star = kelvin_transform(y, spec, nu)
     X_star = invert_points(y, X)
     lhs = potential_at(spec, nu_star, X_star)
@@ -86,8 +82,8 @@ def invert_shape(center, shape: Shape) -> Shape:
     Half-spaces map to balls or their complements, unions part by part,
     and point clouds point by point.
     """
-    y = np.asarray(center, dtype=float)
     if isinstance(shape, _Round):
+        (y,) = _as_points(center, len(shape.center))
         d = shape.center - y
         k = float(d @ d) - shape.radius**2
         if abs(k) < 1e-12 * shape.radius**2:
@@ -103,6 +99,7 @@ def invert_shape(center, shape: Shape) -> Shape:
             return Ball(c_star, r_star) if inside_preserved else BallComplement(c_star, r_star)
         return BallComplement(c_star, r_star) if inside_preserved else Ball(c_star, r_star)
     if isinstance(shape, HalfSpace):
+        (y,) = _as_points(center, len(shape.normal))
         delta = float(shape.normal @ y) - shape.offset
         if abs(delta) < 1e-12 * max(1.0, abs(shape.offset)):
             raise CenterInversion("the boundary plane passes through the inversion pole")
@@ -115,7 +112,7 @@ def invert_shape(center, shape: Shape) -> Shape:
             return Ball(c_star, r_star)
         return BallComplement(c_star, r_star)
     if isinstance(shape, UnionShape):
-        return UnionShape([invert_shape(y, p) for p in shape.parts])
+        return UnionShape([invert_shape(center, p) for p in shape.parts])
     if isinstance(shape, PointCloud):
-        return PointCloud(invert_points(y, shape.points))
+        return PointCloud(invert_points(center, shape.points))
     raise TypeError(f"no inversion image for {type(shape).__name__}")

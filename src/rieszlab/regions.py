@@ -218,7 +218,7 @@ class _Round(Shape):
 
     def _dist(self, points) -> np.ndarray:
         """Distance of each point from the center."""
-        return np.linalg.norm(_as_points(points) - self.center, axis=1)
+        return np.linalg.norm(_as_points(points, len(self.center)) - self.center, axis=1)
 
     def characteristic_scale(self) -> float:
         return self.radius
@@ -342,7 +342,7 @@ class HalfSpace(Shape):
         self.offset = float(offset)
 
     def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
+        X = _as_points(points, len(self.normal))
         tol = SURFACE_TOL * max(1.0, abs(self.offset))
         return X @ self.normal >= self.offset - tol
 
@@ -379,11 +379,7 @@ class UnionShape(Shape):
         self.bounded = all(p.bounded for p in parts)
 
     def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
-        mask = np.zeros(len(X), dtype=bool)
-        for p in self.parts:
-            mask |= p.contains(X)
-        return mask
+        return np.any([p.contains(points) for p in self.parts], axis=0)
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         # Budget split proportional to squared scale (surface area for
@@ -421,8 +417,7 @@ class PointCloud(Shape):
         self._tol = SURFACE_TOL * self._scale
 
     def contains(self, points) -> np.ndarray:
-        X = _as_points(points)
-        d, _ = self._tree.query(X, k=1)
+        d, _ = self._tree.query(_as_points(points, self.points.shape[1]), k=1)
         return d <= self._tol
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
@@ -512,14 +507,14 @@ class Region:
         return self._spacing
 
     def contains(self, points) -> np.ndarray:
-        return self.shape.contains(points)
+        return self.shape.contains(_as_points(points, self.dim))
 
     def nearest_node(self, points) -> tuple[np.ndarray, np.ndarray]:
         """(distance, index) of each point's nearest node.
 
         A point within ``h_min`` of a node sits on it.
         """
-        return self._tree.query(_as_points(points), k=1)
+        return self._tree.query(_as_points(points, self.dim), k=1)
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes whose ``cholesky`` succeeds.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import sweep_many
-from .core import DiscreteMeasure, KernelSpec
+from .core import DiscreteMeasure, KernelSpec, _as_points
 from .equilibrium import riesz_equilibrium
 from .kelvin import invert_shape
 from .regions import REGION_REG_FACTOR, Region, Shape, cloud_region
@@ -95,7 +95,7 @@ def wiener_report(
     at least 1: a scan of no shells, or of shells with no nodes, would
     report that same verdict about any set.
     """
-    y = np.asarray(point, dtype=float)
+    (y,) = _as_points(point, spec.dim)
     if not (0.0 < ratio_q < 1.0):
         raise ValueError("ratio_q must lie strictly between 0 and 1")
     if k_max < 1:
@@ -194,8 +194,8 @@ def thin_at_infinity_report(
     point, so the set is thin at infinity exactly when its inverted image
     is irregular at the inversion center.
     """
-    y = np.asarray(inversion_center, dtype=float)
-    if bool(shape.contains(y[None, :])[0]):
+    (y,) = _as_points(inversion_center, spec.dim)
+    if bool(shape.contains(y)[0]):
         raise ValueError("the inversion center must lie off the set")
     star = invert_shape(y, shape)
     rep = wiener_report(

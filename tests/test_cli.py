@@ -190,6 +190,7 @@ def test_refine_outputs_and_convergence(tmp_path):
     assert main(["refine", path, "--n", "200", "800", "--out", str(prefix)]) == 0
     payload = json.loads((tmp_path / "rf.result.json").read_text())
     assert payload["command"] == "refine"
+    assert payload["kernel"] == doc["kernel"]
     assert [r["n"] for r in payload["runs"]] == [200, 800]
     errs = [r["max_rel_error"] for r in payload["runs"]]
     assert errs[1] < errs[0]

@@ -128,6 +128,18 @@ def test_energy_decomposition_rejects_atoms_off_the_domain(gk2000):
         verify_energy_decomposition(gk2000, nu)
 
 
+def test_energy_decomposition_rejects_an_off_domain_atom_before_any_solve(gk2000, monkeypatch):
+    import rieszlab.green as green
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the batch solve ran before the domain check")
+
+    monkeypatch.setattr(green, "_sweep_batch", no_solve)
+    nu = DiscreteMeasure([[0.2, 0.0, 0.0], [1.5, 0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(NodesOutsideDomain):
+        verify_energy_decomposition(gk2000, nu)
+
+
 def test_green_equilibrium_solves_at_the_kernel_tolerance(spec, gk2000, monkeypatch):
     import rieszlab.equilibrium as equilibrium
 

@@ -195,10 +195,13 @@ def _named(node, name: str) -> bool:
 
 def test_only_core_reads_the_distinctness_factor_and_tiny():
     """core owns the distinctness tolerance and the relative-error floor:
-    no other module reads H_MIN_FACTOR, imports it, or calls np.finfo(...).tiny."""
+    no other module reads H_MIN_FACTOR, imports it, calls np.finfo(...).tiny
+    or writes a float literal below 1e-200, a floor of its own."""
     def found(node):
         if isinstance(node, ast.ImportFrom):
             return any(alias.name == "H_MIN_FACTOR" for alias in node.names)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            return 0.0 < node.value < 1e-200
         return _named(node, "H_MIN_FACTOR") or (
             isinstance(node, ast.Attribute)
             and node.attr == "tiny"
