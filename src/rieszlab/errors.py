@@ -30,7 +30,7 @@ class IllConditioned(RieszLabError):
 
 
 class SolverFailure(RieszLabError):
-    """A cone-constrained solve did not produce a usable solution."""
+    """A nonnegative quadratic solve reached its iteration cap still infeasible."""
 
 
 class ProbeSamplingFailure(RieszLabError):

@@ -161,9 +161,15 @@ class Shape:
         """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
 
         ``budget`` sizes the layout; raises ValueError unless it is >= 1.
+        An analytic shape's ``y`` is 3-d, a cloud's has its points' width.
         """
         _require_budget(budget)
-        return _volume_shell_nodes(self, y, r_lo, r_hi, budget)
+        (y,) = _as_points(y, 3)
+        tmpl = _annulus_template(int(budget), round(r_lo / r_hi, 12))
+        X = y + r_hi * tmpl
+        X = X[self.contains(X)]
+        d = np.linalg.norm(X - y, axis=1)
+        return X[(d >= r_lo) & (d < r_hi)]
 
     def characteristic_scale(self) -> float:
         raise NotImplementedError
@@ -194,15 +200,6 @@ class Shape:
 def _require_budget(budget: int) -> None:
     if not budget >= 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
-
-
-def _volume_shell_nodes(shape: Shape, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    tmpl = _annulus_template(int(budget), round(r_lo / r_hi, 12))
-    X = y + r_hi * tmpl
-    X = X[shape.contains(X)]
-    d = np.linalg.norm(X - y, axis=1)
-    return X[(d >= r_lo) & (d < r_hi)]
 
 
 class _Round(Shape):
@@ -295,7 +292,7 @@ class SphereShell(_Round):
         # The intersection of the sphere with an annulus around y is a band
         # in the polar angle psi at the sphere center.
         _require_budget(budget)
-        y = np.asarray(y, dtype=float)
+        (y,) = _as_points(y, 3)
         r, c = self.radius, self.center
         d = float(np.linalg.norm(y - c))
         if d == 0.0:
@@ -425,7 +422,8 @@ class PointCloud(Shape):
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         _require_budget(budget)
-        d = np.linalg.norm(self.points - np.asarray(y, dtype=float), axis=1)
+        (y,) = _as_points(y, self.points.shape[1])
+        d = np.linalg.norm(self.points - y, axis=1)
         return self.points[(d >= r_lo) & (d < r_hi)]
 
     def characteristic_scale(self) -> float:

@@ -6,46 +6,54 @@ a finite method driven by Cholesky solves.  Balayage solves one such
 problem per source, and the equilibrium measure is the case b = 1
 (Gauss's problem).  A Gram that fails GramMatrix.cholesky, the one
 positive-definiteness test, raises IllConditioned; Region.gram caps its
-regularization so that region Grams pass.
+regularization so that region Grams pass.  Non-convergence is decided
+here alone: a column still infeasible after MAX_ITER_PER_NODE iterations
+per node raises SolverFailure, so every returned solution converged.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .core import TINY, GramMatrix
+from .errors import SolverFailure
+
+# Block pivoting's iteration cap, per node of the Gram matrix.
+MAX_ITER_PER_NODE = 50
 
 
 @dataclass(frozen=True)
 class QPSolution:
-    """Outcome of a quadratic minimization over the nonnegative orthant.
+    """Outcome of a converged quadratic minimization over the nonnegative orthant.
 
-    ``method`` is always ``"block-pivot"``.  ``objective`` and
-    ``kkt_residual`` are diagnostics.  Convergence is decided on
-    infeasibility counts alone, so both are computed on the first read of
-    either, with one product ``K @ w``, and cached; until then the solution
-    holds a reference to the Gram entries K (not a copy) and to b.
-    ``weights`` is read-only, so a pending diagnostic always sees the w it
-    belongs to.
+    ``method`` is always ``"block-pivot"`` and ``converged`` always True.
+    ``objective`` and ``kkt_residual`` are diagnostics.  Convergence is
+    decided on infeasibility counts alone, so both are computed on the
+    first read of either, with one product ``K @ w``, and cached; until
+    then the solution holds a reference to the Gram entries K (not a copy)
+    and to b.  ``weights`` is read-only, so a pending diagnostic always
+    sees the w it belongs to.
     """
 
     method: ClassVar[str] = "block-pivot"
+    converged: ClassVar[bool] = True
 
     weights: np.ndarray
     iterations: int
-    converged: bool
-    _diagnostics: Callable[[], tuple[float, float]] = field(repr=False, compare=False)
+    _entries: np.ndarray = field(repr=False, compare=False)
+    _b: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.weights.setflags(write=False)
 
     @cached_property
     def _diagnostic_values(self) -> tuple[float, float]:
-        return self._diagnostics()
+        w, b = self.weights, self._b
+        Kw = self._entries @ w
+        return _objective(Kw, b, w), _nonneg_kkt_residual(Kw, b, w)
 
     @property
     def objective(self) -> float:
@@ -67,29 +75,13 @@ def _nonneg_kkt_residual(Kw, b, w) -> float:
     return max(dual, comp, 0.0)
 
 
-def _nonneg_diagnostics(K, b, w) -> tuple[float, float]:
-    """(objective, KKT residual) of a nonnegative-orthant solution w."""
-    Kw = K @ w
-    return _objective(Kw, b, w), _nonneg_kkt_residual(Kw, b, w)
-
-
-def solve_nonneg(
-    gram: GramMatrix,
-    b,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> QPSolution:
+def solve_nonneg(gram: GramMatrix, b, tol: float = 1e-10) -> QPSolution:
     """Minimize w'Kw - 2 b'w over w >= 0 (the one-column case of solve_nonneg_many)."""
     b = np.asarray(b, dtype=float)
-    return solve_nonneg_many(gram, b[:, None], tol, max_iter)[0]
+    return solve_nonneg_many(gram, b[:, None], tol)[0]
 
 
-def solve_nonneg_many(
-    gram: GramMatrix,
-    B,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> list[QPSolution]:
+def solve_nonneg_many(gram: GramMatrix, B, tol: float = 1e-10) -> list[QPSolution]:
     """Minimize w'Kw - 2 b'w over w >= 0 for every column b of ``B``.
 
     Uses block principal pivoting: the full free set is tried first, for
@@ -100,8 +92,9 @@ def solve_nonneg_many(
     exchange degrades to single least-index swaps, which terminates
     finitely.  Convergence is declared when no free weight and no gradient
     entry of a zero weight lies below ``-tol * max(|b|_inf, tiny)``.
-    Columns are solved in order, and the list ends at the first one that
-    does not converge.
+    Columns are solved in order; SolverFailure is raised at the first one
+    still infeasible after ``MAX_ITER_PER_NODE`` iterations per node, and
+    later columns are not solved.
     Raises ValueError unless ``tol`` is finite and positive, and
     IllConditioned if the Gram matrix fails ``GramMatrix.cholesky``.
     """
@@ -111,9 +104,6 @@ def solve_nonneg_many(
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or K.shape != (len(B), len(B)):
         raise ValueError("b length must match the Gram matrix size")
-    n, k = B.shape
-    if max_iter is None:
-        max_iter = 50 * n
     tol_eff = tol * np.maximum(np.max(np.abs(B), axis=0, initial=0.0), TINY)
     # Contiguous columns.  The solve equals one-column solves to rounding, and
     # bitwise below 12 columns; with one BLAS thread some sizes differ above.
@@ -122,33 +112,27 @@ def solve_nonneg_many(
     W = gram.solve(B)
     # Every column's first pass at once: a column with no weight below
     # -tol_eff converges on the full free set, as its pivoting loop would
-    # find in its first iteration (a loop allowed no iteration finds nothing).
-    pivots = (W < -tol_eff).any(axis=0) | (max_iter < 1)
+    # find in its first iteration.
+    pivots = (W < -tol_eff).any(axis=0)
     factors = {}  # block-pivot sub-factors by free set, shared by the columns
-    sols = []
-    for j in range(k):
-        if pivots[j]:
-            sol = _nonneg_block_pivot(gram, K, B[:, j], W[:, j], tol_eff[j], max_iter, factors)
-        else:
-            w = np.maximum(W[:, j], 0.0)
-            sol = QPSolution(w, 1, True, partial(_nonneg_diagnostics, K, B[:, j], w))
-        sols.append(sol)
-        if not sol.converged:
-            break
-    return sols
+    return [
+        _nonneg_block_pivot(gram, B[:, j], W[:, j], tol_eff[j], factors) if pivots[j]
+        else QPSolution(np.maximum(W[:, j], 0.0), 1, K, B[:, j])
+        for j in range(B.shape[1])
+    ]
 
 
-def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter, factors) -> QPSolution:
+def _nonneg_block_pivot(gram, b, w, tol_eff, factors) -> QPSolution:
     """Block pivoting from the full free set, whose solve ``w`` is given."""
+    K = gram.entries
     n = len(b)
     free = np.ones(n, dtype=bool)
     stalls = 0
     best_infeas = np.inf
     single_swap = False
-    converged = False
     it = 0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER_PER_NODE * n + 1):
         if it > 1:
             w = np.zeros(n)
             if free.any():
@@ -159,8 +143,7 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter, factors) -> QPSolution
             neg_g &= 2.0 * (K @ w - b) < -tol_eff
         infeas = int(neg_w.sum() + neg_g.sum())
         if infeas == 0:
-            converged = True
-            break
+            return QPSolution(np.maximum(w, 0.0), it, K, b)
 
         if infeas < best_infeas:
             best_infeas = infeas
@@ -178,10 +161,8 @@ def _nonneg_block_pivot(gram, K, b, w, tol_eff, max_iter, factors) -> QPSolution
             free[neg_w] = False
             free[neg_g] = True
 
-    w = np.maximum(w, 0.0)
-    return QPSolution(
-        weights=w,
-        iterations=it,
-        converged=converged,
-        _diagnostics=partial(_nonneg_diagnostics, K, b, w),
+    sol = QPSolution(np.maximum(w, 0.0), it, K, b)
+    raise SolverFailure(
+        f"nonnegative QP did not converge: kkt residual {sol.kkt_residual:.3e} "
+        f"after {it} iterations ({sol.method})"
     )

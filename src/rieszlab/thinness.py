@@ -152,7 +152,9 @@ def mass_loss_test(
     """
     if not (np.isfinite(loss_margin) and loss_margin >= 0.0):
         raise ValueError("loss_margin must be finite and nonnegative")
+    _as_points(region.nodes, spec.dim)  # the kernel's dimension, before the vacuous return
     if mu.n_points == 0 or mu.total_mass == 0.0:
+        _as_points(mu.points, spec.dim)  # sweep_many checks a measure it sweeps
         return {
             "mass_in": 0.0,
             "mass_out": 0.0,

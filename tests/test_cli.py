@@ -435,6 +435,27 @@ def test_repeated_cloud_point_exits_1(tmp_path, capsys):
     assert list(tmp_path.glob("d.*")) == []
 
 
+def test_unconverged_sweep_exits_1(tmp_path, capsys, monkeypatch):
+    """A sweep whose solve pivots exits 0; with no pivoting iteration
+    allowed, the solver's SolverFailure exits 1 with its message."""
+    from rieszlab import HalfSpace, solver
+
+    nodes = HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(np.zeros(3), 0.5, 1.0, 400)
+    doc = small_sweep(
+        region={"shape": "cloud", "points": nodes.tolist()},
+        source={"points": [[0.0, 0.0, -2.0]], "weights": [1.0]},
+        expected={"mass": 0.289, "tol": 0.01},
+    )
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(solver, "MAX_ITER_PER_NODE", 0)
+    assert main(["run", path, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: nonnegative QP did not converge: kkt residual \S+ "
+                        r"after 0 iterations \(block-pivot\)\n", err)
+    assert list(tmp_path.glob("d.*")) == []
+
+
 def test_repeated_source_point_exits_1(tmp_path, capsys):
     source = {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]], "weights": [1.0] * 3}
     path = write_scenario(tmp_path, small_sweep(source=source))

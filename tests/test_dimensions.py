@@ -74,3 +74,33 @@ def test_kernel_dimension_is_checked_before_the_probes_are_drawn(complement200, 
     raise ProbeSamplingFailure."""
     with pytest.raises(DimensionMismatch):
         call(rl.KernelSpec(2.0, 4), complement200)
+
+
+SHAPES = {
+    "ball": rl.Ball(ORIGIN, 1.0),
+    "ball-complement": rl.BallComplement(ORIGIN, 1.0),
+    "sphere": rl.SphereShell(ORIGIN, 1.0),
+    "half-space": rl.HalfSpace([0.0, 0.0, 1.0], 0.0),
+    "union": rl.UnionShape([rl.Ball(ORIGIN, 1.0), rl.SphereShell([3.0, 0, 0], 1.0)]),
+    "cloud": rl.PointCloud([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_shell_nodes_read_their_center_as_a_point(shape):
+    """A shell center of another dimension than the shape's raises
+    DimensionMismatch in shell_nodes, and so in a 4-d wiener_report."""
+    y = [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(DimensionMismatch, match="points must have dimension 3"):
+        shape.shell_nodes(y, 0.25, 0.5, 50)
+    with pytest.raises(DimensionMismatch, match="points must have dimension 3"):
+        rl.wiener_report(rl.KernelSpec(2.0, 4), shape, y)
+
+
+@pytest.mark.parametrize("spec", [SPEC, rl.KernelSpec(2.0, 4)], ids=["dim3", "dim4"])
+def test_mass_loss_test_checks_dimensions_before_the_vacuous_report(spec):
+    """An empty measure in R^4 against a 3-d region reports no loss under
+    neither kernel dimension: the measure or the region is of the wrong one."""
+    region = rl.ball_region(ORIGIN, 1.0, 100, SPEC)
+    with pytest.raises(DimensionMismatch, match="points must have dimension"):
+        rl.mass_loss_test(spec, DiscreteMeasure.empty(4), region)

@@ -146,9 +146,9 @@ def test_green_equilibrium_solves_at_the_kernel_tolerance(spec, gk2000, monkeypa
     tols = []
     real = equilibrium.solve_nonneg
 
-    def recording(gram, b, tol=1e-10, max_iter=None):
+    def recording(gram, b, tol=1e-10):
         tols.append(tol)
-        return real(gram, b, tol, max_iter)
+        return real(gram, b, tol)
 
     monkeypatch.setattr(equilibrium, "solve_nonneg", recording)
     gk = GreenKernel(spec, gk2000.region, tol=1e-7)

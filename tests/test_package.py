@@ -224,6 +224,22 @@ def test_only_core_raises_degenerate_nodes():
     assert _modules_where(found) == ["core.py"]
 
 
+def test_only_solver_decides_convergence():
+    """solver owns non-convergence: no other module raises SolverFailure
+    or reads a solution's ``converged`` flag."""
+    def raises(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _named(exc, "SolverFailure")
+
+    def reads_converged(node):
+        return isinstance(node, ast.Attribute) and node.attr == "converged"
+
+    assert _modules_where(raises) == ["solver.py"]
+    assert set(_modules_where(reads_converged)) <= {"solver.py"}
+
+
 def test_core_imports_no_json():
     """core holds the mathematics; the scenario format, and its reader of
     measure documents, belong to cli."""

@@ -9,6 +9,7 @@ from rieszlab import (
     GramMatrix,
     IllConditioned,
     KernelSpec,
+    SolverFailure,
     solve_nonneg,
 )
 from rieszlab import solver
@@ -80,7 +81,7 @@ def test_nonneg_deterministic(spec):
 
 def equilibrium_of(g, tol=1e-10):
     """The equilibrium of a Gram matrix: Gauss's problem min w'Kw - 2 1'w, w >= 0."""
-    return _equilibrium_from_gram(g, tol, "equilibrium solve")
+    return _equilibrium_from_gram(g, tol)
 
 
 def probability_weights(eq):
@@ -252,15 +253,73 @@ def test_nonneg_many_columns_match_single_solves(spec):
         assert sol.objective == one.objective
 
 
-def test_nonneg_many_stops_at_first_unconverged_column(spec):
+def pivot_spy(monkeypatch) -> list:
+    """Record the right-hand side of every column that enters block pivoting."""
+    solved = []
+    loop = solver._nonneg_block_pivot
+
+    def spy(gram, b, *args):
+        solved.append(b)
+        return loop(gram, b, *args)
+
+    monkeypatch.setattr(solver, "_nonneg_block_pivot", spy)
+    return solved
+
+
+def test_nonneg_many_stops_at_first_unconverged_column(spec, monkeypatch):
     """Columns are solved in order; the first one that does not converge
-    ends the list, and later columns are not solved."""
+    raises SolverFailure, and later columns are not solved."""
     rng = np.random.default_rng(18)
     g = gram_over(spec, rng.normal(size=(30, 3)))
     inside = g.entries @ (rng.random(30) + 0.1)  # unconstrained solve is nonnegative
-    B = np.stack([inside, rng.normal(size=30), inside], axis=1)
-    sols = solve_nonneg_many(g, B, max_iter=1)
-    assert [sol.converged for sol in sols] == [True, False]
+    B = np.stack([inside, rng.normal(size=30), inside, rng.normal(size=30)], axis=1)
+    solved = pivot_spy(monkeypatch)
+    assert [sol.iterations > 1 for sol in solve_nonneg_many(g, B)] == [False, True, False, True]
+    assert [b.tolist() for b in solved] == [B[:, 1].tolist(), B[:, 3].tolist()]
+    solved.clear()
+    monkeypatch.setattr(solver, "MAX_ITER_PER_NODE", 0)
+    with pytest.raises(SolverFailure, match=r"^nonnegative QP did not converge: kkt residual "
+                       r"\S+ after 0 iterations \(block-pivot\)$"):
+        solve_nonneg_many(g, B)
+    assert [b.tolist() for b in solved] == [B[:, 1].tolist()]  # column 3 is not solved
+
+
+def _wiener_shell_cloud(spec, scale=1.0):
+    """The half-space Wiener shell at a boundary point, whose Gauss problem
+    pivots one node out of the support, as a cloud region."""
+    nodes = rl.HalfSpace([0.0, 0.0, 1.0], 0.0).shell_nodes(np.zeros(3), 0.5, 1.0, 400)
+    return rl.cloud_region(scale * nodes, spec)
+
+
+def _gauss_twice(spec):
+    gram = _wiener_shell_cloud(spec).gram(spec)
+    return solve_nonneg_many(gram, np.ones((gram.n, 2)))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec, gk: _gauss_twice(spec),
+        lambda spec, gk: rl.sweep(spec, rl.dirac([0.0, 0.0, -2.0]), _wiener_shell_cloud(spec)),
+        lambda spec, gk: rl.sweep_many(
+            spec, [rl.dirac([0.0, 0.0, -2.0]), rl.dirac([0.0, 0.0, -3.0])], _wiener_shell_cloud(spec)),
+        lambda spec, gk: rl.riesz_equilibrium(spec, _wiener_shell_cloud(spec)),
+        lambda spec, gk: rl.green_equilibrium(gk, _wiener_shell_cloud(spec, 0.3)),
+    ],
+    ids=["solve_nonneg_many", "sweep", "sweep_many", "riesz_equilibrium", "green_equilibrium"],
+)
+def test_a_solve_at_the_iteration_cap_raises_solver_failure(spec, gk2000, run, monkeypatch):
+    """Each entry point converges through block pivoting, and with no
+    pivoting iteration allowed the solver raises SolverFailure, which the
+    callers pass on unchanged."""
+    solved = pivot_spy(monkeypatch)
+    run(spec, gk2000)
+    assert solved  # some column pivots
+    solved.clear()
+    monkeypatch.setattr(solver, "MAX_ITER_PER_NODE", 0)
+    with pytest.raises(SolverFailure, match=r"^nonnegative QP did not converge: .* after 0 iterations"):
+        run(spec, gk2000)
+    assert len(solved) == 1  # the first pivoting column ends the call
 
 
 def test_nonneg_many_pivots_only_the_infeasible_columns(spec, monkeypatch):
@@ -290,7 +349,11 @@ def test_nonneg_many_pivots_only_the_infeasible_columns(spec, monkeypatch):
         assert sol.converged and one.converged
         assert sol.kkt_residual == one.kkt_residual
         assert sol.objective == one.objective
-    assert [sol.converged for sol in solve_nonneg_many(g, B, max_iter=1)] == [True, False]
+    pivoted.clear()
+    monkeypatch.setattr(solver, "MAX_ITER_PER_NODE", 0)
+    with pytest.raises(SolverFailure, match="did not converge"):
+        solve_nonneg_many(g, B)
+    assert pivoted == [1]  # the pivoting column fails; the feasible ones never pivot
 
 
 def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
