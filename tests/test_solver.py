@@ -330,16 +330,9 @@ def test_nonneg_many_pivots_only_the_infeasible_columns(spec, monkeypatch):
     g = gram_over(spec, rng.normal(size=(30, 3)))
     feasible = [g.entries @ (rng.random(30) + 0.1) for _ in range(2)]
     B = np.stack([feasible[0], rng.normal(size=30), feasible[1]], axis=1)
-    pivoted = []
-    loop = solver._nonneg_block_pivot
-
-    def counting(*args):
-        pivoted.append(1)
-        return loop(*args)
-
-    monkeypatch.setattr(solver, "_nonneg_block_pivot", counting)
+    pivoted = pivot_spy(monkeypatch)
     many = solve_nonneg_many(g, B)
-    assert pivoted == [1]
+    assert [b.tolist() for b in pivoted] == [B[:, 1].tolist()]
     assert [sol.iterations for sol in many][::2] == [1, 1]
     assert many[1].iterations > 1
     for j, sol in enumerate(many):
@@ -353,7 +346,7 @@ def test_nonneg_many_pivots_only_the_infeasible_columns(spec, monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITER_PER_NODE", 0)
     with pytest.raises(SolverFailure, match="did not converge"):
         solve_nonneg_many(g, B)
-    assert pivoted == [1]  # the pivoting column fails; the feasible ones never pivot
+    assert [b.tolist() for b in pivoted] == [B[:, 1].tolist()]  # the feasible columns never pivot
 
 
 def test_diagnostics_equal_the_eager_expressions_bitwise(spec):
