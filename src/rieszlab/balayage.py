@@ -20,6 +20,7 @@ from .core import (
     _as_points,
     _assemble_distinct,
     _kernel_rows,
+    _row_potentials,
     cross_energy,
     dirac,
     potential_at,
@@ -195,19 +196,6 @@ def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
     if zero.any():
         raise PointOutsideDomain("an evaluation point coincides with a region node")
     return rows
-
-
-def _row_potentials(rows: np.ndarray, weights) -> np.ndarray:
-    """Potentials of node weight vectors, one column each, at the points of C-ordered rows."""
-    out = np.empty((len(rows), len(weights)))
-    for j, w in enumerate(weights):
-        support = w > 0.0
-        if support.all():
-            out[:, j] = rows @ w
-        else:
-            # rows[:, support] is F-ordered; a C-ordered copy takes potential_at's BLAS path.
-            out[:, j] = np.ascontiguousarray(rows[:, support]) @ w[support]
-    return out
 
 
 def _sweep_checks(spec, mu, region, b, res, tol_dom, probes, probe_seed) -> SweepChecks:

@@ -64,10 +64,8 @@ def riesz_kernel(spec: KernelSpec, x, y) -> float:
         raise DimensionMismatch(
             f"points must have shape ({spec.dim},), got {x.shape} and {y.shape}"
         )
-    d = float(np.linalg.norm(x - y))
-    if d == 0.0:
-        return float("inf")
-    return d ** spec.exponent
+    k, zero = _kernel_rows(spec, x[None], y[None])
+    return float("inf") if zero[0, 0] else float(k[0, 0])
 
 
 class DiscreteMeasure:
@@ -229,27 +227,35 @@ def _kernel_rows(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, tol: float = 0.
     return rows, near
 
 
+def _row_potentials(rows: np.ndarray, weights) -> np.ndarray:
+    """Potentials of weight vectors, one column each, at the points of C-ordered kernel rows.
+
+    The one GEMV that sums a potential at points.  A vector's support is its
+    nonzero entries: when it has zeros, a C-ordered copy of its support's
+    columns takes the same BLAS path as the full rows.
+    """
+    out = np.empty((len(rows), len(weights)))
+    for j, w in enumerate(weights):
+        support = w != 0.0
+        if support.all():
+            out[:, j] = rows @ w
+        else:
+            out[:, j] = np.ascontiguousarray(rows[:, support]) @ w[support]
+    return out
+
+
 def potential_at(spec: KernelSpec, mu: DiscreteMeasure, points) -> np.ndarray:
     """Potentials of ``mu`` at many points: (k(x, .) summed against the weights).
 
-    Points coinciding exactly with a charged node give +/-inf; coincidence
-    with nodes of both signs raises IndeterminateValue.  Summation is a
-    single dot product in node-index order.
+    The atoms are pairwise distinct, so a point sits on at most one; its
+    potential there is +/-inf with a charged atom's sign (a zero weight adds 0).
     """
     X = _as_points(points, spec.dim)
     P, zero = _kernel_rows(spec, X, _as_points(mu.points, spec.dim))
-    P[zero] = 0.0
-    vals = P @ mu.weights
-    for i in np.nonzero(zero.any(axis=1))[0]:
-        w_hit = mu.weights[zero[i]]
-        pos = bool((w_hit > 0).any())
-        neg = bool((w_hit < 0).any())
-        if pos and neg:
-            raise IndeterminateValue("evaluation point coincides with nodes of both signs")
-        if pos:
-            vals[i] = np.inf
-        elif neg:
-            vals[i] = -np.inf
+    vals = _row_potentials(P, [mu.weights])[:, 0]
+    i, j = np.nonzero(zero)
+    w_hit = mu.weights[j]
+    vals[i] = np.where(w_hit != 0.0, np.copysign(np.inf, w_hit), vals[i])
     return vals
 
 
@@ -265,18 +271,13 @@ def cross_energy(spec: KernelSpec, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
     charged node of each gives +/-inf with the usual sign rules.
     """
     P, zero = _kernel_rows(spec, _as_points(mu.points, spec.dim), _as_points(nu.points, spec.dim))
-    if zero.any():
-        prods = np.outer(mu.weights, nu.weights)[zero]
-        pos = bool((prods > 0).any())
-        neg = bool((prods < 0).any())
-        if pos and neg:
-            raise IndeterminateValue("coincident nodes of both sign products")
-        if pos:
-            return float("inf")
-        if neg:
-            return float("-inf")
-        P[zero] = 0.0
-    return float(mu.weights @ (P @ nu.weights))
+    i, j = np.nonzero(zero)
+    signs = set(np.sign(mu.weights[i] * nu.weights[j])) - {0.0}
+    if len(signs) > 1:
+        raise IndeterminateValue("coincident nodes of both sign products")
+    if signs:
+        return float(signs.pop() * np.inf)
+    return float(mu.weights @ _row_potentials(P, [nu.weights])[:, 0])
 
 
 class GramMatrix:

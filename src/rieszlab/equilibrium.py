@@ -144,6 +144,8 @@ def verify_green_minimality(
     least the capacity, which is the energy of the equilibrium measure.
     Returns the smallest ratio of the two observed.
     """
+    if n_competitors < 1:
+        raise ValueError("n_competitors must be at least 1")
     ggram = result.gram
     rng = np.random.default_rng(seed)
     n = f_region.n_nodes

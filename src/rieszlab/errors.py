@@ -10,7 +10,7 @@ class DimensionMismatch(RieszLabError):
 
 
 class IndeterminateValue(RieszLabError):
-    """A potential evaluates to an undefined infinity minus infinity."""
+    """A mutual energy evaluates to an undefined infinity minus infinity."""
 
 
 class DegenerateNodes(RieszLabError):

@@ -18,8 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .balayage import _node_rows, _row_potentials, _sweep_batch
-from .core import TINY, DiscreteMeasure, GramMatrix, KernelSpec, _as_points, dirac, potential_at
+from .balayage import _node_rows, _sweep_batch
+from .core import (
+    TINY,
+    DiscreteMeasure,
+    GramMatrix,
+    KernelSpec,
+    _as_points,
+    _row_potentials,
+    dirac,
+    potential_at,
+)
 from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 
@@ -91,7 +100,7 @@ def _green_potential_values(
 ) -> np.ndarray:
     """Green potential of nu at X, given the swept weights of its atoms' unit
     charges and X's kernel rows against the region nodes."""
-    vals = potential_at(gk.spec, nu, X).astype(float)
+    vals = potential_at(gk.spec, nu, X)
     for weight, col in zip(nu.weights, _row_potentials(rows, swept).T):
         vals -= weight * col
     return vals

@@ -210,8 +210,8 @@ class _Round(Shape):
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(self.center).all() and 0.0 < self.radius < np.inf):
+            raise ValueError("center must be finite and radius finite and positive")
 
     def _dist(self, points) -> np.ndarray:
         """Distance of each point from the center."""
@@ -330,13 +330,13 @@ class HalfSpace(Shape):
     def __init__(self, normal, offset: float):
         normal = np.array(normal, dtype=float)
         norm = np.linalg.norm(normal)
-        if norm == 0.0:
-            raise ValueError("normal must be non-zero")
+        self.offset = float(offset)
+        if not (0.0 < norm < np.inf and np.isfinite(self.offset)):
+            raise ValueError("normal must be finite and non-zero and offset finite")
         # Normalizing can move the last bits of a unit normal (computed norm
         # within 1.5 eps of 1 in 3-d), so such a normal is kept as given: a
         # half-space rebuilt from its descriptor has the same normal.
         self.normal = normal if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps else normal / norm
-        self.offset = float(offset)
 
     def contains(self, points) -> np.ndarray:
         X = _as_points(points, len(self.normal))

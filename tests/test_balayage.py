@@ -94,6 +94,20 @@ def test_sweep_rejects_a_source_of_another_dimension(spec, ball500, run):
         run(spec, mu, ball500)
 
 
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (DiscreteMeasure([[3.0, 0, 0], [0, 3.0, 0]], [1.0, -0.5], signed=True),
+         "sweep requires a nonnegative measure; use sweep_signed"),
+        (DiscreteMeasure.empty(3), "cannot sweep the zero measure"),
+    ],
+    ids=["signed", "zero"],
+)
+def test_sweep_rejects_a_signed_or_zero_source(spec, ball500, mu, message):
+    with pytest.raises(ValueError, match=message):
+        sweep(spec, mu, ball500)
+
+
 def test_sweep_deterministic(spec, ball500):
     mu = dirac(np.array([1.7, 0.4, -0.2]))
     w1 = sweep_many(spec, [mu], ball500)[0].solution.weights

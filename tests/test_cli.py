@@ -132,6 +132,13 @@ def test_tol_override_that_is_not_a_number_names_the_key(tmp_path, capsys):
     assert list(tmp_path.glob("bad.*")) == []
 
 
+def test_tol_override_without_a_value_exits_1(tmp_path, capsys):
+    ref = write_scenario(tmp_path, small_sweep())
+    assert main(["run", ref, "--tol-override", "tol", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err.strip() == "error: tolerance override 'tol' is not KEY=VALUE"
+    assert list(tmp_path.glob("bad.*")) == []
+
+
 def test_whole_float_count_is_accepted(tmp_path):
     path = write_scenario(tmp_path, small_sweep(region=dict(COMPLEMENT, n=300.0)))
     assert main(["run", path, "--out", str(tmp_path / "w")]) == 0
@@ -331,6 +338,12 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             {"source": {"points": [[0.0, 0.0, 0.0]]}},
             "error: missing key 'weights' in measure",
         ),
+        ({"command": "bogus"}, "error: unknown command 'bogus'"),
+        (
+            {"region": {"shape": "cube", "n": 300}},
+            "error: region must be an object whose 'shape' is one of "
+            "['ball', 'ball-complement', 'cloud', 'half-space', 'sphere', 'union']",
+        ),
     ],
     ids=["kernel", "probes", "expected", "union-parts", "points-number", "points-null",
          "points-object", "weights-number", "empty-points-with-weights", "alpha-list",
@@ -340,12 +353,33 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
          "signed-string", "points-entries", "weights-bool", "cloud-entries",
          "expected-mass-string", "expected-tol-string", "expected-tol-bool",
          "expected-mass-null", "name-number", "probes-n-negative", "seed-negative",
-         "points-ragged", "measure-list", "measure-no-weights"],
+         "points-ragged", "measure-list", "measure-no-weights", "unknown-command",
+         "unknown-shape"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))
     assert main(["run", path, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "error: scenario must be a JSON object"),
+        (
+            "{",
+            "error: scenario file is not valid JSON: Expecting property name enclosed "
+            "in double quotes: line 1 column 2 (char 1)",
+        ),
+    ],
+    ids=["list", "truncated"],
+)
+def test_scenario_file_that_is_not_a_json_object_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "scen.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert list(tmp_path.glob("x.*")) == []
 
 
 def test_analytic_shape_outside_three_dimensions_exits_1(tmp_path, capsys):

@@ -52,6 +52,37 @@ def test_kernel_coincident_points_diverge():
     assert riesz_kernel(s, E1, E1) == np.inf
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+def test_kernel_is_the_potential_of_a_point_mass_bitwise(alpha):
+    """riesz_kernel and potential read one kernel block: k(x, y) equals the
+    potential of a unit charge at y, evaluated at x, bit for bit."""
+    s = KernelSpec(alpha, 3)
+    rng = np.random.default_rng(7)
+    X, Y = rng.normal(size=(2, 2000, 3))
+    mismatches = [
+        i for i, (x, y) in enumerate(zip(X, Y))
+        if riesz_kernel(s, x, y) != potential(s, dirac(y), x)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda s: riesz_kernel(s, np.zeros((1, 3)), E1), DimensionMismatch,
+         r"points must have shape \(3,\)"),
+        (lambda s: DiscreteMeasure([0.0, 0.0, 0.0], [1.0]), ValueError,
+         "points must be a 2-D array"),
+        (lambda s: DiscreteMeasure([[0.0, 0.0, 0.0]], [1.0, 2.0]), ValueError,
+         "weights must be 1-D with one entry per point"),
+    ],
+    ids=["kernel-point-shape", "measure-1d-points", "measure-weight-count"],
+)
+def test_core_input_checks(spec, call, exc, message):
+    with pytest.raises(exc, match=message):
+        call(spec)
+
+
 def test_measure_basics():
     mu = DiscreteMeasure([[0, 0, 0], [1, 0, 0]], [0.25, 0.75])
     assert mu.n_points == 2
@@ -126,6 +157,11 @@ def test_potential_coincidence_rules():
     # a zero-weight atom contributes nothing even at coincidence
     flat = DiscreteMeasure([[0, 0, 0], [1, 0, 0]], [0.0, 1.0])
     assert potential(s, flat, np.zeros(3)) == 1.0
+    # every point at once: each sits on one atom, which decides its value
+    mixed = DiscreteMeasure([[0, 0, 0], [1, 0, 0], [0, 2, 0]], [1.0, 0.0, -1.0], signed=True)
+    vals = potential_at(s, mixed, mixed.points)
+    assert vals[0] == np.inf and vals[2] == -np.inf
+    assert vals[1] == pytest.approx(1.0 - 5.0 ** -0.5, rel=1e-15)
 
 
 def test_measure_rejects_coincident_support():

@@ -82,6 +82,13 @@ def test_green_equilibrium_minimality(spec, gk2000):
     assert out["min_energy_ratio"] >= 1.0 - 1e-9
 
 
+def test_green_minimality_needs_a_competitor(spec, gk2000):
+    f = rl.sphere_region(ORIGIN, 0.5, 100, spec)
+    res = green_equilibrium(gk2000, f)
+    with pytest.raises(ValueError, match="n_competitors must be at least 1"):
+        verify_green_minimality(gk2000, f, res, n_competitors=0)
+
+
 def test_green_minimality_below_unit_capacity(spec, gk2000, monkeypatch):
     """Competitor energies are compared with the capacity itself, which
     matters once the relative capacity is well below 1; the check reuses

@@ -122,6 +122,11 @@ def test_energy_decomposition_assembles_the_free_gram_once(gk2000, monkeypatch):
     assert out["rel_gap"] < 1e-8
 
 
+def test_energy_decomposition_needs_two_atoms(gk2000):
+    with pytest.raises(ValueError, match="energy decomposition needs at least two atoms"):
+        verify_energy_decomposition(gk2000, dirac([0.2, 0.0, 0.0]))
+
+
 def test_energy_decomposition_rejects_atoms_off_the_domain(gk2000):
     nu = DiscreteMeasure([[0.2, 0.0, 0.0], [1.5, 0.0, 0.0]], [1.0, 1.0])
     with pytest.raises(NodesOutsideDomain):

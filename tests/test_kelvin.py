@@ -160,6 +160,24 @@ def test_invert_shape_sphere_through_pole_raises():
         invert_shape([1.0, 0.0, 0.0], Ball(ORIGIN, 1.0))
 
 
+class _Uncatalogued(rl.Shape):
+    """A shape the inversion catalog does not know."""
+
+
+@pytest.mark.parametrize(
+    "shape, exc, message",
+    [
+        (HalfSpace([1.0, 0.0, 0.0], 0.0), CenterInversion,
+         "the boundary plane passes through the inversion pole"),
+        (_Uncatalogued(), TypeError, "no inversion image for _Uncatalogued"),
+    ],
+    ids=["plane-through-pole", "uncatalogued"],
+)
+def test_invert_shape_without_an_image_raises(shape, exc, message):
+    with pytest.raises(exc, match=message):
+        invert_shape(ORIGIN, shape)
+
+
 def test_invert_shape_union_maps_parts():
     u = UnionShape([Ball(ORIGIN, 1.0), Ball([5.0, 0.0, 0.0], 1.0)])
     star = invert_shape([0.0, 0.0, 3.0], u)

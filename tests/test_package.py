@@ -240,6 +240,47 @@ def test_only_solver_decides_convergence():
     assert set(_modules_where(reads_converged)) <= {"solver.py"}
 
 
+def _powers_of_the_exponent(path: Path) -> list[str]:
+    """``module:function`` of each power, ``**`` or ``np.power``, whose
+    exponent reads ``spec.exponent``."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            power = node.right
+        elif isinstance(node, ast.Call) and _named(node.func, "power") and len(node.args) > 1:
+            power = node.args[1]
+        else:
+            power = None
+        if power is not None and any(_named(n, "exponent") for n in ast.walk(power)):
+            sites.append(f"{path.stem}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return sites
+
+
+def test_only_core_raises_pairs_to_the_kernel_exponent():
+    """core._kernel_rows and core._assemble_distinct give every pair kernel
+    value: riesz_kernel and every potential read them.  The five other
+    powers of the exponent are no pair kernel: Region.gram's two diagonal
+    entries, kelvin_transform's weight factor, verify_potential_covariance's
+    scale and wiener_report's rescaling."""
+    sites = sorted(s for path in SRC.glob("*.py") for s in _powers_of_the_exponent(path))
+    assert sites == [
+        "core:_assemble_distinct",
+        "core:_kernel_rows",
+        "kelvin:kelvin_transform",
+        "kelvin:verify_potential_covariance",
+        "regions:gram",
+        "regions:gram",
+        "thinness:wiener_report",
+    ]
+
+
 def test_core_imports_no_json():
     """core holds the mathematics; the scenario format, and its reader of
     measure documents, belong to cli."""

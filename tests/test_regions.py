@@ -645,6 +645,50 @@ def test_shape_catalog_lists_every_kind_once():
     assert all(SHAPES[cls.kind] is cls for cls in SHAPES.values())
 
 
+_ROUND = "center must be finite and radius finite and positive"
+_PLANE = "normal must be finite and non-zero and offset finite"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Ball([np.nan, 0.0, 0.0], 1.0), _ROUND),
+        (lambda: Ball(ORIGIN, np.inf), _ROUND),
+        (lambda: BallComplement(ORIGIN, np.nan), _ROUND),
+        (lambda: SphereShell([0.0, np.inf, 0.0], 1.0), _ROUND),
+        (lambda: SphereShell(ORIGIN, 0.0), _ROUND),
+        (lambda: HalfSpace([np.nan, 0.0, 1.0], 0.0), _PLANE),
+        (lambda: HalfSpace([0.0, 0.0, 1.0], np.inf), _PLANE),
+        (lambda: HalfSpace([0.0, 0.0, 0.0], 0.0), _PLANE),
+    ],
+    ids=["ball-nan-center", "ball-inf-radius", "complement-nan-radius", "sphere-inf-center",
+         "sphere-zero-radius", "half-space-nan-normal", "half-space-inf-offset",
+         "half-space-zero-normal"],
+)
+def test_analytic_shapes_reject_parameters_that_are_not_finite(make, message):
+    """A shape with a non-finite or degenerate parameter fails at construction,
+    before build_region lays out any node."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: fibonacci_sphere(0), "need at least one node"),
+        (lambda: fibonacci_disk(0, 1.0, ORIGIN, [0.0, 0.0, 1.0]), "need at least one node"),
+        (lambda: UnionShape([]), "union needs at least one part"),
+        (lambda: PointCloud([]), r"point cloud must be a non-empty \(n, dim\) array"),
+        (lambda: Region(Ball(ORIGIN, 1.0), np.zeros((0, 3))),
+         r"region nodes must be a non-empty \(n, dim\) array"),
+    ],
+    ids=["fibonacci-sphere", "fibonacci-disk", "union", "point-cloud", "region"],
+)
+def test_empty_layouts_and_node_sets_are_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_half_space_keeps_a_unit_normal_and_normalizes_others():
     unit = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     assert np.array_equal(HalfSpace(unit, 0.0).normal, unit)

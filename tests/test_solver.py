@@ -52,6 +52,12 @@ def test_nonneg_single_node():
     assert solve_nonneg(g, np.array([-8.0])).weights[0] == 0.0
 
 
+def test_nonneg_rejects_a_right_hand_side_of_another_length():
+    g = gram_from([[10.0, 1.0], [1.0, 10.0]])
+    with pytest.raises(ValueError, match="b length must match the Gram matrix size"):
+        solve_nonneg(g, np.array([1.0, 2.0, 3.0]))
+
+
 def test_nonneg_matches_objective_dominance(spec):
     """The solution beats 100 random feasible vectors."""
     rng = np.random.default_rng(10)
