@@ -141,9 +141,12 @@ def verify_green_minimality(
     ``result`` is ``green_equilibrium(gk, f_region)`` and carries its Green
     Gram matrix.  Random node-supported measures, rescaled so their Green
     potential is at least 1 everywhere on the nodes, must have energy at
-    least the capacity, which is the energy of the equilibrium measure.
-    Returns the smallest ratio of the two observed.
+    least the capacity, which is the energy of the equilibrium measure, up
+    to the relative ``slack``, finite and nonnegative.  Returns the
+    smallest ratio of the two observed.
     """
+    if not (np.isfinite(slack) and slack >= 0.0):
+        raise ValueError("slack must be finite and nonnegative")
     if n_competitors < 1:
         raise ValueError("n_competitors must be at least 1")
     ggram = result.gram

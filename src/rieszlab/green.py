@@ -198,11 +198,13 @@ def verify_domination(
     support-side potentials of mu use the Green Gram over mu's atoms, whose
     diagonal is regularized as in ``green_gram`` (a point atom's raw
     potential at itself is infinite); the conclusion is tested
-    at probe points with relative slack ``tol``.  When the precondition
-    fails the check is vacuous.  The atoms of both measures are swept in
-    one batch, and the sweeps serve both the support and the probe
-    potentials.
+    at probe points with relative slack ``tol``, finite and nonnegative.
+    When the precondition fails the check is vacuous.  The atoms of both
+    measures are swept in one batch, and the sweeps serve both the support
+    and the probe potentials.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and nonnegative")
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
     if nu is None:
         nu = DiscreteMeasure.empty(gk.spec.dim)  # its Green potential is zero

@@ -57,23 +57,33 @@ PROBE_MAX_BATCHES = 500
 _NO_PROBES = "probe sampling failed to find enough points off A"
 
 
-def fibonacci_sphere(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """n quasi-uniform points on a sphere via the golden-angle spiral."""
+def _layout_center(n: int, radius: float, center) -> np.ndarray:
+    """The 3-d center of a layout of n >= 1 points with a finite, positive radius."""
     if n < 1:
         raise ValueError("need at least one node")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"layout radius must be finite and positive, got {radius!r}")
+    (center,) = _as_points(center, 3)
+    return center
+
+
+def fibonacci_sphere(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """n quasi-uniform points on a sphere via the golden-angle spiral."""
+    center = _layout_center(n, radius, center)
     i = np.arange(n, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / n
     theta = GOLDEN_ANGLE * i
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
-    return radius * pts + np.asarray(center, dtype=float)
+    return radius * pts + center
 
 
 def fibonacci_ball(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """n quasi-uniform points in a solid ball (spiral directions, cubic-root radii)."""
+    center = _layout_center(n, radius, center)
     dirs = fibonacci_sphere(n)
     r = radius * ((np.arange(n, dtype=float) + 0.5) / n) ** (1.0 / 3.0)
-    return r[:, None] * dirs + np.asarray(center, dtype=float)
+    return r[:, None] * dirs + center
 
 
 def _orthonormal_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,18 +98,16 @@ def _orthonormal_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def fibonacci_disk(n: int, radius: float, center, normal) -> np.ndarray:
     """n quasi-uniform points on a flat disk (sunflower layout)."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    normal = np.asarray(normal, dtype=float)
-    normal = normal / np.linalg.norm(normal)
-    u, v = _orthonormal_frame(normal)
+    center = _layout_center(n, radius, center)
+    (normal,) = _as_points(normal, 3)
+    norm = np.linalg.norm(normal)
+    if not 0.0 < norm < np.inf:
+        raise ValueError("disk normal must be finite and nonzero")
+    u, v = _orthonormal_frame(normal / norm)
     i = np.arange(n, dtype=float)
     r = radius * np.sqrt((i + 0.5) / n)
     theta = GOLDEN_ANGLE * i
-    return (
-        np.asarray(center, dtype=float)
-        + r[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v)
-    )
+    return center + r[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v)
 
 
 def _halton(start: int, n: int) -> np.ndarray:
@@ -385,13 +393,13 @@ class UnionShape(Shape):
         scales = np.array([p.characteristic_scale() ** 2 for p in self.parts])
         weights = scales / scales.sum()
         counts = np.maximum(16, np.round(n * weights).astype(int))
-        parts = [p.make_nodes(int(c), spec) for p, c in zip(self.parts, counts)]
-        return _dedupe(np.concatenate(parts))
+        nodes = np.concatenate([p.make_nodes(int(c), spec) for p, c in zip(self.parts, counts)])
+        return nodes[_dedupe(nodes)]
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         _require_budget(budget)
-        parts = [p.shell_nodes(y, r_lo, r_hi, budget) for p in self.parts]
-        return _dedupe(np.concatenate(parts))
+        nodes = np.concatenate([p.shell_nodes(y, r_lo, r_hi, budget) for p in self.parts])
+        return nodes[_dedupe(nodes)]
 
     def characteristic_scale(self) -> float:
         return max(p.characteristic_scale() for p in self.parts)
@@ -438,11 +446,20 @@ SHAPES = {
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    """Drop later points that collide with earlier ones within h_min."""
+    """Keep mask of the points: False for each one within h_min of an earlier one."""
     pairs = cKDTree(points).query_pairs(_h_min(points), output_type="ndarray")
-    drop = np.zeros(len(points), dtype=bool)
-    drop[pairs.max(axis=1)] = True
-    return points[~drop]
+    keep = np.ones(len(points), dtype=bool)
+    keep[pairs.max(axis=1)] = False
+    return keep
+
+
+def _self_interactions(spec: KernelSpec, radius):
+    """h^(alpha - n) of one radius or one per node: each distinct radius is
+    raised once with Python's float power, which numpy's array power misses
+    in the last bit for some radii, so a union keeps its parts' diagonals."""
+    radii = np.asarray(radius)
+    values, inverse = np.unique(radii, return_inverse=True) if radii.ndim else (radii.reshape(1), 0)
+    return np.array([h ** spec.exponent for h in values.tolist()])[inverse]
 
 
 class Region:
@@ -455,20 +472,26 @@ class Region:
     and ``nearest_node`` queries the tree.  Two nodes closer than ``h_min``
     raise DegenerateNodes, by ``core._distinct_spacing``.
 
-    ``reg_radius`` defaults to REGION_REG_FACTOR x the mean nearest-neighbor
-    spacing; a single node needs it given, and a given one must be finite
-    and positive.  ``gram`` is the one place where a radius becomes a
-    diagonal entry; everything else reads the Gram's diagonal.
+    ``reg_radius`` is one radius for every node or one per node, and
+    defaults to REGION_REG_FACTOR x the mean nearest-neighbor spacing for
+    every node; a single node needs it given, and a given one must be
+    finite and positive.  ``gram`` turns radii into diagonal entries, by
+    ``_self_interactions``; everything else reads the Gram's diagonal.
     """
 
     __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
 
-    def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius: float | None = None):
-        if reg_radius is not None and not (math.isfinite(reg_radius) and reg_radius > 0.0):
-            raise ValueError(f"reg_radius must be finite and positive, got {reg_radius!r}")
+    def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius=None):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
             raise ValueError("region nodes must be a non-empty (n, dim) array")
+        radius = None if reg_radius is None else np.array(reg_radius, dtype=float)
+        if radius is not None and not (
+            radius.shape in ((), nodes.shape[:1]) and 0.0 < radius.min() <= radius.max() < np.inf
+        ):
+            raise ValueError(
+                f"reg_radius must be finite and positive, one or one per node, got {reg_radius!r}"
+            )
         # A point cloud whose points are the nodes contains them and already
         # holds their tree.
         own = isinstance(shape, PointCloud) and np.array_equal(nodes, shape.points)
@@ -479,14 +502,17 @@ class Region:
         d_nn, h_min = _distinct_spacing(nodes, tree)
         if len(nodes) >= 2:
             spacing = (float(d_nn.min()), float(d_nn.mean()))
-        elif reg_radius is None:
+        elif radius is None:
             raise ValueError("reg_radius is required for single-node regions")
         else:
-            spacing = (float(reg_radius), float(reg_radius))
+            spacing = (float(radius.min()),) * 2
+        if radius is None:
+            radius = REGION_REG_FACTOR * spacing[1]
         self.shape = shape
         self.nodes = nodes
         self.h_min = h_min
-        self.reg_radius = float(REGION_REG_FACTOR * spacing[1] if reg_radius is None else reg_radius)
+        # One radius for every node stays a float, which gram powers once.
+        self.reg_radius = radius if np.ndim(radius) else float(radius)
         self._tree = tree
         self._d_nn = d_nn
         self._spacing = spacing
@@ -518,10 +544,10 @@ class Region:
         """Gram matrix over the region nodes whose ``cholesky`` succeeds.
 
         Cached per kernel.  Diagonal entry i is node i's self-interaction
-        h_i^(alpha - n).  Every node takes the region's radius h when that
-        Gram passes GramMatrix.cholesky, the one positive-definiteness test.
-        Otherwise node i gets the radius h_i = min(h, d_i / 2), where d_i is
-        its nearest-neighbor distance, so the balls B(x_i, h_i) are
+        h_i^(alpha - n).  Node i takes its radius r_i when that Gram passes
+        GramMatrix.cholesky, the one positive-definiteness test.  Otherwise
+        it gets the radius h_i = min(r_i, d_i / 2), where d_i is its
+        nearest-neighbor distance, so the balls B(x_i, h_i) are
         disjoint.  For alpha = 2 the capped matrix is then the Gram of
         uniform spherical shells on those balls (Newton's theorem), positive
         definite by construction; for alpha < 2 the test decides.  Raises
@@ -530,9 +556,7 @@ class Region:
         key = (spec.alpha, spec.dim)
         g = self._grams.get(key)
         if g is None:
-            # One Python float power for the uniform entry: numpy's array power
-            # differs from it in the last bit for some radii.
-            g = _assemble_distinct(spec, self.nodes, self.reg_radius ** spec.exponent)
+            g = _assemble_distinct(spec, self.nodes, _self_interactions(spec, self.reg_radius))
             # Capped after the except block: the exception holds the failed factor.
             capped = False
             try:
@@ -543,7 +567,7 @@ class Region:
                 # Only the diagonal changes, so the off-diagonal entries are reused.
                 radii = np.minimum(self.reg_radius, 0.5 * self._d_nn)
                 entries = g.entries.copy()
-                np.fill_diagonal(entries, radii ** spec.exponent)
+                np.fill_diagonal(entries, _self_interactions(spec, radii))
                 g = GramMatrix(self.nodes, entries)
                 g.cholesky()
             self._grams[key] = g
@@ -571,15 +595,19 @@ def half_space_region(normal, offset, n, spec) -> Region:
     return build_region(HalfSpace(normal, offset), n, spec)
 
 
-def cloud_region(points, spec, reg_radius: float | None = None) -> Region:
+def cloud_region(points, spec, reg_radius=None) -> Region:
     shape = PointCloud(points)
     return Region(shape, shape.make_nodes(0, spec), reg_radius)
 
 
 def union_region(parts: list[Region]) -> Region:
-    """Union of prebuilt regions; node order follows the part order."""
+    """Union of prebuilt regions; node order follows the part order, and each
+    node keeps its part's radius unless the union's Gram caps it."""
     shape = UnionShape([p.shape for p in parts])
-    return Region(shape, _dedupe(np.concatenate([p.nodes for p in parts])))
+    nodes = np.concatenate([_as_points(p.nodes, parts[0].dim) for p in parts])
+    radii = np.concatenate([np.broadcast_to(p.reg_radius, p.n_nodes) for p in parts])
+    keep = _dedupe(nodes)
+    return Region(shape, nodes[keep], radii[keep])
 
 
 def reinterpret_region(region: Region, shape: Shape) -> Region:

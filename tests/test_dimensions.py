@@ -52,6 +52,7 @@ CASES = {
         SPEC, [0.2, 0, 0, 0], 1.0, gk.region
     ),
     "Ball.contains": lambda gk: rl.Ball(ORIGIN, 1.0).contains([[0.0, 0.0, 0.0, 0.0]]),
+    "union_region": lambda gk: rl.union_region([gk.region, rl.cloud_region(PAIR4, SPEC)]),
 }
 
 

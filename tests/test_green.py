@@ -176,6 +176,35 @@ def test_green_equilibrium_of_a_two_scale_compact(spec, gk2000):
     assert 0.0 < eq.capacity < 1.0  # the Green capacity of the 0.5-sphere is 1
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_union_sweep_restricted_to_f_is_the_green_sweep(alpha):
+    """The Green sweep of mu onto F in D, the complement of A, is the Riesz
+    sweep of mu onto F u A restricted to F: block elimination of the union's
+    Gram, which holds because the union keeps each part's own diagonal."""
+    spec = rl.KernelSpec(alpha, 3)
+    a = rl.ball_complement_region(ORIGIN, 1.0, 1000, spec)
+    f = rl.sphere_region(ORIGIN, 0.5, 200, spec)
+    mu = dirac([0.75, 0.1, 0.0])
+    gk = GreenKernel(spec, a)
+    (swept,) = rl.sweep_many(spec, [mu], rl.union_region([f, a]))
+    w = swept.solution.weights[: f.n_nodes]
+    green = rl.solve_nonneg(green_gram(gk, f.nodes), green_potential(gk, mu, f.nodes)).weights
+    assert np.abs(w - green).max() <= 1e-13 * green.max()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_green_checks_reject_a_tolerance_that_is_not_finite_and_nonnegative(gk2000, value):
+    """A NaN tolerance would make verify_domination's precondition fail, so
+    it would report a vacuous pass for any measures."""
+    points = [[0.2, 0.0, 0.0], [0.0, 0.3, 0.0]]
+    mu, nu = DiscreteMeasure(points, [1.0, 1.0]), DiscreteMeasure(points, [2.0, 2.0])
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        verify_domination(gk2000, mu, nu, tol=value)
+    f = rl.sphere_region(ORIGIN, 0.5, 40, gk2000.spec)
+    with pytest.raises(ValueError, match="slack must be finite and nonnegative"):
+        rl.verify_green_minimality(gk2000, f, rl.green_equilibrium(gk2000, f), slack=value)
+
+
 def test_green_gram_of_a_single_node_raises(gk2000):
     with pytest.raises(ValueError):
         green_gram(gk2000, [[0.2, 0.0, 0.0]])

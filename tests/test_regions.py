@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,9 +191,23 @@ def test_union_of_a_ball_with_itself_keeps_one_copy_of_each_node(spec):
     assert np.array_equal(u.nodes, part.nodes)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_union_gram_keeps_each_parts_diagonal(alpha):
+    """Two spheres with nearest-neighbor spacings of about 0.05 and 0.2:
+    each node of their union keeps its part's radius, so the union's Gram
+    diagonal is each part's own Gram diagonal, bit for bit."""
+    spec = KernelSpec(alpha, 3)
+    parts = [rl.sphere_region(ORIGIN, 0.25, 300, spec),
+             rl.sphere_region([3.0, 0.0, 0.0], 1.0, 300, spec)]
+    assert [p.spacing()[1] for p in parts] == pytest.approx([0.05, 0.2], rel=0.1)
+    union = rl.union_region(parts)
+    diagonals = [p.gram(spec).entries.diagonal() for p in parts]
+    assert union.gram(spec).entries.diagonal().tobytes() == np.concatenate(diagonals).tobytes()
+
+
 def test_dedupe_of_identical_points_keeps_the_first():
     points = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    assert np.array_equal(_dedupe(points), points[:1])
+    assert _dedupe(points).tolist() == [True, False]
 
 
 @pytest.mark.parametrize(
@@ -306,10 +321,14 @@ def test_uniform_gram_that_passes_is_kept_bitwise():
 CATALOG_KINDS = ["ball", "sphere", "ball-complement", "half-space", "union", "cloud"]
 
 
+def _union_parts(spec, n):
+    return [rl.ball_region(ORIGIN, 1.0, n // 2, spec),
+            rl.ball_region([3.0, 0.0, 0.0], 0.5, n // 2, spec)]
+
+
 def _catalog_region(kind, spec, n=250):
     if kind == "union":
-        return rl.union_region([rl.ball_region(ORIGIN, 1.0, n // 2, spec),
-                                rl.ball_region([3.0, 0.0, 0.0], 0.5, n // 2, spec)])
+        return rl.union_region(_union_parts(spec, n))
     if kind == "cloud":
         return rl.cloud_region(fibonacci_ball(n, 1.0, ORIGIN), spec)
     shape = {
@@ -396,10 +415,11 @@ def test_green_equilibrium_holds_for_every_shape_and_order(kind, alpha):
 
 
 def _union_green_cell():
-    """The alpha=1 union cell of the Green matrix above, whose pole sweeps
-    pivot through the same few free sets, column after column."""
+    """The nodes of the alpha=1 union cell of the Green matrix above, with
+    one radius for all of them: its pole sweeps pivot through the same few
+    free sets, column after column."""
     spec = KernelSpec(1.0, 3)
-    region = _catalog_region("union", spec, n=500)
+    region = rl.cloud_region(np.concatenate([p.nodes for p in _union_parts(spec, 500)]), spec)
     return rl.GreenKernel(spec, region), rl.sphere_region(_POINT_IN_D["union"], 0.25, 150, spec)
 
 
@@ -558,13 +578,18 @@ def test_inverted_shape_membership_tracks_base():
 @pytest.mark.parametrize("kind", ["ball", "half-space", "union"])
 def test_default_radius_and_spacing_follow_nearest_neighbors(kind):
     """A region's default radius is REGION_REG_FACTOR x the mean
-    nearest-neighbor spacing, and spacing() is nearest_neighbor_spacing,
-    both bit for bit."""
+    nearest-neighbor spacing, a union keeps each part's radius, and
+    spacing() is nearest_neighbor_spacing, all bit for bit."""
     spec15 = KernelSpec(1.5, 3)
     region = _catalog_region(kind, spec15)
     spacing = nearest_neighbor_spacing(region.nodes)
     assert region.spacing() == spacing
-    assert region.reg_radius == rl.regions.REGION_REG_FACTOR * spacing[1]
+    if kind == "union":
+        parts = _union_parts(spec15, 250)
+        radii = np.repeat([p.reg_radius for p in parts], [p.n_nodes for p in parts])
+        assert np.array_equal(region.reg_radius, radii)
+    else:
+        assert region.reg_radius == rl.regions.REGION_REG_FACTOR * spacing[1]
 
 
 def test_region_rejects_repeated_node():
@@ -687,6 +712,31 @@ def test_analytic_shapes_reject_parameters_that_are_not_finite(make, message):
 def test_empty_layouts_and_node_sets_are_rejected(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: fibonacci_sphere(2, np.nan), ValueError),
+        (lambda: fibonacci_sphere(5, -1.0), ValueError),
+        (lambda: fibonacci_sphere(5, 1.0, [0.0, 0.0]), rl.DimensionMismatch),
+        (lambda: fibonacci_ball(5, np.inf), ValueError),
+        (lambda: fibonacci_ball(5, 0.0), ValueError),
+        (lambda: fibonacci_disk(2, 1.0, ORIGIN, ORIGIN), ValueError),
+        (lambda: fibonacci_disk(2, 1.0, ORIGIN, [np.inf, 0.0, 1.0]), ValueError),
+        (lambda: fibonacci_disk(2, 1.0, [0.0, 0.0], [0.0, 0.0, 1.0]), rl.DimensionMismatch),
+    ],
+    ids=["sphere-nan-radius", "sphere-negative-radius", "sphere-2d-center",
+         "ball-inf-radius", "ball-zero-radius", "disk-zero-normal", "disk-inf-normal",
+         "disk-2d-center"],
+)
+def test_layouts_reject_a_degenerate_radius_normal_or_center(make, error):
+    """A layout's radius must be finite and positive, a disk's normal finite
+    and nonzero, and a center one 3-d point: no warning and no NaN point."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            make()
 
 
 def test_half_space_keeps_a_unit_normal_and_normalizes_others():

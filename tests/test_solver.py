@@ -416,13 +416,14 @@ def _reference_sub_solve(gram, mask, rhs, factors):
 
 @pytest.mark.parametrize("alpha", [1.5, 1.0])
 def test_partial_support_sweep_matches_reference_sub_solves(alpha, monkeypatch):
-    """A sweep onto two balls from behind the larger one pivots off a node;
-    factoring its principal blocks in place through their transposes gives
-    the weights of the reference sub-solve bitwise."""
+    """A sweep onto the nodes of two balls, with one radius for all of
+    them, from behind the larger ball pivots off a node; factoring its
+    principal blocks in place through their transposes gives the weights of
+    the reference sub-solve bitwise."""
     spec = KernelSpec(alpha, 3)
     origin = np.zeros(3)
-    union = rl.union_region([rl.ball_region(origin, 1.0, 200, spec),
-                             rl.ball_region([2.5, 0.0, 0.0], 0.5, 150, spec)])
+    parts = [rl.ball_region(origin, 1.0, 200, spec), rl.ball_region([2.5, 0.0, 0.0], 0.5, 150, spec)]
+    union = rl.cloud_region(np.concatenate([p.nodes for p in parts]), spec)
     charge = rl.dirac([-3.0, 0.0, 0.0])
     swept = rl.sweep(spec, charge, union)
     assert swept.solution.iterations > 1
