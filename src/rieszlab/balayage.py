@@ -182,8 +182,8 @@ def swept_potentials(
 
     The kernel block between the points and every region node is computed
     once; column j equals ``potential_at(spec, results[j].swept, points)``
-    bit for bit.  Raises PointOutsideDomain if a point coincides with a
-    region node: it lies on the target set, where no caller evaluates.
+    bit for bit.  Raises PointOutsideDomain if a point lies within ``h_min``
+    of a region node: it sits on the target set, where no caller evaluates.
     """
     return _row_potentials(
         _node_rows(spec, region, points), [res.solution.weights for res in results]
@@ -192,31 +192,25 @@ def swept_potentials(
 
 def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
     """Kernel rows of evaluation points against the region nodes; none may sit on a node."""
-    rows, zero = _kernel_rows(spec, _as_points(points, spec.dim), region.nodes)
-    if zero.any():
-        raise PointOutsideDomain("an evaluation point coincides with a region node")
+    rows, near = _kernel_rows(spec, _as_points(points, spec.dim), region.nodes, region.h_min)
+    if near.any():
+        raise PointOutsideDomain("an evaluation point sits on a region node")
     return rows
 
 
 def _sweep_checks(spec, mu, region, b, res, tol_dom, probes, probe_seed) -> SweepChecks:
-    gram = region.gram(spec)
     w, swept = res.solution.weights, res.swept
     mass_in = mu.total_mass
     mass_out = swept.total_mass
     mass_ok = mass_out <= mass_in + INEQ_SLACK * max(1.0, mass_in)
 
-    Kw = gram.entries @ w
+    Kw = region.gram(spec).entries @ w
     energy_out = float(w @ Kw)
-    # Both energies use the region's regularization: the swept energy
-    # bound comes from Cauchy-Schwarz on the combined node set, which only
-    # holds under one consistent regularization.  An atom on a node takes
-    # that node's self-term, as in the source potentials; the others take
-    # the smallest one, that of the largest radius.  The atoms were checked
-    # distinct when mu was built.
-    diag = gram.entries.diagonal()
-    dist, nearest = region.nearest_node(mu.points)
-    self_terms = np.where(dist <= region.h_min, diag[nearest], diag.min())
-    K_in = _assemble_distinct(spec, mu.points, self_terms).entries
+    # Both energies use the region's regularization, ``Region.self_terms``
+    # for mu's distinct atoms: the swept energy bound comes from
+    # Cauchy-Schwarz on the combined node set, which only holds under one
+    # consistent regularization.
+    K_in = _assemble_distinct(spec, mu.points, region.self_terms(spec, mu.points)).entries
     energy_in = float(mu.weights @ (K_in @ mu.weights))
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 

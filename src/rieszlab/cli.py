@@ -370,8 +370,8 @@ def _run_sweep(spec, expected, seed, region, source, probes, tol, tol_dom):
 
 
 def _identity_gap(spec, mu, region, res) -> float:
-    dist, nearest = region.nearest_node(mu.points)
-    if float(dist.max()) > region.h_min:
+    nearest = region.on_node(mu.points)
+    if (nearest < 0).any():
         return float("inf")
     v = np.zeros(region.n_nodes)
     np.add.at(v, nearest, mu.weights)

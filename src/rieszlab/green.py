@@ -59,9 +59,7 @@ def _require_green_nodes(gk: GreenKernel, nodes: np.ndarray) -> None:
     """NodesOutsideDomain unless every node lies in the open domain farther
     than ``h_min`` from the region nodes: a Green Gram's kernel rows put a
     nearer node on a region node."""
-    region = gk.region
-    on_node = region.nearest_node(nodes)[0] <= region.h_min
-    if not gk.domain_contains(nodes).all() or on_node.any():
+    if not gk.domain_contains(nodes).all() or (gk.region.on_node(nodes) >= 0).any():
         raise NodesOutsideDomain("Green Gram nodes must lie strictly inside the open domain")
 
 

@@ -153,16 +153,14 @@ def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
 class Shape:
     """Analytic descriptor of a closed set A; subclasses fill in geometry,
     the ``kind`` of their shape document and the ``fields`` their
-    constructor takes, in order."""
+    constructor takes, in order.  Every shape but a union lays out nodes
+    with ``make_nodes(n, spec)``."""
 
     bounded: bool = True
     kind: str
     fields: tuple[str, ...]
 
     def contains(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         raise NotImplementedError
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
@@ -386,15 +384,12 @@ class UnionShape(Shape):
     def contains(self, points) -> np.ndarray:
         return np.any([p.contains(points) for p in self.parts], axis=0)
 
-    def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
-        # Budget split proportional to squared scale (surface area for
-        # spheres), which keeps node spacings comparable across parts so a
-        # single Gram regularization radius fits all of them.
+    def counts(self, n: int) -> list[int]:
+        """Each part's node count for a budget of n: its share of the squared
+        scales (surface area for spheres), which keeps node spacings
+        comparable across parts, and at least 16."""
         scales = np.array([p.characteristic_scale() ** 2 for p in self.parts])
-        weights = scales / scales.sum()
-        counts = np.maximum(16, np.round(n * weights).astype(int))
-        nodes = np.concatenate([p.make_nodes(int(c), spec) for p, c in zip(self.parts, counts)])
-        return nodes[_dedupe(nodes)]
+        return np.maximum(16, np.round(n * (scales / scales.sum())).astype(int)).tolist()
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         _require_budget(budget)
@@ -469,14 +464,14 @@ class Region:
     one KD-tree over the nodes, or takes the one a PointCloud shape holds
     over the same points, and keeps each node's nearest-neighbor distance;
     ``spacing``, the capped radii of ``gram`` and probe sampling read them,
-    and ``nearest_node`` queries the tree.  Two nodes closer than ``h_min``
-    raise DegenerateNodes, by ``core._distinct_spacing``.
+    and ``nearest_node`` and ``on_node`` query the tree.  Two nodes closer
+    than ``h_min`` raise DegenerateNodes, by ``core._distinct_spacing``.
 
     ``reg_radius`` is one radius for every node or one per node, and
     defaults to REGION_REG_FACTOR x the mean nearest-neighbor spacing for
     every node; a single node needs it given, and a given one must be
     finite and positive.  ``gram`` turns radii into diagonal entries, by
-    ``_self_interactions``; everything else reads the Gram's diagonal.
+    ``_self_interactions``; ``self_terms`` and everything else read them.
     """
 
     __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
@@ -534,11 +529,20 @@ class Region:
         return self.shape.contains(_as_points(points, self.dim))
 
     def nearest_node(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """(distance, index) of each point's nearest node.
-
-        A point within ``h_min`` of a node sits on it.
-        """
+        """(distance, index) of each point's nearest node."""
         return self._tree.query(_as_points(points, self.dim), k=1)
+
+    def on_node(self, points) -> np.ndarray:
+        """Index of the node each point sits on, within ``h_min`` of it, or -1;
+        the one comparison of a nearest-node distance with ``h_min``."""
+        dist, index = self.nearest_node(points)
+        return np.where(dist <= self.h_min, index, -1)
+
+    def self_terms(self, spec: KernelSpec, points) -> np.ndarray:
+        """Each point's Gram self-term: its node's diagonal entry when it sits
+        on one, otherwise the smallest entry, that of the largest radius."""
+        diag, on = self.gram(spec).entries.diagonal(), self.on_node(points)
+        return np.where(on >= 0, diag[on], diag.min())
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes whose ``cholesky`` succeeds.
@@ -575,7 +579,11 @@ class Region:
 
 
 def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
-    """Discretize a shape into a Region with the default radius of Region."""
+    """Discretize a shape into a Region with the default radius of Region; a
+    union joins its parts, each built at its ``counts(n)``, by ``union_region``."""
+    if isinstance(shape, UnionShape):
+        parts = zip(shape.parts, shape.counts(n))
+        return union_region([build_region(p, c, spec) for p, c in parts])
     return Region(shape, shape.make_nodes(n, spec))
 
 
@@ -601,13 +609,13 @@ def cloud_region(points, spec, reg_radius=None) -> Region:
 
 
 def union_region(parts: list[Region]) -> Region:
-    """Union of prebuilt regions; node order follows the part order, and each
-    node keeps its part's radius unless the union's Gram caps it."""
-    shape = UnionShape([p.shape for p in parts])
+    """Union of regions; node order follows the part order, a node within
+    ``h_min`` of an earlier one is dropped, and each node keeps its part's
+    radius unless the union's Gram caps it."""
     nodes = np.concatenate([_as_points(p.nodes, parts[0].dim) for p in parts])
     radii = np.concatenate([np.broadcast_to(p.reg_radius, p.n_nodes) for p in parts])
     keep = _dedupe(nodes)
-    return Region(shape, nodes[keep], radii[keep])
+    return Region(UnionShape([p.shape for p in parts]), nodes[keep], radii[keep])
 
 
 def reinterpret_region(region: Region, shape: Shape) -> Region:

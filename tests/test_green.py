@@ -81,6 +81,19 @@ def test_green_rejects_outside_points(gk2000):
         green_values(gk2000, 1.5 * E1, np.array([[0.1, 0, 0]]))
 
 
+def test_green_rejects_an_evaluation_point_within_h_min_of_a_node(spec, complement500):
+    """A point 1.5e-9 inside a node of the N=500 unit-ball complement passes
+    the domain test but lies within h_min (3.46e-9) of the node, so it sits
+    on A: it raises, where its Green value was once about -1.1e6."""
+    gk = GreenKernel(spec, complement500)
+    z = complement500.nodes[0]
+    x = z * (1.0 - 1.5e-9)
+    assert gk.domain_contains(x).all()
+    assert np.linalg.norm(x - z) < complement500.h_min == pytest.approx(3.46e-9, rel=1e-3)
+    with pytest.raises(PointOutsideDomain, match="an evaluation point sits on a region node"):
+        green_eval(gk, x, [0.3, 0.0, 0.0])
+
+
 def test_green_potential_single_atom_matches_values(gk2000):
     rng = np.random.default_rng(33)
     X = interior_points(rng, 10)

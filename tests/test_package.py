@@ -224,6 +224,24 @@ def test_only_core_raises_degenerate_nodes():
     assert _modules_where(found) == ["core.py"]
 
 
+def test_only_core_and_regions_compare_a_distance_with_h_min():
+    """Region.on_node is the one on-node query, and core's distinctness rule
+    and kernel rows take h_min as a value: no other module compares
+    anything with an ``h_min``, by an operator or a numpy comparison."""
+    comparisons = {"less", "less_equal", "greater", "greater_equal", "isclose", "allclose"}
+
+    def found(node):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and any(_named(node.func, f) for f in comparisons):
+            operands = node.args
+        else:
+            return False
+        return any(_named(n, "h_min") for operand in operands for n in ast.walk(operand))
+
+    assert _modules_where(found) == ["core.py", "regions.py"]
+
+
 def test_only_solver_decides_convergence():
     """solver owns non-convergence: no other module raises SolverFailure
     or reads a solution's ``converged`` flag."""

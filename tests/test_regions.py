@@ -181,26 +181,39 @@ def test_union_region_orders_and_allocates(spec):
 
 def test_union_of_a_ball_with_itself_keeps_one_copy_of_each_node(spec):
     """Every node of the second part collides with one of the first, so the
-    union keeps the first part's nodes and is a valid Region."""
-    shape = UnionShape([Ball(ORIGIN, 1.0), Ball(ORIGIN, 1.0)])
-    nodes = shape.make_nodes(200, spec)
-    assert np.array_equal(nodes, Ball(ORIGIN, 1.0).make_nodes(100, spec))
-    assert Region(shape, nodes).n_nodes == 100
+    union, built or prebuilt, keeps the first part's nodes, with their
+    radius, and is a valid Region."""
+    built = build_region(UnionShape([Ball(ORIGIN, 1.0), Ball(ORIGIN, 1.0)]), 200, spec)
+    assert np.array_equal(built.nodes, Ball(ORIGIN, 1.0).make_nodes(100, spec))
+    assert built.n_nodes == 100
     part = build_region(Ball(ORIGIN, 1.0), 100, spec)
+    assert np.array_equal(built.reg_radius, np.full(100, part.reg_radius))
     u = rl.union_region([part, part])
     assert np.array_equal(u.nodes, part.nodes)
 
 
-@pytest.mark.parametrize("alpha", [2.0, 1.5])
-def test_union_gram_keeps_each_parts_diagonal(alpha):
-    """Two spheres with nearest-neighbor spacings of about 0.05 and 0.2:
-    each node of their union keeps its part's radius, so the union's Gram
-    diagonal is each part's own Gram diagonal, bit for bit."""
+@pytest.mark.parametrize(
+    "alpha, built",
+    [(2.0, False), (1.5, False), (2.0, True), (1.5, True)],
+    ids=["2.0", "1.5", "built-2.0", "built-1.5"],
+)
+def test_union_gram_keeps_each_parts_diagonal(alpha, built):
+    """Each node of a union keeps its part's radius, so the union's Gram
+    diagonal is each part's own Gram diagonal, bit for bit.  Prebuilt: two
+    spheres with nearest-neighbor spacings of about 0.05 and 0.2.  Built:
+    build_region of their UnionShape, against its parts built at the
+    union's counts."""
     spec = KernelSpec(alpha, 3)
-    parts = [rl.sphere_region(ORIGIN, 0.25, 300, spec),
-             rl.sphere_region([3.0, 0.0, 0.0], 1.0, 300, spec)]
-    assert [p.spacing()[1] for p in parts] == pytest.approx([0.05, 0.2], rel=0.1)
-    union = rl.union_region(parts)
+    shapes = [SphereShell(ORIGIN, 0.25), SphereShell([3.0, 0.0, 0.0], 1.0)]
+    if built:
+        union = build_region(UnionShape(shapes), 600, spec)
+        counts = UnionShape(shapes).counts(600)
+        parts = [build_region(s, c, spec) for s, c in zip(shapes, counts)]
+        assert counts == [35, 565] and union.n_nodes == 600
+    else:
+        parts = [build_region(s, 300, spec) for s in shapes]
+        assert [p.spacing()[1] for p in parts] == pytest.approx([0.05, 0.2], rel=0.1)
+        union = rl.union_region(parts)
     diagonals = [p.gram(spec).entries.diagonal() for p in parts]
     assert union.gram(spec).entries.diagonal().tobytes() == np.concatenate(diagonals).tobytes()
 
