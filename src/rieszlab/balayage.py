@@ -19,6 +19,7 @@ from .core import (
     KernelSpec,
     _as_points,
     _assemble_distinct,
+    _check_tolerance,
     _kernel_rows,
     _row_potentials,
     cross_energy,
@@ -86,10 +87,8 @@ def sweep(
     one; ``tol_dom``, finite and nonnegative, is the allowed relative
     excess there).
     """
-    if not (np.isfinite(tol_dom) and tol_dom >= 0.0):
-        raise ValueError("tol_dom must be finite and nonnegative")
-    _require_sweepable(spec, [mu], region)
-    # drawn first: a region with no probes fails before its Gram is assembled
+    _check_inputs(spec, region, tol, [mu])
+    _check_tolerance("tol_dom", tol_dom)
     probes = sample_points_off(region, n_probes, probe_seed)
     B, (res,) = _sweep_columns(spec, [mu], region, tol)
     checks = _sweep_checks(spec, mu, region, B[:, 0], res, tol_dom, probes, probe_seed)
@@ -112,12 +111,14 @@ def sweep_many(
     The solver raises SolverFailure at the first source, in order, that
     does not converge; later sources are not solved.
     """
-    _require_sweepable(spec, sources, region)
+    _check_inputs(spec, region, tol, sources)
     return _sweep_columns(spec, sources, region, tol)[1]
 
 
-def _require_sweepable(spec, sources, region) -> None:
-    _as_points(region.nodes, spec.dim)  # the kernel's dimension, before any probe is drawn
+def _check_inputs(spec, region, tol, sources=()) -> None:
+    """The input guard before any probe, Gram or solve: kernel dimension, ``tol``, sources."""
+    _as_points(region.nodes, spec.dim)
+    _check_tolerance("tol", tol, positive=True)
     for mu in sources:
         if mu.signed:
             raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
@@ -300,6 +301,7 @@ def verify_integral_representation(
     constraints in the per-atom problems introduce a small gap that
     shrinks under refinement.
     """
+    _check_inputs(spec, region, tol, [mu])
     atoms = [dirac(mu.points[i], float(mu.weights[i])) for i in range(mu.n_points)]
     probes = sample_points_off(region, n_probes, probe_seed)
     joint, *parts = sweep_many(spec, [mu, *atoms], region, tol=tol)
@@ -320,6 +322,8 @@ def verify_transitivity(
     Requires every node of the inner region to belong to the outer set;
     the comparison is made on potentials at probes off the inner region.
     """
+    for region in (region_a, region_f):
+        _check_inputs(spec, region, tol, [mu])
     if not bool(region_a.contains(region_f.nodes).all()):
         raise NodesOutsideDomain(
             "every node of the inner region must belong to the outer set"

@@ -213,6 +213,12 @@ def _as_points(points, dim: int) -> np.ndarray:
     return rows
 
 
+def _check_tolerance(name: str, value, positive: bool = False) -> None:
+    """The tolerance rule's one owner: ``value`` finite and nonnegative, or positive."""
+    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+
+
 def _kernel_rows(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, tol: float = 0.0):
     """Kernel block |x - y|^(alpha - n), one C-ordered row per point of X.
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, potential_at
+from .balayage import _check_inputs
+from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance, potential_at
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, build_region, sample_points_off
@@ -82,8 +83,7 @@ def riesz_equilibrium(
     With ``n_probes`` > 0, also reports the largest potential value at
     probe points off the region, which the maximum principle keeps near 1.
     """
-    _as_points(region.nodes, spec.dim)  # the kernel's dimension, before any probe is drawn
-    # drawn first: a region with no probes fails before its Gram is assembled
+    _check_inputs(spec, region, tol)
     probes = sample_points_off(region, n_probes, probe_seed)
     eq = _equilibrium_from_gram(region.gram(spec), tol)
     if n_probes <= 0:
@@ -145,8 +145,7 @@ def verify_green_minimality(
     to the relative ``slack``, finite and nonnegative.  Returns the
     smallest ratio of the two observed.
     """
-    if not (np.isfinite(slack) and slack >= 0.0):
-        raise ValueError("slack must be finite and nonnegative")
+    _check_tolerance("slack", slack)
     if n_competitors < 1:
         raise ValueError("n_competitors must be at least 1")
     ggram = result.gram

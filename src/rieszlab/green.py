@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .balayage import _node_rows, _sweep_batch
+from .balayage import _check_inputs, _node_rows, _sweep_batch
 from .core import (
     TINY,
     DiscreteMeasure,
     GramMatrix,
     KernelSpec,
     _as_points,
+    _check_tolerance,
     _row_potentials,
     dirac,
     potential_at,
@@ -36,11 +37,12 @@ from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 class GreenKernel:
     """Green kernel for the complement of a region's closed set.
 
-    Holds the kernel, the region and the solver tolerance; it keeps no
-    solves between calls.
+    Holds the kernel, the region and the solver tolerance, checked by the
+    input guard at construction; it keeps no solves between calls.
     """
 
     def __init__(self, spec: KernelSpec, region: Region, *, tol: float = 1e-10):
+        _check_inputs(spec, region, tol)
         self.spec = spec
         self.region = region
         self.tol = tol
@@ -201,8 +203,7 @@ def verify_domination(
     measures are swept in one batch, and the sweeps serve both the support
     and the probe potentials.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tol must be finite and nonnegative")
+    _check_tolerance("tol", tol)
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
     if nu is None:
         nu = DiscreteMeasure.empty(gk.spec.dim)  # its Green potential is zero

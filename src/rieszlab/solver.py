@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import TINY, GramMatrix
+from .core import TINY, GramMatrix, _check_tolerance
 from .errors import SolverFailure
 
 # Block pivoting's iteration cap, per node of the Gram matrix.
@@ -98,8 +98,7 @@ def solve_nonneg_many(gram: GramMatrix, B, tol: float = 1e-10) -> list[QPSolutio
     Raises ValueError unless ``tol`` is finite and positive, and
     IllConditioned if the Gram matrix fails ``GramMatrix.cholesky``.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and positive")
+    _check_tolerance("tol", tol, positive=True)
     K = gram.entries
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or K.shape != (len(B), len(B)):

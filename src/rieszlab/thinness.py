@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balayage import sweep_many
-from .core import DiscreteMeasure, KernelSpec, _as_points
+from .balayage import _check_inputs, sweep_many
+from .core import DiscreteMeasure, KernelSpec, _as_points, _check_tolerance
 from .equilibrium import riesz_equilibrium
 from .kelvin import invert_shape
 from .regions import REGION_REG_FACTOR, Region, Shape, cloud_region
@@ -150,9 +150,8 @@ def mass_loss_test(
     measure carries no mass to lose, so it never reports a strict loss.
     Raises ValueError unless ``loss_margin`` is finite and nonnegative.
     """
-    if not (np.isfinite(loss_margin) and loss_margin >= 0.0):
-        raise ValueError("loss_margin must be finite and nonnegative")
-    _as_points(region.nodes, spec.dim)  # the kernel's dimension, before the vacuous return
+    _check_inputs(spec, region, tol)
+    _check_tolerance("loss_margin", loss_margin)
     if mu.n_points == 0 or mu.total_mass == 0.0:
         _as_points(mu.points, spec.dim)  # sweep_many checks a measure it sweeps
         return {

@@ -67,14 +67,32 @@ def test_a_point_of_another_dimension_raises_dimension_mismatch(complement200, c
     [
         lambda spec, region: rl.sweep(spec, dirac(ORIGIN), region),
         lambda spec, region: rl.riesz_equilibrium(spec, region, n_probes=10),
+        lambda spec, region: rl.verify_integral_representation(spec, dirac(ORIGIN), region),
+        lambda spec, region: rl.verify_transitivity(
+            spec, dirac(ORIGIN), rl.ball_complement_region(ORIGIN, 1.0, 400, SPEC), region
+        ),
+        lambda spec, region: rl.verify_domination(rl.GreenKernel(spec, region), dirac(ORIGIN)),
     ],
-    ids=["sweep", "riesz_equilibrium"],
+    ids=[
+        "sweep",
+        "riesz_equilibrium",
+        "verify_integral_representation",
+        "verify_transitivity",
+        "verify_domination",
+    ],
 )
 def test_kernel_dimension_is_checked_before_the_probes_are_drawn(complement200, call):
     """The region has no probes, so a probe draw before the check would
     raise ProbeSamplingFailure."""
     with pytest.raises(DimensionMismatch):
         call(rl.KernelSpec(2.0, 4), complement200)
+
+
+def test_a_green_kernel_checks_its_dimension_at_construction(complement200):
+    """The message names the region's nodes, not the default empty nu of
+    verify_domination, which the caller never passed."""
+    with pytest.raises(DimensionMismatch, match=r"dimension 4, got shape \(200, 3\)$"):
+        rl.verify_domination(rl.GreenKernel(rl.KernelSpec(2, 4), complement200), dirac(ORIGIN))
 
 
 SHAPES = {

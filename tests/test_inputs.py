@@ -1,0 +1,108 @@
+"""The input guard: every entry point checks its tolerances, with the
+messages of ``core._check_tolerance``, before its first probe, Gram or solve."""
+import sys
+
+import numpy as np
+import pytest
+
+import rieszlab as rl
+from rieszlab import DiscreteMeasure, core, dirac, regions
+
+ORIGIN = np.zeros(3)
+SPEC = rl.KernelSpec(2.0, 3)
+A, B = [0.2, 0.0, 0.0], [0.0, 0.3, 0.0]
+ZERO = DiscreteMeasure.empty(3)
+SIGNED = DiscreteMeasure([A, B], [1.0, -1.0], signed=True)
+
+
+@pytest.fixture
+def complement():
+    """A fresh alpha=2 unit-ball complement at n=200: no Gram is cached on
+    it, and no probe can be drawn off it."""
+    return rl.ball_complement_region(ORIGIN, 1.0, 200, SPEC)
+
+
+@pytest.fixture(scope="module")
+def green_inputs():
+    """A Green kernel, a compact inside its domain and its Green equilibrium."""
+    gk = rl.GreenKernel(SPEC, rl.ball_complement_region(ORIGIN, 1.0, 200, SPEC))
+    f_region = rl.cloud_region([A, B, [0.0, 0.0, 0.25]], SPEC)
+    return gk, f_region, rl.green_equilibrium(gk, f_region)
+
+
+@pytest.fixture
+def spy(monkeypatch) -> list:
+    """Record every call of regions.sample_points_off and
+    core._assemble_distinct, under every module name bound to them."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "rieszlab"]
+    for original in (regions.sample_points_off, core._assemble_distinct):
+        def recorded(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, recorded)
+    return calls
+
+
+# (entry point, tolerance name, whether it must be positive, call(region, green_inputs, value))
+CASES = [
+    ("sweep", "tol", True, lambda r, g, v: rl.sweep(SPEC, dirac(A), r, tol=v)),
+    ("sweep", "tol_dom", False, lambda r, g, v: rl.sweep(SPEC, dirac(A), r, tol_dom=v)),
+    ("sweep_many", "tol", True, lambda r, g, v: rl.sweep_many(SPEC, [dirac(A)], r, tol=v)),
+    ("sweep_signed", "tol", True, lambda r, g, v: rl.sweep_signed(SPEC, SIGNED, r, tol=v)),
+    ("verify_symmetry", "tol", True,
+     lambda r, g, v: rl.verify_symmetry(SPEC, dirac(A), dirac(B), r, tol=v)),
+    ("verify_integral_representation", "tol", True,
+     lambda r, g, v: rl.verify_integral_representation(SPEC, dirac(A), r, tol=v)),
+    ("verify_transitivity", "tol", True,
+     lambda r, g, v: rl.verify_transitivity(SPEC, dirac(A), r, r, tol=v)),
+    ("riesz_equilibrium", "tol", True,
+     lambda r, g, v: rl.riesz_equilibrium(SPEC, r, tol=v, n_probes=10)),
+    ("sweep_dirac_by_inversion", "tol", True,
+     lambda r, g, v: rl.sweep_dirac_by_inversion(SPEC, A, 1.0, r, tol=v)),
+    ("GreenKernel", "tol", True, lambda r, g, v: rl.GreenKernel(SPEC, r, tol=v)),
+    ("verify_domination", "tol", False,
+     lambda r, g, v: rl.verify_domination(rl.GreenKernel(SPEC, r), dirac(A), tol=v)),
+    ("verify_green_minimality", "slack", False,
+     lambda r, g, v: rl.verify_green_minimality(*g, slack=v)),
+    ("mass_loss_test", "tol", True, lambda r, g, v: rl.mass_loss_test(SPEC, dirac(A), r, tol=v)),
+    ("mass_loss_test", "loss_margin", False,
+     lambda r, g, v: rl.mass_loss_test(SPEC, dirac(A), r, loss_margin=v)),
+    ("mass_loss_test-zero", "tol", True, lambda r, g, v: rl.mass_loss_test(SPEC, ZERO, r, tol=v)),
+    ("mass_loss_test-zero", "loss_margin", False,
+     lambda r, g, v: rl.mass_loss_test(SPEC, ZERO, r, loss_margin=v)),
+]
+
+PARAMS = [
+    pytest.param(
+        call,
+        value,
+        f"{name} must be finite and {'positive' if positive else 'nonnegative'}",
+        id=f"{entry}-{name}={value}",
+    )
+    for entry, name, positive, call in CASES
+    for value in [np.nan, np.inf, -1.0, *([0.0] if positive else [])]
+]
+
+
+@pytest.mark.parametrize("call, value, message", PARAMS)
+def test_a_bad_tolerance_raises_before_any_probe_or_gram(
+    complement, green_inputs, spy, call, value, message
+):
+    """The region has no probes, so a draw before the check would raise
+    ProbeSamplingFailure; its Gram is not cached, so an assembly before the
+    check would show in the spy."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(complement, green_inputs, value)
+    assert spy == []
+
+
+def test_the_spy_sees_probes_and_grams(complement, spy):
+    """The spy records a probe draw and a Gram assembly made through any module."""
+    with pytest.raises(rl.ProbeSamplingFailure):
+        rl.sweep(SPEC, dirac(A), complement)
+    rl.sweep_many(SPEC, [dirac(A)], complement)
+    assert spy == ["sample_points_off", "_assemble_distinct"]

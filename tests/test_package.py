@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,20 @@ def test_only_solver_decides_convergence():
 
     assert _modules_where(raises) == ["solver.py"]
     assert set(_modules_where(reads_converged)) <= {"solver.py"}
+
+
+def test_only_core_writes_the_tolerance_rule():
+    """core._check_tolerance owns the tolerance rule: no other module writes
+    a message that tol, tol_dom, slack, loss_margin or a formatted name
+    "must be finite and" anything."""
+    message = re.compile(r"(^|\b(tol|tol_dom|slack|loss_margin)) must be finite and")
+
+    def found(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and bool(
+            message.search(node.value)
+        )
+
+    assert _modules_where(found) == ["core.py"]
 
 
 def _powers_of_the_exponent(path: Path) -> list[str]:
