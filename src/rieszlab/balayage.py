@@ -79,19 +79,20 @@ def sweep(
 ) -> SweepResult:
     """Sweep a nonnegative measure onto the region nodes, with checks.
 
-    The solver raises SolverFailure if the quadratic solve does not
-    converge.  The result carries mass/energy monotonicity, the node
-    potential-equality gap, and a probe-based domination check off the
-    region (probes keep a standoff of three mean spacings from the nodes,
-    where the discrete potential is a faithful stand-in for the continuum
-    one; ``tol_dom``, finite and nonnegative, is the allowed relative
-    excess there).
+    The sweep is ``sweep_many``'s of the one source; the solver raises
+    SolverFailure if the quadratic solve does not converge.  The result
+    carries mass/energy monotonicity, the node potential-equality gap (the
+    energy and the gap read the solution's ``b`` and ``Kw``), and a
+    probe-based domination check off the region (probes keep a standoff of
+    three mean spacings from the nodes, where the discrete potential is a
+    faithful stand-in for the continuum one; ``tol_dom``, finite and
+    nonnegative, is the allowed relative excess there).
     """
     _check_inputs(spec, region, tol, [mu])
     _check_tolerance("tol_dom", tol_dom)
     probes = sample_points_off(region, n_probes, probe_seed)
-    B, (res,) = _sweep_columns(spec, [mu], region, tol)
-    checks = _sweep_checks(spec, mu, region, B[:, 0], res, tol_dom, probes, probe_seed)
+    (res,) = sweep_many(spec, [mu], region, tol)
+    checks = _sweep_checks(spec, mu, region, res, tol_dom, probes, probe_seed)
     return replace(res, checks=checks)
 
 
@@ -112,7 +113,12 @@ def sweep_many(
     does not converge; later sources are not solved.
     """
     _check_inputs(spec, region, tol, sources)
-    return _sweep_columns(spec, sources, region, tol)[1]
+    points = np.concatenate([mu.points for mu in sources] or [np.empty((0, region.dim))])
+    _, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
+    return [
+        SweepResult(DiscreteMeasure._on_support(region.nodes, sol.weights), sol, None)
+        for sol in sols
+    ]
 
 
 def _check_inputs(spec, region, tol, sources=()) -> None:
@@ -128,21 +134,9 @@ def _check_inputs(spec, region, tol, sources=()) -> None:
             raise DimensionMismatch("measure and region dimensions differ")
 
 
-def _sweep_columns(spec, sources, region, tol) -> tuple[np.ndarray, list[SweepResult]]:
-    """Right-hand sides, one column per source, and the sweeps, from one batch."""
-    points = np.concatenate([mu.points for mu in sources] or [np.empty((0, region.dim))])
-    _, B, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
-    results = []
-    for sol in sols:
-        support = sol.weights > 0.0
-        swept = DiscreteMeasure._on_distinct_nodes(region.nodes[support], sol.weights[support])
-        results.append(SweepResult(swept=swept, solution=sol, checks=None))
-    return B, results
-
-
 def _sweep_batch(
     spec: KernelSpec, region: Region, points: np.ndarray, tol: float, weights=None
-) -> tuple[np.ndarray, np.ndarray, list[QPSolution]]:
+) -> tuple[np.ndarray, list[QPSolution]]:
     """Sweeps of several nonnegative sources onto the region nodes, in one solve.
 
     ``points`` stacks the atoms of every source, and one kernel block
@@ -153,13 +147,12 @@ def _sweep_batch(
     point is a unit charge, whose right-hand side is its block column.
     Otherwise ``weights`` lists each source's atom weights, in the order of
     ``points``, and a source's right-hand side is its block columns times
-    its weights.  Returns the block, the right-hand sides, one column per
-    source, and the solutions; the solver raises SolverFailure at the first
-    source, in order, that does not converge.
+    its weights.  Returns the block and the solutions, each holding its
+    source's right-hand side as ``b``; the solver raises SolverFailure at
+    the first source, in order, that does not converge.
     """
     if len(points) == 0:
-        empty = np.empty((region.n_nodes, 0), order="F")
-        return empty, empty, []
+        return np.empty((region.n_nodes, 0), order="F"), []
     rows, near = _kernel_rows(spec, points, region.nodes, region.h_min)
     block = rows.T
     np.copyto(block, region.gram(spec).entries.diagonal()[:, None], where=near.T)
@@ -173,7 +166,7 @@ def _sweep_batch(
             # bits whichever sources share the batch.
             B[:, j] = np.ascontiguousarray(block[:, start:start + len(w)]) @ w
             start += len(w)
-    return block, B, solve_nonneg_many(region.gram(spec), B, tol=tol)
+    return block, solve_nonneg_many(region.gram(spec), B, tol=tol)
 
 
 def swept_potentials(
@@ -199,13 +192,14 @@ def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
     return rows
 
 
-def _sweep_checks(spec, mu, region, b, res, tol_dom, probes, probe_seed) -> SweepChecks:
-    w, swept = res.solution.weights, res.swept
+def _sweep_checks(spec, mu, region, res, tol_dom, probes, probe_seed) -> SweepChecks:
+    """The invariants of ``res``, the sweep of ``mu``, read from its solution's
+    right-hand side ``b`` and its product ``Kw``."""
+    swept, w, b, Kw = res.swept, res.solution.weights, res.solution.b, res.solution.Kw
     mass_in = mu.total_mass
     mass_out = swept.total_mass
     mass_ok = mass_out <= mass_in + INEQ_SLACK * max(1.0, mass_in)
 
-    Kw = region.gram(spec).entries @ w
     energy_out = float(w @ Kw)
     # Both energies use the region's regularization, ``Region.self_terms``
     # for mu's distinct atoms: the swept energy bound comes from
@@ -216,13 +210,8 @@ def _sweep_checks(spec, mu, region, b, res, tol_dom, probes, probe_seed) -> Swee
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 
     support = w > 0.0
-    resid = Kw - b
-    if support.any():
-        node_gap = float(
-            np.max(np.abs(resid[support]) / np.maximum(np.abs(b[support]), TINY))
-        )
-    else:
-        node_gap = 0.0
+    gaps = np.abs(Kw[support] - b[support]) / np.maximum(np.abs(b[support]), TINY)
+    node_gap = float(np.max(gaps, initial=0.0))
 
     if len(probes):
         pot_src = potential_at(spec, mu, probes)
@@ -265,10 +254,7 @@ def sweep_signed(
         w += pos.solution.weights
     if neg is not None:
         w -= neg.solution.weights
-    support = w != 0.0
-    swept = DiscreteMeasure._on_distinct_nodes(
-        region.nodes[support], w[support], signed=bool(np.any(w < 0.0))
-    )
+    swept = DiscreteMeasure._on_support(region.nodes, w)
     return SignedSweepResult(swept=swept, weights=w, positive=pos, negative=neg)
 
 

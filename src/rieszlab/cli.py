@@ -207,7 +207,6 @@ class Scenario(NamedTuple):
     command: str
     spec: KernelSpec
     fields: dict
-    expected: dict
 
 
 def _command(doc) -> str:
@@ -226,16 +225,13 @@ def parse_scenario(doc) -> Scenario:
     """Check a scenario document against its command's field table and read
     it; raises SchemaError naming the first bad key or field."""
     command = _command(doc)
-    _, table, expected = COMMANDS[command]
+    table = COMMANDS[command][1]
     # The point fields need the kernel's dim, so the kernel is also read first.
     spec = KernelSpec(**_read(doc.get("kernel", {}), "kernel", None, _KERNEL))
     envelope = {"schema": (_count, ...), "command": (_string, ...),
                 "name": (_string, "scenario"), "kernel": (_KERNEL, {})}
-    if expected:
-        envelope["expected"] = ({key: (read, None) for key, read in expected.items()}, {})
     values = _read(doc, f"command '{command}'", spec, envelope | table, top=True)
-    fields = {key: values[key] for key in table}
-    return Scenario(values["name"], command, spec, fields, values.get("expected", {}))
+    return Scenario(values["name"], command, spec, {key: values[key] for key in table})
 
 
 def _jsonable(x):
@@ -327,13 +323,13 @@ def _node_potential(eq) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each takes the kernel, the parsed "expected" section, the
-# run's seed and, by keyword, its command's parsed fields, and returns (its
-# payload fields, rows, failed-property names that are not rows);
+# Command runners.  Each takes the kernel, the run's seed and, by keyword,
+# its command's parsed fields, its "expected" section among them, and returns
+# (its payload fields, rows, failed-property names that are not rows);
 # _run_scenario adds the common envelope.
 
 
-def _run_sweep(spec, expected, seed, region, source, probes, tol, tol_dom):
+def _run_sweep(spec, seed, expected, region, source, probes, tol, tol_dom):
     res = sweep(spec, source, region, tol=tol, tol_dom=tol_dom, n_probes=probes["n"],
                 probe_seed=probes["seed"])
     checks = res.checks
@@ -353,7 +349,7 @@ def _run_sweep(spec, expected, seed, region, source, probes, tol, tol_dom):
         failures.append("domination")
 
     if "identity_gap" in expected:
-        gap = _identity_gap(spec, source, region, res)
+        gap = _identity_gap(source, region, res)
         rows.append(_checked_row("identity-gap", gap, expected, "identity_gap", default_tol=1e-6))
 
     fields = {
@@ -369,7 +365,7 @@ def _run_sweep(spec, expected, seed, region, source, probes, tol, tol_dom):
     return fields, rows, failures
 
 
-def _identity_gap(spec, mu, region, res) -> float:
+def _identity_gap(mu, region, res) -> float:
     nearest = region.on_node(mu.points)
     if (nearest < 0).any():
         return float("inf")
@@ -379,7 +375,7 @@ def _identity_gap(spec, mu, region, res) -> float:
     return float(np.max(np.abs(w - v)) / max(float(np.max(v)), TINY))
 
 
-def _run_equilibrium(spec, expected, seed, region, probes, tol):
+def _run_equilibrium(spec, seed, expected, region, probes, tol):
     eq = riesz_equilibrium(spec, region, tol=tol, n_probes=probes["n"], probe_seed=probes["seed"])
     rows = [
         _checked_row("capacity", eq.capacity, expected, "capacity"),
@@ -403,7 +399,7 @@ def _run_equilibrium(spec, expected, seed, region, probes, tol):
     return fields, rows, failures
 
 
-def _run_green_eval(spec, expected, seed, region, x, y, tol):
+def _run_green_eval(spec, seed, expected, region, x, y, tol):
     value = green_eval(GreenKernel(spec, region, tol=tol), x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
     fields = {
@@ -415,7 +411,7 @@ def _run_green_eval(spec, expected, seed, region, x, y, tol):
     return fields, rows, []
 
 
-def _run_green_equilibrium(spec, expected, seed, region, compact, tol):
+def _run_green_equilibrium(spec, seed, expected, region, compact, tol):
     eq = green_equilibrium(GreenKernel(spec, region, tol=tol), compact)
     rows = [
         _checked_row("relative-capacity", eq.capacity, expected, "capacity"),
@@ -440,7 +436,7 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
     return radii[:, None] * dirs
 
 
-def _run_kelvin_check(spec, expected, seed, center, measure, samples):
+def _run_kelvin_check(spec, seed, expected, center, measure, samples):
     samples = _covariance_samples(center, samples["n"], samples["seed"])
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
     gap = verify_potential_covariance(center, spec, measure, samples[keep])
@@ -453,7 +449,7 @@ def _run_kelvin_check(spec, expected, seed, center, measure, samples):
     return fields, rows, []
 
 
-def _run_wiener(spec, expected, seed, region, point, ratio_q, k_max, shell_budget, at_infinity):
+def _run_wiener(spec, seed, expected, region, point, ratio_q, k_max, shell_budget, at_infinity):
     kwargs = {"ratio_q": ratio_q, "k_max": k_max, "shell_budget": shell_budget}
     failures = []
     if at_infinity:
@@ -483,7 +479,7 @@ def _run_wiener(spec, expected, seed, region, point, ratio_q, k_max, shell_budge
     return fields, rows, failures
 
 
-def _run_mass_loss(spec, expected, seed, region, source, loss_margin, tol):
+def _run_mass_loss(spec, seed, expected, region, source, loss_margin, tol):
     report = mass_loss_test(spec, source, region, loss_margin=loss_margin, tol=tol)
     failures = []
     if "strict_loss" in expected and expected["strict_loss"] != report["strict_loss"]:
@@ -558,7 +554,7 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     return rows
 
 
-def _run_verify_all(spec, expected, seed, n):
+def _run_verify_all(spec, seed, n):
     rows = run_battery(spec, n, seed)
     fields = {
         "n": n,
@@ -568,62 +564,64 @@ def _run_verify_all(spec, expected, seed, n):
     return fields, rows, []
 
 
-# command -> (runner, {field: (reader, default)}, {"expected" key: reader}),
-# read by _read.  Besides its fields, every command accepts "schema",
-# "command", "name" and "kernel", and "expected" if it has "expected" keys,
-# each of them optional.
+# command -> (runner, {field: (reader, default)}), read by _read.  Besides
+# its fields, every command accepts "schema", "command", "name" and "kernel",
+# each of them optional.  "expected", where a command has one, is its first
+# field: a section of optional keys, each checked against a result.
 COMMANDS = {
     "sweep": (
         _run_sweep,
         {
+            "expected": ({"mass": (_number, None), "tol": (_number, None),
+                          "identity_gap": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
             "source": (_measure, ...),
             "probes": ({"n": (_count, 100), "seed": (_count, PROBE_SEED)}, {}),
             "tol": (_number, 1e-10),
             "tol_dom": (_number, 0.02),
         },
-        {"mass": _number, "tol": _number, "identity_gap": _number},
     ),
     "equilibrium": (
         _run_equilibrium,
         {
+            "expected": ({"capacity": (_number, None), "tol": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
             "probes": ({"n": (_count, 0), "seed": (_count, PROBE_SEED)}, {}),
             "tol": (_number, 1e-10),
         },
-        {"capacity": _number, "tol": _number},
     ),
     "green-eval": (
         _run_green_eval,
         {
+            "expected": ({"value": (_number, None), "tol": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
             "x": (_point, ...),
             "y": (_point, ...),
             "tol": (_number, 1e-10),
         },
-        {"value": _number, "tol": _number},
     ),
     "green-equilibrium": (
         _run_green_equilibrium,
         {
+            "expected": ({"capacity": (_number, None), "tol": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
             "compact": (_region_from_doc, ...),
             "tol": (_number, 1e-10),
         },
-        {"capacity": _number, "tol": _number},
     ),
     "kelvin-check": (
         _run_kelvin_check,
         {
+            "expected": ({"gap": (_number, None), "tol": (_number, None)}, {}),
             "center": (_point, ...),
             "measure": (_measure, ...),
             "samples": ({"n": (_count, 50), "seed": (_count, PROBE_SEED)}, {}),
         },
-        {"gap": _number, "tol": _number},
     ),
     "wiener": (
         _run_wiener,
         {
+            "expected": ({"classification": (_string, None), "thin": (_boolean, None)}, {}),
             "region": (_shape_from_doc, ...),
             "point": (_point, ...),
             "ratio_q": (_number, 0.5),
@@ -631,26 +629,25 @@ COMMANDS = {
             "shell_budget": (_count, 400),
             "at_infinity": (_boolean, False),
         },
-        {"classification": _string, "thin": _boolean},
     ),
     "mass-loss": (
         _run_mass_loss,
         {
+            "expected": ({"strict_loss": (_boolean, None)}, {}),
             "region": (_region_from_doc, ...),
             "source": (_measure, ...),
             "loss_margin": (_number, 0.02),
             "tol": (_number, 1e-10),
         },
-        {"strict_loss": _boolean},
     ),
-    "verify-all": (_run_verify_all, {"n": (_count, 2000)}, {}),
+    "verify-all": (_run_verify_all, {"n": (_count, 2000)}),
 }
 
 
 def _run_scenario(scen: Scenario, seed: int):
     """Run a parsed scenario: (payload, rows, failed-property names)."""
     runner = COMMANDS[scen.command][0]
-    fields, rows, failures = runner(scen.spec, scen.expected, seed, **scen.fields)
+    fields, rows, failures = runner(scen.spec, seed, **scen.fields)
     failed = [r["name"] for r in rows if r["passed"] is False]
     return _envelope(scen.command, scen.spec) | fields, rows, failed + failures
 

@@ -100,6 +100,14 @@ class DiscreteMeasure:
         mu._build(points, weights, signed, check_distinct=False)
         return mu
 
+    @classmethod
+    def _on_support(cls, nodes, weights) -> "DiscreteMeasure":
+        """The nonzero ``weights`` on their distinct ``nodes``; signed if one is negative."""
+        support = weights != 0.0
+        return cls._on_distinct_nodes(
+            nodes[support], weights[support], signed=bool(np.any(weights < 0.0))
+        )
+
     def _build(self, points, weights, signed: bool, check_distinct: bool) -> None:
         pts = np.array(points, dtype=float, copy=True)
         w = np.array(weights, dtype=float, copy=True)

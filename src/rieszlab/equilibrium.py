@@ -55,10 +55,9 @@ def _equilibrium_from_gram(gram: GramMatrix, tol: float) -> EquilibriumResult:
     w *= 1.0 / w.sum()
     min_energy = float(w @ (gram.entries @ w))
     gw = w / min_energy
-    support = gw > 0.0
     node_pot = gram.entries @ gw
     return EquilibriumResult(
-        gamma=DiscreteMeasure._on_distinct_nodes(gram.nodes[support], gw[support]),
+        gamma=DiscreteMeasure._on_support(gram.nodes, gw),
         capacity=1.0 / min_energy,
         min_energy=min_energy,
         solution=sol,

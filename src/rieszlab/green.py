@@ -16,6 +16,8 @@ set has one regularization and one discrete Green energy.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .balayage import _check_inputs, _node_rows, _sweep_batch
@@ -34,18 +36,21 @@ from .errors import NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 
 
+@dataclass(frozen=True, eq=False)
 class GreenKernel:
     """Green kernel for the complement of a region's closed set.
 
     Holds the kernel, the region and the solver tolerance, checked by the
-    input guard at construction; it keeps no solves between calls.
+    input guard at construction and frozen; it keeps no solves between
+    calls and compares by identity.
     """
 
-    def __init__(self, spec: KernelSpec, region: Region, *, tol: float = 1e-10):
-        _check_inputs(spec, region, tol)
-        self.spec = spec
-        self.region = region
-        self.tol = tol
+    spec: KernelSpec
+    region: Region
+    tol: float = field(default=1e-10, kw_only=True)
+
+    def __post_init__(self):
+        _check_inputs(self.spec, self.region, self.tol)
 
     def domain_contains(self, points) -> np.ndarray:
         """Membership mask for the open domain (complement of the target set)."""
@@ -91,7 +96,7 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
 def _pole_sweeps(gk: GreenKernel, poles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Kernel rows of the poles against the region nodes, and the swept node
     weights of the unit charges at the poles, from one batch."""
-    block, _, sols = _sweep_batch(gk.spec, gk.region, poles, gk.tol)
+    block, sols = _sweep_batch(gk.spec, gk.region, poles, gk.tol)
     return block.T, [sol.weights for sol in sols]
 
 
@@ -160,7 +165,7 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     parts = [(p, sign) for p, sign in signed_parts if p.n_points]
     points = np.concatenate([nu.points, *(p.points for p, _ in parts)])
     weights = [np.ones(1)] * nu.n_points + [p.weights for p, _ in parts]
-    block, _, sols = _sweep_batch(gk.spec, gk.region, points, gk.tol, weights)
+    block, sols = _sweep_batch(gk.spec, gk.region, points, gk.tol, weights)
     n = nu.n_points
     ggram = _green_gram(gk, F, (block[:, :n].T, [sol.weights for sol in sols[:n]]))
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))

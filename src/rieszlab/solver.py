@@ -30,12 +30,12 @@ class QPSolution:
     """Outcome of a converged quadratic minimization over the nonnegative orthant.
 
     ``method`` is always ``"block-pivot"`` and ``converged`` always True.
-    ``objective`` and ``kkt_residual`` are diagnostics.  Convergence is
-    decided on infeasibility counts alone, so both are computed on the
-    first read of either, with one product ``K @ w``, and cached; until
-    then the solution holds a reference to the Gram entries K (not a copy)
-    and to b.  ``weights`` is read-only, so a pending diagnostic always
-    sees the w it belongs to.
+    ``b`` is the right-hand side.  ``Kw``, the product ``K @ w``, and the
+    diagnostics ``objective`` and ``kkt_residual`` read from it are computed
+    on first read and cached, since convergence is decided on infeasibility
+    counts alone; until then the solution holds a reference to the Gram
+    entries K (not a copy).  ``weights`` and ``Kw`` are read-only, so a
+    pending diagnostic always sees the w it belongs to.
     """
 
     method: ClassVar[str] = "block-pivot"
@@ -44,24 +44,24 @@ class QPSolution:
     weights: np.ndarray
     iterations: int
     _entries: np.ndarray = field(repr=False, compare=False)
-    _b: np.ndarray = field(repr=False, compare=False)
+    b: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.weights.setflags(write=False)
 
     @cached_property
-    def _diagnostic_values(self) -> tuple[float, float]:
-        w, b = self.weights, self._b
-        Kw = self._entries @ w
-        return _objective(Kw, b, w), _nonneg_kkt_residual(Kw, b, w)
+    def Kw(self) -> np.ndarray:
+        Kw = self._entries @ self.weights
+        Kw.setflags(write=False)
+        return Kw
 
-    @property
+    @cached_property
     def objective(self) -> float:
-        return self._diagnostic_values[0]
+        return _objective(self.Kw, self.b, self.weights)
 
-    @property
+    @cached_property
     def kkt_residual(self) -> float:
-        return self._diagnostic_values[1]
+        return _nonneg_kkt_residual(self.Kw, self.b, self.weights)
 
 
 def _objective(Kw: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:

@@ -128,8 +128,8 @@ def _kernel_block(spec, region, points):
 
 def test_source_potentials_handle_node_coincidence(spec, ball500):
     mu = DiscreteMeasure(ball500.nodes[[5]], [2.0])
-    _, B, _ = _sweep_batch(spec, ball500, mu.points, 1e-10, [mu.weights])
-    b = B[:, 0]
+    _, (sol,) = _sweep_batch(spec, ball500, mu.points, 1e-10, [mu.weights])
+    b = sol.b
     # at its own node the source contributes the regularized energy
     assert b[5] == pytest.approx(2.0 * ball500.reg_radius ** spec.exponent)
     assert np.isfinite(b).all()
@@ -140,11 +140,38 @@ def test_batched_pole_on_a_node_takes_the_gram_diagonal(spec, ball500):
     """Unit charges swept in one batch: each right-hand side is bitwise the
     kernel column of its pole, also for a pole exactly on a node."""
     poles = np.stack([2.0 * E1, ball500.nodes[7], np.array([0.0, -1.5, 1.5])])
-    _, B, sols = _sweep_batch(spec, ball500, poles, 1e-10)
+    _, sols = _sweep_batch(spec, ball500, poles, 1e-10)
+    B = np.stack([sol.b for sol in sols], axis=1)
     assert B.shape == (ball500.n_nodes, 3) and len(sols) == 3
     assert np.array_equal(B, _kernel_block(spec, ball500, poles))
     assert B[7, 1] == ball500.gram(spec).entries[7, 7]
     assert sols[1].weights[7] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_sweep_computes_one_product_with_the_gram(spec, ball500, monkeypatch):
+    """The sweep checks and the solver diagnostics share the solution's cached
+    K @ w: one product per sweep, and the swept energy reads it bit for bit."""
+    import functools
+
+    from rieszlab.solver import QPSolution
+
+    calls = []
+    real = QPSolution.Kw.func
+
+    def counting(sol):
+        calls.append(1)
+        return real(sol)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(QPSolution, "Kw")
+    monkeypatch.setattr(QPSolution, "Kw", spy)
+    res = sweep(spec, dirac(2.0 * E1), ball500, n_probes=20)
+    assert np.isfinite(res.solution.kkt_residual)
+    assert np.isfinite(res.solution.objective)
+    assert len(calls) == 1
+    w = res.solution.weights
+    assert res.checks.energy_out == float(w @ res.solution.Kw)
+    assert np.array_equal(res.solution.Kw, ball500.gram(spec).entries @ w)
 
 
 def test_mass_energy_inequalities_random(spec, ball500):
@@ -226,13 +253,13 @@ def test_transitivity_shares_one_solve_on_the_inner_region(spec, ball500, monkey
     }
 
     calls = []
-    real = balayage._sweep_columns
+    real = balayage.sweep_many
 
     def counting(spec_, sources, region, tol):
         calls.append(len(sources))
         return real(spec_, sources, region, tol)
 
-    monkeypatch.setattr(balayage, "_sweep_columns", counting)
+    monkeypatch.setattr(balayage, "sweep_many", counting)
     out = verify_transitivity(spec, mu, ball500, f, n_probes=40)
     assert calls == [1, 2]
     assert out == expected

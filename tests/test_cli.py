@@ -819,6 +819,41 @@ def test_seed_override_reaches_samples_and_probes(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "e.result.json").read_text())["probe_seed"] == 6
 
 
+def test_command_defaults_are_the_library_defaults():
+    """Every default a command table repeats equals the default of the
+    library parameter it is passed to."""
+    import inspect
+
+    import rieszlab as rl
+
+    def library(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def table(command, key, sub=None):
+        read, default = cli.COMMANDS[command][1][key]
+        return default if sub is None else read[sub][1]
+
+    pairs = [
+        (table("sweep", "tol"), library(rl.sweep, "tol")),
+        (table("sweep", "tol_dom"), library(rl.sweep, "tol_dom")),
+        (table("sweep", "probes", "n"), library(rl.sweep, "n_probes")),
+        (table("sweep", "probes", "seed"), library(rl.sweep, "probe_seed")),
+        (table("equilibrium", "tol"), library(rl.riesz_equilibrium, "tol")),
+        (table("equilibrium", "probes", "n"), library(rl.riesz_equilibrium, "n_probes")),
+        (table("equilibrium", "probes", "seed"), library(rl.riesz_equilibrium, "probe_seed")),
+        (table("green-eval", "tol"), library(rl.GreenKernel, "tol")),
+        (table("green-equilibrium", "tol"), library(rl.GreenKernel, "tol")),
+        (table("mass-loss", "tol"), library(rl.mass_loss_test, "tol")),
+        (table("mass-loss", "loss_margin"), library(rl.mass_loss_test, "loss_margin")),
+    ]
+    for fn in (rl.wiener_report, rl.thin_at_infinity_report):
+        pairs += [(table("wiener", key), library(fn, key))
+                  for key in ("ratio_q", "k_max", "shell_budget")]
+    assert len(pairs) == 17
+    for cli_default, lib_default in pairs:
+        assert cli_default == lib_default and type(cli_default) is type(lib_default)
+
+
 def test_parser_is_shared_but_each_call_gets_its_own_options(tmp_path, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     seen = []

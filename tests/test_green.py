@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -156,6 +158,20 @@ def test_energy_decomposition_rejects_an_off_domain_atom_before_any_solve(gk2000
     nu = DiscreteMeasure([[0.2, 0.0, 0.0], [1.5, 0.0, 0.0]], [1.0, 1.0])
     with pytest.raises(NodesOutsideDomain):
         verify_energy_decomposition(gk2000, nu)
+
+
+@pytest.mark.parametrize("name", ["spec", "region", "tol"])
+def test_green_kernel_inputs_cannot_be_reassigned(gk2000, name):
+    """The guard checks a kernel's inputs once, at construction; assigning
+    one afterwards raises, so a bad tolerance cannot reach a sweep.  The
+    kernel compares by identity, and its tolerance is keyword-only."""
+    gk = GreenKernel(gk2000.spec, gk2000.region)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(gk, name, float("nan"))
+    assert gk.tol == 1e-10
+    assert gk == gk and gk != GreenKernel(gk.spec, gk.region)
+    with pytest.raises(TypeError):
+        GreenKernel(gk.spec, gk.region, 1e-7)
 
 
 def test_green_equilibrium_solves_at_the_kernel_tolerance(spec, gk2000, monkeypatch):
