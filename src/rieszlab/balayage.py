@@ -14,13 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    TINY,
     DiscreteMeasure,
     KernelSpec,
     _as_points,
     _assemble_distinct,
     _check_tolerance,
     _kernel_rows,
+    _relative,
     _row_potentials,
     cross_energy,
     dirac,
@@ -210,15 +210,13 @@ def _sweep_checks(spec, mu, region, res, tol_dom, probes, probe_seed) -> SweepCh
     energy_ok = energy_out <= energy_in + INEQ_SLACK * max(1.0, energy_in)
 
     support = w > 0.0
-    gaps = np.abs(Kw[support] - b[support]) / np.maximum(np.abs(b[support]), TINY)
+    gaps = _relative(np.abs(Kw[support] - b[support]), b[support])
     node_gap = float(np.max(gaps, initial=0.0))
 
     if len(probes):
         pot_src = potential_at(spec, mu, probes)
         pot_swp = potential_at(spec, swept, probes)
-        excess = float(
-            np.max((pot_swp - pot_src) / np.maximum(np.abs(pot_src), TINY))
-        )
+        excess = float(np.max(_relative(pot_swp - pot_src, pot_src)))
     else:
         excess = 0.0
 
@@ -269,7 +267,7 @@ def verify_symmetry(
     s_mu, s_nu = sweep_many(spec, [mu, nu], region, tol=tol)
     e_mu_nu = cross_energy(spec, s_mu.swept, nu)
     e_nu_mu = cross_energy(spec, s_nu.swept, mu)
-    gap = abs(e_mu_nu - e_nu_mu) / max(abs(e_mu_nu), abs(e_nu_mu), TINY)
+    gap = _relative(abs(e_mu_nu - e_nu_mu), max(abs(e_mu_nu), abs(e_nu_mu)))
     return {"e_mu_nu": e_mu_nu, "e_nu_mu": e_nu_mu, "rel_gap": float(gap)}
 
 
@@ -332,8 +330,8 @@ def _probe_gaps(spec, region, ref, parts, probes) -> dict:
     for part, pot in zip(parts, pots[:, 1:].T):
         pot_sum += pot
         mass_sum += part.swept.total_mass
-    rel = np.abs(pot_sum - pot_ref) / np.maximum(np.abs(pot_ref), TINY)
-    mass_gap = abs(mass_sum - ref.swept.total_mass) / max(ref.swept.total_mass, TINY)
+    rel = _relative(np.abs(pot_sum - pot_ref), pot_ref)
+    mass_gap = _relative(abs(mass_sum - ref.swept.total_mass), ref.swept.total_mass)
     return {
         "max_rel_gap": float(np.max(rel)),
         "mass_rel_gap": float(mass_gap),

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balayage import sweep, verify_symmetry
-from .core import TINY, DiscreteMeasure, KernelSpec, dirac, potential_at, riesz_kernel
+from .core import DiscreteMeasure, KernelSpec, _relative, dirac, potential_at, riesz_kernel
 from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval
@@ -323,13 +323,13 @@ def _node_potential(eq) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each takes the kernel, the run's seed and, by keyword,
-# its command's parsed fields, its "expected" section among them, and returns
+# Command runners.  Each takes the kernel and, by keyword, its command's
+# parsed fields, its "expected" section among them, and returns
 # (its payload fields, rows, failed-property names that are not rows);
 # _run_scenario adds the common envelope.
 
 
-def _run_sweep(spec, seed, expected, region, source, probes, tol, tol_dom):
+def _run_sweep(spec, expected, region, source, probes, tol, tol_dom):
     res = sweep(spec, source, region, tol=tol, tol_dom=tol_dom, n_probes=probes["n"],
                 probe_seed=probes["seed"])
     checks = res.checks
@@ -372,10 +372,10 @@ def _identity_gap(mu, region, res) -> float:
     v = np.zeros(region.n_nodes)
     np.add.at(v, nearest, mu.weights)
     w = res.solution.weights
-    return float(np.max(np.abs(w - v)) / max(float(np.max(v)), TINY))
+    return float(_relative(np.max(np.abs(w - v)), np.max(v)))
 
 
-def _run_equilibrium(spec, seed, expected, region, probes, tol):
+def _run_equilibrium(spec, expected, region, probes, tol):
     eq = riesz_equilibrium(spec, region, tol=tol, n_probes=probes["n"], probe_seed=probes["seed"])
     rows = [
         _checked_row("capacity", eq.capacity, expected, "capacity"),
@@ -399,7 +399,7 @@ def _run_equilibrium(spec, seed, expected, region, probes, tol):
     return fields, rows, failures
 
 
-def _run_green_eval(spec, seed, expected, region, x, y, tol):
+def _run_green_eval(spec, expected, region, x, y, tol):
     value = green_eval(GreenKernel(spec, region, tol=tol), x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
     fields = {
@@ -411,7 +411,7 @@ def _run_green_eval(spec, seed, expected, region, x, y, tol):
     return fields, rows, []
 
 
-def _run_green_equilibrium(spec, seed, expected, region, compact, tol):
+def _run_green_equilibrium(spec, expected, region, compact, tol):
     eq = green_equilibrium(GreenKernel(spec, region, tol=tol), compact)
     rows = [
         _checked_row("relative-capacity", eq.capacity, expected, "capacity"),
@@ -436,7 +436,7 @@ def _covariance_samples(center, n, seed) -> np.ndarray:
     return radii[:, None] * dirs
 
 
-def _run_kelvin_check(spec, seed, expected, center, measure, samples):
+def _run_kelvin_check(spec, expected, center, measure, samples):
     samples = _covariance_samples(center, samples["n"], samples["seed"])
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
     gap = verify_potential_covariance(center, spec, measure, samples[keep])
@@ -449,7 +449,7 @@ def _run_kelvin_check(spec, seed, expected, center, measure, samples):
     return fields, rows, []
 
 
-def _run_wiener(spec, seed, expected, region, point, ratio_q, k_max, shell_budget, at_infinity):
+def _run_wiener(spec, expected, region, point, ratio_q, k_max, shell_budget, at_infinity):
     kwargs = {"ratio_q": ratio_q, "k_max": k_max, "shell_budget": shell_budget}
     failures = []
     if at_infinity:
@@ -479,7 +479,7 @@ def _run_wiener(spec, seed, expected, region, point, ratio_q, k_max, shell_budge
     return fields, rows, failures
 
 
-def _run_mass_loss(spec, seed, expected, region, source, loss_margin, tol):
+def _run_mass_loss(spec, expected, region, source, loss_margin, tol):
     report = mass_loss_test(spec, source, region, loss_margin=loss_margin, tol=tol)
     failures = []
     if "strict_loss" in expected and expected["strict_loss"] != report["strict_loss"]:
@@ -530,9 +530,8 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     rows.append(_row("green-center-value", green_eval(gk, 0.5 * e[0], origin), 1.0, 0.02))
     gxy = green_eval(gk, 0.3 * e[0], 0.4 * e[1])
     gyx = green_eval(gk, 0.4 * e[1], 0.3 * e[0])
-    rows.append(
-        _row("green-symmetry-gap", abs(gxy - gyx) / max(abs(gxy), abs(gyx), TINY), 0.0, 0.02)
-    )
+    gap = float(_relative(abs(gxy - gyx), max(abs(gxy), abs(gyx))))
+    rows.append(_row("green-symmetry-gap", gap, 0.0, 0.02))
 
     f_sphere = sphere_region(origin, 0.5, max(200, min(800, n)), spec)
     geq = green_equilibrium(gk, f_sphere)
@@ -554,8 +553,8 @@ def run_battery(spec: KernelSpec, n: int, seed: int) -> list[dict]:
     return rows
 
 
-def _run_verify_all(spec, seed, n):
-    rows = run_battery(spec, n, seed)
+def _run_verify_all(spec, n, probes):
+    rows = run_battery(spec, n, probes["seed"])
     fields = {
         "n": n,
         "checks": rows,
@@ -640,14 +639,15 @@ COMMANDS = {
             "tol": (_number, 1e-10),
         },
     ),
-    "verify-all": (_run_verify_all, {"n": (_count, 2000)}),
+    "verify-all": (_run_verify_all, {"n": (_count, 2000),
+                                     "probes": ({"seed": (_count, PROBE_SEED)}, {})}),
 }
 
 
-def _run_scenario(scen: Scenario, seed: int):
+def _run_scenario(scen: Scenario):
     """Run a parsed scenario: (payload, rows, failed-property names)."""
     runner = COMMANDS[scen.command][0]
-    fields, rows, failures = runner(scen.spec, seed, **scen.fields)
+    fields, rows, failures = runner(scen.spec, **scen.fields)
     failed = [r["name"] for r in rows if r["passed"] is False]
     return _envelope(scen.command, scen.spec) | fields, rows, failed + failures
 
@@ -751,9 +751,9 @@ def load_scenario(ref: str) -> dict:
     raise SchemaError(f"unknown scenario '{ref}' (not a file, not a builtin)")
 
 
-def _load(args) -> tuple[dict, int]:
+def _load(args) -> dict:
     """Load ``args.scenario`` and apply ``--seed`` and ``--tol-override`` to
-    it; returns the scenario document and the run's seed."""
+    it; returns the scenario document."""
     scen = load_scenario(args.scenario)
     table = COMMANDS[_command(scen)][1]
     if args.seed is not None:
@@ -772,13 +772,12 @@ def _load(args) -> tuple[dict, int]:
             scen[key] = float(value)
         except ValueError:
             raise SchemaError(f"tolerance override '{key}' must be a number") from None
-    return scen, args.seed if args.seed is not None else PROBE_SEED
+    return scen
 
 
 def _cmd_run(args) -> int:
-    doc, seed = _load(args)
-    scen = parse_scenario(doc)
-    payload, rows, failures = _run_scenario(scen, seed)
+    scen = parse_scenario(_load(args))
+    payload, rows, failures = _run_scenario(scen)
     lines = [[_csv_cell(r[key]) for key in _ROW_FIELDS] for r in rows]
     _write_outputs(Path(args.out or scen.name), payload, _ROW_FIELDS, lines)
     if failures:
@@ -805,14 +804,14 @@ def _with_node_count(doc: dict, n: int) -> dict:
 
 
 def _cmd_refine(args) -> int:
-    doc, seed = _load(args)
+    doc = _load(args)
     if not args.n:
         raise SchemaError("refine requires at least one node count via --n")
     runs = []
     lines = []
     for n in args.n:
         scen = parse_scenario(_with_node_count(doc, n))
-        _, rows, _ = _run_scenario(scen, seed)
+        _, rows, _ = _run_scenario(scen)
         checked = [r for r in rows if r["expected"] is not None and r["tol"] is not None]
         errs = [_rel_error(r["value"], r["expected"]) for r in checked]
         for r, rel in zip(checked, errs):
@@ -871,10 +870,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's: 2 after a usage error, 0 after --help
+        return 1 if exc.code else 0
     except (RieszLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -227,6 +227,11 @@ def _check_tolerance(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
 
 
+def _relative(num, den):
+    """The relative-error rule's one owner: ``num`` over ``|den|``, floored at TINY."""
+    return num / np.maximum(np.abs(den), TINY)
+
+
 def _kernel_rows(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, tol: float = 0.0):
     """Kernel block |x - y|^(alpha - n), one C-ordered row per point of X.
 

@@ -47,11 +47,10 @@ class EquilibriumResult:
 def _equilibrium_from_gram(gram: GramMatrix, tol: float) -> EquilibriumResult:
     ones = np.ones(gram.n)
     sol = solve_nonneg(gram, ones, tol)
-    # The probability vector of least energy is x*/1'x*, the mass constraint's
-    # multiplier is 2/1'x*, and the least energy is 1/1'x*.
+    # The probability vector of least energy is x*/1'x* (the solver's x* >= +0),
+    # the mass constraint's multiplier is 2/1'x*, and the least energy is 1/1'x*.
     x = sol.weights
-    w = (0.5 * (2.0 / float(ones @ x))) * x
-    w = np.maximum(w, 0.0)
+    w = (1.0 / float(ones @ x)) * x
     w *= 1.0 / w.sum()
     min_energy = float(w @ (gram.entries @ w))
     gw = w / min_energy
@@ -148,8 +147,10 @@ def verify_green_minimality(
     if n_competitors < 1:
         raise ValueError("n_competitors must be at least 1")
     ggram = result.gram
+    if not np.array_equal(ggram.nodes, f_region.nodes):
+        raise ValueError("result must be the Green equilibrium of f_region's nodes")
     rng = np.random.default_rng(seed)
-    n = f_region.n_nodes
+    n = ggram.n
     ratios = []
     for _ in range(n_competitors):
         v = rng.random(n) + 1e-3

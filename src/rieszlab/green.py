@@ -22,12 +22,12 @@ import numpy as np
 
 from .balayage import _check_inputs, _node_rows, _sweep_batch
 from .core import (
-    TINY,
     DiscreteMeasure,
     GramMatrix,
     KernelSpec,
     _as_points,
     _check_tolerance,
+    _relative,
     _row_potentials,
     dirac,
     potential_at,
@@ -178,7 +178,7 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     e_swept = float(v @ (region_gram.entries @ v))
 
     rhs = e_free - e_swept
-    gap = abs(e_green - rhs) / max(abs(e_green), abs(rhs), TINY)
+    gap = _relative(abs(e_green - rhs), max(abs(e_green), abs(rhs)))
     return {
         "green_energy": e_green,
         "free_energy": e_free,
@@ -199,7 +199,8 @@ def verify_domination(
     """Domination principle for Green potentials.
 
     If the Green potential of mu is bounded by that of nu plus a constant
-    on mu's own support, the same bound holds throughout the domain.  The
+    ``c``, finite and nonnegative, on mu's own support, the same bound holds
+    throughout the domain.  The
     support-side potentials of mu use the Green Gram over mu's atoms, whose
     diagonal is regularized as in ``green_gram`` (a point atom's raw
     potential at itself is infinite); the conclusion is tested
@@ -209,6 +210,7 @@ def verify_domination(
     and the probe potentials.
     """
     _check_tolerance("tol", tol)
+    _check_tolerance("c", c)
     _require_in_domain(gk, mu.points, "the dominated measure's atoms")
     if nu is None:
         nu = DiscreteMeasure.empty(gk.spec.dim)  # its Green potential is zero

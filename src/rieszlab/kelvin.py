@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TINY, DiscreteMeasure, KernelSpec, _as_points, potential_at
+from .core import DiscreteMeasure, KernelSpec, _as_points, _relative, potential_at
 from .errors import CenterCharged, CenterInversion
 from .regions import (
     Ball,
@@ -68,8 +68,7 @@ def verify_potential_covariance(
     lhs = potential_at(spec, nu_star, X_star)
     r = np.linalg.norm(X - y, axis=1)
     rhs = r ** (-spec.exponent) * potential_at(spec, nu, X)
-    scale = np.maximum(np.abs(rhs), TINY)
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    return float(np.max(_relative(np.abs(lhs - rhs), rhs)))
 
 
 def invert_shape(center, shape: Shape) -> Shape:

@@ -103,7 +103,6 @@ def wiener_report(
     if shell_budget < 1:
         raise ValueError("shell_budget must be at least 1")
     shells: list[ShellStat] = []
-    terms: list[float] = []
     empty_run = 0
     for k in range(k_max):
         r_hi = ratio_q**k
@@ -112,7 +111,6 @@ def wiener_report(
         if len(nodes) == 0:
             empty_run += 1
             shells.append(ShellStat(k, r_lo, r_hi, 0, 0.0, 0.0))
-            terms.append(0.0)
             if empty_run > K_TAIL:
                 break
             continue
@@ -123,8 +121,7 @@ def wiener_report(
         cap = riesz_equilibrium(spec, region).capacity
         term = cap * ratio_q ** (k * spec.exponent)
         shells.append(ShellStat(k, r_lo, r_hi, len(nodes), cap, term))
-        terms.append(term)
-    classification, fitted_ratio, degenerate = classify_terms(terms)
+    classification, fitted_ratio, degenerate = classify_terms([s.term for s in shells])
     return WienerReport(
         point=y,
         ratio_q=ratio_q,

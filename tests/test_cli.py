@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import re
 
@@ -882,3 +883,108 @@ def test_parser_is_shared_but_each_call_gets_its_own_options(tmp_path, monkeypat
     assert [s[2] for s in seen] == [[100, 120], [110], []]
     runs = json.loads((tmp_path / "r2.result.json").read_text())["runs"]
     assert [r["n"] for r in runs] == [110]
+
+
+def test_a_negative_seed_gets_the_schema_message_on_every_command(tmp_path, capsys):
+    """--seed reaches verify-all through its probes section, so the schema
+    rejects a negative seed there before any work, as it does for a sweep."""
+    for ref in ("ball-newtonian", "sweep-origin"):
+        assert main(["run", ref, "--seed", "-1", "--out", str(tmp_path / ref)]) == 1
+        assert capsys.readouterr().err.strip() == "error: probes 'seed' must not be negative"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_override_reaches_the_battery(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(spec, n, seed):
+        seen.append((n, seed))
+        return []
+
+    monkeypatch.setattr(cli, "run_battery", spy)
+    doc = {"schema": 1, "name": "va", "command": "verify-all", "n": 40}
+    path = write_scenario(tmp_path, doc)
+    seeded = write_scenario(tmp_path, dict(doc, probes={"seed": 9}), "seeded.json")
+    assert main(["run", path, "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
+    assert main(["run", seeded, "--out", str(tmp_path / "c")]) == 0
+    assert main(["run", seeded, "--seed", "6", "--out", str(tmp_path / "d")]) == 0
+    assert seen == [(40, 5), (40, cli.PROBE_SEED), (40, 9), (40, 6)]
+    payload = json.loads((tmp_path / "a.result.json").read_text())
+    assert set(payload) == _ENVELOPE | {"n", "checks", "all_passed"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream",
+    [
+        (["run", "sweep-origin", "--seed", "abc"], 1, "err"),
+        (["bogus"], 1, "err"),
+        ([], 1, "err"),
+        (["--help"], 0, "out"),
+        (["run", "--help"], 0, "out"),
+    ],
+    ids=["bad-seed", "unknown-mode", "no-mode", "help", "run-help"],
+)
+def test_exit_codes_follow_the_documented_contract(tmp_path, monkeypatch, capsys, argv, code,
+                                                   stream):
+    """A usage error exits 1, as every other error does, and --help exits 0:
+    only a failed property exits 2."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert "usage: rieszlab" in getattr(capsys.readouterr(), stream)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "verdicts, names",
+    [
+        ({"mass_ok": False}, "mass-monotone"),
+        ({"energy_ok": False}, "energy-monotone"),
+        ({"domination_ok": False}, "domination"),
+        ({"mass_ok": False, "energy_ok": False, "domination_ok": False},
+         "mass-monotone, energy-monotone, domination"),
+    ],
+    ids=["mass", "energy", "domination", "all"],
+)
+def test_a_failed_sweep_invariant_exits_2(tmp_path, capsys, monkeypatch, verdicts, names):
+    """No natural scenario at a few hundred nodes breaks a sweep invariant;
+    a sweep whose verdicts are replaced shows how the CLI reports one."""
+    sweep = cli.sweep
+
+    def failing(*args, **kwargs):
+        res = sweep(*args, **kwargs)
+        return dataclasses.replace(res, checks=dataclasses.replace(res.checks, **verdicts))
+
+    monkeypatch.setattr(cli, "sweep", failing)
+    path = write_scenario(tmp_path, small_sweep())
+    assert main(["run", path, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"property failed: {names}\n"
+    checks = json.loads((tmp_path / "s.result.json").read_text())["checks"]
+    assert {key: checks[key] for key in verdicts} == verdicts
+
+
+def test_a_broken_maximum_principle_exits_2(tmp_path, capsys, monkeypatch):
+    riesz_equilibrium = cli.riesz_equilibrium
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(riesz_equilibrium(*args, **kwargs), probe_potential_max=1.5)
+
+    monkeypatch.setattr(cli, "riesz_equilibrium", failing)
+    doc = {"schema": 1, "name": "eq", "command": "equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3},
+           "region": dict(COMPLEMENT, shape="sphere"), "probes": {"n": 20, "seed": 3}}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err == "property failed: maximum-principle\n"
+    with (tmp_path / "e.table.csv").open() as fh:
+        rows = {r["name"]: r for r in csv.DictReader(fh)}
+    assert rows["probe-potential-max"]["value"] == "1.5"
+
+
+def test_identity_gap_of_a_source_off_the_nodes_is_infinite(tmp_path, capsys):
+    """The origin is no node of the ball complement, so sweeping it is no identity."""
+    path = write_scenario(tmp_path, small_sweep(expected={"identity_gap": 0.0}))
+    assert main(["run", path, "--out", str(tmp_path / "i")]) == 2
+    assert capsys.readouterr().err == "property failed: identity-gap\n"
+    with (tmp_path / "i.table.csv").open() as fh:
+        rows = {r["name"]: r for r in csv.DictReader(fh)}
+    assert (rows["identity-gap"]["value"], rows["identity-gap"]["passed"]) == ("inf", "false")

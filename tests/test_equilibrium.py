@@ -89,6 +89,17 @@ def test_green_minimality_needs_a_competitor(spec, gk2000):
         verify_green_minimality(gk2000, f, res, n_competitors=0)
 
 
+@pytest.mark.parametrize("n_other", [100, 60], ids=["same-count", "other-count"])
+def test_green_minimality_rejects_the_equilibrium_of_other_nodes(spec, gk2000, n_other):
+    """A result built over another node set is refused by name, whether or not
+    its node count matches; with another count numpy's matmul would raise."""
+    res = green_equilibrium(gk2000, rl.sphere_region(ORIGIN, 0.5, 100, spec))
+    other = rl.sphere_region(ORIGIN, 0.4, n_other, spec)
+    message = "^result must be the Green equilibrium of f_region's nodes$"
+    with pytest.raises(ValueError, match=message):
+        verify_green_minimality(gk2000, other, res)
+
+
 def test_green_minimality_below_unit_capacity(spec, gk2000, monkeypatch):
     """Competitor energies are compared with the capacity itself, which
     matters once the relative capacity is well below 1; the check reuses

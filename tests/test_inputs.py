@@ -66,6 +66,8 @@ CASES = [
     ("GreenKernel", "tol", True, lambda r, g, v: rl.GreenKernel(SPEC, r, tol=v)),
     ("verify_domination", "tol", False,
      lambda r, g, v: rl.verify_domination(rl.GreenKernel(SPEC, r), dirac(A), tol=v)),
+    ("verify_domination", "c", False,
+     lambda r, g, v: rl.verify_domination(rl.GreenKernel(SPEC, r), dirac(A), c=v)),
     ("verify_green_minimality", "slack", False,
      lambda r, g, v: rl.verify_green_minimality(*g, slack=v)),
     ("mass_loss_test", "tol", True, lambda r, g, v: rl.mass_loss_test(SPEC, dirac(A), r, tol=v)),

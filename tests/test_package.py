@@ -213,6 +213,18 @@ def test_only_core_reads_the_distinctness_factor_and_tiny():
     assert _modules_where(found) == ["core.py"]
 
 
+def test_only_core_and_solver_read_tiny():
+    """core._relative owns the relative-error rule, num / max(|den|, TINY):
+    besides core, only the solver reads TINY, to floor its scaled tolerance,
+    which forms no quotient."""
+    def found(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "TINY" for alias in node.names)
+        return _named(node, "TINY")
+
+    assert _modules_where(found) == ["core.py", "solver.py"]
+
+
 def test_only_core_raises_degenerate_nodes():
     """core._distinct_spacing is the one owner of node-set distinctness:
     no other module raises DegenerateNodes."""
