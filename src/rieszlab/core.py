@@ -7,6 +7,9 @@ constant, so for alpha = 2, n = 3 the unit ball has capacity exactly 1.
 """
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,10 @@ TINY = np.finfo(float).tiny
 # Rows per block of the mirrored Gram assembly; the block buffer holds at
 # most this many rows of the matrix.
 ASSEMBLY_BLOCK_ROWS = 128
+
+# Gram assembly splits across the usable CPUs only into parts of at least
+# half the triangle of a Gram over this many nodes, so from this many on.
+ASSEMBLY_PART_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -405,6 +412,45 @@ def _factor_lower(a: np.ndarray, message: str, overwrite_a: bool = False):
         raise IllConditioned(message) from exc
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _assembly_bounds(n: int) -> list[int]:
+    """Row boundaries of the parts of an n-node Gram's upper triangle.
+
+    One part per usable CPU, each of about equal area, but no part smaller
+    than ASSEMBLY_PART_NODES^2 / 4 entries, half the triangle of a Gram of
+    that many nodes: below it, waking a thread costs more than the part saves.
+    """
+    parts = max(1, min(_usable_cpus(), 2 * n * n // ASSEMBLY_PART_NODES**2))
+    return [round(n * (1.0 - math.sqrt(1.0 - t / parts))) for t in range(parts + 1)]
+
+
+def _assemble_rows(spec: KernelSpec, nodes: np.ndarray, D: np.ndarray,
+                   start: int, stop: int, buffer: np.ndarray) -> None:
+    """Fill rows start:stop of D's upper triangle, and their mirror below it.
+
+    Block row by block row, each block computed in a contiguous view of
+    ``buffer``, which holds ASSEMBLY_BLOCK_ROWS rows of the part's width.
+    The distance of (a, b) and of (b, a) are the same float, so every entry
+    is the one-shot cdist-and-power value and the matrix is exactly
+    symmetric.  Writes no entry that another part writes.
+    """
+    n = len(nodes)
+    for i in range(start, stop, ASSEMBLY_BLOCK_ROWS):
+        j = min(i + ASSEMBLY_BLOCK_ROWS, stop)
+        block = buffer[: (j - i) * (n - i)].reshape(j - i, n - i)
+        cdist(nodes[i:j], nodes[i:], out=block)
+        np.fill_diagonal(block, 1.0)
+        np.power(block, spec.exponent, out=block)
+        D[i:j, i:] = block
+        D[j:, i:j] = block[:, j - i:].T
+
+
 def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMatrix:
     """Gram matrix over a float (n, dim) array of pairwise-distinct nodes.
 
@@ -412,19 +458,41 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMat
     self-interactions, one scalar for every node or one entry per node, and
     is written as given.  Only the dimension is checked: the nodes and the
     self-interactions come from a Region, which owns both rules.
+
+    The row ranges of ``_assembly_bounds`` are filled at once: the caller
+    fills the first, and one short-lived thread each the others (cdist and
+    the power release the GIL).  Every thread is joined before this returns,
+    and a thread's exception is raised here.  Each entry comes from the same
+    cdist row and power as with one part, so the bits do not depend on the
+    split.
     """
     nodes = _as_points(nodes, spec.dim)
     n = len(nodes)
-    # One triangle is computed, block row by block row, and mirrored: the
-    # distance of (a, b) and of (b, a) are the same float, so every entry is
-    # the one-shot cdist-and-power value and the matrix is exactly symmetric.
     D = np.empty((n, n))
-    for i in range(0, n, ASSEMBLY_BLOCK_ROWS):
-        j = min(i + ASSEMBLY_BLOCK_ROWS, n)
-        block = cdist(nodes[i:j], nodes[i:])
-        np.fill_diagonal(block, 1.0)
-        np.power(block, spec.exponent, out=block)
-        D[i:j, i:] = block
-        D[j:, i:j] = block[:, j - i:].T
+    bounds = _assembly_bounds(n)
+    # One block buffer per part, allocated here: blocks that cdist allocated
+    # in the threads raised the peak RSS.
+    parts = [(a, b, np.empty(min(ASSEMBLY_BLOCK_ROWS, b - a) * (n - a)))
+             for a, b in zip(bounds, bounds[1:])]
+    errors = []
+
+    def fill(start, stop, buffer):
+        try:
+            _assemble_rows(spec, nodes, D, start, stop, buffer)
+        except BaseException as exc:  # raised again below, in the caller
+            errors.append(exc)
+
+    workers = []
+    try:
+        for part in parts[1:]:
+            worker = threading.Thread(target=fill, args=part)
+            worker.start()
+            workers.append(worker)
+        _assemble_rows(spec, nodes, D, *parts[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     np.fill_diagonal(D, diagonal)
     return GramMatrix(nodes, D)

@@ -25,6 +25,11 @@ class CenterCharged(RieszLabError):
     """A measure charges the center of the inversion sphere."""
 
 
+class UnresolvedLayout(RieszLabError, ValueError):
+    """A node layout lies too far from the origin for its radius: rounding its points
+    would move them by more than LAYOUT_RESOLUTION of the radius."""
+
+
 class IllConditioned(RieszLabError):
     """A Gram matrix or one of its principal blocks failed its Cholesky factorization."""
 

@@ -30,7 +30,7 @@ from .core import (
     _distinct_spacing,
     _h_min,
 )
-from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure
+from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure, UnresolvedLayout
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -50,6 +50,13 @@ REGION_REG_FACTOR = 0.24
 # Relative tolerance for surface-membership tests.
 SURFACE_TOL = 1e-9
 
+# Rounding of a layout point c + r u, and of its distance from c, in units
+# of |c| + r.  Far from the origin it exceeds SURFACE_TOL x r.
+LAYOUT_ROUNDING = 4.0 * np.finfo(float).eps
+
+# Largest rounding of a layout point, as a fraction of the layout radius.
+LAYOUT_RESOLUTION = 1e-6
+
 # Probe sampling: the standoff from the nodes, in mean node spacings, and
 # the number of candidate batches drawn before giving up.
 PROBE_STANDOFF = 3.0
@@ -57,13 +64,26 @@ PROBE_MAX_BATCHES = 500
 _NO_PROBES = "probe sampling failed to find enough points off A"
 
 
+def _layout_rounding(center: np.ndarray, radius: float) -> float:
+    """How far rounding can move a point c + r u of a layout, or its distance from c."""
+    return LAYOUT_ROUNDING * (float(np.linalg.norm(center)) + radius)
+
+
 def _layout_center(n: int, radius: float, center) -> np.ndarray:
-    """The 3-d center of a layout of n >= 1 points with a finite, positive radius."""
+    """The 3-d center of a layout of n >= 1 points with a finite, positive
+    radius, which rounding moves its points by at most LAYOUT_RESOLUTION of."""
     if n < 1:
         raise ValueError("need at least one node")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"layout radius must be finite and positive, got {radius!r}")
     (center,) = _as_points(center, 3)
+    rounding = _layout_rounding(center, radius)
+    if rounding > LAYOUT_RESOLUTION * radius:
+        raise UnresolvedLayout(
+            f"a layout of radius {radius:g} at distance {np.linalg.norm(center):g} from the "
+            f"origin rounds its points by up to {rounding:.3g}, more than {LAYOUT_RESOLUTION:g} "
+            "of its radius; move the shape toward the origin or enlarge it"
+        )
     return center
 
 
@@ -209,7 +229,12 @@ def _require_budget(budget: int) -> None:
 
 
 class _Round(Shape):
-    """A shape bounded by the sphere {|x - c| = r}."""
+    """A shape bounded by the sphere {|x - c| = r}.
+
+    Its membership test allows a point ``_slack`` past the sphere, on top of
+    SURFACE_TOL: the rounding of a layout point, so that every node of the
+    shape's own layout is a member wherever the shape lies.
+    """
 
     fields = ("center", "radius")
 
@@ -218,6 +243,7 @@ class _Round(Shape):
         self.radius = float(radius)
         if not (np.isfinite(self.center).all() and 0.0 < self.radius < np.inf):
             raise ValueError("center must be finite and radius finite and positive")
+        self._slack = _layout_rounding(self.center, self.radius)
 
     def _dist(self, points) -> np.ndarray:
         """Distance of each point from the center."""
@@ -233,7 +259,7 @@ class Ball(_Round):
     kind = "ball"
 
     def contains(self, points) -> np.ndarray:
-        return self._dist(points) <= self.radius * (1.0 + SURFACE_TOL)
+        return self._dist(points) <= self.radius * (1.0 + SURFACE_TOL) + self._slack
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -258,7 +284,7 @@ class BallComplement(_Round):
     bounded = False
 
     def contains(self, points) -> np.ndarray:
-        return self._dist(points) >= self.radius * (1.0 - SURFACE_TOL)
+        return self._dist(points) >= self.radius * (1.0 - SURFACE_TOL) - self._slack
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -288,7 +314,8 @@ class SphereShell(_Round):
     kind = "sphere"
 
     def contains(self, points) -> np.ndarray:
-        return np.abs(self._dist(points) - self.radius) <= SURFACE_TOL * max(self.radius, 1.0)
+        tol = SURFACE_TOL * max(self.radius, 1.0) + self._slack
+        return np.abs(self._dist(points) - self.radius) <= tol
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -580,10 +607,16 @@ class Region:
 
 def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
     """Discretize a shape into a Region with the default radius of Region; a
-    union joins its parts, each built at its ``counts(n)``, by ``union_region``."""
+    union joins its parts, each built at its ``counts(n)``, by ``union_region``.
+
+    An analytic shape needs n >= 2; a cloud lays out its own points, whatever n.
+    """
     if isinstance(shape, UnionShape):
         parts = zip(shape.parts, shape.counts(n))
         return union_region([build_region(p, c, spec) for p, c in parts])
+    if n < 2 and not isinstance(shape, PointCloud):
+        # One node has no spacing to set the default radius from.
+        raise ValueError(f"a generated region needs n >= 2 nodes, got {n!r}")
     return Region(shape, shape.make_nodes(n, spec))
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
@@ -18,7 +21,8 @@ from rieszlab import (
     potential_at,
     riesz_kernel,
 )
-from rieszlab.core import _assemble_distinct
+from rieszlab import core
+from rieszlab.core import _assemble_distinct, _assembly_bounds
 
 from conftest import gram_over
 
@@ -352,9 +356,10 @@ def _one_shot_gram_entries(spec, nodes, diagonal):
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
-@pytest.mark.parametrize("n", [2, 127, 128, 129, 257, 700])
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 257, 700, 1024, 1500, 2000])
 def test_blocked_assembly_equals_one_shot_reference(alpha, n):
-    """Mirrored block rows give every entry of the one-shot assembly bitwise."""
+    """Mirrored block rows, in as many parts as the CPUs allow, give every
+    entry of the one-shot assembly bitwise."""
     spec = KernelSpec(alpha, 3)
     rng = np.random.default_rng(n)
     nodes = rng.normal(size=(n, 3))
@@ -363,6 +368,60 @@ def test_blocked_assembly_equals_one_shot_reference(alpha, n):
         g = _assemble_distinct(spec, nodes, diagonal)
         assert np.array_equal(g.entries, _one_shot_gram_entries(spec, nodes, diagonal))
         assert np.array_equal(g.entries, g.entries.T)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_assembly_splits_only_from_1024_nodes(monkeypatch, cpus):
+    """Below 1024 nodes a part would be under half the triangle of a
+    1024-node Gram, so one part runs in the calling thread."""
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    assert _assembly_bounds(2) == [0, 2]
+    assert _assembly_bounds(1023) == [0, 1023]
+    assert _assembly_bounds(1024) == ([0, 1024] if cpus == 1 else [0, 300, 1024])
+    # at most 2 (n / 1024)^2 parts: 7 at n = 2000
+    assert len(_assembly_bounds(2000)) - 1 == min(cpus, 7)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_assembly_is_the_same_in_any_number_of_parts(monkeypatch, alpha):
+    """Every part fills its rows from the same cdist rows and power, so the
+    entries do not depend on the split, also where the part boundaries fall
+    off the multiples of ASSEMBLY_BLOCK_ROWS, and with more threads than
+    cores switching as often as the interpreter allows."""
+    spec = KernelSpec(alpha, 3)
+    nodes = np.random.default_rng(5).normal(size=(2000, 3))
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    assert [b % core.ASSEMBLY_BLOCK_ROWS for b in _assembly_bounds(2000)] == [0, 111, 77, 80]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        entries = {}
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            assert len(_assembly_bounds(2000)) == cpus + 1
+            entries[cpus] = _assemble_distinct(spec, nodes, 7.0).entries
+    finally:
+        sys.setswitchinterval(interval)
+    for cpus in (2, 3, 7):
+        assert np.array_equal(entries[cpus], entries[1])
+
+
+def test_assembly_raises_a_worker_exception_and_joins_every_thread(monkeypatch):
+    """A part that fails in a worker thread fails the call, and no thread
+    outlives it."""
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    caller = threading.current_thread()
+
+    def cdist_off_the_caller(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise MemoryError("worker part")
+        return cdist(*args, **kwargs)
+
+    monkeypatch.setattr(core, "cdist", cdist_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker part"):
+        _assemble_distinct(KernelSpec(2.0, 3), np.random.default_rng(1).normal(size=(1500, 3)), 1.0)
+    assert threading.active_count() == before
 
 
 def test_factor_lower_triangle_equals_cho_factor_of_the_entries(spec, ball500, gk2000):

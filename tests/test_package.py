@@ -309,14 +309,15 @@ def _powers_of_the_exponent(path: Path) -> list[str]:
 
 
 def test_only_core_raises_pairs_to_the_kernel_exponent():
-    """core._kernel_rows and core._assemble_distinct give every pair kernel
-    value: riesz_kernel and every potential read them.  The four other
+    """core._kernel_rows and core._assemble_rows, each part of
+    core._assemble_distinct, give every pair kernel value: riesz_kernel and
+    every potential read them.  The four other
     powers of the exponent are no pair kernel: the self-interactions of
     Region.gram's radii, kelvin_transform's weight factor,
     verify_potential_covariance's scale and wiener_report's rescaling."""
     sites = sorted(s for path in SRC.glob("*.py") for s in _powers_of_the_exponent(path))
     assert sites == [
-        "core:_assemble_distinct",
+        "core:_assemble_rows",
         "core:_kernel_rows",
         "kelvin:kelvin_transform",
         "kelvin:verify_potential_covariance",

@@ -752,6 +752,58 @@ def test_layouts_reject_a_degenerate_radius_normal_or_center(make, error):
             make()
 
 
+@pytest.mark.parametrize("shape", [Ball(ORIGIN, 1.0), SphereShell([0.5, -1.0, 2.0], 0.3),
+                                   BallComplement(ORIGIN, 1.0), HalfSpace([0.0, 0.0, 1.0], 0.0)])
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_generated_region_needs_two_nodes(spec, shape, n):
+    """One node has no spacing to set the default radius from; the message
+    names the node count, which build_region takes, at every alpha."""
+    for alpha in (2.0, 1.5):
+        with pytest.raises(ValueError, match=r"a generated region needs n >= 2 nodes, got "):
+            build_region(shape, n, KernelSpec(alpha, 3))
+    assert build_region(shape, 2, spec).n_nodes == 2
+
+
+FAR_CENTERS = [(1e8, 0.0, 0.0), (0.5, -1.0, 2.0)]
+FAR_RADII = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 3.0, 1e6, 1e150]
+
+
+@pytest.mark.parametrize("cls", [Ball, BallComplement, SphereShell])
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+def test_round_layouts_far_from_the_origin_are_members_or_rejected(cls, alpha):
+    """Rounding moves a layout point c + r u by about eps (|c| + r), which far
+    from the origin exceeds SURFACE_TOL x r.  Membership allows for it, so a
+    shape's own layout passes its own test; a layout that rounding moves by
+    more than LAYOUT_RESOLUTION of its radius is rejected, with a typed error."""
+    spec = KernelSpec(alpha, 3)
+    for center in FAR_CENTERS:
+        for radius in FAR_RADII:
+            shape = cls(center, radius)
+            rounding = regions.LAYOUT_ROUNDING * (np.linalg.norm(center) + radius)
+            if rounding > regions.LAYOUT_RESOLUTION * radius:
+                with pytest.raises(rl.UnresolvedLayout, match="rounds its points by up to"):
+                    build_region(shape, 200, spec)
+            elif cls is BallComplement and alpha < 2.0 and center[0] == 1e8 and radius < 1e6:
+                # Its shells reach out to 8 (|c| + 2r), so h_min exceeds r.
+                with pytest.raises(rl.DegenerateNodes):
+                    build_region(shape, 200, spec)
+            else:
+                region = build_region(shape, 200, spec)
+                assert shape.contains(region.nodes).all()
+    # the grid's defect: the ball of radius 3 at 1e8 failed its own test
+    assert build_region(cls(FAR_CENTERS[0], 3.0), 200, KernelSpec(2.0, 3)).n_nodes == 200
+
+
+def test_membership_keeps_its_relative_tolerance_near_the_origin():
+    """The rounding slack is eps-sized at O(1) scales: a point 2e-9 outside
+    the unit sphere is no member, one 0.5e-9 outside is."""
+    e = np.array([[1.0, 0.0, 0.0]])
+    assert Ball(ORIGIN, 1.0).contains(e * (1.0 + 0.5e-9)).all()
+    assert not Ball(ORIGIN, 1.0).contains(e * (1.0 + 2e-9)).any()
+    assert not BallComplement(ORIGIN, 1.0).contains(e * (1.0 - 2e-9)).any()
+    assert not SphereShell(ORIGIN, 1.0).contains(e * (1.0 + 2e-9)).any()
+
+
 def test_half_space_keeps_a_unit_normal_and_normalizes_others():
     unit = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     assert np.array_equal(HalfSpace(unit, 0.0).normal, unit)
