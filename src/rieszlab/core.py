@@ -8,9 +8,12 @@ constant, so for alpha = 2, n = 3 the unit ball has capacity exactly 1.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
+import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -31,7 +34,22 @@ ASSEMBLY_BLOCK_ROWS = 128
 
 # Gram assembly splits across the usable CPUs only into parts of at least
 # half the triangle of a Gram over this many nodes, so from this many on.
+# Square arrays over this many nodes are also recycled (see ``_square``).
 ASSEMBLY_PART_NODES = 1024
+
+# Released square arrays kept for reuse: a Gram's and its factor's.
+_KEPT_SQUARES = 2
+
+# Where a recycled square array starts in its memory map, in bytes: where
+# glibc's malloc puts a large block, so BLAS sees the alignment an np.empty
+# array has.  On page-aligned factors the one-column N=2000 solve took about
+# 1.5 % longer (OpenBLAS 0.3.31, one thread, a 2-core x86-64 VM).
+_SQUARE_OFFSET = 16
+
+# The released memory maps, oldest first, and the lock that guards them;
+# reentrant, since a finalizer may release a map in a thread that holds it.
+_released_squares: list[mmap.mmap] = []
+_released_lock = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -320,6 +338,11 @@ class GramMatrix:
     view LAPACK takes without a transposing copy.  Mirrored assembly
     (``_assemble_distinct``), a rewrite of the diagonal (the capped radii of
     ``Region.gram``) and the Green Gram K - (C + C^T)/2 all keep it.
+
+    The entries of an assembled or capped Gram and every factor live in
+    arrays from ``_square``, which recycles them from ASSEMBLY_PART_NODES
+    nodes on: their memory is reused once the Gram, its factor and every
+    view of either (a ``QPSolution``'s entries among them) are gone.
     """
 
     __slots__ = ("nodes", "entries", "_chol")
@@ -353,7 +376,11 @@ class GramMatrix:
         not positive or reaches the factor's diagonal.
         """
         if self._chol is None:
-            chol = _factor_lower(self.entries.T, "Gram matrix is not positive definite to rounding")
+            # The copy is the one cho_factor would make: its transpose is
+            # Fortran-ordered, so LAPACK factors it in place.
+            a = _square(self.n)
+            np.copyto(a, self.entries)
+            chol = _factor_lower(a.T, "Gram matrix is not positive definite to rounding")
             d = np.diag(chol[0])
             if not np.isfinite(d).all():
                 raise IllConditioned("Gram matrix factor is not finite")
@@ -396,20 +423,67 @@ class GramMatrix:
                 del factors[next(iter(factors))]
             block = self.entries[np.ix_(mask, mask)]
             factors[key] = _factor_lower(
-                block.T, "block-pivot subproblem lost positive definiteness", overwrite_a=True
+                block.T, "block-pivot subproblem lost positive definiteness"
             )
         return cho_solve(factors[key], rhs, check_finite=False)
 
 
-def _factor_lower(a: np.ndarray, message: str, overwrite_a: bool = False):
-    """``cho_factor`` of the symmetric ``a`` from its lower triangle.
+def _factor_lower(a: np.ndarray, message: str):
+    """``cho_factor`` of the symmetric ``a`` from its lower triangle, in place:
+    every caller passes a Fortran-ordered copy of its own.
 
     Raises IllConditioned with ``message`` at a pivot that is not positive.
     """
     try:
-        return cho_factor(a, lower=True, overwrite_a=overwrite_a, check_finite=False)
+        return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
     except (LinAlgError, np.linalg.LinAlgError) as exc:
         raise IllConditioned(message) from exc
+
+
+def _square(n: int) -> np.ndarray:
+    """An uninitialized C-ordered (n, n) float array: the one source of the
+    N^2 buffers of assembled and capped Grams, factors and assembly scratch.
+
+    Below ASSEMBLY_PART_NODES nodes it is ``np.empty``.  From there on its
+    memory is an anonymous memory map, reused from the released ones when
+    one has its size, so that a fresh Gram or factor lands on pages already
+    mapped, not on pages the kernel must zero.  The map backs one
+    ``np.frombuffer`` wrapper, and numpy gives every view of the array (a
+    transpose, a slice, a factor computed in place) that wrapper as its
+    base.  A ``weakref.finalize`` on the wrapper releases the map when the
+    last view is gone, and the last _KEPT_SQUARES released are kept.  An
+    array that owns its data could not be recycled this way: views of it
+    hold the owner, not the wrapper.  Assembly takes one more as the
+    scratch of its block buffers, released before the factor takes it.
+    """
+    if n < ASSEMBLY_PART_NODES:
+        return np.empty((n, n))
+    size = _SQUARE_OFFSET + 8 * n * n
+    buf = None
+    with _released_lock:
+        # The loop allocates nothing, so no collection runs a finalizer
+        # between finding a buffer and taking it.
+        for i in range(len(_released_squares)):
+            if len(_released_squares[i]) == size:
+                buf = _released_squares.pop(i)
+                break
+    if buf is None:
+        # Private anonymous pages, which the kernel zeroes on first touch (a
+        # bytearray zeroes its memory itself), in transparent huge pages where
+        # the kernel has them, as numpy asks for its own large arrays.
+        buf = (mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) if hasattr(mmap, "MAP_PRIVATE")
+               else mmap.mmap(-1, size))
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    flat = np.frombuffer(buf, offset=_SQUARE_OFFSET)
+    weakref.finalize(flat, _release_square, buf).atexit = False
+    return flat.reshape(n, n)
+
+
+def _release_square(buf: mmap.mmap) -> None:
+    with _released_lock:
+        _released_squares.append(buf)
+        del _released_squares[:-_KEPT_SQUARES]
 
 
 def _usable_cpus() -> int:
@@ -468,12 +542,17 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMat
     """
     nodes = _as_points(nodes, spec.dim)
     n = len(nodes)
-    D = np.empty((n, n))
+    D = _square(n)
     bounds = _assembly_bounds(n)
-    # One block buffer per part, allocated here: blocks that cdist allocated
-    # in the threads raised the peak RSS.
-    parts = [(a, b, np.empty(min(ASSEMBLY_BLOCK_ROWS, b - a) * (n - a)))
-             for a, b in zip(bounds, bounds[1:])]
+    sizes = [min(ASSEMBLY_BLOCK_ROWS, b - a) * (n - a) for a, b in zip(bounds, bounds[1:])]
+    # The parts' block buffers are slices of one scratch array allocated here:
+    # blocks that cdist allocated in the threads raised the peak RSS.  A
+    # recycled square as the scratch maps no pages of its own.
+    total = sum(sizes)
+    scratch = (_square(n).reshape(-1) if n >= ASSEMBLY_PART_NODES and total <= n * n
+               else np.empty(total))
+    parts = [(a, b, scratch[e - s:e])
+             for a, b, s, e in zip(bounds, bounds[1:], sizes, accumulate(sizes))]
     errors = []
 
     def fill(start, stop, buffer):

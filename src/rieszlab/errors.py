@@ -26,8 +26,9 @@ class CenterCharged(RieszLabError):
 
 
 class UnresolvedLayout(RieszLabError, ValueError):
-    """A node layout lies too far from the origin for its radius: rounding its points
-    would move them by more than LAYOUT_RESOLUTION of the radius."""
+    """A node layout cannot be laid out as asked: it lies too far from the origin
+    for its radius, so rounding its points would move them by more than
+    LAYOUT_RESOLUTION of the radius, or it has too few nodes for its layers."""
 
 
 class IllConditioned(RieszLabError):

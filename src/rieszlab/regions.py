@@ -29,6 +29,7 @@ from .core import (
     _bbox_diameter,
     _distinct_spacing,
     _h_min,
+    _square,
 )
 from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure, UnresolvedLayout
 
@@ -222,6 +223,14 @@ class Shape:
                 "use an explicit point cloud for other dimensions"
             )
 
+    def _require_layers(self, n: int, least: int) -> None:
+        """An alpha < 2 layout gives each of its layers a share of n; with
+        fewer than ``least`` nodes one layer would get none."""
+        if n < least:
+            raise UnresolvedLayout(
+                f"an alpha < 2 {self.kind} layout needs n >= {least} nodes, got {n!r}"
+            )
+
 
 def _require_budget(budget: int) -> None:
     if not budget >= 1:
@@ -266,6 +275,7 @@ class Ball(_Round):
         if spec.alpha == 2.0:
             # The swept/equilibrium charge concentrates on the boundary sphere.
             return fibonacci_sphere(n, self.radius, self.center)
+        self._require_layers(n, 3)
         n_interior = n // 3
         n_surf = n - n_interior
         surf = fibonacci_sphere(n_surf, self.radius, self.center)
@@ -293,15 +303,15 @@ class BallComplement(_Round):
             # exactly on the boundary sphere, so truncation costs nothing.
             return fibonacci_sphere(n, self.radius, self.center)
         # For alpha < 2 the swept measure charges the whole exterior; add
-        # geometrically growing shells out to the truncation radius.  The
-        # truncation error is bounded by the kernel decay |x|^(alpha - n).
-        extent = 8.0 * (float(np.linalg.norm(self.center)) + 2.0 * self.radius)
+        # shells at 2, 4, 8 and 16 radii, the truncation radius, wherever
+        # the center lies.  The truncation error is bounded by the kernel
+        # decay |x|^(alpha - n).
+        self._require_layers(n, 8)
         layers = 4
         n_surf = n - layers * (n // 8)
         parts = [fibonacci_sphere(n_surf, self.radius, self.center)]
-        growth = (extent / self.radius) ** (1.0 / layers)
         for j in range(1, layers + 1):
-            parts.append(fibonacci_sphere(n // 8, self.radius * growth**j, self.center))
+            parts.append(fibonacci_sphere(n // 8, self.radius * 2.0**j, self.center))
         return np.concatenate(parts)
 
     def domain_ball(self) -> tuple[np.ndarray, float]:
@@ -383,6 +393,7 @@ class HalfSpace(Shape):
         foot = self.offset * self.normal
         if spec.alpha == 2.0:
             return fibonacci_disk(n, extent, foot, self.normal)
+        self._require_layers(n, 6)
         n_deep = n // 6
         parts = [
             fibonacci_disk(n - 2 * n_deep, extent, foot, self.normal),
@@ -597,7 +608,8 @@ class Region:
             if capped:
                 # Only the diagonal changes, so the off-diagonal entries are reused.
                 radii = np.minimum(self.reg_radius, 0.5 * self._d_nn)
-                entries = g.entries.copy()
+                entries = _square(self.n_nodes)
+                np.copyto(entries, g.entries)
                 np.fill_diagonal(entries, _self_interactions(spec, radii))
                 g = GramMatrix(self.nodes, entries)
                 g.cholesky()

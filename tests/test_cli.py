@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from rieszlab import KernelSpec, SchemaError, build_region, cli
+from rieszlab import KernelSpec, SchemaError, build_region, cli, core
 from rieszlab.cli import BUILTIN_SCENARIOS, main
 
 BALL = {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -69,6 +69,25 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "a.table.csv").read_bytes() == (
         tmp_path / "b.table.csv"
     ).read_bytes()
+
+
+def test_rerun_on_recycled_memory_is_byte_identical(tmp_path, monkeypatch):
+    """sweep-origin's N=2000 Gram and factor are recycled: a second run in
+    the same process takes the memory the first released, NaN-filled here,
+    and writes the same bytes.  .github/run-builtins.sh runs each builtin in
+    a fresh process, so only a rerun like this one reaches that memory."""
+    released = []
+    monkeypatch.setattr(core, "_released_squares", released)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "sweep-origin", "--out", str(a)]) == 0
+    assert [len(buf) for buf in released] == [core._SQUARE_OFFSET + 8 * 2000**2] * 2
+    stale = list(released)
+    for buf in stale:
+        np.frombuffer(buf)[:] = np.nan
+    assert main(["run", "sweep-origin", "--out", str(b)]) == 0
+    assert sorted(map(id, released)) == sorted(map(id, stale))
+    for suffix in (".result.json", ".table.csv"):
+        assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
 
 
 def test_run_file_scenario(tmp_path):

@@ -437,6 +437,132 @@ def test_factor_lower_triangle_equals_cho_factor_of_the_entries(spec, ball500, g
     assert capped.gram(spec).entries.diagonal().max() > capped.reg_radius ** spec.exponent
 
 
+@pytest.fixture
+def released(monkeypatch):
+    """An empty list of released squares for one test: the squares other
+    tests drop do not reach it, and the ones this test drops stay in it."""
+    squares = []
+    monkeypatch.setattr(core, "_released_squares", squares)
+    return squares
+
+
+def _map_bytes(n: int) -> int:
+    """Length of the memory map behind a recycled (n, n) square."""
+    return core._SQUARE_OFFSET + 8 * n * n
+
+
+def _on(a, buffers) -> bool:
+    """Whether the array ``a`` reads memory of one of the released maps."""
+    return any(np.shares_memory(a, np.frombuffer(buf)) for buf in buffers)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("n", [core.ASSEMBLY_PART_NODES, 2000])
+def test_grams_and_factors_on_recycled_memory_equal_fresh_ones(released, n, alpha):
+    """A region Gram and its factor built on the released memory of the last
+    ones, NaN-filled first, equal the ones built on fresh memory bit for bit."""
+    spec = KernelSpec(alpha, 3)
+    shape = rl.Ball(np.zeros(3), 1.0)
+    g = rl.build_region(shape, n, spec).gram(spec)
+    fresh = (g.entries.copy(), g.cholesky()[0].copy())
+    del g
+    assert [len(buf) for buf in released] == [_map_bytes(n)] * 2
+    stale = list(released)
+    for buf in stale:
+        np.frombuffer(buf)[:] = np.nan
+    g = rl.build_region(shape, n, spec).gram(spec)
+    recycled = (g.entries, g.cholesky()[0])
+    assert all(_on(a, stale) for a in recycled)
+    assert not np.shares_memory(*recycled)
+    for a, b in zip(recycled, fresh):
+        assert np.array_equal(a, b)
+
+
+def test_views_of_a_dropped_gram_keep_their_memory(released):
+    """Kept views of a dropped Gram's entries and factor, and a solution over
+    another dropped Gram, hold their memory: later Grams and factors never
+    share it, and the values read through them do not change."""
+    spec = KernelSpec(2.0, 3)
+    n = core.ASSEMBLY_PART_NODES
+    g, h = (rl.ball_region(np.zeros(3), r, n, spec).gram(spec) for r in (1.0, 1.5))
+    views = [g.entries[5:, 3:].T, g.cholesky()[0][3:, 5:]]
+    sol = rl.solve_nonneg(h, np.ones(n))
+    expected = [v.copy() for v in views] + [h.entries @ sol.weights]
+    del g, h
+    later = [rl.ball_region(np.zeros(3), r, n, spec).gram(spec) for r in (2.0, 3.0)]
+    for a in (a for g in later for a in (g.entries, g.cholesky()[0])):
+        for kept in views + [sol._entries]:
+            assert not np.shares_memory(kept, a)
+    for value, want in zip(views + [sol.Kw], expected):
+        assert np.array_equal(value, want)
+
+
+def test_squares_below_the_part_size_are_not_recycled(released):
+    """Below ASSEMBLY_PART_NODES nodes a square owns its memory, and neither
+    it nor a Gram, its factor or its block buffers are released for reuse."""
+    n = core.ASSEMBLY_PART_NODES - 1
+    small = core._square(n)
+    assert small.flags.owndata and small.flags.c_contiguous and small.shape == (n, n)
+    g = gram_over(KernelSpec(2.0, 3), np.random.default_rng(2).normal(size=(n, 3)))
+    g.cholesky()
+    del small, g
+    assert released == []
+    large = core._square(n + 1)
+    assert not large.flags.owndata and large.flags.c_contiguous and large.shape == (n + 1, n + 1)
+    del large
+    assert [len(buf) for buf in released] == [_map_bytes(n + 1)]
+
+
+def test_threads_that_assemble_at_once_get_disjoint_memory(released):
+    """Four threads that assemble and factor at once, while two squares are
+    released, each get memory of their own and the sequential values."""
+    spec = KernelSpec(2.0, 3)
+    n = core.ASSEMBLY_PART_NODES
+    nodes = [np.random.default_rng(k).normal(size=(n, 3)) for k in range(4)]
+    [core._square(n), core._square(n)]  # both released at once
+    assert len(released) == 2
+    start = threading.Barrier(len(nodes))
+    grams = [None] * len(nodes)
+
+    def build(k):
+        start.wait()
+        g = gram_over(spec, nodes[k])
+        g.cholesky()
+        grams[k] = g
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(nodes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    arrays = [a for g in grams for a in (g.entries, g.cholesky()[0])]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for k, g in enumerate(grams):
+        ref = gram_over(spec, nodes[k])
+        assert np.array_equal(g.entries, ref.entries)
+        assert np.array_equal(g.cholesky()[0], ref.cholesky()[0])
+
+
+def test_at_most_two_released_squares_are_kept(released):
+    """The list keeps the last two squares released, a Gram's and a factor's,
+    so at most 2 x 8 n^2 bytes stay allocated after the last Gram is gone."""
+    n = core.ASSEMBLY_PART_NODES
+    for k in range(5):
+        core._square(n + k)
+        assert len(released) == min(k + 1, 2)
+    assert [len(buf) for buf in released] == [_map_bytes(n + 3), _map_bytes(n + 4)]
+    for r in (1.0, 2.0, 3.0):
+        rl.ball_region(np.zeros(3), r, 2000, KernelSpec(2.0, 3)).gram(KernelSpec(2.0, 3))
+        assert [len(buf) for buf in released] == [_map_bytes(2000)] * 2
+
+
 @pytest.mark.parametrize(
     "value, where",
     [(np.nan, (3, 7)), (np.inf, (0, 29)), (-np.inf, (12, 28)), (np.inf, (5, 5)), (np.nan, (29, 29))],

@@ -783,15 +783,38 @@ def test_round_layouts_far_from_the_origin_are_members_or_rejected(cls, alpha):
             if rounding > regions.LAYOUT_RESOLUTION * radius:
                 with pytest.raises(rl.UnresolvedLayout, match="rounds its points by up to"):
                     build_region(shape, 200, spec)
-            elif cls is BallComplement and alpha < 2.0 and center[0] == 1e8 and radius < 1e6:
-                # Its shells reach out to 8 (|c| + 2r), so h_min exceeds r.
-                with pytest.raises(rl.DegenerateNodes):
-                    build_region(shape, 200, spec)
             else:
+                # the alpha < 2 complement's shells reach 16 r wherever its
+                # center lies, so h_min stays below r at 1e8 too
                 region = build_region(shape, 200, spec)
                 assert shape.contains(region.nodes).all()
     # the grid's defect: the ball of radius 3 at 1e8 failed its own test
     assert build_region(cls(FAR_CENTERS[0], 3.0), 200, KernelSpec(2.0, 3)).n_nodes == 200
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.0])
+@pytest.mark.parametrize("shape, least", [(Ball(ORIGIN, 1.0), 3),
+                                          (BallComplement([0.5, -1.0, 2.0], 0.3), 8),
+                                          (HalfSpace([0.0, 0.0, 1.0], 0.0), 6)],
+                         ids=["ball", "ball-complement", "half-space"])
+def test_a_layered_layout_names_its_smallest_node_count(monkeypatch, shape, least, alpha):
+    """An alpha < 2 layout splits n among its layers; below the count that
+    gives every layer a node it raises UnresolvedLayout, which names that
+    count, before it lays out any node."""
+    spec = KernelSpec(alpha, 3)
+    laid_out = []
+    layout_center = regions._layout_center
+
+    def spy(*args):
+        laid_out.append(args)
+        return layout_center(*args)
+
+    monkeypatch.setattr(regions, "_layout_center", spy)
+    with pytest.raises(rl.UnresolvedLayout, match=rf"layout needs n >= {least} nodes, got {least - 1}$"):
+        build_region(shape, least - 1, spec)
+    assert laid_out == []
+    region = build_region(shape, least, spec)
+    assert laid_out and region.n_nodes == least and shape.contains(region.nodes).all()
 
 
 def test_membership_keeps_its_relative_tolerance_near_the_origin():
