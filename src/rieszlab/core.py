@@ -8,7 +8,6 @@ constant, so for alpha = 2, n = 3 the unit ball has capacity exactly 1.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import threading
 import weakref
@@ -40,15 +39,9 @@ ASSEMBLY_PART_NODES = 1024
 # Released square arrays kept for reuse: a Gram's and its factor's.
 _KEPT_SQUARES = 2
 
-# Where a recycled square array starts in its memory map, in bytes: where
-# glibc's malloc puts a large block, so BLAS sees the alignment an np.empty
-# array has.  On page-aligned factors the one-column N=2000 solve took about
-# 1.5 % longer (OpenBLAS 0.3.31, one thread, a 2-core x86-64 VM).
-_SQUARE_OFFSET = 16
-
-# The released memory maps, oldest first, and the lock that guards them;
-# reentrant, since a finalizer may release a map in a thread that holds it.
-_released_squares: list[mmap.mmap] = []
+# The released square arrays, oldest first, and the lock that guards them;
+# reentrant, since a finalizer may release an array in a thread that holds it.
+_released_squares: list[np.ndarray] = []
 _released_lock = threading.RLock()
 
 
@@ -444,45 +437,39 @@ def _square(n: int) -> np.ndarray:
     """An uninitialized C-ordered (n, n) float array: the one source of the
     N^2 buffers of assembled and capped Grams, factors and assembly scratch.
 
-    Below ASSEMBLY_PART_NODES nodes it is ``np.empty``.  From there on its
-    memory is an anonymous memory map, reused from the released ones when
-    one has its size, so that a fresh Gram or factor lands on pages already
-    mapped, not on pages the kernel must zero.  The map backs one
-    ``np.frombuffer`` wrapper, and numpy gives every view of the array (a
-    transpose, a slice, a factor computed in place) that wrapper as its
-    base.  A ``weakref.finalize`` on the wrapper releases the map when the
-    last view is gone, and the last _KEPT_SQUARES released are kept.  An
-    array that owns its data could not be recycled this way: views of it
-    hold the owner, not the wrapper.  Assembly takes one more as the
-    scratch of its block buffers, released before the factor takes it.
+    Below ASSEMBLY_PART_NODES nodes it is ``np.empty``.  From there on it is
+    an ``np.empty`` array reused from the released ones when one has its
+    size, so that a fresh Gram or factor lands on pages already mapped, not
+    on pages the kernel must zero.  That owner backs one non-owning wrapper,
+    ``np.frombuffer`` of a ``memoryview`` of it, and numpy gives every view of
+    the array (a transpose, a slice, a factor computed in place) that
+    wrapper as its base: it collapses a view's base only through ndarrays.
+    A ``weakref.finalize`` on the wrapper releases the owner when the last
+    view is gone, and the last _KEPT_SQUARES released are kept.  Views of the
+    owner itself would hold the owner, not the wrapper, so none is handed
+    out.  Assembly takes one more as the scratch of its block buffers,
+    released before the factor takes it.
     """
     if n < ASSEMBLY_PART_NODES:
         return np.empty((n, n))
-    size = _SQUARE_OFFSET + 8 * n * n
-    buf = None
+    owner = None
     with _released_lock:
-        # The loop allocates nothing, so no collection runs a finalizer
-        # between finding a buffer and taking it.
+        # The loop allocates nothing (a shape tuple would), so no collection
+        # runs a finalizer between finding an array and taking it.
         for i in range(len(_released_squares)):
-            if len(_released_squares[i]) == size:
-                buf = _released_squares.pop(i)
+            if len(_released_squares[i]) == n:
+                owner = _released_squares.pop(i)
                 break
-    if buf is None:
-        # Private anonymous pages, which the kernel zeroes on first touch (a
-        # bytearray zeroes its memory itself), in transparent huge pages where
-        # the kernel has them, as numpy asks for its own large arrays.
-        buf = (mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE) if hasattr(mmap, "MAP_PRIVATE")
-               else mmap.mmap(-1, size))
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            buf.madvise(mmap.MADV_HUGEPAGE)
-    flat = np.frombuffer(buf, offset=_SQUARE_OFFSET)
-    weakref.finalize(flat, _release_square, buf).atexit = False
+    if owner is None:
+        owner = np.empty((n, n))
+    flat = np.frombuffer(memoryview(owner))
+    weakref.finalize(flat, _release_square, owner).atexit = False
     return flat.reshape(n, n)
 
 
-def _release_square(buf: mmap.mmap) -> None:
+def _release_square(owner: np.ndarray) -> None:
     with _released_lock:
-        _released_squares.append(buf)
+        _released_squares.append(owner)
         del _released_squares[:-_KEPT_SQUARES]
 
 

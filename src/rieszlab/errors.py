@@ -26,9 +26,12 @@ class CenterCharged(RieszLabError):
 
 
 class UnresolvedLayout(RieszLabError, ValueError):
-    """A node layout cannot be laid out as asked: it lies too far from the origin
-    for its radius, so rounding its points would move them by more than
-    LAYOUT_RESOLUTION of the radius, or it has too few nodes for its layers."""
+    """A node layout cannot be laid out as asked: it has no nodes, a radius
+    that is not finite and positive, or a disk normal that is not finite and
+    nonzero; it lies too far from the origin for its radius, so rounding its
+    points would move them by more than LAYOUT_RESOLUTION of the radius; it
+    has too few nodes for its layers, or a generated region fewer than two;
+    or a shell layout has a budget below 1."""
 
 
 class IllConditioned(RieszLabError):

@@ -74,9 +74,9 @@ def _layout_center(n: int, radius: float, center) -> np.ndarray:
     """The 3-d center of a layout of n >= 1 points with a finite, positive
     radius, which rounding moves its points by at most LAYOUT_RESOLUTION of."""
     if n < 1:
-        raise ValueError("need at least one node")
+        raise UnresolvedLayout("need at least one node")
     if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"layout radius must be finite and positive, got {radius!r}")
+        raise UnresolvedLayout(f"layout radius must be finite and positive, got {radius!r}")
     (center,) = _as_points(center, 3)
     rounding = _layout_rounding(center, radius)
     if rounding > LAYOUT_RESOLUTION * radius:
@@ -123,7 +123,7 @@ def fibonacci_disk(n: int, radius: float, center, normal) -> np.ndarray:
     (normal,) = _as_points(normal, 3)
     norm = np.linalg.norm(normal)
     if not 0.0 < norm < np.inf:
-        raise ValueError("disk normal must be finite and nonzero")
+        raise UnresolvedLayout("disk normal must be finite and nonzero")
     u, v = _orthonormal_frame(normal / norm)
     i = np.arange(n, dtype=float)
     r = radius * np.sqrt((i + 0.5) / n)
@@ -187,7 +187,7 @@ class Shape:
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
 
-        ``budget`` sizes the layout; raises ValueError unless it is >= 1.
+        ``budget`` sizes the layout; raises UnresolvedLayout unless it is >= 1.
         An analytic shape's ``y`` is 3-d, a cloud's has its points' width.
         """
         _require_budget(budget)
@@ -234,7 +234,7 @@ class Shape:
 
 def _require_budget(budget: int) -> None:
     if not budget >= 1:
-        raise ValueError(f"budget must be >= 1, got {budget!r}")
+        raise UnresolvedLayout(f"budget must be >= 1, got {budget!r}")
 
 
 class _Round(Shape):
@@ -423,11 +423,15 @@ class UnionShape(Shape):
         return np.any([p.contains(points) for p in self.parts], axis=0)
 
     def counts(self, n: int) -> list[int]:
-        """Each part's node count for a budget of n: its share of the squared
-        scales (surface area for spheres), which keeps node spacings
-        comparable across parts, and at least 16."""
-        scales = np.array([p.characteristic_scale() ** 2 for p in self.parts])
-        return np.maximum(16, np.round(n * (scales / scales.sum())).astype(int)).tolist()
+        """Each part's node count for a budget of n.  A cloud part lays out its
+        own points, so it counts those; every other part gets its share of
+        the rest by squared scale (surface area for spheres), which keeps
+        node spacings comparable across parts, and at least 16."""
+        own = [len(p.points) if isinstance(p, PointCloud) else None for p in self.parts]
+        rest = n - sum(k for k in own if k is not None)
+        scales = np.array([p.characteristic_scale() ** 2 for p, k in zip(self.parts, own) if k is None])
+        shares = iter(np.maximum(16, np.round(rest * (scales / scales.sum())).astype(int)).tolist())
+        return [next(shares) if k is None else k for k in own]
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         _require_budget(budget)
@@ -628,7 +632,7 @@ def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
         return union_region([build_region(p, c, spec) for p, c in parts])
     if n < 2 and not isinstance(shape, PointCloud):
         # One node has no spacing to set the default radius from.
-        raise ValueError(f"a generated region needs n >= 2 nodes, got {n!r}")
+        raise UnresolvedLayout(f"a generated region needs n >= 2 nodes, got {n!r}")
     return Region(shape, shape.make_nodes(n, spec))
 
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from rieszlab import KernelSpec, SchemaError, build_region, cli, core
+from rieszlab import KernelSpec, SchemaError, build_region, cli, core, fibonacci_sphere
 from rieszlab.cli import BUILTIN_SCENARIOS, main
 
 BALL = {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -71,21 +71,28 @@ def test_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_rerun_on_recycled_memory_is_byte_identical(tmp_path, monkeypatch):
-    """sweep-origin's N=2000 Gram and factor are recycled: a second run in
-    the same process takes the memory the first released, NaN-filled here,
-    and writes the same bytes.  .github/run-builtins.sh runs each builtin in
-    a fresh process, so only a rerun like this one reaches that memory."""
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_rerun_on_recycled_memory_is_byte_identical(tmp_path, monkeypatch, capsys, name):
+    """A builtin run twice in one process writes the same bytes, and the
+    same stderr and exit code.  A builtin of ASSEMBLY_PART_NODES nodes or
+    more releases its last Gram and factor, and the second run writes into
+    that memory, NaN-filled here.  .github/run-builtins.sh runs each builtin in a fresh process, so
+    only a rerun like this one reaches that memory."""
     released = []
     monkeypatch.setattr(core, "_released_squares", released)
+    doc = BUILTIN_SCENARIOS[name][1]
+    n = doc.get("region", doc).get("n", 0)  # verify-all's count is top level
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "sweep-origin", "--out", str(a)]) == 0
-    assert [len(buf) for buf in released] == [core._SQUARE_OFFSET + 8 * 2000**2] * 2
+    code = main(["run", name, "--out", str(a)])
+    err = capsys.readouterr().err
+    assert [square.nbytes for square in released] == (
+        [8 * n * n] * 2 if n >= core.ASSEMBLY_PART_NODES else [])
     stale = list(released)
-    for buf in stale:
-        np.frombuffer(buf)[:] = np.nan
-    assert main(["run", "sweep-origin", "--out", str(b)]) == 0
-    assert sorted(map(id, released)) == sorted(map(id, stale))
+    for square in stale:
+        square[:] = np.nan
+    assert main(["run", name, "--out", str(b)]) == code
+    assert capsys.readouterr().err == err
+    assert not any(np.isnan(square).all() for square in stale)
     for suffix in (".result.json", ".table.csv"):
         assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
 
@@ -359,6 +366,7 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
             "error: missing key 'weights' in measure",
         ),
         ({"command": "bogus"}, "error: unknown command 'bogus'"),
+        ({"region": dict(COMPLEMENT, n=1)}, "error: a generated region needs n >= 2 nodes, got 1"),
         (
             {"region": {"shape": "cube", "n": 300}},
             "error: region must be an object whose 'shape' is one of "
@@ -374,7 +382,7 @@ def test_probe_sampling_failure_exits_1(tmp_path, capsys):
          "expected-mass-string", "expected-tol-string", "expected-tol-bool",
          "expected-mass-null", "name-number", "probes-n-negative", "seed-negative",
          "points-ragged", "measure-list", "measure-no-weights", "unknown-command",
-         "unknown-shape"],
+         "n-one", "unknown-shape"],
 )
 def test_non_object_section_exits_1(tmp_path, capsys, section, message):
     path = write_scenario(tmp_path, small_sweep(**section))
@@ -802,6 +810,16 @@ def test_only_an_analytic_region_takes_a_node_count(tmp_path, capsys, command, r
            "kernel": {"alpha": 2.0, "dim": 3}, **_PAYLOAD_LAYOUTS[command][0], "region": region}
     assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == f"error: unknown key 'n' in {where}"
+
+
+def test_a_union_with_a_cloud_part_has_the_union_n(tmp_path):
+    """A cloud part counts its own points within the union's n."""
+    cloud = {"shape": "cloud", "points": fibonacci_sphere(60, 0.5, [3.0, 0.0, 0.0]).tolist()}
+    doc = {"schema": 1, "name": "u", "command": "equilibrium", "kernel": {"alpha": 2.0, "dim": 3},
+           "region": {"shape": "union", "n": 300, "parts": [BALL, cloud]}}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "u")]) == 0
+    payload = json.loads((tmp_path / "u.result.json").read_text())
+    assert payload["region"]["n_nodes"] == 300
 
 
 def test_refine_sets_the_node_count_of_a_union(tmp_path, monkeypatch):

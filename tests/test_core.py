@@ -446,13 +446,13 @@ def released(monkeypatch):
     return squares
 
 
-def _map_bytes(n: int) -> int:
-    """Length of the memory map behind a recycled (n, n) square."""
-    return core._SQUARE_OFFSET + 8 * n * n
+def _owner_bytes(n: int) -> int:
+    """Bytes of the array that owns a recycled (n, n) square's memory."""
+    return 8 * n * n
 
 
 def _on(a, buffers) -> bool:
-    """Whether the array ``a`` reads memory of one of the released maps."""
+    """Whether the array ``a`` reads memory of one of the released squares."""
     return any(np.shares_memory(a, np.frombuffer(buf)) for buf in buffers)
 
 
@@ -466,7 +466,7 @@ def test_grams_and_factors_on_recycled_memory_equal_fresh_ones(released, n, alph
     g = rl.build_region(shape, n, spec).gram(spec)
     fresh = (g.entries.copy(), g.cholesky()[0].copy())
     del g
-    assert [len(buf) for buf in released] == [_map_bytes(n)] * 2
+    assert [buf.nbytes for buf in released] == [_owner_bytes(n)] * 2
     stale = list(released)
     for buf in stale:
         np.frombuffer(buf)[:] = np.nan
@@ -510,7 +510,7 @@ def test_squares_below_the_part_size_are_not_recycled(released):
     large = core._square(n + 1)
     assert not large.flags.owndata and large.flags.c_contiguous and large.shape == (n + 1, n + 1)
     del large
-    assert [len(buf) for buf in released] == [_map_bytes(n + 1)]
+    assert [buf.nbytes for buf in released] == [_owner_bytes(n + 1)]
 
 
 def test_threads_that_assemble_at_once_get_disjoint_memory(released):
@@ -557,10 +557,10 @@ def test_at_most_two_released_squares_are_kept(released):
     for k in range(5):
         core._square(n + k)
         assert len(released) == min(k + 1, 2)
-    assert [len(buf) for buf in released] == [_map_bytes(n + 3), _map_bytes(n + 4)]
+    assert [buf.nbytes for buf in released] == [_owner_bytes(n + 3), _owner_bytes(n + 4)]
     for r in (1.0, 2.0, 3.0):
         rl.ball_region(np.zeros(3), r, 2000, KernelSpec(2.0, 3)).gram(KernelSpec(2.0, 3))
-        assert [len(buf) for buf in released] == [_map_bytes(2000)] * 2
+        assert [buf.nbytes for buf in released] == [_owner_bytes(2000)] * 2
 
 
 @pytest.mark.parametrize(

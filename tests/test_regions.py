@@ -247,6 +247,37 @@ def test_union_shape_node_budget_tracks_scale(spec):
     assert 60 <= inner <= 140
 
 
+def test_a_cloud_part_of_a_union_counts_its_own_points(spec):
+    """A cloud part lays out its own points, so it takes exactly their count
+    of the union's n, and the other parts share the rest."""
+    cloud = PointCloud(fibonacci_sphere(60, 0.5, [3.0, 0.0, 0.0]))
+    shape = UnionShape([Ball(ORIGIN, 1.0), cloud])
+    assert shape.counts(400) == [340, 60]
+    reg = build_region(shape, 400, spec)
+    assert reg.n_nodes == 400
+    assert int(Ball(ORIGIN, 1.0).contains(reg.nodes).sum()) == 340
+
+
+def test_a_nested_union_with_a_cloud_part_builds(spec):
+    """The nested union's share is set by its largest part's scale, its
+    cloud's among them; inside it, the cloud takes its points and the
+    sphere the rest.  A union without a cloud keeps its squared-scale split."""
+    cloud = PointCloud(fibonacci_sphere(60, 0.2, [3.0, 0.0, 0.0]))
+    inner = UnionShape([SphereShell([0.0, 3.0, 0.0], 0.5), cloud])
+    assert cloud.characteristic_scale() == 1.0
+    assert inner.characteristic_scale() == 1.0
+    shape = UnionShape([Ball(ORIGIN, 2.0), inner])
+    assert shape.counts(500) == [400, 100]
+    assert inner.counts(100) == [40, 60]
+    assert build_region(shape, 500, spec).n_nodes == 500
+    plain = UnionShape([Ball(ORIGIN, 1.0), SphereShell([3.0, 0.0, 0.0], 0.3),
+                        Ball([0.0, 4.0, 0.0], 0.1)])
+    scales = np.array([1.0, 0.3 ** 2, 0.1 ** 2])
+    for n in (30, 200, 401):
+        want = np.maximum(16, np.round(n * (scales / scales.sum())).astype(int)).tolist()
+        assert plain.counts(n) == want
+
+
 def test_point_cloud_region(spec):
     pts = fibonacci_ball(150, 1.0)
     reg = rl.cloud_region(pts, spec)
@@ -762,6 +793,27 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
         with pytest.raises(ValueError, match=r"a generated region needs n >= 2 nodes, got "):
             build_region(shape, n, KernelSpec(alpha, 3))
     assert build_region(shape, 2, spec).n_nodes == 2
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: fibonacci_sphere(0), "need at least one node"),
+        (lambda: fibonacci_ball(5, np.nan), "layout radius must be finite and positive, got nan"),
+        (lambda: fibonacci_disk(2, 1.0, ORIGIN, ORIGIN), "disk normal must be finite and nonzero"),
+        (lambda: Ball(ORIGIN, 1.0).shell_nodes(ORIGIN, 0.25, 0.5, 0), "budget must be >= 1, got 0"),
+        (lambda: build_region(Ball(ORIGIN, 1.0), 1, KernelSpec(2.0, 3)),
+         "a generated region needs n >= 2 nodes, got 1"),
+    ],
+    ids=["no-node", "radius", "disk-normal", "budget", "generated-region"],
+)
+def test_layout_checks_raise_unresolved_layout(make, message):
+    """Every layout check raises UnresolvedLayout, a RieszLabError that is
+    also the ValueError it raised before, with the same message."""
+    with pytest.raises(rl.UnresolvedLayout) as info:
+        make()
+    assert isinstance(info.value, rl.RieszLabError) and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 FAR_CENTERS = [(1e8, 0.0, 0.0), (0.5, -1.0, 2.0)]
