@@ -333,7 +333,7 @@ def _probe_gaps(spec, region, ref, parts, probes) -> dict:
     rel = _relative(np.abs(pot_sum - pot_ref), pot_ref)
     mass_gap = _relative(abs(mass_sum - ref.swept.total_mass), ref.swept.total_mass)
     return {
-        "max_rel_gap": float(np.max(rel)),
+        "max_rel_gap": float(np.max(rel, initial=0.0)),
         "mass_rel_gap": float(mass_gap),
         "n_probes": len(probes),
     }

@@ -151,7 +151,7 @@ def _points(value, where: str, spec: KernelSpec) -> np.ndarray:
 
 _KERNEL = {"alpha": (_number, 2.0), "dim": (_count, 3)}
 
-_MEASURE = {"points": (_points, ...), "weights": (_numbers, ...), "signed": (_boolean, False)}
+_MEASURE = {"points": (_points, ...), "weights": (_numbers, ...), "signed": (_boolean, None)}
 
 
 def _measure(doc, where: str, spec: KernelSpec) -> DiscreteMeasure:
@@ -201,7 +201,7 @@ _region_from_doc = functools.partial(_shape_from_doc, region=True)
 
 
 class Scenario(NamedTuple):
-    """A parsed scenario: every field of its command read, defaults filled in."""
+    """A parsed scenario: the fields its document set, and the CLI's own defaults."""
 
     name: str
     command: str
@@ -231,7 +231,7 @@ def parse_scenario(doc) -> Scenario:
     envelope = {"schema": (_count, ...), "command": (_string, ...),
                 "name": (_string, "scenario"), "kernel": (_KERNEL, {})}
     values = _read(doc, f"command '{command}'", spec, envelope | table, top=True)
-    return Scenario(values["name"], command, spec, {key: values[key] for key in table})
+    return Scenario(values["name"], command, spec, {k: v for k, v in values.items() if k in table})
 
 
 def _jsonable(x):
@@ -323,15 +323,16 @@ def _node_potential(eq) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each takes the kernel and, by keyword, its command's
-# parsed fields, its "expected" section among them, and returns
-# (its payload fields, rows, failed-property names that are not rows);
-# _run_scenario adds the common envelope.
+# Command runners.  Each takes the kernel and, by keyword, the parsed fields
+# its scenario set, "expected" among them, and returns (its payload fields,
+# rows, failed-property names that are not rows); _run_scenario adds the
+# envelope.  A probes section's keys map to library parameters by _PROBE_ARGS.
+_PROBE_ARGS = {"n": "n_probes", "seed": "probe_seed"}
 
 
-def _run_sweep(spec, expected, region, source, probes, tol, tol_dom):
-    res = sweep(spec, source, region, tol=tol, tol_dom=tol_dom, n_probes=probes["n"],
-                probe_seed=probes["seed"])
+def _run_sweep(spec, expected, region, source, probes, **options):
+    options.update((_PROBE_ARGS[key], value) for key, value in probes.items())
+    res = sweep(spec, source, region, **options)
     checks = res.checks
     rows = [
         _row("mass-in", checks.mass_in),
@@ -375,8 +376,9 @@ def _identity_gap(mu, region, res) -> float:
     return float(_relative(np.max(np.abs(w - v)), np.max(v)))
 
 
-def _run_equilibrium(spec, expected, region, probes, tol):
-    eq = riesz_equilibrium(spec, region, tol=tol, n_probes=probes["n"], probe_seed=probes["seed"])
+def _run_equilibrium(spec, expected, region, probes, **options):
+    options.update((_PROBE_ARGS[key], value) for key, value in probes.items())
+    eq = riesz_equilibrium(spec, region, **options)
     rows = [
         _checked_row("capacity", eq.capacity, expected, "capacity"),
         _row("min-energy", eq.min_energy),
@@ -399,8 +401,8 @@ def _run_equilibrium(spec, expected, region, probes, tol):
     return fields, rows, failures
 
 
-def _run_green_eval(spec, expected, region, x, y, tol):
-    value = green_eval(GreenKernel(spec, region, tol=tol), x, y)
+def _run_green_eval(spec, expected, region, x, y, **options):
+    value = green_eval(GreenKernel(spec, region, **options), x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
     fields = {
         "region": _region_doc(region),
@@ -411,8 +413,8 @@ def _run_green_eval(spec, expected, region, x, y, tol):
     return fields, rows, []
 
 
-def _run_green_equilibrium(spec, expected, region, compact, tol):
-    eq = green_equilibrium(GreenKernel(spec, region, tol=tol), compact)
+def _run_green_equilibrium(spec, expected, region, compact, **options):
+    eq = green_equilibrium(GreenKernel(spec, region, **options), compact)
     rows = [
         _checked_row("relative-capacity", eq.capacity, expected, "capacity"),
         _row("node-potential-min", eq.node_potential_min),
@@ -449,16 +451,13 @@ def _run_kelvin_check(spec, expected, center, measure, samples):
     return fields, rows, []
 
 
-def _run_wiener(spec, expected, region, point, ratio_q, k_max, shell_budget, at_infinity):
-    kwargs = {"ratio_q": ratio_q, "k_max": k_max, "shell_budget": shell_budget}
+def _run_wiener(spec, expected, region, point, at_infinity, **options):
     failures = []
     if at_infinity:
-        rep_inf = thin_at_infinity_report(spec, region, point, **kwargs)
-        rep = rep_inf.wiener
-        thin = rep_inf.thin
+        rep_inf = thin_at_infinity_report(spec, region, point, **options)
+        rep, thin = rep_inf.wiener, rep_inf.thin
     else:
-        rep = wiener_report(spec, region, point, **kwargs)
-        thin = None
+        rep, thin = wiener_report(spec, region, point, **options), None
     rows = [_row(f"shell-{s.k}-term", s.term) for s in rep.shells]
     rows.append(_row("fitted-ratio", rep.fitted_ratio if rep.fitted_ratio is not None else float("nan")))
     if "classification" in expected and rep.classification != expected["classification"]:
@@ -467,8 +466,8 @@ def _run_wiener(spec, expected, region, point, ratio_q, k_max, shell_budget, at_
         failures.append("thin-at-infinity")
     fields = {
         "point": list(map(float, point)),
-        "ratio_q": ratio_q,
-        "k_max": k_max,
+        "ratio_q": rep.ratio_q,
+        "k_max": rep.k_max,
         "classification": rep.classification,
         "fitted_ratio": rep.fitted_ratio,
         "degenerate": rep.degenerate,
@@ -479,8 +478,8 @@ def _run_wiener(spec, expected, region, point, ratio_q, k_max, shell_budget, at_
     return fields, rows, failures
 
 
-def _run_mass_loss(spec, expected, region, source, loss_margin, tol):
-    report = mass_loss_test(spec, source, region, loss_margin=loss_margin, tol=tol)
+def _run_mass_loss(spec, expected, region, source, **options):
+    report = mass_loss_test(spec, source, region, **options)
     failures = []
     if "strict_loss" in expected and expected["strict_loss"] != report["strict_loss"]:
         failures.append("strict-loss")
@@ -563,10 +562,11 @@ def _run_verify_all(spec, n, probes):
     return fields, rows, []
 
 
-# command -> (runner, {field: (reader, default)}), read by _read.  Besides
-# its fields, every command accepts "schema", "command", "name" and "kernel",
-# each of them optional.  "expected", where a command has one, is its first
-# field: a section of optional keys, each checked against a result.
+# command -> (runner, {field: (reader, default)}), read by _read.  Every
+# command also takes the optional "schema", "command", "name" and "kernel".
+# "expected", its first field where it has one, is a section of optional keys,
+# each checked against a result.  A field a runner passes to a library
+# parameter has no default here: left out, it takes the library's.
 COMMANDS = {
     "sweep": (
         _run_sweep,
@@ -575,9 +575,9 @@ COMMANDS = {
                           "identity_gap": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
             "source": (_measure, ...),
-            "probes": ({"n": (_count, 100), "seed": (_count, PROBE_SEED)}, {}),
-            "tol": (_number, 1e-10),
-            "tol_dom": (_number, 0.02),
+            "probes": ({"n": (_count, None), "seed": (_count, None)}, {}),
+            "tol": (_number, None),
+            "tol_dom": (_number, None),
         },
     ),
     "equilibrium": (
@@ -585,8 +585,8 @@ COMMANDS = {
         {
             "expected": ({"capacity": (_number, None), "tol": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
-            "probes": ({"n": (_count, 0), "seed": (_count, PROBE_SEED)}, {}),
-            "tol": (_number, 1e-10),
+            "probes": ({"n": (_count, None), "seed": (_count, None)}, {}),
+            "tol": (_number, None),
         },
     ),
     "green-eval": (
@@ -596,7 +596,7 @@ COMMANDS = {
             "region": (_region_from_doc, ...),
             "x": (_point, ...),
             "y": (_point, ...),
-            "tol": (_number, 1e-10),
+            "tol": (_number, None),
         },
     ),
     "green-equilibrium": (
@@ -605,7 +605,7 @@ COMMANDS = {
             "expected": ({"capacity": (_number, None), "tol": (_number, None)}, {}),
             "region": (_region_from_doc, ...),
             "compact": (_region_from_doc, ...),
-            "tol": (_number, 1e-10),
+            "tol": (_number, None),
         },
     ),
     "kelvin-check": (
@@ -623,9 +623,9 @@ COMMANDS = {
             "expected": ({"classification": (_string, None), "thin": (_boolean, None)}, {}),
             "region": (_shape_from_doc, ...),
             "point": (_point, ...),
-            "ratio_q": (_number, 0.5),
-            "k_max": (_count, 8),
-            "shell_budget": (_count, 400),
+            "ratio_q": (_number, None),
+            "k_max": (_count, None),
+            "shell_budget": (_count, None),
             "at_infinity": (_boolean, False),
         },
     ),
@@ -635,8 +635,8 @@ COMMANDS = {
             "expected": ({"strict_loss": (_boolean, None)}, {}),
             "region": (_region_from_doc, ...),
             "source": (_measure, ...),
-            "loss_margin": (_number, 0.02),
-            "tol": (_number, 1e-10),
+            "loss_margin": (_number, None),
+            "tol": (_number, None),
         },
     ),
     "verify-all": (_run_verify_all, {"n": (_count, 2000),

@@ -11,6 +11,7 @@ import math
 import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -521,11 +522,11 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMat
     self-interactions come from a Region, which owns both rules.
 
     The row ranges of ``_assembly_bounds`` are filled at once: the caller
-    fills the first, and one short-lived thread each the others (cdist and
-    the power release the GIL).  Every thread is joined before this returns,
-    and a thread's exception is raised here.  Each entry comes from the same
-    cdist row and power as with one part, so the bits do not depend on the
-    split.
+    fills the first, and a thread pool of one thread per other range the
+    others (cdist and the power release the GIL).  Every thread is joined
+    before this returns, and a thread's exception is raised here.  Each
+    entry comes from the same cdist row and power as with one part, so the
+    bits do not depend on the split.
     """
     nodes = _as_points(nodes, spec.dim)
     n = len(nodes)
@@ -540,25 +541,11 @@ def _assemble_distinct(spec: KernelSpec, nodes: np.ndarray, diagonal) -> GramMat
                else np.empty(total))
     parts = [(a, b, scratch[e - s:e])
              for a, b, s, e in zip(bounds, bounds[1:], sizes, accumulate(sizes))]
-    errors = []
-
-    def fill(start, stop, buffer):
-        try:
-            _assemble_rows(spec, nodes, D, start, stop, buffer)
-        except BaseException as exc:  # raised again below, in the caller
-            errors.append(exc)
-
-    workers = []
-    try:
-        for part in parts[1:]:
-            worker = threading.Thread(target=fill, args=part)
-            worker.start()
-            workers.append(worker)
+    # Leaving the pool joins its threads, also when the caller's part raises.
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
+        extra = [pool.submit(_assemble_rows, spec, nodes, D, *part) for part in parts[1:]]
         _assemble_rows(spec, nodes, D, *parts[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+    for future in extra:
+        future.result()
     np.fill_diagonal(D, diagonal)
     return GramMatrix(nodes, D)

@@ -26,12 +26,15 @@ class CenterCharged(RieszLabError):
 
 
 class UnresolvedLayout(RieszLabError, ValueError):
-    """A node layout cannot be laid out as asked: it has no nodes, a radius
-    that is not finite and positive, or a disk normal that is not finite and
-    nonzero; it lies too far from the origin for its radius, so rounding its
-    points would move them by more than LAYOUT_RESOLUTION of the radius; it
-    has too few nodes for its layers, or a generated region fewer than two;
-    or a shell layout has a budget below 1."""
+    """A shape, region or layout cannot be built as asked: a parameter of a
+    shape or layout is not finite (or a radius not positive, a normal zero);
+    a union, point cloud, region or layout has no member; a region node lies
+    off its shape (also in reinterpret_region), or a region radius is
+    missing or not finite and positive; a count or shell budget is not a
+    whole number, or a budget below 1; rounding a layout far from the origin
+    would move its points by more than LAYOUT_RESOLUTION of its radius; or a
+    layout has too few nodes for its layers, or a generated region fewer
+    than two."""
 
 
 class IllConditioned(RieszLabError):

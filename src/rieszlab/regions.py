@@ -71,10 +71,12 @@ def _layout_rounding(center: np.ndarray, radius: float) -> float:
 
 
 def _layout_center(n: int, radius: float, center) -> np.ndarray:
-    """The 3-d center of a layout of n >= 1 points with a finite, positive
-    radius, which rounding moves its points by at most LAYOUT_RESOLUTION of."""
+    """The 3-d center of a layout of a whole n >= 1 points with a finite,
+    positive radius, which rounding moves its points by at most LAYOUT_RESOLUTION of."""
     if n < 1:
         raise UnresolvedLayout("need at least one node")
+    if not float(n).is_integer():
+        raise UnresolvedLayout(f"a node count must be a whole number, got {n!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise UnresolvedLayout(f"layout radius must be finite and positive, got {radius!r}")
     (center,) = _as_points(center, 3)
@@ -187,7 +189,7 @@ class Shape:
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
 
-        ``budget`` sizes the layout; raises UnresolvedLayout unless it is >= 1.
+        ``budget`` sizes the layout; raises UnresolvedLayout unless it is a whole number >= 1.
         An analytic shape's ``y`` is 3-d, a cloud's has its points' width.
         """
         _require_budget(budget)
@@ -235,6 +237,8 @@ class Shape:
 def _require_budget(budget: int) -> None:
     if not budget >= 1:
         raise UnresolvedLayout(f"budget must be >= 1, got {budget!r}")
+    if not float(budget).is_integer():
+        raise UnresolvedLayout(f"budget must be a whole number, got {budget!r}")
 
 
 class _Round(Shape):
@@ -251,7 +255,7 @@ class _Round(Shape):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         if not (np.isfinite(self.center).all() and 0.0 < self.radius < np.inf):
-            raise ValueError("center must be finite and radius finite and positive")
+            raise UnresolvedLayout("center must be finite and radius finite and positive")
         self._slack = _layout_rounding(self.center, self.radius)
 
     def _dist(self, points) -> np.ndarray:
@@ -375,7 +379,7 @@ class HalfSpace(Shape):
         norm = np.linalg.norm(normal)
         self.offset = float(offset)
         if not (0.0 < norm < np.inf and np.isfinite(self.offset)):
-            raise ValueError("normal must be finite and non-zero and offset finite")
+            raise UnresolvedLayout("normal must be finite and non-zero and offset finite")
         # Normalizing can move the last bits of a unit normal (computed norm
         # within 1.5 eps of 1 in 3-d), so such a normal is kept as given: a
         # half-space rebuilt from its descriptor has the same normal.
@@ -415,7 +419,7 @@ class UnionShape(Shape):
     def __init__(self, parts):
         parts = list(parts)
         if not parts:
-            raise ValueError("union needs at least one part")
+            raise UnresolvedLayout("union needs at least one part")
         self.parts = parts
         self.bounded = all(p.bounded for p in parts)
 
@@ -451,7 +455,7 @@ class PointCloud(Shape):
     def __init__(self, points):
         pts = np.array(points, dtype=float, copy=True)
         if pts.ndim != 2 or len(pts) == 0:
-            raise ValueError("point cloud must be a non-empty (n, dim) array")
+            raise UnresolvedLayout("point cloud must be a non-empty (n, dim) array")
         pts.setflags(write=False)
         self.points = pts
         self._tree = cKDTree(pts)
@@ -521,26 +525,26 @@ class Region:
     def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius=None):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
-            raise ValueError("region nodes must be a non-empty (n, dim) array")
+            raise UnresolvedLayout("region nodes must be a non-empty (n, dim) array")
         radius = None if reg_radius is None else np.array(reg_radius, dtype=float)
         if radius is not None and not (
             radius.shape in ((), nodes.shape[:1]) and 0.0 < radius.min() <= radius.max() < np.inf
         ):
-            raise ValueError(
+            raise UnresolvedLayout(
                 f"reg_radius must be finite and positive, one or one per node, got {reg_radius!r}"
             )
         # A point cloud whose points are the nodes contains them and already
         # holds their tree.
         own = isinstance(shape, PointCloud) and np.array_equal(nodes, shape.points)
         if not (own or bool(shape.contains(nodes).all())):
-            raise ValueError("every region node must satisfy the membership predicate")
+            raise UnresolvedLayout("every region node must satisfy the membership predicate")
         nodes.setflags(write=False)
         tree = shape._tree if own else cKDTree(nodes)
         d_nn, h_min = _distinct_spacing(nodes, tree)
         if len(nodes) >= 2:
             spacing = (float(d_nn.min()), float(d_nn.mean()))
         elif radius is None:
-            raise ValueError("reg_radius is required for single-node regions")
+            raise UnresolvedLayout("reg_radius is required for single-node regions")
         else:
             spacing = (float(radius.min()),) * 2
         if radius is None:
@@ -677,7 +681,7 @@ def reinterpret_region(region: Region, shape: Shape) -> Region:
     when all three are discretized by the same sphere nodes.
     """
     if not bool(shape.contains(region.nodes).all()):
-        raise ValueError("every region node must satisfy the membership predicate")
+        raise UnresolvedLayout("every region node must satisfy the membership predicate")
     out = copy.copy(region)
     out.shape = shape
     return out

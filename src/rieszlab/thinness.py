@@ -25,6 +25,8 @@ K_TAIL = 4
 TAIL_RATIO_CUTOFF = 0.9
 # A tail term below this fraction of the largest term counts as vanishing.
 TERM_FLOOR_FACTOR = 1e-3
+# The shell scan's defaults, the same for wiener_report and thin_at_infinity_report.
+RATIO_Q, K_MAX, SHELL_BUDGET = 0.5, 8, 400
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,9 @@ def wiener_report(
     spec: KernelSpec,
     shape: Shape,
     point,
-    ratio_q: float = 0.5,
-    k_max: int = 8,
-    shell_budget: int = 400,
+    ratio_q: float = RATIO_Q,
+    k_max: int = K_MAX,
+    shell_budget: int = SHELL_BUDGET,
 ) -> WienerReport:
     """Shell-capacity regularity test for a set at a point.
 
@@ -182,9 +184,9 @@ def thin_at_infinity_report(
     spec: KernelSpec,
     shape: Shape,
     inversion_center,
-    ratio_q: float = 0.5,
-    k_max: int = 8,
-    shell_budget: int = 400,
+    ratio_q: float = RATIO_Q,
+    k_max: int = K_MAX,
+    shell_budget: int = SHELL_BUDGET,
 ) -> ThinAtInfinityReport:
     """Thinness of a set at infinity, by inversion to a finite point.
 

@@ -220,6 +220,20 @@ def test_integral_representation_multi_atom(spec, ball500):
     assert out["mass_rel_gap"] < 0.02
 
 
+@pytest.mark.parametrize("verify", [
+    lambda spec, mu, ball, n: verify_integral_representation(spec, mu, ball, n_probes=n),
+    lambda spec, mu, ball, n: verify_transitivity(
+        spec, mu, ball, rl.sphere_region(ORIGIN, 0.5, 200, spec), n_probes=n),
+], ids=["representation", "transitivity"])
+def test_probe_verifiers_without_probes(spec, ball500, verify):
+    """With no probe there is no potential gap, and the mass gap is the one
+    a run with probes reports."""
+    mu = DiscreteMeasure([2.0 * E1, -2.5 * E1], [1.0, 0.5])
+    none, some = verify(spec, mu, ball500, 0), verify(spec, mu, ball500, 20)
+    assert none["max_rel_gap"] == 0.0 and none["n_probes"] == 0
+    assert none["mass_rel_gap"] == some["mass_rel_gap"]
+
+
 def test_transitivity_via_subset(spec, ball2000):
     f = rl.sphere_region(ORIGIN, 0.5, 400, spec)
     out = verify_transitivity(spec, dirac(3.0 * E1), ball2000, f, n_probes=60)

@@ -1,12 +1,14 @@
 import copy
 import csv
 import dataclasses
+import inspect
 import json
 import re
 
 import numpy as np
 import pytest
 
+import rieszlab as rl
 from rieszlab import KernelSpec, SchemaError, build_region, cli, core, fibonacci_sphere
 from rieszlab.cli import BUILTIN_SCENARIOS, main
 
@@ -857,39 +859,73 @@ def test_seed_override_reaches_samples_and_probes(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "e.result.json").read_text())["probe_seed"] == 6
 
 
-def test_command_defaults_are_the_library_defaults():
-    """Every default a command table repeats equals the default of the
-    library parameter it is passed to."""
-    import inspect
+_SPHERE = {"shape": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0, "n": 200}
+_SHELLS = {("ratio_q",): "ratio_q", ("k_max",): "k_max", ("shell_budget",): "shell_budget"}
+_SIGNED = (rl.DiscreteMeasure, "signed")
 
-    import rieszlab as rl
+# case -> (a scenario that leaves out every optional field the CLI passes to
+# a library parameter, {field path: (library callable, parameter)})
+LIBRARY_FIELDS = {
+    "sweep": ({"command": "sweep", "region": COMPLEMENT,
+               "source": {"points": [[0.0, 0.0, 0.0]], "weights": [1.0]}},
+              {("tol",): (rl.sweep, "tol"), ("tol_dom",): (rl.sweep, "tol_dom"),
+               ("probes", "n"): (rl.sweep, "n_probes"),
+               ("probes", "seed"): (rl.sweep, "probe_seed"), ("source", "signed"): _SIGNED}),
+    "equilibrium": ({"command": "equilibrium", "region": _SPHERE},
+                    {("tol",): (rl.riesz_equilibrium, "tol"),
+                     ("probes", "n"): (rl.riesz_equilibrium, "n_probes"),
+                     ("probes", "seed"): (rl.riesz_equilibrium, "probe_seed")}),
+    "green-eval": ({"command": "green-eval", "region": COMPLEMENT,
+                    "x": [0.5, 0.0, 0.0], "y": [0.0, 0.0, 0.0]},
+                   {("tol",): (rl.GreenKernel, "tol")}),
+    "green-equilibrium": ({"command": "green-equilibrium", "region": COMPLEMENT,
+                           "compact": dict(_SPHERE, radius=0.5, n=100)},
+                          {("tol",): (rl.GreenKernel, "tol")}),
+    "kelvin-check": ({"command": "kelvin-check", "center": [2.0, 0.0, 0.0],
+                      "measure": {"points": [[0.3, 0.1, -0.2]], "weights": [0.5]}},
+                     {("measure", "signed"): _SIGNED}),
+    "wiener": ({"command": "wiener", "region": BALL, "point": [1.0, 0.0, 0.0]},
+               {path: (rl.wiener_report, key) for path, key in _SHELLS.items()}),
+    "wiener-at-infinity": ({"command": "wiener", "region": BALL, "point": [3.0, 0.0, 0.0],
+                            "at_infinity": True},
+                           {path: (rl.thin_at_infinity_report, key)
+                            for path, key in _SHELLS.items()}),
+    "mass-loss": ({"command": "mass-loss", "region": dict(BALL, n=300),
+                   "source": {"points": [[2.0, 0.0, 0.0]], "weights": [1.0]}},
+                  {("loss_margin",): (rl.mass_loss_test, "loss_margin"),
+                   ("tol",): (rl.mass_loss_test, "tol"), ("source", "signed"): _SIGNED}),
+}
 
-    def library(fn, name):
-        return inspect.signature(fn).parameters[name].default
 
-    def table(command, key, sub=None):
-        read, default = cli.COMMANDS[command][1][key]
-        return default if sub is None else read[sub][1]
-
-    pairs = [
-        (table("sweep", "tol"), library(rl.sweep, "tol")),
-        (table("sweep", "tol_dom"), library(rl.sweep, "tol_dom")),
-        (table("sweep", "probes", "n"), library(rl.sweep, "n_probes")),
-        (table("sweep", "probes", "seed"), library(rl.sweep, "probe_seed")),
-        (table("equilibrium", "tol"), library(rl.riesz_equilibrium, "tol")),
-        (table("equilibrium", "probes", "n"), library(rl.riesz_equilibrium, "n_probes")),
-        (table("equilibrium", "probes", "seed"), library(rl.riesz_equilibrium, "probe_seed")),
-        (table("green-eval", "tol"), library(rl.GreenKernel, "tol")),
-        (table("green-equilibrium", "tol"), library(rl.GreenKernel, "tol")),
-        (table("mass-loss", "tol"), library(rl.mass_loss_test, "tol")),
-        (table("mass-loss", "loss_margin"), library(rl.mass_loss_test, "loss_margin")),
-    ]
-    for fn in (rl.wiener_report, rl.thin_at_infinity_report):
-        pairs += [(table("wiener", key), library(fn, key))
-                  for key in ("ratio_q", "k_max", "shell_budget")]
-    assert len(pairs) == 17
-    for cli_default, lib_default in pairs:
-        assert cli_default == lib_default and type(cli_default) is type(lib_default)
+@pytest.mark.parametrize("case", sorted(LIBRARY_FIELDS))
+def test_a_field_left_out_takes_the_library_default(tmp_path, case):
+    """A scenario that leaves out every field the CLI passes to a library
+    parameter parses to none of them, and writes the same result.json as the
+    scenario that spells each one out at the default the library's
+    signature declares.  verify-all passes no such field."""
+    commands = {doc["command"] for doc, _ in LIBRARY_FIELDS.values()}
+    assert commands | {"verify-all"} == set(cli.COMMANDS)
+    doc, fields = LIBRARY_FIELDS[case]
+    doc = dict(doc, schema=1, name="defaults")
+    parsed = cli.parse_scenario(doc).fields
+    assert not {path[0] for path in fields if len(path) == 1} & set(parsed)
+    assert parsed.get("probes", {}) == {}
+    spelled = copy.deepcopy(doc)
+    for path, (fn, name) in fields.items():
+        default = inspect.signature(fn).parameters[name].default
+        assert default is not inspect.Parameter.empty
+        *sections, key = path
+        target = spelled
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = default
+    outputs = []
+    for label, scenario in (("left-out", doc), ("spelled-out", spelled)):
+        prefix = tmp_path / label
+        assert main(["run", write_scenario(tmp_path, scenario, f"{label}.json"),
+                     "--out", str(prefix)]) == 0
+        outputs.append((tmp_path / f"{label}.result.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_parser_is_shared_but_each_call_gets_its_own_options(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 
@@ -93,6 +94,9 @@ def test_measure_basics():
     assert mu.dim == 3
     assert mu.total_mass == 1.0
     assert not mu.signed
+    assert repr(mu) == "DiscreteMeasure(2 points in R^3, positive, mass=1)"
+    signed = DiscreteMeasure([[0, 0, 0]], [-0.25], signed=True)
+    assert repr(signed) == "DiscreteMeasure(1 points in R^3, signed, mass=-0.25)"
     half = mu.scaled(0.5)
     assert half.total_mass == 0.5
     empty = DiscreteMeasure.empty(3)
@@ -404,6 +408,14 @@ def test_assembly_is_the_same_in_any_number_of_parts(monkeypatch, alpha):
         sys.setswitchinterval(interval)
     for cpus in (2, 3, 7):
         assert np.array_equal(entries[cpus], entries[1])
+
+
+@pytest.mark.parametrize("count, cpus", [(4, 4), (None, 1)])
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, count, cpus):
+    """Where the OS has no affinity mask, the CPU count, or 1 when it is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert core._usable_cpus() == cpus
 
 
 def test_assembly_raises_a_worker_exception_and_joins_every_thread(monkeypatch):

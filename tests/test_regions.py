@@ -804,12 +804,38 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
         (lambda: Ball(ORIGIN, 1.0).shell_nodes(ORIGIN, 0.25, 0.5, 0), "budget must be >= 1, got 0"),
         (lambda: build_region(Ball(ORIGIN, 1.0), 1, KernelSpec(2.0, 3)),
          "a generated region needs n >= 2 nodes, got 1"),
+        (lambda: Ball(ORIGIN, np.nan), "center must be finite and radius finite and positive"),
+        (lambda: HalfSpace(ORIGIN, 0.0), "normal must be finite and non-zero and offset finite"),
+        (lambda: UnionShape([]), "union needs at least one part"),
+        (lambda: PointCloud([]), "point cloud must be a non-empty (n, dim) array"),
+        (lambda: Region(Ball(ORIGIN, 1.0), np.zeros((0, 3))),
+         "region nodes must be a non-empty (n, dim) array"),
+        (lambda: Region(Ball(ORIGIN, 1.0), np.zeros((1, 3)), reg_radius=-1.0),
+         "reg_radius must be finite and positive, one or one per node, got -1.0"),
+        (lambda: Region(Ball(ORIGIN, 1.0), [[2.0, 0.0, 0.0]]),
+         "every region node must satisfy the membership predicate"),
+        (lambda: Region(Ball(ORIGIN, 1.0), np.zeros((1, 3))),
+         "reg_radius is required for single-node regions"),
+        (lambda: reinterpret_region(rl.sphere_region(ORIGIN, 1.0, 20, KernelSpec(2.0, 3)),
+                                    Ball(ORIGIN, 0.5)),
+         "every region node must satisfy the membership predicate"),
+        (lambda: build_region(SphereShell(ORIGIN, 1.0), 2.5, KernelSpec(2.0, 3)),
+         "a node count must be a whole number, got 2.5"),
+        (lambda: Ball(ORIGIN, 1.0).shell_nodes(ORIGIN, 0.25, 0.5, 2.5),
+         "budget must be a whole number, got 2.5"),
+        (lambda: rl.wiener_report(KernelSpec(2.0, 3), Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0],
+                                  shell_budget=2.5),
+         "budget must be a whole number, got 2.5"),
     ],
-    ids=["no-node", "radius", "disk-normal", "budget", "generated-region"],
+    ids=["no-node", "radius", "disk-normal", "budget", "generated-region", "round-shape",
+         "half-space", "union", "point-cloud", "region-nodes", "region-radius",
+         "region-membership", "region-single-node", "reinterpret", "whole-count",
+         "whole-budget", "wiener-whole-budget"],
 )
 def test_layout_checks_raise_unresolved_layout(make, message):
-    """Every layout check raises UnresolvedLayout, a RieszLabError that is
-    also the ValueError it raised before, with the same message."""
+    """Every shape, region and layout check raises UnresolvedLayout, a
+    RieszLabError that is also the ValueError it raised before, with the
+    same message; a count or budget must be a whole number."""
     with pytest.raises(rl.UnresolvedLayout) as info:
         make()
     assert isinstance(info.value, rl.RieszLabError) and isinstance(info.value, ValueError)
