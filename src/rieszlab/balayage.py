@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     DiscreteMeasure,
+    GramMatrix,
     KernelSpec,
     _as_points,
     _assemble_distinct,
@@ -113,8 +114,10 @@ def sweep_many(
     does not converge; later sources are not solved.
     """
     _check_inputs(spec, region, tol, sources)
-    points = np.concatenate([mu.points for mu in sources] or [np.empty((0, region.dim))])
-    _, sols = _sweep_batch(spec, region, points, tol, [mu.weights for mu in sources])
+    if not sources:
+        return []
+    block = _source_block(spec, region, np.concatenate([mu.points for mu in sources]))
+    sols = _sweep_batch(region.gram(spec), block, tol, [mu.weights for mu in sources])
     return [
         SweepResult(DiscreteMeasure._on_support(region.nodes, sol.weights), sol, None)
         for sol in sols
@@ -134,39 +137,45 @@ def _check_inputs(spec, region, tol, sources=()) -> None:
             raise DimensionMismatch("measure and region dimensions differ")
 
 
-def _sweep_batch(
-    spec: KernelSpec, region: Region, points: np.ndarray, tol: float, weights=None
-) -> tuple[np.ndarray, list[QPSolution]]:
-    """Sweeps of several nonnegative sources onto the region nodes, in one solve.
+def _source_block(spec: KernelSpec, region: Region, points: np.ndarray) -> np.ndarray:
+    """Kernel block between the region nodes (rows) and the points (columns).
 
-    ``points`` stacks the atoms of every source, and one kernel block
-    between the nodes (rows) and all of them gives every right-hand side.
-    The block is the transpose of C-ordered kernel rows, and an atom within
-    ``h_min`` of a node takes that node's Gram diagonal entry, so a measure
-    on the nodes is a fixed point of sweeping.  With ``weights`` None each
-    point is a unit charge, whose right-hand side is its block column.
-    Otherwise ``weights`` lists each source's atom weights, in the order of
-    ``points``, and a source's right-hand side is its block columns times
-    its weights.  Returns the block and the solutions, each holding its
-    source's right-hand side as ``b``; the solver raises SolverFailure at
-    the first source, in order, that does not converge.
+    The transpose of C-ordered kernel rows; a point within ``h_min`` of a
+    node takes that node's Gram diagonal entry, so a measure on the nodes is
+    a fixed point of sweeping.
     """
-    if len(points) == 0:
-        return np.empty((region.n_nodes, 0), order="F"), []
     rows, near = _kernel_rows(spec, points, region.nodes, region.h_min)
     block = rows.T
     np.copyto(block, region.gram(spec).entries.diagonal()[:, None], where=near.T)
+    return block
+
+
+def _sweep_batch(
+    gram: GramMatrix, block: np.ndarray, tol: float, weights=None
+) -> list[QPSolution]:
+    """Sweeps of several nonnegative sources onto the nodes of ``gram``, in one solve.
+
+    The one sweep solve of every kernel: ``gram`` is the Gram over the
+    target nodes and ``block`` its kernel block against the stacked atoms
+    of every source, one column per atom.  With ``weights`` None each
+    atom is a unit charge, whose right-hand side is its block column.
+    Otherwise ``weights`` lists each source's atom weights, in column order,
+    and a source's right-hand side is its block columns times its weights.
+    Returns the solutions, each holding its source's right-hand side as
+    ``b``; the solver raises SolverFailure at the first source, in order,
+    that does not converge.
+    """
     if weights is None:
         B = block
     else:
-        B = np.empty((region.n_nodes, len(weights)), order="F")
+        B = np.empty((len(block), len(weights)), order="F")
         start = 0
         for j, w in enumerate(weights):
             # One GEMV over a C-ordered copy of the source's own columns: the same
             # bits whichever sources share the batch.
             B[:, j] = np.ascontiguousarray(block[:, start:start + len(w)]) @ w
             start += len(w)
-    return block, solve_nonneg_many(region.gram(spec), B, tol=tol)
+    return solve_nonneg_many(gram, B, tol=tol)
 
 
 def swept_potentials(

@@ -28,7 +28,7 @@ from .balayage import sweep, verify_symmetry
 from .core import DiscreteMeasure, KernelSpec, _relative, dirac, potential_at, riesz_kernel
 from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
-from .green import GreenKernel, green_eval
+from .green import GreenKernel, green_eval, green_sweep
 from .kelvin import verify_potential_covariance
 from .regions import (
     PROBE_SEED,
@@ -430,6 +430,24 @@ def _run_green_equilibrium(spec, expected, region, compact, **options):
     return fields, rows, []
 
 
+def _run_green_sweep(spec, expected, region, compact, source, **options):
+    res = green_sweep(GreenKernel(spec, region, **options), source, compact)
+    rows = [
+        _row("mass-in", source.total_mass),
+        _checked_row("mass-out", res.swept.total_mass, expected, "mass"),
+    ]
+    fields = {
+        "region": _region_doc(region),
+        "compact": _region_doc(compact),
+        "swept": {"mass": res.swept.total_mass, "n_atoms": res.swept.n_points},
+        "solver": {
+            "iterations": res.solution.iterations,
+            "kkt_residual": res.solution.kkt_residual,
+        },
+    }
+    return fields, rows, []
+
+
 def _covariance_samples(center, n, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n, len(center)))
@@ -608,6 +626,16 @@ COMMANDS = {
             "tol": (_number, None),
         },
     ),
+    "green-sweep": (
+        _run_green_sweep,
+        {
+            "expected": ({"mass": (_number, None), "tol": (_number, None)}, {}),
+            "region": (_region_from_doc, ...),
+            "compact": (_region_from_doc, ...),
+            "source": (_measure, ...),
+            "tol": (_number, None),
+        },
+    ),
     "kelvin-check": (
         _run_kelvin_check,
         {
@@ -693,6 +721,13 @@ def _builtin_scenarios() -> list:
                  "green-equilibrium", region=complement,
                  compact={"shape": "sphere", "center": unit, "radius": 0.5, "n": 800},
                  expected={"capacity": 1.0, "tol": 0.02}),
+        # The swept mass is the Green equilibrium potential of the sphere at
+        # the charge y: (1/|y| - 1) / (1/0.5 - 1).
+        _builtin("green-sweep-sphere", "Green balayage of a charge onto the half-radius sphere",
+                 "green-sweep", region=complement,
+                 compact={"shape": "sphere", "center": unit, "radius": 0.5, "n": 800},
+                 source={"points": [[0.75, 0.1, 0.0]], "weights": [1.0]},
+                 expected={"mass": 0.32163720091017955, "tol": 0.02}),
         _builtin("kelvin-exactness", "potential transformation identity under inversion",
                  "kelvin-check", center=[2.0, 0.0, 0.0], measure=_KELVIN_MEASURE,
                  samples={"n": 50, "seed": 7}, expected={"gap": 0.0, "tol": 1e-12}),

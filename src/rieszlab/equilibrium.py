@@ -18,7 +18,7 @@ from .balayage import _check_inputs
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance, potential_at
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
-from .regions import PROBE_SEED, Region, build_region, sample_points_off
+from .regions import PROBE_SEED, Region, _require_whole, build_region, sample_points_off
 from .solver import QPSolution, solve_nonneg
 
 
@@ -141,11 +141,12 @@ def verify_green_minimality(
     potential is at least 1 everywhere on the nodes, must have energy at
     least the capacity, which is the energy of the equilibrium measure, up
     to the relative ``slack``, finite and nonnegative.  Returns the
-    smallest ratio of the two observed.
+    smallest ratio of the two observed.  ``n_competitors`` and ``seed`` must
+    be whole numbers of at least 1 and 0; otherwise UnresolvedLayout.
     """
     _check_tolerance("slack", slack)
-    if n_competitors < 1:
-        raise ValueError("n_competitors must be at least 1")
+    n_competitors = _require_whole("n_competitors", n_competitors, 1)
+    seed = _require_whole("seed", seed, 0)
     ggram = result.gram
     if not np.array_equal(ggram.nodes, f_region.nodes):
         raise ValueError("result must be the Green equilibrium of f_region's nodes")

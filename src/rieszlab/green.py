@@ -12,7 +12,10 @@ nonnegative skips block pivoting.  The swept node weights are kept, and
 a Green Gram keeps the block too: its poles are its nodes, so the swept
 potentials at the nodes are GEMVs over the block's rows.  Every Green
 Gram takes its free-kernel part from a Region over its nodes, so one node
-set has one regularization and one discrete Green energy.
+set has one regularization and one discrete Green energy.  Green balayage
+onto a compact F in D, ``green_sweep``, is the Riesz sweep's nonnegative
+quadratic program over F's Green Gram, solved by the same
+``balayage._sweep_batch``.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balayage import _check_inputs, _node_rows, _sweep_batch
+from .balayage import SweepResult, _check_inputs, _node_rows, _source_block, _sweep_batch
 from .core import (
     DiscreteMeasure,
     GramMatrix,
@@ -96,7 +99,8 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
 def _pole_sweeps(gk: GreenKernel, poles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Kernel rows of the poles against the region nodes, and the swept node
     weights of the unit charges at the poles, from one batch."""
-    block, sols = _sweep_batch(gk.spec, gk.region, poles, gk.tol)
+    block = _source_block(gk.spec, gk.region, poles)
+    sols = _sweep_batch(gk.region.gram(gk.spec), block, gk.tol)
     return block.T, [sol.weights for sol in sols]
 
 
@@ -147,6 +151,29 @@ def green_gram(gk: GreenKernel, nodes) -> GramMatrix:
     return _green_gram(gk, cloud_region(nodes, gk.spec))
 
 
+def green_sweep(gk: GreenKernel, mu: DiscreteMeasure, f_region: Region) -> SweepResult:
+    """Green balayage: sweep a nonnegative measure in D onto F's nodes in the Green kernel.
+
+    The same nonnegative QP as a Riesz sweep, over F's Green Gram, whose
+    right-hand side is mu's Green potential at F's nodes.  F's nodes must
+    pass ``_require_green_nodes`` and mu's atoms lie in D.  One pole batch
+    sweeps the unit charges at F's nodes and at mu's atoms onto A: the
+    first give the Green Gram, the others the Green block, in which an atom
+    within ``h_min`` of a node of F takes that node's Green diagonal entry.
+    The result equals the Riesz sweep of mu onto F u A restricted to F, up
+    to rounding while the supports stay full; ``checks`` is None.
+    """
+    _check_inputs(gk.spec, f_region, gk.tol, [mu])
+    _require_green_nodes(gk, f_region.nodes)
+    _require_in_domain(gk, mu.points, "the measure's atoms")
+    m = f_region.n_nodes
+    rows, swept = _pole_sweeps(gk, np.concatenate([f_region.nodes, mu.points]))
+    ggram = _green_gram(gk, f_region, (rows[:m], swept[:m]))
+    block = _source_block(gk.spec, f_region, mu.points) - _row_potentials(rows[:m], swept[m:])
+    (sol,) = _sweep_batch(ggram, block, gk.tol, [mu.weights])
+    return SweepResult(DiscreteMeasure._on_support(f_region.nodes, sol.weights), sol, None)
+
+
 def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     """Green energy against free energy minus swept energy, same regularization.
 
@@ -165,7 +192,9 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     parts = [(p, sign) for p, sign in signed_parts if p.n_points]
     points = np.concatenate([nu.points, *(p.points for p, _ in parts)])
     weights = [np.ones(1)] * nu.n_points + [p.weights for p, _ in parts]
-    block, sols = _sweep_batch(gk.spec, gk.region, points, gk.tol, weights)
+    region_gram = gk.region.gram(gk.spec)
+    block = _source_block(gk.spec, gk.region, points)
+    sols = _sweep_batch(region_gram, block, gk.tol, weights)
     n = nu.n_points
     ggram = _green_gram(gk, F, (block[:, :n].T, [sol.weights for sol in sols[:n]]))
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
@@ -174,7 +203,6 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     v = np.zeros(gk.region.n_nodes)
     for (_, sign), sol in zip(parts, sols[nu.n_points:]):
         v += sign * sol.weights
-    region_gram = gk.region.gram(gk.spec)
     e_swept = float(v @ (region_gram.entries @ v))
 
     rhs = e_free - e_swept

@@ -234,11 +234,19 @@ class Shape:
             )
 
 
-def _require_budget(budget: int) -> None:
-    if not budget >= 1:
-        raise UnresolvedLayout(f"budget must be >= 1, got {budget!r}")
-    if not float(budget).is_integer():
-        raise UnresolvedLayout(f"budget must be a whole number, got {budget!r}")
+def _require_whole(name: str, value, least: int, too_few: str | None = None) -> int:
+    """``value`` as an int; UnresolvedLayout unless it is a whole number (``3.0``
+    is one) of at least ``least``.  ``too_few`` is the message below ``least``,
+    by default "<name> must be at least <least>"."""
+    if not value >= least:
+        raise UnresolvedLayout(too_few or f"{name} must be at least {least}")
+    if not float(value).is_integer():
+        raise UnresolvedLayout(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _require_budget(budget) -> None:
+    _require_whole("budget", budget, 1, f"budget must be >= 1, got {budget!r}")
 
 
 class _Round(Shape):
@@ -697,9 +705,12 @@ def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndar
     center than that ball reaches is dropped on its radius alone, before
     it is built and tested: it lies in A, so the draw is unchanged.  If every
     point of the ball lies within the standoff of one node, the draw fails
-    at once, as it would after its last batch.
+    at once, as it would after its last batch.  Raises UnresolvedLayout
+    unless ``n`` and ``seed`` are whole numbers of at least 0.
     """
-    if n <= 0:
+    n = _require_whole("probe count", n, 0)
+    seed = _require_whole("probe seed", seed, 0)
+    if n == 0:
         return np.empty((0, region.dim))
     rng = np.random.default_rng(seed)
     centroid = region.nodes.mean(axis=0)

@@ -17,7 +17,7 @@ from .balayage import _check_inputs, sweep_many
 from .core import DiscreteMeasure, KernelSpec, _as_points, _check_tolerance
 from .equilibrium import riesz_equilibrium
 from .kelvin import invert_shape
-from .regions import REGION_REG_FACTOR, Region, Shape, cloud_region
+from .regions import REGION_REG_FACTOR, Region, Shape, _require_whole, cloud_region
 
 # Number of trailing shells used for the decay fit, and the fitted
 # shell-to-shell ratio below which the rescaled terms are judged summable.
@@ -95,13 +95,13 @@ def wiener_report(
     as irregular and degenerate (the set simply is not there at small
     scales).  Raises ValueError unless ``k_max`` and ``shell_budget`` are
     at least 1: a scan of no shells, or of shells with no nodes, would
-    report that same verdict about any set.
+    report that same verdict about any set.  ``k_max`` must be a whole
+    number; its checks raise UnresolvedLayout, a ValueError.
     """
     (y,) = _as_points(point, spec.dim)
     if not (0.0 < ratio_q < 1.0):
         raise ValueError("ratio_q must lie strictly between 0 and 1")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    k_max = _require_whole("k_max", k_max, 1)
     if shell_budget < 1:
         raise ValueError("shell_budget must be at least 1")
     shells: list[ShellStat] = []

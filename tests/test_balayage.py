@@ -17,7 +17,7 @@ from rieszlab import (
     verify_symmetry,
     verify_transitivity,
 )
-from rieszlab.balayage import _sweep_batch
+from rieszlab.balayage import _source_block, _sweep_batch
 
 ORIGIN = np.zeros(3)
 E1 = np.array([1.0, 0.0, 0.0])
@@ -128,7 +128,8 @@ def _kernel_block(spec, region, points):
 
 def test_source_potentials_handle_node_coincidence(spec, ball500):
     mu = DiscreteMeasure(ball500.nodes[[5]], [2.0])
-    _, (sol,) = _sweep_batch(spec, ball500, mu.points, 1e-10, [mu.weights])
+    block = _source_block(spec, ball500, mu.points)
+    (sol,) = _sweep_batch(ball500.gram(spec), block, 1e-10, [mu.weights])
     b = sol.b
     # at its own node the source contributes the regularized energy
     assert b[5] == pytest.approx(2.0 * ball500.reg_radius ** spec.exponent)
@@ -140,7 +141,7 @@ def test_batched_pole_on_a_node_takes_the_gram_diagonal(spec, ball500):
     """Unit charges swept in one batch: each right-hand side is bitwise the
     kernel column of its pole, also for a pole exactly on a node."""
     poles = np.stack([2.0 * E1, ball500.nodes[7], np.array([0.0, -1.5, 1.5])])
-    _, sols = _sweep_batch(spec, ball500, poles, 1e-10)
+    sols = _sweep_batch(ball500.gram(spec), _source_block(spec, ball500, poles), 1e-10)
     B = np.stack([sol.b for sol in sols], axis=1)
     assert B.shape == (ball500.n_nodes, 3) and len(sols) == 3
     assert np.array_equal(B, _kernel_block(spec, ball500, poles))

@@ -45,7 +45,7 @@ def test_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 11
+    assert len(lines) == 12
     names = [l.split(":")[0] for l in lines]
     assert names == sorted(BUILTIN_SCENARIOS)
     assert "kelvin-exactness" in names
@@ -97,6 +97,21 @@ def test_rerun_on_recycled_memory_is_byte_identical(tmp_path, monkeypatch, capsy
     assert not any(np.isnan(square).all() for square in stale)
     for suffix in (".result.json", ".table.csv"):
         assert (tmp_path / f"b{suffix}").read_bytes() == (tmp_path / f"a{suffix}").read_bytes()
+
+
+def test_green_sweep_builtin_is_near_the_closed_form_mass(tmp_path):
+    """green-sweep-sphere's swept mass, 0.34 % below the closed form
+    (1/|y| - 1)/(1/0.5 - 1), in one iteration.  It is pinned to 1e-12
+    relative, not bit for bit: its 801-column pole batch reads
+    0.320547865265873 with two BLAS threads."""
+    assert main(["run", "green-sweep-sphere", "--out", str(tmp_path / "gs")]) == 0
+    payload = json.loads((tmp_path / "gs.result.json").read_text())
+    assert payload["swept"]["mass"] == pytest.approx(0.32054786526587303, rel=1e-12)
+    assert payload["swept"]["n_atoms"] == 800
+    assert payload["solver"]["iterations"] == 1
+    rows = (tmp_path / "gs.table.csv").read_text().splitlines()
+    assert rows[1] == "mass-in,1.0,,,"
+    assert rows[2].startswith("mass-out,") and rows[2].endswith(",0.32163720091017955,0.02,true")
 
 
 def test_run_file_scenario(tmp_path):
@@ -881,6 +896,10 @@ LIBRARY_FIELDS = {
     "green-equilibrium": ({"command": "green-equilibrium", "region": COMPLEMENT,
                            "compact": dict(_SPHERE, radius=0.5, n=100)},
                           {("tol",): (rl.GreenKernel, "tol")}),
+    "green-sweep": ({"command": "green-sweep", "region": COMPLEMENT,
+                     "compact": dict(_SPHERE, radius=0.5, n=100),
+                     "source": {"points": [[0.75, 0.1, 0.0]], "weights": [1.0]}},
+                    {("tol",): (rl.GreenKernel, "tol"), ("source", "signed"): _SIGNED}),
     "kelvin-check": ({"command": "kelvin-check", "center": [2.0, 0.0, 0.0],
                       "measure": {"points": [[0.3, 0.1, -0.2]], "weights": [0.5]}},
                      {("measure", "signed"): _SIGNED}),

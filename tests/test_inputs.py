@@ -108,3 +108,41 @@ def test_the_spy_sees_probes_and_grams(complement, spy):
         rl.sweep(SPEC, dirac(A), complement)
     rl.sweep_many(SPEC, [dirac(A)], complement)
     assert spy == ["sample_points_off", "_assemble_distinct"]
+
+
+# (id, call(region, green_inputs), message)
+COUNTS = [
+    ("riesz_equilibrium-n_probes=2.5", lambda r, g: rl.riesz_equilibrium(SPEC, r, n_probes=2.5),
+     "probe count must be a whole number, got 2.5"),
+    ("riesz_equilibrium-n_probes=-3", lambda r, g: rl.riesz_equilibrium(SPEC, r, n_probes=-3),
+     "probe count must be at least 0"),
+    ("riesz_equilibrium-probe_seed=1.5",
+     lambda r, g: rl.riesz_equilibrium(SPEC, r, n_probes=5, probe_seed=1.5),
+     "probe seed must be a whole number, got 1.5"),
+    ("sweep-probe_seed=-1", lambda r, g: rl.sweep(SPEC, dirac(A), r, probe_seed=-1),
+     "probe seed must be at least 0"),
+    ("verify_domination-n_probes=2.5",
+     lambda r, g: rl.verify_domination(rl.GreenKernel(SPEC, r), dirac(A), n_probes=2.5),
+     "probe count must be a whole number, got 2.5"),
+    ("wiener_report-k_max=2.5",
+     lambda r, g: rl.wiener_report(SPEC, rl.Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0], k_max=2.5),
+     "k_max must be a whole number, got 2.5"),
+    ("verify_green_minimality-n_competitors=2.5",
+     lambda r, g: rl.verify_green_minimality(*g, n_competitors=2.5),
+     "n_competitors must be a whole number, got 2.5"),
+    ("verify_green_minimality-seed=1.5", lambda r, g: rl.verify_green_minimality(*g, seed=1.5),
+     "seed must be a whole number, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in COUNTS])
+def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
+    complement, green_inputs, spy, call, message
+):
+    """A probe count, probe seed, shell count or competitor count must be a
+    whole number, and not negative: each raises UnresolvedLayout, before the
+    probe draw's first candidate and before any Gram is assembled."""
+    with pytest.raises(rl.UnresolvedLayout) as info:
+        call(complement, green_inputs)
+    assert str(info.value) == message
+    assert "_assemble_distinct" not in spy

@@ -285,27 +285,32 @@ def test_only_core_writes_the_tolerance_rule():
     assert _modules_where(found) == ["core.py"]
 
 
-def _powers_of_the_exponent(path: Path) -> list[str]:
-    """``module:function`` of each power, ``**`` or ``np.power``, whose
-    exponent reads ``spec.exponent``."""
+def _sites(path: Path, found) -> list[str]:
+    """``module:function`` of each AST node of a module for which ``found`` holds."""
     sites = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            power = node.right
-        elif isinstance(node, ast.Call) and _named(node.func, "power") and len(node.args) > 1:
-            power = node.args[1]
-        else:
-            power = None
-        if power is not None and any(_named(n, "exponent") for n in ast.walk(power)):
+        if found(node):
             sites.append(f"{path.stem}:{function}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     return sites
+
+
+def _power_of_the_exponent(node) -> bool:
+    """Whether a node is a power, ``**`` or ``np.power``, whose exponent
+    reads ``spec.exponent``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        power = node.right
+    elif isinstance(node, ast.Call) and _named(node.func, "power") and len(node.args) > 1:
+        power = node.args[1]
+    else:
+        return False
+    return any(_named(n, "exponent") for n in ast.walk(power))
 
 
 def test_only_core_raises_pairs_to_the_kernel_exponent():
@@ -315,7 +320,7 @@ def test_only_core_raises_pairs_to_the_kernel_exponent():
     powers of the exponent are no pair kernel: the self-interactions of
     Region.gram's radii, kelvin_transform's weight factor,
     verify_potential_covariance's scale and wiener_report's rescaling."""
-    sites = sorted(s for path in SRC.glob("*.py") for s in _powers_of_the_exponent(path))
+    sites = sorted(s for path in SRC.glob("*.py") for s in _sites(path, _power_of_the_exponent))
     assert sites == [
         "core:_assemble_rows",
         "core:_kernel_rows",
@@ -323,6 +328,22 @@ def test_only_core_raises_pairs_to_the_kernel_exponent():
         "kelvin:verify_potential_covariance",
         "regions:_self_interactions",
         "thinness:wiener_report",
+    ]
+
+
+def test_one_sweep_solve_and_one_equilibrium_solve_call_the_solver():
+    """balayage._sweep_batch is the one sweep solve over any Gram, Riesz or
+    Green, and _equilibrium_from_gram the one solve of Gauss's problem:
+    outside solver, nothing else calls solve_nonneg_many or solve_nonneg."""
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and _named(node.func, name)
+
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.stem != "solver"]
+    assert [s for path in paths for s in _sites(path, calls("solve_nonneg_many"))] == [
+        "balayage:_sweep_batch"
+    ]
+    assert [s for path in paths for s in _sites(path, calls("solve_nonneg"))] == [
+        "equilibrium:_equilibrium_from_gram"
     ]
 
 
