@@ -27,7 +27,7 @@ from .core import (
     dirac,
     potential_at,
 )
-from .errors import DimensionMismatch, NodesOutsideDomain, PointOutsideDomain
+from .errors import DimensionMismatch, InvalidInput, NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, sample_points_off
 from .solver import QPSolution, solve_nonneg_many
 
@@ -130,9 +130,9 @@ def _check_inputs(spec, region, tol, sources=()) -> None:
     _check_tolerance("tol", tol, positive=True)
     for mu in sources:
         if mu.signed:
-            raise ValueError("sweep requires a nonnegative measure; use sweep_signed")
+            raise InvalidInput("sweep requires a nonnegative measure; use sweep_signed")
         if mu.n_points == 0:
-            raise ValueError("cannot sweep the zero measure")
+            raise InvalidInput("cannot sweep the zero measure")
         if mu.dim != region.dim:
             raise DimensionMismatch("measure and region dimensions differ")
 

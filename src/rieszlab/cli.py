@@ -4,8 +4,10 @@
 builtin name) and writes ``<prefix>.result.json`` and
 ``<prefix>.table.csv``.  Outputs are deterministic: fixed seeds, sorted
 keys, shortest round-trip float formatting, no timestamps, and atomic
-replace-on-write.  Exit codes: 0 success, 1 usage or runtime error,
-2 a named property check failed.
+replace-on-write.  Exit codes: 0 success, 1 a usage error, a
+RieszLabError or an OSError, each printed as one ``error:`` line, 2 a
+named property check failed.  Any other exception is a fault of the
+program and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -779,7 +781,7 @@ def load_scenario(ref: str) -> dict:
                 parse_int=functools.partial(_in_float_range, parse=int),
                 parse_constant=_reject_constant,
             )
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
             raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     if ref in BUILTIN_SCENARIOS:
         return json.loads(json.dumps(BUILTIN_SCENARIOS[ref][1]))
@@ -821,20 +823,33 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _counts_nodes(section, where: str) -> bool:
+    """Whether a region section's shape takes a node count ``n``."""
+    return "n" in _shape_table(section, where, region=True)[2]
+
+
 def _with_node_count(doc: dict, n: int) -> dict:
     """A copy of ``doc`` at node count ``n``: its top-level ``n``, or the
-    ``n`` of its region, where their tables have one."""
+    ``n`` of its region, where their tables have one.  A compact's ``n``
+    scales by the same factor as the region's, to at least 2 nodes, so the
+    scenario keeps its ratio of compact to region nodes; a cloud compact
+    keeps its points."""
     table = COMMANDS[_command(doc)][1]
     doc = json.loads(json.dumps(doc))
     if "n" in table:
         doc["n"] = n
-    elif (
+        return doc
+    if not (
         table.get("region", (None,))[0] is _region_from_doc
-        and "n" in _shape_table(doc.get("region"), "region", region=True)[2]
+        and _counts_nodes(doc.get("region"), "region")
     ):
-        doc["region"]["n"] = n
-    else:
         raise SchemaError("this scenario has no node count to refine")
+    compact = doc.get("compact")
+    if "compact" in table and "compact" in doc and _counts_nodes(compact, "compact"):
+        if "n" in compact:
+            scale = n / max(_count(doc["region"].get("n"), "region 'n'"), 1)
+            compact["n"] = max(2, round(_count(compact["n"], "compact 'n'") * scale))
+    doc["region"]["n"] = n
     return doc
 
 
@@ -852,16 +867,17 @@ def _cmd_refine(args) -> int:
         for r, rel in zip(checked, errs):
             cells = (r["value"], r["expected"], rel)
             lines.append([n, r["name"], *(repr(float(v)) for v in cells)])
-        runs.append(
-            {
-                "n": n,
-                "max_rel_error": max(errs) if errs else None,
-                "checks": [
-                    {"check": r["name"], "value": r["value"], "expected": r["expected"]}
-                    for r in checked
-                ],
-            }
-        )
+        run = {
+            "n": n,
+            "max_rel_error": max(errs) if errs else None,
+            "checks": [
+                {"check": r["name"], "value": r["value"], "expected": r["expected"]}
+                for r in checked
+            ],
+        }
+        if "compact" in scen.fields:
+            run["compact_n"] = scen.fields["compact"].n_nodes
+        runs.append(run)
     payload = _envelope("refine", scen.spec) | {"base_command": scen.command, "runs": runs}
     header = ["n", "check", "value", "expected", "rel_error"]
     _write_outputs(Path(args.out or scen.name), payload, header, lines)
@@ -910,7 +926,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse's: 2 after a usage error, 0 after --help
         return 1 if exc.code else 0
-    except (RieszLabError, ValueError, OSError) as exc:
+    except (RieszLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

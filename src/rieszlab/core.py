@@ -20,7 +20,13 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateNodes, DimensionMismatch, IllConditioned, IndeterminateValue
+from .errors import (
+    DegenerateNodes,
+    DimensionMismatch,
+    IllConditioned,
+    IndeterminateValue,
+    InvalidInput,
+)
 
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
@@ -63,9 +69,9 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (0,2]")
+            raise InvalidInput("alpha must lie in (0,2]")
         if int(self.dim) != self.dim or self.dim < 3:
-            raise ValueError("dim must be an integer >= 3")
+            raise InvalidInput("dim must be an integer >= 3")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "dim", int(self.dim))
 
@@ -131,16 +137,16 @@ class DiscreteMeasure:
         pts = np.array(points, dtype=float, copy=True)
         w = np.array(weights, dtype=float, copy=True)
         if pts.ndim != 2:
-            raise ValueError(
+            raise InvalidInput(
                 "points must be a 2-D array; use DiscreteMeasure.empty(dim) "
                 "for the zero measure"
             )
         if w.ndim != 1 or len(w) != len(pts):
-            raise ValueError("weights must be 1-D with one entry per point")
+            raise InvalidInput("weights must be 1-D with one entry per point")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise ValueError("points and weights must be finite")
+            raise InvalidInput("points and weights must be finite")
         if not signed and len(w) and w.min() < 0.0:
-            raise ValueError("negative weight in an unsigned measure")
+            raise InvalidInput("negative weight in an unsigned measure")
         if check_distinct and len(pts) >= 2:
             _distinct_spacing(pts, cKDTree(pts))
         pts.setflags(write=False)
@@ -243,7 +249,7 @@ def _as_points(points, dim: int) -> np.ndarray:
 def _check_tolerance(name: str, value, positive: bool = False) -> None:
     """The tolerance rule's one owner: ``value`` finite and nonnegative, or positive."""
     if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+        raise InvalidInput(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
 
 
 def _relative(num, den):
@@ -347,7 +353,7 @@ class GramMatrix:
         nodes = np.asarray(nodes, dtype=float)
         entries = np.asarray(entries, dtype=float)
         if entries.shape != (len(nodes), len(nodes)):
-            raise ValueError("entries must be square with one row per node")
+            raise InvalidInput("entries must be square with one row per node")
         nodes.setflags(write=False)
         entries.setflags(write=False)
         self.nodes = nodes
@@ -397,7 +403,7 @@ class GramMatrix:
         ``cholesky`` guarantees a finite factor, so only ``b`` is checked.
         """
         if not np.isfinite(b).all():
-            raise ValueError("right-hand side must not contain infs or NaNs")
+            raise InvalidInput("right-hand side must not contain infs or NaNs")
         return cho_solve(self.cholesky(), b, check_finite=False)
 
     def solve_block(self, mask: np.ndarray, rhs: np.ndarray, factors: dict) -> np.ndarray:
@@ -430,7 +436,7 @@ def _factor_lower(a: np.ndarray, message: str):
     """
     try:
         return cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+    except LinAlgError as exc:  # scipy.linalg's is numpy.linalg's class
         raise IllConditioned(message) from exc
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .balayage import _check_inputs
 from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance, potential_at
+from .errors import InvalidInput
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, _require_whole, build_region, sample_points_off
@@ -107,7 +108,7 @@ def sweep_dirac_by_inversion(
     """
     (y,) = _as_points(point, spec.dim)
     if bool(region.contains(y)[0]):
-        raise ValueError("the charge must lie strictly off the target set")
+        raise InvalidInput("the charge must lie strictly off the target set")
     shape_star = invert_shape(y, region.shape)
     star = build_region(shape_star, region.n_nodes, spec)
     eq = riesz_equilibrium(spec, star, tol=tol)
@@ -149,7 +150,7 @@ def verify_green_minimality(
     seed = _require_whole("seed", seed, 0)
     ggram = result.gram
     if not np.array_equal(ggram.nodes, f_region.nodes):
-        raise ValueError("result must be the Green equilibrium of f_region's nodes")
+        raise InvalidInput("result must be the Green equilibrium of f_region's nodes")
     rng = np.random.default_rng(seed)
     n = ggram.n
     ratios = []

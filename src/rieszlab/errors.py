@@ -25,7 +25,14 @@ class CenterCharged(RieszLabError):
     """A measure charges the center of the inversion sphere."""
 
 
-class UnresolvedLayout(RieszLabError, ValueError):
+class InvalidInput(RieszLabError, ValueError):
+    """An argument fails a library input check: a kernel order or dimension,
+    a measure's points or weights, a Gram's or a solve's shape, a tolerance,
+    a charge or inversion center on the set, a measure the call cannot take,
+    or a shape with no inversion image."""
+
+
+class UnresolvedLayout(InvalidInput):
     """A shape, region or layout cannot be built as asked: a parameter of a
     shape or layout is not finite (or a radius not positive, a normal zero);
     a union, point cloud, region or layout has no member; a region node lies

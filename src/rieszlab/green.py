@@ -35,7 +35,7 @@ from .core import (
     dirac,
     potential_at,
 )
-from .errors import NodesOutsideDomain, PointOutsideDomain
+from .errors import InvalidInput, NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 
 
@@ -145,7 +145,7 @@ def green_gram(gk: GreenKernel, nodes) -> GramMatrix:
     ``green_equilibrium`` builds over a region with the same nodes.  The
     correction subtracts the potential of each node's swept unit charge,
     column by column, and the result is symmetrized.  A single node has no
-    spacing and raises ValueError; a node much nearer A than the spacing can
+    spacing and raises UnresolvedLayout; a node much nearer A than the spacing can
     make the Gram indefinite, which raises IllConditioned.
     """
     return _green_gram(gk, cloud_region(nodes, gk.spec))
@@ -182,7 +182,7 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     introduce a small one-sided gap.
     """
     if nu.n_points < 2:
-        raise ValueError("energy decomposition needs at least two atoms")
+        raise InvalidInput("energy decomposition needs at least two atoms")
     # checked before the batch solve; _green_gram checks the same nodes again
     _require_green_nodes(gk, nu.points)
     F = cloud_region(nu.points, gk.spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DiscreteMeasure, KernelSpec, _as_points, _relative, potential_at
-from .errors import CenterCharged, CenterInversion
+from .errors import CenterCharged, CenterInversion, InvalidInput
 from .regions import (
     Ball,
     BallComplement,
@@ -114,4 +114,4 @@ def invert_shape(center, shape: Shape) -> Shape:
         return UnionShape([invert_shape(center, p) for p in shape.parts])
     if isinstance(shape, PointCloud):
         return PointCloud(invert_points(center, shape.points))
-    raise TypeError(f"no inversion image for {type(shape).__name__}")
+    raise InvalidInput(f"no inversion image for {type(shape).__name__}")

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import TINY, GramMatrix, _check_tolerance
-from .errors import SolverFailure
+from .errors import InvalidInput, SolverFailure
 
 # Block pivoting's iteration cap, per node of the Gram matrix.
 MAX_ITER_PER_NODE = 50
@@ -95,14 +95,14 @@ def solve_nonneg_many(gram: GramMatrix, B, tol: float = 1e-10) -> list[QPSolutio
     Columns are solved in order; SolverFailure is raised at the first one
     still infeasible after ``MAX_ITER_PER_NODE`` iterations per node, and
     later columns are not solved.
-    Raises ValueError unless ``tol`` is finite and positive, and
+    Raises InvalidInput unless ``tol`` is finite and positive, and
     IllConditioned if the Gram matrix fails ``GramMatrix.cholesky``.
     """
     _check_tolerance("tol", tol, positive=True)
     K = gram.entries
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or K.shape != (len(B), len(B)):
-        raise ValueError("b length must match the Gram matrix size")
+        raise InvalidInput("b length must match the Gram matrix size")
     tol_eff = tol * np.maximum(np.max(np.abs(B), axis=0, initial=0.0), TINY)
     # Contiguous columns.  The solve equals one-column solves to rounding, and
     # bitwise below 12 columns; with one BLAS thread some sizes differ above.

@@ -16,6 +16,7 @@ import numpy as np
 from .balayage import _check_inputs, sweep_many
 from .core import DiscreteMeasure, KernelSpec, _as_points, _check_tolerance
 from .equilibrium import riesz_equilibrium
+from .errors import InvalidInput
 from .kelvin import invert_shape
 from .regions import REGION_REG_FACTOR, Region, Shape, _require_whole, cloud_region
 
@@ -93,17 +94,17 @@ def wiener_report(
     q^(k * (alpha - n)), contributes one term.  A run of more than K_TAIL
     consecutive empty shells ends the scan: its vanishing tail classifies
     as irregular and degenerate (the set simply is not there at small
-    scales).  Raises ValueError unless ``k_max`` and ``shell_budget`` are
+    scales).  Raises InvalidInput unless ``k_max`` and ``shell_budget`` are
     at least 1: a scan of no shells, or of shells with no nodes, would
     report that same verdict about any set.  ``k_max`` must be a whole
-    number; its checks raise UnresolvedLayout, a ValueError.
+    number; its checks raise UnresolvedLayout, an InvalidInput.
     """
     (y,) = _as_points(point, spec.dim)
     if not (0.0 < ratio_q < 1.0):
-        raise ValueError("ratio_q must lie strictly between 0 and 1")
+        raise InvalidInput("ratio_q must lie strictly between 0 and 1")
     k_max = _require_whole("k_max", k_max, 1)
     if shell_budget < 1:
-        raise ValueError("shell_budget must be at least 1")
+        raise InvalidInput("shell_budget must be at least 1")
     shells: list[ShellStat] = []
     empty_run = 0
     for k in range(k_max):
@@ -147,7 +148,7 @@ def mass_loss_test(
     Mass escapes exactly when the complement of the target set is heavy
     enough near infinity (for bounded targets it always is).  The zero
     measure carries no mass to lose, so it never reports a strict loss.
-    Raises ValueError unless ``loss_margin`` is finite and nonnegative.
+    Raises InvalidInput unless ``loss_margin`` is finite and nonnegative.
     """
     _check_inputs(spec, region, tol)
     _check_tolerance("loss_margin", loss_margin)
@@ -196,7 +197,7 @@ def thin_at_infinity_report(
     """
     (y,) = _as_points(inversion_center, spec.dim)
     if bool(shape.contains(y)[0]):
-        raise ValueError("the inversion center must lie off the set")
+        raise InvalidInput("the inversion center must lie off the set")
     star = invert_shape(y, shape)
     rep = wiener_report(
         spec, star, y, ratio_q=ratio_q, k_max=k_max, shell_budget=shell_budget

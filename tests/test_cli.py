@@ -410,20 +410,38 @@ def test_non_object_section_exits_1(tmp_path, capsys, section, message):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("[1]", "error: scenario must be a JSON object"),
+        (b"[1]", "error: scenario must be a JSON object"),
         (
-            "{",
+            b"{",
             "error: scenario file is not valid JSON: Expecting property name enclosed "
             "in double quotes: line 1 column 2 (char 1)",
         ),
+        # JSON text is UTF-8
+        (
+            b"\xff{}",
+            "error: scenario file is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte",
+        ),
     ],
-    ids=["list", "truncated"],
+    ids=["list", "truncated", "not-utf8"],
 )
 def test_scenario_file_that_is_not_a_json_object_exits_1(tmp_path, capsys, text, message):
     path = tmp_path / "scen.json"
-    path.write_text(text)
+    path.write_bytes(text)
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == message
+
+
+def test_a_bare_value_error_inside_main_propagates(tmp_path, monkeypatch, capsys):
+    """Only a RieszLabError or an OSError is a user error: a bare ValueError
+    from a library call is a fault of the program, and main lets it raise."""
+    def fault(gk, x, y):
+        raise ValueError("zero-size array to reduction operation maximum which has no identity")
+
+    monkeypatch.setattr(cli, "green_eval", fault)
+    with pytest.raises(ValueError, match="zero-size array"):
+        main(["run", "green-center", "--out", str(tmp_path / "g")])
+    assert capsys.readouterr().err == ""
     assert list(tmp_path.glob("x.*")) == []
 
 
@@ -789,7 +807,7 @@ def test_refine_verify_all_sets_the_battery_size(tmp_path):
     assert payload["runs"][0]["checks"] != payload["runs"][1]["checks"]
 
 
-def test_refine_green_equilibrium_refines_the_region_only(tmp_path, monkeypatch):
+def test_refine_green_equilibrium_scales_the_compact_with_the_region(tmp_path, monkeypatch):
     built = []
 
     def spy(shape, n, spec):
@@ -801,8 +819,42 @@ def test_refine_green_equilibrium_refines_the_region_only(tmp_path, monkeypatch)
            "kernel": {"alpha": 2.0, "dim": 3}, **_PAYLOAD_LAYOUTS["green-equilibrium"][0]}
     args = ["refine", write_scenario(tmp_path, doc), "--n", "200", "250"]
     assert main(args + ["--out", str(tmp_path / "r")]) == 0
-    assert built == [("ball-complement", 200), ("sphere", 60),
-                     ("ball-complement", 250), ("sphere", 60)]
+    # the scenario's 300 region and 60 compact nodes keep their ratio
+    assert built == [("ball-complement", 200), ("sphere", 40),
+                     ("ball-complement", 250), ("sphere", 50)]
+    payload = json.loads((tmp_path / "r.result.json").read_text())
+    assert [(r["n"], r["compact_n"]) for r in payload["runs"]] == [(200, 40), (250, 50)]
+
+
+def test_refine_green_sweep_converges_with_the_compact(tmp_path):
+    """The builtin's compact of 800 nodes over a region of 2000 refines to
+    200 and 400 nodes at 500 and 1000, and the swept mass approaches its
+    closed form as both grow."""
+    out = tmp_path / "g"
+    assert main(["refine", "green-sweep-sphere", "--n", "500", "1000", "2000",
+                 "--out", str(out)]) == 0
+    runs = json.loads((tmp_path / "g.result.json").read_text())["runs"]
+    assert [r["compact_n"] for r in runs] == [200, 400, 800]
+    errors = [r["max_rel_error"] for r in runs]
+    assert errors == sorted(errors, reverse=True) and errors[-1] < 0.005
+
+
+@pytest.mark.parametrize(
+    "compact, counts",
+    [
+        ({"shape": "cloud", "points": fibonacci_sphere(30, 0.5, [0.0, 0.0, 0.0]).tolist()},
+         [30, 30]),
+        ({"shape": "sphere", "center": [0.0, 0.0, 0.0], "radius": 0.5, "n": 3}, [2, 2]),
+    ],
+    ids=["cloud", "two-nodes"],
+)
+def test_refine_keeps_a_cloud_compact_and_at_least_two_nodes(tmp_path, compact, counts):
+    doc = {"schema": 1, "name": "ge", "command": "green-equilibrium",
+           "kernel": {"alpha": 2.0, "dim": 3}, "region": COMPLEMENT, "compact": compact}
+    args = ["refine", write_scenario(tmp_path, doc), "--n", "100", "200"]
+    assert main(args + ["--out", str(tmp_path / "c")]) == 0
+    runs = json.loads((tmp_path / "c.result.json").read_text())["runs"]
+    assert [r["compact_n"] for r in runs] == counts
 
 
 UNION = {"shape": "union", "n": 200, "parts": [

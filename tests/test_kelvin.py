@@ -9,6 +9,7 @@ from rieszlab import (
     CenterInversion,
     DiscreteMeasure,
     HalfSpace,
+    InvalidInput,
     KernelSpec,
     SphereShell,
     UnionShape,
@@ -169,7 +170,7 @@ class _Uncatalogued(rl.Shape):
     [
         (HalfSpace([1.0, 0.0, 0.0], 0.0), CenterInversion,
          "the boundary plane passes through the inversion pole"),
-        (_Uncatalogued(), TypeError, "no inversion image for _Uncatalogued"),
+        (_Uncatalogued(), InvalidInput, "no inversion image for _Uncatalogued"),
     ],
     ids=["plane-through-pole", "uncatalogued"],
 )

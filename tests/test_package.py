@@ -225,16 +225,29 @@ def test_only_core_and_solver_read_tiny():
     assert _modules_where(found) == ["core.py", "solver.py"]
 
 
-def test_only_core_raises_degenerate_nodes():
-    """core._distinct_spacing is the one owner of node-set distinctness:
-    no other module raises DegenerateNodes."""
+def _raises(*names):
+    """A predicate: whether a node raises an exception class named in ``names``."""
     def found(node):
         if not (isinstance(node, ast.Raise) and node.exc is not None):
             return False
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        return _named(exc, "DegenerateNodes")
+        return any(_named(exc, name) for name in names)
 
-    assert _modules_where(found) == ["core.py"]
+    return found
+
+
+def test_only_core_raises_degenerate_nodes():
+    """core._distinct_spacing is the one owner of node-set distinctness:
+    no other module raises DegenerateNodes."""
+    assert _modules_where(_raises("DegenerateNodes")) == ["core.py"]
+
+
+def test_no_module_raises_a_bare_value_or_type_error():
+    """Every input check raises a RieszLabError, InvalidInput where no
+    narrower class fits: the CLI prints a RieszLabError as one ``error:``
+    line, and lets any other ValueError, a fault of the program, raise."""
+    found = _raises("ValueError", "TypeError")
+    assert [s for path in sorted(SRC.glob("*.py")) for s in _sites(path, found)] == []
 
 
 def test_only_core_and_regions_compare_a_distance_with_h_min():
@@ -258,16 +271,10 @@ def test_only_core_and_regions_compare_a_distance_with_h_min():
 def test_only_solver_decides_convergence():
     """solver owns non-convergence: no other module raises SolverFailure
     or reads a solution's ``converged`` flag."""
-    def raises(node):
-        if not (isinstance(node, ast.Raise) and node.exc is not None):
-            return False
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        return _named(exc, "SolverFailure")
-
     def reads_converged(node):
         return isinstance(node, ast.Attribute) and node.attr == "converged"
 
-    assert _modules_where(raises) == ["solver.py"]
+    assert _modules_where(_raises("SolverFailure")) == ["solver.py"]
     assert set(_modules_where(reads_converged)) <= {"solver.py"}
 
 
