@@ -776,7 +776,7 @@ def load_scenario(ref: str) -> dict:
     if path.exists():
         try:
             return json.loads(
-                path.read_text(),
+                path.read_text(encoding="utf-8"),
                 parse_float=_in_float_range,
                 parse_int=functools.partial(_in_float_range, parse=int),
                 parse_constant=_reject_constant,
@@ -823,11 +823,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _counts_nodes(section, where: str) -> bool:
-    """Whether a region section's shape takes a node count ``n``."""
-    return "n" in _shape_table(section, where, region=True)[2]
-
-
 def _with_node_count(doc: dict, n: int) -> dict:
     """A copy of ``doc`` at node count ``n``: its top-level ``n``, or the
     ``n`` of its region, where their tables have one.  A compact's ``n``
@@ -841,14 +836,14 @@ def _with_node_count(doc: dict, n: int) -> dict:
         return doc
     if not (
         table.get("region", (None,))[0] is _region_from_doc
-        and _counts_nodes(doc.get("region"), "region")
+        and "n" in _shape_table(doc.get("region"), "region", region=True)[2]
     ):
         raise SchemaError("this scenario has no node count to refine")
     compact = doc.get("compact")
-    if "compact" in table and "compact" in doc and _counts_nodes(compact, "compact"):
-        if "n" in compact:
-            scale = n / max(_count(doc["region"].get("n"), "region 'n'"), 1)
-            compact["n"] = max(2, round(_count(compact["n"], "compact 'n'") * scale))
+    if isinstance(compact, dict) and "n" in compact:
+        # the scenario's region, which refine replaces, may have 0 nodes
+        region_n = max(_count(doc["region"].get("n"), "region 'n'"), 1)
+        compact["n"] = max(2, round(_count(compact["n"], "compact 'n'") * n / region_n))
     doc["region"]["n"] = n
     return doc
 

@@ -64,6 +64,11 @@ PROBE_STANDOFF = 3.0
 PROBE_MAX_BATCHES = 500
 _NO_PROBES = "probe sampling failed to find enough points off A"
 
+# Largest node count, probe count or shell budget.  Every float from 2**53
+# up is whole, so the whole-number test of a count says nothing there, and
+# below it each array a count sizes stays under numpy's maximum array size.
+MAX_COUNT = 2**53
+
 
 def _layout_rounding(center: np.ndarray, radius: float) -> float:
     """How far rounding can move a point c + r u of a layout, or its distance from c."""
@@ -77,6 +82,8 @@ def _layout_center(n: int, radius: float, center) -> np.ndarray:
         raise UnresolvedLayout("need at least one node")
     if not float(n).is_integer():
         raise UnresolvedLayout(f"a node count must be a whole number, got {n!r}")
+    if n > MAX_COUNT:
+        raise UnresolvedLayout(f"a node count must be at most {MAX_COUNT}, got {n!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise UnresolvedLayout(f"layout radius must be finite and positive, got {radius!r}")
     (center,) = _as_points(center, 3)
@@ -189,7 +196,8 @@ class Shape:
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
 
-        ``budget`` sizes the layout; raises UnresolvedLayout unless it is a whole number >= 1.
+        ``budget`` sizes the layout; raises UnresolvedLayout unless it is a whole
+        number from 1 to MAX_COUNT.
         An analytic shape's ``y`` is 3-d, a cloud's has its points' width.
         """
         _require_budget(budget)
@@ -234,19 +242,23 @@ class Shape:
             )
 
 
-def _require_whole(name: str, value, least: int, too_few: str | None = None) -> int:
+def _require_whole(
+    name: str, value, least: int, too_few: str | None = None, most: float = math.inf
+) -> int:
     """``value`` as an int; UnresolvedLayout unless it is a whole number (``3.0``
-    is one) of at least ``least``.  ``too_few`` is the message below ``least``,
-    by default "<name> must be at least <least>"."""
+    is one) from ``least`` to ``most``.  ``too_few`` is the message below
+    ``least``, by default "<name> must be at least <least>"."""
     if not value >= least:
         raise UnresolvedLayout(too_few or f"{name} must be at least {least}")
     if not float(value).is_integer():
         raise UnresolvedLayout(f"{name} must be a whole number, got {value!r}")
+    if value > most:
+        raise UnresolvedLayout(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 
 def _require_budget(budget) -> None:
-    _require_whole("budget", budget, 1, f"budget must be >= 1, got {budget!r}")
+    _require_whole("budget", budget, 1, f"budget must be >= 1, got {budget!r}", MAX_COUNT)
 
 
 class _Round(Shape):
@@ -637,9 +649,12 @@ def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
     """Discretize a shape into a Region with the default radius of Region; a
     union joins its parts, each built at its ``counts(n)``, by ``union_region``.
 
-    An analytic shape needs n >= 2; a cloud lays out its own points, whatever n.
+    An analytic shape needs 2 <= n <= MAX_COUNT; a cloud lays out its own
+    points, whatever n.
     """
     if isinstance(shape, UnionShape):
+        if n > MAX_COUNT:  # counts() shares out n before any layout checks it
+            raise UnresolvedLayout(f"a node count must be at most {MAX_COUNT}, got {n!r}")
         parts = zip(shape.parts, shape.counts(n))
         return union_region([build_region(p, c, spec) for p, c in parts])
     if n < 2 and not isinstance(shape, PointCloud):
@@ -706,9 +721,10 @@ def sample_points_off(region: Region, n: int, seed: int = PROBE_SEED) -> np.ndar
     it is built and tested: it lies in A, so the draw is unchanged.  If every
     point of the ball lies within the standoff of one node, the draw fails
     at once, as it would after its last batch.  Raises UnresolvedLayout
-    unless ``n`` and ``seed`` are whole numbers of at least 0.
+    unless ``n`` and ``seed`` are whole numbers of at least 0, ``n`` at most
+    MAX_COUNT.
     """
-    n = _require_whole("probe count", n, 0)
+    n = _require_whole("probe count", n, 0, most=MAX_COUNT)
     seed = _require_whole("probe seed", seed, 0)
     if n == 0:
         return np.empty((0, region.dim))

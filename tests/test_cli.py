@@ -227,6 +227,24 @@ def test_refine_requires_counts(capsys):
     assert "at least one node count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["run", "HUGE"], ["refine", "equilibrium-ball", "--n", "10000000000000000000"],
+     ["refine", "green-sweep-sphere", "--n", "10000000000000000000"]],
+    ids=["run", "refine", "refine-compact"],
+)
+def test_a_node_count_past_numpys_array_size_exits_1(tmp_path, capsys, args):
+    """A node count of 1e19 would size arrays past numpy's limit; it is bad
+    input, named on one error line before numpy sees it."""
+    huge = small_sweep(region=dict(COMPLEMENT, n=1e19))
+    args = [write_scenario(tmp_path, huge) if a == "HUGE" else a for a in args]
+    assert main(args + ["--out", str(tmp_path / "h")]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: a node count must be at most 9007199254740992, got 10000000000000000000"
+    )
+    assert list(tmp_path.glob("h.*")) == []
+
+
 def test_refine_outputs_and_convergence(tmp_path):
     doc = {
         "schema": 1,
@@ -430,6 +448,7 @@ def test_scenario_file_that_is_not_a_json_object_exits_1(tmp_path, capsys, text,
     path.write_bytes(text)
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.strip() == message
+    assert list(tmp_path.glob("x.*")) == []
 
 
 def test_a_bare_value_error_inside_main_propagates(tmp_path, monkeypatch, capsys):
@@ -442,7 +461,7 @@ def test_a_bare_value_error_inside_main_propagates(tmp_path, monkeypatch, capsys
     with pytest.raises(ValueError, match="zero-size array"):
         main(["run", "green-center", "--out", str(tmp_path / "g")])
     assert capsys.readouterr().err == ""
-    assert list(tmp_path.glob("x.*")) == []
+    assert list(tmp_path.glob("g.*")) == []
 
 
 def test_analytic_shape_outside_three_dimensions_exits_1(tmp_path, capsys):

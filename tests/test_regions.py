@@ -826,16 +826,28 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
         (lambda: rl.wiener_report(KernelSpec(2.0, 3), Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0],
                                   shell_budget=2.5),
          "budget must be a whole number, got 2.5"),
+        (lambda: build_region(SphereShell(ORIGIN, 1.0), 1e19, KernelSpec(2.0, 3)),
+         "a node count must be at most 9007199254740992, got 1e+19"),
+        (lambda: build_region(UnionShape([Ball(ORIGIN, 1.0), Ball([3.0, 0.0, 0.0], 1.0)]),
+                              10**19, KernelSpec(2.0, 3)),
+         "a node count must be at most 9007199254740992, got 10000000000000000000"),
+        (lambda: Ball(ORIGIN, 1.0).shell_nodes(ORIGIN, 0.25, 0.5, 1e19),
+         "budget must be at most 9007199254740992, got 1e+19"),
+        (lambda: rl.sample_points_off(rl.sphere_region(ORIGIN, 1.0, 20, KernelSpec(2.0, 3)),
+                                      10**19),
+         "probe count must be at most 9007199254740992, got 10000000000000000000"),
     ],
     ids=["no-node", "radius", "disk-normal", "budget", "generated-region", "round-shape",
          "half-space", "union", "point-cloud", "region-nodes", "region-radius",
          "region-membership", "region-single-node", "reinterpret", "whole-count",
-         "whole-budget", "wiener-whole-budget"],
+         "whole-budget", "wiener-whole-budget", "huge-count", "huge-union-count",
+         "huge-budget", "huge-probe-count"],
 )
 def test_layout_checks_raise_unresolved_layout(make, message):
     """Every shape, region and layout check raises UnresolvedLayout, a
     RieszLabError that is also the ValueError it raised before, with the
-    same message; a count or budget must be a whole number."""
+    same message; a count or budget must be a whole number of at most
+    MAX_COUNT."""
     with pytest.raises(rl.UnresolvedLayout) as info:
         make()
     assert isinstance(info.value, rl.RieszLabError) and isinstance(info.value, ValueError)
