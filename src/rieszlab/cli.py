@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .balayage import sweep, verify_symmetry
-from .core import DiscreteMeasure, KernelSpec, _relative, dirac, potential_at, riesz_kernel
+from .core import DiscreteMeasure, KernelSpec, _is_real, _relative, dirac, potential_at, riesz_kernel
 from .equilibrium import green_equilibrium, riesz_equilibrium, sweep_dirac_by_inversion
 from .errors import RieszLabError, SchemaError
 from .green import GreenKernel, green_eval, green_sweep
@@ -102,9 +102,11 @@ def _read(doc, where: str, spec, table: dict, top: bool = False) -> dict:
 
 
 def _number(value, where: str, spec=None) -> float:
-    """``value`` as a float; SchemaError unless it is a JSON number."""
+    """``value`` as a float; SchemaError unless it is a JSON number in the float range."""
     if type(value) not in _JSON_NUMBER_TYPES:
         raise SchemaError(f"{where} must be a number")
+    if type(value) is int and not _is_real(value):  # from --n or --seed
+        raise SchemaError(f"{where} is beyond the float range")
     return float(value)
 
 
@@ -763,11 +765,8 @@ def _in_float_range(literal: str, parse=float):
     the float range, such as ``1e999``, would read as infinity as a float,
     and as an int overflow where a reader converts it to a float."""
     value = parse(literal)
-    try:
-        if math.isfinite(value):
-            return value
-    except OverflowError:
-        pass
+    if _is_real(value):  # JSON has no NaN literal
+        return value
     raise SchemaError(f"scenario number {literal} is beyond the float range")
 
 
@@ -843,6 +842,7 @@ def _with_node_count(doc: dict, n: int) -> dict:
     if isinstance(compact, dict) and "n" in compact:
         # the scenario's region, which refine replaces, may have 0 nodes
         region_n = max(_count(doc["region"].get("n"), "region 'n'"), 1)
+        _number(n, "--n")  # the scaled count is a float quotient
         compact["n"] = max(2, round(_count(compact["n"], "compact 'n'") * n / region_n))
     doc["region"]["n"] = n
     return doc

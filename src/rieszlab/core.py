@@ -8,6 +8,7 @@ constant, so for alpha = 2, n = 3 the unit ball has capacity exactly 1.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 import weakref
@@ -26,13 +27,16 @@ from .errors import (
     IllConditioned,
     IndeterminateValue,
     InvalidInput,
+    UnresolvedLayout,
 )
 
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
 
-# Smallest positive normal float: the floor of every relative-error denominator.
+# Smallest positive normal float, the floor of every relative-error denominator,
+# and largest finite float, past which an int converts to no float.
 TINY = np.finfo(float).tiny
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Rows per block of the mirrored Gram assembly; the block buffer holds at
 # most this many rows of the matrix.
@@ -68,12 +72,11 @@ class KernelSpec:
     dim: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 2.0):
+        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 2.0):
             raise InvalidInput("alpha must lie in (0,2]")
-        if int(self.dim) != self.dim or self.dim < 3:
-            raise InvalidInput("dim must be an integer >= 3")
+        dim = _require_whole("dim", self.dim, 3, "dim must be an integer >= 3")
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
 
     @property
     def exponent(self) -> float:
@@ -246,10 +249,31 @@ def _as_points(points, dim: int) -> np.ndarray:
     return rows
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number within the float range, or NaN (no infinity)."""
+    return isinstance(value, numbers.Real) and not abs(value) > _FLOAT_MAX
+
+
 def _check_tolerance(name: str, value, positive: bool = False) -> None:
-    """The tolerance rule's one owner: ``value`` finite and nonnegative, or positive."""
-    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+    """The tolerance rule's one owner: ``value`` real, finite and nonnegative, or positive."""
+    if not (_is_real(value) and (value > 0.0 if positive else value >= 0.0)):
         raise InvalidInput(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+
+
+def _require_whole(
+    name: str, value, least: int, too_few: str | None = None, most: float = math.inf
+) -> int:
+    """The count rule's one owner: ``value`` as an int if it is a real whole number (``3.0``
+    is one) from ``least`` to ``most``, else UnresolvedLayout; ``too_few`` may hold ``{!r}``."""
+    real = _is_real(value)
+    if real and not value >= least:
+        raise UnresolvedLayout((too_few or f"{name} must be at least {least}").format(value))
+    if not (real and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        got = "an int past the float range" if isinstance(value, numbers.Integral) else repr(value)
+        raise UnresolvedLayout(f"{name} must be a whole number, got {got}")
+    if value > most:
+        raise UnresolvedLayout(f"{name} must be at most {most}, got {value!r}")
+    return int(value)
 
 
 def _relative(num, den):

@@ -15,11 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .balayage import _check_inputs
-from .core import DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance, potential_at
+from .core import (DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance,
+                   _require_whole, potential_at)
 from .errors import InvalidInput
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
-from .regions import PROBE_SEED, Region, _require_whole, build_region, sample_points_off
+from .regions import PROBE_SEED, Region, build_region, sample_points_off
 from .solver import QPSolution, solve_nonneg
 
 

@@ -37,11 +37,11 @@ class UnresolvedLayout(InvalidInput):
     shape or layout is not finite (or a radius not positive, a normal zero);
     a union, point cloud, region or layout has no member; a region node lies
     off its shape (also in reinterpret_region), or a region radius is
-    missing or not finite and positive; a count or shell budget is not a
-    whole number, or a budget below 1; rounding a layout far from the origin
-    would move its points by more than LAYOUT_RESOLUTION of its radius; or a
-    layout has too few nodes for its layers, or a generated region fewer
-    than two."""
+    missing or not finite and positive; a count, seed, dimension or shell
+    budget is not a whole number in its range; rounding a layout far from
+    the origin would move its points by more than LAYOUT_RESOLUTION of its
+    radius; or a layout has too few nodes for its layers, or a generated
+    region fewer than two."""
 
 
 class IllConditioned(RieszLabError):

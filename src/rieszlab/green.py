@@ -96,11 +96,13 @@ def green_potential(gk: GreenKernel, nu: DiscreteMeasure, points) -> np.ndarray:
     return _green_potential_values(gk, nu, swept, X, _node_rows(gk.spec, gk.region, X))
 
 
-def _pole_sweeps(gk: GreenKernel, poles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Kernel rows of the poles against the region nodes, and the swept node
-    weights of the unit charges at the poles, from one batch."""
+def _pole_sweeps(
+    gk: GreenKernel, poles: np.ndarray, weights=None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Kernel rows of the poles against the region nodes, and the swept node weights
+    of their unit charges, or of the sources ``weights`` lists (``_sweep_batch``), in one batch."""
     block = _source_block(gk.spec, gk.region, poles)
-    sols = _sweep_batch(gk.region.gram(gk.spec), block, gk.tol)
+    sols = _sweep_batch(gk.region.gram(gk.spec), block, gk.tol, weights)
     return block.T, [sol.weights for sol in sols]
 
 
@@ -120,12 +122,13 @@ def _green_gram(
 ) -> GramMatrix:
     """F's free-kernel Gram minus the symmetrized swept unit-charge potentials.
 
-    ``sweeps`` is ``_pole_sweeps`` of F's nodes, swept here when not given;
-    the swept potentials at the nodes are GEMVs over its kernel rows.  F's
-    nodes must pass ``_require_green_nodes``.  The Gram is factored before it
-    is returned; later solves reuse the factor.
+    ``sweeps`` is ``_pole_sweeps`` of F's nodes, swept here, after
+    ``_require_green_nodes``, when not given (a caller that gives it checks
+    first); the swept potentials at the nodes are GEMVs over its kernel rows.
+    The Gram is factored before it is returned; later solves reuse the factor.
     """
-    _require_green_nodes(gk, F.nodes)
+    if sweeps is None:
+        _require_green_nodes(gk, F.nodes)
     rows, swept = _pole_sweeps(gk, F.nodes) if sweeps is None else sweeps
     kgram = F.gram(gk.spec)
     # Only F's entries are read from here on; the factor its condition check
@@ -183,7 +186,6 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     """
     if nu.n_points < 2:
         raise InvalidInput("energy decomposition needs at least two atoms")
-    # checked before the batch solve; _green_gram checks the same nodes again
     _require_green_nodes(gk, nu.points)
     F = cloud_region(nu.points, gk.spec)
     # One batch sweeps the unit charges at nu's atoms, for the Green Gram,
@@ -191,19 +193,14 @@ def verify_energy_decomposition(gk: GreenKernel, nu: DiscreteMeasure) -> dict:
     signed_parts = ((nu.positive_part(), 1.0), (nu.negative_part(), -1.0))
     parts = [(p, sign) for p, sign in signed_parts if p.n_points]
     points = np.concatenate([nu.points, *(p.points for p, _ in parts)])
-    weights = [np.ones(1)] * nu.n_points + [p.weights for p, _ in parts]
-    region_gram = gk.region.gram(gk.spec)
-    block = _source_block(gk.spec, gk.region, points)
-    sols = _sweep_batch(region_gram, block, gk.tol, weights)
     n = nu.n_points
-    ggram = _green_gram(gk, F, (block[:, :n].T, [sol.weights for sol in sols[:n]]))
+    rows, swept = _pole_sweeps(gk, points, [np.ones(1)] * n + [p.weights for p, _ in parts])
+    ggram = _green_gram(gk, F, (rows[:n], swept[:n]))
     e_green = float(nu.weights @ (ggram.entries @ nu.weights))
     e_free = float(nu.weights @ (F.gram(gk.spec).entries @ nu.weights))
 
-    v = np.zeros(gk.region.n_nodes)
-    for (_, sign), sol in zip(parts, sols[nu.n_points:]):
-        v += sign * sol.weights
-    e_swept = float(v @ (region_gram.entries @ v))
+    v = sum((sign * w for (_, sign), w in zip(parts, swept[n:])), np.zeros(gk.region.n_nodes))
+    e_swept = float(v @ (gk.region.gram(gk.spec).entries @ v))
 
     rhs = e_free - e_swept
     gap = _relative(abs(e_green - rhs), max(abs(e_green), abs(rhs)))
@@ -243,9 +240,11 @@ def verify_domination(
     if nu is None:
         nu = DiscreteMeasure.empty(gk.spec.dim)  # its Green potential is zero
     _require_in_domain(gk, nu.points, "the measure's atoms")
+    m = mu.n_points
+    if m >= 2:
+        _require_green_nodes(gk, mu.points)
     probes = sample_points_off(gk.region, n_probes, probe_seed)
     rows, swept = _pole_sweeps(gk, np.concatenate([mu.points, nu.points]))
-    m = mu.n_points
     mu_rows, mu_swept, nu_swept = rows[:m], swept[:m], swept[m:]
     if m == 1:
         # A lone atom has no spacing to regularize its own Green potential,

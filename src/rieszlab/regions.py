@@ -29,6 +29,7 @@ from .core import (
     _bbox_diameter,
     _distinct_spacing,
     _h_min,
+    _require_whole,
     _square,
 )
 from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure, UnresolvedLayout
@@ -78,12 +79,7 @@ def _layout_rounding(center: np.ndarray, radius: float) -> float:
 def _layout_center(n: int, radius: float, center) -> np.ndarray:
     """The 3-d center of a layout of a whole n >= 1 points with a finite,
     positive radius, which rounding moves its points by at most LAYOUT_RESOLUTION of."""
-    if n < 1:
-        raise UnresolvedLayout("need at least one node")
-    if not float(n).is_integer():
-        raise UnresolvedLayout(f"a node count must be a whole number, got {n!r}")
-    if n > MAX_COUNT:
-        raise UnresolvedLayout(f"a node count must be at most {MAX_COUNT}, got {n!r}")
+    _require_whole("a node count", n, 1, "need at least one node", MAX_COUNT)
     if not (math.isfinite(radius) and radius > 0.0):
         raise UnresolvedLayout(f"layout radius must be finite and positive, got {radius!r}")
     (center,) = _as_points(center, 3)
@@ -236,29 +232,12 @@ class Shape:
     def _require_layers(self, n: int, least: int) -> None:
         """An alpha < 2 layout gives each of its layers a share of n; with
         fewer than ``least`` nodes one layer would get none."""
-        if n < least:
-            raise UnresolvedLayout(
-                f"an alpha < 2 {self.kind} layout needs n >= {least} nodes, got {n!r}"
-            )
-
-
-def _require_whole(
-    name: str, value, least: int, too_few: str | None = None, most: float = math.inf
-) -> int:
-    """``value`` as an int; UnresolvedLayout unless it is a whole number (``3.0``
-    is one) from ``least`` to ``most``.  ``too_few`` is the message below
-    ``least``, by default "<name> must be at least <least>"."""
-    if not value >= least:
-        raise UnresolvedLayout(too_few or f"{name} must be at least {least}")
-    if not float(value).is_integer():
-        raise UnresolvedLayout(f"{name} must be a whole number, got {value!r}")
-    if value > most:
-        raise UnresolvedLayout(f"{name} must be at most {most}, got {value!r}")
-    return int(value)
+        too_few = f"an alpha < 2 {self.kind} layout needs n >= {least} nodes, got {{!r}}"
+        _require_whole("a node count", n, least, too_few)
 
 
 def _require_budget(budget) -> None:
-    _require_whole("budget", budget, 1, f"budget must be >= 1, got {budget!r}", MAX_COUNT)
+    _require_whole("budget", budget, 1, "budget must be >= 1, got {!r}", MAX_COUNT)
 
 
 class _Round(Shape):
@@ -458,7 +437,6 @@ class UnionShape(Shape):
         return [next(shares) if k is None else k for k in own]
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
-        _require_budget(budget)
         nodes = np.concatenate([p.shell_nodes(y, r_lo, r_hi, budget) for p in self.parts])
         return nodes[_dedupe(nodes)]
 
@@ -649,17 +627,15 @@ def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
     """Discretize a shape into a Region with the default radius of Region; a
     union joins its parts, each built at its ``counts(n)``, by ``union_region``.
 
-    An analytic shape needs 2 <= n <= MAX_COUNT; a cloud lays out its own
-    points, whatever n.
+    Every shape but a cloud, a union too, needs a whole 2 <= n <= MAX_COUNT (one
+    node has no spacing to set a radius from); a cloud lays out its own points.
     """
+    if not isinstance(shape, PointCloud):
+        n = _require_whole("a node count", n, 2, "a generated region needs n >= 2 nodes, got {!r}",
+                           MAX_COUNT)
     if isinstance(shape, UnionShape):
-        if n > MAX_COUNT:  # counts() shares out n before any layout checks it
-            raise UnresolvedLayout(f"a node count must be at most {MAX_COUNT}, got {n!r}")
         parts = zip(shape.parts, shape.counts(n))
         return union_region([build_region(p, c, spec) for p, c in parts])
-    if n < 2 and not isinstance(shape, PointCloud):
-        # One node has no spacing to set the default radius from.
-        raise UnresolvedLayout(f"a generated region needs n >= 2 nodes, got {n!r}")
     return Region(shape, shape.make_nodes(n, spec))
 
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import _check_inputs, sweep_many
-from .core import DiscreteMeasure, KernelSpec, _as_points, _check_tolerance
+from .core import DiscreteMeasure, KernelSpec, _as_points, _check_tolerance, _is_real, _require_whole
 from .equilibrium import riesz_equilibrium
 from .errors import InvalidInput
 from .kelvin import invert_shape
-from .regions import REGION_REG_FACTOR, Region, Shape, _require_whole, cloud_region
+from .regions import MAX_COUNT, REGION_REG_FACTOR, Region, Shape, cloud_region
 
 # Number of trailing shells used for the decay fit, and the fitted
 # shell-to-shell ratio below which the rescaled terms are judged summable.
@@ -94,17 +94,16 @@ def wiener_report(
     q^(k * (alpha - n)), contributes one term.  A run of more than K_TAIL
     consecutive empty shells ends the scan: its vanishing tail classifies
     as irregular and degenerate (the set simply is not there at small
-    scales).  Raises InvalidInput unless ``k_max`` and ``shell_budget`` are
-    at least 1: a scan of no shells, or of shells with no nodes, would
-    report that same verdict about any set.  ``k_max`` must be a whole
-    number; its checks raise UnresolvedLayout, an InvalidInput.
+    scales).  Raises UnresolvedLayout, an InvalidInput, unless ``k_max`` and
+    ``shell_budget`` are whole numbers of at least 1, ``shell_budget`` at
+    most MAX_COUNT: a scan of no shells, or of shells with no nodes, would
+    report that same verdict about any set.
     """
     (y,) = _as_points(point, spec.dim)
-    if not (0.0 < ratio_q < 1.0):
+    if not (_is_real(ratio_q) and 0.0 < ratio_q < 1.0):
         raise InvalidInput("ratio_q must lie strictly between 0 and 1")
     k_max = _require_whole("k_max", k_max, 1)
-    if shell_budget < 1:
-        raise InvalidInput("shell_budget must be at least 1")
+    shell_budget = _require_whole("shell_budget", shell_budget, 1, most=MAX_COUNT)
     shells: list[ShellStat] = []
     empty_run = 0
     for k in range(k_max):

@@ -227,21 +227,29 @@ def test_refine_requires_counts(capsys):
     assert "at least one node count" in capsys.readouterr().err
 
 
+PAST_FLOATS = "1" + "0" * 400
+TOO_MANY = "error: a node count must be at most 9007199254740992, got 10000000000000000000"
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["run", "HUGE"], ["refine", "equilibrium-ball", "--n", "10000000000000000000"],
-     ["refine", "green-sweep-sphere", "--n", "10000000000000000000"]],
-    ids=["run", "refine", "refine-compact"],
+    "args, message",
+    [(["run", "HUGE"], TOO_MANY),
+     (["refine", "equilibrium-ball", "--n", "10000000000000000000"], TOO_MANY),
+     (["refine", "green-sweep-sphere", "--n", "10000000000000000000"], TOO_MANY),
+     (["refine", "equilibrium-ball", "--n", PAST_FLOATS],
+      "error: shape 'sphere' 'n' is beyond the float range"),
+     (["run", "equilibrium-ball", "--seed", PAST_FLOATS],
+      "error: probes 'seed' is beyond the float range")],
+    ids=["run", "refine", "refine-compact", "refine-past-floats", "seed-past-floats"],
 )
-def test_a_node_count_past_numpys_array_size_exits_1(tmp_path, capsys, args):
-    """A node count of 1e19 would size arrays past numpy's limit; it is bad
-    input, named on one error line before numpy sees it."""
+def test_a_node_count_past_numpys_array_size_exits_1(tmp_path, capsys, args, message):
+    """A node count of 1e19 would size arrays past numpy's limit, and an int
+    from ``--n`` or ``--seed`` past the float range converts to no float;
+    each is bad input, named on one error line before numpy sees it."""
     huge = small_sweep(region=dict(COMPLEMENT, n=1e19))
     args = [write_scenario(tmp_path, huge) if a == "HUGE" else a for a in args]
     assert main(args + ["--out", str(tmp_path / "h")]) == 1
-    assert capsys.readouterr().err.strip() == (
-        "error: a node count must be at most 9007199254740992, got 10000000000000000000"
-    )
+    assert capsys.readouterr().err.strip() == message
     assert list(tmp_path.glob("h.*")) == []
 
 

@@ -162,6 +162,29 @@ def test_energy_decomposition_rejects_an_off_domain_atom_before_any_solve(gk2000
         verify_energy_decomposition(gk2000, nu)
 
 
+def test_domination_rejects_an_atom_on_a_region_node_before_any_solve(complement, monkeypatch):
+    """An atom of mu in D but within h_min of a region node sits on that node
+    in the Green Gram's kernel rows: verify_domination rejects it before its
+    batch, as green_sweep does."""
+    import rieszlab.green as green
+
+    batches = []
+    sweep_batch = green._sweep_batch
+
+    def recorded(*args):
+        batches.append(args)
+        return sweep_batch(*args)
+
+    monkeypatch.setattr(green, "_sweep_batch", recorded)
+    point = complement.nodes[0] * (1.0 - 1.5e-9)
+    assert not complement.contains(point[None, :])[0]
+    assert complement.on_node(point[None, :])[0] == 0
+    mu = DiscreteMeasure([point, [0.2, 0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(NodesOutsideDomain):
+        verify_domination(GreenKernel(SPEC, complement), mu, n_probes=0)
+    assert batches == []
+
+
 @pytest.mark.parametrize("name", ["spec", "region", "tol"])
 def test_green_kernel_inputs_cannot_be_reassigned(gk2000, name):
     """The guard checks a kernel's inputs once, at construction; assigning

@@ -86,7 +86,7 @@ PARAMS = [
         id=f"{entry}-{name}={value}",
     )
     for entry, name, positive, call in CASES
-    for value in [np.nan, np.inf, -1.0, *([0.0] if positive else [])]
+    for value in [np.nan, np.inf, -1.0, "0.1", None, *([0.0] if positive else [])]
 ]
 
 
@@ -134,14 +134,49 @@ COUNTS = [
      "seed must be a whole number, got 1.5"),
 ]
 
+UNION = rl.UnionShape([rl.Ball(ORIGIN, 1.0), rl.Ball([3.0, 0.0, 0.0], 1.0)])
+COUNTS += [
+    ("union-n=2.5", lambda r, g: rl.build_region(UNION, 2.5, SPEC),
+     "a node count must be a whole number, got 2.5"),
+    *((f"union-n={n!r}", lambda r, g, n=n: rl.build_region(UNION, n, SPEC),
+       f"a generated region needs n >= 2 nodes, got {n!r}") for n in (-5, 0, True, np.nan)),
+    ("KernelSpec-dim=nan", lambda r, g: rl.KernelSpec(2.0, np.nan), "dim must be an integer >= 3"),
+    ("KernelSpec-dim=inf", lambda r, g: rl.KernelSpec(2.0, np.inf),
+     "dim must be a whole number, got inf"),
+    ("KernelSpec-dim=3.5", lambda r, g: rl.KernelSpec(2.0, 3.5),
+     "dim must be a whole number, got 3.5"),
+]
+# A value that is not a real number, or an int past the float range, is no whole number.
+for label, bad, got in [("10**400", 10**400, "an int past the float range"),
+                        ("'300'", "300", "'300'")]:
+    COUNTS += [
+        (f"{entry}={label}", lambda r, g, call=call, bad=bad: call(r, g, bad),
+         f"{name} must be a whole number, got {got}")
+        for entry, name, call in [
+            ("build_region-n", "a node count",
+             lambda r, g, v: rl.build_region(rl.SphereShell(ORIGIN, 1.0), v, SPEC)),
+            ("sample_points_off-n", "probe count", lambda r, g, v: rl.sample_points_off(r, v)),
+            ("sample_points_off-seed", "probe seed",
+             lambda r, g, v: rl.sample_points_off(r, 5, v)),
+            ("wiener_report-k_max", "k_max",
+             lambda r, g, v: rl.wiener_report(SPEC, rl.Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0], k_max=v)),
+            ("wiener_report-shell_budget", "shell_budget",
+             lambda r, g, v: rl.wiener_report(SPEC, rl.Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0],
+                                              shell_budget=v)),
+            ("verify_green_minimality-n_competitors", "n_competitors",
+             lambda r, g, v: rl.verify_green_minimality(*g, n_competitors=v)),
+        ]
+    ]
+
 
 @pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in COUNTS])
 def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
     complement, green_inputs, spy, call, message
 ):
-    """A probe count, probe seed, shell count or competitor count must be a
-    whole number, and not negative: each raises UnresolvedLayout, before the
-    probe draw's first candidate and before any Gram is assembled."""
+    """A node count, dimension, probe count, probe seed, shell count, shell
+    budget or competitor count must be a whole number in its range: each
+    raises UnresolvedLayout, before the probe draw's first candidate and
+    before any Gram is assembled."""
     with pytest.raises(rl.UnresolvedLayout) as info:
         call(complement, green_inputs)
     assert str(info.value) == message

@@ -308,6 +308,17 @@ def _sites(path: Path, found) -> list[str]:
     return sites
 
 
+def test_only_core_and_the_cli_test_for_whole_numbers():
+    """core._require_whole owns the whole-number rule of every library count,
+    seed, shell budget and dimension: no other library site reads
+    ``.is_integer``.  cli._count reads scenario input, so it has its own."""
+    def found(node):
+        return isinstance(node, ast.Attribute) and node.attr == "is_integer"
+
+    sites = sorted(s for path in SRC.glob("*.py") for s in _sites(path, found))
+    assert sites == ["cli:_count", "core:_require_whole"]
+
+
 def _power_of_the_exponent(node) -> bool:
     """Whether a node is a power, ``**`` or ``np.power``, whose exponent
     reads ``spec.exponent``."""

@@ -825,7 +825,7 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
          "budget must be a whole number, got 2.5"),
         (lambda: rl.wiener_report(KernelSpec(2.0, 3), Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0],
                                   shell_budget=2.5),
-         "budget must be a whole number, got 2.5"),
+         "shell_budget must be a whole number, got 2.5"),
         (lambda: build_region(SphereShell(ORIGIN, 1.0), 1e19, KernelSpec(2.0, 3)),
          "a node count must be at most 9007199254740992, got 1e+19"),
         (lambda: build_region(UnionShape([Ball(ORIGIN, 1.0), Ball([3.0, 0.0, 0.0], 1.0)]),
