@@ -37,7 +37,6 @@ from .regions import (
     SHAPES,
     Ball,
     BallComplement,
-    PointCloud,
     Region,
     build_region,
     fibonacci_sphere,
@@ -178,15 +177,14 @@ _SHAPE_FIELDS = {"center": _point, "radius": _number, "normal": _point, "offset"
 
 
 def _shape_table(doc, where: str, region: bool) -> tuple[type, str, dict]:
-    """The class of a shape section, its name in messages and its table:
-    the class's fields, and the node count ``n`` of a region of an analytic
-    shape (a cloud's nodes are its points)."""
+    """The class of a shape section, its name in messages and its table: the
+    class's fields, and a region's node count ``n`` if the class ``takes_count``."""
     kind = doc.get("shape") if isinstance(doc, dict) else None
     if not (isinstance(kind, str) and kind in SHAPES):
         raise SchemaError(f"{where} must be an object whose 'shape' is one of {sorted(SHAPES)}")
     cls = SHAPES[kind]
     table = {"shape": (_string, ...)} | {f: (_SHAPE_FIELDS[f], ...) for f in cls.fields}
-    if region and cls is not PointCloud:
+    if region and cls.takes_count:
         table["n"] = (_count, ...)
     return cls, f"shape '{kind}'", table
 
@@ -197,7 +195,6 @@ def _shape_from_doc(doc, where: str, spec: KernelSpec, region: bool = False):
     cls, label, table = _shape_table(doc, where, region)
     values = _read(doc, label, spec, table)
     shape = cls(*(values[f] for f in cls.fields))
-    # a cloud lays out its own points, whatever the count
     return build_region(shape, values.get("n", 0), spec) if region else shape
 
 

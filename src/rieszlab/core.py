@@ -191,7 +191,7 @@ class DiscreteMeasure:
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         """The measure ``factor`` times this one, on the same (distinct) support."""
-        f = float(factor)
+        f = _check_weight(factor)
         return DiscreteMeasure._on_distinct_nodes(
             self.points, self.weights * f, signed=self.signed or f < 0
         )
@@ -206,6 +206,7 @@ class DiscreteMeasure:
 
 def dirac(point, weight: float = 1.0) -> DiscreteMeasure:
     """Point mass of the given weight."""
+    weight = _check_weight(weight)
     return DiscreteMeasure([list(point)], [weight], signed=weight < 0)
 
 
@@ -252,6 +253,13 @@ def _as_points(points, dim: int) -> np.ndarray:
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number within the float range, or NaN (no infinity)."""
     return isinstance(value, numbers.Real) and not abs(value) > _FLOAT_MAX
+
+
+def _check_weight(weight) -> float:
+    """The weight rule of a point charge or a scale factor: a finite real number, as a float."""
+    if not (_is_real(weight) and math.isfinite(weight)):
+        raise InvalidInput("points and weights must be finite")
+    return float(weight)
 
 
 def _check_tolerance(name: str, value, positive: bool = False) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .balayage import _check_inputs
 from .core import (DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance,
-                   _require_whole, potential_at)
+                   _check_weight, _require_whole, potential_at)
 from .errors import InvalidInput
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
@@ -107,6 +107,7 @@ def sweep_dirac_by_inversion(
     whose inversion image is again in the catalog, and the charge strictly
     off the region.
     """
+    _check_weight(weight)
     (y,) = _as_points(point, spec.dim)
     if bool(region.contains(y)[0]):
         raise InvalidInput("the charge must lie strictly off the target set")

@@ -14,28 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DiscreteMeasure, KernelSpec, _as_points, _relative, potential_at
-from .errors import CenterCharged, CenterInversion, InvalidInput
-from .regions import (
-    Ball,
-    BallComplement,
-    HalfSpace,
-    PointCloud,
-    Shape,
-    SphereShell,
-    UnionShape,
-    _Round,
-)
-
-
-def invert_points(center, points) -> np.ndarray:
-    """Map points through the inversion about ``center``; the pole itself is not allowed."""
-    y = np.asarray(center, dtype=float)
-    diff = _as_points(points, len(y)) - y
-    r2 = np.einsum("ij,ij->i", diff, diff)
-    if np.any(r2 == 0.0):
-        raise CenterInversion("cannot invert the pole of the inversion")
-    out = y + diff / r2[:, None]
-    return out[0] if np.ndim(points) == 1 else out
+from .errors import CenterCharged, InvalidInput
+from .regions import Shape, invert_points
 
 
 def kelvin_transform(center, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -81,37 +61,6 @@ def invert_shape(center, shape: Shape) -> Shape:
     Half-spaces map to balls or their complements, unions part by part,
     and point clouds point by point.
     """
-    if isinstance(shape, _Round):
-        (y,) = _as_points(center, len(shape.center))
-        d = shape.center - y
-        k = float(d @ d) - shape.radius**2
-        if abs(k) < 1e-12 * shape.radius**2:
-            raise CenterInversion(
-                "the boundary sphere passes through the inversion pole"
-            )
-        c_star = y + d / k
-        r_star = shape.radius / abs(k)
-        if isinstance(shape, SphereShell):
-            return SphereShell(c_star, r_star)
-        inside_preserved = k > 0
-        if isinstance(shape, Ball):
-            return Ball(c_star, r_star) if inside_preserved else BallComplement(c_star, r_star)
-        return BallComplement(c_star, r_star) if inside_preserved else Ball(c_star, r_star)
-    if isinstance(shape, HalfSpace):
-        (y,) = _as_points(center, len(shape.normal))
-        delta = float(shape.normal @ y) - shape.offset
-        if abs(delta) < 1e-12 * max(1.0, abs(shape.offset)):
-            raise CenterInversion("the boundary plane passes through the inversion pole")
-        # delta is the signed height of the pole over the boundary plane.
-        # Pole outside the half-space: the image is a closed ball touching
-        # the pole.  Pole in the interior: inside and outside swap.
-        c_star = y - shape.normal / (2.0 * delta)
-        r_star = 1.0 / (2.0 * abs(delta))
-        if delta < 0:
-            return Ball(c_star, r_star)
-        return BallComplement(c_star, r_star)
-    if isinstance(shape, UnionShape):
-        return UnionShape([invert_shape(center, p) for p in shape.parts])
-    if isinstance(shape, PointCloud):
-        return PointCloud(invert_points(center, shape.points))
-    raise InvalidInput(f"no inversion image for {type(shape).__name__}")
+    if not isinstance(shape, Shape):
+        raise InvalidInput(f"no inversion image for {type(shape).__name__}")
+    return shape.inverted(center)

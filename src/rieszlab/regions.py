@@ -29,10 +29,12 @@ from .core import (
     _bbox_diameter,
     _distinct_spacing,
     _h_min,
+    _is_real,
     _require_whole,
     _square,
 )
-from .errors import DimensionMismatch, IllConditioned, ProbeSamplingFailure, UnresolvedLayout
+from .errors import (CenterInversion, DimensionMismatch, IllConditioned, InvalidInput,
+                     ProbeSamplingFailure, UnresolvedLayout)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
@@ -80,7 +82,7 @@ def _layout_center(n: int, radius: float, center) -> np.ndarray:
     """The 3-d center of a layout of a whole n >= 1 points with a finite,
     positive radius, which rounding moves its points by at most LAYOUT_RESOLUTION of."""
     _require_whole("a node count", n, 1, "need at least one node", MAX_COUNT)
-    if not (math.isfinite(radius) and radius > 0.0):
+    if not (_is_real(radius) and math.isfinite(radius) and radius > 0.0):
         raise UnresolvedLayout(f"layout radius must be finite and positive, got {radius!r}")
     (center,) = _as_points(center, 3)
     rounding = _layout_rounding(center, radius)
@@ -176,18 +178,34 @@ def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
     return out
 
 
+def invert_points(center, points) -> np.ndarray:
+    """Map points through the inversion about ``center``; the pole itself is not allowed."""
+    y = np.asarray(center, dtype=float)
+    diff = _as_points(points, len(y)) - y
+    r2 = np.einsum("ij,ij->i", diff, diff)
+    if np.any(r2 == 0.0):
+        raise CenterInversion("cannot invert the pole of the inversion")
+    out = y + diff / r2[:, None]
+    return out[0] if np.ndim(points) == 1 else out
+
+
 class Shape:
-    """Analytic descriptor of a closed set A; subclasses fill in geometry,
-    the ``kind`` of their shape document and the ``fields`` their
-    constructor takes, in order.  Every shape but a union lays out nodes
-    with ``make_nodes(n, spec)``."""
+    """Analytic descriptor of a closed set A; subclasses fill in geometry, the
+    ``kind`` of their shape document, the ``fields`` their constructor takes, in
+    order, and ``inverted`` where the catalog has an image.  Every shape but a union
+    lays out nodes with ``make_nodes(n, spec)``, or its own points if not ``takes_count``."""
 
     bounded: bool = True
+    takes_count: bool = True
     kind: str
     fields: tuple[str, ...]
 
     def contains(self, points) -> np.ndarray:
         raise NotImplementedError
+
+    def inverted(self, y) -> Shape:
+        """The image of the shape under inversion about the pole ``y``."""
+        raise InvalidInput(f"no inversion image for {type(self).__name__}")
 
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
@@ -252,7 +270,7 @@ class _Round(Shape):
 
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
+        self.radius = float(radius) if _is_real(radius) else math.nan
         if not (np.isfinite(self.center).all() and 0.0 < self.radius < np.inf):
             raise UnresolvedLayout("center must be finite and radius finite and positive")
         self._slack = _layout_rounding(self.center, self.radius)
@@ -260,6 +278,16 @@ class _Round(Shape):
     def _dist(self, points) -> np.ndarray:
         """Distance of each point from the center."""
         return np.linalg.norm(_as_points(points, len(self.center)) - self.center, axis=1)
+
+    def inverted(self, y) -> Shape:
+        """With d = c - y and k = |d|^2 - r^2, the image has center y + d/k and radius
+        r/|k|; ``image_kinds`` holds its kind for a pole inside, then outside, the sphere."""
+        (y,) = _as_points(y, len(self.center))
+        d = self.center - y
+        k = float(d @ d) - self.radius**2
+        if abs(k) < 1e-12 * self.radius**2:
+            raise CenterInversion("the boundary sphere passes through the inversion pole")
+        return SHAPES[self.image_kinds[k > 0]](y + d / k, self.radius / abs(k))
 
     def characteristic_scale(self) -> float:
         return self.radius
@@ -269,6 +297,7 @@ class Ball(_Round):
     """Closed solid ball {|x - c| <= r}."""
 
     kind = "ball"
+    image_kinds = ("ball-complement", "ball")
 
     def contains(self, points) -> np.ndarray:
         return self._dist(points) <= self.radius * (1.0 + SURFACE_TOL) + self._slack
@@ -294,6 +323,7 @@ class BallComplement(_Round):
     """Closed complement of an open ball: {|x - c| >= r}."""
 
     kind = "ball-complement"
+    image_kinds = ("ball", "ball-complement")
     bounded = False
 
     def contains(self, points) -> np.ndarray:
@@ -325,6 +355,7 @@ class SphereShell(_Round):
     """The sphere surface {|x - c| = r} as a closed set."""
 
     kind = "sphere"
+    image_kinds = ("sphere", "sphere")
 
     def contains(self, points) -> np.ndarray:
         tol = SURFACE_TOL * max(self.radius, 1.0) + self._slack
@@ -376,7 +407,7 @@ class HalfSpace(Shape):
     def __init__(self, normal, offset: float):
         normal = np.array(normal, dtype=float)
         norm = np.linalg.norm(normal)
-        self.offset = float(offset)
+        self.offset = float(offset) if _is_real(offset) else math.nan
         if not (0.0 < norm < np.inf and np.isfinite(self.offset)):
             raise UnresolvedLayout("normal must be finite and non-zero and offset finite")
         # Normalizing can move the last bits of a unit normal (computed norm
@@ -388,6 +419,15 @@ class HalfSpace(Shape):
         X = _as_points(points, len(self.normal))
         tol = SURFACE_TOL * max(1.0, abs(self.offset))
         return X @ self.normal >= self.offset - tol
+
+    def inverted(self, y) -> Shape:
+        """A ball touching the pole, or that ball's complement if the pole lies inside."""
+        (y,) = _as_points(y, len(self.normal))
+        delta = float(self.normal @ y) - self.offset  # the pole's height over the plane
+        if abs(delta) < 1e-12 * max(1.0, abs(self.offset)):
+            raise CenterInversion("the boundary plane passes through the inversion pole")
+        image = Ball if delta < 0 else BallComplement
+        return image(y - self.normal / (2.0 * delta), 1.0 / (2.0 * abs(delta)))
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         self._require_dim3(spec)
@@ -425,12 +465,15 @@ class UnionShape(Shape):
     def contains(self, points) -> np.ndarray:
         return np.any([p.contains(points) for p in self.parts], axis=0)
 
+    def inverted(self, y) -> Shape:
+        return UnionShape([p.inverted(y) for p in self.parts])
+
     def counts(self, n: int) -> list[int]:
         """Each part's node count for a budget of n.  A cloud part lays out its
         own points, so it counts those; every other part gets its share of
         the rest by squared scale (surface area for spheres), which keeps
         node spacings comparable across parts, and at least 16."""
-        own = [len(p.points) if isinstance(p, PointCloud) else None for p in self.parts]
+        own = [None if p.takes_count else len(p.points) for p in self.parts]
         rest = n - sum(k for k in own if k is not None)
         scales = np.array([p.characteristic_scale() ** 2 for p, k in zip(self.parts, own) if k is None])
         shares = iter(np.maximum(16, np.round(rest * (scales / scales.sum())).astype(int)).tolist())
@@ -449,6 +492,7 @@ class PointCloud(Shape):
 
     kind = "cloud"
     fields = ("points",)
+    takes_count = False
 
     def __init__(self, points):
         pts = np.array(points, dtype=float, copy=True)
@@ -463,6 +507,9 @@ class PointCloud(Shape):
     def contains(self, points) -> np.ndarray:
         d, _ = self._tree.query(_as_points(points, self.points.shape[1]), k=1)
         return d <= self._tol
+
+    def inverted(self, y) -> Shape:
+        return PointCloud(invert_points(y, self.points))
 
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         return np.array(self.points)
@@ -583,10 +630,8 @@ class Region:
         return np.where(dist <= self.h_min, index, -1)
 
     def self_terms(self, spec: KernelSpec, points) -> np.ndarray:
-        """Each point's Gram self-term: its node's diagonal entry when it sits
-        on one, otherwise the smallest entry, that of the largest radius."""
-        diag, on = self.gram(spec).entries.diagonal(), self.on_node(points)
-        return np.where(on >= 0, diag[on], diag.min())
+        """Each point's Gram self-term: the diagonal entry of its nearest node."""
+        return self.gram(spec).entries.diagonal()[self.nearest_node(points)[1]]
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes whose ``cholesky`` succeeds.
@@ -627,10 +672,10 @@ def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
     """Discretize a shape into a Region with the default radius of Region; a
     union joins its parts, each built at its ``counts(n)``, by ``union_region``.
 
-    Every shape but a cloud, a union too, needs a whole 2 <= n <= MAX_COUNT (one
-    node has no spacing to set a radius from); a cloud lays out its own points.
+    Every shape that takes a count, a union too, needs a whole 2 <= n <= MAX_COUNT
+    (one node has no spacing to set a radius from); a cloud lays out its own points.
     """
-    if not isinstance(shape, PointCloud):
+    if shape.takes_count:
         n = _require_whole("a node count", n, 2, "a generated region needs n >= 2 nodes, got {!r}",
                            MAX_COUNT)
     if isinstance(shape, UnionShape):

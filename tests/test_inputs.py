@@ -181,3 +181,39 @@ def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
         call(complement, green_inputs)
     assert str(info.value) == message
     assert "_assemble_distinct" not in spy
+
+
+# (id, call(region), exception class, message): a shape, layout or weight
+# parameter that is not a real number fails the finiteness check of a NaN.
+SCALARS = [
+    ("Ball-radius=None", lambda r: rl.Ball(ORIGIN, None), rl.UnresolvedLayout,
+     "center must be finite and radius finite and positive"),
+    ("Ball-radius='1.0'", lambda r: rl.Ball(ORIGIN, "1.0"), rl.UnresolvedLayout,
+     "center must be finite and radius finite and positive"),
+    ("HalfSpace-offset=None", lambda r: rl.HalfSpace([1.0, 0.0, 0.0], None), rl.UnresolvedLayout,
+     "normal must be finite and non-zero and offset finite"),
+    ("fibonacci_sphere-radius='1.0'", lambda r: rl.fibonacci_sphere(5, "1.0"),
+     rl.UnresolvedLayout, "layout radius must be finite and positive, got '1.0'"),
+    ("dirac-weight='1'", lambda r: dirac(A, "1"), rl.InvalidInput,
+     "points and weights must be finite"),
+    ("scaled-factor=None", lambda r: dirac(A).scaled(None), rl.InvalidInput,
+     "points and weights must be finite"),
+    ("sweep_dirac_by_inversion-weight=None",
+     lambda r: rl.sweep_dirac_by_inversion(SPEC, A, None, r), rl.InvalidInput,
+     "points and weights must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, exc, message", [pytest.param(c, e, m, id=i) for i, c, e, m in SCALARS]
+)
+def test_a_scalar_parameter_that_is_not_a_real_number_raises_before_any_gram(
+    complement, spy, call, exc, message
+):
+    """A radius, an offset or a weight is checked with ``core._is_real``
+    before it is converted: a string or None raises the check's own
+    RieszLabError, never a TypeError, and before any Gram is assembled."""
+    with pytest.raises(exc) as info:
+        call(complement)
+    assert str(info.value) == message
+    assert spy == []

@@ -319,6 +319,31 @@ def test_only_core_and_the_cli_test_for_whole_numbers():
     assert sites == ["cli:_count", "core:_require_whole"]
 
 
+def test_only_regions_tests_a_shape_class():
+    """A catalog shape answers for itself, through ``inverted`` and
+    ``takes_count``: outside regions, no ``isinstance`` call and no ``is`` or
+    ``is not`` comparison names a concrete shape class, and kelvin imports
+    from regions only the base class and the point map."""
+    shapes = {cls.__name__ for cls in rieszlab.regions.SHAPES.values()} | {"_Round"}
+
+    def names_a_shape(nodes) -> bool:
+        return any(_named(n, name) for node in nodes for n in ast.walk(node) for name in shapes)
+
+    def found(node):
+        if isinstance(node, ast.Call) and _named(node.func, "isinstance"):
+            return names_a_shape(node.args[1:])
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            return names_a_shape([node.left, *node.comparators])
+        return False
+
+    sites = {s for path in SRC.glob("*.py") if path.stem != "regions" for s in _sites(path, found)}
+    assert sorted(sites) == []
+    kelvin = ast.parse((SRC / "kelvin.py").read_text())
+    imported = [a.name for node in kelvin.body if isinstance(node, ast.ImportFrom)
+                and node.module == "regions" for a in node.names]
+    assert sorted(imported) == ["Shape", "invert_points"]
+
+
 def _power_of_the_exponent(node) -> bool:
     """Whether a node is a power, ``**`` or ``np.power``, whose exponent
     reads ``spec.exponent``."""
