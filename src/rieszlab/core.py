@@ -206,8 +206,7 @@ class DiscreteMeasure:
 
 def dirac(point, weight: float = 1.0) -> DiscreteMeasure:
     """Point mass of the given weight."""
-    weight = _check_weight(weight)
-    return DiscreteMeasure([list(point)], [weight], signed=weight < 0)
+    return DiscreteMeasure([list(point)], [weight], signed=_check_weight(weight) < 0)
 
 
 def _bbox_diameter(points: np.ndarray) -> float:

@@ -190,10 +190,9 @@ def invert_points(center, points) -> np.ndarray:
 
 
 class Shape:
-    """Analytic descriptor of a closed set A; subclasses fill in geometry, the
-    ``kind`` of their shape document, the ``fields`` their constructor takes, in
-    order, and ``inverted`` where the catalog has an image.  Every shape but a union
-    lays out nodes with ``make_nodes(n, spec)``, or its own points if not ``takes_count``."""
+    """Analytic descriptor of a closed set A; subclasses fill in geometry, their document's
+    ``kind``, their constructor's ``fields`` in order, ``inverted`` if the catalog has an image
+    and, but for a union, ``make_nodes(n, spec)``, which reads n only if ``takes_count``."""
 
     bounded: bool = True
     takes_count: bool = True
@@ -267,6 +266,7 @@ class _Round(Shape):
     """
 
     fields = ("center", "radius")
+    inside_image: type | None = None  # the image's class for a pole inside the sphere
 
     def __init__(self, center, radius: float):
         self.center = np.asarray(center, dtype=float)
@@ -280,14 +280,15 @@ class _Round(Shape):
         return np.linalg.norm(_as_points(points, len(self.center)) - self.center, axis=1)
 
     def inverted(self, y) -> Shape:
-        """With d = c - y and k = |d|^2 - r^2, the image has center y + d/k and radius
-        r/|k|; ``image_kinds`` holds its kind for a pole inside, then outside, the sphere."""
+        """With d = c - y and k = |d|^2 - r^2, the image has center y + d/k and radius r/|k|."""
+        if self.inside_image is None:
+            return super().inverted(y)
         (y,) = _as_points(y, len(self.center))
         d = self.center - y
         k = float(d @ d) - self.radius**2
         if abs(k) < 1e-12 * self.radius**2:
             raise CenterInversion("the boundary sphere passes through the inversion pole")
-        return SHAPES[self.image_kinds[k > 0]](y + d / k, self.radius / abs(k))
+        return (type(self) if k > 0 else self.inside_image)(y + d / k, self.radius / abs(k))
 
     def characteristic_scale(self) -> float:
         return self.radius
@@ -297,7 +298,6 @@ class Ball(_Round):
     """Closed solid ball {|x - c| <= r}."""
 
     kind = "ball"
-    image_kinds = ("ball-complement", "ball")
 
     def contains(self, points) -> np.ndarray:
         return self._dist(points) <= self.radius * (1.0 + SURFACE_TOL) + self._slack
@@ -323,7 +323,6 @@ class BallComplement(_Round):
     """Closed complement of an open ball: {|x - c| >= r}."""
 
     kind = "ball-complement"
-    image_kinds = ("ball", "ball-complement")
     bounded = False
 
     def contains(self, points) -> np.ndarray:
@@ -355,7 +354,6 @@ class SphereShell(_Round):
     """The sphere surface {|x - c| = r} as a closed set."""
 
     kind = "sphere"
-    image_kinds = ("sphere", "sphere")
 
     def contains(self, points) -> np.ndarray:
         tol = SURFACE_TOL * max(self.radius, 1.0) + self._slack
@@ -525,10 +523,9 @@ class PointCloud(Shape):
 
 
 # kind in the shape document -> shape class
-SHAPES = {
-    cls.kind: cls
-    for cls in (Ball, BallComplement, SphereShell, HalfSpace, UnionShape, PointCloud)
-}
+SHAPES = {c.kind: c for c in (Ball, BallComplement, SphereShell, HalfSpace, UnionShape, PointCloud)}
+Ball.inside_image, BallComplement.inside_image, SphereShell.inside_image = (
+    BallComplement, Ball, SphereShell)
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
@@ -561,8 +558,8 @@ class Region:
     ``reg_radius`` is one radius for every node or one per node, and
     defaults to REGION_REG_FACTOR x the mean nearest-neighbor spacing for
     every node; a single node needs it given, and a given one must be
-    finite and positive.  ``gram`` turns radii into diagonal entries, by
-    ``_self_interactions``; ``self_terms`` and everything else read them.
+    finite and positive.  ``gram`` and ``self_terms`` turn radii into Gram
+    entries, by ``_self_interactions``; everything else reads them.
     """
 
     __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
@@ -630,8 +627,11 @@ class Region:
         return np.where(dist <= self.h_min, index, -1)
 
     def self_terms(self, spec: KernelSpec, points) -> np.ndarray:
-        """Each point's Gram self-term: the diagonal entry of its nearest node."""
-        return self.gram(spec).entries.diagonal()[self.nearest_node(points)[1]]
+        """Each point's Gram self-term: its node's diagonal entry when it sits
+        on one, otherwise the uncapped entry of its nearest node's radius."""
+        diag, on = self.gram(spec).entries.diagonal(), self.on_node(points)
+        radii = np.broadcast_to(self.reg_radius, self.n_nodes)[self.nearest_node(points)[1]]
+        return np.where(on >= 0, diag[on], _self_interactions(spec, radii))
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes whose ``cholesky`` succeeds.

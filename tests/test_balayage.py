@@ -392,32 +392,31 @@ def test_measure_on_capped_nodes_is_a_fixed_point():
     assert res.checks.energy_out == pytest.approx(res.checks.energy_in, rel=1e-12)
 
 
-def test_source_energy_takes_each_atoms_nearest_node_entry():
+def test_source_energy_takes_the_node_entry_on_a_node_and_the_smallest_entry_off_them():
     """The source energy is w^T K w over the source atoms, where an atom on a
     capped node takes that node's diagonal entry and an atom off the nodes
-    its nearest node's, here a capped one too; bit for bit."""
+    the smallest entry, that of the largest radius; bit for bit."""
     spec15 = rl.KernelSpec(1.5, 3)
     region = rl.ball_complement_region(ORIGIN, 1.0, 250, spec15)
     diag = region.gram(spec15).entries.diagonal()
     i = int(np.flatnonzero(diag > region.reg_radius ** spec15.exponent)[0])
     points = np.array([region.nodes[i], [0.1, 0.2, -0.3]])
-    j = int(region.nearest_node(points[1])[1][0])
     mu = DiscreteMeasure(points, [0.4, 0.6])
     res = sweep(spec15, mu, region, n_probes=0)
     K = cdist(points, points)
     np.fill_diagonal(K, 1.0)
     K **= spec15.exponent
-    np.fill_diagonal(K, [diag[i], diag[j]])
-    assert diag[i] > diag.min() and diag[j] > diag.min()
+    np.fill_diagonal(K, [diag[i], diag.min()])
+    assert diag[i] > diag.min()
     assert res.checks.energy_in == float(mu.weights @ (K @ mu.weights))
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5])
 def test_an_off_node_atom_of_a_union_takes_its_nearest_parts_entry(alpha):
     """A ball of radius 1.9 joined with a cloud at 1e8 of spacing ~1e3: a
-    charge by the ball takes a ball node's entry, not the cloud's far smaller
-    one, so its energy is the one the ball alone gives it, and the swept
-    energy stays below it."""
+    charge by the ball takes the uncapped entry of a ball node's radius, not
+    the cloud's far smaller one, so its energy is the one the ball alone
+    gives it, and the swept energy stays below it."""
     spec = rl.KernelSpec(alpha, 3)
     ball = rl.ball_region(ORIGIN, 1.9, 300, spec)
     cloud = rl.cloud_region(rl.fibonacci_sphere(50, 1e4, (1e8, 0.0, 0.0)), spec)

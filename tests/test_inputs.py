@@ -110,7 +110,7 @@ def test_the_spy_sees_probes_and_grams(complement, spy):
     assert spy == ["sample_points_off", "_assemble_distinct"]
 
 
-# (id, call(region, green_inputs), message)
+# (id, call(region, green_inputs), message[, exception class if not UnresolvedLayout])
 COUNTS = [
     ("riesz_equilibrium-n_probes=2.5", lambda r, g: rl.riesz_equilibrium(SPEC, r, n_probes=2.5),
      "probe count must be a whole number, got 2.5"),
@@ -169,51 +169,42 @@ for label, bad, got in [("10**400", 10**400, "an int past the float range"),
     ]
 
 
-@pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in COUNTS])
-def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
-    complement, green_inputs, spy, call, message
-):
-    """A node count, dimension, probe count, probe seed, shell count, shell
-    budget or competitor count must be a whole number in its range: each
-    raises UnresolvedLayout, before the probe draw's first candidate and
-    before any Gram is assembled."""
-    with pytest.raises(rl.UnresolvedLayout) as info:
-        call(complement, green_inputs)
-    assert str(info.value) == message
-    assert "_assemble_distinct" not in spy
-
-
-# (id, call(region), exception class, message): a shape, layout or weight
-# parameter that is not a real number fails the finiteness check of a NaN.
-SCALARS = [
-    ("Ball-radius=None", lambda r: rl.Ball(ORIGIN, None), rl.UnresolvedLayout,
-     "center must be finite and radius finite and positive"),
-    ("Ball-radius='1.0'", lambda r: rl.Ball(ORIGIN, "1.0"), rl.UnresolvedLayout,
-     "center must be finite and radius finite and positive"),
-    ("HalfSpace-offset=None", lambda r: rl.HalfSpace([1.0, 0.0, 0.0], None), rl.UnresolvedLayout,
+# A shape, layout or weight parameter that is not a real number (a 0-d array
+# is none) fails its finiteness check.
+NOT_FINITE = "center must be finite and radius finite and positive"
+COUNTS += [
+    ("Ball-radius=None", lambda r, g: rl.Ball(ORIGIN, None), NOT_FINITE),
+    ("Ball-radius='1.0'", lambda r, g: rl.Ball(ORIGIN, "1.0"), NOT_FINITE),
+    ("Ball-radius=array(1.0)", lambda r, g: rl.Ball(ORIGIN, np.array(1.0)), NOT_FINITE),
+    ("HalfSpace-offset=None", lambda r, g: rl.HalfSpace([1.0, 0.0, 0.0], None),
      "normal must be finite and non-zero and offset finite"),
-    ("fibonacci_sphere-radius='1.0'", lambda r: rl.fibonacci_sphere(5, "1.0"),
-     rl.UnresolvedLayout, "layout radius must be finite and positive, got '1.0'"),
-    ("dirac-weight='1'", lambda r: dirac(A, "1"), rl.InvalidInput,
-     "points and weights must be finite"),
-    ("scaled-factor=None", lambda r: dirac(A).scaled(None), rl.InvalidInput,
-     "points and weights must be finite"),
+    ("fibonacci_sphere-radius='1.0'", lambda r, g: rl.fibonacci_sphere(5, "1.0"),
+     "layout radius must be finite and positive, got '1.0'"),
+    ("dirac-weight='1'", lambda r, g: dirac(A, "1"), "points and weights must be finite",
+     rl.InvalidInput),
+    ("scaled-factor=None", lambda r, g: dirac(A).scaled(None), "points and weights must be finite",
+     rl.InvalidInput),
     ("sweep_dirac_by_inversion-weight=None",
-     lambda r: rl.sweep_dirac_by_inversion(SPEC, A, None, r), rl.InvalidInput,
-     "points and weights must be finite"),
+     lambda r, g: rl.sweep_dirac_by_inversion(SPEC, A, None, r), "points and weights must be finite",
+     rl.InvalidInput),
 ]
 
 
 @pytest.mark.parametrize(
-    "call, exc, message", [pytest.param(c, e, m, id=i) for i, c, e, m in SCALARS]
+    "call, message, exc",
+    [pytest.param(c, m, *(e or [rl.UnresolvedLayout]), id=i) for i, c, m, *e in COUNTS],
 )
-def test_a_scalar_parameter_that_is_not_a_real_number_raises_before_any_gram(
-    complement, spy, call, exc, message
+def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
+    complement, green_inputs, spy, call, message, exc
 ):
-    """A radius, an offset or a weight is checked with ``core._is_real``
-    before it is converted: a string or None raises the check's own
-    RieszLabError, never a TypeError, and before any Gram is assembled."""
+    """A node count, dimension, probe count, probe seed, shell count, shell
+    budget or competitor count must be a whole number in its range, and a
+    radius, an offset or a weight a real number: each raises its
+    RieszLabError, UnresolvedLayout unless the row names another, never a
+    TypeError, before the probe draw's first candidate and before any Gram
+    is assembled."""
     with pytest.raises(exc) as info:
-        call(complement)
+        call(complement, green_inputs)
     assert str(info.value) == message
-    assert spy == []
+    assert "_assemble_distinct" not in spy
+

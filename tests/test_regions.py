@@ -619,6 +619,17 @@ def test_inverted_shape_membership_tracks_base():
     assert not star.contains(np.array([[0.9, 0, 0]])).any()
 
 
+@pytest.mark.parametrize("pole", [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], ids=["inside", "outside"])
+def test_a_round_shape_without_an_inside_image_has_no_inversion_image(pole):
+    """A shape bounded by a sphere that names no ``inside_image`` has no
+    image, wherever the pole lies: Shape's InvalidInput, not an AttributeError."""
+    class Lens(regions._Round):
+        pass
+
+    with pytest.raises(rl.InvalidInput, match="^no inversion image for Lens$"):
+        Lens(ORIGIN, 1.0).inverted(pole)
+
+
 @pytest.mark.parametrize("kind", ["ball", "half-space", "union"])
 def test_default_radius_and_spacing_follow_nearest_neighbors(kind):
     """A region's default radius is REGION_REG_FACTOR x the mean
