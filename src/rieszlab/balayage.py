@@ -142,12 +142,14 @@ def _source_block(spec: KernelSpec, region: Region, points: np.ndarray) -> np.nd
 
     The transpose of C-ordered kernel rows; a point within ``h_min`` of a
     node takes that node's Gram diagonal entry, so a measure on the nodes is
-    a fixed point of sweeping.
+    a fixed point of sweeping, and no entry exceeds its node's diagonal: a
+    node stands for a smeared charge, whose potential is bounded.
     """
     rows, near = _kernel_rows(spec, points, region.nodes, region.h_min)
     block = rows.T
-    np.copyto(block, region.gram(spec).entries.diagonal()[:, None], where=near.T)
-    return block
+    diag = region.gram(spec).entries.diagonal()[:, None]
+    np.copyto(block, diag, where=near.T)
+    return np.minimum(block, diag, out=block)
 
 
 def _sweep_batch(
@@ -185,8 +187,10 @@ def swept_potentials(
 
     The kernel block between the points and every region node is computed
     once; column j equals ``potential_at(spec, results[j].swept, points)``
-    bit for bit.  Raises PointOutsideDomain if a point lies within ``h_min``
-    of a region node: it sits on the target set, where no caller evaluates.
+    bit for bit at points farther from each node than its radius, where no
+    kernel entry reaches the node's Gram diagonal.  Raises PointOutsideDomain
+    if a point lies within ``h_min`` of a region node: it sits on the target
+    set, where no caller evaluates.
     """
     return _row_potentials(
         _node_rows(spec, region, points), [res.solution.weights for res in results]
@@ -194,11 +198,12 @@ def swept_potentials(
 
 
 def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
-    """Kernel rows of evaluation points against the region nodes; none may sit on a node."""
+    """Kernel rows of evaluation points against the region nodes, each entry
+    capped at its node's Gram diagonal as in ``_source_block``; none may sit on a node."""
     rows, near = _kernel_rows(spec, _as_points(points, spec.dim), region.nodes, region.h_min)
     if near.any():
         raise PointOutsideDomain("an evaluation point sits on a region node")
-    return rows
+    return np.minimum(rows, region.gram(spec).entries.diagonal(), out=rows)
 
 
 def _sweep_checks(spec, mu, region, res, tol_dom, probes, probe_seed) -> SweepChecks:

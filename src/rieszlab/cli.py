@@ -311,15 +311,16 @@ def _write_outputs(prefix, payload: dict, header, lines) -> None:
     _write_atomic(Path(f"{prefix}.table.csv"), buf.getvalue())
 
 
-def _region_doc(region: Region) -> dict:
-    return region.shape.descriptor() | {"n_nodes": region.n_nodes}
-
-
-def _node_potential(eq) -> dict:
+def _equilibrium_doc(eq) -> dict:
+    """The payload fields of a Riesz or a Green equilibrium."""
     return {
-        "min": eq.node_potential_min,
-        "max": eq.node_potential_max,
-        "mean": eq.node_potential_mean,
+        "capacity": eq.capacity,
+        "min_energy": eq.min_energy,
+        "node_potential": {
+            "min": eq.node_potential_min,
+            "max": eq.node_potential_max,
+            "mean": eq.node_potential_mean,
+        },
     }
 
 
@@ -327,7 +328,8 @@ def _node_potential(eq) -> dict:
 # Command runners.  Each takes the kernel and, by keyword, the parsed fields
 # its scenario set, "expected" among them, and returns (its payload fields,
 # rows, failed-property names that are not rows); _run_scenario adds the
-# envelope.  A probes section's keys map to library parameters by _PROBE_ARGS.
+# envelope, which writes the scenario's regions and points.  A probes
+# section's keys map to library parameters by _PROBE_ARGS.
 _PROBE_ARGS = {"n": "n_probes", "seed": "probe_seed"}
 
 
@@ -355,7 +357,6 @@ def _run_sweep(spec, expected, region, source, probes, **options):
         rows.append(_checked_row("identity-gap", gap, expected, "identity_gap", default_tol=1e-6))
 
     fields = {
-        "region": _region_doc(region),
         "checks": asdict(checks),
         "swept": {"mass": res.swept.total_mass, "n_atoms": res.swept.n_points},
         "solver": {
@@ -391,27 +392,14 @@ def _run_equilibrium(spec, expected, region, probes, **options):
         rows.append(_row("probe-potential-max", eq.probe_potential_max))
         if eq.probe_potential_max > 1.02:
             failures.append("maximum-principle")
-    fields = {
-        "region": _region_doc(region),
-        "capacity": eq.capacity,
-        "min_energy": eq.min_energy,
-        "node_potential": _node_potential(eq),
-        "probe_potential_max": eq.probe_potential_max,
-        "probe_seed": eq.probe_seed,
-    }
-    return fields, rows, failures
+    fields = {"probe_potential_max": eq.probe_potential_max, "probe_seed": eq.probe_seed}
+    return _equilibrium_doc(eq) | fields, rows, failures
 
 
 def _run_green_eval(spec, expected, region, x, y, **options):
     value = green_eval(GreenKernel(spec, region, **options), x, y)
     rows = [_checked_row("green-value", value, expected, "value")]
-    fields = {
-        "region": _region_doc(region),
-        "x": list(map(float, x)),
-        "y": list(map(float, y)),
-        "value": value,
-    }
-    return fields, rows, []
+    return {"value": value}, rows, []
 
 
 def _run_green_equilibrium(spec, expected, region, compact, **options):
@@ -421,14 +409,7 @@ def _run_green_equilibrium(spec, expected, region, compact, **options):
         _row("node-potential-min", eq.node_potential_min),
         _row("node-potential-max", eq.node_potential_max),
     ]
-    fields = {
-        "region": _region_doc(region),
-        "compact": _region_doc(compact),
-        "capacity": eq.capacity,
-        "min_energy": eq.min_energy,
-        "node_potential": _node_potential(eq),
-    }
-    return fields, rows, []
+    return _equilibrium_doc(eq), rows, []
 
 
 def _run_green_sweep(spec, expected, region, compact, source, **options):
@@ -438,8 +419,6 @@ def _run_green_sweep(spec, expected, region, compact, source, **options):
         _checked_row("mass-out", res.swept.total_mass, expected, "mass"),
     ]
     fields = {
-        "region": _region_doc(region),
-        "compact": _region_doc(compact),
         "swept": {"mass": res.swept.total_mass, "n_atoms": res.swept.n_points},
         "solver": {
             "iterations": res.solution.iterations,
@@ -462,12 +441,7 @@ def _run_kelvin_check(spec, expected, center, measure, samples):
     keep = np.linalg.norm(samples - center, axis=1) > 1e-6
     gap = verify_potential_covariance(center, spec, measure, samples[keep])
     rows = [_checked_row("covariance-gap", gap, expected, "gap", default_tol=1e-12)]
-    fields = {
-        "center": list(map(float, center)),
-        "n_samples": int(np.sum(keep)),
-        "covariance_gap": gap,
-    }
-    return fields, rows, []
+    return {"n_samples": int(np.sum(keep)), "covariance_gap": gap}, rows, []
 
 
 def _run_wiener(spec, expected, region, point, at_infinity, **options):
@@ -484,7 +458,6 @@ def _run_wiener(spec, expected, region, point, at_infinity, **options):
     if "thin" in expected and thin is not None and expected["thin"] != thin:
         failures.append("thin-at-infinity")
     fields = {
-        "point": list(map(float, point)),
         "ratio_q": rep.ratio_q,
         "k_max": rep.k_max,
         "classification": rep.classification,
@@ -508,8 +481,7 @@ def _run_mass_loss(spec, expected, region, source, **options):
         _row("loss-fraction", report["loss_fraction"]),
         _row("strict-loss", 1.0 if report["strict_loss"] else 0.0),
     ]
-    fields = {"region": _region_doc(region), **report}
-    return fields, rows, failures
+    return report, rows, failures
 
 
 # The measure that the battery and the kelvin-exactness builtin transform.
@@ -678,16 +650,22 @@ def _run_scenario(scen: Scenario):
     runner = COMMANDS[scen.command][0]
     fields, rows, failures = runner(scen.spec, **scen.fields)
     failed = [r["name"] for r in rows if r["passed"] is False]
-    return _envelope(scen.command, scen.spec) | fields, rows, failed + failures
+    return _envelope(scen.command, scen.spec, scen.fields) | fields, rows, failed + failures
 
 
-def _envelope(command: str, spec: KernelSpec) -> dict:
-    """The fields every result.json opens with."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "kernel": {"alpha": spec.alpha, "dim": spec.dim},
-    }
+def _envelope(command: str, spec: KernelSpec, fields: dict) -> dict:
+    """The fields every result.json opens with: the schema, command and
+    kernel, then each parsed field of ``fields`` that is a Region (a region
+    or compact) as its shape document and node count, and each point field
+    as a list of floats."""
+    doc = {"schema": SCHEMA_VERSION, "command": command,
+           "kernel": {"alpha": spec.alpha, "dim": spec.dim}}
+    for key, value in fields.items():
+        if isinstance(value, Region):
+            doc[key] = value.shape.descriptor() | {"n_nodes": value.n_nodes}
+        elif COMMANDS[command][1][key][0] is _point:
+            doc[key] = list(map(float, value))
+    return doc
 
 
 def _builtin(name: str, blurb: str, command: str, **fields):
@@ -870,7 +848,7 @@ def _cmd_refine(args) -> int:
         if "compact" in scen.fields:
             run["compact_n"] = scen.fields["compact"].n_nodes
         runs.append(run)
-    payload = _envelope("refine", scen.spec) | {"base_command": scen.command, "runs": runs}
+    payload = _envelope("refine", scen.spec, {}) | {"base_command": scen.command, "runs": runs}
     header = ["n", "check", "value", "expected", "rel_error"]
     _write_outputs(Path(args.out or scen.name), payload, header, lines)
     return 0

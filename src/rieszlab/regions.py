@@ -257,6 +257,13 @@ def _require_budget(budget) -> None:
     _require_whole("budget", budget, 1, "budget must be >= 1, got {!r}", MAX_COUNT)
 
 
+def _require_shapes(*shapes) -> None:
+    """Raise InvalidInput unless every argument is a Shape."""
+    for shape in shapes:
+        if not isinstance(shape, Shape):
+            raise InvalidInput(f"a shape must be a Shape, got {type(shape).__name__}")
+
+
 class _Round(Shape):
     """A shape bounded by the sphere {|x - c| = r}.
 
@@ -457,6 +464,7 @@ class UnionShape(Shape):
         parts = list(parts)
         if not parts:
             raise UnresolvedLayout("union needs at least one part")
+        _require_shapes(*parts)
         self.parts = parts
         self.bounded = all(p.bounded for p in parts)
 
@@ -565,6 +573,7 @@ class Region:
     __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
 
     def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius=None):
+        _require_shapes(shape)
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
             raise UnresolvedLayout("region nodes must be a non-empty (n, dim) array")
@@ -675,6 +684,7 @@ def build_region(shape: Shape, n: int, spec: KernelSpec) -> Region:
     Every shape that takes a count, a union too, needs a whole 2 <= n <= MAX_COUNT
     (one node has no spacing to set a radius from); a cloud lays out its own points.
     """
+    _require_shapes(shape)
     if shape.takes_count:
         n = _require_whole("a node count", n, 2, "a generated region needs n >= 2 nodes, got {!r}",
                            MAX_COUNT)

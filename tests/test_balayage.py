@@ -426,6 +426,18 @@ def test_an_off_node_atom_of_a_union_takes_its_nearest_parts_entry(alpha):
     assert checks.energy_in == sweep(spec, mu, ball).checks.energy_in
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-3, 3e-2])
+def test_a_charge_just_off_a_node_sweeps_about_its_mass(spec, eps):
+    """A unit charge at node * (1 - eps) on the N=500 unit sphere, outside
+    the node's h_min: each kernel entry is capped at its node's Gram
+    diagonal, so the swept mass stays near 1, where the raw entries swept
+    36 550, 36.5 and 1.218.  The excess left is discretization error."""
+    region = rl.sphere_region(ORIGIN, 1.0, 500, spec)
+    x = region.nodes[0] * (1.0 - eps)
+    assert region.on_node(x[None])[0] == -1
+    assert sweep(spec, dirac(x), region).checks.mass_out == pytest.approx(1.0, abs=0.02)
+
+
 def test_sweep_many_builds_no_kd_tree(spec, ball500, monkeypatch):
     """Swept measures live on region nodes, which are distinct by
     construction, so building them queries no KD-tree; they still equal

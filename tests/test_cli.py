@@ -639,6 +639,13 @@ _PAYLOAD_LAYOUTS = {
         {"region", "compact", "capacity", "min_energy", "node_potential"},
         0,
     ),
+    "green-sweep": (
+        {"region": COMPLEMENT,
+         "compact": {"shape": "sphere", "center": [0.0, 0.0, 0.0], "radius": 0.5, "n": 60},
+         "source": {"points": [[0.75, 0.1, 0.0]], "weights": [1.0]}},
+        {"region", "compact", "swept", "solver"},
+        0,
+    ),
     "kelvin-check": (
         {"center": [2.0, 0.0, 0.0],
          "measure": {"points": [[0.1, 0.2, 0.3]], "weights": [1.0]},
@@ -673,8 +680,16 @@ def test_payload_layout(tmp_path, command):
     assert set(payload) == _ENVELOPE | keys
     assert payload["command"] == command
     assert payload["kernel"] == {"alpha": 2.0, "dim": 3}
-    if "region" in keys:
-        assert "n_nodes" in payload["region"]
+    # The envelope writes each parsed region as its shape document and node
+    # count (wiener's region is a shape, with no nodes), and each point as given.
+    parsed = cli.parse_scenario(doc).fields
+    for key in ("region", "compact"):
+        if key in keys:
+            shape_doc = {k: v for k, v in fields[key].items() if k != "n"}
+            assert payload[key] == shape_doc | {"n_nodes": parsed[key].n_nodes}
+    for key in ("x", "y", "point", "center"):
+        if key in fields:
+            assert payload[key] == fields[key]
     if command == "sweep":
         assert set(payload["checks"]) == {
             "mass_in", "mass_out", "mass_ok", "energy_in", "energy_out", "energy_ok",

@@ -98,6 +98,16 @@ def test_green_rejects_an_evaluation_point_within_h_min_of_a_node(spec, compleme
         green_eval(gk, x, [0.3, 0.0, 0.0])
 
 
+def test_green_just_inside_a_node_is_positive(spec, complement500):
+    """Points 1e-3 and 2e-3 inside a node of the N=500 unit-ball complement
+    lie outside its h_min: their Green value is positive, as g_D is, because
+    the swept potential reads each node entry capped at its Gram diagonal;
+    the raw entries gave -17 275."""
+    z = complement500.nodes[0]
+    value = green_eval(GreenKernel(spec, complement500), z * (1.0 - 1e-3), z * (1.0 - 2e-3))
+    assert value > 0.0
+
+
 def test_green_potential_single_atom_matches_values(gk2000):
     rng = np.random.default_rng(33)
     X = interior_points(rng, 10)

@@ -188,6 +188,16 @@ COUNTS += [
      lambda r, g: rl.sweep_dirac_by_inversion(SPEC, A, None, r), "points and weights must be finite",
      rl.InvalidInput),
 ]
+# A shape or a union part that is not a Shape fails the shape check.
+COUNTS += [
+    (i, call, f"a shape must be a Shape, got {got}", rl.InvalidInput) for i, call, got in [
+        ("UnionShape-parts=[5]", lambda r, g: rl.UnionShape([5]), "int"),
+        ("UnionShape-parts=[Ball,None]", lambda r, g: rl.UnionShape([rl.Ball(ORIGIN, 1.0), None]),
+         "NoneType"),
+        ("build_region-shape=5", lambda r, g: rl.build_region(5, 100, SPEC), "int"),
+        ("Region-shape=5", lambda r, g: rl.Region(5, r.nodes), "int"),
+    ]
+]
 
 
 @pytest.mark.parametrize(
@@ -198,8 +208,8 @@ def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
     complement, green_inputs, spy, call, message, exc
 ):
     """A node count, dimension, probe count, probe seed, shell count, shell
-    budget or competitor count must be a whole number in its range, and a
-    radius, an offset or a weight a real number: each raises its
+    budget or competitor count must be a whole number in its range, a
+    radius, an offset or a weight a real number, and a shape a Shape: each raises its
     RieszLabError, UnresolvedLayout unless the row names another, never a
     TypeError, before the probe draw's first candidate and before any Gram
     is assembled."""

@@ -344,6 +344,29 @@ def test_only_regions_tests_a_shape_class():
     assert sorted(imported) == ["Shape", "invert_points"]
 
 
+def test_only_the_envelope_writes_the_envelope_keys():
+    """cli._envelope writes what every result.json opens with: the schema,
+    command and kernel, and the scenario's regions, compacts and points.  No
+    command runner writes one of those keys, as a dict key, a subscript or a
+    ``dict`` keyword."""
+    keys = {"schema", "command", "kernel", "region", "compact", "x", "y", "point", "center"}
+
+    def found(node):
+        if isinstance(node, ast.Dict):
+            written = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            written = [node.slice.value] if isinstance(node.slice, ast.Constant) else []
+        elif isinstance(node, ast.Call) and _named(node.func, "dict"):
+            written = [k.arg for k in node.keywords]
+        else:
+            return False
+        return not keys.isdisjoint(written)
+
+    sites = _sites(SRC / "cli.py", found)
+    assert "cli:_envelope" in sites
+    assert sorted(s for s in sites if s.startswith("cli:_run_")) == []
+
+
 def _power_of_the_exponent(node) -> bool:
     """Whether a node is a power, ``**`` or ``np.power``, whose exponent
     reads ``spec.exponent``."""
