@@ -20,7 +20,6 @@ from .core import (
     _as_points,
     _assemble_distinct,
     _check_tolerance,
-    _kernel_rows,
     _relative,
     _row_potentials,
     cross_energy,
@@ -116,8 +115,8 @@ def sweep_many(
     _check_inputs(spec, region, tol, sources)
     if not sources:
         return []
-    block = _source_block(spec, region, np.concatenate([mu.points for mu in sources]))
-    sols = _sweep_batch(region.gram(spec), block, tol, [mu.weights for mu in sources])
+    rows = region.kernel_rows(spec, np.concatenate([mu.points for mu in sources]))[0]
+    sols = _sweep_batch(region.gram(spec), rows.T, tol, [mu.weights for mu in sources])
     return [
         SweepResult(DiscreteMeasure._on_support(region.nodes, sol.weights), sol, None)
         for sol in sols
@@ -135,21 +134,6 @@ def _check_inputs(spec, region, tol, sources=()) -> None:
             raise InvalidInput("cannot sweep the zero measure")
         if mu.dim != region.dim:
             raise DimensionMismatch("measure and region dimensions differ")
-
-
-def _source_block(spec: KernelSpec, region: Region, points: np.ndarray) -> np.ndarray:
-    """Kernel block between the region nodes (rows) and the points (columns).
-
-    The transpose of C-ordered kernel rows; a point within ``h_min`` of a
-    node takes that node's Gram diagonal entry, so a measure on the nodes is
-    a fixed point of sweeping, and no entry exceeds its node's diagonal: a
-    node stands for a smeared charge, whose potential is bounded.
-    """
-    rows, near = _kernel_rows(spec, points, region.nodes, region.h_min)
-    block = rows.T
-    diag = region.gram(spec).entries.diagonal()[:, None]
-    np.copyto(block, diag, where=near.T)
-    return np.minimum(block, diag, out=block)
 
 
 def _sweep_batch(
@@ -198,12 +182,11 @@ def swept_potentials(
 
 
 def _node_rows(spec: KernelSpec, region: Region, points) -> np.ndarray:
-    """Kernel rows of evaluation points against the region nodes, each entry
-    capped at its node's Gram diagonal as in ``_source_block``; none may sit on a node."""
-    rows, near = _kernel_rows(spec, _as_points(points, spec.dim), region.nodes, region.h_min)
-    if near.any():
+    """``Region.kernel_rows`` of evaluation points; none may sit on a node."""
+    rows, on = region.kernel_rows(spec, points)
+    if on.any():
         raise PointOutsideDomain("an evaluation point sits on a region node")
-    return np.minimum(rows, region.gram(spec).entries.diagonal(), out=rows)
+    return rows
 
 
 def _sweep_checks(spec, mu, region, res, tol_dom, probes, probe_seed) -> SweepChecks:

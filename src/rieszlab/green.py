@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balayage import SweepResult, _check_inputs, _node_rows, _source_block, _sweep_batch
+from .balayage import SweepResult, _check_inputs, _node_rows, _sweep_batch
 from .core import (
     DiscreteMeasure,
     GramMatrix,
@@ -101,9 +101,9 @@ def _pole_sweeps(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Kernel rows of the poles against the region nodes, and the swept node weights
     of their unit charges, or of the sources ``weights`` lists (``_sweep_batch``), in one batch."""
-    block = _source_block(gk.spec, gk.region, poles)
-    sols = _sweep_batch(gk.region.gram(gk.spec), block, gk.tol, weights)
-    return block.T, [sol.weights for sol in sols]
+    rows = gk.region.kernel_rows(gk.spec, poles)[0]
+    sols = _sweep_batch(gk.region.gram(gk.spec), rows.T, gk.tol, weights)
+    return rows, [sol.weights for sol in sols]
 
 
 def _green_potential_values(
@@ -172,7 +172,7 @@ def green_sweep(gk: GreenKernel, mu: DiscreteMeasure, f_region: Region) -> Sweep
     m = f_region.n_nodes
     rows, swept = _pole_sweeps(gk, np.concatenate([f_region.nodes, mu.points]))
     ggram = _green_gram(gk, f_region, (rows[:m], swept[:m]))
-    block = _source_block(gk.spec, f_region, mu.points) - _row_potentials(rows[:m], swept[m:])
+    block = f_region.kernel_rows(gk.spec, mu.points)[0].T - _row_potentials(rows[:m], swept[m:])
     (sol,) = _sweep_batch(ggram, block, gk.tol, [mu.weights])
     return SweepResult(DiscreteMeasure._on_support(f_region.nodes, sol.weights), sol, None)
 

@@ -30,6 +30,7 @@ from .core import (
     _distinct_spacing,
     _h_min,
     _is_real,
+    _kernel_rows,
     _require_whole,
     _square,
 )
@@ -554,7 +555,8 @@ def _self_interactions(spec: KernelSpec, radius):
 
 
 class Region:
-    """A closed set A with its discretization and the rule for its Gram diagonal.
+    """A closed set A with its discretization and the smeared-node rule: its
+    Gram diagonal, and every kernel entry against a node capped at it.
 
     The constructor works out the geometry of the node set once.  It builds
     one KD-tree over the nodes, or takes the one a PointCloud shape holds
@@ -567,7 +569,8 @@ class Region:
     defaults to REGION_REG_FACTOR x the mean nearest-neighbor spacing for
     every node; a single node needs it given, and a given one must be
     finite and positive.  ``gram`` and ``self_terms`` turn radii into Gram
-    entries, by ``_self_interactions``; everything else reads them.
+    entries, by ``_self_interactions``; ``kernel_rows`` caps kernel entries
+    at them, and everything else reads them.
     """
 
     __slots__ = ("shape", "nodes", "reg_radius", "h_min", "_tree", "_d_nn", "_spacing", "_grams")
@@ -641,6 +644,19 @@ class Region:
         diag, on = self.gram(spec).entries.diagonal(), self.on_node(points)
         radii = np.broadcast_to(self.reg_radius, self.n_nodes)[self.nearest_node(points)[1]]
         return np.where(on >= 0, diag[on], _self_interactions(spec, radii))
+
+    def kernel_rows(self, spec: KernelSpec, points) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel rows of the points against the nodes, one C-ordered row per
+        point, and whether each point sits on a node, within ``h_min`` of it.
+
+        A node stands for a smeared charge, whose potential is bounded: an
+        on-node pair takes the node's Gram diagonal entry, so a measure on the
+        nodes is a fixed point of sweeping, and every entry is capped at it.
+        """
+        diag = self.gram(spec).entries.diagonal()
+        rows, near = _kernel_rows(spec, _as_points(points, self.dim), self.nodes, self.h_min)
+        np.copyto(rows, diag, where=near)
+        return np.minimum(rows, diag, out=rows), near.any(axis=1)
 
     def gram(self, spec: KernelSpec) -> GramMatrix:
         """Gram matrix over the region nodes whose ``cholesky`` succeeds.

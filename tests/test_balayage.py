@@ -17,7 +17,7 @@ from rieszlab import (
     verify_symmetry,
     verify_transitivity,
 )
-from rieszlab.balayage import _source_block, _sweep_batch
+from rieszlab.balayage import _sweep_batch
 
 ORIGIN = np.zeros(3)
 E1 = np.array([1.0, 0.0, 0.0])
@@ -117,18 +117,38 @@ def test_sweep_deterministic(spec, ball500):
 
 def _kernel_block(spec, region, points):
     """Kernel between the region nodes (rows) and ``points`` (columns), with
-    an atom on a node taking that node's Gram diagonal entry."""
+    an atom on a node taking that node's Gram diagonal entry, and every
+    entry capped at its node's diagonal entry."""
     D = cdist(region.nodes, points)
     on_node = D == 0.0
     K = np.where(on_node, 1.0, D) ** spec.exponent
-    diagonal = np.broadcast_to(region.gram(spec).entries.diagonal()[:, None], K.shape)
-    K[on_node] = diagonal[on_node]
-    return K
+    diag = region.gram(spec).entries.diagonal()[:, None]
+    K[on_node] = np.broadcast_to(diag, K.shape)[on_node]
+    return np.minimum(K, diag)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_kernel_rows_cap_every_entry_at_the_node_diagonal(alpha):
+    """Region.kernel_rows equals the reference block bit for bit, for a pole
+    exactly on a node, one inside a node's radius but farther than h_min,
+    and one far away; only the first sits on a node."""
+    spec = rl.KernelSpec(alpha, 3)
+    region = rl.sphere_region(ORIGIN, 1.0, 500, spec)
+    diag = region.gram(spec).entries.diagonal()
+    inside = region.nodes[9] * (1.0 - 1e-3)
+    poles = np.stack([region.nodes[7], inside, 2.0 * E1])
+    assert region.h_min < 1e-3 < region.reg_radius
+    assert 1e-3 ** spec.exponent > diag[9]
+    rows, on = region.kernel_rows(spec, poles)
+    assert rows.flags.c_contiguous and rows.shape == (3, region.n_nodes)
+    assert np.array_equal(rows, _kernel_block(spec, region, poles).T)
+    assert rows[0, 7] == diag[7] and rows[1, 9] == diag[9]
+    assert on.tolist() == [True, False, False]
 
 
 def test_source_potentials_handle_node_coincidence(spec, ball500):
     mu = DiscreteMeasure(ball500.nodes[[5]], [2.0])
-    block = _source_block(spec, ball500, mu.points)
+    block = ball500.kernel_rows(spec, mu.points)[0].T
     (sol,) = _sweep_batch(ball500.gram(spec), block, 1e-10, [mu.weights])
     b = sol.b
     # at its own node the source contributes the regularized energy
@@ -141,7 +161,7 @@ def test_batched_pole_on_a_node_takes_the_gram_diagonal(spec, ball500):
     """Unit charges swept in one batch: each right-hand side is bitwise the
     kernel column of its pole, also for a pole exactly on a node."""
     poles = np.stack([2.0 * E1, ball500.nodes[7], np.array([0.0, -1.5, 1.5])])
-    sols = _sweep_batch(ball500.gram(spec), _source_block(spec, ball500, poles), 1e-10)
+    sols = _sweep_batch(ball500.gram(spec), ball500.kernel_rows(spec, poles)[0].T, 1e-10)
     B = np.stack([sol.b for sol in sols], axis=1)
     assert B.shape == (ball500.n_nodes, 3) and len(sols) == 3
     assert np.array_equal(B, _kernel_block(spec, ball500, poles))

@@ -218,3 +218,29 @@ def test_a_count_or_seed_that_is_not_a_whole_number_raises_before_any_gram(
     assert str(info.value) == message
     assert "_assemble_distinct" not in spy
 
+
+
+# (id, call(region), message): a Region method that reads its Gram diagonal
+# checks the kernel's dimension there first, then the points' width.
+SPEC4 = rl.KernelSpec(2.0, 4)
+DIMENSIONS = [
+    ("kernel_rows-points", lambda r: r.kernel_rows(SPEC, [[0.2, 0.0]]),
+     "points must have dimension 3, got shape (1, 2)"),
+    ("kernel_rows-kernel", lambda r: r.kernel_rows(SPEC4, [[0.2, 0.0, 0.0, 0.0]]),
+     "points must have dimension 4, got shape (200, 3)"),
+    ("self_terms-points", lambda r: r.self_terms(SPEC, [[0.2, 0.0]]),
+     "points must have dimension 3, got shape (1, 2)"),
+    ("self_terms-kernel", lambda r: r.self_terms(SPEC4, [[0.2, 0.0, 0.0, 0.0]]),
+     "points must have dimension 4, got shape (200, 3)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in DIMENSIONS])
+def test_points_or_a_kernel_of_another_dimension_raise_dimension_mismatch(
+    complement, call, message
+):
+    """Points of another width, or a kernel of another dimension than the
+    region's, raise DimensionMismatch, never scipy's bare ValueError."""
+    with pytest.raises(rl.DimensionMismatch) as info:
+        call(complement)
+    assert str(info.value) == message

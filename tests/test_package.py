@@ -268,6 +268,23 @@ def test_only_core_and_regions_compare_a_distance_with_h_min():
     assert _modules_where(found) == ["core.py", "regions.py"]
 
 
+def test_only_regions_reads_h_min_or_a_gram_diagonal():
+    """Region owns the smeared-node rule, the Gram diagonal and the cap of
+    every kernel entry against a node at it (``Region.kernel_rows``): no
+    other module reads an ``.h_min`` attribute or calls ``diagonal`` on a
+    Gram's ``entries``.  core's distinctness rule keeps a local ``h_min``."""
+    def found(node):
+        if isinstance(node, ast.Attribute) and node.attr == "h_min":
+            return True
+        return (
+            isinstance(node, ast.Call)
+            and _named(node.func, "diagonal")
+            and any(_named(n, "entries") for n in ast.walk(node))
+        )
+
+    assert _modules_where(found) == ["regions.py"]
+
+
 def test_only_solver_decides_convergence():
     """solver owns non-convergence: no other module raises SolverFailure
     or reads a solution's ``converged`` flag."""
