@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     DiscreteMeasure,
     GramMatrix,
     KernelSpec,
@@ -72,7 +73,7 @@ def sweep(
     spec: KernelSpec,
     mu: DiscreteMeasure,
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     tol_dom: float = 0.02,
     n_probes: int = 100,
     probe_seed: int = PROBE_SEED,
@@ -100,7 +101,7 @@ def sweep_many(
     spec: KernelSpec,
     sources: list[DiscreteMeasure],
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> list[SweepResult]:
     """Sweep several nonnegative measures onto the same region nodes.
 
@@ -236,7 +237,7 @@ def sweep_signed(
     spec: KernelSpec,
     nu: DiscreteMeasure,
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> SignedSweepResult:
     """Sweep a signed measure by sweeping its positive and negative parts."""
     pos_part, neg_part = nu.positive_part(), nu.negative_part()
@@ -258,7 +259,7 @@ def verify_symmetry(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> dict:
     """Reciprocity of sweeping: <mu^A, nu> against <nu^A, mu>."""
     s_mu, s_nu = sweep_many(spec, [mu, nu], region, tol=tol)
@@ -272,7 +273,7 @@ def verify_integral_representation(
     spec: KernelSpec,
     mu: DiscreteMeasure,
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     n_probes: int = 200,
     probe_seed: int = PROBE_SEED,
 ) -> dict:
@@ -294,7 +295,7 @@ def verify_transitivity(
     mu: DiscreteMeasure,
     region_a: Region,
     region_f: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     n_probes: int = 200,
     probe_seed: int = PROBE_SEED,
 ) -> dict:

@@ -261,6 +261,11 @@ def _check_weight(weight) -> float:
     return float(weight)
 
 
+# The default solver tolerance of every QP solve and of each entry point
+# that makes one: sweeps, equilibria, Green kernels and the mass-loss test.
+DEFAULT_TOL = 1e-10
+
+
 def _check_tolerance(name: str, value, positive: bool = False) -> None:
     """The tolerance rule's one owner: ``value`` real, finite and nonnegative, or positive."""
     if not (_is_real(value) and (value > 0.0 if positive else value >= 0.0)):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .balayage import _check_inputs
-from .core import (DiscreteMeasure, GramMatrix, KernelSpec, _as_points, _check_tolerance,
-                   _check_weight, _require_whole, potential_at)
+from .core import (DEFAULT_TOL, DiscreteMeasure, GramMatrix, KernelSpec, _as_points,
+                   _check_tolerance, _check_weight, _require_whole, potential_at)
 from .errors import InvalidInput
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
@@ -74,7 +74,7 @@ def _equilibrium_from_gram(gram: GramMatrix, tol: float) -> EquilibriumResult:
 def riesz_equilibrium(
     spec: KernelSpec,
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     n_probes: int = 0,
     probe_seed: int = PROBE_SEED,
 ) -> EquilibriumResult:
@@ -97,7 +97,7 @@ def sweep_dirac_by_inversion(
     point,
     weight: float,
     region: Region,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> DiscreteMeasure:
     """Sweep a point charge using inversion instead of a quadratic solve.
 

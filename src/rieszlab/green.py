@@ -25,6 +25,7 @@ import numpy as np
 
 from .balayage import SweepResult, _check_inputs, _node_rows, _sweep_batch
 from .core import (
+    DEFAULT_TOL,
     DiscreteMeasure,
     GramMatrix,
     KernelSpec,
@@ -50,7 +51,7 @@ class GreenKernel:
 
     spec: KernelSpec
     region: Region
-    tol: float = field(default=1e-10, kw_only=True)
+    tol: float = field(default=DEFAULT_TOL, kw_only=True)
 
     def __post_init__(self):
         _check_inputs(self.spec, self.region, self.tol)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DiscreteMeasure, KernelSpec, _as_points, _relative, potential_at
-from .errors import CenterCharged, InvalidInput
-from .regions import Shape, invert_points
+from .errors import CenterCharged
+from .regions import Shape, _require_shapes, invert_points
 
 
 def kelvin_transform(center, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -61,6 +61,5 @@ def invert_shape(center, shape: Shape) -> Shape:
     Half-spaces map to balls or their complements, unions part by part,
     and point clouds point by point.
     """
-    if not isinstance(shape, Shape):
-        raise InvalidInput(f"no inversion image for {type(shape).__name__}")
+    _require_shapes(shape)
     return shape.inverted(center)

@@ -68,6 +68,12 @@ PROBE_STANDOFF = 3.0
 PROBE_MAX_BATCHES = 500
 _NO_PROBES = "probe sampling failed to find enough points off A"
 
+# Batches of 4 x budget Halton candidates an annulus template draws before
+# giving up.  A shell r_lo <= |x| < r_hi needs about 1 / (4 p) batches, p =
+# (pi / 6)(1 - (r_lo / r_hi)^3) the share of candidates in it: one at ratio
+# 0.5, about 150 at 0.999 and 1600 at 0.9999.
+SHELL_MAX_BATCHES = 1000
+
 # Largest node count, probe count or shell budget.  Every float from 2**53
 # up is whole, so the whole-number test of a count says nothing there, and
 # below it each array a count sizes stays under numpy's maximum array size.
@@ -163,17 +169,26 @@ def _halton(start: int, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
-    """Deterministic Halton points in the unit annulus {frac <= |u| < 1}."""
+    """Deterministic Halton points in the unit annulus {frac <= |u| < 1}.
+
+    Raises UnresolvedLayout if SHELL_MAX_BATCHES batches hold fewer than
+    ``budget`` of them.
+    """
     collected: list[np.ndarray] = []
     count = 0
-    start = 0
-    while count < budget:
-        X = _halton(start, 4 * budget) * 2.0 - 1.0
-        start += 4 * budget
+    for batch in range(SHELL_MAX_BATCHES):
+        X = _halton(batch * 4 * budget, 4 * budget) * 2.0 - 1.0
         r = np.linalg.norm(X, axis=1)
         X = X[(r >= frac_key) & (r < 1.0)]
         collected.append(X)
         count += len(X)
+        if count >= budget:
+            break
+    if count < budget:
+        raise UnresolvedLayout(
+            f"a shell of radius ratio {frac_key!r} is too thin to lay out {budget} nodes "
+            f"from {SHELL_MAX_BATCHES} batches of candidates; widen it (a smaller ratio_q)"
+        )
     out = np.concatenate(collected)[:budget]
     out.setflags(write=False)
     return out
@@ -210,13 +225,21 @@ class Shape:
     def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         """Nodes of A inside the half-open annulus r_lo <= |x - y| < r_hi.
 
-        ``budget`` sizes the layout; raises UnresolvedLayout unless it is a whole
-        number from 1 to MAX_COUNT.
+        ``budget`` sizes the layout, which the shape draws in ``_shell_layout``;
+        raises UnresolvedLayout unless it is a whole number from 1 to MAX_COUNT
+        and 0 <= r_lo < r_hi < inf.
         An analytic shape's ``y`` is 3-d, a cloud's has its points' width.
         """
-        _require_budget(budget)
+        budget = _require_whole("budget", budget, 1, "budget must be >= 1, got {!r}", MAX_COUNT)
+        if not (_is_real(r_lo) and _is_real(r_hi) and 0.0 <= r_lo < r_hi):
+            raise UnresolvedLayout(
+                f"a shell needs 0 <= r_lo < r_hi < inf, got r_lo={r_lo!r}, r_hi={r_hi!r}"
+            )
+        return self._shell_layout(y, r_lo, r_hi, budget)
+
+    def _shell_layout(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         (y,) = _as_points(y, 3)
-        tmpl = _annulus_template(int(budget), round(r_lo / r_hi, 12))
+        tmpl = _annulus_template(budget, round(r_lo / r_hi, 12))
         X = y + r_hi * tmpl
         X = X[self.contains(X)]
         d = np.linalg.norm(X - y, axis=1)
@@ -252,10 +275,6 @@ class Shape:
         fewer than ``least`` nodes one layer would get none."""
         too_few = f"an alpha < 2 {self.kind} layout needs n >= {least} nodes, got {{!r}}"
         _require_whole("a node count", n, least, too_few)
-
-
-def _require_budget(budget) -> None:
-    _require_whole("budget", budget, 1, "budget must be >= 1, got {!r}", MAX_COUNT)
 
 
 def _require_shapes(*shapes) -> None:
@@ -371,10 +390,9 @@ class SphereShell(_Round):
         self._require_dim3(spec)
         return fibonacci_sphere(n, self.radius, self.center)
 
-    def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
+    def _shell_layout(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         # The intersection of the sphere with an annulus around y is a band
         # in the polar angle psi at the sphere center.
-        _require_budget(budget)
         (y,) = _as_points(y, 3)
         r, c = self.radius, self.center
         d = float(np.linalg.norm(y - c))
@@ -486,8 +504,8 @@ class UnionShape(Shape):
         shares = iter(np.maximum(16, np.round(rest * (scales / scales.sum())).astype(int)).tolist())
         return [next(shares) if k is None else k for k in own]
 
-    def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
-        nodes = np.concatenate([p.shell_nodes(y, r_lo, r_hi, budget) for p in self.parts])
+    def _shell_layout(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
+        nodes = np.concatenate([p._shell_layout(y, r_lo, r_hi, budget) for p in self.parts])
         return nodes[_dedupe(nodes)]
 
     def characteristic_scale(self) -> float:
@@ -521,8 +539,7 @@ class PointCloud(Shape):
     def make_nodes(self, n: int, spec: KernelSpec) -> np.ndarray:
         return np.array(self.points)
 
-    def shell_nodes(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
-        _require_budget(budget)
+    def _shell_layout(self, y, r_lo: float, r_hi: float, budget: int) -> np.ndarray:
         (y,) = _as_points(y, self.points.shape[1])
         d = np.linalg.norm(self.points - y, axis=1)
         return self.points[(d >= r_lo) & (d < r_hi)]
@@ -750,6 +767,7 @@ def reinterpret_region(region: Region, shape: Shape) -> Region:
     swapping between a ball, its boundary sphere, and the closed complement
     when all three are discretized by the same sphere nodes.
     """
+    _require_shapes(shape)
     if not bool(shape.contains(region.nodes).all()):
         raise UnresolvedLayout("every region node must satisfy the membership predicate")
     out = copy.copy(region)

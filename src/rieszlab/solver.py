@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import TINY, GramMatrix, _check_tolerance
+from .core import DEFAULT_TOL, TINY, GramMatrix, _check_tolerance
 from .errors import InvalidInput, SolverFailure
 
 # Block pivoting's iteration cap, per node of the Gram matrix.
@@ -75,13 +75,13 @@ def _nonneg_kkt_residual(Kw, b, w) -> float:
     return max(dual, comp, 0.0)
 
 
-def solve_nonneg(gram: GramMatrix, b, tol: float = 1e-10) -> QPSolution:
+def solve_nonneg(gram: GramMatrix, b, tol: float = DEFAULT_TOL) -> QPSolution:
     """Minimize w'Kw - 2 b'w over w >= 0 (the one-column case of solve_nonneg_many)."""
     b = np.asarray(b, dtype=float)
     return solve_nonneg_many(gram, b[:, None], tol)[0]
 
 
-def solve_nonneg_many(gram: GramMatrix, B, tol: float = 1e-10) -> list[QPSolution]:
+def solve_nonneg_many(gram: GramMatrix, B, tol: float = DEFAULT_TOL) -> list[QPSolution]:
     """Minimize w'Kw - 2 b'w over w >= 0 for every column b of ``B``.
 
     Uses block principal pivoting: the full free set is tried first, for

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import _check_inputs, sweep_many
-from .core import DiscreteMeasure, KernelSpec, _as_points, _check_tolerance, _is_real, _require_whole
+from .core import (DEFAULT_TOL, DiscreteMeasure, KernelSpec, _as_points, _check_tolerance, _is_real,
+                   _require_whole)
 from .equilibrium import riesz_equilibrium
 from .errors import InvalidInput
 from .kelvin import invert_shape
-from .regions import MAX_COUNT, REGION_REG_FACTOR, Region, Shape, cloud_region
+from .regions import MAX_COUNT, REGION_REG_FACTOR, Region, Shape, _require_shapes, cloud_region
 
 # Number of trailing shells used for the decay fit, and the fitted
 # shell-to-shell ratio below which the rescaled terms are judged summable.
@@ -97,8 +98,11 @@ def wiener_report(
     scales).  Raises UnresolvedLayout, an InvalidInput, unless ``k_max`` and
     ``shell_budget`` are whole numbers of at least 1, ``shell_budget`` at
     most MAX_COUNT: a scan of no shells, or of shells with no nodes, would
-    report that same verdict about any set.
+    report that same verdict about any set.  ``Shape.shell_nodes`` checks each
+    shell: a shell too thin to lay out, or one that ``ratio_q ** k`` underflows
+    to nothing, raises UnresolvedLayout.
     """
+    _require_shapes(shape)
     (y,) = _as_points(point, spec.dim)
     if not (_is_real(ratio_q) and 0.0 < ratio_q < 1.0):
         raise InvalidInput("ratio_q must lie strictly between 0 and 1")
@@ -140,7 +144,7 @@ def mass_loss_test(
     mu: DiscreteMeasure,
     region: Region,
     loss_margin: float = 0.02,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> dict:
     """Whether sweeping loses a definite fraction of the source mass.
 
@@ -194,6 +198,7 @@ def thin_at_infinity_report(
     point, so the set is thin at infinity exactly when its inverted image
     is irregular at the inversion center.
     """
+    _require_shapes(shape)
     (y,) = _as_points(inversion_center, spec.dim)
     if bool(shape.contains(y)[0]):
         raise InvalidInput("the inversion center must lie off the set")

@@ -813,11 +813,16 @@ def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
          f"error: scenario number {'9' * 400} is beyond the float range"),
         ("wiener", {"k_max": "raw:" + "9" * 400},
          f"error: scenario number {'9' * 400} is beyond the float range"),
+        # A shell too thin for the Halton template to fill fails fast.
+        ("wiener", {"ratio_q": 0.9999999999999},
+         "error: a shell of radius ratio 1.0 is too thin to lay out 300 nodes from 1000 batches "
+         "of candidates; widen it (a smaller ratio_q)"),
     ],
     ids=["at_infinity-string", "classification-number", "thin-string", "strict_loss-string",
          "samples-n-negative", "measure-entries", "verify-all-n-negative", "x-nan",
          "point-infinity", "point-minus-infinity", "expected-gap-nan", "point-1e999",
-         "point-minus-1e999", "radius-1e999", "point-400-digits", "k_max-400-digits"],
+         "point-minus-1e999", "radius-1e999", "point-400-digits", "k_max-400-digits",
+         "ratio_q-thin-shell"],
 )
 def test_bad_field_of_command_exits_1(tmp_path, capsys, command, fields, message):
     doc = {"schema": 1, "name": command, "command": command,

@@ -196,6 +196,11 @@ COUNTS += [
          "NoneType"),
         ("build_region-shape=5", lambda r, g: rl.build_region(5, 100, SPEC), "int"),
         ("Region-shape=5", lambda r, g: rl.Region(5, r.nodes), "int"),
+        ("invert_shape-shape=None", lambda r, g: rl.invert_shape(ORIGIN, None), "NoneType"),
+        ("wiener_report-shape=5", lambda r, g: rl.wiener_report(SPEC, 5, [1.0, 0.0, 0.0]), "int"),
+        ("thin_at_infinity_report-shape=5",
+         lambda r, g: rl.thin_at_infinity_report(SPEC, 5, [3.0, 0.0, 0.0]), "int"),
+        ("reinterpret_region-shape=5", lambda r, g: rl.reinterpret_region(r, 5), "int"),
     ]
 ]
 

@@ -340,7 +340,7 @@ def test_only_regions_tests_a_shape_class():
     """A catalog shape answers for itself, through ``inverted`` and
     ``takes_count``: outside regions, no ``isinstance`` call and no ``is`` or
     ``is not`` comparison names a concrete shape class, and kelvin imports
-    from regions only the base class and the point map."""
+    from regions only the base class, the shape check and the point map."""
     shapes = {cls.__name__ for cls in rieszlab.regions.SHAPES.values()} | {"_Round"}
 
     def names_a_shape(nodes) -> bool:
@@ -358,7 +358,44 @@ def test_only_regions_tests_a_shape_class():
     kelvin = ast.parse((SRC / "kelvin.py").read_text())
     imported = [a.name for node in kelvin.body if isinstance(node, ast.ImportFrom)
                 and node.module == "regions" for a in node.names]
-    assert sorted(imported) == ["Shape", "invert_points"]
+    assert sorted(imported) == ["Shape", "_require_shapes", "invert_points"]
+
+
+def test_only_require_shapes_tests_for_a_shape():
+    """regions._require_shapes is the one shape-type check: no other site
+    in the package calls ``isinstance`` with ``Shape``."""
+    def found(node):
+        return (
+            isinstance(node, ast.Call)
+            and _named(node.func, "isinstance")
+            and any(_named(n, "Shape") for arg in node.args[1:] for n in ast.walk(arg))
+        )
+
+    sites = sorted(s for path in SRC.glob("*.py") for s in _sites(path, found))
+    assert sites == ["regions:_require_shapes"]
+
+
+def test_only_shape_defines_shell_nodes():
+    """Shape.shell_nodes is the one public shell-scan entry and checks its
+    budget and annulus once: a shape lays its shell out in ``_shell_layout``,
+    and no other class of the package defines ``shell_nodes``."""
+    definers = sorted(
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "shell_nodes" for f in node.body)
+    )
+    assert definers == ["Shape"]
+
+
+def test_only_core_writes_the_default_tolerance():
+    """core.DEFAULT_TOL is the default tolerance of every solve: no other
+    module writes the literal 1e-10."""
+    def found(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value == 1e-10
+
+    assert _modules_where(found) == ["core.py"]
 
 
 def test_only_the_envelope_writes_the_envelope_keys():

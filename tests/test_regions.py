@@ -584,10 +584,22 @@ def test_region_gram_peaks_at_two_matrices(alpha, capped):
      PointCloud(fibonacci_sphere(50, 1.0, ORIGIN))],
     ids=["ball", "sphere", "ball-complement", "half-space", "union", "cloud"],
 )
-@pytest.mark.parametrize("budget", [0, -3])
-def test_shell_nodes_reject_a_budget_below_one(shape, budget):
-    with pytest.raises(ValueError, match="budget"):
-        shape.shell_nodes([1.0, 0.0, 0.0], 0.25, 0.5, budget)
+@pytest.mark.parametrize(
+    "r_lo, r_hi, budget, message",
+    [(0.25, 0.5, 0, "budget must be >= 1, got 0"), (0.25, 0.5, -3, "budget must be >= 1, got -3"),
+     *((lo, hi, 10, f"a shell needs 0 <= r_lo < r_hi < inf, got r_lo={lo!r}, r_hi={hi!r}")
+       for lo, hi in [(1.0, 0.5), (0.5, 0.0), (0.5, 0.5), (-0.25, 0.5), (0.25, np.inf),
+                      (np.nan, 0.5), (0.25, "0.5")])],
+    ids=["budget=0", "budget=-3", "reversed", "r_hi=0", "empty", "negative-r_lo", "infinite-r_hi",
+         "nan-r_lo", "string-r_hi"],
+)
+def test_shell_nodes_reject_a_bad_budget_or_annulus(shape, r_lo, r_hi, budget, message):
+    """Shape.shell_nodes checks the budget and the annulus once for every
+    shape, union and cloud too: a budget below one, or an annulus that is not
+    0 <= r_lo < r_hi < inf, raises UnresolvedLayout before any layout."""
+    with pytest.raises(rl.UnresolvedLayout) as info:
+        shape.shell_nodes([1.0, 0.0, 0.0], r_lo, r_hi, budget)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("frac", [0.0, 0.5, 0.9])
@@ -847,12 +859,19 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
         (lambda: rl.sample_points_off(rl.sphere_region(ORIGIN, 1.0, 20, KernelSpec(2.0, 3)),
                                       10**19),
          "probe count must be at most 9007199254740992, got 10000000000000000000"),
+        (lambda: rl.wiener_report(KernelSpec(2.0, 3), Ball(ORIGIN, 1.0), [1.0, 0.0, 0.0],
+                                  ratio_q=1 - 1e-13, shell_budget=50),
+         "a shell of radius ratio 1.0 is too thin to lay out 50 nodes from 1000 batches of "
+         "candidates; widen it (a smaller ratio_q)"),
+        (lambda: rl.wiener_report(KernelSpec(2.0, 3), Ball(ORIGIN, 1.0), [5.0, 0.0, 0.0],
+                                  ratio_q=1e-200, k_max=3),
+         "a shell needs 0 <= r_lo < r_hi < inf, got r_lo=0.0, r_hi=0.0"),
     ],
     ids=["no-node", "radius", "disk-normal", "budget", "generated-region", "round-shape",
          "half-space", "union", "point-cloud", "region-nodes", "region-radius",
          "region-membership", "region-single-node", "reinterpret", "whole-count",
          "whole-budget", "wiener-whole-budget", "huge-count", "huge-union-count",
-         "huge-budget", "huge-probe-count"],
+         "huge-budget", "huge-probe-count", "wiener-thin-shell", "wiener-underflow"],
 )
 def test_layout_checks_raise_unresolved_layout(make, message):
     """Every shape, region and layout check raises UnresolvedLayout, a
