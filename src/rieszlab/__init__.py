@@ -1,178 +1,17 @@
 """Discrete Riesz potential theory: sweeping, capacities, and Green kernels."""
 
-from .balayage import (
-    SignedSweepResult,
-    SweepChecks,
-    SweepResult,
-    sweep,
-    sweep_many,
-    sweep_signed,
-    swept_potentials,
-    verify_integral_representation,
-    verify_symmetry,
-    verify_transitivity,
-)
-from .core import (
-    DiscreteMeasure,
-    GramMatrix,
-    KernelSpec,
-    cross_energy,
-    dirac,
-    potential,
-    potential_at,
-    riesz_kernel,
-)
-from .equilibrium import (
-    EquilibriumResult,
-    green_equilibrium,
-    riesz_equilibrium,
-    sweep_dirac_by_inversion,
-    verify_green_minimality,
-)
-from .errors import (
-    CenterCharged,
-    CenterInversion,
-    DegenerateNodes,
-    DimensionMismatch,
-    IllConditioned,
-    IndeterminateValue,
-    InvalidInput,
-    NodesOutsideDomain,
-    PointOutsideDomain,
-    ProbeSamplingFailure,
-    RieszLabError,
-    SchemaError,
-    SolverFailure,
-    UnresolvedLayout,
-)
-from .green import (
-    GreenKernel,
-    green_eval,
-    green_gram,
-    green_potential,
-    green_sweep,
-    green_values,
-    verify_domination,
-    verify_energy_decomposition,
-)
-from .kelvin import (
-    invert_points,
-    invert_shape,
-    kelvin_transform,
-    verify_potential_covariance,
-)
-from .regions import (
-    Ball,
-    BallComplement,
-    HalfSpace,
-    PointCloud,
-    Region,
-    Shape,
-    SphereShell,
-    UnionShape,
-    ball_complement_region,
-    ball_region,
-    build_region,
-    cloud_region,
-    fibonacci_ball,
-    fibonacci_disk,
-    fibonacci_sphere,
-    half_space_region,
-    reinterpret_region,
-    sample_points_off,
-    sphere_region,
-    union_region,
-)
-from .solver import QPSolution, solve_nonneg
-from .thinness import (
-    ShellStat,
-    ThinAtInfinityReport,
-    WienerReport,
-    classify_terms,
-    mass_loss_test,
-    thin_at_infinity_report,
-    wiener_report,
-)
+from . import balayage, core, equilibrium, errors, green, kelvin, regions, solver, thinness
+from .balayage import *
+from .core import *
+from .equilibrium import *
+from .errors import *
+from .green import *
+from .kelvin import *
+from .regions import *
+from .solver import *
+from .thinness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball",
-    "BallComplement",
-    "CenterCharged",
-    "CenterInversion",
-    "DegenerateNodes",
-    "DimensionMismatch",
-    "DiscreteMeasure",
-    "EquilibriumResult",
-    "GramMatrix",
-    "GreenKernel",
-    "HalfSpace",
-    "IllConditioned",
-    "IndeterminateValue",
-    "InvalidInput",
-    "KernelSpec",
-    "NodesOutsideDomain",
-    "PointCloud",
-    "PointOutsideDomain",
-    "ProbeSamplingFailure",
-    "QPSolution",
-    "Region",
-    "RieszLabError",
-    "SchemaError",
-    "Shape",
-    "ShellStat",
-    "SignedSweepResult",
-    "SolverFailure",
-    "SphereShell",
-    "SweepChecks",
-    "SweepResult",
-    "ThinAtInfinityReport",
-    "UnionShape",
-    "UnresolvedLayout",
-    "WienerReport",
-    "ball_complement_region",
-    "ball_region",
-    "build_region",
-    "classify_terms",
-    "cloud_region",
-    "cross_energy",
-    "dirac",
-    "fibonacci_ball",
-    "fibonacci_disk",
-    "fibonacci_sphere",
-    "green_equilibrium",
-    "green_eval",
-    "green_gram",
-    "green_potential",
-    "green_sweep",
-    "green_values",
-    "half_space_region",
-    "invert_points",
-    "invert_shape",
-    "kelvin_transform",
-    "mass_loss_test",
-    "potential",
-    "potential_at",
-    "reinterpret_region",
-    "riesz_equilibrium",
-    "riesz_kernel",
-    "sample_points_off",
-    "solve_nonneg",
-    "sphere_region",
-    "sweep",
-    "sweep_dirac_by_inversion",
-    "sweep_many",
-    "sweep_signed",
-    "swept_potentials",
-    "thin_at_infinity_report",
-    "union_region",
-    "verify_domination",
-    "verify_energy_decomposition",
-    "verify_green_minimality",
-    "verify_integral_representation",
-    "verify_potential_covariance",
-    "verify_symmetry",
-    "verify_transitivity",
-    "wiener_report",
-]
+__all__ = sorted(errors.__all__ + core.__all__ + regions.__all__ + kelvin.__all__ + solver.__all__
+                 + balayage.__all__ + green.__all__ + equilibrium.__all__ + thinness.__all__)

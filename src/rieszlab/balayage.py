@@ -31,6 +31,10 @@ from .errors import DimensionMismatch, InvalidInput, NodesOutsideDomain, PointOu
 from .regions import PROBE_SEED, Region, sample_points_off
 from .solver import QPSolution, solve_nonneg_many
 
+__all__ = ["SignedSweepResult", "SweepChecks", "SweepResult", "sweep", "sweep_many", "sweep_signed",
+           "swept_potentials", "verify_integral_representation", "verify_symmetry",
+           "verify_transitivity"]
+
 # Relative slack for the mass/energy monotonicity checks.
 INEQ_SLACK = 1e-8
 

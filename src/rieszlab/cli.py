@@ -5,9 +5,10 @@ builtin name) and writes ``<prefix>.result.json`` and
 ``<prefix>.table.csv``.  Outputs are deterministic: fixed seeds, sorted
 keys, shortest round-trip float formatting, no timestamps, and atomic
 replace-on-write.  Exit codes: 0 success, 1 a usage error, a
-RieszLabError or an OSError, each printed as one ``error:`` line, 2 a
-named property check failed.  Any other exception is a fault of the
-program and propagates with its traceback.
+RieszLabError, an OSError or a MemoryError (an array the machine cannot
+allocate), each printed as one ``error:`` line, 2 a named property check
+failed.  Any other exception is a fault of the program and propagates
+with its traceback.
 """
 from __future__ import annotations
 
@@ -896,7 +897,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse's: 2 after a usage error, 0 after --help
         return 1 if exc.code else 0
-    except (RieszLabError, OSError) as exc:
+    except (RieszLabError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

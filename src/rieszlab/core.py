@@ -30,6 +30,9 @@ from .errors import (
     UnresolvedLayout,
 )
 
+__all__ = ["DiscreteMeasure", "GramMatrix", "KernelSpec", "cross_energy", "dirac", "potential",
+           "potential_at", "riesz_kernel"]
+
 # Distinctness tolerance for node sets, relative to the bounding-box diameter.
 H_MIN_FACTOR = 1e-9
 

@@ -14,14 +14,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balayage import _check_inputs
+from .balayage import _check_inputs, _sweep_batch
 from .core import (DEFAULT_TOL, DiscreteMeasure, GramMatrix, KernelSpec, _as_points,
                    _check_tolerance, _check_weight, _require_whole, potential_at)
 from .errors import InvalidInput
 from .green import GreenKernel, _green_gram
 from .kelvin import invert_shape, kelvin_transform
 from .regions import PROBE_SEED, Region, build_region, sample_points_off
-from .solver import QPSolution, solve_nonneg
+from .solver import QPSolution
+
+__all__ = ["EquilibriumResult", "green_equilibrium", "riesz_equilibrium",
+           "sweep_dirac_by_inversion", "verify_green_minimality"]
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class EquilibriumResult:
 
 def _equilibrium_from_gram(gram: GramMatrix, tol: float) -> EquilibriumResult:
     ones = np.ones(gram.n)
-    sol = solve_nonneg(gram, ones, tol)
+    (sol,) = _sweep_batch(gram, ones[:, None], tol)
     # The probability vector of least energy is x*/1'x* (the solver's x* >= +0),
     # the mass constraint's multiplier is 2/1'x*, and the least energy is 1/1'x*.
     x = sol.weights

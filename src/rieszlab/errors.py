@@ -1,5 +1,10 @@
 """Exception types shared across the library."""
 
+__all__ = ["CenterCharged", "CenterInversion", "DegenerateNodes", "DimensionMismatch",
+           "IllConditioned", "IndeterminateValue", "InvalidInput", "NodesOutsideDomain",
+           "PointOutsideDomain", "ProbeSamplingFailure", "RieszLabError", "SchemaError",
+           "SolverFailure", "UnresolvedLayout"]
+
 
 class RieszLabError(Exception):
     """Base class for all library-specific errors."""

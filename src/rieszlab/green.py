@@ -39,6 +39,9 @@ from .core import (
 from .errors import InvalidInput, NodesOutsideDomain, PointOutsideDomain
 from .regions import PROBE_SEED, Region, cloud_region, sample_points_off
 
+__all__ = ["GreenKernel", "green_eval", "green_gram", "green_potential", "green_sweep",
+           "green_values", "verify_domination", "verify_energy_decomposition"]
+
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:

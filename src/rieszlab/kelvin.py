@@ -17,6 +17,8 @@ from .core import DiscreteMeasure, KernelSpec, _as_points, _relative, potential_
 from .errors import CenterCharged
 from .regions import Shape, _require_shapes, invert_points
 
+__all__ = ["invert_shape", "kelvin_transform", "verify_potential_covariance"]
+
 
 def kelvin_transform(center, spec: KernelSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Transform a discrete measure by the inversion about ``center``: atoms

@@ -37,6 +37,12 @@ from .core import (
 from .errors import (CenterInversion, DimensionMismatch, IllConditioned, InvalidInput,
                      ProbeSamplingFailure, UnresolvedLayout)
 
+__all__ = ["Ball", "BallComplement", "HalfSpace", "PointCloud", "Region", "Shape", "SphereShell",
+           "UnionShape", "ball_complement_region", "ball_region", "build_region", "cloud_region",
+           "fibonacci_ball", "fibonacci_disk", "fibonacci_sphere", "half_space_region",
+           "invert_points", "reinterpret_region", "sample_points_off", "sphere_region",
+           "union_region"]
+
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_ANGLE = 2.0 * math.pi / GOLDEN_RATIO
 
@@ -71,7 +77,8 @@ _NO_PROBES = "probe sampling failed to find enough points off A"
 # Batches of 4 x budget Halton candidates an annulus template draws before
 # giving up.  A shell r_lo <= |x| < r_hi needs about 1 / (4 p) batches, p =
 # (pi / 6)(1 - (r_lo / r_hi)^3) the share of candidates in it: one at ratio
-# 0.5, about 150 at 0.999 and 1600 at 0.9999.
+# 0.5, about 150 at 0.999 and 1600 at 0.9999.  Above a ratio of about
+# 0.99992 the cap would hold under half the budget, and none is drawn.
 SHELL_MAX_BATCHES = 1000
 
 # Largest node count, probe count or shell budget.  Every float from 2**53
@@ -172,18 +179,21 @@ def _annulus_template(budget: int, frac_key: float) -> np.ndarray:
     """Deterministic Halton points in the unit annulus {frac <= |u| < 1}.
 
     Raises UnresolvedLayout if SHELL_MAX_BATCHES batches hold fewer than
-    ``budget`` of them.
+    ``budget`` of them, and draws none if they would hold under half of it.
     """
     collected: list[np.ndarray] = []
     count = 0
-    for batch in range(SHELL_MAX_BATCHES):
-        X = _halton(batch * 4 * budget, 4 * budget) * 2.0 - 1.0
-        r = np.linalg.norm(X, axis=1)
-        X = X[(r >= frac_key) & (r < 1.0)]
-        collected.append(X)
-        count += len(X)
-        if count >= budget:
-            break
+    # The capped batches hold about 4 budget SHELL_MAX_BATCHES p annulus
+    # points, p its share of the candidate cube: none is drawn under budget / 2.
+    if 8 * SHELL_MAX_BATCHES * (math.pi / 6.0) * (1.0 - frac_key**3) >= 1.0:
+        for batch in range(SHELL_MAX_BATCHES):
+            X = _halton(batch * 4 * budget, 4 * budget) * 2.0 - 1.0
+            r = np.linalg.norm(X, axis=1)
+            X = X[(r >= frac_key) & (r < 1.0)]
+            collected.append(X)
+            count += len(X)
+            if count >= budget:
+                break
     if count < budget:
         raise UnresolvedLayout(
             f"a shell of radius ratio {frac_key!r} is too thin to lay out {budget} nodes "
@@ -594,7 +604,8 @@ class Region:
 
     def __init__(self, shape: Shape, nodes: np.ndarray, reg_radius=None):
         _require_shapes(shape)
-        nodes = np.asarray(nodes, dtype=float)
+        # A copy: the nodes are made read-only below, and the caller's array stays writable.
+        nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 2 or len(nodes) == 0:
             raise UnresolvedLayout("region nodes must be a non-empty (n, dim) array")
         radius = None if reg_radius is None else np.array(reg_radius, dtype=float)

@@ -21,6 +21,8 @@ import numpy as np
 from .core import DEFAULT_TOL, TINY, GramMatrix, _check_tolerance
 from .errors import InvalidInput, SolverFailure
 
+__all__ = ["QPSolution", "solve_nonneg"]
+
 # Block pivoting's iteration cap, per node of the Gram matrix.
 MAX_ITER_PER_NODE = 50
 

@@ -21,6 +21,9 @@ from .errors import InvalidInput
 from .kelvin import invert_shape
 from .regions import MAX_COUNT, REGION_REG_FACTOR, Region, Shape, _require_shapes, cloud_region
 
+__all__ = ["ShellStat", "ThinAtInfinityReport", "WienerReport", "classify_terms", "mass_loss_test",
+           "thin_at_infinity_report", "wiener_report"]
+
 # Number of trailing shells used for the decay fit, and the fitted
 # shell-to-shell ratio below which the rescaled terms are judged summable.
 K_TAIL = 4

@@ -459,9 +459,29 @@ def test_scenario_file_that_is_not_a_json_object_exits_1(tmp_path, capsys, text,
     assert list(tmp_path.glob("x.*")) == []
 
 
+def test_an_array_past_the_machines_memory_exits_1(tmp_path, monkeypatch, capsys):
+    """A shell budget the schema accepts can ask for more memory than the
+    machine has: numpy's MemoryError is one error: line and exit 1, not a
+    traceback.  The runner is patched, so nothing is allocated."""
+    message = ("Unable to allocate 768. PiB for an array with shape (36028797018963968, 3) "
+               "and data type float64")
+
+    def too_big(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "wiener_report", too_big)
+    doc = {"schema": 1, "name": "w", "command": "wiener",
+           "kernel": {"alpha": 2.0, "dim": 3}, "region": BALL,
+           "point": [1.0, 0.0, 0.0], "shell_budget": 2**53}
+    assert main(["run", write_scenario(tmp_path, doc), "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("w.*")) == []
+
+
 def test_a_bare_value_error_inside_main_propagates(tmp_path, monkeypatch, capsys):
-    """Only a RieszLabError or an OSError is a user error: a bare ValueError
-    from a library call is a fault of the program, and main lets it raise."""
+    """Only a RieszLabError, an OSError or a MemoryError is a user error: a
+    bare ValueError from a library call is a fault of the program, and main
+    lets it raise."""
     def fault(gk, x, y):
         raise ValueError("zero-size array to reduction operation maximum which has no identity")
 
@@ -817,12 +837,15 @@ def test_scalar_point_field_exits_1(tmp_path, capsys, command, fields, where):
         ("wiener", {"ratio_q": 0.9999999999999},
          "error: a shell of radius ratio 1.0 is too thin to lay out 300 nodes from 1000 batches "
          "of candidates; widen it (a smaller ratio_q)"),
+        ("wiener", {"ratio_q": 0.99999, "shell_budget": 100_000},
+         "error: a shell of radius ratio 0.99999 is too thin to lay out 100000 nodes from 1000 "
+         "batches of candidates; widen it (a smaller ratio_q)"),
     ],
     ids=["at_infinity-string", "classification-number", "thin-string", "strict_loss-string",
          "samples-n-negative", "measure-entries", "verify-all-n-negative", "x-nan",
          "point-infinity", "point-minus-infinity", "expected-gap-nan", "point-1e999",
          "point-minus-1e999", "radius-1e999", "point-400-digits", "k_max-400-digits",
-         "ratio_q-thin-shell"],
+         "ratio_q-thin-shell", "ratio_q-thin-shell-large-budget"],
 )
 def test_bad_field_of_command_exits_1(tmp_path, capsys, command, fields, message):
     doc = {"schema": 1, "name": command, "command": command,

@@ -210,19 +210,22 @@ def test_green_kernel_inputs_cannot_be_reassigned(gk2000, name):
 
 
 def test_green_equilibrium_solves_at_the_kernel_tolerance(spec, gk2000, monkeypatch):
-    import rieszlab.equilibrium as equilibrium
+    """Both solves of a Green equilibrium go through balayage's one solver
+    call at the kernel's tolerance: the 60 swept unit charges of its Green
+    Gram, then Gauss's problem in one column."""
+    import rieszlab.balayage as balayage
 
-    tols = []
-    real = equilibrium.solve_nonneg
+    solves = []
+    real = balayage.solve_nonneg_many
 
-    def recording(gram, b, tol=1e-10):
-        tols.append(tol)
-        return real(gram, b, tol)
+    def recording(gram, B, tol):
+        solves.append((B.shape[1], tol))
+        return real(gram, B, tol)
 
-    monkeypatch.setattr(equilibrium, "solve_nonneg", recording)
+    monkeypatch.setattr(balayage, "solve_nonneg_many", recording)
     gk = GreenKernel(spec, gk2000.region, tol=1e-7)
     rl.green_equilibrium(gk, rl.sphere_region(ORIGIN, 0.5, 60, spec))
-    assert tols == [1e-7]
+    assert solves == [(60, 1e-7), (1, 1e-7)]
 
 
 def test_green_equilibrium_of_a_two_scale_compact(spec, gk2000):

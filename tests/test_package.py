@@ -22,6 +22,60 @@ def test_all_is_sorted_unique_and_resolves():
     assert missing == []
 
 
+def _definitions(stmt) -> list[str]:
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _all_literal(tree: ast.Module) -> list[str] | None:
+    """A module's ``__all__``, when it is assigned once, as a list literal."""
+    values = [
+        stmt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+    ]
+    if len(values) == 1 and isinstance(values[0], ast.List):
+        return ast.literal_eval(values[0])
+    return None
+
+
+def test_each_module_states_its_public_names_once():
+    """Every module but the package's __init__ and the CLI states its public
+    names once, in a sorted list literal ``__all__`` of names it defines at
+    top level; no name sits in two lists, only ``__init__`` star-imports, and
+    ``rieszlab.__all__`` is the union of the lists."""
+    every, bad, stars = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stars += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+        ]
+        if path.stem in ("__init__", "cli"):
+            continue
+        names = _all_literal(tree)
+        if names is None:
+            bad.append(f"{path.stem}: no list literal __all__")
+            continue
+        if names != sorted(set(names)):
+            bad.append(f"{path.stem}: __all__ is not sorted and unique")
+        defined = {n for stmt in tree.body for n in _definitions(stmt)}
+        bad += [f"{path.stem}: {n} is not defined here" for n in names if n not in defined]
+        every += names
+    assert bad == []
+    assert sorted(every) == sorted(set(every))
+    assert set(stars) <= {"__init__.py"}
+    assert rieszlab.__all__ == sorted(every)
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
@@ -31,14 +85,11 @@ def _unused_imports(path: Path) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # A package re-exports what it lists in __all__.
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    # A module exports what it lists in __all__.
+    used |= set(_all_literal(tree) or [])
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
@@ -49,15 +100,7 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 def _private_definitions(stmt) -> list[str]:
     """Module-private names (``_name``, not dunder) a top-level statement defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, ast.Assign):
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        names = [stmt.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _definitions(stmt) if n.startswith("_") and not n.startswith("__")]
 
 
 def _references(stmt) -> set[str]:
@@ -451,10 +494,10 @@ def test_only_core_raises_pairs_to_the_kernel_exponent():
     ]
 
 
-def test_one_sweep_solve_and_one_equilibrium_solve_call_the_solver():
-    """balayage._sweep_batch is the one sweep solve over any Gram, Riesz or
-    Green, and _equilibrium_from_gram the one solve of Gauss's problem:
-    outside solver, nothing else calls solve_nonneg_many or solve_nonneg."""
+def test_one_solve_calls_the_solver():
+    """balayage._sweep_batch is the one solve over any Gram, Riesz or Green,
+    of a sweep and of Gauss's problem alike: outside solver, nothing else
+    calls solve_nonneg_many or solve_nonneg."""
     def calls(name):
         return lambda node: isinstance(node, ast.Call) and _named(node.func, name)
 
@@ -462,9 +505,7 @@ def test_one_sweep_solve_and_one_equilibrium_solve_call_the_solver():
     assert [s for path in paths for s in _sites(path, calls("solve_nonneg_many"))] == [
         "balayage:_sweep_batch"
     ]
-    assert [s for path in paths for s in _sites(path, calls("solve_nonneg"))] == [
-        "equilibrium:_equilibrium_from_gram"
-    ]
+    assert [s for path in paths for s in _sites(path, calls("solve_nonneg"))] == []
 
 
 def test_core_imports_no_json():

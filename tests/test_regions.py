@@ -278,6 +278,16 @@ def test_a_nested_union_with_a_cloud_part_builds(spec):
         assert plain.counts(n) == want
 
 
+def test_region_leaves_its_callers_nodes_writable():
+    """A region keeps a read-only copy of its nodes: the caller's array stays
+    writable, and writing to it does not move the region."""
+    X = fibonacci_sphere(50)
+    region = Region(SphereShell(ORIGIN, 1.0), X)
+    X[0, 0] = 5.0
+    assert not region.nodes.flags.writeable
+    assert np.array_equal(region.nodes, fibonacci_sphere(50))
+
+
 def test_point_cloud_region(spec):
     pts = fibonacci_ball(150, 1.0)
     reg = rl.cloud_region(pts, spec)
@@ -818,6 +828,17 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
     assert build_region(shape, 2, spec).n_nodes == 2
 
 
+def _drawing_nothing(make):
+    """``make()`` with the Halton draw patched to fail: a shell too thin for
+    the capped batches is refused before any candidate is drawn."""
+    def draw(start, n):
+        raise AssertionError(f"drew {n} candidates")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regions, "_halton", draw)
+        return make()
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -866,12 +887,17 @@ def test_a_generated_region_needs_two_nodes(spec, shape, n):
         (lambda: rl.wiener_report(KernelSpec(2.0, 3), Ball(ORIGIN, 1.0), [5.0, 0.0, 0.0],
                                   ratio_q=1e-200, k_max=3),
          "a shell needs 0 <= r_lo < r_hi < inf, got r_lo=0.0, r_hi=0.0"),
+        (lambda: _drawing_nothing(
+            lambda: Ball(ORIGIN, 1.0).shell_nodes([1.0, 0.0, 0.0], 0.99999, 1.0, 10_000)),
+         "a shell of radius ratio 0.99999 is too thin to lay out 10000 nodes from 1000 batches "
+         "of candidates; widen it (a smaller ratio_q)"),
     ],
     ids=["no-node", "radius", "disk-normal", "budget", "generated-region", "round-shape",
          "half-space", "union", "point-cloud", "region-nodes", "region-radius",
          "region-membership", "region-single-node", "reinterpret", "whole-count",
          "whole-budget", "wiener-whole-budget", "huge-count", "huge-union-count",
-         "huge-budget", "huge-probe-count", "wiener-thin-shell", "wiener-underflow"],
+         "huge-budget", "huge-probe-count", "wiener-thin-shell", "wiener-underflow",
+         "thin-shell-draws-nothing"],
 )
 def test_layout_checks_raise_unresolved_layout(make, message):
     """Every shape, region and layout check raises UnresolvedLayout, a
